@@ -94,7 +94,7 @@ func main() {
 
 	// The screening variant: the same fleet at population scale. WithLazy
 	// derives each chip on demand from (seed, device index) inside a
-	// worker slot — resident memory is O(workers × array), so the same
+	// worker slot — resident memory is O(workers × window), so the same
 	// code runs a million-device fleet — and WithScreening prunes devices
 	// whose stable-cell ratio falls below the floor between months, the
 	// design-phase corner-screening workflow. Results are bit-identical

@@ -15,16 +15,17 @@ import (
 )
 
 // LazySimSource is the fleet-scale direct-sampling source: instead of
-// materialising one sram.Array per device up front (O(devices × array)
+// materialising one sram.Array per device up front (O(devices × window)
 // memory — a million-device mixed fleet is dead on arrival), it derives
 // each chip on demand from (campaign seed, global device index) inside
 // the worker slot that measures it. A slot holds one reusable Array per
 // fleet profile; measuring a device Resets the slot's array of that
 // device's profile to the device's seed, replays its aging trajectory,
 // fast-forwards its noise stream past the windows earlier months
-// consumed (one cached rng.Jump, composed per measured month), and
-// samples normally. Resident array state is O(slots × profiles × array),
-// independent of the device count.
+// consumed (one rng.Jump per Measure over every draw so far), and
+// samples normally. An Array simulates only the read window, so
+// resident chip state is O(slots × profiles × window), independent of
+// the device count and of the physical SRAM size.
 //
 // The streams are bit-identical to the eager SimSource: chip derivation
 // is label-based and order-independent (rng.Derive never advances the
@@ -52,9 +53,8 @@ type LazySimSource struct {
 	workers     int
 
 	root    *rng.Source
-	visited []int // months already measured, ascending
-	cum     *rng.Jump
-	jumps   map[uint64]*rng.Jump
+	visited []int  // months already measured, ascending
+	drawn   uint64 // noise draws each device's earlier windows consumed
 
 	slots  []*lazySlot
 	pruned []bool
@@ -230,20 +230,6 @@ func (s *LazySimSource) slotCount() int {
 	return n
 }
 
-// jumpFor returns (building once, then caching) the noise jump of one
-// evaluation window's draw count.
-func (s *LazySimSource) jumpFor(draws uint64) *rng.Jump {
-	if s.jumps == nil {
-		s.jumps = make(map[uint64]*rng.Jump, 1)
-	}
-	j := s.jumps[draws]
-	if j == nil {
-		j = rng.NewJump(draws)
-		s.jumps[draws] = j
-	}
-	return j
-}
-
 // Measure streams one evaluation window: a fixed set of slot workers
 // claim alive devices off a shared counter (device order within the
 // sink is irrelevant — the engine accumulates per device), rebuild each
@@ -261,6 +247,10 @@ func (s *LazySimSource) Measure(ctx context.Context, month, size int, sink Sink)
 			s.slots[i] = &lazySlot{arrays: make([]*sram.Array, len(s.conditioned))}
 		}
 	}
+	var skip *rng.Jump
+	if s.drawn > 0 {
+		skip = rng.NewJump(s.drawn)
+	}
 	var next atomic.Int64
 	jobs := make([]func(slot int) error, nslots)
 	for i := range jobs {
@@ -277,7 +267,7 @@ func (s *LazySimSource) Measure(ctx context.Context, month, size int, sink Sink)
 				if err := ctx.Err(); err != nil {
 					return fmt.Errorf("core: device %d: %w", d, err)
 				}
-				if err := s.measureDevice(ctx, sl, d, month, size, sink); err != nil {
+				if err := s.measureDevice(ctx, sl, skip, d, month, size, sink); err != nil {
 					return err
 				}
 			}
@@ -287,11 +277,7 @@ func (s *LazySimSource) Measure(ctx context.Context, month, size int, sink Sink)
 		return err
 	}
 	s.visited = append(s.visited, month)
-	cum := s.jumpFor(uint64(size) * uint64(s.bits))
-	if s.cum != nil {
-		cum = s.cum.Mul(cum)
-	}
-	s.cum = cum
+	s.drawn += uint64(size) * uint64(s.bits)
 	return nil
 }
 
@@ -299,8 +285,9 @@ func (s *LazySimSource) Measure(ctx context.Context, month, size int, sink Sink)
 // for its profile and samples its window. The rebuild is the lazy
 // construction contract: Reset to the device's seed stream, replay the
 // exact aging trajectory of the already-measured months, jump the noise
-// stream over their consumed draws, then sample this month normally.
-func (s *LazySimSource) measureDevice(ctx context.Context, sl *lazySlot, d, month, size int, sink Sink) error {
+// stream over their consumed draws (skip, nil before any), then sample
+// this month normally.
+func (s *LazySimSource) measureDevice(ctx context.Context, sl *lazySlot, skip *rng.Jump, d, month, size int, sink Sink) error {
 	g := s.indices[d]
 	pi := s.profIdx[d]
 	prof := s.conditioned[pi]
@@ -326,8 +313,8 @@ func (s *LazySimSource) measureDevice(ctx context.Context, sl *lazySlot, d, mont
 	if err := a.AgeTo(float64(month)); err != nil {
 		return err
 	}
-	if s.cum != nil {
-		a.JumpNoise(s.cum)
+	if skip != nil {
+		a.JumpNoise(skip)
 	}
 	if sl.scratch == nil {
 		sl.scratch = bitvec.New(s.bits)

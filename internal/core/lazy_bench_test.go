@@ -13,18 +13,18 @@ import (
 // 100 000-device mixed fleet through the lazy source — measure a month,
 // prune the odd half (a screening decision), measure the next month over
 // the survivors. The gated quantity is bytes/op: the lazy source keeps
-// O(slots × profiles × array) chip state plus ~10 bytes of per-device
+// O(slots × profiles × window) chip state plus ~10 bytes of per-device
 // metadata (index, profile byte, pruned flag), so the whole op allocates
 // a few MB where the eager source's up-front arrays would be O(devices ×
-// array). A regression that materialises per-device state shows up here
+// window). A regression that materialises per-device state shows up here
 // as a bytes/op and allocs/op explosion long before anyone runs the
 // million-device campaign.
 //
 // The fleet mixes both registered cell models on a deliberately tiny
-// geometry (32-byte arrays): rebuild cost scales with cells × devices
-// and would push a fleetnode-sized population past CI budgets, while the
-// memory property under gate — array state O(slots), metadata O(devices)
-// — is independent of the array size.
+// geometry (16-byte read windows): rebuild cost scales with window bits
+// × devices and would push a fleetnode-sized population past CI budgets,
+// while the memory property under gate — array state O(slots), metadata
+// O(devices) — is independent of the window size.
 func BenchmarkFleetScreening100k(b *testing.B) {
 	small, err := silicon.NewProfile("bench-iid",
 		silicon.WithGeometry(32, 16))

@@ -173,3 +173,62 @@ func TestLazyPruneSkipsDevices(t *testing.T) {
 		t.Fatal("pruned device 1 still delivered")
 	}
 }
+
+// TestLazySourcesMeasureConcurrently runs two lazy campaigns at once, as
+// the service does, over months that need noise jumps, and checks each
+// against the same campaign run alone. Run alone under -race it also
+// covers the shared jump table's first growth.
+func TestLazySourcesMeasureConcurrently(t *testing.T) {
+	prof, err := silicon.Lookup("fleetnode-2kb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const devices, size = 4, 3
+	months := []int{0, 1, 5}
+	seeds := []uint64{31, 32}
+	type collected = map[int]map[int][]*bitvec.Vector
+	run := func(seed uint64) (collected, error) {
+		src, err := NewLazySimSource(prof, devices, seed)
+		if err != nil {
+			return nil, err
+		}
+		src.SetWorkers(2)
+		out := make(collected, len(months))
+		var mu sync.Mutex
+		for _, m := range months {
+			byDev := make(map[int][]*bitvec.Vector)
+			err := src.Measure(context.Background(), m, size, func(d int, v *bitvec.Vector) error {
+				mu.Lock()
+				byDev[d] = append(byDev[d], v.Clone())
+				mu.Unlock()
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			out[m] = byDev
+		}
+		return out, nil
+	}
+	together := make([]collected, len(seeds))
+	errs := make([]error, len(seeds))
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i], errs[i] = run(seed)
+		}()
+	}
+	wg.Wait()
+	for i, seed := range seeds {
+		if errs[i] != nil {
+			t.Fatalf("seed %d: %v", seed, errs[i])
+		}
+		alone, err := run(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffWindows(t, "concurrent vs alone", alone, together[i])
+	}
+}

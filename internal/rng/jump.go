@@ -1,6 +1,9 @@
 package rng
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Jump is a precomputed n-step jump of the xoshiro256** state: applying it
 // to a Source advances the stream exactly as n calls to Uint64 would,
@@ -10,9 +13,9 @@ import "math/bits"
 // the image of the basis state with only bit j set) and Apply multiplies
 // the current state by it in O(popcount) conditional XORs.
 //
-// Jumps compose: NewJump(a).Mul(NewJump(b)) is the (a+b)-step jump, which
-// is how the lazy source maintains one cumulative fast-forward matrix per
-// campaign instead of replaying windows draw by draw.
+// Jumps compose: NewJump(a).Mul(NewJump(b)) is the (a+b)-step jump.
+// The lazy source builds one jump per Measure over every draw earlier
+// months consumed instead of replaying those windows draw by draw.
 type Jump struct {
 	// cols[j] is T^n applied to the basis vector e_j, packed as the four
 	// 64-bit state words (s0,s1,s2,s3). Bit j of the input state selects
@@ -20,12 +23,33 @@ type Jump struct {
 	cols [256][4]uint64
 }
 
-// jumpStep is the single-step transition matrix, built lazily once. It is
-// immutable after construction; the sync here is the package init order
-// (oneStep is only read through NewJump which builds it on first use under
-// no concurrency assumptions — callers construct jumps during source
-// setup, which the sources serialise).
-var oneStep *Jump
+// powers is the shared table of power-of-two jumps: powers[i] is the
+// 2^i-step matrix T^(2^i). It grows on demand, one squaring per new
+// entry, only up to the highest bit any NewJump has asked for, so it
+// holds ~8 KB × log2(n) for the largest n seen. Entries are immutable
+// once appended; powersMu guards the growth, so concurrent campaigns
+// (two lazy sources in one service, two sweep corners) share the table
+// race-free.
+var (
+	powersMu sync.Mutex
+	powers   []*Jump
+)
+
+// powersTo returns the table's first hi+1 entries, growing it first if
+// needed. The returned slice is safe to read without the lock: later
+// growth only appends past it.
+func powersTo(hi int) []*Jump {
+	powersMu.Lock()
+	defer powersMu.Unlock()
+	if len(powers) == 0 {
+		powers = append(powers, stepMatrix())
+	}
+	for len(powers) <= hi {
+		last := powers[len(powers)-1]
+		powers = append(powers, last.Mul(last))
+	}
+	return powers[:hi+1]
+}
 
 // stepMatrix builds the 1-step transition matrix by pushing each basis
 // state through the Uint64 transition.
@@ -90,23 +114,25 @@ func (m *Jump) Mul(other *Jump) *Jump {
 	return out
 }
 
-// NewJump returns the n-step jump, built by square-and-multiply over the
-// single-step matrix: ~log2(n) squarings plus one multiply per set bit,
-// each a 256-column matrix product. Building a jump costs milliseconds;
-// applying one costs microseconds — callers cache jumps per stride.
+// NewJump returns the n-step jump: the product of the cached
+// power-of-two matrices T^(2^i) over the set bits of n, popcount(n)-1
+// matrix products once the table reaches bit log2(n). Building a jump
+// costs tens of microseconds; applying one costs microseconds.
 func NewJump(n uint64) *Jump {
-	if oneStep == nil {
-		oneStep = stepMatrix()
+	if n == 0 {
+		return identityJump()
 	}
-	result := identityJump()
-	sq := oneStep
-	for n != 0 {
-		if n&1 != 0 {
-			result = result.Mul(sq)
+	table := powersTo(bits.Len64(n) - 1)
+	var result *Jump
+	for i, p := range table {
+		if n>>uint(i)&1 == 0 {
+			continue
 		}
-		n >>= 1
-		if n != 0 {
-			sq = sq.Mul(sq)
+		if result == nil {
+			cp := *p
+			result = &cp
+		} else {
+			result = result.Mul(p)
 		}
 	}
 	return result

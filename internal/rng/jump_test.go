@@ -1,6 +1,38 @@
 package rng
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
+
+// TestNewJumpConcurrent builds jumps from many goroutines at once while
+// the shared power table is still empty, so the table's growth races
+// with its readers unless it is guarded; run it under -race. It comes
+// first in the file so no earlier test has grown the table. Each jump
+// is then checked against discarding draws.
+func TestNewJumpConcurrent(t *testing.T) {
+	ns := []uint64{1, 3, 64, 1000, 8192, 65_537, 250_000, 1<<20 + 5}
+	jumps := make([]*Jump, len(ns))
+	var wg sync.WaitGroup
+	for i, n := range ns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			jumps[i] = NewJump(n)
+		}()
+	}
+	wg.Wait()
+	for i, n := range ns {
+		jumped, oracle := New(n), New(n)
+		for k := uint64(0); k < n; k++ {
+			oracle.Uint64()
+		}
+		jumps[i].Apply(jumped)
+		if g, w := jumped.Uint64(), oracle.Uint64(); g != w {
+			t.Fatalf("n=%d: output after jump = %#x, want %#x", n, g, w)
+		}
+	}
+}
 
 // TestJumpMatchesDiscard verifies Apply(NewJump(n)) against the oracle of
 // discarding n outputs, across step counts spanning zero, small, and

@@ -38,11 +38,17 @@ type CellModel interface {
 	// The draw is deterministic in the supplied stream.
 	SampleParams(p DeviceProfile, src *rng.Source) DeviceParams
 
-	// SampleSkew fills one chip's per-cell static skew (noise-sigma
-	// units) and per-cell aging-rate dispersion draws (~N(0,1) marginal)
-	// from the manufacturing stream. len(static) == len(gamma) ==
-	// p.Cells(). The fill is deterministic in mfg and must consume it in
-	// a stable order.
+	// SampleSkew fills the per-cell static skew (noise-sigma units) and
+	// per-cell aging-rate dispersion draws (~N(0,1) marginal) of one
+	// chip's first len(static) == len(gamma) <= p.Cells() cells from the
+	// manufacturing stream. The fill is deterministic in mfg and must be
+	// prefix-stable: filling n cells yields exactly the first n cells of
+	// a p.Cells()-long fill from the same stream, so a cell's values never
+	// depend on how many cells are filled. package sram relies on this to
+	// simulate only the read window (n = p.ReadWindowBits()) while reading
+	// out the same bits as a chip that simulated every cell. A model
+	// meets it by drawing in cell order and drawing anything shared by a
+	// group of cells right before the group's first cell.
 	SampleSkew(p DeviceProfile, d DeviceParams, mfg *rng.Source, static, gamma []float64)
 
 	// AgingResponse returns the BTI kinetics and the aging-rate
@@ -107,7 +113,8 @@ func (m iidModel) SampleParams(p DeviceProfile, src *rng.Source) DeviceParams {
 
 // SampleSkew draws skew and dispersion interleaved per cell — the exact
 // RNG consumption order of the historical sram.New loop, which is what
-// keeps pre-refactor campaigns bit-identical.
+// keeps pre-refactor campaigns bit-identical. Cell i's pair is draws
+// 2i and 2i+1, so the fill is prefix-stable.
 func (iidModel) SampleSkew(p DeviceProfile, d DeviceParams, mfg *rng.Source, static, gamma []float64) {
 	for i := range static {
 		static[i] = d.Mu + d.Lambda*mfg.NormFloat64()
@@ -155,7 +162,10 @@ func (m correlatedModel) SampleParams(p DeviceProfile, src *rng.Source) DevicePa
 // SampleSkew draws one shared (skew, dispersion) component pair per
 // cache line, then per-cell residuals, combining them with the
 // variance-preserving split √ρ·L + √(1−ρ)·ε. A trailing partial line
-// (cells not a multiple of LineBits) forms its own short line.
+// (cells not a multiple of LineBits) forms its own short line. The fill
+// is prefix-stable: each line's shared pair is drawn right before its
+// cells, so a fill cut inside a line (or a whole-array line, LineBits
+// 0) has drawn exactly what the longer fill had drawn by that cell.
 func (correlatedModel) SampleSkew(p DeviceProfile, d DeviceParams, mfg *rng.Source, static, gamma []float64) {
 	line := p.LineBits
 	if line <= 0 {

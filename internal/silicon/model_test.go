@@ -109,3 +109,48 @@ func TestLookupModelEmptyIsIID(t *testing.T) {
 		t.Fatalf("empty model name resolved to %q, want %q", m.ModelName(), ModelIID)
 	}
 }
+
+// TestSampleSkewPrefixStable pins the SampleSkew contract package sram
+// builds on: for every registered model, filling only the read window
+// draws exactly the window-long prefix of a whole-array fill, whether
+// cache lines tile the window, cut through its end, outgrow it, or span
+// the whole array.
+func TestSampleSkewPrefixStable(t *testing.T) {
+	const sramBytes, windowBytes = 256, 32 // 2048 cells, 256-bit window
+	for _, name := range ModelNames() {
+		m, err := LookupModel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lc := range []struct {
+			name string
+			bits int
+		}{
+			{"line divides window", 64},
+			{"line does not divide window", 96},
+			{"line longer than window", 512},
+			{"whole-array line", 0},
+		} {
+			p := DeviceProfile{
+				Name:            "prefix-test",
+				SRAMBytes:       sramBytes,
+				ReadWindowBytes: windowBytes,
+				Model:           name,
+				LineBits:        lc.bits,
+				LineCorr:        0.3,
+			}
+			d := DeviceParams{Lambda: 0.9, Mu: 0.4}
+			n, w := p.Cells(), p.ReadWindowBits()
+			fullStatic, fullGamma := make([]float64, n), make([]float64, n)
+			m.SampleSkew(p, d, rng.New(5), fullStatic, fullGamma)
+			winStatic, winGamma := make([]float64, w), make([]float64, w)
+			m.SampleSkew(p, d, rng.New(5), winStatic, winGamma)
+			for i := 0; i < w; i++ {
+				if winStatic[i] != fullStatic[i] || winGamma[i] != fullGamma[i] {
+					t.Fatalf("model %q, %s: cell %d window fill (%v, %v), whole-array fill (%v, %v)",
+						name, lc.name, i, winStatic[i], winGamma[i], fullStatic[i], fullGamma[i])
+				}
+			}
+		}
+	}
+}

@@ -285,9 +285,9 @@ func buildCMOS65nmAccelerated() (DeviceProfile, error) {
 // slightly noisier cells (0.85·λ) with a much weaker systematic bias
 // (0.25·μ, large-array peripheries are balanced by construction) — so
 // the family's reliability numbers stay commensurable with Table I.
-// sizeBytes ≥ MB-scale is the intended operating range; the 64 KiB
-// variant exists so demos and CI touch the same model without a
-// half-gigabyte per-device state.
+// sizeBytes ≥ MB-scale is the intended operating range. A simulated
+// chip holds state only for its 1 KiB read window, so the 2 MiB and
+// 64 KiB variants cost the same per device.
 func buildCacheArray(name string, sizeBytes int) (DeviceProfile, error) {
 	calOnce.Do(runCalibration)
 	if calErr != nil {

@@ -77,11 +77,14 @@ func TestEmptyModelIsIID(t *testing.T) {
 // positively correlated (they share a per-line component) while cells in
 // different lines are not, and the marginal distribution still matches
 // the device's (Mu, Lambda) so calibrated reliability targets carry over.
+// Only the read window is simulated (16 lines of this profile), so the
+// test draws 512 devices: as many line pairs and skew samples as 64
+// whole 128-line arrays would give.
 func TestCorrelatedLineStructure(t *testing.T) {
 	p := correlatedTestProfile(t)
-	const devices = 64
+	const devices = 512
 	line := p.LineBits
-	lines := p.Cells() / line
+	lines := p.ReadWindowBits() / line
 
 	var within, cross float64 // products of centred line-mean pairs
 	var nW, nC int
@@ -112,7 +115,7 @@ func TestCorrelatedLineStructure(t *testing.T) {
 	{
 		// Pool the marginal moments across devices (per-device Lambda
 		// jitters, so compare against the population value loosely).
-		n := float64(devices * p.Cells())
+		n := float64(devices * p.ReadWindowBits())
 		lambda = math.Sqrt(sumSq/n - (sum/n)*(sum/n))
 	}
 	wAvg, cAvg := within/float64(nW), cross/float64(nC)

@@ -39,8 +39,8 @@ func EffectiveNoiseSigma(rampSeconds float64) (float64, error) {
 	return math.Pow(ReferenceRampSeconds/rampSeconds, RampExponent), nil
 }
 
-// PowerUpWithRamp samples one full-array power-up with the supply ramped
-// over rampSeconds, scaling the decision noise accordingly.
+// PowerUpWithRamp samples one power-up of every simulated cell with the
+// supply ramped over rampSeconds, scaling the decision noise accordingly.
 func (a *Array) PowerUpWithRamp(dst *bitvec.Vector, rampSeconds float64) error {
 	sigma, err := EffectiveNoiseSigma(rampSeconds)
 	if err != nil {

@@ -1,5 +1,5 @@
-// Package sram simulates the power-up behaviour of a complete on-chip SRAM
-// array over its lifetime.
+// Package sram simulates the power-up behaviour of an on-chip SRAM array
+// over its lifetime.
 //
 // An Array holds one simulated chip: per-cell static skew (process
 // variation), per-transistor BTI threshold shifts (aging state), a per-cell
@@ -7,6 +7,15 @@
 // PowerUp draws one power-up pattern exactly as the physical chip would
 // produce it; AgeTo advances the BTI state to a target age in months,
 // integrating the occupancy-weighted drift of package aging in drift space.
+//
+// Only the read window is simulated: the paper reads out the first
+// ReadWindowBytes of the SRAM, so an Array holds, samples and ages just
+// those cells. The physical size stays in the profile
+// (Profile().Cells()). Simulating the window alone reads out the same
+// bits as simulating every cell would: the cell models fill skew
+// prefix-stably (silicon.CellModel.SampleSkew), AgeTo updates each cell
+// from that cell's own state with a step count that depends only on the
+// drift, and power-up noise draws only ever covered the window.
 //
 // Two sampling paths exist: the default Bernoulli fast path (one uniform
 // draw per cell against the cached one-probability) and a full-noise path
@@ -25,7 +34,9 @@ import (
 	"repro/internal/stats"
 )
 
-// Array is one simulated SRAM chip instance.
+// Array is one simulated SRAM chip instance. Its per-cell state covers
+// the profile's read window (ReadWindowBits cells), so its size does not
+// grow with the physical SRAM.
 type Array struct {
 	profile silicon.DeviceProfile
 	model   silicon.CellModel
@@ -37,7 +48,8 @@ type Array struct {
 	kin  aging.Kinetics
 	disp float64
 
-	// Per-cell state. Skew quantities are in noise-sigma units.
+	// Per-cell state over the read window. Skew quantities are in
+	// noise-sigma units.
 	static []float64 // static skew from process variation
 	dP1    []float64 // NBTI Vth shift of P1 (skew-weighted), stressed by state 1
 	dP2    []float64 // NBTI Vth shift of P2, stressed by state 0
@@ -62,9 +74,10 @@ type Array struct {
 	derived rng.Source
 }
 
-// New creates a chip instance of the given profile. The seed stream
-// determines both the chip's process variation and its noise sequence;
-// the same seed always reproduces the same chip and measurement history.
+// New creates a chip instance of the given profile, simulating its read
+// window. The seed stream determines both the chip's process variation
+// and its noise sequence; the same seed always reproduces the same chip
+// and measurement history.
 func New(profile silicon.DeviceProfile, seed *rng.Source) (*Array, error) {
 	if err := profile.Validate(); err != nil {
 		return nil, err
@@ -73,7 +86,7 @@ func New(profile silicon.DeviceProfile, seed *rng.Source) (*Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := profile.Cells()
+	n := profile.ReadWindowBits()
 	a := &Array{
 		profile:    profile,
 		model:      model,
@@ -141,7 +154,8 @@ func (a *Array) Profile() silicon.DeviceProfile { return a.profile }
 // Params returns this chip instance's sampled parameters.
 func (a *Array) Params() silicon.DeviceParams { return a.params }
 
-// Cells returns the number of SRAM bits.
+// Cells returns the number of simulated cells: the read window's bits.
+// The chip's physical size is Profile().Cells().
 func (a *Array) Cells() int { return len(a.static) }
 
 // AgeMonths returns the chip's current age in months.
@@ -237,44 +251,36 @@ func (a *Array) probabilities() []float64 {
 	return a.pcache
 }
 
-// PowerUp samples one full-array power-up pattern using the Bernoulli fast
-// path and stores it into dst, which must have Cells() bits.
-func (a *Array) PowerUp(dst *bitvec.Vector) error {
-	if dst.Len() != a.Cells() {
-		return fmt.Errorf("sram: destination has %d bits, array has %d cells", dst.Len(), a.Cells())
-	}
-	return a.powerUpInto(dst, a.Cells())
-}
+// PowerUp samples one power-up pattern of every simulated cell — the
+// read window — using the Bernoulli fast path and stores it into dst,
+// which must have Cells() bits. It is PowerUpWindowInto under the name
+// that pairs with PowerUpFullNoise.
+func (a *Array) PowerUp(dst *bitvec.Vector) error { return a.PowerUpWindowInto(dst) }
 
 // PowerUpWindow samples one power-up and returns only the read window
 // (the first ReadWindowBytes of the SRAM), matching the paper's read-out.
 func (a *Array) PowerUpWindow() (*bitvec.Vector, error) {
-	w := bitvec.New(a.profile.ReadWindowBits())
-	if err := a.powerUpInto(w, a.profile.ReadWindowBits()); err != nil {
+	w := bitvec.New(a.Cells())
+	if err := a.PowerUpWindowInto(w); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
 // PowerUpWindowInto samples one power-up read window into dst, which must
-// have ReadWindowBits() bits. It is the allocation-free form of
-// PowerUpWindow used by the streaming pipeline: the same RNG draws in the
-// same order, so the sampled patterns are bit-identical.
+// have ReadWindowBits() bits, using one uniform draw per cell packed 64
+// cells at a time. It is the allocation-free form of PowerUpWindow used
+// by the streaming pipeline: the same RNG draws in the same order, so the
+// sampled patterns are bit-identical.
 func (a *Array) PowerUpWindowInto(dst *bitvec.Vector) error {
-	return a.powerUpInto(dst, a.profile.ReadWindowBits())
-}
-
-// powerUpInto samples the first n cells into dst using one uniform draw
-// per cell packed 64 cells at a time.
-func (a *Array) powerUpInto(dst *bitvec.Vector, n int) error {
-	if dst.Len() != n {
-		return fmt.Errorf("sram: destination has %d bits, want %d", dst.Len(), n)
+	if dst.Len() != a.Cells() {
+		return fmt.Errorf("sram: destination has %d bits, array has %d cells", dst.Len(), a.Cells())
 	}
 	p := a.probabilities()
 	wi := 0
 	var word uint64
 	var nbits uint
-	for i := 0; i < n; i++ {
+	for i := range p {
 		if a.noise.Float64() < p[i] {
 			word |= 1 << nbits
 		}
@@ -292,10 +298,11 @@ func (a *Array) powerUpInto(dst *bitvec.Vector, n int) error {
 	return nil
 }
 
-// PowerUpFullNoise samples one power-up with an explicit Gaussian noise
-// draw per cell (skew + noise > 0), the physically literal path. It is
-// statistically identical to PowerUp and ~5x slower; kept for the noise
-// ablation and for voltage-ramp experiments where the noise sigma varies.
+// PowerUpFullNoise samples one power-up of every simulated cell with an
+// explicit Gaussian noise draw per cell (skew + noise > 0), the
+// physically literal path. It is statistically identical to PowerUp and
+// ~5x slower; kept for the noise ablation and for voltage-ramp
+// experiments where the noise sigma varies.
 func (a *Array) PowerUpFullNoise(dst *bitvec.Vector, noiseSigma float64) error {
 	if dst.Len() != a.Cells() {
 		return fmt.Errorf("sram: destination has %d bits, array has %d cells", dst.Len(), a.Cells())
@@ -328,13 +335,11 @@ func (a *Array) StableCellCount(w int, threshold float64) int {
 // ExpectedFHW returns the expected fractional Hamming weight of the read
 // window at the current age.
 func (a *Array) ExpectedFHW() float64 {
-	p := a.probabilities()
-	n := a.profile.ReadWindowBits()
 	s := 0.0
-	for i := 0; i < n; i++ {
-		s += p[i]
+	for _, pi := range a.probabilities() {
+		s += pi
 	}
-	return s / float64(n)
+	return s / float64(a.Cells())
 }
 
 // Snapshot captures the full aging state of the array for later Restore.

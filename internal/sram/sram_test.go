@@ -66,8 +66,11 @@ func TestSetNoiseScale(t *testing.T) {
 
 func TestNewArrayGeometry(t *testing.T) {
 	a := testArray(t, 1)
-	if a.Cells() != 20480 {
-		t.Fatalf("Cells = %d, want 20480 (2.5 KByte)", a.Cells())
+	if a.Cells() != a.Profile().ReadWindowBits() {
+		t.Fatalf("Cells = %d, want the %d-bit read window", a.Cells(), a.Profile().ReadWindowBits())
+	}
+	if a.Profile().Cells() != 20480 {
+		t.Fatalf("Profile().Cells() = %d, want 20480 (2.5 KByte)", a.Profile().Cells())
 	}
 	if a.AgeMonths() != 0 {
 		t.Fatalf("new array age = %v", a.AgeMonths())
@@ -141,7 +144,7 @@ func TestPowerUpFullArray(t *testing.T) {
 	}
 	fhw := dst.FractionalHammingWeight()
 	if math.Abs(fhw-0.627) > 0.03 {
-		t.Fatalf("full-array FHW = %v, want ~0.627", fhw)
+		t.Fatalf("PowerUp FHW = %v, want ~0.627", fhw)
 	}
 	// Size mismatch must be rejected.
 	if err := a.PowerUp(bitvec.New(10)); err == nil {
