@@ -3,6 +3,7 @@ package sramaging
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"repro/internal/core"
 )
@@ -346,7 +347,32 @@ func NewAssessment(opts ...Option) (*Assessment, error) {
 			return nil, fmt.Errorf("%w: WithLazy is exclusive with WithSource (lazy construction builds the simulated sources)", ErrConfig)
 		}
 	}
+	if !a.profileSet {
+		var err error
+		if a.profile, err = ATmega32u4(); err != nil {
+			return nil, err
+		}
+	}
 	return a, nil
+}
+
+// simSpec is the simulated source the assessment's options describe —
+// what Run opens and what every condition point of RunSweep opens.
+func (a *Assessment) simSpec() core.SimSpec {
+	spec := core.SimSpec{
+		Fleet:        a.fleet,
+		Devices:      a.devices,
+		Seed:         a.seed,
+		Lazy:         a.lazy,
+		Rig:          a.useRig,
+		I2CErrorRate: a.i2cErr,
+		Shards:       a.shards,
+		Transport:    a.shardTransport,
+	}
+	if a.fleet == nil {
+		spec.Profile = a.profile
+	}
+	return spec
 }
 
 // Run executes the assessment: one streaming pass per month, every
@@ -364,68 +390,13 @@ func (a *Assessment) Run(ctx context.Context) (*Results, error) {
 	}
 	src := a.src
 	if src == nil {
-		profile := a.profile
-		if !a.profileSet {
-			var err error
-			if profile, err = ATmega32u4(); err != nil {
-				return nil, err
-			}
-		}
 		var err error
-		switch {
-		case a.fleet != nil && a.shards > 0 && a.lazy:
-			var s *ShardedSource
-			s, err = core.NewShardedLazySimFleetSource(a.fleet, a.devices, a.seed, a.shards, a.shardTransport)
-			if s != nil {
-				defer s.Close()
-			}
-			src = s
-		case a.fleet != nil && a.shards > 0:
-			var s *ShardedSource
-			s, err = NewShardedFleetSource(a.fleet, a.devices, a.seed, a.shards, a.shardTransport)
-			if s != nil {
-				defer s.Close()
-			}
-			src = s
-		case a.fleet != nil && a.lazy:
-			src, err = core.NewLazySimFleetSource(a.fleet, a.devices, a.seed)
-		case a.fleet != nil:
-			src, err = NewFleetSource(a.fleet, a.devices, a.seed)
-		case a.lazy && a.shards > 0:
-			// Lazy single-profile shards ride the one-profile-fleet
-			// short-circuit, keeping the plain campaign's bits.
-			var fleet *Fleet
-			if fleet, err = NewFleet(profile); err == nil {
-				var s *ShardedSource
-				s, err = core.NewShardedLazySimFleetSource(fleet, a.devices, a.seed, a.shards, a.shardTransport)
-				if s != nil {
-					defer s.Close()
-				}
-				src = s
-			}
-		case a.lazy:
-			src, err = core.NewLazySimSource(profile, a.devices, a.seed)
-		case a.shards > 0 && a.useRig:
-			var s *ShardedSource
-			s, err = NewShardedRigSource(profile, a.devices, a.seed, a.i2cErr, a.shards, a.shardTransport)
-			if s != nil {
-				defer s.Close()
-			}
-			src = s
-		case a.shards > 0:
-			var s *ShardedSource
-			s, err = NewShardedSimSource(profile, a.devices, a.seed, a.shards, a.shardTransport)
-			if s != nil {
-				defer s.Close()
-			}
-			src = s
-		case a.useRig:
-			src, err = NewRigSource(profile, a.devices, a.seed, a.i2cErr)
-		default:
-			src, err = NewSimulatedSource(profile, a.devices, a.seed)
-		}
-		if err != nil {
+		if src, err = core.OpenSim(a.simSpec()); err != nil {
 			return nil, err
+		}
+		// Sharded sources hold worker connections.
+		if c, ok := src.(io.Closer); ok {
+			defer c.Close()
 		}
 	}
 	if a.workersSet {
@@ -436,7 +407,7 @@ func (a *Assessment) Run(ctx context.Context) (*Results, error) {
 	months := a.months
 	if months == nil {
 		if _, ok := src.(MonthLister); !ok {
-			// The paper's campaign length, matching DefaultCampaign.
+			// The paper's campaign length.
 			months = core.MonthRange(24)
 		}
 	}

@@ -506,37 +506,6 @@ func mustProfile(t *testing.T) DeviceProfile {
 	return p
 }
 
-// TestLegacyShimMatchesAssessment: the deprecated Config surface is a
-// shim over the new engine — RunCampaign and an equivalent Assessment
-// must produce bit-identical results.
-func TestLegacyShimMatchesAssessment(t *testing.T) {
-	cfg, err := DefaultCampaign()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Devices, cfg.Months, cfg.WindowSize = 3, 2, 50
-	legacy, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewAssessment(
-		WithDevices(cfg.Devices),
-		WithMonths(cfg.Months),
-		WithWindowSize(cfg.WindowSize),
-		WithSeed(cfg.Seed),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := a.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy.Monthly, fresh.Monthly) || !reflect.DeepEqual(legacy.Table, fresh.Table) {
-		t.Fatal("legacy shim and Assessment disagree")
-	}
-}
-
 // TestAssessmentWorkersBitIdentical: the worker bound schedules, it must
 // not change results.
 func TestAssessmentWorkersBitIdentical(t *testing.T) {

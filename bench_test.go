@@ -7,6 +7,7 @@
 package sramaging
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -25,33 +26,37 @@ import (
 	"repro/internal/store"
 )
 
-// benchCampaignConfig is the reduced per-iteration campaign used by the
-// table/figure benches.
-func benchCampaignConfig(b *testing.B) core.Config {
+// Shape of the reduced per-iteration campaign the table/figure benches
+// run: the paper's board and seed, fewer devices, months and reads.
+const benchDevices, benchMonths = 4, 3
+
+// runBenchCampaign runs the reduced campaign on the direct path.
+func runBenchCampaign(b *testing.B) *core.Results {
 	b.Helper()
-	cfg, err := core.DefaultConfig()
+	profile, err := silicon.ATmega32u4()
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg.Devices = 4
-	cfg.Months = 3
-	cfg.WindowSize = 100
-	return cfg
+	src, err := core.OpenSim(core.SimSpec{Profile: profile, Devices: benchDevices, Seed: 20170208})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := core.NewAssessment(core.AssessmentConfig{Source: src, WindowSize: 100, Months: core.MonthRange(benchMonths)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := eng.Run(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
 // BenchmarkTableI regenerates the Table I pipeline (experiment T1).
 func BenchmarkTableI(b *testing.B) {
-	cfg := benchCampaignConfig(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		camp, err := core.NewCampaign(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := camp.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runBenchCampaign(b)
 		if out := report.RenderTableI(res.Table); !strings.Contains(out, "WCHD") {
 			b.Fatal("table rendering failed")
 		}
@@ -165,21 +170,13 @@ func BenchmarkFig5Histograms(b *testing.B) {
 // BenchmarkFig6Series regenerates the monthly metric time series
 // (experiments F6a-F6d).
 func BenchmarkFig6Series(b *testing.B) {
-	cfg := benchCampaignConfig(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		camp, err := core.NewCampaign(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := camp.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s := res.Series(func(d core.DeviceMonth) float64 { return d.WCHD }); len(s) != cfg.Devices {
+		res := runBenchCampaign(b)
+		if s := res.Series(func(d core.DeviceMonth) float64 { return d.WCHD }); len(s) != benchDevices {
 			b.Fatal("series extraction failed")
 		}
-		if s := res.PUFEntropySeries(); len(s) != cfg.Months+1 {
+		if s := res.PUFEntropySeries(); len(s) != benchMonths+1 {
 			b.Fatal("PUF series extraction failed")
 		}
 	}

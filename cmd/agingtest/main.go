@@ -33,14 +33,23 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
 	sramaging "repro"
+	"repro/internal/core"
 	"repro/internal/store"
 )
+
+// recordTapper is a source whose record stream can be archived: the rig,
+// in process or sharded.
+type recordTapper interface {
+	sramaging.Source
+	SetTap(func(sramaging.Record) error)
+}
 
 func main() {
 	if err := run(); err != nil {
@@ -163,29 +172,21 @@ func run() error {
 	var archived int
 	// rig is the record-tappable source of the -archive collection path:
 	// the rig simulation, optionally sharded across workers.
-	var rig interface {
-		sramaging.Source
-		SetTap(func(sramaging.Record) error)
-	}
+	var rig recordTapper
 	if *archive != "" {
 		// The rig is built (and validated) here; its record tap and the
 		// output file are only wired up after the whole assessment has
 		// validated, so a bad configuration cannot truncate an existing
 		// archive.
-		if *shards > 0 {
-			sharded, err := sramaging.NewShardedRigSource(profile, *devices, *seed, *i2cErr, *shards, transport)
-			if err != nil {
-				return err
-			}
-			defer sharded.Close()
-			rig = sharded
-		} else {
-			plain, err := sramaging.NewRigSource(profile, *devices, *seed, *i2cErr)
-			if err != nil {
-				return err
-			}
-			rig = plain
+		src, err := core.OpenSim(core.SimSpec{Profile: profile, Devices: *devices, Seed: *seed,
+			Rig: true, I2CErrorRate: *i2cErr, Shards: *shards, Transport: transport})
+		if err != nil {
+			return err
 		}
+		if c, ok := src.(io.Closer); ok {
+			defer c.Close()
+		}
+		rig = src.(recordTapper)
 		opts = append(opts, sramaging.WithSource(rig))
 	} else {
 		if len(fleet) == 0 {

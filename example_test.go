@@ -266,32 +266,6 @@ func ExampleAssessment_indexedArchive() {
 	// seek-based replay is bit-identical to the live campaign
 }
 
-// ExampleRunCampaign runs a miniature assessment campaign through the
-// deprecated Config shim and reports the direction of the reliability
-// trend, the paper's §IV-D1 observation.
-func ExampleRunCampaign() {
-	cfg, err := sramaging.DefaultCampaign()
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg.Devices = 2
-	cfg.Months = 3
-	cfg.WindowSize = 60
-	res, err := sramaging.RunCampaign(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if res.Table.WCHD.Avg.End > res.Table.WCHD.Avg.Start {
-		fmt.Println("reliability degrades with aging: WCHD increased")
-	}
-	if res.Table.NoiseEntropy.Avg.End > res.Table.NoiseEntropy.Avg.Start {
-		fmt.Println("randomness improves with aging: noise entropy increased")
-	}
-	// Output:
-	// reliability degrades with aging: WCHD increased
-	// randomness improves with aging: noise entropy increased
-}
-
 // ExamplePredictedWCHDTrajectory reproduces the paper's §V conclusion
 // numerically: nominal-condition aging degrades reliability much more
 // slowly than an accelerated test would suggest.

@@ -89,22 +89,6 @@ func NewDeviceProfile(name string, opts ...ProfileOption) (DeviceProfile, error)
 // single-profile fleet is bit-identical to the plain profile.
 func NewFleet(profiles ...DeviceProfile) (*Fleet, error) { return core.NewFleet(profiles...) }
 
-// NewFleetSource builds a direct-sampling source over a heterogeneous
-// fleet: device d's chip is built from the profile the fleet assigns it
-// under the seed, with the same per-device derivation the
-// single-profile source uses.
-func NewFleetSource(fleet *Fleet, devices int, seed uint64) (*SimulatedSource, error) {
-	return core.NewSimFleetSource(fleet, devices, seed)
-}
-
-// NewShardedFleetSource fans a fleet campaign across shard workers;
-// every worker rebuilds the seed-deterministic assignment and builds
-// only its slice of the chips, so any shard count produces the
-// bit-identical streams of NewFleetSource.
-func NewShardedFleetSource(fleet *Fleet, devices int, seed uint64, shards int, t ShardTransport) (*ShardedSource, error) {
-	return core.NewShardedSimFleetSource(fleet, devices, seed, shards, t)
-}
-
 // WithFleet runs the assessment over a heterogeneous fleet instead of a
 // single profile: every device's profile is assigned deterministically
 // from the campaign seed, and each month's results carry the

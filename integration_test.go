@@ -2,10 +2,10 @@ package sramaging
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/entropy"
 	"repro/internal/harness"
 	"repro/internal/metrics"
@@ -87,13 +87,12 @@ func TestIntegrationArchivePipeline(t *testing.T) {
 	}
 
 	// Phase 3: in-memory campaign on the same seed must agree exactly.
-	cfg := core.Config{Profile: profile, Devices: devices, Months: 1,
-		WindowSize: window, Seed: seed, UseHarness: true}
-	camp, err := core.NewCampaign(cfg)
+	camp, err := NewAssessment(WithProfile(profile), WithDevices(devices), WithMonths(1),
+		WithWindowSize(window), WithSeed(seed), WithHarness())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := camp.Run()
+	res, err := camp.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,8 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/aging"
 	"repro/internal/rng"
 	"repro/internal/silicon"
-	"repro/internal/sram"
-	"repro/internal/stream"
 )
 
 // fleetAssignLabel derives the fleet's profile-assignment stream from
@@ -159,76 +156,6 @@ type ProfileAssigner interface {
 	// ProfileAssignment returns (names, idx) with len(idx) == Devices()
 	// and every idx value < len(names), or (nil, nil) when unknown.
 	ProfileAssignment() ([]string, []uint8)
-}
-
-// NewSimFleetSource builds a direct-sampling source over a
-// heterogeneous fleet: device d's chip is built from the profile the
-// fleet assigns it, with the same per-device seed derivation the
-// single-profile source uses. Chips operate at their own profile's
-// nominal condition parameters under the shared ambient scenario.
-func NewSimFleetSource(fleet *Fleet, devices int, seed uint64) (*SimSource, error) {
-	if fleet == nil {
-		return nil, fmt.Errorf("%w: nil fleet", ErrConfig)
-	}
-	return NewSimFleetSourceAt(fleet, devices, seed, fleet.profiles[0].NominalScenario())
-}
-
-// NewSimFleetSourceAt is NewSimFleetSource at an explicit environmental
-// scenario — every chip's kinetics run at the shared ambient condition,
-// each through its own profile's acceleration parameters.
-func NewSimFleetSourceAt(fleet *Fleet, devices int, seed uint64, sc aging.Scenario) (*SimSource, error) {
-	if devices < 1 {
-		return nil, fmt.Errorf("%w: need >= 1 device, got %d", ErrConfig, devices)
-	}
-	indices := make([]int, devices)
-	for d := range indices {
-		indices[d] = d
-	}
-	return NewSimFleetSourceSubset(fleet, seed, sc, indices)
-}
-
-// NewSimFleetSourceSubset builds a fleet source over an arbitrary
-// subset of the campaign's device population (GLOBAL indices) — the
-// shard worker's slice of a heterogeneous fleet. Profile assignment
-// depends only on (seed, global index), so any shard layout builds
-// exactly the chips the full source would.
-func NewSimFleetSourceSubset(fleet *Fleet, seed uint64, sc aging.Scenario, indices []int) (*SimSource, error) {
-	if fleet == nil {
-		return nil, fmt.Errorf("%w: nil fleet", ErrConfig)
-	}
-	if len(indices) < 1 {
-		return nil, fmt.Errorf("%w: need >= 1 device index", ErrConfig)
-	}
-	conditioned := make([]silicon.DeviceProfile, len(fleet.profiles))
-	for i, p := range fleet.profiles {
-		cp, err := conditionedProfile(p, sc)
-		if err != nil {
-			return nil, err
-		}
-		conditioned[i] = cp
-	}
-	root := rng.New(seed)
-	arrays := make([]*sram.Array, len(indices))
-	names := make([]string, len(indices))
-	for d, g := range indices {
-		if g < 0 {
-			return nil, fmt.Errorf("%w: negative device index %d", ErrConfig, g)
-		}
-		p := conditioned[fleet.ProfileIndex(seed, g)]
-		a, err := sram.New(p, root.Derive(uint64(g)+1))
-		if err != nil {
-			return nil, err
-		}
-		if err := a.SetNoiseScale(p.NoiseScale()); err != nil {
-			return nil, err
-		}
-		arrays[d] = a
-		names[d] = p.Name
-	}
-	src := newSimSource(arrays, conditioned[0].ReadWindowBits(), stream.NewPool(0))
-	src.scenario = sc
-	src.profNames = names
-	return src, nil
 }
 
 // ProfileEval aggregates the per-device reliability metrics of the

@@ -99,14 +99,11 @@ func TestFleetSourceShardedBitIdentical(t *testing.T) {
 	fleet := fleetTestFleet(t)
 	const devices, seed, window = 8, 20170208, 25
 
-	direct, err := NewSimFleetSource(fleet, devices, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := mustOpen[*SimSource](t, SimSpec{Fleet: fleet, Devices: devices, Seed: seed})
 	want := runAssessment(t, direct, window, shardTestMonths)
 
 	for _, shards := range []int{1, 2, 7} {
-		src, err := NewShardedSimFleetSource(fleet, devices, seed, shards, nil)
+		src, err := openAs[*ShardedSource](SimSpec{Fleet: fleet, Devices: devices, Seed: seed, Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -127,10 +124,7 @@ func TestFleetArchiveReplayBitIdentical(t *testing.T) {
 	fleet := fleetTestFleet(t)
 	const devices, seed, window = 6, 7, 20
 
-	direct, err := NewSimFleetSource(fleet, devices, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := mustOpen[*SimSource](t, SimSpec{Fleet: fleet, Devices: devices, Seed: seed})
 	want := runAssessment(t, direct, window, shardTestMonths)
 	for _, ev := range want.Monthly {
 		if len(ev.ByProfile) != fleet.Size() {
@@ -146,10 +140,7 @@ func TestFleetArchiveReplayBitIdentical(t *testing.T) {
 	}
 
 	// Collect the same campaign's records through the sharded tap.
-	tapped, err := NewShardedSimFleetSource(fleet, devices, seed, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tapped := mustOpen[*ShardedSource](t, SimSpec{Fleet: fleet, Devices: devices, Seed: seed, Shards: 2})
 	arch := store.NewArchive()
 	var mu sync.Mutex
 	tapped.SetTap(func(rec store.Record) error {
@@ -196,10 +187,7 @@ func TestSingleProfileFleetMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewSimFleetSource(fleet, devices, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := mustOpen[*SimSource](t, SimSpec{Fleet: fleet, Devices: devices, Seed: seed})
 	got := runAssessment(t, src, window, shardTestMonths)
 	assertResultsBitIdentical(t, want, got)
 	for _, ev := range got.Monthly {
@@ -219,10 +207,7 @@ func TestCorrelatedPhysicalInvariants(t *testing.T) {
 	months := []int{0, 6, 12}
 
 	run := func(sc aging.Scenario) *Results {
-		src, err := NewSimSourceAt(corr, devices, seed, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		src := mustOpen[*SimSource](t, SimSpec{Profile: corr, Devices: devices, Seed: seed, Scenario: sc})
 		return runAssessment(t, src, window, months)
 	}
 	nominal := run(aging.NominalRoomTemp)

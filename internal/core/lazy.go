@@ -71,86 +71,6 @@ type lazySlot struct {
 	scratch *bitvec.Vector
 }
 
-// NewLazySimSource builds a lazy single-profile source over the full
-// population — the drop-in counterpart of NewSimSource.
-func NewLazySimSource(profile silicon.DeviceProfile, devices int, seed uint64) (*LazySimSource, error) {
-	return NewLazySimSourceAt(profile, devices, seed, profile.NominalScenario())
-}
-
-// NewLazySimSourceAt is NewLazySimSource at an explicit environmental
-// scenario.
-func NewLazySimSourceAt(profile silicon.DeviceProfile, devices int, seed uint64, sc aging.Scenario) (*LazySimSource, error) {
-	fleet, err := NewFleet(profile)
-	if err != nil {
-		return nil, err
-	}
-	return NewLazySimFleetSourceAt(fleet, devices, seed, sc)
-}
-
-// NewLazySimFleetSource builds a lazy source over a heterogeneous fleet
-// — the drop-in counterpart of NewSimFleetSource, and the construction
-// that makes a million-device mixed fleet fit in memory.
-func NewLazySimFleetSource(fleet *Fleet, devices int, seed uint64) (*LazySimSource, error) {
-	if fleet == nil {
-		return nil, fmt.Errorf("%w: nil fleet", ErrConfig)
-	}
-	return NewLazySimFleetSourceAt(fleet, devices, seed, fleet.profiles[0].NominalScenario())
-}
-
-// NewLazySimFleetSourceAt is NewLazySimFleetSource at an explicit
-// environmental scenario.
-func NewLazySimFleetSourceAt(fleet *Fleet, devices int, seed uint64, sc aging.Scenario) (*LazySimSource, error) {
-	if devices < 1 {
-		return nil, fmt.Errorf("%w: need >= 1 device, got %d", ErrConfig, devices)
-	}
-	indices := make([]int, devices)
-	for d := range indices {
-		indices[d] = d
-	}
-	return NewLazySimFleetSourceSubset(fleet, seed, sc, indices)
-}
-
-// NewLazySimFleetSourceSubset builds a lazy fleet source over an
-// arbitrary subset of the campaign's population (GLOBAL indices) — the
-// shard worker's lazy slice. A single-profile fleet short-circuits the
-// assignment RNG exactly like the eager subset source, so wrapping a
-// plain profile keeps the plain campaign's bits.
-func NewLazySimFleetSourceSubset(fleet *Fleet, seed uint64, sc aging.Scenario, indices []int) (*LazySimSource, error) {
-	if fleet == nil {
-		return nil, fmt.Errorf("%w: nil fleet", ErrConfig)
-	}
-	if len(indices) < 1 {
-		return nil, fmt.Errorf("%w: need >= 1 device index", ErrConfig)
-	}
-	conditioned := make([]silicon.DeviceProfile, len(fleet.profiles))
-	for i, p := range fleet.profiles {
-		cp, err := conditionedProfile(p, sc)
-		if err != nil {
-			return nil, err
-		}
-		conditioned[i] = cp
-	}
-	for _, g := range indices {
-		if g < 0 {
-			return nil, fmt.Errorf("%w: negative device index %d", ErrConfig, g)
-		}
-	}
-	s := &LazySimSource{
-		fleet:       fleet,
-		seed:        seed,
-		scenario:    sc,
-		conditioned: conditioned,
-		indices:     append([]int(nil), indices...),
-		profIdx:     fleet.AssignmentIndices(seed, indices),
-		bits:        conditioned[0].ReadWindowBits(),
-		pool:        stream.NewPool(0),
-		root:        rng.New(seed),
-		pruned:      make([]bool, len(indices)),
-		alive:       len(indices),
-	}
-	return s, nil
-}
-
 // Devices returns the population size, pruned devices included — a
 // pruned device keeps its index, it just stops being sampled.
 func (s *LazySimSource) Devices() int { return len(s.indices) }

@@ -73,10 +73,7 @@ func TestLazyMatchesEagerPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := NewLazySimSource(prof, devices, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lazy := mustOpen[*LazySimSource](t, SimSpec{Profile: prof, Devices: devices, Seed: seed, Lazy: true})
 	lazy.SetWorkers(3)
 	diffWindows(t, "plain",
 		collectWindows(t, eager, months, size),
@@ -139,14 +136,9 @@ func TestLazyPruneSkipsDevices(t *testing.T) {
 	}
 	const devices, seed, size = 5, uint64(9), 2
 
-	full, err := NewLazySimSource(prof, devices, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned, err := NewLazySimSource(prof, devices, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := SimSpec{Profile: prof, Devices: devices, Seed: seed, Lazy: true}
+	full := mustOpen[*LazySimSource](t, spec)
+	pruned := mustOpen[*LazySimSource](t, spec)
 	fw := collectWindows(t, full, []int{0}, size)
 	pw := collectWindows(t, pruned, []int{0}, size)
 	diffWindows(t, "pre-prune", fw, pw)
@@ -188,7 +180,7 @@ func TestLazySourcesMeasureConcurrently(t *testing.T) {
 	seeds := []uint64{31, 32}
 	type collected = map[int]map[int][]*bitvec.Vector
 	run := func(seed uint64) (collected, error) {
-		src, err := NewLazySimSource(prof, devices, seed)
+		src, err := openAs[*LazySimSource](SimSpec{Profile: prof, Devices: devices, Seed: seed, Lazy: true})
 		if err != nil {
 			return nil, err
 		}

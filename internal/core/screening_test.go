@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -144,18 +145,11 @@ func TestScreeningDirectVsShardedBitIdentical(t *testing.T) {
 	const devices, seed, window = 12, 4242, 24
 	months := shardTestMonths
 
-	probe, err := NewSimFleetSource(fleet, devices, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unscreened := runAssessment(t, probe, window, months)
+	spec := SimSpec{Fleet: fleet, Devices: devices, Seed: seed}
+	unscreened := runAssessment(t, mustOpen[Source](t, spec), window, months)
 	sc := &ScreeningConfig{Floor: pickScreeningFloor(t, unscreened, false, nil)}
 
-	direct, err := NewSimFleetSource(fleet, devices, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runScreened(t, direct, window, months, sc)
+	want := runScreened(t, mustOpen[Source](t, spec), window, months, sc)
 	assertScreeningHappened(t, want, devices)
 	attrition := false
 	for _, m := range want.Monthly {
@@ -167,29 +161,15 @@ func TestScreeningDirectVsShardedBitIdentical(t *testing.T) {
 		t.Fatal("no month recorded per-profile attrition")
 	}
 
-	lazy, err := NewLazySimFleetSource(fleet, devices, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := runScreened(t, lazy, window, months, sc)
-	assertResultsBitIdentical(t, want, got)
-
-	for _, shards := range []int{1, 2, 7} {
-		src, err := NewShardedSimFleetSource(fleet, devices, seed, shards, nil)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
+	layouts := []SimSpec{{Lazy: true}, {Shards: 1}, {Shards: 2}, {Shards: 7}, {Lazy: true, Shards: 2}, {Lazy: true, Shards: 7}}
+	for _, layout := range layouts {
+		s := spec
+		s.Lazy, s.Shards = layout.Lazy, layout.Shards
+		src := mustOpen[Source](t, s)
 		got := runScreened(t, src, window, months, sc)
-		src.Close()
-		assertResultsBitIdentical(t, want, got)
-	}
-	for _, shards := range []int{2, 7} {
-		src, err := NewShardedLazySimFleetSource(fleet, devices, seed, shards, nil)
-		if err != nil {
-			t.Fatalf("lazy shards=%d: %v", shards, err)
+		if c, ok := src.(io.Closer); ok {
+			c.Close()
 		}
-		got := runScreened(t, src, window, months, sc)
-		src.Close()
 		assertResultsBitIdentical(t, want, got)
 	}
 }
@@ -203,10 +183,8 @@ func TestScreeningPerProfileFloors(t *testing.T) {
 	const devices, seed, window = 10, 777, 24
 	months := []int{0, 1, 2}
 
-	probe, err := NewSimFleetSource(fleet, devices, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := SimSpec{Fleet: fleet, Devices: devices, Seed: seed}
+	probe := mustOpen[*SimSource](t, spec)
 	unscreened := runAssessment(t, probe, window, months)
 	names := probe.DeviceProfileNames()
 	prunable := make([]bool, devices)
@@ -216,11 +194,7 @@ func TestScreeningPerProfileFloors(t *testing.T) {
 	floor := pickScreeningFloor(t, unscreened, false, prunable)
 	sc := &ScreeningConfig{PerProfile: map[string]float64{"FleetNode-1KB": floor}}
 
-	direct, err := NewSimFleetSource(fleet, devices, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runScreened(t, direct, window, months, sc)
+	want := runScreened(t, mustOpen[Source](t, spec), window, months, sc)
 	for _, m := range want.Monthly {
 		for name := range m.Attrition {
 			if name != "FleetNode-1KB" {
@@ -229,10 +203,8 @@ func TestScreeningPerProfileFloors(t *testing.T) {
 		}
 	}
 
-	sharded, err := NewShardedLazySimFleetSource(fleet, devices, seed, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec.Lazy, spec.Shards = true, 3
+	sharded := mustOpen[*ShardedSource](t, spec)
 	got := runScreened(t, sharded, window, months, sc)
 	sharded.Close()
 	assertResultsBitIdentical(t, want, got)
@@ -424,10 +396,7 @@ func TestScreeningFloorKillsCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewLazySimSource(profile, 4, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := mustOpen[*LazySimSource](t, SimSpec{Profile: profile, Devices: 4, Seed: 9, Lazy: true})
 	eng, err := NewAssessment(AssessmentConfig{
 		Source:     src,
 		WindowSize: 8,

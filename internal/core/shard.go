@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/aging"
 	"repro/internal/bitvec"
 	"repro/internal/shard"
 	"repro/internal/silicon"
@@ -85,23 +84,19 @@ func ServeShardWorker(ctx context.Context, rw io.ReadWriter) error {
 }
 
 // buildShardBackend constructs the measurement backend for a handshake
-// spec.
+// spec. Sim and rig handshakes carry a SimSpec (simSpecFromShard); the
+// backend opens it once the assignment arrives.
 func buildShardBackend(spec shard.Spec) (shard.Backend, error) {
-	if spec.Scenario == (aging.Scenario{}) {
-		// A spec without an explicit condition runs at the profile's
-		// nominal scenario, like the non-At source constructors. Fleet
-		// specs anchor on their first profile, matching NewSimFleetSource.
-		if len(spec.Fleet) > 0 {
-			spec.Scenario = spec.Fleet[0].NominalScenario()
-		} else {
-			spec.Scenario = spec.Profile.NominalScenario()
-		}
-	}
 	switch spec.Mode {
-	case shard.ModeSim:
-		return &simShardBackend{spec: spec}, nil
-	case shard.ModeRig:
-		return &rigShardBackend{spec: spec}, nil
+	case shard.ModeSim, shard.ModeRig:
+		sim, err := simSpecFromShard(spec)
+		if err != nil {
+			return nil, err
+		}
+		if sim.Rig {
+			return &rigShardBackend{spec: sim}, nil
+		}
+		return &simShardBackend{spec: sim}, nil
 	case shard.ModeArchive:
 		ir, err := store.OpenIndexedFile(spec.ArchivePath)
 		if err != nil {
@@ -125,17 +120,16 @@ type simShardSource interface {
 	DevicePruner
 }
 
-// simShardBackend serves a shard of simulated chips: only the assigned
-// slice is served, each chip derived from the campaign seed by its
-// GLOBAL device index, so the shard's streams are bit-identical to the
-// same devices in a single-process source. With Spec.Lazy the chips are
-// built on demand inside the measuring worker slots (LazySimSource) —
-// the worker's resident array state is O(sampling workers), not O(shard
+// simShardBackend serves a shard of simulated chips: it opens the
+// handshake spec over the assigned GLOBAL indices, so each chip derives
+// from the campaign seed by its global index and the shard's streams are
+// bit-identical to the same devices in a single-process source. A lazy
+// spec builds chips on demand inside the measuring worker slots — the
+// worker's resident array state is O(sampling workers), not O(shard
 // devices), which is what lets a million-device fleet shard across a
 // handful of ordinary processes.
 type simShardBackend struct {
-	spec    shard.Spec
-	fleet   *Fleet // nil for single-profile campaigns
+	spec    SimSpec
 	indices []int
 	src     simShardSource
 }
@@ -146,35 +140,13 @@ func (b *simShardBackend) Assign(indices []int) error {
 	if err := validAssignment(indices, b.spec.Devices); err != nil {
 		return err
 	}
-	var err error
-	if len(b.spec.Fleet) > 0 {
-		// A fleet spec rebuilds the coordinator's profile mix; the
-		// per-device assignment depends only on (seed, global index), so
-		// every shard layout builds exactly the full source's chips.
-		if b.fleet, err = NewFleet(b.spec.Fleet...); err != nil {
-			return err
-		}
-	}
-	switch {
-	case b.spec.Lazy:
-		fleet := b.fleet
-		if fleet == nil {
-			// Lazy single-profile: a one-profile fleet short-circuits the
-			// assignment RNG, so the bits match the plain source exactly.
-			if fleet, err = NewFleet(b.spec.Profile); err != nil {
-				return err
-			}
-		}
-		b.src, err = NewLazySimFleetSourceSubset(fleet, b.spec.Seed, b.spec.Scenario, indices)
-	case b.fleet != nil:
-		b.src, err = NewSimFleetSourceSubset(b.fleet, b.spec.Seed, b.spec.Scenario, indices)
-	default:
-		b.src, err = NewSimSourceSubset(b.spec.Profile, b.spec.Seed, b.spec.Scenario, indices)
-	}
+	spec := b.spec
+	spec.Indices = indices
+	src, err := OpenSim(spec)
 	if err != nil {
 		return err
 	}
-	b.indices = indices
+	b.src, b.indices = src.(simShardSource), indices
 	return nil
 }
 
@@ -184,10 +156,10 @@ func (b *simShardBackend) Months(int) ([]int, error) { return nil, errMonthsUnsu
 // assignment (local order) — shipped to the coordinator in the first
 // measure-done frame. Single-profile shards report nothing.
 func (b *simShardBackend) ProfileAssignment() ([]string, []uint8) {
-	if b.fleet == nil || b.fleet.Size() < 2 {
+	if b.spec.Fleet == nil || b.spec.Fleet.Size() < 2 {
 		return nil, nil
 	}
-	return b.fleet.ProfileNames(), b.fleet.AssignmentIndices(b.spec.Seed, b.indices)
+	return b.spec.Fleet.ProfileNames(), b.spec.Fleet.AssignmentIndices(b.spec.Seed, b.indices)
 }
 
 // Prune maps the screening decision's GLOBAL indices onto the shard's
@@ -251,7 +223,7 @@ func (b *simShardBackend) Measure(ctx context.Context, month, size, workers int,
 // not the instrument. Per-board record streams are therefore
 // bit-identical to a single-process rig run by construction.
 type rigShardBackend struct {
-	spec shard.Spec
+	spec SimSpec
 	src  *RigSource
 	want map[int]bool
 	emit func(device int, rec store.Record) error
@@ -263,7 +235,7 @@ func (b *rigShardBackend) Assign(indices []int) error {
 	if err := validAssignment(indices, b.spec.Devices); err != nil {
 		return err
 	}
-	src, err := NewRigSourceAt(b.spec.Profile, b.spec.Devices, b.spec.Seed, b.spec.I2CErrorRate, b.spec.Scenario)
+	src, err := openAs[*RigSource](b.spec)
 	if err != nil {
 		return err
 	}
@@ -429,155 +401,6 @@ type ShardedSource struct {
 
 	mu  sync.Mutex
 	tap func(store.Record) error
-}
-
-// NewShardedSimSource shards a direct-sampling campaign: the device
-// population is partitioned across shards workers (nil transport: in
-// process), each building only its slice of the chips at the profile's
-// nominal condition.
-func NewShardedSimSource(profile silicon.DeviceProfile, devices int, seed uint64, shards int, transport shard.Transport) (*ShardedSource, error) {
-	return NewShardedSimSourceAt(profile, devices, seed, profile.NominalScenario(), shards, transport)
-}
-
-// NewShardedSimSourceAt is NewShardedSimSource at an explicit
-// environmental scenario — the sharded counterpart of NewSimSourceAt,
-// which is how a condition sweep shards each of its corners.
-func NewShardedSimSourceAt(profile silicon.DeviceProfile, devices int, seed uint64, sc aging.Scenario, shards int, transport shard.Transport) (*ShardedSource, error) {
-	if devices < 1 {
-		return nil, fmt.Errorf("%w: need >= 1 device, got %d", ErrConfig, devices)
-	}
-	if err := validShardCount(shards, devices); err != nil {
-		return nil, err
-	}
-	if _, err := conditionedProfile(profile, sc); err != nil {
-		return nil, err
-	}
-	return newShardedSource(shard.Spec{
-		Mode:     shard.ModeSim,
-		Profile:  profile,
-		Devices:  devices,
-		Seed:     seed,
-		Scenario: sc,
-	}, shards, transport)
-}
-
-// NewShardedSimFleetSource shards a heterogeneous fleet campaign: each
-// worker rebuilds the fleet's seed-deterministic profile assignment and
-// builds only its shard's chips, so any shard count produces the
-// bit-identical streams of NewSimFleetSource.
-func NewShardedSimFleetSource(fleet *Fleet, devices int, seed uint64, shards int, transport shard.Transport) (*ShardedSource, error) {
-	if fleet == nil {
-		return nil, fmt.Errorf("%w: nil fleet", ErrConfig)
-	}
-	return NewShardedSimFleetSourceAt(fleet, devices, seed, fleet.profiles[0].NominalScenario(), shards, transport)
-}
-
-// NewShardedSimFleetSourceAt is NewShardedSimFleetSource at an explicit
-// environmental scenario.
-func NewShardedSimFleetSourceAt(fleet *Fleet, devices int, seed uint64, sc aging.Scenario, shards int, transport shard.Transport) (*ShardedSource, error) {
-	if fleet == nil {
-		return nil, fmt.Errorf("%w: nil fleet", ErrConfig)
-	}
-	if devices < 1 {
-		return nil, fmt.Errorf("%w: need >= 1 device, got %d", ErrConfig, devices)
-	}
-	if err := validShardCount(shards, devices); err != nil {
-		return nil, err
-	}
-	for _, p := range fleet.profiles {
-		if _, err := conditionedProfile(p, sc); err != nil {
-			return nil, err
-		}
-	}
-	return newShardedSource(shard.Spec{
-		Mode:     shard.ModeSim,
-		Fleet:    fleet.Profiles(),
-		Devices:  devices,
-		Seed:     seed,
-		Scenario: sc,
-	}, shards, transport)
-}
-
-// NewShardedLazySimFleetSource shards a heterogeneous fleet campaign
-// with on-demand chip construction: each worker derives chips inside
-// its measuring slots (LazySimSource) instead of materialising its
-// slice up front, so the campaign's resident array state is O(total
-// sampling workers) — the construction behind million-device fleet
-// screening. Streams are bit-identical to the eager sharded fleet
-// source for any shard count.
-func NewShardedLazySimFleetSource(fleet *Fleet, devices int, seed uint64, shards int, transport shard.Transport) (*ShardedSource, error) {
-	if fleet == nil {
-		return nil, fmt.Errorf("%w: nil fleet", ErrConfig)
-	}
-	return NewShardedLazySimFleetSourceAt(fleet, devices, seed, fleet.profiles[0].NominalScenario(), shards, transport)
-}
-
-// NewShardedLazySimFleetSourceAt is NewShardedLazySimFleetSource at an
-// explicit environmental scenario.
-func NewShardedLazySimFleetSourceAt(fleet *Fleet, devices int, seed uint64, sc aging.Scenario, shards int, transport shard.Transport) (*ShardedSource, error) {
-	if fleet == nil {
-		return nil, fmt.Errorf("%w: nil fleet", ErrConfig)
-	}
-	if devices < 1 {
-		return nil, fmt.Errorf("%w: need >= 1 device, got %d", ErrConfig, devices)
-	}
-	if err := validShardCount(shards, devices); err != nil {
-		return nil, err
-	}
-	for _, p := range fleet.profiles {
-		if _, err := conditionedProfile(p, sc); err != nil {
-			return nil, err
-		}
-	}
-	return newShardedSource(shard.Spec{
-		Mode:     shard.ModeSim,
-		Fleet:    fleet.Profiles(),
-		Devices:  devices,
-		Seed:     seed,
-		Scenario: sc,
-		Lazy:     true,
-	}, shards, transport)
-}
-
-// NewShardedRigSource shards a full-rig campaign: every worker runs the
-// deterministic rig simulation and forwards its shard's board records.
-func NewShardedRigSource(profile silicon.DeviceProfile, devices int, seed uint64, i2cErrorRate float64, shards int, transport shard.Transport) (*ShardedSource, error) {
-	return NewShardedRigSourceAt(profile, devices, seed, i2cErrorRate, profile.NominalScenario(), shards, transport)
-}
-
-// NewShardedRigSourceAt is NewShardedRigSource at an explicit
-// environmental scenario.
-func NewShardedRigSourceAt(profile silicon.DeviceProfile, devices int, seed uint64, i2cErrorRate float64, sc aging.Scenario, shards int, transport shard.Transport) (*ShardedSource, error) {
-	if devices < 2 || devices%2 != 0 {
-		return nil, fmt.Errorf("%w: rig needs an even device count >= 2 (two layers), got %d", ErrConfig, devices)
-	}
-	if err := validShardCount(shards, devices); err != nil {
-		return nil, err
-	}
-	if _, err := conditionedProfile(profile, sc); err != nil {
-		return nil, err
-	}
-	return newShardedSource(shard.Spec{
-		Mode:         shard.ModeRig,
-		Profile:      profile,
-		Devices:      devices,
-		Seed:         seed,
-		Scenario:     sc,
-		I2CErrorRate: i2cErrorRate,
-	}, shards, transport)
-}
-
-// validShardCount pre-flights the partition shape so a bad shard count
-// fails with the assessment's configuration error before any worker is
-// spawned.
-func validShardCount(shards, devices int) error {
-	switch {
-	case shards < 1:
-		return fmt.Errorf("%w: need >= 1 shard, got %d", ErrConfig, shards)
-	case shards > devices:
-		return fmt.Errorf("%w: more shards (%d) than devices (%d) — an empty shard serves nothing", ErrConfig, shards, devices)
-	}
-	return nil
 }
 
 func newShardedSource(spec shard.Spec, shards int, transport shard.Transport) (*ShardedSource, error) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"io"
 	"testing"
 
 	"repro/internal/silicon"
@@ -35,29 +36,23 @@ func benchProfile(b *testing.B) silicon.DeviceProfile {
 }
 
 // BenchmarkShardCampaignDirect is the single-process baseline.
-func BenchmarkShardCampaignDirect(b *testing.B) {
-	profile := benchProfile(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		src, err := NewSimSource(profile, 4, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchCampaign(b, src)
-	}
-}
+func BenchmarkShardCampaignDirect(b *testing.B) { benchSharded(b, 0) }
 
+// benchSharded runs the campaign over the given shard count (0: the
+// in-process source).
 func benchSharded(b *testing.B, shards int) {
 	profile := benchProfile(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		src, err := NewShardedSimSource(profile, 4, 7, shards, nil)
+		src, err := OpenSim(SimSpec{Profile: profile, Devices: 4, Seed: 7, Shards: shards})
 		if err != nil {
 			b.Fatal(err)
 		}
 		benchCampaign(b, src)
-		if err := src.Close(); err != nil {
-			b.Fatal(err)
+		if c, ok := src.(io.Closer); ok {
+			if err := c.Close(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

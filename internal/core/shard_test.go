@@ -22,6 +22,16 @@ import (
 // shardTestMonths is a short campaign that still spans a Table I.
 var shardTestMonths = []int{0, 1, 2, 3}
 
+// mustOpen opens a spec as the source type the test expects.
+func mustOpen[T Source](t testing.TB, s SimSpec) T {
+	t.Helper()
+	src, err := openAs[T](s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
 func runAssessment(t *testing.T, src Source, window int, months []int) *Results {
 	t.Helper()
 	eng, err := NewAssessment(AssessmentConfig{Source: src, WindowSize: window, Months: months})
@@ -51,7 +61,7 @@ func TestShardedSimBitIdentical(t *testing.T) {
 	want := runAssessment(t, plainSrc, window, shardTestMonths)
 
 	for _, shards := range []int{1, 2, 7} {
-		src, err := NewShardedSimSource(profile, devices, seed, shards, nil)
+		src, err := openAs[*ShardedSource](SimSpec{Profile: profile, Devices: devices, Seed: seed, Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -77,10 +87,7 @@ func TestShardedSimWorkersBitIdentical(t *testing.T) {
 	}
 	want := runAssessment(t, plainSrc, window, shardTestMonths)
 	for _, workers := range []int{1, 3, 16} {
-		src, err := NewShardedSimSource(profile, devices, seed, 3, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		src := mustOpen[*ShardedSource](t, SimSpec{Profile: profile, Devices: devices, Seed: seed, Shards: 3})
 		src.SetWorkers(workers)
 		got := runAssessment(t, src, window, shardTestMonths)
 		src.Close()
@@ -306,10 +313,7 @@ func TestShardedWorkerCrashTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := &crashTransport{inner: InProcessShardTransport(), victim: 1}
-	src, err := NewShardedSimSource(profile, 6, 5, 3, ct.transport)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := mustOpen[*ShardedSource](t, SimSpec{Profile: profile, Devices: 6, Seed: 5, Shards: 3, Transport: ct.transport})
 	defer src.Close()
 	ct.arm(4)
 	eng, err := NewAssessment(AssessmentConfig{Source: src, WindowSize: 500, Months: shardTestMonths})
@@ -331,10 +335,7 @@ func TestShardedSourceCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewShardedSimSource(profile, 4, 5, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := mustOpen[*ShardedSource](t, SimSpec{Profile: profile, Devices: 4, Seed: 5, Shards: 2})
 	defer src.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	var n atomic.Int64
@@ -351,20 +352,21 @@ func TestShardedSourceCancellation(t *testing.T) {
 	assertNoShardLeaks(t, before)
 }
 
-// TestShardCountValidation: bad shard shapes fail fast with ErrConfig.
+// TestShardCountValidation: bad shard shapes fail fast with ErrConfig
+// (shards > devices and odd sharded rigs are rows of
+// TestSimSpecInvalid).
 func TestShardCountValidation(t *testing.T) {
 	profile, err := silicon.ATmega32u4()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewShardedSimSource(profile, 4, 1, 5, nil); !errors.Is(err, ErrConfig) {
-		t.Fatalf("shards > devices: err = %v, want ErrConfig", err)
+	if _, err := OpenSim(SimSpec{Profile: profile, Devices: 4, Seed: 1, Shards: -1}); !errors.Is(err, ErrConfig) {
+		t.Fatalf("negative shards: err = %v, want ErrConfig", err)
 	}
-	if _, err := NewShardedSimSource(profile, 4, 1, 0, nil); !errors.Is(err, ErrConfig) {
+	// A sharded constructor asked for zero shards would open an
+	// in-process source; it refuses instead.
+	if _, err := NewShardedRigSource(profile, 4, 1, 0, 0, nil); !errors.Is(err, ErrConfig) {
 		t.Fatalf("zero shards: err = %v, want ErrConfig", err)
-	}
-	if _, err := NewShardedRigSource(profile, 3, 1, 0, 1, nil); !errors.Is(err, ErrConfig) {
-		t.Fatalf("odd rig: err = %v, want ErrConfig", err)
 	}
 	if _, err := NewShardedArchiveSource("", 1, nil); !errors.Is(err, ErrConfig) {
 		t.Fatalf("empty path: err = %v, want ErrConfig", err)

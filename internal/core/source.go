@@ -9,8 +9,6 @@ import (
 	"repro/internal/aging"
 	"repro/internal/bitvec"
 	"repro/internal/harness"
-	"repro/internal/rng"
-	"repro/internal/silicon"
 	"repro/internal/sram"
 	"repro/internal/store"
 	"repro/internal/stream"
@@ -79,90 +77,9 @@ type SimSource struct {
 	pool     *stream.Pool
 	scenario aging.Scenario
 
-	// profNames is the per-device profile-name listing of fleet-built
-	// sources (ProfileLister); nil for the single-profile constructors.
+	// profNames is the per-device profile-name listing of fleet specs
+	// (ProfileLister); nil for a plain profile.
 	profNames []string
-}
-
-// NewSimSource builds devices simulated chips of the profile, with the
-// same per-device seed derivation the rig uses, so both sources yield
-// identical streams for one campaign seed. The chips operate at the
-// profile's nominal condition.
-func NewSimSource(profile silicon.DeviceProfile, devices int, seed uint64) (*SimSource, error) {
-	return NewSimSourceAt(profile, devices, seed, profile.NominalScenario())
-}
-
-// NewSimSourceAt builds a direct-sampling source whose chips operate at
-// the given environmental scenario: the profile's BTI kinetics run at the
-// scenario's temperature and voltage (Arrhenius + voltage-exponent
-// acceleration) and the power-up noise sigma follows the condition
-// (aging.Kinetics.NoiseScale). The profile's nominal scenario reproduces
-// NewSimSource bit for bit — acceleration factor and noise scale are both
-// exactly 1 there.
-func NewSimSourceAt(profile silicon.DeviceProfile, devices int, seed uint64, sc aging.Scenario) (*SimSource, error) {
-	if devices < 1 {
-		return nil, fmt.Errorf("%w: need >= 1 device, got %d", ErrConfig, devices)
-	}
-	indices := make([]int, devices)
-	for d := range indices {
-		indices[d] = d
-	}
-	return NewSimSourceSubset(profile, seed, sc, indices)
-}
-
-// NewSimSourceSubset builds a direct-sampling source over an arbitrary
-// subset of a campaign's device population: indices are GLOBAL device
-// indices, and each chip is derived from the campaign seed by its global
-// index — the same per-device derivation NewSimSourceAt uses for the
-// full population (rng.Derive is label-based and does not advance the
-// parent), so a subset source produces bit-identical streams for its
-// devices. This is what lets a shard worker build only its slice of the
-// fleet. Local device index d of the returned source is indices[d].
-func NewSimSourceSubset(profile silicon.DeviceProfile, seed uint64, sc aging.Scenario, indices []int) (*SimSource, error) {
-	if len(indices) < 1 {
-		return nil, fmt.Errorf("%w: need >= 1 device index", ErrConfig)
-	}
-	profile, err := conditionedProfile(profile, sc)
-	if err != nil {
-		return nil, err
-	}
-	root := rng.New(seed)
-	arrays := make([]*sram.Array, len(indices))
-	for d, g := range indices {
-		if g < 0 {
-			return nil, fmt.Errorf("%w: negative device index %d", ErrConfig, g)
-		}
-		a, err := sram.New(profile, root.Derive(uint64(g)+1))
-		if err != nil {
-			return nil, err
-		}
-		if err := a.SetNoiseScale(profile.NoiseScale()); err != nil {
-			return nil, err
-		}
-		arrays[d] = a
-	}
-	src := newSimSource(arrays, profile.ReadWindowBits(), stream.NewPool(0))
-	src.scenario = sc
-	return src, nil
-}
-
-// conditionedProfile applies a sweep scenario to a device profile,
-// mapping scenario validation failures to the assessment's typed
-// configuration error (conditions are external input on the sweep
-// surface).
-func conditionedProfile(profile silicon.DeviceProfile, sc aging.Scenario) (silicon.DeviceProfile, error) {
-	if err := sc.Validate(); err != nil {
-		return silicon.DeviceProfile{}, fmt.Errorf("%w: %v", ErrConfig, err)
-	}
-	return profile.At(sc)
-}
-
-// newSimSource wraps existing arrays (the legacy Campaign path).
-func newSimSource(arrays []*sram.Array, bits int, pool *stream.Pool) *SimSource {
-	if pool == nil {
-		pool = stream.NewPool(0)
-	}
-	return &SimSource{arrays: arrays, bits: bits, pool: pool}
 }
 
 // Devices returns the number of simulated chips.
@@ -171,9 +88,9 @@ func (s *SimSource) Devices() int { return len(s.arrays) }
 // Arrays exposes the simulated chips (for extension experiments).
 func (s *SimSource) Arrays() []*sram.Array { return s.arrays }
 
-// DeviceProfileNames returns the per-device profile names of a
-// fleet-built source, or nil for the single-profile constructors — the
-// ProfileLister contract behind per-profile result breakdowns.
+// DeviceProfileNames returns the per-device profile names of a fleet
+// spec, or nil for a plain profile — the ProfileLister contract behind
+// per-profile result breakdowns.
 func (s *SimSource) DeviceProfileNames() []string {
 	return append([]string(nil), s.profNames...)
 }
@@ -267,45 +184,8 @@ type RigSource struct {
 	pruned   []bool       // screened-out boards; nil until PruneDevices
 }
 
-// NewRigSource builds the two-layer rig with devices boards (an even
-// count) and the given I2C byte-corruption rate, operating at the
-// profile's nominal condition.
-func NewRigSource(profile silicon.DeviceProfile, devices int, seed uint64, i2cErrorRate float64) (*RigSource, error) {
-	return NewRigSourceAt(profile, devices, seed, i2cErrorRate, profile.NominalScenario())
-}
-
-// NewRigSourceAt builds the full rig with every board's silicon operating
-// at the given environmental scenario — the oven (or cold chamber) the
-// whole rig sits in during a condition-sweep corner. The profile's
-// nominal scenario reproduces NewRigSource bit for bit.
-func NewRigSourceAt(profile silicon.DeviceProfile, devices int, seed uint64, i2cErrorRate float64, sc aging.Scenario) (*RigSource, error) {
-	if devices < 2 || devices%2 != 0 {
-		return nil, fmt.Errorf("%w: rig needs an even device count >= 2 (two layers), got %d", ErrConfig, devices)
-	}
-	profile, err := conditionedProfile(profile, sc)
-	if err != nil {
-		return nil, err
-	}
-	hcfg := harness.DefaultConfig(profile, seed)
-	hcfg.SlavesPerLayer = devices / 2
-	hcfg.I2CErrorRate = i2cErrorRate
-	rig, err := harness.New(hcfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range rig.Arrays() {
-		if err := a.SetNoiseScale(profile.NoiseScale()); err != nil {
-			return nil, err
-		}
-	}
-	return &RigSource{rig: rig, scenario: sc}, nil
-}
-
 // Scenario returns the environmental condition the rig operates at.
 func (s *RigSource) Scenario() aging.Scenario { return s.scenario }
-
-// newRigSource wraps an existing rig (the legacy Campaign path).
-func newRigSource(rig *harness.Rig) *RigSource { return &RigSource{rig: rig} }
 
 // Devices returns the number of boards on the rig.
 func (s *RigSource) Devices() int { return len(s.rig.Arrays()) }

@@ -34,7 +34,7 @@ func assertResultsBitIdentical(t *testing.T, a, b *Results) {
 
 // TestStreamingMatchesBatchDirect: on the direct path, the streaming
 // engine and the two-pass batch oracle produce bit-identical
-// CampaignResults for the same Config.Seed.
+// Results for the same Config.Seed.
 func TestStreamingMatchesBatchDirect(t *testing.T) {
 	cases := []struct {
 		workers int

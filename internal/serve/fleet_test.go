@@ -27,7 +27,8 @@ func TestServiceFleetCampaignMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := core.NewShardedSimFleetSourceAt(fleet, spec.Devices, spec.Seed, spec.scenario(fleet.Profiles()[0]), 1, nil)
+	src, err := core.OpenSim(core.SimSpec{Fleet: fleet, Devices: spec.Devices, Seed: spec.Seed,
+		Scenario: spec.scenario(fleet.Profiles()[0]), Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestServiceFleetCampaignMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Close(); err != nil {
+	if err := src.(*core.ShardedSource).Close(); err != nil {
 		t.Fatal(err)
 	}
 

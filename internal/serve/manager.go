@@ -456,48 +456,18 @@ func (m *Manager) execute(ctx context.Context, c *campaign) (*core.Results, erro
 		return nil, fmt.Errorf("serve: campaign %s: recovering checkpoint: %w", c.id, err)
 	}
 
-	var live tappableSource
-	switch {
-	case fleet != nil:
-		// Fleet campaigns sample the sharded sim source: it synthesises
-		// full record envelopes for the checkpoint tap (the rig harness is
-		// a single-profile instrument). One shard unless asked for more;
-		// lazy campaigns derive each chip inside its worker slot instead
-		// of materialising the fleet.
-		shards := spec.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		build := core.NewShardedSimFleetSourceAt
-		if spec.Lazy {
-			build = core.NewShardedLazySimFleetSourceAt
-		}
-		s, err := build(fleet, spec.Devices, spec.Seed, sc, shards, nil)
-		if err != nil {
-			return nil, err
-		}
-		defer s.Close()
+	opened, err := core.OpenSim(spec.simSpec(profile, fleet, sc))
+	if err != nil {
+		return nil, err
+	}
+	live := opened.(tappableSource)
+	if sharded, ok := live.(*core.ShardedSource); ok {
+		defer sharded.Close()
 		if b := m.campaignBudget(spec.Workers); b > 0 {
-			s.SetWorkers(b)
+			sharded.SetWorkers(b)
 		}
-		live = s
-	case spec.Shards > 0:
-		s, err := core.NewShardedRigSourceAt(profile, spec.Devices, spec.Seed, spec.I2CError, sc, spec.Shards, nil)
-		if err != nil {
-			return nil, err
-		}
-		defer s.Close()
-		if b := m.campaignBudget(spec.Workers); b > 0 {
-			s.SetWorkers(b)
-		}
-		live = s
-	default:
-		s, err := core.NewRigSourceAt(profile, spec.Devices, spec.Seed, spec.I2CError, sc)
-		if err != nil {
-			return nil, err
-		}
-		s.SetPool(m.pool)
-		live = s
+	} else {
+		live.(*core.RigSource).SetPool(m.pool)
 	}
 
 	// The archive tee. A fresh campaign records from measurement one; a

@@ -22,7 +22,8 @@ func directResults(t *testing.T, spec Spec) *core.Results {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := core.NewRigSourceAt(profile, spec.Devices, spec.Seed, spec.I2CError, spec.scenario(profile))
+	src, err := core.OpenSim(core.SimSpec{Profile: profile, Devices: spec.Devices, Seed: spec.Seed,
+		Scenario: spec.scenario(profile), Rig: true, I2CErrorRate: spec.I2CError})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +414,8 @@ func TestServiceKeyLifeCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := core.NewRigSourceAt(profile, spec.Devices, spec.Seed, spec.I2CError, spec.scenario(profile))
+	src, err := core.OpenSim(core.SimSpec{Profile: profile, Devices: spec.Devices, Seed: spec.Seed,
+		Scenario: spec.scenario(profile), Rig: true, I2CErrorRate: spec.I2CError})
 	if err != nil {
 		t.Fatal(err)
 	}

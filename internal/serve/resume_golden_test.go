@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"reflect"
 	"runtime"
@@ -22,22 +23,15 @@ func fullServiceArchive(t *testing.T, spec Spec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := spec.scenario(profile)
-	var live tappableSource
-	if spec.Shards > 0 {
-		s, err := core.NewShardedRigSourceAt(profile, spec.Devices, spec.Seed, spec.I2CError, sc, spec.Shards, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		live = s
-	} else {
-		s, err := core.NewRigSourceAt(profile, spec.Devices, spec.Seed, spec.I2CError, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		live = s
+	src, err := core.OpenSim(core.SimSpec{Profile: profile, Devices: spec.Devices, Seed: spec.Seed,
+		Scenario: spec.scenario(profile), Rig: true, I2CErrorRate: spec.I2CError, Shards: spec.Shards})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if c, ok := src.(io.Closer); ok {
+		defer c.Close()
+	}
+	live := src.(tappableSource)
 	var buf bytes.Buffer
 	w := store.NewBinaryWriterV1(&buf)
 	live.SetTap(w.Write)

@@ -24,7 +24,8 @@ func pickServiceFloor(t *testing.T, spec Spec) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := core.NewSimFleetSourceAt(fleet, spec.Devices, spec.Seed, spec.scenario(fleet.Profiles()[0]))
+	src, err := core.OpenSim(core.SimSpec{Fleet: fleet, Devices: spec.Devices, Seed: spec.Seed,
+		Scenario: spec.scenario(fleet.Profiles()[0])})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +112,12 @@ func TestServiceScreenedLazyFleetResumeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := core.NewShardedLazySimFleetSourceAt(fleet, spec.Devices, spec.Seed, spec.scenario(fleet.Profiles()[0]), 1, nil)
+	opened, err := core.OpenSim(core.SimSpec{Fleet: fleet, Devices: spec.Devices, Seed: spec.Seed,
+		Scenario: spec.scenario(fleet.Profiles()[0]), Lazy: true, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	direct := opened.(*core.ShardedSource)
 	var full bytes.Buffer
 	w := store.NewBinaryWriterV1(&full)
 	direct.SetTap(w.Write)

@@ -290,6 +290,22 @@ func (s Spec) screening() *core.ScreeningConfig {
 	return sc
 }
 
+// simSpec is the live source a campaign measures. A single-profile
+// campaign runs on the rig, sharded or not. A fleet runs on the sharded
+// sim source, one shard unless asked for more: it synthesises full
+// record envelopes for the checkpoint tap, which the single-profile rig
+// cannot serve. Lazy fleets derive each chip inside its worker slot
+// instead of materialising the fleet.
+func (s Spec) simSpec(profile silicon.DeviceProfile, fleet *core.Fleet, sc aging.Scenario) core.SimSpec {
+	sim := core.SimSpec{Devices: s.Devices, Seed: s.Seed, Scenario: sc, Shards: s.Shards}
+	if fleet == nil {
+		sim.Profile, sim.Rig, sim.I2CErrorRate = profile, true, s.I2CError
+		return sim
+	}
+	sim.Fleet, sim.Lazy, sim.Shards = fleet, s.Lazy, max(s.Shards, 1)
+	return sim
+}
+
 // scenario resolves the campaign's operating point against its profile.
 func (s Spec) scenario(profile silicon.DeviceProfile) aging.Scenario {
 	if s.Condition == nil {

@@ -32,7 +32,7 @@ func ScreenStableCells(ctx context.Context, profile silicon.DeviceProfile, devic
 	}
 	masks := make([]*bitvec.Vector, devices)
 	for _, sc := range corners {
-		src, err := core.NewSimSourceAt(profile, devices, seed, sc)
+		src, err := core.OpenSim(core.SimSpec{Profile: profile, Devices: devices, Seed: seed, Scenario: sc})
 		if err != nil {
 			return nil, fmt.Errorf("screen corner %q: %w", sc.Name, err)
 		}

@@ -7,11 +7,12 @@
 // the related work it cites (accelerated aging, temperature-susceptibility
 // studies) and operating-corner screening both need the same campaign
 // swept across conditions. Each point reuses the streaming engine of
-// internal/core unchanged — the condition enters through the Source
-// constructors (NewSimSourceAt / NewRigSourceAt), which run the profile's
-// BTI kinetics at the point's temperature/voltage and scale the power-up
-// noise accordingly. A sweep whose only point is the profile's nominal
-// scenario is therefore bit-identical to a plain Assessment.
+// internal/core unchanged — the condition enters as the Scenario of the
+// sweep's core.SimSpec, which core.OpenSim opens per point: the
+// profile's BTI kinetics run at the point's temperature/voltage and the
+// power-up noise scales accordingly. A sweep whose only point is the
+// profile's nominal scenario is therefore bit-identical to a plain
+// Assessment.
 //
 // Cross-condition series (worst-corner WCHD/FHW, the stable-cell
 // intersection across corners, temperature-sensitivity slopes) are
@@ -29,8 +30,6 @@ import (
 	"repro/internal/aging"
 	"repro/internal/bitvec"
 	"repro/internal/core"
-	"repro/internal/shard"
-	"repro/internal/silicon"
 	"repro/internal/stream"
 )
 
@@ -70,28 +69,15 @@ func (g Grid) Points() []aging.Scenario {
 
 // Config parameterises a sweep: the per-point campaign shape plus the
 // sweep's own execution knobs. Unlike AssessmentConfig it carries the
-// simulation inputs (profile/devices/seed) rather than a Source, because
-// the sweep builds one source per grid point.
+// simulated source's spec rather than a Source, because the sweep opens
+// one source per grid point.
 type Config struct {
-	// Profile is the device family under test; each grid point runs its
-	// kinetics and noise model at the point's condition.
-	Profile silicon.DeviceProfile
-	// Fleet, when non-nil, sweeps a heterogeneous profile mix instead of
-	// Profile: every device's profile is assigned deterministically from
-	// Seed (core.Fleet), identically at every grid point and shard
-	// layout. Exclusive with UseRig — the measurement rig is one
-	// single-profile instrument.
-	Fleet *core.Fleet
-	// Devices is the number of boards per point.
-	Devices int
-	// Seed is the campaign seed. Every point derives the same per-device
-	// streams from it, so all corners measure the same chips.
-	Seed uint64
-	// UseRig routes every point through the full measurement-rig
-	// simulation instead of direct sampling.
-	UseRig bool
-	// I2CErrorRate is the rig's byte-corruption rate (UseRig only).
-	I2CErrorRate float64
+	// Sim is the simulated source every point opens, with the point's
+	// condition as its Scenario (the spec's own Scenario is ignored).
+	// Every point shares the spec's seed, so all corners measure the
+	// same chips — in process or sharded, eager or lazy, sampled
+	// directly or through the rig.
+	Sim core.SimSpec
 
 	// WindowSize is the number of measurements per evaluation window.
 	WindowSize int
@@ -103,20 +89,12 @@ type Config struct {
 	// Workers bounds the TOTAL sampling parallelism across all concurrent
 	// points: every point's direct-sampling source shares one worker pool
 	// (<= 0: one goroutine per device per in-flight point, the
-	// single-assessment default). With Shards the budget is PER CORNER —
-	// each corner's worker processes split it among themselves, but
-	// corners do not share a pool across process boundaries.
+	// single-assessment default). With Sim.Shards the budget is PER
+	// CORNER — each corner's worker processes split it among themselves,
+	// but corners do not share a pool across process boundaries.
 	Workers int
 	// Concurrency bounds how many grid points run at once (<= 0: all).
 	Concurrency int
-
-	// Shards fans every grid point's source across that many worker
-	// processes (ShardedSource); 0 runs each point in-process. The
-	// per-point Results stay bit-identical either way.
-	Shards int
-	// ShardTransport reaches the shard workers (nil: in-process
-	// goroutines). Only read when Shards > 0.
-	ShardTransport shard.Transport
 
 	// NewSource, when non-nil, overrides the built-in source construction
 	// — e.g. replaying one recorded archive per corner. The sweep does
@@ -195,49 +173,9 @@ func RunPoints(ctx context.Context, cfg Config, points []aging.Scenario) (*Resul
 			return nil, fmt.Errorf("%w: %v", core.ErrConfig, err)
 		}
 	}
-	if cfg.Fleet != nil && cfg.UseRig {
-		return nil, fmt.Errorf("%w: the measurement rig is a single-profile instrument; fleet sweeps sample directly", core.ErrConfig)
-	}
 	newSource := cfg.NewSource
-	switch {
-	case newSource != nil:
-	case cfg.Shards > 0:
-		newSource = func(sc aging.Scenario) (core.Source, error) {
-			var src *core.ShardedSource
-			var err error
-			switch {
-			case cfg.UseRig:
-				src, err = core.NewShardedRigSourceAt(cfg.Profile, cfg.Devices, cfg.Seed, cfg.I2CErrorRate, sc, cfg.Shards, cfg.ShardTransport)
-			case cfg.Fleet != nil:
-				src, err = core.NewShardedSimFleetSourceAt(cfg.Fleet, cfg.Devices, cfg.Seed, sc, cfg.Shards, cfg.ShardTransport)
-			default:
-				src, err = core.NewShardedSimSourceAt(cfg.Profile, cfg.Devices, cfg.Seed, sc, cfg.Shards, cfg.ShardTransport)
-			}
-			if err != nil {
-				return nil, err
-			}
-			src.SetWorkers(cfg.Workers)
-			return src, nil
-		}
-	default:
-		pool := stream.NewPool(cfg.Workers)
-		newSource = func(sc aging.Scenario) (core.Source, error) {
-			if cfg.UseRig {
-				return core.NewRigSourceAt(cfg.Profile, cfg.Devices, cfg.Seed, cfg.I2CErrorRate, sc)
-			}
-			var src *core.SimSource
-			var err error
-			if cfg.Fleet != nil {
-				src, err = core.NewSimFleetSourceAt(cfg.Fleet, cfg.Devices, cfg.Seed, sc)
-			} else {
-				src, err = core.NewSimSourceAt(cfg.Profile, cfg.Devices, cfg.Seed, sc)
-			}
-			if err != nil {
-				return nil, err
-			}
-			src.SetPool(pool)
-			return src, nil
-		}
+	if newSource == nil {
+		newSource = simSources(cfg.Sim, cfg.Workers)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
@@ -350,6 +288,29 @@ func RunPoints(ctx context.Context, cfg Config, points []aging.Scenario) (*Resul
 	}
 	out.Comparison = cmp
 	return out, nil
+}
+
+// simSources opens the sweep's spec once per point, at the point's
+// condition. In-process sim sources share one pool sized by workers,
+// sharded sources split workers among their own processes, and the rig
+// pumps in its point's goroutine.
+func simSources(spec core.SimSpec, workers int) func(aging.Scenario) (core.Source, error) {
+	pool := stream.NewPool(workers)
+	return func(sc aging.Scenario) (core.Source, error) {
+		spec := spec
+		spec.Scenario = sc
+		src, err := core.OpenSim(spec)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case spec.Shards > 0:
+			src.(core.WorkerSetter).SetWorkers(workers)
+		case !spec.Rig:
+			src.(interface{ SetPool(*stream.Pool) }).SetPool(pool)
+		}
+		return src, nil
+	}
 }
 
 // maskHarvest is one point's stable-mask harvest from the engine's

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"sync"
@@ -28,9 +29,7 @@ func testProfile(t *testing.T) silicon.DeviceProfile {
 
 func testConfig(t *testing.T) Config {
 	return Config{
-		Profile:    testProfile(t),
-		Devices:    2,
-		Seed:       20170208,
+		Sim:        core.SimSpec{Profile: testProfile(t), Devices: 2, Seed: 20170208},
 		WindowSize: 30,
 		Months:     core.MonthRange(1),
 	}
@@ -70,12 +69,12 @@ func TestGridPoints(t *testing.T) {
 // condition plumbing is the identity at the nominal point.
 func TestNominalPointBitIdentical(t *testing.T) {
 	cfg := testConfig(t)
-	swept, err := RunPoints(context.Background(), cfg, []aging.Scenario{cfg.Profile.NominalScenario()})
+	swept, err := RunPoints(context.Background(), cfg, []aging.Scenario{cfg.Sim.Profile.NominalScenario()})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	src, err := core.NewSimSource(cfg.Profile, cfg.Devices, cfg.Seed)
+	src, err := core.NewSimSource(cfg.Sim.Profile, cfg.Sim.Devices, cfg.Sim.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +158,13 @@ func TestComparisonAcrossPaths(t *testing.T) {
 	writers := map[string]*store.JSONLWriter{}
 	rigCfg := testConfig(t)
 	rigCfg.NewSource = func(sc aging.Scenario) (core.Source, error) {
-		src, err := core.NewRigSourceAt(rigCfg.Profile, rigCfg.Devices, rigCfg.Seed, 0, sc)
+		spec := rigCfg.Sim
+		spec.Rig, spec.Scenario = true, sc
+		opened, err := core.OpenSim(spec)
 		if err != nil {
 			return nil, err
 		}
+		src := opened.(*core.RigSource)
 		mu.Lock()
 		buf := &bytes.Buffer{}
 		jw := store.NewJSONLWriter(buf)
@@ -268,7 +270,9 @@ func TestRunPointErrorCancelsSiblings(t *testing.T) {
 		if n == 2 {
 			return nil, boom
 		}
-		return core.NewSimSourceAt(cfg.Profile, cfg.Devices, cfg.Seed, sc)
+		spec := cfg.Sim
+		spec.Scenario = sc
+		return core.OpenSim(spec)
 	}
 	res, err := RunPoints(context.Background(), cfg, testGrid().Points())
 	if res != nil {
@@ -348,5 +352,34 @@ func assertNoLeaks(t *testing.T, before int) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
+	}
+}
+
+// TestPointSourcesFollowSpec: every grid point opens the layout its
+// spec names — lazy, rig and sharded specs are not dropped on the way to
+// the points.
+func TestPointSourcesFollowSpec(t *testing.T) {
+	base := testConfig(t).Sim
+	for _, c := range []struct {
+		edit func(*core.SimSpec)
+		want string
+	}{
+		{func(*core.SimSpec) {}, "*core.SimSource"},
+		{func(s *core.SimSpec) { s.Lazy = true }, "*core.LazySimSource"},
+		{func(s *core.SimSpec) { s.Rig = true }, "*core.RigSource"},
+		{func(s *core.SimSpec) { s.Shards = 2 }, "*core.ShardedSource"},
+	} {
+		spec := base
+		c.edit(&spec)
+		src, err := simSources(spec, 2)(aging.HotCorner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if closer, ok := src.(io.Closer); ok {
+			closer.Close()
+		}
+		if got := fmt.Sprintf("%T", src); got != c.want {
+			t.Fatalf("spec %+v opened a %s, want %s", spec, got, c.want)
+		}
 	}
 }

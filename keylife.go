@@ -79,17 +79,11 @@ func WithKeyLifecycle(cfg KeyLifeConfig) Option {
 
 // keylifeConfig resolves the internal workload configuration against the
 // assessment's own simulation parameters.
-func (a *Assessment) keylifeConfig(devices int) (keylife.Config, error) {
+func (a *Assessment) keylifeConfig(devices int) keylife.Config {
 	cfg := a.keylifeCfg
 	profile := cfg.ScreenProfile
 	if profile.Cells() == 0 {
 		profile = a.profile
-		if !a.profileSet {
-			var err error
-			if profile, err = ATmega32u4(); err != nil {
-				return keylife.Config{}, err
-			}
-		}
 	}
 	seed := cfg.ScreenSeed
 	if seed == 0 {
@@ -103,26 +97,19 @@ func (a *Assessment) keylifeConfig(devices int) (keylife.Config, error) {
 		Extractor:    cfg.Extractor,
 		Corners:      cfg.Corners,
 		BurnInWindow: cfg.BurnInWindow,
-	}, nil
+	}
 }
 
 // keylifeWorkload screens and builds one workload for a plain Run.
 func (a *Assessment) keylifeWorkload(ctx context.Context, devices int) (*keylife.Workload, error) {
-	cfg, err := a.keylifeConfig(devices)
-	if err != nil {
-		return nil, err
-	}
-	return keylife.New(ctx, cfg)
+	return keylife.New(ctx, a.keylifeConfig(devices))
 }
 
 // keylifePointMetrics screens ONCE and returns the sweep's per-point
 // metric factory: each grid point gets its own workload (enrollment is
 // stateful; points run concurrently) sharing the screening masks.
 func (a *Assessment) keylifePointMetrics(ctx context.Context) (func(context.Context, Scenario) ([]Metric, []CrossMetric, error), error) {
-	cfg, err := a.keylifeConfig(a.devices)
-	if err != nil {
-		return nil, err
-	}
+	cfg := a.keylifeConfig(a.devices)
 	masks, err := sweep.ScreenStableCells(ctx, cfg.Profile, cfg.Devices, cfg.Seed, cornersOrDefault(cfg.Corners), burnInOrDefault(cfg.BurnInWindow))
 	if err != nil {
 		return nil, fmt.Errorf("keylife: burn-in screening: %w", err)

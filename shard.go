@@ -73,7 +73,15 @@ func InProcessShardTransport() ShardTransport { return core.InProcessShardTransp
 // population is partitioned across shards workers (nil transport: in
 // process). Streams are bit-identical to NewSimulatedSource.
 func NewShardedSimSource(profile DeviceProfile, devices int, seed uint64, shards int, t ShardTransport) (*ShardedSource, error) {
-	return core.NewShardedSimSource(profile, devices, seed, shards, t)
+	if shards < 1 {
+		// Zero shards would open the in-process source.
+		return nil, fmt.Errorf("%w: need >= 1 shard, got %d", ErrConfig, shards)
+	}
+	src, err := core.OpenSim(core.SimSpec{Profile: profile, Devices: devices, Seed: seed, Shards: shards, Transport: t})
+	if err != nil {
+		return nil, err
+	}
+	return src.(*ShardedSource), nil
 }
 
 // NewShardedRigSource builds a full-rig source whose record stream is

@@ -40,8 +40,6 @@
 //	res, _ := a.Run(context.Background())
 //	fmt.Print(sramaging.RenderTableI(res.Table))
 //
-// The historical flat surface (DefaultCampaign, RunCampaign,
-// RunCampaignBatch) remains as a deprecated shim over the same engine.
 // The facade also exposes the calibrated device profiles
 // (internal/silicon), simulated chips, and the application substrates
 // (key generation, TRNG, randomness assessment).
@@ -63,15 +61,6 @@ import (
 
 // Re-exported core types.
 type (
-	// CampaignConfig parameterises a long-term assessment campaign.
-	//
-	// Deprecated: build an Assessment with functional options instead;
-	// CampaignConfig remains for the RunCampaign shim.
-	CampaignConfig = core.Config
-	// CampaignResults carries the monthly metric series and Table I.
-	//
-	// Deprecated: use the identical Results alias.
-	CampaignResults = core.Results
 	// TableI is the paper's summary table.
 	TableI = core.TableI
 	// DeviceMonth is one device's metrics for one monthly window.
@@ -79,46 +68,6 @@ type (
 	// DeviceProfile describes a calibrated SRAM device family.
 	DeviceProfile = silicon.DeviceProfile
 )
-
-// DefaultCampaign returns the paper's campaign configuration: 16
-// ATmega32u4 boards, 24 months, 1,000-measurement monthly windows.
-//
-// Deprecated: NewAssessment() with no options is the same campaign on
-// the composable API.
-func DefaultCampaign() (CampaignConfig, error) { return core.DefaultConfig() }
-
-// RunCampaign executes a campaign with the streaming engine and returns
-// its results. It is a thin shim over the Source/Metric/Assessment API —
-// the Config is translated into a simulated or rig Source and a month
-// range, and the same engine runs it — kept for compatibility and
-// verified bit-identical to the historical engine by the equivalence
-// tests.
-//
-// Deprecated: use NewAssessment, which adds cancellation, incremental
-// per-month results, custom metrics and replayable sources.
-func RunCampaign(cfg CampaignConfig) (*CampaignResults, error) {
-	camp, err := core.NewCampaign(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return camp.Run()
-}
-
-// RunCampaignBatch executes a campaign with the historical two-pass
-// engine: each evaluation window is materialised in memory and handed to
-// the batch metric functions. It produces bit-identical results to
-// RunCampaign on the same configuration (a property the tests assert) and
-// exists as the validation oracle for the streaming engine — prefer
-// RunCampaign (or an Assessment) everywhere else.
-//
-// Deprecated: oracle use only; applications should run an Assessment.
-func RunCampaignBatch(cfg CampaignConfig) (*CampaignResults, error) {
-	camp, err := core.NewCampaign(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return camp.RunBatch()
-}
 
 // ATmega32u4 returns the calibrated profile of the paper's device.
 func ATmega32u4() (DeviceProfile, error) { return silicon.ATmega32u4() }

@@ -2,8 +2,8 @@ package sramaging
 
 import (
 	"bytes"
+	"context"
 	"io"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -11,41 +11,17 @@ import (
 )
 
 func TestFacadeCampaign(t *testing.T) {
-	cfg, err := DefaultCampaign()
+	a, err := NewAssessment(WithDevices(2), WithMonths(2), WithWindowSize(50))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Devices = 2
-	cfg.Months = 2
-	cfg.WindowSize = 50
-	res, err := RunCampaign(cfg)
+	res, err := a.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := RenderTableI(res.Table)
 	if !strings.Contains(out, "WCHD") || !strings.Contains(out, "PUF entropy") {
 		t.Fatalf("table rendering:\n%s", out)
-	}
-}
-
-func TestFacadeStreamingAndBatchEnginesAgree(t *testing.T) {
-	cfg, err := DefaultCampaign()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Devices = 3
-	cfg.Months = 1
-	cfg.WindowSize = 40
-	streamed, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := RunCampaignBatch(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(streamed.Monthly, batch.Monthly) || !reflect.DeepEqual(streamed.Table, batch.Table) {
-		t.Fatal("streaming and batch engines disagree at the facade")
 	}
 }
 

@@ -140,13 +140,6 @@ func (a *Assessment) RunSweep(ctx context.Context) (*SweepResults, error) {
 	if len(a.conditions) == 0 {
 		return nil, fmt.Errorf("%w: RunSweep needs WithConditions or WithConditionGrid", ErrConfig)
 	}
-	profile := a.profile
-	if !a.profileSet && a.fleet == nil {
-		var err error
-		if profile, err = ATmega32u4(); err != nil {
-			return nil, err
-		}
-	}
 	months := a.months
 	if months == nil {
 		// The paper's campaign length, matching Run's default.
@@ -154,10 +147,10 @@ func (a *Assessment) RunSweep(ctx context.Context) (*SweepResults, error) {
 	}
 	// Pre-flight the engine's own configuration checks (device count,
 	// window size, metric-name uniqueness, month ordering) against a
-	// measurement-less probe source, plus the rig shape check, so a
-	// configuration error surfaces before the sweep is marked run and
-	// stays retryable — mirroring Run, which marks the assessment run
-	// only after its engine construction succeeds.
+	// measurement-less probe source, plus the simulated source's spec,
+	// so a configuration error surfaces before the sweep is marked run
+	// and stays retryable — mirroring Run, which marks the assessment
+	// run only after its engine construction succeeds.
 	if _, err := core.NewAssessment(core.AssessmentConfig{
 		Source:       configProbe(a.devices),
 		WindowSize:   a.window,
@@ -167,11 +160,10 @@ func (a *Assessment) RunSweep(ctx context.Context) (*SweepResults, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if a.useRig && a.devices%2 != 0 {
-		return nil, fmt.Errorf("%w: rig needs an even device count >= 2 (two layers), got %d", ErrConfig, a.devices)
-	}
-	if a.shards > a.devices {
-		return nil, fmt.Errorf("%w: more shards (%d) than devices (%d)", ErrConfig, a.shards, a.devices)
+	spec := a.simSpec()
+	spec.Scenario = a.conditions[0]
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
 	// Key-lifecycle sweeps screen once (the masks depend only on the
 	// population, not the sweep point) and give every point its own
@@ -185,22 +177,15 @@ func (a *Assessment) RunSweep(ctx context.Context) (*SweepResults, error) {
 	}
 	a.ran = true
 	return sweep.RunPoints(ctx, sweep.Config{
-		Profile:        profile,
-		Fleet:          a.fleet,
-		Devices:        a.devices,
-		Seed:           a.seed,
-		UseRig:         a.useRig,
-		I2CErrorRate:   a.i2cErr,
-		WindowSize:     a.window,
-		Months:         months,
-		Workers:        a.workers,
-		Concurrency:    a.pointParallel,
-		Shards:         a.shards,
-		ShardTransport: a.shardTransport,
-		Metrics:        a.metrics,
-		CrossMetrics:   a.crossMetrics,
-		PointMetrics:   pointMetrics,
-		Progress:       a.sweepProgress,
+		Sim:          spec,
+		WindowSize:   a.window,
+		Months:       months,
+		Workers:      a.workers,
+		Concurrency:  a.pointParallel,
+		Metrics:      a.metrics,
+		CrossMetrics: a.crossMetrics,
+		PointMetrics: pointMetrics,
+		Progress:     a.sweepProgress,
 	}, a.conditions)
 }
 

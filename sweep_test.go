@@ -260,3 +260,47 @@ func TestSweepComparisonShape(t *testing.T) {
 		t.Fatal("empty corner table")
 	}
 }
+
+// TestRunSweepLazyMatchesEager: WithLazy reaches every condition point
+// of a sweep, and a lazy two-corner sweep renders the same corner table,
+// byte for byte, and the same per-point results as the eager sweep —
+// over a two-profile fleet and over a single profile.
+func TestRunSweepLazyMatchesEager(t *testing.T) {
+	small, err := ProfileByName("fleetnode-1kb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := ProfileByName("fleetnode-2kb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := NewFleet(small, large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, silicon := range map[string]Option{"fleet": WithFleet(fleet), "profile": WithProfile(small)} {
+		run := func(extra ...Option) *SweepResults {
+			t.Helper()
+			a, err := NewAssessment(append([]Option{silicon,
+				WithDevices(6), WithMonths(2), WithWindowSize(20),
+				WithConditions(NominalRoomTemp, HotCorner)}, extra...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := a.RunSweep(context.Background())
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return res
+		}
+		eager, lazy := run(), run(WithLazy())
+		if got, want := RenderCornerTable(lazy.Comparison), RenderCornerTable(eager.Comparison); got != want {
+			t.Fatalf("%s: lazy corner table differs from eager:\n%s\nwant:\n%s", name, got, want)
+		}
+		for i := range eager.Points {
+			if !reflect.DeepEqual(lazy.Points[i].Results.Monthly, eager.Points[i].Results.Monthly) {
+				t.Fatalf("%s: point %q: lazy results differ from eager", name, eager.Points[i].Scenario.Name)
+			}
+		}
+	}
+}
