@@ -42,11 +42,13 @@ import (
 // meant to run — huge populations over few months (screening), where
 // memory, not aging arithmetic, is the binding constraint.
 type LazySimSource struct {
+	recordTap
 	fleet       *Fleet
 	seed        uint64
 	scenario    aging.Scenario
 	conditioned []silicon.DeviceProfile
 	indices     []int // global device index per local device
+	devices     int   // population the indices belong to
 	profIdx     []uint8
 	bits        int
 	pool        *stream.Pool
@@ -160,6 +162,7 @@ func (s *LazySimSource) Measure(ctx context.Context, month, size int, sink Sink)
 		return fmt.Errorf("%w: month %d not after already-measured month %d (lazy sources replay history in ascending order)",
 			ErrConfig, month, s.visited[len(s.visited)-1])
 	}
+	sink = s.envelope(month, s.indices, s.devices, sink)
 	nslots := s.slotCount()
 	if s.slots == nil || len(s.slots) < nslots {
 		s.slots = make([]*lazySlot, nslots)

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"repro/internal/bitvec"
 )
 
 // ResumeSource resumes an interrupted campaign from its checkpoint
@@ -161,13 +159,12 @@ func (s *ResumeSource) Measure(ctx context.Context, month, size int, sink Sink) 
 		}
 		return s.live.Measure(ctx, month, size, sink)
 	}
-	discard := Sink(func(int, *bitvec.Vector) error { return nil })
 	var wg sync.WaitGroup
 	var replayErr, forwardErr error
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		forwardErr = s.live.Measure(ctx, month, size, discard)
+		forwardErr = s.live.Measure(ctx, month, size, discardSink)
 	}()
 	replayErr = s.arch.Measure(ctx, month, size, sink)
 	wg.Wait()

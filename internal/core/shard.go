@@ -5,12 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"time"
 
-	"repro/internal/bitvec"
 	"repro/internal/shard"
-	"repro/internal/silicon"
 	"repro/internal/store"
 )
 
@@ -118,6 +114,7 @@ type simShardSource interface {
 	Source
 	WorkerSetter
 	DevicePruner
+	SetTap(func(store.Record) error)
 }
 
 // simShardBackend serves a shard of simulated chips: it opens the
@@ -132,6 +129,7 @@ type simShardBackend struct {
 	spec    SimSpec
 	indices []int
 	src     simShardSource
+	emit    func(device int, rec store.Record) error
 }
 
 func (b *simShardBackend) Devices() int { return b.spec.Devices }
@@ -147,6 +145,10 @@ func (b *simShardBackend) Assign(indices []int) error {
 		return err
 	}
 	b.src, b.indices = src.(simShardSource), indices
+	// The source's tap builds each record envelope from the global index.
+	// One Measure runs at a time per worker (the protocol is a
+	// request/response loop), so the emit field is safe.
+	b.src.SetTap(func(rec store.Record) error { return b.emit(rec.Board, rec) })
 	return nil
 }
 
@@ -187,32 +189,14 @@ func pruneLocal(src DevicePruner, indices []int, globals []int) error {
 	return src.PruneDevices(locals)
 }
 
-// Measure samples the shard's arrays and synthesises the record
-// envelope (sequence, cycle, wall clock) around each pattern with the
-// rig's month-to-cycle mapping, so a tapped sharded sim campaign writes
-// a replayable archive. The pattern vector is the sampler's reusable
-// scratch: emit encodes it synchronously, which is why no clone is
-// needed.
+// Measure samples the shard's arrays; the records leave through the
+// source's tap, whose envelopes carry the rig's month-to-cycle mapping,
+// so a tapped sharded sim campaign writes a replayable archive.
 func (b *simShardBackend) Measure(ctx context.Context, month, size, workers int, emit func(device int, rec store.Record) error) error {
+	b.emit = emit
+	defer func() { b.emit = nil }()
 	b.src.SetWorkers(workers)
-	base := uint64(month) * cyclesPerMonth
-	start := store.MonthlyWindowStart(month)
-	seqs := make([]int, len(b.indices))
-	sink := Sink(func(local int, m *bitvec.Vector) error {
-		i := seqs[local] // per-device delivery is sequential; devices are distinct slots
-		seqs[local]++
-		g := b.indices[local]
-		rec := store.Record{
-			Board: g,
-			Layer: g * 2 / max(b.spec.Devices, 1),
-			Seq:   base + uint64(i),
-			Cycle: base + uint64(i),
-			Wall:  start.Add(time.Duration(float64(i) * silicon.CycleSeconds * float64(time.Second))),
-			Data:  m,
-		}
-		return emit(g, rec)
-	})
-	return b.src.Measure(ctx, month, size, sink)
+	return b.src.Measure(ctx, month, size, discardSink)
 }
 
 // rigShardBackend serves a shard of rig boards. The rig is one
@@ -270,7 +254,7 @@ func (b *rigShardBackend) Prune(globals []int) error {
 func (b *rigShardBackend) Measure(ctx context.Context, month, size, workers int, emit func(device int, rec store.Record) error) error {
 	b.emit = emit
 	defer func() { b.emit = nil }()
-	return b.src.Measure(ctx, month, size, func(int, *bitvec.Vector) error { return nil })
+	return b.src.Measure(ctx, month, size, discardSink)
 }
 
 // archiveShardBackend replays a shard of an archive's boards over a
@@ -397,10 +381,8 @@ func (c pipeConn) Close() error {
 // in-process sources it holds worker connections, so callers that build
 // one directly must Close it when done.
 type ShardedSource struct {
+	recordTap
 	co *shard.Coordinator
-
-	mu  sync.Mutex
-	tap func(store.Record) error
 }
 
 func newShardedSource(spec shard.Spec, shards int, transport shard.Transport) (*ShardedSource, error) {
@@ -459,30 +441,14 @@ func (s *ShardedSource) PruneDevices(indices []int) error {
 // meaning whether the campaign runs in one process or many.
 func (s *ShardedSource) SetWorkers(n int) { s.co.SetWorkers(n) }
 
-// SetTap installs a callback receiving every merged record — the
-// sharded counterpart of (*RigSource).SetTap, used by cmd/agingtest
-// -shards -archive. Shards forward concurrently, so the tap is
-// serialised here; per-board record order is preserved (each board
-// lives in exactly one shard). The record's payload storage is reused
-// between a board's deliveries (the wire decoder's per-device scratch —
-// the same reuse rule as the engine Sink), so a tap that retains a
-// record must Clone its Data; streaming writers (store.RecordWriter)
-// encode in place and need no copy.
-func (s *ShardedSource) SetTap(tap func(store.Record) error) { s.tap = tap }
-
 // Measure fans the window request out to every shard and forwards the
 // merged stream to sink. A worker crash surfaces as an error wrapping
 // ErrShardWorker; worker-reported failures keep their typed class
 // (ErrConfig, ErrShortWindow, ...) across the process boundary.
 func (s *ShardedSource) Measure(ctx context.Context, month, size int, sink Sink) error {
 	return mapShardErr(s.co.Measure(ctx, month, size, func(device int, rec store.Record) error {
-		if s.tap != nil {
-			s.mu.Lock()
-			err := s.tap(rec)
-			s.mu.Unlock()
-			if err != nil {
-				return err
-			}
+		if err := s.tee(rec); err != nil {
+			return err
 		}
 		return sink(device, rec.Data)
 	}))

@@ -191,6 +191,8 @@ func (r *resolvedSim) openEager() (*SimSource, error) {
 	}
 	return &SimSource{
 		arrays:    arrays,
+		indices:   indices,
+		devices:   r.Devices,
 		bits:      r.conditioned[0].ReadWindowBits(),
 		pool:      stream.NewPool(0),
 		scenario:  r.Scenario,
@@ -208,6 +210,7 @@ func (r *resolvedSim) openLazy() *LazySimSource {
 		scenario:    r.Scenario,
 		conditioned: r.conditioned,
 		indices:     indices,
+		devices:     r.Devices,
 		profIdx:     r.mix.AssignmentIndices(r.Seed, indices),
 		bits:        r.conditioned[0].ReadWindowBits(),
 		pool:        stream.NewPool(0),

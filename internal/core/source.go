@@ -9,6 +9,7 @@ import (
 	"repro/internal/aging"
 	"repro/internal/bitvec"
 	"repro/internal/harness"
+	"repro/internal/silicon"
 	"repro/internal/sram"
 	"repro/internal/store"
 	"repro/internal/stream"
@@ -21,6 +22,69 @@ import (
 // DISTINCT devices — sources are free to deliver devices in parallel or
 // interleaved, but each device's measurements arrive in capture order.
 type Sink func(device int, m *bitvec.Vector) error
+
+// discardSink drops every measurement: the sink of a fast-forward (the
+// live half of a resume) and of a shard backend whose records leave
+// through the source's tap.
+var discardSink Sink = func(int, *bitvec.Vector) error { return nil }
+
+// recordTap is the record tap every live source carries (SimSource,
+// LazySimSource, RigSource, ShardedSource).
+type recordTap struct {
+	mu  sync.Mutex
+	tap func(store.Record) error
+}
+
+// SetTap installs a callback that receives every record the source
+// measures, in addition to the assessment's own accumulators — e.g. a
+// store.BinaryWriter archiving the campaign as it runs. Each board's
+// records arrive in capture order; boards measured concurrently are
+// serialised, so the tap is never called concurrently. A record's Data
+// is the source's scratch, reused between a board's deliveries: a tap
+// that retains it must Clone it (streaming writers encode in place).
+func (t *recordTap) SetTap(tap func(store.Record) error) { t.tap = tap }
+
+// tee hands rec to the tap, if one is set.
+func (t *recordTap) tee(rec store.Record) error {
+	if t.tap == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.tap(rec)
+}
+
+// envelope tees every measurement of the month into the tap before it
+// reaches sink, framed in the rig's record envelope: Board is the
+// device's global index (indices maps local devices to global ones),
+// Layer its half of the population of devices, Seq and Cycle count
+// month·cyclesPerMonth + i for the device's i-th measurement of the
+// month, and Wall is the month's window start plus i power cycles. With
+// no tap set, sink is returned unwrapped.
+func (t *recordTap) envelope(month int, indices []int, devices int, sink Sink) Sink {
+	if t.tap == nil {
+		return sink
+	}
+	base := uint64(month) * cyclesPerMonth
+	start := store.MonthlyWindowStart(month)
+	seqs := make([]int, len(indices))
+	return func(d int, m *bitvec.Vector) error {
+		i := seqs[d] // per-device delivery is sequential; devices are distinct slots
+		seqs[d]++
+		g := indices[d]
+		if err := t.tee(store.Record{
+			Board: g,
+			Layer: g * 2 / max(devices, 1),
+			Seq:   base + uint64(i),
+			Cycle: base + uint64(i),
+			Wall:  start.Add(time.Duration(float64(i) * silicon.CycleSeconds * float64(time.Second))),
+			Data:  m,
+		}); err != nil {
+			return err
+		}
+		return sink(d, m)
+	}
+}
 
 // Source is where an assessment's measurements come from. The three
 // built-in implementations — SimSource (direct sampling), RigSource (full
@@ -72,7 +136,10 @@ type WorkerSetter interface {
 // bit-identical to RigSource on the same profile/devices/seed (the rig
 // adds fidelity — power switch, boot, I2C — not different bits).
 type SimSource struct {
+	recordTap
 	arrays   []*sram.Array
+	indices  []int // global device index per local device
+	devices  int   // population the indices belong to
 	bits     int
 	pool     *stream.Pool
 	scenario aging.Scenario
@@ -137,6 +204,7 @@ func (s deviceSink) Add(m *bitvec.Vector) error { return s.sink(s.d, m) }
 // pool. Each sampler reuses a single scratch vector, so a window costs
 // O(array size) memory; cancellation is checked before every draw.
 func (s *SimSource) Measure(ctx context.Context, month, size int, sink Sink) error {
+	sink = s.envelope(month, s.indices, s.devices, sink)
 	for _, a := range s.arrays {
 		if a == nil { // pruned by screening
 			continue
@@ -173,12 +241,12 @@ const cyclesPerMonth = uint64(30.44 * 24 * 3600 / 5.4)
 
 // RigSource routes every evaluation window through the full measurement
 // rig simulation (masters, power switch, boot, I2C, record forwarding).
-// The record tap may additionally be copied to a Tap — the archive
-// collection path of cmd/agingtest, which writes JSONL while the
+// The rig's records may additionally be copied to a tap — the archive
+// collection path of cmd/agingtest, which writes the archive while the
 // assessment evaluates the same stream.
 type RigSource struct {
+	recordTap
 	rig      *harness.Rig
-	tap      func(store.Record) error
 	scenario aging.Scenario
 	pool     *stream.Pool // nil: pump in the caller's goroutine
 	pruned   []bool       // screened-out boards; nil until PruneDevices
@@ -192,11 +260,6 @@ func (s *RigSource) Devices() int { return len(s.rig.Arrays()) }
 
 // Rig exposes the underlying rig (waveform tracing, archive access).
 func (s *RigSource) Rig() *harness.Rig { return s.rig }
-
-// SetTap installs a callback that receives every record in capture order,
-// in addition to the assessment's own accumulators — e.g. a
-// store.JSONLWriter archiving the campaign to disk as it runs.
-func (s *RigSource) SetTap(tap func(store.Record) error) { s.tap = tap }
 
 // PruneDevices screens the given boards out of record delivery: the rig
 // keeps cycling every board (the physical rig would — a screened board
@@ -253,10 +316,8 @@ func (s *RigSource) Measure(ctx context.Context, month, size int, sink Sink) err
 			if s.pruned != nil && rec.Board >= 0 && rec.Board < len(s.pruned) && s.pruned[rec.Board] {
 				return nil
 			}
-			if s.tap != nil {
-				if err := s.tap(rec); err != nil {
-					return err
-				}
+			if err := s.tee(rec); err != nil {
+				return err
 			}
 			return sink(rec.Board, rec.Data)
 		})
@@ -386,45 +447,21 @@ func (s *ArchiveSource) Close() error { return s.ir.Close() }
 // Discovery is pure index arithmetic (per-board month record counts) —
 // on a v2 archive no record is decoded.
 func (s *ArchiveSource) AvailableMonths(windowSize int) ([]int, error) {
-	// Archives are external input: a single corrupt far-future timestamp
-	// must not turn discovery into a ~100k-iteration scan, so the month
-	// walk is capped at 50 years past the campaign epoch.
-	const maxArchiveMonths = 600
-	last := -1
-	for _, b := range s.boards {
-		if m, ok := s.ir.LastMonth(b); ok && m > last {
-			last = m
-		}
-	}
-	if last > maxArchiveMonths {
-		last = maxArchiveMonths
-	}
-	var months []int
-	partialMonth, partialBoards := -1, []int(nil)
-	for m := 0; m <= last; m++ {
-		var missing []int
+	return s.discoverMonths(windowSize, func(m int) (bool, []int) {
+		var short []int
 		for _, b := range s.boards {
 			if s.ir.MonthRecords(b, m) < windowSize {
-				missing = append(missing, b)
+				short = append(short, b)
 			}
 		}
-		switch {
-		case len(missing) == 0:
-			if partialMonth >= 0 {
-				return nil, fmt.Errorf("%w: month %d is short on boards %v (want %d records) but month %d is complete — records were lost mid-archive",
-					ErrShortWindow, partialMonth, partialBoards, windowSize, m)
-			}
-			months = append(months, m)
-		case len(missing) < len(s.boards):
-			// Remember the first partial month; it is an error only if a
-			// complete month follows it (otherwise it is the archive's
-			// interrupted tail).
-			if partialMonth < 0 {
-				partialMonth, partialBoards = m, missing
-			}
+		switch len(short) {
+		case 0:
+			return true, nil
+		case len(s.boards):
+			return false, nil // the rig was off: skipped, not partial
 		}
-	}
-	return months, nil
+		return false, short
+	})
 }
 
 // AvailableMonthsSurviving is AvailableMonths under screening
@@ -435,6 +472,32 @@ func (s *ArchiveSource) AvailableMonths(windowSize int) ([]int, error) {
 // (interrupted tail, or lost mid-archive if complete months follow),
 // exactly like the strict lister.
 func (s *ArchiveSource) AvailableMonthsSurviving(windowSize int) ([]int, error) {
+	return s.discoverMonths(windowSize, func(m int) (bool, []int) {
+		var short []int
+		present := false
+		for _, b := range s.boards {
+			n := s.ir.MonthRecords(b, m)
+			if n == 0 {
+				continue // pruned before this month — legitimately absent
+			}
+			present = true
+			if n < windowSize {
+				short = append(short, b)
+			}
+		}
+		return present && len(short) == 0, short
+	})
+}
+
+// discoverMonths walks the archive's months under a completeness rule:
+// classify reports whether month m is complete and, if not, which
+// boards make it partial (none: the month is skipped). A partial month
+// is the archive's interrupted tail unless a complete month follows it;
+// then records were lost, and the first partial month is reported.
+func (s *ArchiveSource) discoverMonths(windowSize int, classify func(m int) (complete bool, short []int)) ([]int, error) {
+	// Archives are external input: a single corrupt far-future timestamp
+	// must not turn discovery into a ~100k-iteration scan, so the month
+	// walk is capped at 50 years past the campaign epoch.
 	const maxArchiveMonths = 600
 	last := -1
 	for _, b := range s.boards {
@@ -442,35 +505,20 @@ func (s *ArchiveSource) AvailableMonthsSurviving(windowSize int) ([]int, error) 
 			last = m
 		}
 	}
-	if last > maxArchiveMonths {
-		last = maxArchiveMonths
-	}
+	last = min(last, maxArchiveMonths)
 	var months []int
 	partialMonth, partialBoards := -1, []int(nil)
 	for m := 0; m <= last; m++ {
-		var short []int
-		any := false
-		for _, b := range s.boards {
-			n := s.ir.MonthRecords(b, m)
-			if n == 0 {
-				continue // pruned before this month — legitimately absent
-			}
-			any = true
-			if n < windowSize {
-				short = append(short, b)
-			}
-		}
+		complete, short := classify(m)
 		switch {
-		case any && len(short) == 0:
+		case complete:
 			if partialMonth >= 0 {
 				return nil, fmt.Errorf("%w: month %d is short on boards %v (want %d records) but month %d is complete — records were lost mid-archive",
 					ErrShortWindow, partialMonth, partialBoards, windowSize, m)
 			}
 			months = append(months, m)
-		case len(short) > 0:
-			if partialMonth < 0 {
-				partialMonth, partialBoards = m, short
-			}
+		case len(short) > 0 && partialMonth < 0:
+			partialMonth, partialBoards = m, short
 		}
 	}
 	return months, nil

@@ -12,7 +12,7 @@ import (
 // TestServiceFleetCampaignMatchesDirectRun: a heterogeneous fleet
 // campaign submitted to the service streams the same Results — monthly
 // series, per-profile breakdowns and Table I — as a direct run of the
-// sharded fleet source the service builds from the same spec, and the
+// eager fleet source the service builds from the same spec, and the
 // breakdowns actually separate the fleet's profiles.
 func TestServiceFleetCampaignMatchesDirectRun(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
@@ -27,10 +27,9 @@ func TestServiceFleetCampaignMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := core.OpenSim(core.SimSpec{Fleet: fleet, Devices: spec.Devices, Seed: spec.Seed,
-		Scenario: spec.scenario(fleet.Profiles()[0]), Shards: 1})
-	if err != nil {
-		t.Fatal(err)
+	src := openLive(t, spec)
+	if _, ok := src.(*core.SimSource); !ok {
+		t.Fatalf("unsharded fleet spec opens a %T, want a direct *core.SimSource", src)
 	}
 	eng, err := core.NewAssessment(core.AssessmentConfig{Source: src, WindowSize: spec.Window, Months: spec.EvalMonths()})
 	if err != nil {
@@ -38,9 +37,6 @@ func TestServiceFleetCampaignMatchesDirectRun(t *testing.T) {
 	}
 	want, err := eng.Run(context.Background())
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := src.(*core.ShardedSource).Close(); err != nil {
 		t.Fatal(err)
 	}
 

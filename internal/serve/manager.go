@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/keylife"
-	"repro/internal/silicon"
 	"repro/internal/store"
 	"repro/internal/stream"
 )
@@ -405,8 +404,8 @@ func (m *Manager) run(c *campaign) {
 	c.save(m.cfg.DataDir)
 }
 
-// tappableSource is a rig-path source whose record stream can be teed
-// into the checkpoint archive — RigSource and ShardedSource both are.
+// tappableSource is a live source whose record stream can be teed into
+// the checkpoint archive: every source OpenSim builds is one.
 type tappableSource interface {
 	core.Source
 	SetTap(func(store.Record) error)
@@ -436,18 +435,10 @@ func (m *Manager) campaignBudget(requested int) int {
 // record into the archive, evaluate, and seal the archive on success.
 func (m *Manager) execute(ctx context.Context, c *campaign) (*core.Results, error) {
 	spec := c.spec
-	var profile silicon.DeviceProfile
-	var fleet *core.Fleet
-	var err error
-	if len(spec.Fleet) > 0 {
-		if fleet, err = fleetByNames(spec.Fleet); err != nil {
-			return nil, err
-		}
-		profile = fleet.Profiles()[0]
-	} else if profile, err = profileByName(spec.Profile); err != nil {
+	sim, err := spec.sim()
+	if err != nil {
 		return nil, err
 	}
-	sc := spec.scenario(profile)
 	months := spec.EvalMonths()
 	apath := archivePath(m.cfg.DataDir, c.id)
 
@@ -456,18 +447,20 @@ func (m *Manager) execute(ctx context.Context, c *campaign) (*core.Results, erro
 		return nil, fmt.Errorf("serve: campaign %s: recovering checkpoint: %w", c.id, err)
 	}
 
-	opened, err := core.OpenSim(spec.simSpec(profile, fleet, sc))
+	opened, err := core.OpenSim(sim)
 	if err != nil {
 		return nil, err
 	}
 	live := opened.(tappableSource)
-	if sharded, ok := live.(*core.ShardedSource); ok {
-		defer sharded.Close()
+	switch src := live.(type) {
+	case *core.ShardedSource:
+		defer src.Close()
 		if b := m.campaignBudget(spec.Workers); b > 0 {
-			sharded.SetWorkers(b)
+			src.SetWorkers(b)
 		}
-	} else {
-		live.(*core.RigSource).SetPool(m.pool)
+	case interface{ SetPool(*stream.Pool) }:
+		// Rig, eager and lazy sources all measure on the global pool.
+		src.SetPool(m.pool)
 	}
 
 	// The archive tee. A fresh campaign records from measurement one; a
@@ -524,7 +517,7 @@ func (m *Manager) execute(ctx context.Context, c *campaign) (*core.Results, erro
 	var metrics []core.Metric
 	var crossMetrics []core.CrossMetric
 	if spec.KeyLife {
-		wl, err := keylife.New(ctx, keylife.Config{Profile: profile, Devices: spec.Devices, Seed: spec.Seed})
+		wl, err := keylife.New(ctx, keylife.Config{Profile: sim.Profile, Devices: spec.Devices, Seed: spec.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("serve: campaign %s: key-lifecycle workload: %w", c.id, err)
 		}

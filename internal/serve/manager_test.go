@@ -18,16 +18,8 @@ import (
 // bit for bit.
 func directResults(t *testing.T, spec Spec) *core.Results {
 	t.Helper()
-	profile, err := profileByName(spec.Profile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := core.OpenSim(core.SimSpec{Profile: profile, Devices: spec.Devices, Seed: spec.Seed,
-		Scenario: spec.scenario(profile), Rig: true, I2CErrorRate: spec.I2CError})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.NewAssessment(core.AssessmentConfig{Source: src, WindowSize: spec.Window, Months: spec.EvalMonths()})
+	spec.Shards = 0
+	eng, err := core.NewAssessment(core.AssessmentConfig{Source: openLive(t, spec), WindowSize: spec.Window, Months: spec.EvalMonths()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,6 +28,21 @@ func directResults(t *testing.T, spec Spec) *core.Results {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// openLive opens the live source the service builds for spec. A
+// sharded source holds workers: the caller must Close it.
+func openLive(t *testing.T, spec Spec) tappableSource {
+	t.Helper()
+	sim, err := spec.sim()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := core.OpenSim(sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src.(tappableSource)
 }
 
 // waitTerminal polls a campaign until it reaches a terminal status.
@@ -414,13 +421,8 @@ func TestServiceKeyLifeCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := core.OpenSim(core.SimSpec{Profile: profile, Devices: spec.Devices, Seed: spec.Seed,
-		Scenario: spec.scenario(profile), Rig: true, I2CErrorRate: spec.I2CError})
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng, err := core.NewAssessment(core.AssessmentConfig{
-		Source:       src,
+		Source:       openLive(t, spec),
 		WindowSize:   spec.Window,
 		Months:       spec.EvalMonths(),
 		Metrics:      wl.Metrics(),
@@ -458,4 +460,80 @@ func TestServiceKeyLifeCampaign(t *testing.T) {
 			t.Fatalf("month %d streamed no keylife.success series", ev.Month)
 		}
 	}
+}
+
+// TestServiceConcurrentSourceKinds runs one campaign of every live
+// source kind at once on one two-worker Manager — rig, rig with
+// key-life, eager fleet, lazy screened fleet, two-shard rig and
+// two-shard lazy fleet. Each must stream the Monthly series of its solo
+// run, the unsharded ones must never put more than the global budget in
+// flight, and nothing may leak.
+func TestServiceConcurrentSourceKinds(t *testing.T) {
+	const budget = 2
+	pair := []string{"fleetnode-1kb", "fleetnode-2kb"}
+	screened := Spec{Fleet: pair, Devices: 10, Seed: 777, Window: 24, MonthList: []int{0, 1, 2}, Lazy: true}
+	screened.ScreenFloor = pickServiceFloor(t, screened)
+	specs := map[string]Spec{
+		"rig":                {Devices: 4, Months: 2, Window: 16},
+		"rig+keylife":        {Devices: 2, Months: 2, Window: 30, KeyLife: true},
+		"eager fleet":        {Fleet: pair, Devices: 5, Months: 2, Window: 16},
+		"lazy screened":      screened,
+		"2-shard rig":        {Devices: 4, Months: 2, Window: 16, Shards: 2},
+		"2-shard lazy fleet": {Fleet: pair, Devices: 6, Months: 2, Window: 16, Lazy: true, Shards: 2},
+	}
+	for name, spec := range specs {
+		spec.normalize()
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		specs[name] = spec
+	}
+
+	run := func(m *Manager, name string) string {
+		st, err := m.Submit(specs[name])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return st.ID
+	}
+	monthly := func(m *Manager, name, id string) []core.MonthEval {
+		if st := waitTerminal(t, m, id); st.Status != StatusDone {
+			t.Fatalf("%s: campaign finished %s (%s)", name, st.Status, st.Error)
+		}
+		got, err := m.Monthly(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	solo := map[string][]core.MonthEval{}
+	for name := range specs {
+		m, err := NewManager(Config{DataDir: t.TempDir(), Workers: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[name] = monthly(m, name, run(m, name))
+		closeManager(t, m)
+	}
+
+	goroutines := runtime.NumGoroutine()
+	m, err := NewManager(Config{DataDir: t.TempDir(), Workers: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[string]string{}
+	for name := range specs {
+		ids[name] = run(m, name)
+	}
+	for name, id := range ids {
+		if got := monthly(m, name, id); !reflect.DeepEqual(got, solo[name]) {
+			t.Errorf("%s: concurrent Monthly differ from the solo run", name)
+		}
+	}
+	if got := m.Pool().MaxInFlight(); got > budget || got == 0 {
+		t.Errorf("MaxInFlight() = %d, want within (0, %d]", got, budget)
+	}
+	closeManager(t, m)
+	checkGoroutines(t, goroutines)
 }

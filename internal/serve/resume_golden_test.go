@@ -19,19 +19,10 @@ import (
 // have on disk just before sealing.
 func fullServiceArchive(t *testing.T, spec Spec) []byte {
 	t.Helper()
-	profile, err := profileByName(spec.Profile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := core.OpenSim(core.SimSpec{Profile: profile, Devices: spec.Devices, Seed: spec.Seed,
-		Scenario: spec.scenario(profile), Rig: true, I2CErrorRate: spec.I2CError, Shards: spec.Shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c, ok := src.(io.Closer); ok {
+	live := openLive(t, spec)
+	if c, ok := live.(io.Closer); ok {
 		defer c.Close()
 	}
-	live := src.(tappableSource)
 	var buf bytes.Buffer
 	w := store.NewBinaryWriterV1(&buf)
 	live.SetTap(w.Write)

@@ -20,16 +20,7 @@ import (
 // non-final month.
 func pickServiceFloor(t *testing.T, spec Spec) float64 {
 	t.Helper()
-	fleet, err := fleetByNames(spec.Fleet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := core.OpenSim(core.SimSpec{Fleet: fleet, Devices: spec.Devices, Seed: spec.Seed,
-		Scenario: spec.scenario(fleet.Profiles()[0])})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.NewAssessment(core.AssessmentConfig{Source: src, WindowSize: spec.Window, Months: spec.EvalMonths()})
+	eng, err := core.NewAssessment(core.AssessmentConfig{Source: openLive(t, spec), WindowSize: spec.Window, Months: spec.EvalMonths()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +99,10 @@ func TestServiceScreenedLazyFleetResumeGolden(t *testing.T) {
 
 	// The uninterrupted oracle: the exact source construction the service
 	// uses for a lazy fleet campaign, tapped into a v1 archive.
-	fleet, err := fleetByNames(spec.Fleet)
-	if err != nil {
-		t.Fatal(err)
+	direct, ok := openLive(t, spec).(*core.LazySimSource)
+	if !ok {
+		t.Fatal("unsharded lazy fleet spec does not open a direct *core.LazySimSource")
 	}
-	opened, err := core.OpenSim(core.SimSpec{Fleet: fleet, Devices: spec.Devices, Seed: spec.Seed,
-		Scenario: spec.scenario(fleet.Profiles()[0]), Lazy: true, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := opened.(*core.ShardedSource)
 	var full bytes.Buffer
 	w := store.NewBinaryWriterV1(&full)
 	direct.SetTap(w.Write)
@@ -137,7 +122,6 @@ func TestServiceScreenedLazyFleetResumeGolden(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	direct.Close()
 	earlyPrunes := len(want.Monthly[0].Pruned) + len(want.Monthly[1].Pruned)
 	if earlyPrunes == 0 {
 		t.Fatal("no prunes inside the checkpoint prefix; the golden would not exercise screened resume")

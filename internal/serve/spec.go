@@ -33,10 +33,11 @@ type Condition struct {
 // cmd/agingtest, not the paper's 16x24x1000 — a service client asks for
 // scale explicitly).
 //
-// Campaigns always run through the measurement-rig simulation: the rig's
-// record tap is what feeds the checkpoint archive, and the rig path is
-// bit-identical to direct sampling by construction, so nothing is lost.
-// The rig's two-layer topology is why Devices must be even.
+// A single-profile campaign runs through the measurement-rig simulation
+// (the only source that models i2c_error); the rig's two-layer topology
+// is why its Devices must be even. A fleet campaign samples its chips
+// directly. Either way the source's record tap feeds the checkpoint
+// archive, and every layout is bit-identical by construction.
 type Spec struct {
 	// Name is a human label echoed in listings; it does not key anything.
 	Name string `json:"name,omitempty"`
@@ -47,11 +48,13 @@ type Spec struct {
 	// Fleet runs a heterogeneous campaign over a mix of registered
 	// profiles: every device is assigned one of the named profiles
 	// deterministically from the seed, and results carry a per-profile
-	// breakdown. Fleet campaigns sample the sharded sim source directly
-	// (the rig harness is a single-profile instrument), so Devices need
-	// not be even. Exclusive with Profile and KeyLife.
+	// breakdown. Fleet campaigns sample the sim source directly, sharded
+	// only when Shards asks for it (the rig harness is a single-profile
+	// instrument), so Devices need not be even. Exclusive with Profile
+	// and KeyLife.
 	Fleet []string `json:"fleet,omitempty"`
-	// Devices is the number of boards under test (even, >= 2; default 4).
+	// Devices is the number of boards under test (>= 2, even on the rig;
+	// default 4).
 	Devices int `json:"devices,omitempty"`
 	// Seed is the campaign seed (default 20170208, the paper's).
 	Seed uint64 `json:"seed,omitempty"`
@@ -66,8 +69,9 @@ type Spec struct {
 	// MonthList is an explicit ascending evaluation schedule for sparse
 	// campaigns. Exclusive with Months.
 	MonthList []int `json:"month_list,omitempty"`
-	// Workers is the campaign's requested sampling parallelism; the
+	// Workers is a sharded campaign's requested sampling parallelism; the
 	// manager clamps it to the campaign's share of the global budget.
+	// Unsharded campaigns (rig and fleet) share the global pool instead.
 	Workers int `json:"workers,omitempty"`
 	// Shards fans the campaign's device population across N in-process
 	// shard workers (0: unsharded).
@@ -193,26 +197,18 @@ func (s *Spec) normalize() {
 }
 
 // Validate checks the normalised spec; every failure wraps ErrConfig so
-// the HTTP layer maps it to 400 before a campaign is admitted.
+// the HTTP layer maps it to 400 before a campaign is admitted. The
+// service's own bounds and exclusions are checked here; the source rules
+// (rig parity, shard count, lazy fleets, the condition) are the
+// core.SimSpec's.
 func (s Spec) Validate() error {
-	if len(s.Fleet) > 0 {
-		switch {
-		case s.Profile != "":
-			return fmt.Errorf("%w: profile and fleet are exclusive", core.ErrConfig)
-		case s.KeyLife:
-			return fmt.Errorf("%w: the key-lifecycle workload is single-profile; fleet and keylife are exclusive", core.ErrConfig)
-		}
-		if _, err := fleetByNames(s.Fleet); err != nil {
-			return err
-		}
-	} else if _, err := profileByName(s.Profile); err != nil {
-		return err
-	}
 	switch {
+	case len(s.Fleet) > 0 && s.Profile != "":
+		return fmt.Errorf("%w: profile and fleet are exclusive", core.ErrConfig)
+	case len(s.Fleet) > 0 && s.KeyLife:
+		return fmt.Errorf("%w: the key-lifecycle workload is single-profile; fleet and keylife are exclusive", core.ErrConfig)
 	case s.Devices < 2:
 		return fmt.Errorf("%w: service campaigns need >= 2 devices, got %d", core.ErrConfig, s.Devices)
-	case len(s.Fleet) == 0 && s.Devices%2 != 0:
-		return fmt.Errorf("%w: service campaigns run on the rig and need an even device count >= 2, got %d", core.ErrConfig, s.Devices)
 	case s.Devices > maxDevices:
 		return fmt.Errorf("%w: %d devices exceeds the service bound %d", core.ErrConfig, s.Devices, maxDevices)
 	case s.Window < 2:
@@ -233,10 +229,6 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("%w: negative worker count %d", core.ErrConfig, s.Workers)
 	case s.Workers > maxWorkers:
 		return fmt.Errorf("%w: worker count %d exceeds the service bound %d", core.ErrConfig, s.Workers, maxWorkers)
-	case s.Shards < 0:
-		return fmt.Errorf("%w: negative shard count %d", core.ErrConfig, s.Shards)
-	case s.Shards > s.Devices:
-		return fmt.Errorf("%w: %d shards for %d devices (a shard needs at least one device)", core.ErrConfig, s.Shards, s.Devices)
 	}
 	for i, m := range s.MonthList {
 		if m < 0 || m > maxMonthIndex || (i > 0 && m <= s.MonthList[i-1]) {
@@ -254,16 +246,11 @@ func (s Spec) Validate() error {
 	if s.screening() != nil && s.KeyLife {
 		return fmt.Errorf("%w: the key-lifecycle workload runs its own burn-in screening; keylife and screen_floor are exclusive", core.ErrConfig)
 	}
-	if s.Lazy && len(s.Fleet) == 0 {
-		return fmt.Errorf("%w: lazy construction is for fleet campaigns (the rig is a persistent coupled instrument)", core.ErrConfig)
+	sim, err := s.sim()
+	if err != nil {
+		return err
 	}
-	if s.Condition != nil {
-		sc := aging.Condition(s.Condition.TempC, s.Condition.Volts)
-		if err := sc.Validate(); err != nil {
-			return fmt.Errorf("%w: %v", core.ErrConfig, err)
-		}
-	}
-	return nil
+	return sim.Validate()
 }
 
 // EvalMonths returns the campaign's ascending evaluation schedule.
@@ -290,26 +277,24 @@ func (s Spec) screening() *core.ScreeningConfig {
 	return sc
 }
 
-// simSpec is the live source a campaign measures. A single-profile
-// campaign runs on the rig, sharded or not. A fleet runs on the sharded
-// sim source, one shard unless asked for more: it synthesises full
-// record envelopes for the checkpoint tap, which the single-profile rig
-// cannot serve. Lazy fleets derive each chip inside its worker slot
-// instead of materialising the fleet.
-func (s Spec) simSpec(profile silicon.DeviceProfile, fleet *core.Fleet, sc aging.Scenario) core.SimSpec {
-	sim := core.SimSpec{Devices: s.Devices, Seed: s.Seed, Scenario: sc, Shards: s.Shards}
-	if fleet == nil {
-		sim.Profile, sim.Rig, sim.I2CErrorRate = profile, true, s.I2CError
-		return sim
+// sim resolves the spec's profile or fleet and condition into the live
+// source the campaign measures. A single-profile campaign runs on the
+// rig, sharded or not: the service accepts i2c_error, and only the rig
+// models it. A fleet opens the sim source as submitted — eager or lazy,
+// in process or across Shards workers — and every layout taps the same
+// record envelopes into the checkpoint.
+func (s Spec) sim() (core.SimSpec, error) {
+	sim := core.SimSpec{Devices: s.Devices, Seed: s.Seed, Lazy: s.Lazy, Shards: s.Shards}
+	var err error
+	if len(s.Fleet) > 0 {
+		sim.Fleet, err = fleetByNames(s.Fleet)
+	} else {
+		sim.Profile, err = profileByName(s.Profile)
+		sim.Rig, sim.I2CErrorRate = true, s.I2CError
 	}
-	sim.Fleet, sim.Lazy, sim.Shards = fleet, s.Lazy, max(s.Shards, 1)
-	return sim
-}
-
-// scenario resolves the campaign's operating point against its profile.
-func (s Spec) scenario(profile silicon.DeviceProfile) aging.Scenario {
-	if s.Condition == nil {
-		return profile.NominalScenario()
+	if s.Condition != nil {
+		// Absent, the scenario resolves to the first profile's nominal one.
+		sim.Scenario = aging.Condition(s.Condition.TempC, s.Condition.Volts)
 	}
-	return aging.Condition(s.Condition.TempC, s.Condition.Volts)
+	return sim, err
 }

@@ -208,6 +208,7 @@ echo "== smoke OK: $FDEV-device screened fleet tables are byte-identical sharded
 
 # ---------------------------------------------------------------------------
 # Service leg: the same bit-identity guarantee through assessd — a campaign
+# (single-profile on the rig, or a screened fleet on the direct sim source)
 # submitted over HTTP and streamed back must render the identical table; a
 # campaign hard-killed (SIGKILL) mid-run must resume from its checkpoint on
 # restart and still render the identical table; cancel must stick.
@@ -250,6 +251,18 @@ echo "== service run over HTTP, streamed to completion"
     -remote "$base" > "$workdir/service.txt"
 extract_table "$workdir/service.txt" > "$workdir/service.table"
 diff -u "$workdir/direct.table" "$workdir/service.table"
+
+echo "== service fleet run: a screened lazy fleet over HTTP matches the local run"
+SFLEET_ARGS="-fleet $FLEET -devices 64 -months $MONTHS -window $WINDOW -screen-floor 0.9"
+"$workdir/agingtest" $SFLEET_ARGS > "$workdir/sfleet-local.txt"
+if grep -q "screening: 64 of 64" "$workdir/sfleet-local.txt"; then
+    echo "service fleet leg: screening floor 0.9 pruned nothing" >&2
+    exit 1
+fi
+"$workdir/agingtest" $SFLEET_ARGS -remote "$base" > "$workdir/sfleet-remote.txt"
+extract_table "$workdir/sfleet-local.txt" > "$workdir/sfleet-local.table"
+extract_table "$workdir/sfleet-remote.txt" > "$workdir/sfleet-remote.table"
+diff -u "$workdir/sfleet-local.table" "$workdir/sfleet-remote.table"
 
 echo "== cancel: a long campaign cancelled mid-run ends cancelled"
 cancel_id=$("$workdir/agingtest" -devices 4 -months 300 -window 16 \
@@ -321,4 +334,4 @@ kill -TERM "$assessd_pid"
 wait "$assessd_pid" 2>/dev/null || true
 assessd_pid=""
 
-echo "== smoke OK: service submit/stream, cancel, and kill+restart resume are byte-identical to direct runs"
+echo "== smoke OK: service submit/stream (rig and fleet), cancel, and kill+restart resume are byte-identical to direct runs"

@@ -31,7 +31,7 @@ type (
 	// delivery; WithWorkers forwards the bound here.
 	WorkerSetter = core.WorkerSetter
 	// SimulatedSource samples simulated SRAM chips directly — the fast
-	// campaign path.
+	// campaign path; its SetTap archives records like the rig's.
 	SimulatedSource = core.SimSource
 	// RigSource routes every window through the full measurement-rig
 	// simulation (power switch, boot, I2C, record forwarding) and can
@@ -111,8 +111,8 @@ func UpgradeArchive(path string) (bool, error) {
 }
 
 // RecordWriter is a streaming archive sink: Write one Record at a time,
-// Flush when done. Install one behind a source's record tap (RigSource
-// or ShardedSource SetTap) to archive a campaign while it runs.
+// Flush when done. Install one behind a live source's record tap
+// (simulated, rig or sharded SetTap) to archive a campaign as it runs.
 type RecordWriter = store.RecordWriter
 
 // NewJSONLRecordWriter returns a record writer in the JSON-lines schema —
