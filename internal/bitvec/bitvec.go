@@ -68,19 +68,6 @@ func FromBytes(data []byte, n int) (*Vector, error) {
 	return v, nil
 }
 
-// FromWords builds a Vector of n bits from its packed 64-bit word
-// representation (bit i is bit i%64 of words[i/64]) — the storage layout
-// Words exposes, and the payload layout of the binary record codec. It
-// returns an error if the word count does not match n or if padding bits
-// beyond n are non-zero.
-func FromWords(words []uint64, n int) (*Vector, error) {
-	v := New(n)
-	if err := v.LoadWords(words); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 // LoadWords overwrites v's contents from a packed word slice without
 // allocating — the decode-into-scratch path of the binary record codec.
 // It returns an error if the word count does not match v's length or if
@@ -430,13 +417,15 @@ func (v *Vector) String() string {
 	return sb.String()
 }
 
-// Words exposes the underlying word slice for read-only fast paths
-// (e.g. bulk sampling). Callers must not modify the returned slice.
+// Words exposes the underlying word slice for word-level fast paths.
+// A caller that writes through it must leave the padding bits beyond
+// Len clear, as rng.Source.BernoulliWords does for the SRAM power-up
+// sampler.
 func (v *Vector) Words() []uint64 { return v.words }
 
 // SetWord stores the given 64-bit word at word index wi. Bits beyond the
 // vector length in the final word are cleared. It panics if wi is out of
-// range. This is the bulk fast path used by the SRAM power-up sampler.
+// range. It is the word-at-a-time writer of the stream accumulators.
 func (v *Vector) SetWord(wi int, w uint64) {
 	v.words[wi] = w
 	if wi == len(v.words)-1 {

@@ -365,15 +365,6 @@ func NewArchiveSource(a *store.Archive) (*ArchiveSource, error) {
 	return newArchiveSourceOver(ir, ir.Boards()), nil
 }
 
-// NewIndexedArchiveSource wraps an open indexed reader. The source takes
-// over the reader's lifetime: Close closes it.
-func NewIndexedArchiveSource(ir *store.IndexedReader) (*ArchiveSource, error) {
-	if ir == nil || ir.TotalRecords() == 0 {
-		return nil, fmt.Errorf("%w: empty archive", ErrConfig)
-	}
-	return newArchiveSourceOver(ir, ir.Boards()), nil
-}
-
 // OpenArchiveSource opens the archive file at path for seek-based
 // replay (any archive format; a v2 index is used directly, v1 and JSONL
 // are scanned once to build one). The caller must Close the source.

@@ -47,23 +47,10 @@ func OneCounts(measurements []*bitvec.Vector) ([]int, int, error) {
 // into empirical one-probabilities, with the pipeline's canonical rounding
 // (count times reciprocal) that the streaming accumulators replicate.
 func ProbabilitiesFromCounts(counts []int, n int) ([]float64, error) {
-	return ProbabilitiesFromCountsInto(nil, counts, n)
-}
-
-// ProbabilitiesFromCountsInto is ProbabilitiesFromCounts writing into
-// dst's storage when it has the capacity (allocating otherwise) — the
-// hot-path form the streaming accumulators call once per device-window
-// with a reused scratch slice. The identical multiply is applied either
-// way, so the rounding (and hence every downstream entropy bit) cannot
-// depend on which form ran.
-func ProbabilitiesFromCountsInto(dst []float64, counts []int, n int) ([]float64, error) {
 	if n <= 0 {
 		return nil, ErrNoMeasurements
 	}
-	if cap(dst) < len(counts) {
-		dst = make([]float64, len(counts))
-	}
-	probs := dst[:len(counts)]
+	probs := make([]float64, len(counts))
 	inv := 1 / float64(n)
 	for i, c := range counts {
 		probs[i] = float64(c) * inv

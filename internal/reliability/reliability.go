@@ -79,16 +79,6 @@ func (m Model) ExpectedStableRatio(window int) (float64, error) {
 	return p.StableRatio, nil
 }
 
-// ExpectedNoiseHmin returns the expected empirical noise min-entropy for
-// a window of the given size.
-func (m Model) ExpectedNoiseHmin(window int) (float64, error) {
-	p, err := m.predict(window)
-	if err != nil {
-		return 0, err
-	}
-	return p.NoiseHmin, nil
-}
-
 // Observables are the windowed statistics the fit consumes.
 type Observables struct {
 	FHW         float64 // mean one-probability over cells

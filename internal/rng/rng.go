@@ -98,6 +98,68 @@ func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
+// BernoulliThreshold returns the integer threshold t for which a draw
+// u = Uint64() satisfies u>>11 < t exactly when float64(u>>11)/2^53 < p,
+// the Float64() < p test: t = ceil(p·2^53), clamped to [0, 2^53]. The
+// product is exact (a power-of-two scaling), and an integer m lies below
+// a real x exactly when it lies below ceil(x). NaN maps to 0, as no
+// Float64() is below NaN.
+func BernoulliThreshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// BernoulliWords samples one Bernoulli bit per threshold and packs them
+// 64 to a word: bit i%64 of dst[i/64] is set when the i-th draw u has
+// u>>11 < thresholds[i]. With thresholds from BernoulliThreshold this is
+// the per-cell Float64() < p loop bit for bit, and the generator ends
+// where len(thresholds) Uint64 calls would leave it. The state stays in
+// locals for the whole call and the comparison is branch-free. Bits past
+// the last threshold, and any words of dst past the last one needed, are
+// cleared. dst must hold at least (len(thresholds)+63)/64 words.
+func (r *Source) BernoulliWords(thresholds, dst []uint64) {
+	n := len(thresholds)
+	if len(dst) < (n+63)/64 {
+		panic("rng: BernoulliWords destination too short")
+	}
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	for wi := range dst {
+		lo := min(wi*64, n)
+		dst[wi], s0, s1, s2, s3 = bernoulliWord(thresholds[lo:min(lo+64, n)], s0, s1, s2, s3)
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+}
+
+// bernoulliWord draws one output per threshold (at most 64) from the
+// xoshiro256** state s0..s3 and returns the outcomes packed from bit 0,
+// with the advanced state. It is BernoulliWords' inner loop, a function of
+// its own so the state, the word and the loop fit in registers.
+func bernoulliWord(thresholds []uint64, s0, s1, s2, s3 uint64) (uint64, uint64, uint64, uint64, uint64) {
+	// Each outcome enters at bit 63 and moves down one bit per later
+	// cell, so after the last one, shifting right by the number of
+	// missing cells puts cell b at bit b (a shift by 64 yields 0).
+	var word uint64
+	for _, t := range thresholds {
+		x := rotl(s1*5, 7) * 9
+		u := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= u
+		s3 = rotl(s3, 45)
+		// x>>11 and t are both at most 2^53, so the difference's sign
+		// bit is set exactly when x>>11 < t.
+		word = word>>1 | ((x>>11)-t)&(1<<63)
+	}
+	return word >> (64 - len(thresholds)), s0, s1, s2, s3
+}
+
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *Source) Intn(n int) int {
 	if n <= 0 {

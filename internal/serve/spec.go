@@ -194,6 +194,17 @@ func (s *Spec) normalize() {
 	if s.Seed == 0 {
 		s.Seed = defaultSeed
 	}
+	// An empty list or map encodes like an absent one (omitempty), so it
+	// decodes to nil.
+	if len(s.MonthList) == 0 {
+		s.MonthList = nil
+	}
+	if len(s.Fleet) == 0 {
+		s.Fleet = nil
+	}
+	if len(s.ScreenProfiles) == 0 {
+		s.ScreenProfiles = nil
+	}
 }
 
 // Validate checks the normalised spec; every failure wraps ErrConfig so

@@ -28,6 +28,9 @@ func FuzzCampaignSpec(f *testing.F) {
 		`"devices"`,
 		`{"i2c_error": 1e308}`,
 		`{"months": -1, "month_list": [2, 1]}`,
+		`{"month_list":[]}`,
+		`{"fleet":[]}`,
+		`{"screen_profiles":{}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -17,10 +17,14 @@
 // from that cell's own state with a step count that depends only on the
 // drift, and power-up noise draws only ever covered the window.
 //
-// Two sampling paths exist: the default Bernoulli fast path (one uniform
-// draw per cell against the cached one-probability) and a full-noise path
-// (one Gaussian draw per cell added to the skew). Both are statistically
-// identical; the ablation bench quantifies the speed difference.
+// Two sampling paths exist: the default Bernoulli fast path and a
+// full-noise path (one Gaussian draw per cell added to the skew). Both
+// are statistically identical; the ablation bench quantifies the speed
+// difference. The fast path draws one Uint64 per cell and compares its
+// top 53 bits, as an integer, against the cell's cached threshold
+// ceil(p·2^53) (rng.BernoulliThreshold), 64 cells to a word
+// (rng.Source.BernoulliWords). That is exactly the comparison
+// Float64() < p, so it samples the same bits as a per-cell float test.
 package sram
 
 import (
@@ -62,10 +66,12 @@ type Array struct {
 	noise      *rng.Source
 	noiseScale float64 // relative power-up noise sigma (1 at nominal conditions)
 
-	// pcache holds the per-cell one-probability at the current age; it is
-	// invalidated by aging and rebuilt lazily.
-	pcache      []float64
-	pcacheValid bool
+	// thresh holds each cell's Bernoulli threshold
+	// rng.BernoulliThreshold(OneProbability(i)) at the current age and
+	// noise scale. Aging, a noise-scale change, Reset and Restore
+	// invalidate it; the next power-up rebuilds it.
+	thresh      []uint64
+	threshValid bool
 
 	powerUps uint64 // number of power cycles sampled so far
 
@@ -100,7 +106,7 @@ func New(profile silicon.DeviceProfile, seed *rng.Source) (*Array, error) {
 		gamma:      make([]float64, n),
 		noise:      seed.Derive(2),
 		noiseScale: 1,
-		pcache:     make([]float64, n),
+		thresh:     make([]uint64, n),
 	}
 	a.kin, a.disp = model.AgingResponse(profile)
 	mfg := seed.Derive(1) // manufacturing variation stream
@@ -129,7 +135,7 @@ func (a *Array) Reset(seed *rng.Source) {
 	seed.DeriveInto(2, a.noise)
 	a.noiseScale = 1
 	a.ageMonths = 0
-	a.pcacheValid = false
+	a.threshValid = false
 	a.powerUps = 0
 }
 
@@ -190,7 +196,7 @@ func (a *Array) SetNoiseScale(scale float64) error {
 	}
 	if scale != a.noiseScale {
 		a.noiseScale = scale
-		a.pcacheValid = false
+		a.threshValid = false
 	}
 	return nil
 }
@@ -235,20 +241,20 @@ func (a *Array) AgeTo(months float64) error {
 		}
 	}
 	a.ageMonths = months
-	a.pcacheValid = false
+	a.threshValid = false
 	return nil
 }
 
-// probabilities returns the cached per-cell one-probabilities, rebuilding
-// the cache after aging.
-func (a *Array) probabilities() []float64 {
-	if !a.pcacheValid {
-		for i := range a.pcache {
-			a.pcache[i] = stats.PhiFast(a.Skew(i) / a.noiseScale)
+// thresholds returns the cached per-cell Bernoulli thresholds,
+// rebuilding them after aging or a noise-scale change.
+func (a *Array) thresholds() []uint64 {
+	if !a.threshValid {
+		for i := range a.thresh {
+			a.thresh[i] = rng.BernoulliThreshold(a.OneProbability(i))
 		}
-		a.pcacheValid = true
+		a.threshValid = true
 	}
-	return a.pcache
+	return a.thresh
 }
 
 // PowerUp samples one power-up pattern of every simulated cell — the
@@ -268,32 +274,16 @@ func (a *Array) PowerUpWindow() (*bitvec.Vector, error) {
 }
 
 // PowerUpWindowInto samples one power-up read window into dst, which must
-// have ReadWindowBits() bits, using one uniform draw per cell packed 64
-// cells at a time. It is the allocation-free form of PowerUpWindow used
-// by the streaming pipeline: the same RNG draws in the same order, so the
-// sampled patterns are bit-identical.
+// have ReadWindowBits() bits, with one noise draw per cell in cell order
+// against the cached thresholds (rng.Source.BernoulliWords). It is the
+// allocation-free form of PowerUpWindow used by the streaming pipeline:
+// the same RNG draws in the same order, so the sampled patterns are
+// bit-identical.
 func (a *Array) PowerUpWindowInto(dst *bitvec.Vector) error {
 	if dst.Len() != a.Cells() {
 		return fmt.Errorf("sram: destination has %d bits, array has %d cells", dst.Len(), a.Cells())
 	}
-	p := a.probabilities()
-	wi := 0
-	var word uint64
-	var nbits uint
-	for i := range p {
-		if a.noise.Float64() < p[i] {
-			word |= 1 << nbits
-		}
-		nbits++
-		if nbits == 64 {
-			dst.SetWord(wi, word)
-			wi++
-			word, nbits = 0, 0
-		}
-	}
-	if nbits > 0 {
-		dst.SetWord(wi, word)
-	}
+	a.noise.BernoulliWords(a.thresholds(), dst.Words())
 	a.powerUps++
 	return nil
 }
@@ -321,9 +311,9 @@ func (a *Array) PowerUpFullNoise(dst *bitvec.Vector, noiseSigma float64) error {
 // extreme that a window of w power-ups is expected to show no flip, using
 // the exact no-flip probability p^w + (1-p)^w >= threshold.
 func (a *Array) StableCellCount(w int, threshold float64) int {
-	p := a.probabilities()
 	count := 0
-	for _, pi := range p {
+	for i := range a.static {
+		pi := a.OneProbability(i)
 		noFlip := math.Pow(pi, float64(w)) + math.Pow(1-pi, float64(w))
 		if noFlip >= threshold {
 			count++
@@ -336,8 +326,8 @@ func (a *Array) StableCellCount(w int, threshold float64) int {
 // window at the current age.
 func (a *Array) ExpectedFHW() float64 {
 	s := 0.0
-	for _, pi := range a.probabilities() {
-		s += pi
+	for i := range a.static {
+		s += a.OneProbability(i)
 	}
 	return s / float64(a.Cells())
 }
@@ -376,6 +366,6 @@ func (a *Array) Restore(s Snapshot) error {
 	copy(a.dN2, s.DN2)
 	copy(a.dDisp, s.DDisp)
 	a.ageMonths = s.AgeMonths
-	a.pcacheValid = false
+	a.threshValid = false
 	return nil
 }

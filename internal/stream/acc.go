@@ -99,13 +99,25 @@ func (a *FHW) Mean() (float64, error) {
 
 // Ones accumulates per-cell one-counts — the streaming form of
 // entropy.OneProbabilities — from which the noise min-entropy (§IV-C2)
-// and the one-probability map derive. State is one int per cell,
-// independent of the window size.
+// and the one-probability map derive. The counts are kept bit-sliced:
+// plane j is one word per 64 cells, and bit b of plane j's word w is bit
+// j of cell 64w+b's count. Add is a carry-save add of the measurement's
+// words into the planes, about two plane updates per word instead of one
+// increment per set bit. Sixteen planes (counts to 65,535) are reserved
+// at the first Add; a longer stream appends a plane whenever the count
+// would outgrow them. State is one bit per cell and plane: 16 bits per
+// cell up to 65,535 measurements, bits.Len(n) past that.
 type Ones struct {
-	counts []int
+	cells  int
+	words  int      // words per plane
+	planes []uint64 // plane j is planes[j*words : (j+1)*words]
 	count  int
 	probs  []float64 // Probabilities scratch, reused across calls
 }
+
+// reservedPlanes is the plane count allocated at the first Add: enough
+// for windows of up to 65,535 measurements without growing.
+const reservedPlanes = 16
 
 // NewOnes returns a one-count accumulator; the cell count is fixed by the
 // first measurement.
@@ -113,16 +125,21 @@ func NewOnes() *Ones { return &Ones{} }
 
 // Add folds one measurement.
 func (a *Ones) Add(m *bitvec.Vector) error {
-	if a.counts == nil {
-		a.counts = make([]int, m.Len())
+	if a.count == 0 {
+		a.cells, a.words = m.Len(), len(m.Words())
+		a.planes = make([]uint64, reservedPlanes*a.words)
 	}
-	if m.Len() != len(a.counts) {
-		return fmt.Errorf("stream: measurement %d has %d bits, want %d", a.count, m.Len(), len(a.counts))
+	if m.Len() != a.cells {
+		return fmt.Errorf("stream: measurement %d has %d bits, want %d", a.count, m.Len(), a.cells)
 	}
-	for wi, w := range m.Words() {
-		base := wi * 64
-		for ; w != 0; w &= w - 1 {
-			a.counts[base+bits.TrailingZeros64(w)]++
+	if a.words > 0 && a.count+1 >= 1<<(len(a.planes)/a.words) {
+		a.planes = append(a.planes, make([]uint64, a.words)...)
+	}
+	for wi, x := range m.Words() {
+		for p := wi; x != 0; p += a.words {
+			carry := a.planes[p] & x
+			a.planes[p] ^= x
+			x = carry
 		}
 	}
 	a.count++
@@ -132,9 +149,20 @@ func (a *Ones) Add(m *bitvec.Vector) error {
 // Count returns the number of measurements consumed.
 func (a *Ones) Count() int { return a.count }
 
+// cellCount returns cell i's one-count, gathered from the planes.
+func (a *Ones) cellCount(i int) int {
+	wi, b := i/64, uint(i%64)
+	c := 0
+	for j := bits.Len(uint(a.count)) - 1; j >= 0; j-- {
+		c = c<<1 | int(a.planes[j*a.words+wi]>>b&1)
+	}
+	return c
+}
+
 // Probabilities returns the empirical one-probability of every cell,
-// computed exactly as entropy.OneProbabilities computes it (same
-// count-times-reciprocal rounding). The returned slice is the
+// computed exactly as entropy.OneProbabilities computes it: each count is
+// decoded as an exact integer and multiplied by 1/n, the rounding of
+// entropy.ProbabilitiesFromCounts. The returned slice is the
 // accumulator's own scratch, overwritten by the next Probabilities (or
 // NoiseMinEntropy) call and by nothing else; callers that keep it past
 // that must copy it. Steady state allocates nothing.
@@ -142,11 +170,14 @@ func (a *Ones) Probabilities() ([]float64, error) {
 	if a.count == 0 {
 		return nil, ErrNoMeasurements
 	}
-	probs, err := entropy.ProbabilitiesFromCountsInto(a.probs, a.counts, a.count)
-	if err != nil {
-		return nil, err
+	if cap(a.probs) < a.cells {
+		a.probs = make([]float64, a.cells)
 	}
-	a.probs = probs
+	probs := a.probs[:a.cells]
+	inv := 1 / float64(a.count)
+	for i := range probs {
+		probs[i] = float64(a.cellCount(i)) * inv
+	}
 	return probs, nil
 }
 
@@ -161,16 +192,40 @@ func (a *Ones) NoiseMinEntropy() (float64, error) {
 	return entropy.NoiseMinEntropy(probs)
 }
 
+// stableWord returns word wi of the stable-cell bitmap: the cells whose
+// count is 0 in every plane bit, or equals n in every plane bit. Bits
+// past the last cell are clear.
+func (a *Ones) stableWord(wi int) uint64 {
+	zero, full := ^uint64(0), ^uint64(0)
+	for j, used := 0, bits.Len(uint(a.count)); j < used; j++ {
+		p := a.planes[j*a.words+wi]
+		zero &^= p
+		if a.count>>j&1 == 1 {
+			full &= p
+		} else {
+			full &^= p
+		}
+	}
+	if tail := a.cells - 64*wi; tail < 64 {
+		return (zero | full) & (1<<uint(tail) - 1)
+	}
+	return zero | full
+}
+
 // StableRatio returns the fraction of stable cells: cells whose one-count
 // is exactly 0 or exactly the measurement count. The comparison is
 // count-based, in lockstep with entropy.StableCellRatio — the historical
 // probability comparison missed fully-stable cells for window sizes n
 // where float64(n)*(1/float64(n)) != 1 (e.g. n = 49).
 func (a *Ones) StableRatio() (float64, error) {
-	if a.count == 0 {
+	if a.count == 0 || a.cells == 0 {
 		return 0, ErrNoMeasurements
 	}
-	return entropy.StableCellRatio(a.counts, a.count)
+	stable := 0
+	for wi := 0; wi < a.words; wi++ {
+		stable += bits.OnesCount64(a.stableWord(wi))
+	}
+	return float64(stable) / float64(a.cells), nil
 }
 
 // StableMask returns a fresh bitmap marking the stable cells — cells
@@ -182,7 +237,7 @@ func (a *Ones) StableMask() (*bitvec.Vector, error) {
 	if a.count == 0 {
 		return nil, ErrNoMeasurements
 	}
-	mask := bitvec.New(len(a.counts))
+	mask := bitvec.New(a.cells)
 	if err := a.StableMaskInto(mask); err != nil {
 		return nil, err
 	}
@@ -191,30 +246,17 @@ func (a *Ones) StableMask() (*bitvec.Vector, error) {
 
 // StableMaskInto writes the stable-cell bitmap into dst, which must
 // have one bit per accumulated cell — StableMask without the per-call
-// allocation, packed a word at a time. Every bit of dst is overwritten.
+// allocation, computed a word at a time from the planes. Every bit of
+// dst is overwritten.
 func (a *Ones) StableMaskInto(dst *bitvec.Vector) error {
 	if a.count == 0 {
 		return ErrNoMeasurements
 	}
-	if dst.Len() != len(a.counts) {
-		return fmt.Errorf("stream: mask has %d bits, want %d", dst.Len(), len(a.counts))
+	if dst.Len() != a.cells {
+		return fmt.Errorf("stream: mask has %d bits, want %d", dst.Len(), a.cells)
 	}
-	var word uint64
-	var nbits uint
-	wi := 0
-	for _, c := range a.counts {
-		if c == 0 || c == a.count {
-			word |= 1 << nbits
-		}
-		nbits++
-		if nbits == 64 {
-			dst.SetWord(wi, word)
-			wi++
-			word, nbits = 0, 0
-		}
-	}
-	if nbits > 0 {
-		dst.SetWord(wi, word)
+	for wi := 0; wi < a.words; wi++ {
+		dst.SetWord(wi, a.stableWord(wi))
 	}
 	return nil
 }

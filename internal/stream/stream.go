@@ -6,7 +6,7 @@
 // measurement into bounded state the moment it is produced.
 //
 // Memory per device-window is O(array size): a reference pattern, the
-// first pattern of the window, one per-cell one-count vector and one
+// first pattern of the window, bit-sliced per-cell one-counts and one
 // per-cell flip bitmap — independent of how many measurements the window
 // holds. The batch functions in internal/metrics and internal/entropy
 // remain the oracle: every accumulator is tested to produce bit-identical

@@ -148,7 +148,7 @@ func TestFlipsAgreesWithOnesStableCount(t *testing.T) {
 				t.Fatal(err)
 			}
 			fromOnes := 0
-			for _, c := range ones.counts {
+			for _, c := range onesCounts(ones) {
 				if c == 0 || c == ones.count {
 					fromOnes++
 				}
