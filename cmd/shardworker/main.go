@@ -4,10 +4,9 @@
 // worker per shard and speaks the length-prefixed shard protocol
 // (version-gated in the handshake; measurements travel as batched
 // binary record frames) on the worker's stdin/stdout. The handshake
-// carries the full configuration —
-// mode (sim, rig or archive replay), device profile, campaign seed,
-// environmental scenario, shard assignment — so the command takes no
-// flags; diagnostics go to stderr.
+// carries the full configuration — the encoded simulated-source spec
+// (sim or rig) or the archive to replay, then the shard assignment — so
+// the command takes no flags; diagnostics go to stderr.
 package main
 
 import (

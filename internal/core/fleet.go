@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/rng"
@@ -53,6 +54,23 @@ func NewFleet(profiles ...silicon.DeviceProfile) (*Fleet, error) {
 		}
 	}
 	return &Fleet{profiles: append([]silicon.DeviceProfile(nil), profiles...)}, nil
+}
+
+// MarshalJSON encodes the fleet as its profile list.
+func (f *Fleet) MarshalJSON() ([]byte, error) { return json.Marshal(f.profiles) }
+
+// UnmarshalJSON decodes a profile list through NewFleet's checks.
+func (f *Fleet) UnmarshalJSON(data []byte) error {
+	var profiles []silicon.DeviceProfile
+	if err := json.Unmarshal(data, &profiles); err != nil {
+		return err
+	}
+	g, err := NewFleet(profiles...)
+	if err != nil {
+		return err
+	}
+	*f = *g
+	return nil
 }
 
 // Profiles returns the fleet's profile mix (copy).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -80,20 +81,11 @@ func ServeShardWorker(ctx context.Context, rw io.ReadWriter) error {
 }
 
 // buildShardBackend constructs the measurement backend for a handshake
-// spec. Sim and rig handshakes carry a SimSpec (simSpecFromShard); the
-// backend opens it once the assignment arrives.
+// spec. A sim handshake carries an encoded SimSpec, validated here so an
+// invalid spec fails the handshake before any assignment; the backend
+// opens it once the assignment arrives.
 func buildShardBackend(spec shard.Spec) (shard.Backend, error) {
-	switch spec.Mode {
-	case shard.ModeSim, shard.ModeRig:
-		sim, err := simSpecFromShard(spec)
-		if err != nil {
-			return nil, err
-		}
-		if sim.Rig {
-			return &rigShardBackend{spec: sim}, nil
-		}
-		return &simShardBackend{spec: sim}, nil
-	case shard.ModeArchive:
+	if spec.ArchivePath != "" {
 		ir, err := store.OpenIndexedFile(spec.ArchivePath)
 		if err != nil {
 			return nil, fmt.Errorf("%w: shard archive: %v", ErrConfig, err)
@@ -103,9 +95,18 @@ func buildShardBackend(spec shard.Spec) (shard.Backend, error) {
 			return nil, fmt.Errorf("%w: empty shard archive %s", ErrConfig, spec.ArchivePath)
 		}
 		return &archiveShardBackend{ir: ir, boards: ir.Boards()}, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown shard mode %q", ErrConfig, spec.Mode)
 	}
+	var sim SimSpec
+	if err := json.Unmarshal(spec.Sim, &sim); err != nil {
+		return nil, fmt.Errorf("%w: shard sim spec: %v", ErrConfig, err)
+	}
+	if err := sim.Validate(); err != nil {
+		return nil, err
+	}
+	if sim.Rig {
+		return &rigShardBackend{spec: sim}, nil
+	}
+	return &simShardBackend{spec: sim}, nil
 }
 
 // simShardSource is what a sim shard backend drives: both the eager
@@ -478,7 +479,7 @@ func NewShardedArchiveSource(path string, shards int, transport shard.Transport)
 	if path == "" {
 		return nil, fmt.Errorf("%w: empty archive path", ErrConfig)
 	}
-	src, err := newShardedSource(shard.Spec{Mode: shard.ModeArchive, ArchivePath: path}, shards, transport)
+	src, err := newShardedSource(shard.Spec{ArchivePath: path}, shards, transport)
 	if err != nil {
 		return nil, err
 	}

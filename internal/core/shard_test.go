@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -495,20 +496,20 @@ func TestShardBackendMonthsUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []shard.Mode{shard.ModeSim, shard.ModeRig} {
-		b, err := buildShardBackend(shard.Spec{Mode: mode, Profile: profile, Devices: 2, Seed: 1})
+	for _, rig := range []bool{false, true} {
+		b, err := buildShardBackend(shard.Spec{Sim: mustJSON(t, SimSpec{Profile: profile, Devices: 2, Seed: 1, Rig: rig})})
 		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
+			t.Fatalf("rig=%t: %v", rig, err)
 		}
 		if err := b.Assign([]int{0, 1}); err != nil {
-			t.Fatalf("%s: %v", mode, err)
+			t.Fatalf("rig=%t: %v", rig, err)
 		}
 		_, err = b.Months(10)
 		if err == nil {
-			t.Fatalf("%s: month discovery on an unbounded source succeeded", mode)
+			t.Fatalf("rig=%t: month discovery on an unbounded source succeeded", rig)
 		}
 		if code := shardErrorCode(err); code != shard.CodeUnsupported {
-			t.Fatalf("%s: error code %q, want %q", mode, code, shard.CodeUnsupported)
+			t.Fatalf("rig=%t: error code %q, want %q", rig, code, shard.CodeUnsupported)
 		}
 	}
 	codes := map[error]string{
@@ -522,10 +523,10 @@ func TestShardBackendMonthsUnsupported(t *testing.T) {
 			t.Errorf("shardErrorCode(%v) = %q, want %q", err, got, want)
 		}
 	}
-	if _, err := buildShardBackend(shard.Spec{Mode: "quantum"}); !errors.Is(err, ErrConfig) {
-		t.Fatalf("unknown mode: err = %v, want ErrConfig", err)
+	if _, err := buildShardBackend(shard.Spec{Sim: mustJSON(t, SimSpec{Profile: profile})}); !errors.Is(err, ErrConfig) {
+		t.Fatalf("invalid sim spec: err = %v, want ErrConfig", err)
 	}
-	if _, err := buildShardBackend(shard.Spec{Mode: shard.ModeArchive, ArchivePath: "/no/such/file.jsonl"}); !errors.Is(err, ErrConfig) {
+	if _, err := buildShardBackend(shard.Spec{ArchivePath: "/no/such/file.jsonl"}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("missing archive: err = %v, want ErrConfig", err)
 	}
 }
@@ -554,6 +555,44 @@ func TestValidAssignment(t *testing.T) {
 			t.Errorf("validAssignment(%v, %d) = %v, want ErrConfig", c.indices, c.devices, err)
 		}
 	}
+}
+
+// TestShardHandshakeRejectsInvalidSpec: a worker validates the sim spec
+// at hello, so an invalid spec fails inside NewCoordinator with
+// ErrConfig, before any assignment, and leaves no goroutine behind.
+func TestShardHandshakeRejectsInvalidSpec(t *testing.T) {
+	p1, _, two := specMatrixSilicon(t)
+	dup := mustJSON(t, map[string]any{"fleet": []silicon.DeviceProfile{p1, p1}, "devices": 4, "seed": 1})
+	cases := map[string]json.RawMessage{
+		"odd rig":                mustJSON(t, SimSpec{Profile: p1, Devices: 3, Seed: 1, Rig: true}),
+		"two-profile rig":        mustJSON(t, SimSpec{Fleet: two, Devices: 4, Seed: 1, Rig: true}),
+		"duplicate profile name": dup,
+		"wrong field type":       json.RawMessage(`{"devices":"four","seed":1}`),
+		"not an object":          json.RawMessage(`[4]`),
+	}
+	before := runtime.NumGoroutine()
+	for name, sim := range cases {
+		co, err := shard.NewCoordinator(shard.Spec{Sim: sim}, 1, InProcessShardTransport())
+		if err == nil {
+			co.Close()
+			t.Errorf("%s: handshake accepted", name)
+			continue
+		}
+		if err := mapShardErr(err); !errors.Is(err, ErrConfig) {
+			t.Errorf("%s: err = %v, want ErrConfig", name, err)
+		}
+	}
+	assertNoShardLeaks(t, before)
+}
+
+// mustJSON encodes v or fails the test.
+func mustJSON(t testing.TB, v any) json.RawMessage {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 func assertNoShardLeaks(t *testing.T, before int) {

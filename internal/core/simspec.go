@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/aging"
@@ -18,40 +19,43 @@ import (
 // full rig, in process or sharded. OpenSim is its only opener: the one
 // place that validates a spec and chooses between the layouts, all of
 // which produce bit-identical measurement streams for the same silicon.
+// Its JSON form is what a shard handshake carries; the execution fields
+// (Indices, Shards, Transport) stay off the wire, so a worker never
+// re-shards.
 type SimSpec struct {
 	// Profile is the device family of a single-profile campaign; it runs
 	// as a one-profile fleet. Exclusive with Fleet.
-	Profile silicon.DeviceProfile
+	Profile silicon.DeviceProfile `json:"profile,omitzero"`
 	// Fleet is a heterogeneous profile mix, assigned per device from the
 	// seed. Exclusive with Profile.
-	Fleet *Fleet
+	Fleet *Fleet `json:"fleet,omitempty"`
 	// Devices is the population size (global device indices
 	// 0..Devices-1). With Indices it is the total population the slice
 	// belongs to.
-	Devices int
+	Devices int `json:"devices"`
 	// Indices, when non-nil, builds only these GLOBAL device indices —
 	// a shard worker's slice; local device d is Indices[d]. Exclusive
 	// with Shards and Rig.
-	Indices []int
+	Indices []int `json:"-"`
 	// Seed is the campaign seed every per-device stream derives from.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Scenario is the environmental condition the chips operate at; the
 	// zero value is the first profile's nominal condition.
-	Scenario aging.Scenario
+	Scenario aging.Scenario `json:"scenario,omitzero"`
 	// Lazy derives every chip on demand inside the worker slot that
 	// measures it (LazySimSource) instead of materialising the
 	// population. Exclusive with Rig.
-	Lazy bool
+	Lazy bool `json:"lazy,omitempty"`
 	// Rig routes every window through the full measurement-rig
 	// simulation: one profile, an even device count (two layers).
-	Rig bool
+	Rig bool `json:"rig,omitempty"`
 	// I2CErrorRate is the rig's byte-corruption rate (Rig only).
-	I2CErrorRate float64
+	I2CErrorRate float64 `json:"i2c_error_rate,omitempty"`
 	// Shards fans the population across that many workers
 	// (ShardedSource); 0 measures in process.
-	Shards int
+	Shards int `json:"-"`
 	// Transport reaches the shard workers (nil: in-process goroutines).
-	Transport shard.Transport
+	Transport shard.Transport `json:"-"`
 }
 
 // resolvedSim is a validated SimSpec with its defaults resolved: mix is
@@ -153,7 +157,11 @@ func OpenSim(s SimSpec) (Source, error) {
 	}
 	switch {
 	case r.Shards > 0:
-		return newShardedSource(r.shardSpec(), r.Shards, r.Transport)
+		sim, err := json.Marshal(r.SimSpec)
+		if err != nil {
+			return nil, fmt.Errorf("%w: encoding the sim spec: %v", ErrConfig, err)
+		}
+		return newShardedSource(shard.Spec{Sim: sim}, r.Shards, r.Transport)
 	case r.Rig:
 		return r.openRig()
 	case r.Lazy:
@@ -237,48 +245,6 @@ func (r *resolvedSim) openRig() (*RigSource, error) {
 		}
 	}
 	return &RigSource{rig: rig, scenario: r.Scenario}, nil
-}
-
-// shardSpec maps a resolved spec onto the shard handshake: the worker
-// rebuilds the same spec from it (simSpecFromShard) and opens its slice.
-func (r *resolvedSim) shardSpec() shard.Spec {
-	sp := shard.Spec{
-		Mode:     shard.ModeSim,
-		Profile:  r.Profile,
-		Devices:  r.Devices,
-		Seed:     r.Seed,
-		Scenario: r.Scenario,
-		Lazy:     r.Lazy,
-	}
-	if r.Fleet != nil {
-		sp.Fleet = r.Fleet.Profiles()
-	}
-	if r.Rig {
-		sp.Mode, sp.I2CErrorRate = shard.ModeRig, r.I2CErrorRate
-	}
-	return sp
-}
-
-// simSpecFromShard is shardSpec's inverse: the worker-side spec of a sim
-// or rig handshake, without Indices (the assignment arrives later).
-func simSpecFromShard(sp shard.Spec) (SimSpec, error) {
-	s := SimSpec{
-		Profile:      sp.Profile,
-		Devices:      sp.Devices,
-		Seed:         sp.Seed,
-		Scenario:     sp.Scenario,
-		Lazy:         sp.Lazy,
-		Rig:          sp.Mode == shard.ModeRig,
-		I2CErrorRate: sp.I2CErrorRate,
-	}
-	if len(sp.Fleet) > 0 {
-		fleet, err := NewFleet(sp.Fleet...)
-		if err != nil {
-			return SimSpec{}, err
-		}
-		s.Fleet = fleet
-	}
-	return s, nil
 }
 
 // openAs is OpenSim for callers that need the concrete source type they

@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -48,7 +49,7 @@ func hashReadouts(t *testing.T, src Source) string {
 
 // specMatrixSilicon returns the matrix's silicon: a plain profile, the
 // same profile as a one-profile fleet, and a two-profile fleet.
-func specMatrixSilicon(t *testing.T) (silicon.DeviceProfile, *Fleet, *Fleet) {
+func specMatrixSilicon(t testing.TB) (silicon.DeviceProfile, *Fleet, *Fleet) {
 	t.Helper()
 	p1, err := silicon.Lookup("fleetnode-1kb")
 	if err != nil {
@@ -180,7 +181,8 @@ func TestSimSpecInvalid(t *testing.T) {
 }
 
 // TestSimSpecShardRoundTrip: the handshake carries the spec exactly —
-// the worker-side spec re-resolves to the coordinator's.
+// its JSON form decodes to a spec that re-resolves to the coordinator's,
+// without the execution fields.
 func TestSimSpecShardRoundTrip(t *testing.T) {
 	p1, _, two := specMatrixSilicon(t)
 	for _, s := range []SimSpec{
@@ -191,9 +193,12 @@ func TestSimSpecShardRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := simSpecFromShard(r.shardSpec())
-		if err != nil {
+		var back SimSpec
+		if err := json.Unmarshal(mustJSON(t, r.SimSpec), &back); err != nil {
 			t.Fatal(err)
+		}
+		if back.Shards != 0 || back.Indices != nil || back.Transport != nil {
+			t.Fatalf("execution fields crossed the wire: %+v", back)
 		}
 		rb, err := back.resolve()
 		if err != nil {

@@ -28,7 +28,7 @@
 //
 // Session flow (coordinator → worker unless noted):
 //
-//	hello{Spec}            configuration: mode, profile, seed, condition
+//	hello{Spec}            configuration: sim spec or archive path
 //	← helloAck{Devices}    worker's total device view (archive: board count)
 //	assign{Indices}        the shard's global device indices
 //	measure{Month,Size,Workers}   one evaluation window request
@@ -51,9 +51,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/aging"
 	"repro/internal/bitvec"
-	"repro/internal/silicon"
 	"repro/internal/store"
 )
 
@@ -64,8 +62,10 @@ import (
 // Version 3 made assignments contiguous ranges instead of index lists
 // (a million-device shard is two ints, not a 7 MB JSON array), let the
 // measure-done frame carry the shard's profile assignment, and added
-// between-month device pruning (screening).
-const Protocol = 3
+// between-month device pruning (screening). Version 4 carries the
+// simulated source's configuration as one opaque encoded spec instead of
+// a mode and seven spec fields.
+const Protocol = 4
 
 // Frame types. Type 5 was protocol v1's per-record JSON frame and is
 // retired, not recycled.
@@ -113,52 +113,21 @@ var (
 	ErrClosed = errors.New("shard: coordinator closed")
 )
 
-// Mode selects what a worker measures.
-type Mode string
-
-const (
-	// ModeSim samples simulated chips directly (the fast campaign path).
-	// Each worker builds only its shard's arrays, with the same global
-	// per-device seed derivation the single-process source uses.
-	ModeSim Mode = "sim"
-	// ModeRig routes windows through the full measurement-rig simulation.
-	// The rig is one physically coupled instrument (two master layers, a
-	// shared power switch), so every worker simulates the full rig and
-	// forwards only its shard's board records — sharding the rig shards
-	// record forwarding and downstream evaluation, not the instrument.
-	ModeRig Mode = "rig"
-	// ModeArchive replays a measurement archive (JSONL or binary,
-	// auto-detected); each worker reads
-	// the archive and serves its shard's boards.
-	ModeArchive Mode = "archive"
-)
-
 // Spec is the handshake payload: everything a worker needs to build its
 // measurement source. It rides the wire as JSON, so a worker process is
 // fully configured by its coordinator — cmd/shardworker takes no flags.
+// Exactly one of Sim and ArchivePath is set, and that choice is the
+// worker's mode.
 type Spec struct {
-	Protocol int                   `json:"protocol"`
-	Mode     Mode                  `json:"mode"`
-	Profile  silicon.DeviceProfile `json:"profile,omitempty"`
-	// Fleet is the heterogeneous profile mix of a fleet campaign
-	// (ModeSim only): the worker rebuilds the same seed-deterministic
-	// per-device profile assignment the coordinator uses. Exclusive
-	// with Profile.
-	Fleet    []silicon.DeviceProfile `json:"fleet,omitempty"`
-	Devices  int                     `json:"devices,omitempty"`
-	Seed     uint64                  `json:"seed,omitempty"`
-	Scenario aging.Scenario          `json:"scenario,omitempty"`
-	// I2CErrorRate is the rig's byte-corruption rate (ModeRig).
-	I2CErrorRate float64 `json:"i2c_error_rate,omitempty"`
-	// ArchivePath is the measurement archive to replay (ModeArchive) —
-	// JSONL or binary, detected by the leading magic. The path
-	// must be readable by the worker process.
+	Protocol int `json:"protocol"`
+	// Sim is the encoded configuration of a simulated source (direct
+	// chips or the full rig). This package never interprets it: the
+	// worker's backend builder decodes and validates it.
+	Sim json.RawMessage `json:"sim,omitempty"`
+	// ArchivePath is the measurement archive to replay — JSONL or
+	// binary, detected by the leading magic. The path must be readable
+	// by the worker process.
 	ArchivePath string `json:"archive_path,omitempty"`
-	// Lazy selects on-demand chip construction for ModeSim shards: the
-	// worker derives each chip inside the measuring worker slot instead
-	// of materialising its whole slice up front, holding O(sampling
-	// workers) arrays resident — the fleet-screening memory shape.
-	Lazy bool `json:"lazy,omitempty"`
 }
 
 // Validate checks the spec a worker received.
@@ -166,28 +135,8 @@ func (s Spec) Validate() error {
 	if s.Protocol != Protocol {
 		return fmt.Errorf("%w: protocol %d, worker speaks %d", ErrProtocol, s.Protocol, Protocol)
 	}
-	if s.Lazy && s.Mode != ModeSim {
-		return fmt.Errorf("%w: lazy chip construction shards the sim source, not %s", ErrProtocol, s.Mode)
-	}
-	switch s.Mode {
-	case ModeSim, ModeRig:
-		if s.Devices < 1 {
-			return fmt.Errorf("%w: %s spec needs >= 1 device, got %d", ErrProtocol, s.Mode, s.Devices)
-		}
-		if len(s.Fleet) > 0 {
-			if s.Mode != ModeSim {
-				return fmt.Errorf("%w: fleet campaigns shard the sim source, not %s", ErrProtocol, s.Mode)
-			}
-			if s.Profile.Name != "" {
-				return fmt.Errorf("%w: spec carries both a profile and a fleet", ErrProtocol)
-			}
-		}
-	case ModeArchive:
-		if s.ArchivePath == "" {
-			return fmt.Errorf("%w: archive spec without a path", ErrProtocol)
-		}
-	default:
-		return fmt.Errorf("%w: unknown mode %q", ErrProtocol, s.Mode)
+	if (len(s.Sim) > 0) == (s.ArchivePath != "") {
+		return fmt.Errorf("%w: spec needs exactly one of a sim spec and an archive path", ErrProtocol)
 	}
 	return nil
 }

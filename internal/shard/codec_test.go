@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"reflect"
@@ -159,12 +160,11 @@ func TestSpecValidate(t *testing.T) {
 		spec Spec
 		ok   bool
 	}{
-		{"sim", Spec{Protocol: Protocol, Mode: ModeSim, Devices: 4}, true},
-		{"archive", Spec{Protocol: Protocol, Mode: ModeArchive, ArchivePath: "a.jsonl"}, true},
-		{"bad protocol", Spec{Protocol: Protocol + 1, Mode: ModeSim, Devices: 4}, false},
-		{"no devices", Spec{Protocol: Protocol, Mode: ModeRig}, false},
-		{"no path", Spec{Protocol: Protocol, Mode: ModeArchive}, false},
-		{"bad mode", Spec{Protocol: Protocol, Mode: "quantum", Devices: 4}, false},
+		{"sim", Spec{Protocol: Protocol, Sim: json.RawMessage(`{"devices":4}`)}, true},
+		{"archive", Spec{Protocol: Protocol, ArchivePath: "a.jsonl"}, true},
+		{"bad protocol", Spec{Protocol: Protocol + 1, Sim: json.RawMessage(`{"devices":4}`)}, false},
+		{"neither", Spec{Protocol: Protocol}, false},
+		{"both", Spec{Protocol: Protocol, Sim: json.RawMessage(`{"devices":4}`), ArchivePath: "a.jsonl"}, false},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()

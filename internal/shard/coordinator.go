@@ -75,9 +75,9 @@ type shardProfile struct {
 }
 
 // NewCoordinator opens one connection per shard, handshakes the spec and
-// assigns the device partition. For ModeArchive the device population is
-// discovered from the workers (the archive's board count); for
-// ModeSim/ModeRig it is the spec's device count.
+// assigns the device partition. The device population is what the
+// workers report at hello: the archive's board count, or the sim spec's
+// device count.
 func NewCoordinator(spec Spec, shards int, transport Transport) (*Coordinator, error) {
 	if transport == nil {
 		return nil, fmt.Errorf("%w: nil transport", ErrProtocol)

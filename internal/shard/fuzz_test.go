@@ -30,8 +30,8 @@ func seedFrames(t interface{ Fatal(...any) }) [][]byte {
 		}
 		frames = append(frames, buf.Bytes())
 	}
-	add(frameHello, []byte(`{"protocol":2,"mode":"sim","devices":4,"seed":7}`))
-	add(frameHelloAck, []byte(`{"protocol":2,"devices":4}`))
+	add(frameHello, []byte(`{"protocol":4,"sim":{"devices":4,"seed":7}}`))
+	add(frameHelloAck, []byte(`{"protocol":4,"devices":4}`))
 	add(frameAssign, []byte(`{"indices":[0,1]}`))
 	add(frameMeasure, []byte(`{"month":2,"size":100,"workers":3}`))
 	add(frameRecordBatch, batch)

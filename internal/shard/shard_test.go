@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -99,8 +100,10 @@ func (c testConn) Close() error {
 	return c.r.Close()
 }
 
+// simSpec is a sim handshake for the stub backends, which never decode
+// the payload.
 func simSpec(devices int) Spec {
-	return Spec{Mode: ModeSim, Devices: devices, Seed: 1}
+	return Spec{Sim: json.RawMessage(fmt.Sprintf(`{"devices":%d,"seed":1}`, devices))}
 }
 
 // TestCoordinatorMergesShards drives a full session across several shard

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os/exec"
 	"path/filepath"
@@ -35,8 +36,17 @@ func TestExecTransportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	const devices, size = 2, 3
-	spec := Spec{Mode: ModeSim, Profile: profile, Devices: devices, Seed: 1}
-	co, err := NewCoordinator(spec, 2, ExecTransport(bin))
+	// The payload is the JSON form of the engine's sim spec, which this
+	// package cannot import.
+	sim, err := json.Marshal(struct {
+		Profile silicon.DeviceProfile `json:"profile"`
+		Devices int                   `json:"devices"`
+		Seed    uint64                `json:"seed"`
+	}{profile, devices, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := NewCoordinator(Spec{Sim: sim}, 2, ExecTransport(bin))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/aging"
 	"repro/internal/calib"
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -473,20 +472,6 @@ func AcceleratedCalibration() (calib.Result, error) {
 type DeviceParams struct {
 	Lambda float64 // this board's mismatch sigma ratio
 	Mu     float64 // this board's mismatch mean
-}
-
-// SampleDeviceParams draws the instance parameters of one physical board
-// through the profile's cell model (the model's own tail-guard floor
-// applies). The draw is deterministic in the supplied stream.
-//
-// Deprecated: callers holding a CellModel should invoke
-// model.SampleParams directly; this wrapper remains for compatibility.
-func SampleDeviceParams(p DeviceProfile, src *rng.Source) DeviceParams {
-	model, err := p.CellModel()
-	if err != nil {
-		model = iidModel{}
-	}
-	return model.SampleParams(p, src)
 }
 
 // ExpectedFHW returns the expected fractional Hamming weight of a device

@@ -124,11 +124,15 @@ func TestSampleDeviceParamsSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	model, err := p.CellModel()
+	if err != nil {
+		t.Fatal(err)
+	}
 	src := rng.New(1234)
 	const n = 2000
 	var lambdas, fhws []float64
 	for i := 0; i < n; i++ {
-		d := SampleDeviceParams(p, src.Derive(uint64(i)))
+		d := model.SampleParams(p, src.Derive(uint64(i)))
 		lambdas = append(lambdas, d.Lambda)
 		fhws = append(fhws, d.ExpectedFHW())
 	}
@@ -161,8 +165,12 @@ func TestSampleDeviceParamsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := SampleDeviceParams(p, rng.New(7))
-	b := SampleDeviceParams(p, rng.New(7))
+	model, err := p.CellModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := model.SampleParams(p, rng.New(7))
+	b := model.SampleParams(p, rng.New(7))
 	if a != b {
 		t.Fatalf("same seed produced different device params: %+v vs %+v", a, b)
 	}
