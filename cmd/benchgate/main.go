@@ -5,7 +5,7 @@
 // Emit a manifest from a bench run (repeat counts are collapsed to the
 // per-benchmark MEDIAN, which is robust to scheduler noise):
 //
-//	go test -run '^$' -bench 'Shard|Streaming' -benchmem -count 10 ./... | benchgate -emit BENCH.json
+//	go test -run '^$' -bench 'Shard|Streaming' -benchmem -count 5 ./... | benchgate -emit BENCH.json
 //
 // Gate a manifest against the committed baseline, failing (exit 1) when
 // any shared benchmark's ns/op regressed by more than -max-regress

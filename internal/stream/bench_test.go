@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"math/bits"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -90,33 +89,3 @@ func BenchmarkDeviceWindowStreaming250(b *testing.B)  { benchStreaming(b, 250) }
 func BenchmarkDeviceWindowStreaming1000(b *testing.B) { benchStreaming(b, 1000) }
 func BenchmarkDeviceWindowBatch250(b *testing.B)      { benchBatch(b, 250) }
 func BenchmarkDeviceWindowBatch1000(b *testing.B)     { benchBatch(b, 1000) }
-
-// hostRefSink keeps BenchmarkHostReference's result live.
-var hostRefSink uint64
-
-// BenchmarkHostReference times a fixed loop that calls no repository
-// code: xorshift values scattered into a 256 KiB table and popcounted
-// back out. No change to the code can move it, so the benchmark gate
-// calibrates every gated timing by it — what is gated is each
-// benchmark's time in units of this host's speed, not a ratio to a
-// repository kernel that a kernel optimisation would also move.
-func BenchmarkHostReference(b *testing.B) {
-	const words, steps = 1 << 15, 1 << 20
-	table := make([]uint64, words)
-	for i := range table {
-		table[i] = uint64(i) * 0x9e3779b97f4a7c15
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x, acc := uint64(88172645463325252), uint64(0)
-		for range steps {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			j := x & (words - 1)
-			table[j] += x
-			acc += uint64(bits.OnesCount64(table[(j*7)&(words-1)]))
-		}
-		hostRefSink += acc
-	}
-}
