@@ -63,11 +63,11 @@ func TestIntegrationArchivePipeline(t *testing.T) {
 
 	offlineWCHD := make([]float64, devices)
 	for d := 0; d < devices; d++ {
-		w0, err := archive.Window(d, store.MonthlyWindowStart(0), window)
-		if err != nil {
-			t.Fatal(err)
+		recs := archive.Records(d)
+		if len(recs) < window || store.MonthIndex(recs[window-1].Wall) != 0 {
+			t.Fatalf("board %d: no full month-0 window in the archive", d)
 		}
-		patterns := store.Patterns(w0)
+		patterns := store.Patterns(recs[:window])
 		wc, err := metrics.WithinClassHD(patterns[0], patterns)
 		if err != nil {
 			t.Fatal(err)

@@ -82,6 +82,7 @@ type Campaign struct {
 	cfg    Config
 	arrays []*sram.Array
 	rig    *harness.Rig // nil on the direct path
+	sim    *SimSource   // nil on the harness path
 	refs   []*bitvec.Vector
 	sched  *stream.Pool // the single window-job scheduler of both paths
 }
@@ -107,7 +108,7 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.arrays = src.Arrays()
+		c.sim, c.arrays = src, src.Arrays()
 	}
 	return c, nil
 }
@@ -134,7 +135,8 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 	if c.rig != nil {
 		src = &RigSource{rig: c.rig}
 	} else {
-		src = &SimSource{arrays: c.arrays, bits: c.cfg.Profile.ReadWindowBits(), pool: c.sched}
+		c.sim.SetPool(c.sched)
+		src = c.sim
 	}
 	a, err := NewAssessment(AssessmentConfig{Source: src, WindowSize: c.cfg.WindowSize, Months: MonthRange(c.cfg.Months)})
 	if err != nil {
@@ -256,9 +258,9 @@ func (c *Campaign) collectWindows(month int) ([][]*bitvec.Vector, error) {
 		}
 		out := make([][]*bitvec.Vector, c.cfg.Devices)
 		for d := 0; d < c.cfg.Devices; d++ {
-			recs, err := c.rig.Archive().Window(d, wallStart, c.cfg.WindowSize)
-			if err != nil {
-				return nil, err
+			recs := c.rig.Archive().Records(d)
+			if len(recs) != c.cfg.WindowSize {
+				return nil, fmt.Errorf("core: board %d holds %d records, want %d", d, len(recs), c.cfg.WindowSize)
 			}
 			out[d] = store.Patterns(recs)
 		}

@@ -52,7 +52,7 @@ func BenchmarkFleetScreening100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src, err := openAs[*LazySimSource](SimSpec{Fleet: fleet, Devices: devices, Seed: 42, Lazy: true})
+		src, err := openAs[*SimSource](SimSpec{Fleet: fleet, Devices: devices, Seed: 42, Lazy: true})
 		if err != nil {
 			b.Fatal(err)
 		}

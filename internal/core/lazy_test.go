@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/bitvec"
 	"repro/internal/silicon"
+	"repro/internal/sram"
 )
 
 // collectWindows drives a source over the given months and collects
@@ -137,8 +140,8 @@ func TestLazyPruneSkipsDevices(t *testing.T) {
 	const devices, seed, size = 5, uint64(9), 2
 
 	spec := SimSpec{Profile: prof, Devices: devices, Seed: seed, Lazy: true}
-	full := mustOpen[*LazySimSource](t, spec)
-	pruned := mustOpen[*LazySimSource](t, spec)
+	full := mustOpen[*SimSource](t, spec)
+	pruned := mustOpen[*SimSource](t, spec)
 	fw := collectWindows(t, full, []int{0}, size)
 	pw := collectWindows(t, pruned, []int{0}, size)
 	diffWindows(t, "pre-prune", fw, pw)
@@ -166,10 +169,11 @@ func TestLazyPruneSkipsDevices(t *testing.T) {
 	}
 }
 
-// TestLazySourcesMeasureConcurrently runs two lazy campaigns at once, as
-// the service does, over months that need noise jumps, and checks each
-// against the same campaign run alone. Run alone under -race it also
-// covers the shared jump table's first growth.
+// TestLazySourcesMeasureConcurrently runs two campaigns at once, as the
+// service does, over months that need noise jumps, and checks each
+// against the same campaign run alone — with lazy chips and with
+// resident ones, which age inside the slot workers. Run alone under
+// -race it also covers the shared jump table's first growth.
 func TestLazySourcesMeasureConcurrently(t *testing.T) {
 	prof, err := silicon.Lookup("fleetnode-2kb")
 	if err != nil {
@@ -179,8 +183,8 @@ func TestLazySourcesMeasureConcurrently(t *testing.T) {
 	months := []int{0, 1, 5}
 	seeds := []uint64{31, 32}
 	type collected = map[int]map[int][]*bitvec.Vector
-	run := func(seed uint64) (collected, error) {
-		src, err := openAs[*LazySimSource](SimSpec{Profile: prof, Devices: devices, Seed: seed, Lazy: true})
+	run := func(seed uint64, lazy bool) (collected, error) {
+		src, err := openAs[*SimSource](SimSpec{Profile: prof, Devices: devices, Seed: seed, Lazy: lazy})
 		if err != nil {
 			return nil, err
 		}
@@ -202,25 +206,84 @@ func TestLazySourcesMeasureConcurrently(t *testing.T) {
 		}
 		return out, nil
 	}
-	together := make([]collected, len(seeds))
-	errs := make([]error, len(seeds))
-	var wg sync.WaitGroup
-	for i, seed := range seeds {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			together[i], errs[i] = run(seed)
-		}()
-	}
-	wg.Wait()
-	for i, seed := range seeds {
-		if errs[i] != nil {
-			t.Fatalf("seed %d: %v", seed, errs[i])
+	for _, lazy := range []bool{true, false} {
+		together := make([]collected, len(seeds))
+		errs := make([]error, len(seeds))
+		var wg sync.WaitGroup
+		for i, seed := range seeds {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				together[i], errs[i] = run(seed, lazy)
+			}()
 		}
-		alone, err := run(seed)
-		if err != nil {
+		wg.Wait()
+		for i, seed := range seeds {
+			if errs[i] != nil {
+				t.Fatalf("lazy=%v seed %d: %v", lazy, seed, errs[i])
+			}
+			alone, err := run(seed, lazy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffWindows(t, fmt.Sprintf("lazy=%v concurrent vs alone", lazy), alone, together[i])
+		}
+	}
+}
+
+// TestSimSourceRejectsRepeatedMonth: chips age forward only, so
+// measuring a month at or before the last measured one is a
+// configuration error for resident and lazy chips alike, not a silent
+// re-sample.
+func TestSimSourceRejectsRepeatedMonth(t *testing.T) {
+	prof, err := silicon.Lookup("fleetnode-1kb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lazy := range []bool{false, true} {
+		src := mustOpen[*SimSource](t, SimSpec{Profile: prof, Devices: 2, Seed: 3, Lazy: lazy})
+		if err := src.Measure(context.Background(), 2, 2, discardSink); err != nil {
 			t.Fatal(err)
 		}
-		diffWindows(t, "concurrent vs alone", alone, together[i])
+		for _, month := range []int{2, 1} {
+			if err := src.Measure(context.Background(), month, 2, discardSink); !errors.Is(err, ErrConfig) {
+				t.Fatalf("lazy=%v: month %d after month 2: err = %v, want ErrConfig", lazy, month, err)
+			}
+		}
+	}
+}
+
+// TestSetWorkersKeepsSlots: a shard worker sets the same worker bound
+// every month; that must keep the slots' rebuilt chips instead of
+// reallocating them.
+func TestSetWorkersKeepsSlots(t *testing.T) {
+	prof, err := silicon.Lookup("fleetnode-1kb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := mustOpen[*SimSource](t, SimSpec{Profile: prof, Devices: 4, Seed: 5, Lazy: true})
+	src.SetWorkers(2)
+	if err := src.Measure(context.Background(), 0, 2, discardSink); err != nil {
+		t.Fatal(err)
+	}
+	// A slot whose worker found no device left builds no chip.
+	chips := make([]*sram.Array, len(src.slots))
+	for i, sl := range src.slots {
+		chips[i] = sl.arrays[0]
+	}
+	if chips[0] == nil && chips[len(chips)-1] == nil {
+		t.Fatal("no slot built a chip")
+	}
+	src.SetWorkers(2)
+	if err := src.Measure(context.Background(), 1, 2, discardSink); err != nil {
+		t.Fatal(err)
+	}
+	if len(src.slots) != len(chips) {
+		t.Fatalf("%d slots after the second month, want %d", len(src.slots), len(chips))
+	}
+	for i, sl := range src.slots {
+		if chips[i] != nil && sl.arrays[0] != chips[i] {
+			t.Fatalf("slot %d reallocated its chip under an unchanged worker bound", i)
+		}
 	}
 }

@@ -396,7 +396,7 @@ func TestScreeningFloorKillsCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := mustOpen[*LazySimSource](t, SimSpec{Profile: profile, Devices: 4, Seed: 9, Lazy: true})
+	src := mustOpen[*SimSource](t, SimSpec{Profile: profile, Devices: 4, Seed: 9, Lazy: true})
 	eng, err := NewAssessment(AssessmentConfig{
 		Source:     src,
 		WindowSize: 8,

@@ -109,15 +109,6 @@ func buildShardBackend(spec shard.Spec) (shard.Backend, error) {
 	return &simShardBackend{spec: sim}, nil
 }
 
-// simShardSource is what a sim shard backend drives: both the eager
-// SimSource and the LazySimSource satisfy it.
-type simShardSource interface {
-	Source
-	WorkerSetter
-	DevicePruner
-	SetTap(func(store.Record) error)
-}
-
 // simShardBackend serves a shard of simulated chips: it opens the
 // handshake spec over the assigned GLOBAL indices, so each chip derives
 // from the campaign seed by its global index and the shard's streams are
@@ -129,7 +120,7 @@ type simShardSource interface {
 type simShardBackend struct {
 	spec    SimSpec
 	indices []int
-	src     simShardSource
+	src     *SimSource
 	emit    func(device int, rec store.Record) error
 }
 
@@ -141,11 +132,11 @@ func (b *simShardBackend) Assign(indices []int) error {
 	}
 	spec := b.spec
 	spec.Indices = indices
-	src, err := OpenSim(spec)
+	src, err := openAs[*SimSource](spec)
 	if err != nil {
 		return err
 	}
-	b.src, b.indices = src.(simShardSource), indices
+	b.src, b.indices = src, indices
 	// The source's tap builds each record envelope from the global index.
 	// One Measure runs at a time per worker (the protocol is a
 	// request/response loop), so the emit field is safe.

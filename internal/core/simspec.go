@@ -43,8 +43,8 @@ type SimSpec struct {
 	// zero value is the first profile's nominal condition.
 	Scenario aging.Scenario `json:"scenario,omitzero"`
 	// Lazy derives every chip on demand inside the worker slot that
-	// measures it (LazySimSource) instead of materialising the
-	// population. Exclusive with Rig.
+	// measures it instead of materialising the population (SimSource's
+	// lazy chips). Exclusive with Rig.
 	Lazy bool `json:"lazy,omitempty"`
 	// Rig routes every window through the full measurement-rig
 	// simulation: one profile, an even device count (two layers).
@@ -147,8 +147,8 @@ func (r *resolvedSim) globalIndices() []int {
 }
 
 // OpenSim validates the spec and builds its source: a ShardedSource
-// when Shards > 0 (the caller must Close it), else a RigSource, a
-// LazySimSource or an eager SimSource. Every invalid spec fails with
+// when Shards > 0 (the caller must Close it), else a RigSource or a
+// SimSource with resident or lazy chips. Every invalid spec fails with
 // ErrConfig before any chip is built or any shard worker started.
 func OpenSim(s SimSpec) (Source, error) {
 	r, err := s.resolve()
@@ -164,68 +164,41 @@ func OpenSim(s SimSpec) (Source, error) {
 		return newShardedSource(shard.Spec{Sim: sim}, r.Shards, r.Transport)
 	case r.Rig:
 		return r.openRig()
-	case r.Lazy:
-		return r.openLazy(), nil
 	default:
-		return r.openEager()
+		return r.openSim()
 	}
 }
 
-// openEager builds one persistent chip per device, each from the profile
-// the fleet assigns it and the per-device seed derivation every layout
-// shares. Only fleet specs list per-device profile names: a plain
-// profile's results carry no profile keys.
-func (r *resolvedSim) openEager() (*SimSource, error) {
+// openSim builds the direct-sampling source: an eager spec derives every
+// device's chip up front, a lazy one leaves them to the worker slots
+// that measure them.
+func (r *resolvedSim) openSim() (*SimSource, error) {
 	indices := r.globalIndices()
-	root := rng.New(r.Seed)
-	arrays := make([]*sram.Array, len(indices))
-	var names []string
-	if r.Fleet != nil {
-		names = make([]string, len(indices))
-	}
-	for d, g := range indices {
-		p := r.conditioned[r.mix.ProfileIndex(r.Seed, g)]
-		a, err := sram.New(p, root.Derive(uint64(g)+1))
-		if err != nil {
-			return nil, err
-		}
-		if err := a.SetNoiseScale(p.NoiseScale()); err != nil {
-			return nil, err
-		}
-		arrays[d] = a
-		if names != nil {
-			names[d] = p.Name
-		}
-	}
-	return &SimSource{
-		arrays:    arrays,
-		indices:   indices,
-		devices:   r.Devices,
-		bits:      r.conditioned[0].ReadWindowBits(),
-		pool:      stream.NewPool(0),
-		scenario:  r.Scenario,
-		profNames: names,
-	}, nil
-}
-
-// openLazy builds the on-demand source: no chip exists until a worker
-// slot measures it.
-func (r *resolvedSim) openLazy() *LazySimSource {
-	indices := r.globalIndices()
-	return &LazySimSource{
-		fleet:       r.mix,
-		seed:        r.Seed,
-		scenario:    r.Scenario,
+	s := &SimSource{
+		fleet:       r.Fleet,
 		conditioned: r.conditioned,
+		profIdx:     r.mix.AssignmentIndices(r.Seed, indices),
 		indices:     indices,
 		devices:     r.Devices,
-		profIdx:     r.mix.AssignmentIndices(r.Seed, indices),
 		bits:        r.conditioned[0].ReadWindowBits(),
-		pool:        stream.NewPool(0),
+		scenario:    r.Scenario,
 		root:        rng.New(r.Seed),
+		pool:        stream.NewPool(0),
 		pruned:      make([]bool, len(indices)),
 		alive:       len(indices),
 	}
+	if r.Lazy {
+		return s, nil
+	}
+	s.arrays = make([]*sram.Array, len(indices))
+	var seed rng.Source
+	for d := range s.arrays {
+		var err error
+		if s.arrays[d], err = s.derive(d, nil, &seed); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
 // openRig builds the two-layer rig with every board's silicon operating
@@ -279,14 +252,14 @@ func NewSimFleetSourceSubset(fleet *Fleet, seed uint64, sc aging.Scenario, indic
 
 // NewLazySimFleetSource builds a lazy fleet source over the full
 // population at the first profile's nominal condition.
-func NewLazySimFleetSource(fleet *Fleet, devices int, seed uint64) (*LazySimSource, error) {
-	return openAs[*LazySimSource](SimSpec{Fleet: fleet, Devices: devices, Seed: seed, Lazy: true})
+func NewLazySimFleetSource(fleet *Fleet, devices int, seed uint64) (*SimSource, error) {
+	return openAs[*SimSource](SimSpec{Fleet: fleet, Devices: devices, Seed: seed, Lazy: true})
 }
 
 // NewLazySimFleetSourceSubset builds a lazy fleet source for the given
 // GLOBAL device indices at the scenario.
-func NewLazySimFleetSourceSubset(fleet *Fleet, seed uint64, sc aging.Scenario, indices []int) (*LazySimSource, error) {
-	return openAs[*LazySimSource](SimSpec{Fleet: fleet, Seed: seed, Scenario: sc, Indices: indices, Lazy: true})
+func NewLazySimFleetSourceSubset(fleet *Fleet, seed uint64, sc aging.Scenario, indices []int) (*SimSource, error) {
+	return openAs[*SimSource](SimSpec{Fleet: fleet, Seed: seed, Scenario: sc, Indices: indices, Lazy: true})
 }
 
 // NewRigSource builds the two-layer rig with devices boards at the

@@ -10,7 +10,6 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/harness"
 	"repro/internal/silicon"
-	"repro/internal/sram"
 	"repro/internal/store"
 	"repro/internal/stream"
 )
@@ -29,7 +28,7 @@ type Sink func(device int, m *bitvec.Vector) error
 var discardSink Sink = func(int, *bitvec.Vector) error { return nil }
 
 // recordTap is the record tap every live source carries (SimSource,
-// LazySimSource, RigSource, ShardedSource).
+// RigSource, ShardedSource).
 type recordTap struct {
 	mu  sync.Mutex
 	tap func(store.Record) error
@@ -126,113 +125,11 @@ type SurvivingMonthLister interface {
 // WorkerSetter is implemented by sources whose window delivery can be
 // parallelised; the assessment builder forwards its worker bound here.
 type WorkerSetter interface {
-	// SetWorkers bounds delivery parallelism (<= 0: one goroutine per
-	// device).
+	// SetWorkers bounds delivery parallelism. n <= 0 lifts the bound:
+	// SimSource then runs one worker slot per logical CPU, ArchiveSource
+	// one goroutine per board, and a ShardedSource leaves its shards
+	// unbounded.
 	SetWorkers(n int)
-}
-
-// SimSource is the direct-sampling source: simulated SRAM arrays read
-// without the measurement rig in between. It produces measurement streams
-// bit-identical to RigSource on the same profile/devices/seed (the rig
-// adds fidelity — power switch, boot, I2C — not different bits).
-type SimSource struct {
-	recordTap
-	arrays   []*sram.Array
-	indices  []int // global device index per local device
-	devices  int   // population the indices belong to
-	bits     int
-	pool     *stream.Pool
-	scenario aging.Scenario
-
-	// profNames is the per-device profile-name listing of fleet specs
-	// (ProfileLister); nil for a plain profile.
-	profNames []string
-}
-
-// Devices returns the number of simulated chips.
-func (s *SimSource) Devices() int { return len(s.arrays) }
-
-// Arrays exposes the simulated chips (for extension experiments).
-func (s *SimSource) Arrays() []*sram.Array { return s.arrays }
-
-// DeviceProfileNames returns the per-device profile names of a fleet
-// spec, or nil for a plain profile — the ProfileLister contract behind
-// per-profile result breakdowns.
-func (s *SimSource) DeviceProfileNames() []string {
-	return append([]string(nil), s.profNames...)
-}
-
-// PruneDevices releases the given (local) devices' arrays and stops
-// sampling them — the eager source's side of the screening contract.
-// The freed memory is the point: a screened eager campaign's resident
-// set shrinks with its survivor count.
-func (s *SimSource) PruneDevices(indices []int) error {
-	for _, d := range indices {
-		if d < 0 || d >= len(s.arrays) {
-			return fmt.Errorf("%w: prune index %d of %d devices", ErrConfig, d, len(s.arrays))
-		}
-		s.arrays[d] = nil
-	}
-	return nil
-}
-
-// SetWorkers bounds the per-device sampling parallelism.
-func (s *SimSource) SetWorkers(n int) { s.pool = stream.NewPool(n) }
-
-// SetPool replaces the source's job scheduler with a shared one — the
-// condition sweep hands every grid point's source the same Pool so the
-// total sampling parallelism across concurrent points stays at one bound.
-func (s *SimSource) SetPool(p *stream.Pool) {
-	if p != nil {
-		s.pool = p
-	}
-}
-
-// Scenario returns the environmental condition the chips operate at.
-func (s *SimSource) Scenario() aging.Scenario { return s.scenario }
-
-// deviceSink adapts a campaign Sink to a stream.Sink for one device.
-type deviceSink struct {
-	d    int
-	sink Sink
-}
-
-func (s deviceSink) Add(m *bitvec.Vector) error { return s.sink(s.d, m) }
-
-// Measure ages every chip to the month boundary and samples size power-up
-// windows per device, one stream.Sampler job per device on the source's
-// pool. Each sampler reuses a single scratch vector, so a window costs
-// O(array size) memory; cancellation is checked before every draw.
-func (s *SimSource) Measure(ctx context.Context, month, size int, sink Sink) error {
-	sink = s.envelope(month, s.indices, s.devices, sink)
-	for _, a := range s.arrays {
-		if a == nil { // pruned by screening
-			continue
-		}
-		if err := a.AgeTo(float64(month)); err != nil {
-			return err
-		}
-	}
-	jobs := make([]func() error, 0, len(s.arrays))
-	for d := range s.arrays {
-		if s.arrays[d] == nil {
-			continue
-		}
-		d := d
-		jobs = append(jobs, func() error {
-			n := 0
-			src := stream.Sampler(s.bits, size, func(dst *bitvec.Vector) error {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("core: device %d measurement %d: %w", d, n, err)
-				}
-				n++
-				return s.arrays[d].PowerUpWindowInto(dst)
-			})
-			_, err := stream.Drain(src, deviceSink{d, sink})
-			return err
-		})
-	}
-	return s.pool.Run(jobs...)
 }
 
 // cyclesPerMonth approximates the power cycles a board accumulates per

@@ -70,7 +70,12 @@ func TestSimTapEnvelopesMatchAcrossLayouts(t *testing.T) {
 	for _, l := range layouts {
 		spec := l.spec
 		spec.Fleet, spec.Devices, spec.Seed = fleet, devices, seed
-		src := mustOpen[simShardSource](t, spec) // every layout can tap, prune and take workers
+		src := mustOpen[interface {
+			Source
+			WorkerSetter
+			DevicePruner
+			SetTap(func(store.Record) error)
+		}](t, spec) // every layout can tap, prune and take workers
 		var buf bytes.Buffer
 		w := store.NewBinaryWriterV1(&buf)
 		src.SetTap(w.Write)

@@ -56,9 +56,9 @@ func TestRigAgingBetweenWindows(t *testing.T) {
 	if err := r.RunWindow(20, store.MonthlyWindowStart(0)); err != nil {
 		t.Fatal(err)
 	}
-	w0, err := r.Archive().Window(0, store.MonthlyWindowStart(0), 20)
-	if err != nil {
-		t.Fatal(err)
+	w0 := r.Archive().Records(0)
+	if len(w0) != 20 {
+		t.Fatalf("month 0 holds %d records, want 20", len(w0))
 	}
 	ref := w0[0].Data
 	meanFHD := func(recs []store.Record) float64 {
@@ -81,9 +81,9 @@ func TestRigAgingBetweenWindows(t *testing.T) {
 	if err := r.RunWindow(20, store.MonthlyWindowStart(24)); err != nil {
 		t.Fatal(err)
 	}
-	w24, err := r.Archive().Window(0, store.MonthlyWindowStart(24), 20)
-	if err != nil {
-		t.Fatal(err)
+	w24 := r.Archive().Records(0)[20:]
+	if len(w24) != 20 {
+		t.Fatalf("month 24 holds %d records, want 20", len(w24))
 	}
 	end := meanFHD(w24)
 	if end <= start {

@@ -28,8 +28,8 @@ func TestServiceFleetCampaignMatchesDirectRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := openLive(t, spec)
-	if _, ok := src.(*core.SimSource); !ok {
-		t.Fatalf("unsharded fleet spec opens a %T, want a direct *core.SimSource", src)
+	if sim, ok := src.(*core.SimSource); !ok || sim.Arrays() == nil {
+		t.Fatalf("unsharded fleet spec opens a %T, want a direct *core.SimSource with resident chips", src)
 	}
 	eng, err := core.NewAssessment(core.AssessmentConfig{Source: src, WindowSize: spec.Window, Months: spec.EvalMonths()})
 	if err != nil {

@@ -99,9 +99,9 @@ func TestServiceScreenedLazyFleetResumeGolden(t *testing.T) {
 
 	// The uninterrupted oracle: the exact source construction the service
 	// uses for a lazy fleet campaign, tapped into a v1 archive.
-	direct, ok := openLive(t, spec).(*core.LazySimSource)
-	if !ok {
-		t.Fatal("unsharded lazy fleet spec does not open a direct *core.LazySimSource")
+	direct, ok := openLive(t, spec).(*core.SimSource)
+	if !ok || direct.Arrays() != nil {
+		t.Fatal("unsharded lazy fleet spec does not open a direct *core.SimSource with lazy chips")
 	}
 	var full bytes.Buffer
 	w := store.NewBinaryWriterV1(&full)

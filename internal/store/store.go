@@ -137,34 +137,6 @@ func (a *Archive) Reset() {
 	a.total = 0
 }
 
-// Window returns the first count records of a board at or after the given
-// wall time — the paper's evaluation window selection. It returns an error
-// if fewer than count records qualify.
-func (a *Archive) Window(board int, after time.Time, count int) ([]Record, error) {
-	recs := a.byBoard[board]
-	i := sort.Search(len(recs), func(k int) bool { return !recs[k].Wall.Before(after) })
-	if len(recs)-i < count {
-		return nil, fmt.Errorf("store: board %d has %d records after %v, want %d",
-			board, len(recs)-i, after, count)
-	}
-	return recs[i : i+count], nil
-}
-
-// WindowBounded returns the first count records of a board captured in
-// [after, before) — Window with an exclusive upper time bound, so one
-// evaluation window can never borrow the next period's records when a
-// collection gap leaves the current period short.
-func (a *Archive) WindowBounded(board int, after, before time.Time, count int) ([]Record, error) {
-	recs := a.byBoard[board]
-	i := sort.Search(len(recs), func(k int) bool { return !recs[k].Wall.Before(after) })
-	j := i + sort.Search(len(recs)-i, func(k int) bool { return !recs[i+k].Wall.Before(before) })
-	if j-i < count {
-		return nil, fmt.Errorf("store: board %d has %d records in [%v, %v), want %d",
-			board, j-i, after, before, count)
-	}
-	return recs[i : i+count], nil
-}
-
 // Patterns extracts the payload vectors of a record slice.
 func Patterns(recs []Record) []*bitvec.Vector {
 	out := make([]*bitvec.Vector, len(recs))
@@ -191,9 +163,8 @@ func MonthLabel(monthIndex int) string {
 // unique m with MonthlyWindowStart(m) <= t < MonthlyWindowStart(m+1).
 // Times before the epoch yield negative indices. This is the inverse of
 // MonthlyWindowStart and the month assignment the archive index is built
-// from — identical, by construction, to the [start, next) bounds
-// WindowBounded evaluates, so an index-driven replay selects exactly the
-// records a full-scan replay would.
+// from, so a month's records are exactly those captured in
+// [MonthlyWindowStart(m), MonthlyWindowStart(m+1)).
 func MonthIndex(t time.Time) int {
 	t = t.UTC()
 	m := (t.Year()-Epoch.Year())*12 + int(t.Month()) - int(Epoch.Month())

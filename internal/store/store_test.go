@@ -100,65 +100,6 @@ func TestArchiveRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
-func TestWindowSelection(t *testing.T) {
-	a := NewArchive()
-	// 20 records, one per minute starting 10 minutes before the cutoff.
-	cutoff := Epoch.Add(24 * time.Hour)
-	for i := 0; i < 20; i++ {
-		at := cutoff.Add(time.Duration(i-10) * time.Minute)
-		if err := a.Append(rec(0, uint64(i), at)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w, err := a.Window(0, cutoff, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w) != 5 {
-		t.Fatalf("window size = %d", len(w))
-	}
-	// First selected record is the first at/after the cutoff: seq 10.
-	if w[0].Seq != 10 || w[4].Seq != 14 {
-		t.Fatalf("window = seq %d..%d, want 10..14", w[0].Seq, w[4].Seq)
-	}
-	// Not enough records after the cutoff.
-	if _, err := a.Window(0, cutoff, 11); err == nil {
-		t.Fatal("oversized window accepted")
-	}
-	if _, err := a.Window(9, cutoff, 1); err == nil {
-		t.Fatal("unknown board accepted")
-	}
-}
-
-func TestWindowBoundedSelection(t *testing.T) {
-	a := NewArchive()
-	// 20 records, one per minute starting 10 minutes before the cutoff.
-	cutoff := Epoch.Add(24 * time.Hour)
-	for i := 0; i < 20; i++ {
-		at := cutoff.Add(time.Duration(i-10) * time.Minute)
-		if err := a.Append(rec(0, uint64(i), at)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Bound excludes records at/after cutoff+5min: seqs 10..14 qualify.
-	bound := cutoff.Add(5 * time.Minute)
-	w, err := a.WindowBounded(0, cutoff, bound, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w[0].Seq != 10 || w[4].Seq != 14 {
-		t.Fatalf("window = seq %d..%d, want 10..14", w[0].Seq, w[4].Seq)
-	}
-	// Unlike Window, the bound stops the selection from borrowing later
-	// records when the interval holds too few.
-	if _, err := a.Window(0, cutoff, 6); err != nil {
-		t.Fatalf("unbounded window of 6: %v", err)
-	}
-	if _, err := a.WindowBounded(0, cutoff, bound, 6); err == nil {
-		t.Fatal("bounded window borrowed records past the bound")
-	}
-}
-
 func TestPatterns(t *testing.T) {
 	rs := []Record{rec(0, 0, Epoch), rec(0, 1, Epoch)}
 	ps := Patterns(rs)

@@ -39,8 +39,14 @@ func benchStreaming(b *testing.B, window int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dev := NewDevice(nil)
-		if _, err := Drain(Sampler(bits, window, a.PowerUpWindowInto), dev); err != nil {
-			b.Fatal(err)
+		scratch := bitvec.New(bits)
+		for k := 0; k < window; k++ {
+			if err := a.PowerUpWindowInto(scratch); err != nil {
+				b.Fatal(err)
+			}
+			if err := dev.Add(scratch); err != nil {
+				b.Fatal(err)
+			}
 		}
 		if _, err := dev.Result(); err != nil {
 			b.Fatal(err)

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"errors"
-	"io"
 	"math"
 	"sync"
 	"testing"
@@ -35,6 +34,18 @@ func noisyWindow(seed uint64, bits, n int, flipP float64) []*bitvec.Vector {
 		out[k] = m
 	}
 	return out
+}
+
+// feed folds every measurement of window into each sink, in order.
+func feed(window []*bitvec.Vector, sinks ...Sink) error {
+	for _, m := range window {
+		for _, s := range sinks {
+			if err := s.Add(m); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // TestAccumulatorsMatchBatchOracle is the golden-equivalence property: on
@@ -90,7 +101,7 @@ func TestAccumulatorsMatchBatchOracle(t *testing.T) {
 
 		// Streaming pass.
 		dev := NewDevice(nil)
-		if _, err := Drain(Slice(window), dev); err != nil {
+		if err := feed(window, dev); err != nil {
 			t.Fatal(err)
 		}
 		r, err := dev.Result()
@@ -119,7 +130,7 @@ func TestAccumulatorsMatchBatchOracle(t *testing.T) {
 
 		// One-probabilities themselves.
 		ones := NewOnes()
-		if _, err := Drain(Slice(window), ones); err != nil {
+		if err := feed(window, ones); err != nil {
 			t.Fatal(err)
 		}
 		sp, err := ones.Probabilities()
@@ -144,7 +155,7 @@ func TestFlipsAgreesWithOnesStableCount(t *testing.T) {
 		for _, n := range []int{49, 64} {
 			window := noisyWindow(seed, 512, n, 0.05)
 			ones, flips := NewOnes(), NewFlips()
-			if _, err := Drain(Slice(window), ones, flips); err != nil {
+			if err := feed(window, ones, flips); err != nil {
 				t.Fatal(err)
 			}
 			fromOnes := 0
@@ -203,35 +214,6 @@ func TestCrossMatchesBatchOracle(t *testing.T) {
 	}
 	if cross.Devices() != devices {
 		t.Fatalf("devices = %d", cross.Devices())
-	}
-}
-
-func TestSamplerReusesScratchAndEnds(t *testing.T) {
-	calls := 0
-	src := Sampler(64, 3, func(dst *bitvec.Vector) error {
-		calls++
-		dst.SetWord(0, uint64(calls))
-		return nil
-	})
-	var seen []*bitvec.Vector
-	for {
-		m, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen = append(seen, m)
-	}
-	if calls != 3 || len(seen) != 3 {
-		t.Fatalf("calls=%d seen=%d", calls, len(seen))
-	}
-	if seen[0] != seen[1] || seen[1] != seen[2] {
-		t.Error("sampler did not reuse its scratch vector")
-	}
-	if _, err := src.Next(); err != io.EOF {
-		t.Fatalf("post-EOF Next: %v", err)
 	}
 }
 
@@ -344,7 +326,7 @@ func TestPoolSharesBoundAcrossConcurrentRuns(t *testing.T) {
 func TestStableMaskAgreesWithRatioAndFlips(t *testing.T) {
 	window := noisyWindow(3, 512, 49, 0.05)
 	ones, flips := NewOnes(), NewFlips()
-	if _, err := Drain(Slice(window), ones, flips); err != nil {
+	if err := feed(window, ones, flips); err != nil {
 		t.Fatal(err)
 	}
 	mask, err := ones.StableMask()
@@ -380,7 +362,7 @@ func TestStreamingAllocsIndependentOfWindowSize(t *testing.T) {
 		window := noisyWindow(42, bits, n, 0.02)
 		return testing.AllocsPerRun(5, func() {
 			dev := NewDevice(nil)
-			if _, err := Drain(Slice(window), dev); err != nil {
+			if err := feed(window, dev); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := dev.Result(); err != nil {

@@ -365,7 +365,7 @@ func TestPointSourcesFollowSpec(t *testing.T) {
 		want string
 	}{
 		{func(*core.SimSpec) {}, "*core.SimSource"},
-		{func(s *core.SimSpec) { s.Lazy = true }, "*core.LazySimSource"},
+		{func(s *core.SimSpec) { s.Lazy = true }, "*core.SimSource (lazy)"},
 		{func(s *core.SimSpec) { s.Rig = true }, "*core.RigSource"},
 		{func(s *core.SimSpec) { s.Shards = 2 }, "*core.ShardedSource"},
 	} {
@@ -378,7 +378,11 @@ func TestPointSourcesFollowSpec(t *testing.T) {
 		if closer, ok := src.(io.Closer); ok {
 			closer.Close()
 		}
-		if got := fmt.Sprintf("%T", src); got != c.want {
+		got := fmt.Sprintf("%T", src)
+		if sim, ok := src.(*core.SimSource); ok && sim.Arrays() == nil {
+			got += " (lazy)"
+		}
+		if got != c.want {
 			t.Fatalf("spec %+v opened a %s, want %s", spec, got, c.want)
 		}
 	}

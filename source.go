@@ -31,7 +31,9 @@ type (
 	// delivery; WithWorkers forwards the bound here.
 	WorkerSetter = core.WorkerSetter
 	// SimulatedSource samples simulated SRAM chips directly — the fast
-	// campaign path; its SetTap archives records like the rig's.
+	// campaign path — with resident chips, or with lazy ones rebuilt per
+	// measuring worker slot (WithLazy). Both modes draw the same bits,
+	// and its SetTap archives records like the rig's.
 	SimulatedSource = core.SimSource
 	// RigSource routes every window through the full measurement-rig
 	// simulation (power switch, boot, I2C, record forwarding) and can
