@@ -203,8 +203,12 @@ func WithMonthList(months []int) Option {
 	}
 }
 
-// WithWorkers bounds evaluation parallelism on sources that support it
-// (<= 0: one goroutine per device, the historical default).
+// WithWorkers bounds evaluation parallelism on sources that support it:
+// the direct sampler's worker slots, the rig's power-up captures and
+// aging, archive replay's board decodes and a sharded campaign's total
+// budget. n <= 0 lifts the bound: simulated chips and the rig then run
+// one worker per logical CPU, archive replay one goroutine per board.
+// The bound never changes the results.
 func WithWorkers(n int) Option {
 	return func(a *Assessment) error {
 		a.workers, a.workersSet = n, true

@@ -18,7 +18,8 @@
 // churn, and a trailer index written at the end of collection so
 // evaluate replays any month with an O(1) seek),
 // anything else streams JSON lines. -workers bounds evaluation
-// parallelism.
+// parallelism, on the rig path too: how many boards' power-up captures
+// and aging run at once. It never changes the output.
 //
 // With -shards N the device population is partitioned across N shard
 // workers (subprocesses running the -shardworker binary, or in-process
@@ -69,7 +70,7 @@ func run() error {
 	seed := flag.Uint64("seed", 20170208, "campaign seed")
 	useHarness := flag.Bool("harness", false, "route windows through the full rig simulation")
 	i2cErr := flag.Float64("i2c-error", 0, "I2C byte corruption rate (harness path)")
-	workers := flag.Int("workers", 0, "evaluation parallelism (0: one goroutine per device; with -shards: total budget split across shards)")
+	workers := flag.Int("workers", 0, "evaluation parallelism: sampling slots, or with -harness the rig's capture and aging workers (0: one per CPU; with -shards: total budget split across shards)")
 	shards := flag.Int("shards", 0, "fan the campaign across N shard workers (0: single process)")
 	shardWorker := flag.String("shardworker", "", "shardworker binary for -shards (default: in-process workers)")
 	csvDir := flag.String("csv", "", "directory for Fig. 6 series CSV export")

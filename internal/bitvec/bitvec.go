@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -57,8 +58,13 @@ func FromBytes(data []byte, n int) (*Vector, error) {
 		return nil, fmt.Errorf("bitvec: need %d bytes for %d bits, got %d", need, n, len(data))
 	}
 	v := New(n)
-	for i := 0; i < need; i++ {
-		v.words[i/8] |= uint64(data[i]) << (8 * (uint(i) % 8))
+	if littleEndianHost {
+		// Byte packing == memory layout: the fill is one memmove.
+		copy(wordBytes(v.words), data[:need])
+	} else {
+		for i := 0; i < need; i++ {
+			v.words[i/8] |= uint64(data[i]) << (8 * (uint(i) % 8))
+		}
 	}
 	// Verify padding above bit n is clean, then force-clear it so internal
 	// invariants hold regardless.
@@ -360,12 +366,23 @@ func Concat(v, u *Vector) *Vector {
 
 // Bytes returns the little-endian byte packing of v
 // (bit i is bit i%8 of byte i/8). Padding bits are zero.
-func (v *Vector) Bytes() []byte {
-	out := make([]byte, (v.n+7)/8)
-	for i := range out {
-		out[i] = byte(v.words[i/8] >> (8 * (uint(i) % 8)))
+func (v *Vector) Bytes() []byte { return v.AppendBytes(make([]byte, 0, (v.n+7)/8)) }
+
+// AppendBytes appends the byte packing of Bytes to dst and returns the
+// extended slice — the allocation-free form for callers that reuse a
+// buffer across read-outs.
+func (v *Vector) AppendBytes(dst []byte) []byte {
+	n := (v.n + 7) / 8
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	if littleEndianHost {
+		copy(out, wordBytes(v.words))
+	} else {
+		for i := range out {
+			out[i] = byte(v.words[i/8] >> (8 * (uint(i) % 8)))
+		}
 	}
-	return out
+	return dst[:len(dst)+n]
 }
 
 // Hex returns the hexadecimal encoding of Bytes.

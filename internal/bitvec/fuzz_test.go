@@ -113,3 +113,50 @@ func assertCleanTail(t *testing.T, v *Vector, op string) {
 		t.Fatalf("%s: hex round trip differs", op)
 	}
 }
+
+// FuzzBytesRoundTrip holds FromBytes, Bytes and AppendBytes to the
+// per-byte reference packing (bit i is bit i%8 of byte i/8), whichever
+// path the host's byte order selects: FromBytes accepts exactly the
+// clean, long-enough inputs, and a decoded vector packs back to the
+// bytes it came from.
+func FuzzBytesRoundTrip(f *testing.F) {
+	f.Add([]byte{0xff}, 8)
+	f.Add([]byte{0x0f}, 4)
+	f.Add([]byte{0xff}, 4)
+	f.Add([]byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4, 5}, 65)
+	f.Add([]byte{1, 2}, 24)
+	f.Fuzz(func(t *testing.T, data []byte, n int) {
+		if n < 0 || n > 8*len(data)+64 {
+			t.Skip()
+		}
+		need := (n + 7) / 8
+		v, err := FromBytes(data, n)
+		if need > len(data) {
+			if err == nil {
+				t.Fatalf("FromBytes accepted %d bytes for %d bits", len(data), n)
+			}
+			return
+		}
+		if dirty := n%8 != 0 && data[need-1]>>(uint(n)%8) != 0; dirty {
+			if err == nil {
+				t.Fatal("FromBytes accepted dirty padding")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("FromBytes rejected clean input: %v", err)
+		}
+		if !v.Equal(vectorFromData(data, n)) {
+			t.Fatal("FromBytes differs from the per-bit reference")
+		}
+		want := data[:need]
+		if got := v.Bytes(); string(got) != string(want) {
+			t.Fatalf("Bytes = %x, want %x", got, want)
+		}
+		prefix := []byte{0xaa, 0x55}
+		if got := v.AppendBytes(prefix); string(got) != string(prefix)+string(want) {
+			t.Fatalf("AppendBytes = %x, want %x%x", got, prefix, want)
+		}
+		assertCleanTail(t, v, "FromBytes")
+	})
+}

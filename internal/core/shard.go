@@ -193,15 +193,16 @@ func (b *simShardBackend) Measure(ctx context.Context, month, size, workers int,
 
 // rigShardBackend serves a shard of rig boards. The rig is one
 // physically coupled instrument — two master layers sharing a power
-// switch and cycle counter — so every worker simulates the FULL rig
-// deterministically and forwards only its shard's board records:
-// sharding the rig shards record forwarding and downstream evaluation,
-// not the instrument. Per-board record streams are therefore
+// switch and cycle counter — so every worker simulates the FULL rig's
+// power sequence and bus traffic, but samples only its shard's chips:
+// the other boards are muted (harness.Rig.Mute), keeping their bus
+// timing and error draws while serving blank windows nobody forwards.
+// Sharding the rig shards sampling, record forwarding and downstream
+// evaluation, not the instrument, so per-board record streams are
 // bit-identical to a single-process rig run by construction.
 type rigShardBackend struct {
 	spec SimSpec
 	src  *RigSource
-	want map[int]bool
 	emit func(device int, rec store.Record) error
 }
 
@@ -215,29 +216,31 @@ func (b *rigShardBackend) Assign(indices []int) error {
 	if err != nil {
 		return err
 	}
-	b.want = make(map[int]bool, len(indices))
+	assigned := make([]bool, b.spec.Devices)
 	for _, g := range indices {
-		b.want[g] = true
+		assigned[g] = true
 	}
-	// The record tap sees every board of the full rig; only the shard's
-	// boards are forwarded. One Measure runs at a time per worker (the
-	// protocol is a request/response loop), so the emit field is safe.
-	src.SetTap(func(rec store.Record) error {
-		if !b.want[rec.Board] {
-			return nil
+	for g, ok := range assigned {
+		if !ok {
+			if err := src.rig.Mute(g); err != nil {
+				return err
+			}
 		}
-		return b.emit(rec.Board, rec)
-	})
+	}
+	// The record tap sees only the shard's boards. One Measure runs at a
+	// time per worker (the protocol is a request/response loop), so the
+	// emit field is safe.
+	src.SetTap(func(rec store.Record) error { return b.emit(rec.Board, rec) })
 	b.src = src
 	return nil
 }
 
 func (b *rigShardBackend) Months(int) ([]int, error) { return nil, errMonthsUnsupported }
 
-// Prune screens boards out of record delivery. Rig board indices ARE
-// global device indices (every worker simulates the full instrument),
-// so the decision forwards without translation; the rig keeps cycling
-// pruned boards to preserve the coupled instrument's timing and every
+// Prune screens boards out of the campaign. Rig board indices ARE global
+// device indices (every worker simulates the full instrument), so the
+// decision forwards without translation; the rig keeps cycling pruned
+// boards to preserve the coupled instrument's timing and every
 // survivor's bits.
 func (b *rigShardBackend) Prune(globals []int) error {
 	return b.src.PruneDevices(globals)
@@ -246,6 +249,7 @@ func (b *rigShardBackend) Prune(globals []int) error {
 func (b *rigShardBackend) Measure(ctx context.Context, month, size, workers int, emit func(device int, rec store.Record) error) error {
 	b.emit = emit
 	defer func() { b.emit = nil }()
+	b.src.SetWorkers(workers)
 	return b.src.Measure(ctx, month, size, discardSink)
 }
 

@@ -97,8 +97,8 @@ func TestShardedSimWorkersBitIdentical(t *testing.T) {
 }
 
 // TestShardedRigBitIdentical: the sharded rig path (every worker runs
-// the full deterministic rig, forwarding its shard's boards) matches the
-// single-process RigSource, and the merged record tap archives exactly
+// the full deterministic rig with the other shards' boards muted) matches
+// the single-process RigSource, and the merged record tap archives exactly
 // the records the direct rig tap archives, board for board and in
 // capture order.
 func TestShardedRigBitIdentical(t *testing.T) {

@@ -126,8 +126,9 @@ type SurvivingMonthLister interface {
 // parallelised; the assessment builder forwards its worker bound here.
 type WorkerSetter interface {
 	// SetWorkers bounds delivery parallelism. n <= 0 lifts the bound:
-	// SimSource then runs one worker slot per logical CPU, ArchiveSource
-	// one goroutine per board, and a ShardedSource leaves its shards
+	// SimSource then runs one worker slot per logical CPU, RigSource one
+	// capture and aging worker per logical CPU, ArchiveSource one
+	// goroutine per board, and a ShardedSource leaves its shards
 	// unbounded.
 	SetWorkers(n int)
 }
@@ -145,42 +146,45 @@ type RigSource struct {
 	recordTap
 	rig      *harness.Rig
 	scenario aging.Scenario
+	workers  int          // capture and aging width; <= 0: one per logical CPU
 	pool     *stream.Pool // nil: pump in the caller's goroutine
-	pruned   []bool       // screened-out boards; nil until PruneDevices
 }
 
 // Scenario returns the environmental condition the rig operates at.
 func (s *RigSource) Scenario() aging.Scenario { return s.scenario }
 
-// Devices returns the number of boards on the rig.
-func (s *RigSource) Devices() int { return len(s.rig.Arrays()) }
+// Devices returns the number of boards on the rig, muted ones included.
+func (s *RigSource) Devices() int { return len(s.rig.Boards()) }
 
 // Rig exposes the underlying rig (waveform tracing, archive access).
 func (s *RigSource) Rig() *harness.Rig { return s.rig }
 
-// PruneDevices screens the given boards out of record delivery: the rig
-// keeps cycling every board (the physical rig would — a screened board
-// is unplugged from collection, not from the power sequence, so the
-// shared masters' timing and every other board's bits are untouched),
-// but pruned boards' records reach neither the sink nor the archive tap.
+// PruneDevices screens the given boards out of the campaign: the rig
+// keeps cycling them (the physical rig would — a screened board is
+// unplugged from collection, not from the power sequence, so the shared
+// masters' timing and every other board's bits are untouched), but it
+// mutes them (harness.Rig.Mute): their chips are released and their
+// records reach neither the sink nor the archive tap.
 func (s *RigSource) PruneDevices(indices []int) error {
-	if s.pruned == nil {
-		s.pruned = make([]bool, len(s.rig.Arrays()))
-	}
 	for _, d := range indices {
-		if d < 0 || d >= len(s.pruned) {
-			return fmt.Errorf("%w: prune index %d of %d boards", ErrConfig, d, len(s.pruned))
+		if d < 0 || d >= s.Devices() {
+			return fmt.Errorf("%w: prune index %d of %d boards", ErrConfig, d, s.Devices())
 		}
-		s.pruned[d] = true
 	}
-	return nil
+	return s.rig.Mute(indices...)
 }
+
+// SetWorkers bounds how many boards' power-up captures and aging run at
+// once (harness.Rig.SetWorkers; <= 0: one per logical CPU). It does not
+// apply under SetPool.
+func (s *RigSource) SetWorkers(n int) { s.workers = n }
 
 // SetPool routes the rig's window pump through a shared scheduler: the
 // pump (one job per Measure call) then counts against the pool's worker
-// budget. This is how a multi-campaign service keeps N concurrent rig
-// campaigns inside ONE global sampling budget; a nil or absent pool
-// keeps the historical direct pump.
+// budget and samples every capture itself. This is how a multi-campaign
+// service keeps N concurrent rig campaigns inside ONE global sampling
+// budget; a nil or absent pool pumps in the caller's goroutine with
+// SetWorkers' width.
 func (s *RigSource) SetPool(p *stream.Pool) { s.pool = p }
 
 // pointRigAtMonth aims the rig's cycle and sequence counters at a month's
@@ -198,20 +202,21 @@ func pointRigAtMonth(rig *harness.Rig, month int) time.Time {
 // and sequence counters at the month's window and pumps one full rig
 // window through the record tap — nothing is buffered in the Pi archive.
 // With SetPool, the pump runs as one job on the shared pool (the service's
-// global budget); otherwise it runs in the caller's goroutine.
+// global budget) and samples inline; otherwise it runs in the caller's
+// goroutine and spreads captures and aging over SetWorkers' width.
 func (s *RigSource) Measure(ctx context.Context, month, size int, sink Sink) error {
+	if s.pool != nil {
+		s.rig.SetWorkers(1)
+	} else {
+		s.rig.SetWorkers(s.workers)
+	}
 	pump := func() error {
-		for _, a := range s.rig.Arrays() {
-			if err := a.AgeTo(float64(month)); err != nil {
-				return err
-			}
+		if err := s.rig.AgeTo(float64(month)); err != nil {
+			return err
 		}
 		return s.rig.StreamWindow(size, pointRigAtMonth(s.rig, month), func(rec store.Record) error {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("core: board %d: %w", rec.Board, err)
-			}
-			if s.pruned != nil && rec.Board >= 0 && rec.Board < len(s.pruned) && s.pruned[rec.Board] {
-				return nil
 			}
 			if err := s.tee(rec); err != nil {
 				return err

@@ -7,6 +7,7 @@ package device
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bitvec"
@@ -18,21 +19,42 @@ import (
 // SlaveBoard is one Arduino Leonardo: an ATmega32u4 whose SRAM power-up
 // pattern is the measured PUF. It implements i2c.Slave: after boot it
 // serves the captured read-out window to its master.
+//
+// The power-up capture is latched at the PowerOn edge but sampled off the
+// event loop: on a CaptureQueue, PowerOn hands it to the queue's workers,
+// and HandleRead and PowerOff join it. Without a queue the board samples
+// at that join, on the caller's goroutine. A master that knows the board
+// powers on again before its chip changes can hand over the next cycle's
+// capture early, with Precapture. Either way the chip's noise stream is
+// drawn once per power cycle, in cycle order, so the patterns are the
+// same bits.
 type SlaveBoard struct {
 	ID    int // global board index (paper: S0..S7 on layer 0, S16..S23 on layer 1)
 	Layer int
 	Addr  byte // I2C address on its layer bus
 
-	Array *sram.Array
+	Array *sram.Array // nil once muted
 
 	BootDelay desim.Time // power-on to readout-ready
 
-	sim      *desim.Simulator
-	powered  bool
-	booted   bool
-	pattern  *bitvec.Vector // captured at the power-on edge
-	seq      uint64         // lifetime measurement counter
-	captures uint64
+	sim     *desim.Simulator
+	powered bool
+	booted  bool
+	served  bool           // buf holds this power cycle's read-out
+	pattern *bitvec.Vector // capture buffer, reused every power cycle
+	buf     []byte         // read-out buffer HandleRead serves from
+	seq     uint64         // lifetime measurement counter
+
+	// The capture in flight. pending and armed are the owner's: a capture
+	// was started and not yet joined, and it is the next PowerOn's
+	// (Precapture). claimed is taken by whoever samples it, the owner or
+	// a queue worker; a worker signals done when it has sampled.
+	queue   CaptureQueue
+	pending bool
+	armed   bool
+	claimed atomic.Bool
+	done    chan struct{}
+	capErr  error
 }
 
 // NewSlaveBoard wires a slave board to the simulation clock.
@@ -43,7 +65,8 @@ func NewSlaveBoard(sim *desim.Simulator, id, layer int, addr byte, array *sram.A
 	if bootDelay < 0 {
 		return nil, fmt.Errorf("device: negative boot delay %v", bootDelay)
 	}
-	return &SlaveBoard{ID: id, Layer: layer, Addr: addr, Array: array, BootDelay: bootDelay, sim: sim}, nil
+	return &SlaveBoard{ID: id, Layer: layer, Addr: addr, Array: array, BootDelay: bootDelay, sim: sim,
+		pattern: bitvec.New(array.Cells()), buf: make([]byte, 0, (array.Cells()+7)/8), done: make(chan struct{}, 1)}, nil
 }
 
 // Powered reports the current power state.
@@ -60,21 +83,43 @@ func (s *SlaveBoard) Seq() uint64 { return s.seq }
 // windows that are fast-forwarded analytically.
 func (s *SlaveBoard) SetSeq(seq uint64) { s.seq = seq }
 
+// SetCaptureQueue joins the board's capture in flight, if any, and
+// routes its later captures through q; nil samples them at the join.
+func (s *SlaveBoard) SetCaptureQueue(q CaptureQueue) {
+	s.join()
+	s.queue = q
+}
+
+// Mute releases the board's SRAM: the board stays in the power sequence
+// and answers reads with a blank window of the same length, so the bus
+// timing and its error draws — per byte, independent of the data — are
+// unchanged, but no chip is sampled. A rig mutes the boards whose
+// read-outs nobody collects.
+func (s *SlaveBoard) Mute() {
+	s.join()
+	s.Array, s.pattern, s.armed = nil, nil, false
+	s.buf = s.buf[:cap(s.buf)]
+	clear(s.buf)
+}
+
+// Muted reports whether the board has no SRAM to sample.
+func (s *SlaveBoard) Muted() bool { return s.Array == nil }
+
 // PowerOn latches the SRAM power-up state (the physical capture happens at
 // the supply rise) and schedules boot completion after BootDelay.
 func (s *SlaveBoard) PowerOn() error {
 	if s.powered {
 		return fmt.Errorf("device: board %d already powered", s.ID)
 	}
-	w, err := s.Array.PowerUpWindow()
-	if err != nil {
-		return fmt.Errorf("device: board %d: %w", s.ID, err)
+	if s.armed {
+		s.armed = false
+	} else {
+		s.startCapture()
 	}
-	s.pattern = w
 	s.seq++
-	s.captures++
 	s.powered = true
 	s.booted = false
+	s.served = false
 	return s.sim.Schedule(s.BootDelay, func() {
 		if s.powered {
 			s.booted = true
@@ -82,18 +127,107 @@ func (s *SlaveBoard) PowerOn() error {
 	})
 }
 
+// Precapture hands the next power cycle's capture to the board's queue
+// now, once this cycle's read-out has been served, so a worker samples
+// it while the event loop runs other boards; the next PowerOn adopts it.
+// The caller guarantees that the board powers on again before its chip
+// changes (aging, muting). Without a queue, or unpowered, it does
+// nothing: the next PowerOn captures as usual.
+func (s *SlaveBoard) Precapture() {
+	if s.queue == nil || !s.powered || s.armed || s.Array == nil {
+		return
+	}
+	if s.serve() != nil {
+		return // the next read reports the failed capture
+	}
+	s.startCapture()
+	s.armed = true
+}
+
+// startCapture starts sampling one power-up into the capture buffer.
+func (s *SlaveBoard) startCapture() {
+	if s.Array == nil {
+		return
+	}
+	s.pending = true
+	s.claimed.Store(false)
+	if s.queue != nil {
+		s.queue <- s
+	}
+}
+
+// Capture samples the board's pending power-up capture unless someone
+// already has — the body of a CaptureQueue worker. It is safe to call
+// concurrently with the board's owner.
+func (s *SlaveBoard) Capture() {
+	if !s.claimed.CompareAndSwap(false, true) {
+		return
+	}
+	s.capErr = s.Array.PowerUpWindowInto(s.pattern)
+	s.done <- struct{}{}
+}
+
+// join waits for the capture in flight and returns its error: it samples
+// the capture itself if nobody has claimed it, and while a worker samples
+// it, it runs other queued captures.
+func (s *SlaveBoard) join() error {
+	if !s.pending {
+		return s.capErr
+	}
+	s.pending = false
+	if s.claimed.CompareAndSwap(false, true) {
+		s.capErr = s.Array.PowerUpWindowInto(s.pattern)
+		return s.capErr
+	}
+	for {
+		select {
+		case <-s.done:
+			return s.capErr
+		default:
+		}
+		select {
+		case <-s.done:
+			return s.capErr
+		case b, ok := <-s.queue:
+			if ok {
+				b.Capture()
+			}
+		}
+	}
+}
+
+// serve fills the read-out buffer from this cycle's capture, once per
+// power cycle.
+func (s *SlaveBoard) serve() error {
+	if s.served {
+		return nil
+	}
+	if err := s.join(); err != nil {
+		return fmt.Errorf("device: board %d: %w", s.ID, err)
+	}
+	if s.Array != nil {
+		s.buf = s.pattern.AppendBytes(s.buf[:0])
+	}
+	s.served = true
+	return nil
+}
+
 // PowerOff drops power; the captured pattern is lost (SRAM is volatile).
 func (s *SlaveBoard) PowerOff() error {
 	if !s.powered {
 		return fmt.Errorf("device: board %d already off", s.ID)
 	}
+	if !s.armed {
+		s.join() // a capture nobody read still draws its noise now
+	}
 	s.powered = false
 	s.booted = false
-	s.pattern = nil
 	return nil
 }
 
-// HandleRead implements i2c.Slave: it serves the captured pattern bytes.
+// HandleRead implements i2c.Slave: it serves the captured pattern bytes
+// from the board's read-out buffer, valid until the board's next power
+// cycle.
 func (s *SlaveBoard) HandleRead(n int) ([]byte, error) {
 	if !s.powered {
 		return nil, fmt.Errorf("device: board %d is off", s.ID)
@@ -101,10 +235,10 @@ func (s *SlaveBoard) HandleRead(n int) ([]byte, error) {
 	if !s.booted {
 		return nil, fmt.Errorf("device: board %d still booting", s.ID)
 	}
-	if s.pattern == nil {
-		return nil, fmt.Errorf("device: board %d has no capture", s.ID)
+	if err := s.serve(); err != nil {
+		return nil, err
 	}
-	data := s.pattern.Bytes()
+	data := s.buf
 	if n < len(data) {
 		data = data[:n]
 	}
@@ -116,8 +250,21 @@ func (s *SlaveBoard) HandleWrite(data []byte) error {
 	return fmt.Errorf("device: board %d accepts no writes (%d bytes)", s.ID, len(data))
 }
 
-// Pattern returns the currently captured pattern (nil when off).
-func (s *SlaveBoard) Pattern() *bitvec.Vector { return s.pattern }
+// CaptureQueue carries slave boards' power-up captures to worker
+// goroutines, each running Serve. A board on a queue enqueues itself
+// when it starts a capture; whoever claims the capture first samples it,
+// so an entry whose capture the board's owner already joined is skipped.
+// The owner of the boards (the rig's event loop) is their only sender:
+// it takes every board off the queue (SetCaptureQueue(nil), which joins)
+// before closing it.
+type CaptureQueue chan *SlaveBoard
+
+// Serve runs queued captures until the queue is closed.
+func (q CaptureQueue) Serve() {
+	for b := range q {
+		b.Capture()
+	}
+}
 
 // Transition is one power-switch edge, the raw material of the Fig. 3
 // waveforms.

@@ -80,7 +80,7 @@ func TestPowerCycleLifecycle(t *testing.T) {
 	if err := b.PowerOff(); err != nil {
 		t.Fatal(err)
 	}
-	if b.Pattern() != nil {
+	if _, err := b.HandleRead(16); err == nil {
 		t.Fatal("pattern survived power-off (SRAM is volatile)")
 	}
 	if err := b.PowerOff(); err == nil {
@@ -209,10 +209,11 @@ func TestCyclePeriodAndOnTime(t *testing.T) {
 func TestRaspberryPi(t *testing.T) {
 	pi := NewRaspberryPi()
 	b := newTestBoard(t, desim.New(), 0)
-	if err := b.PowerOn(); err != nil {
+	pattern, err := b.Array.PowerUpWindow()
+	if err != nil {
 		t.Fatal(err)
 	}
-	rec := store.Record{Board: 0, Seq: 1, Wall: store.Epoch, Data: b.Pattern()}
+	rec := store.Record{Board: 0, Seq: 1, Wall: store.Epoch, Data: pattern}
 	if err := pi.Ingest(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -227,5 +228,78 @@ func TestRaspberryPi(t *testing.T) {
 	// Bad record propagates an error.
 	if err := pi.Ingest(store.Record{Board: 0, Wall: store.Epoch}); err == nil {
 		t.Fatal("record without data accepted")
+	}
+}
+
+// readCycle powers b on, boots it, reads its window, lets precapture
+// hand over the next cycle's capture, reads again and powers off,
+// returning the first read.
+func readCycle(t *testing.T, sim *desim.Simulator, b *SlaveBoard, precapture bool) []byte {
+	t.Helper()
+	if err := b.PowerOn(); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(sim.Now() + desim.FromSeconds(1))
+	data, err := b.HandleRead(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = append([]byte(nil), data...)
+	if precapture {
+		b.Precapture()
+	}
+	again, err := b.HandleRead(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(data) {
+		t.Fatal("a second read in the same power cycle served other bytes")
+	}
+	if err := b.PowerOff(); err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCaptureQueueKeepsPatterns: a board whose captures run on queue
+// workers, each next capture handed over early by Precapture, serves the
+// same read-outs, cycle by cycle, as a board sampling at the read.
+func TestCaptureQueueKeepsPatterns(t *testing.T) {
+	simA, simB := desim.New(), desim.New()
+	inline, queued := newTestBoard(t, simA, 2), newTestBoard(t, simB, 2)
+	q := make(CaptureQueue, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		q.Serve()
+	}()
+	queued.SetCaptureQueue(q)
+	for c := range 5 {
+		want := readCycle(t, simA, inline, false)
+		if got := readCycle(t, simB, queued, c < 4); string(got) != string(want) {
+			t.Fatalf("cycle %d: queued board served other bytes", c)
+		}
+	}
+	queued.SetCaptureQueue(nil)
+	close(q)
+	<-done
+	if inline.Array.PowerUps() != 5 || queued.Array.PowerUps() != 5 {
+		t.Fatalf("power-ups sampled: inline %d, queued %d, want 5 each",
+			inline.Array.PowerUps(), queued.Array.PowerUps())
+	}
+}
+
+// TestMutedBoardServesBlankWindow: a muted board keeps its place on the
+// bus with a blank window of the full length and samples nothing.
+func TestMutedBoardServesBlankWindow(t *testing.T) {
+	sim := desim.New()
+	b := newTestBoard(t, sim, 0)
+	b.Mute()
+	if !b.Muted() || b.Array != nil {
+		t.Fatal("muted board still holds its SRAM")
+	}
+	data := readCycle(t, sim, b, true)
+	if len(data) != 1024 || string(data) != string(make([]byte, 1024)) {
+		t.Fatalf("muted board served %d bytes, want 1024 zeros", len(data))
 	}
 }

@@ -21,6 +21,8 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/bitvec"
@@ -31,6 +33,7 @@ import (
 	"repro/internal/silicon"
 	"repro/internal/sram"
 	"repro/internal/store"
+	"repro/internal/stream"
 )
 
 // Config describes the rig layout and timing.
@@ -109,6 +112,7 @@ type Rig struct {
 	wallBase       time.Time
 	windowStartSim desim.Time
 	readErrors     uint64
+	workers        int // capture and aging width; <= 0: one per logical CPU
 
 	// tap, when non-nil, receives every read-out record in capture order
 	// instead of the Pi archive (the streaming pipeline's path: nothing is
@@ -195,8 +199,52 @@ func New(cfg Config) (*Rig, error) {
 // Boards returns all slave boards in global ID order.
 func (r *Rig) Boards() []*device.SlaveBoard { return r.boards }
 
-// Arrays returns the SRAM arrays of all boards in global ID order.
+// Arrays returns the SRAM arrays of all boards in global ID order; a
+// muted board's entry is nil.
 func (r *Rig) Arrays() []*sram.Array { return r.arrays }
+
+// SetWorkers bounds how many power-up captures, and how many boards'
+// aging, run at once: the event loop plus n-1 worker goroutines. n <= 0
+// runs one per logical CPU; 1 samples every capture on the event loop.
+// The width never changes the records.
+func (r *Rig) SetWorkers(n int) { r.workers = n }
+
+// width resolves SetWorkers' bound, capped at the board count.
+func (r *Rig) width() int {
+	n := r.workers
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return max(min(n, len(r.boards)), 1)
+}
+
+// Mute stops sampling the given boards (global IDs): each keeps its place
+// in the power sequence and its bus timing and serves a blank window
+// (device.SlaveBoard.Mute), so every other board's records are
+// unchanged, but its read-outs are discarded at the master. Call it
+// between windows.
+func (r *Rig) Mute(boards ...int) error {
+	for _, id := range boards {
+		if id < 0 || id >= len(r.boards) {
+			return fmt.Errorf("harness: mute board %d of %d", id, len(r.boards))
+		}
+		r.boards[id].Mute()
+		r.arrays[id] = nil
+	}
+	return nil
+}
+
+// AgeTo advances every unmuted board's SRAM to the given age in months,
+// the boards spread over the rig's worker width.
+func (r *Rig) AgeTo(months float64) error {
+	jobs := make([]func() error, 0, len(r.arrays))
+	for _, a := range r.arrays {
+		if a != nil {
+			jobs = append(jobs, func() error { return a.AgeTo(months) })
+		}
+	}
+	return stream.NewPool(r.width()).Run(jobs...)
+}
 
 // Archive returns the Pi's measurement archive.
 func (r *Rig) Archive() *store.Archive { return r.pi.Archive }
@@ -265,6 +313,7 @@ func (r *Rig) runWindow(measurements int, wallStart time.Time) error {
 	}
 	r.wallBase = wallStart
 	r.windowStartSim = r.sim.Now()
+	defer r.startCaptures()()
 	for i, m := range r.masters {
 		m.completed = 0
 		m.target = uint64(measurements)
@@ -289,6 +338,39 @@ func (r *Rig) runWindow(measurements int, wallStart time.Time) error {
 		}
 	}
 	return nil
+}
+
+// startCaptures puts the boards on a capture queue served by width-1
+// worker goroutines for one window (none at width 1: the event loop
+// samples every capture itself) and returns the window's teardown: join
+// every pending capture — an aborted window leaves some — then close the
+// queue and wait for the workers, so no goroutine outlives the window.
+func (r *Rig) startCaptures() (stop func()) {
+	helpers := r.width() - 1
+	if helpers == 0 {
+		return func() {}
+	}
+	// A board has at most one capture in flight, so one slot per board
+	// rarely blocks the event loop on a send.
+	q := make(device.CaptureQueue, len(r.boards))
+	for _, b := range r.boards {
+		b.SetCaptureQueue(q)
+	}
+	var wg sync.WaitGroup
+	for range helpers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q.Serve()
+		}()
+	}
+	return func() {
+		for _, b := range r.boards {
+			b.SetCaptureQueue(nil)
+		}
+		close(q)
+		wg.Wait()
+	}
 }
 
 func anyRunning(ms []*master) bool {
@@ -342,6 +424,11 @@ func (m *master) readSlave(i int, t0 desim.Time) {
 	}
 	s := m.slaves[i]
 	data, dur, err := m.bus.Read(s.Addr, m.rig.cfg.Profile.ReadWindowBytes)
+	if m.completed+1 < m.target {
+		// The board powers on again in this window, before any aging:
+		// its next capture can run while the other boards are read.
+		s.Precapture()
+	}
 	mm := m
 	_ = m.rig.sim.Schedule(dur, func() {
 		if err != nil {
@@ -353,8 +440,12 @@ func (m *master) readSlave(i int, t0 desim.Time) {
 	})
 }
 
-// archive forwards one read-out to the Raspberry Pi (step 5).
+// archive forwards one read-out to the Raspberry Pi (step 5). A muted
+// board's read-out is discarded: nobody collects it.
 func (m *master) archive(s *device.SlaveBoard, data []byte) {
+	if s.Muted() {
+		return
+	}
 	bits := m.rig.cfg.Profile.ReadWindowBits()
 	v, err := bitvec.FromBytes(data, bits)
 	if err != nil {

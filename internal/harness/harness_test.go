@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -274,5 +275,116 @@ func TestStreamWindowAbortPoisonsRig(t *testing.T) {
 	}
 	if err := r.StreamWindow(2, store.Epoch.Add(time.Hour), func(store.Record) error { return nil }); err == nil {
 		t.Fatal("poisoned rig accepted another stream window")
+	}
+}
+
+// TestStreamWindowAbortJoinsCaptures: a window stopped mid-cycle by its
+// sink, with captures on worker goroutines, joins every capture it
+// started before returning — each board's chip has sampled every power-up
+// the board latched, and reading the chips does not race a worker — and
+// leaves no goroutine behind.
+func TestStreamWindowAbortJoinsCaptures(t *testing.T) {
+	r := smallRig(t, 8)
+	r.SetWorkers(4)
+	before := runtime.NumGoroutine()
+	stop := errors.New("stop")
+	n := 0
+	err := r.StreamWindow(50, store.Epoch, func(store.Record) error {
+		if n++; n == 37 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) {
+		t.Fatalf("aborted window: err = %v, want stop", err)
+	}
+	for i, b := range r.Boards() {
+		if got := r.Arrays()[i].PowerUps(); got < b.Seq() {
+			t.Fatalf("board %d: %d power-ups sampled of %d latched", i, got, b.Seq())
+		}
+	}
+	for range 100 {
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("%d goroutines after the aborted window, %d before", runtime.NumGoroutine(), before)
+}
+
+// TestWorkersKeepRecords: the capture width changes no record, with I2C
+// error injection on.
+func TestWorkersKeepRecords(t *testing.T) {
+	records := func(workers int) []store.Record {
+		cfg := testConfig(t)
+		cfg.SlavesPerLayer = 4
+		cfg.I2CErrorRate = 0.002
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SetWorkers(workers)
+		var out []store.Record
+		if err := r.StreamWindow(6, store.Epoch, func(rec store.Record) error {
+			out = append(out, rec)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := records(1)
+	for _, w := range []int{2, 3, 0} {
+		got := records(w)
+		if len(got) != len(want) {
+			t.Fatalf("workers %d: %d records, want %d", w, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Board != want[i].Board || got[i].Seq != want[i].Seq || !got[i].Data.Equal(want[i].Data) {
+				t.Fatalf("workers %d: record %d differs from width 1", w, i)
+			}
+		}
+	}
+}
+
+// TestMuteKeepsOtherBoards: a muted board's read-outs are discarded, and
+// every other board records what it records on the unmuted rig — the
+// muted board still answers on the bus, drawing the same byte errors.
+func TestMuteKeepsOtherBoards(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.SlavesPerLayer = 2
+	cfg.I2CErrorRate = 0.003
+	full, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	muted, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := muted.Mute(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := muted.Mute(4); err == nil {
+		t.Fatal("muting a board the rig does not have succeeded")
+	}
+	for _, r := range []*Rig{full, muted} {
+		if err := r.RunWindow(8, store.Epoch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := muted.Archive().Boards(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("muted rig archived boards %v, want [1 2]", got)
+	}
+	for _, b := range []int{1, 2} {
+		want, got := full.Archive().Records(b), muted.Archive().Records(b)
+		if len(got) != len(want) {
+			t.Fatalf("board %d: %d records, want %d", b, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].Data.Equal(want[i].Data) {
+				t.Fatalf("board %d record %d differs once boards 0 and 3 are muted", b, i)
+			}
+		}
 	}
 }

@@ -165,7 +165,7 @@ type measureRequest struct {
 	Month int `json:"month"`
 	Size  int `json:"size"`
 	// Workers is this shard's slice of the campaign's sampling
-	// parallelism budget (0: one goroutine per device).
+	// parallelism budget (0: unbounded, one worker per logical CPU).
 	Workers int `json:"workers"`
 }
 

@@ -88,8 +88,9 @@ type Config struct {
 
 	// Workers bounds the TOTAL sampling parallelism across all concurrent
 	// points: every point's direct-sampling source shares one worker pool
-	// (<= 0: one goroutine per device per in-flight point, the
-	// single-assessment default). With Sim.Shards the budget is PER
+	// (<= 0: unbounded, one worker per logical CPU per in-flight point,
+	// the single-assessment default). A rig point captures on its own
+	// workers, one per logical CPU. With Sim.Shards the budget is PER
 	// CORNER — each corner's worker processes split it among themselves,
 	// but corners do not share a pool across process boundaries.
 	Workers int
@@ -293,7 +294,8 @@ func RunPoints(ctx context.Context, cfg Config, points []aging.Scenario) (*Resul
 // simSources opens the sweep's spec once per point, at the point's
 // condition. In-process sim sources share one pool sized by workers,
 // sharded sources split workers among their own processes, and the rig
-// pumps in its point's goroutine.
+// pumps in its point's goroutine, capturing on one worker per logical
+// CPU.
 func simSources(spec core.SimSpec, workers int) func(aging.Scenario) (core.Source, error) {
 	pool := stream.NewPool(workers)
 	return func(sc aging.Scenario) (core.Source, error) {

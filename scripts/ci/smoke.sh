@@ -29,6 +29,12 @@ echo "== direct single-process run (rig path)"
     -harness > "$workdir/direct.txt"
 extract_table "$workdir/direct.txt" > "$workdir/direct.table"
 
+echo "== rig path with every capture on the event loop (-workers 1)"
+"$workdir/agingtest" -devices $DEVICES -months $MONTHS -window $WINDOW \
+    -harness -workers 1 > "$workdir/rig-serial.txt"
+extract_table "$workdir/rig-serial.txt" > "$workdir/rig-serial.table"
+diff -u "$workdir/direct.table" "$workdir/rig-serial.table"
+
 echo "== sharded run: 2 shardworker subprocesses, archive streamed"
 "$workdir/agingtest" -devices $DEVICES -months $MONTHS -window $WINDOW \
     -shards 2 -shardworker "$workdir/shardworker" \
