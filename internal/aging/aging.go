@@ -178,12 +178,20 @@ type TransistorIncrements struct {
 	P1, P2, N1, N2 float64
 }
 
+// Split divides a full-imbalance drift increment dDelta between the two
+// mechanisms: nbti = dDelta·NBTIShare goes to the PMOS pair, pbti =
+// dDelta·PBTIShare to the NMOS pair. Resolve weights each by the cell's
+// occupancy; a per-cell loop with one dDelta for every cell calls Split
+// once and applies the same products itself.
+func (k Kinetics) Split(dDelta float64) (nbti, pbti float64) {
+	return dDelta * k.NBTIShare, dDelta * k.PBTIShare()
+}
+
 // Resolve splits a full-imbalance drift increment dDelta for a cell with
 // occupancy q into per-transistor contributions. The expected sum of the
 // signed contributions equals OccupancyDrift(q, dDelta).
 func (k Kinetics) Resolve(q, dDelta float64) TransistorIncrements {
-	nbti := dDelta * k.NBTIShare
-	pbti := dDelta * k.PBTIShare()
+	nbti, pbti := k.Split(dDelta)
 	return TransistorIncrements{
 		// State 0 occupancy (1-q) stresses P2/N1 (skew-positive).
 		P2: nbti * (1 - q),

@@ -172,13 +172,30 @@ func (a *Array) PowerUps() uint64 { return a.powerUps }
 
 // Skew returns the current total power-up skew of cell i.
 func (a *Array) Skew(i int) float64 {
-	return a.static[i] + (a.dP2[i] - a.dP1[i]) + (a.dN1[i] - a.dN2[i]) + a.dDisp[i]
+	return skew(a.static[i], a.dP1[i], a.dP2[i], a.dN1[i], a.dN2[i], a.dDisp[i])
+}
+
+// skew is the one definition of a cell's total power-up skew: the static
+// skew, the NBTI pair's net shift, the PBTI pair's net shift and the
+// dispersion drift, summed in that order.
+func skew(static, dP1, dP2, dN1, dN2, dDisp float64) float64 {
+	return static + (dP2 - dP1) + (dN1 - dN2) + dDisp
 }
 
 // OneProbability returns the current probability that cell i powers up
 // to 1.
 func (a *Array) OneProbability(i int) float64 {
-	return stats.PhiFast(a.Skew(i) / a.noiseScale)
+	return oneProbability(a.Skew(i), a.noiseScale)
+}
+
+// oneProbability is Phi(x/scale) for a cell of skew x. The division is
+// skipped only at scale 1, where x/1 == x exactly in IEEE 754, so both
+// branches give the value the division would.
+func oneProbability(x, scale float64) float64 {
+	if scale != 1 {
+		x /= scale
+	}
+	return stats.PhiFast(x)
 }
 
 // NoiseScale returns the chip's relative power-up noise sigma.
@@ -215,6 +232,16 @@ const maxDriftStep = 0.01
 // AgeTo advances the chip's BTI state to the given age in months using the
 // profile's kinetics. Ageing is one-directional; an error is returned if
 // months is behind the current age.
+//
+// The full-imbalance drift between the two ages is integrated in
+// ceil(drift/maxDriftStep) equal steps. Each step sweeps every cell once:
+// the cell's occupancy q = Phi(skew/scale) at the start of the step
+// weights its four BTI increments (aging.Kinetics.Resolve) and the
+// dispersion drift grows by disp·gamma·h. The sweep keeps the slices,
+// the split factors and the noise scale in locals; its floating-point
+// operations are those of Skew, Resolve and OneProbability in the same
+// order, so the state it leaves is bit-identical to calling them per
+// cell.
 func (a *Array) AgeTo(months float64) error {
 	if months < a.ageMonths {
 		return fmt.Errorf("sram: cannot rejuvenate from %.3f to %.3f months", a.ageMonths, months)
@@ -222,35 +249,51 @@ func (a *Array) AgeTo(months float64) error {
 	if months == a.ageMonths {
 		return nil
 	}
-	k := a.kin
-	total := k.DriftIncrement(a.ageMonths, months)
+	total := a.kin.DriftIncrement(a.ageMonths, months)
 	if total > 0 {
 		steps := int(math.Ceil(total / maxDriftStep))
-		h := total / float64(steps)
-		b := a.disp
-		for s := 0; s < steps; s++ {
-			for i := range a.static {
-				q := stats.PhiFast(a.Skew(i) / a.noiseScale)
-				inc := k.Resolve(q, h)
-				a.dP1[i] += inc.P1
-				a.dP2[i] += inc.P2
-				a.dN1[i] += inc.N1
-				a.dN2[i] += inc.N2
-				a.dDisp[i] += b * a.gamma[i] * h
-			}
-		}
+		a.ageSteps(steps, total/float64(steps))
 	}
 	a.ageMonths = months
 	a.threshValid = false
 	return nil
 }
 
+// ageSteps runs steps drift steps of size h over every cell. Every
+// per-cell slice is resliced to the window length so the inner loop runs
+// without bounds checks.
+func (a *Array) ageSteps(steps int, h float64) {
+	nbti, pbti := a.kin.Split(h)
+	b, scale := a.disp, a.noiseScale
+	static := a.static
+	n := len(static)
+	dP1, dP2, dN1, dN2 := a.dP1[:n], a.dP2[:n], a.dN1[:n], a.dN2[:n]
+	dDisp, gamma := a.dDisp[:n], a.gamma[:n]
+	for s := 0; s < steps; s++ {
+		for i, st := range static {
+			q := oneProbability(skew(st, dP1[i], dP2[i], dN1[i], dN2[i], dDisp[i]), scale)
+			dP1[i] += nbti * q
+			dP2[i] += nbti * (1 - q)
+			dN1[i] += pbti * (1 - q)
+			dN2[i] += pbti * q
+			dDisp[i] += b * gamma[i] * h
+		}
+	}
+}
+
 // thresholds returns the cached per-cell Bernoulli thresholds,
-// rebuilding them after aging or a noise-scale change.
+// rebuilding them after aging or a noise-scale change. The rebuild is
+// rng.BernoulliThreshold(OneProbability(i)) for every cell, swept over
+// local slices as ageSteps does.
 func (a *Array) thresholds() []uint64 {
 	if !a.threshValid {
-		for i := range a.thresh {
-			a.thresh[i] = rng.BernoulliThreshold(a.OneProbability(i))
+		scale := a.noiseScale
+		static := a.static
+		n := len(static)
+		dP1, dP2, dN1, dN2, dDisp := a.dP1[:n], a.dP2[:n], a.dN1[:n], a.dN2[:n], a.dDisp[:n]
+		thresh := a.thresh[:n]
+		for i, st := range static {
+			thresh[i] = rng.BernoulliThreshold(oneProbability(skew(st, dP1[i], dP2[i], dN1[i], dN2[i], dDisp[i]), scale))
 		}
 		a.threshValid = true
 	}

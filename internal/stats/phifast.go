@@ -30,7 +30,10 @@ func PhiFast(x float64) float64 {
 		return 1
 	}
 	f := (x + phiRange) * (float64(phiTableLen-1) / (2 * phiRange))
-	i := int(f)
+	// One input below phiRange, the float just under 9, rounds x+phiRange
+	// up to 2·phiRange and f to the last table point; clamping the index
+	// keeps phiTable[i+1] in range and gives frac = 1 there.
+	i := min(int(f), phiTableLen-2)
 	frac := f - float64(i)
 	return phiTable[i] + frac*(phiTable[i+1]-phiTable[i])
 }
