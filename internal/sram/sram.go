@@ -53,7 +53,9 @@ type Array struct {
 	disp float64
 
 	// Per-cell state over the read window. Skew quantities are in
-	// noise-sigma units.
+	// noise-sigma units. The five shift slices are the aging state: they
+	// stay nil until the first AgeTo that integrates a nonzero drift, and
+	// an unaged chip reads every shift as 0 (see allocShifts).
 	static []float64 // static skew from process variation
 	dP1    []float64 // NBTI Vth shift of P1 (skew-weighted), stressed by state 1
 	dP2    []float64 // NBTI Vth shift of P2, stressed by state 0
@@ -83,7 +85,9 @@ type Array struct {
 // New creates a chip instance of the given profile, simulating its read
 // window. The seed stream determines both the chip's process variation
 // and its noise sequence; the same seed always reproduces the same chip
-// and measurement history.
+// and measurement history. The chip starts unaged and holds 24 bytes per
+// cell (static skew, dispersion coefficient, threshold); the aging state
+// is allocated by the first aging step.
 func New(profile silicon.DeviceProfile, seed *rng.Source) (*Array, error) {
 	if err := profile.Validate(); err != nil {
 		return nil, err
@@ -98,11 +102,6 @@ func New(profile silicon.DeviceProfile, seed *rng.Source) (*Array, error) {
 		model:      model,
 		params:     model.SampleParams(profile, seed.Derive(0)),
 		static:     make([]float64, n),
-		dP1:        make([]float64, n),
-		dP2:        make([]float64, n),
-		dN1:        make([]float64, n),
-		dN2:        make([]float64, n),
-		dDisp:      make([]float64, n),
 		gamma:      make([]float64, n),
 		noise:      seed.Derive(2),
 		noiseScale: 1,
@@ -115,13 +114,14 @@ func New(profile silicon.DeviceProfile, seed *rng.Source) (*Array, error) {
 }
 
 // Reset re-derives the chip in place from seed, as if freshly built with
-// New(profile, seed), reusing every per-cell slice: age returns to zero,
-// skews and parameters are resampled from the seed's derivation streams,
-// the noise stream restarts, and the noise scale returns to nominal. It
-// is the rebuild step of lazy chip construction — a worker slot holds one
-// Array per profile and Resets it to whichever device it measures next —
-// and is bit-identical to a fresh New because derivation is label-based
-// and the parent seed is never advanced.
+// New(profile, seed), reusing every per-cell slice: age returns to zero
+// (aging state already allocated is kept, zeroed), skews and parameters
+// are resampled from the seed's derivation streams, the noise stream
+// restarts, and the noise scale returns to nominal. It is the rebuild
+// step of lazy chip construction — a worker slot holds one Array per
+// profile and Resets it to whichever device it measures next — and is
+// bit-identical to a fresh New because derivation is label-based and the
+// parent seed is never advanced.
 func (a *Array) Reset(seed *rng.Source) {
 	seed.DeriveInto(0, &a.derived)
 	a.params = a.model.SampleParams(a.profile, &a.derived)
@@ -172,6 +172,9 @@ func (a *Array) PowerUps() uint64 { return a.powerUps }
 
 // Skew returns the current total power-up skew of cell i.
 func (a *Array) Skew(i int) float64 {
+	if a.dP1 == nil {
+		return skew(a.static[i], 0, 0, 0, 0, 0)
+	}
 	return skew(a.static[i], a.dP1[i], a.dP2[i], a.dN1[i], a.dN2[i], a.dDisp[i])
 }
 
@@ -221,6 +224,10 @@ func (a *Array) SetNoiseScale(scale float64) error {
 // TransistorShifts returns the accumulated BTI threshold shifts of the
 // four core transistors of cell i (skew-weighted units).
 func (a *Array) TransistorShifts(i int) aging.TransistorIncrements {
+	if a.dP1 == nil {
+		_ = a.static[i] // an unaged chip still rejects a cell it lacks
+		return aging.TransistorIncrements{}
+	}
 	return aging.TransistorIncrements{P1: a.dP1[i], P2: a.dP2[i], N1: a.dN1[i], N2: a.dN2[i]}
 }
 
@@ -252,11 +259,25 @@ func (a *Array) AgeTo(months float64) error {
 	total := a.kin.DriftIncrement(a.ageMonths, months)
 	if total > 0 {
 		steps := int(math.Ceil(total / maxDriftStep))
+		a.allocShifts()
 		a.ageSteps(steps, total/float64(steps))
 	}
 	a.ageMonths = months
 	a.threshValid = false
 	return nil
+}
+
+// allocShifts gives an unaged array its aging state: five zeroed
+// window-long slices carved from one allocation. Zeros are what an unaged
+// chip reads, so allocating changes no result.
+func (a *Array) allocShifts() {
+	if a.dP1 != nil {
+		return
+	}
+	n := len(a.static)
+	buf := make([]float64, 5*n)
+	a.dP1, a.dP2, a.dN1 = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n]
+	a.dN2, a.dDisp = buf[3*n:4*n:4*n], buf[4*n:]
 }
 
 // ageSteps runs steps drift steps of size h over every cell. Every
@@ -284,16 +305,23 @@ func (a *Array) ageSteps(steps int, h float64) {
 // thresholds returns the cached per-cell Bernoulli thresholds,
 // rebuilding them after aging or a noise-scale change. The rebuild is
 // rng.BernoulliThreshold(OneProbability(i)) for every cell, swept over
-// local slices as ageSteps does.
+// local slices as ageSteps does. An unaged chip sums the same zero
+// shifts without reading them.
 func (a *Array) thresholds() []uint64 {
 	if !a.threshValid {
 		scale := a.noiseScale
 		static := a.static
 		n := len(static)
-		dP1, dP2, dN1, dN2, dDisp := a.dP1[:n], a.dP2[:n], a.dN1[:n], a.dN2[:n], a.dDisp[:n]
 		thresh := a.thresh[:n]
-		for i, st := range static {
-			thresh[i] = rng.BernoulliThreshold(oneProbability(skew(st, dP1[i], dP2[i], dN1[i], dN2[i], dDisp[i]), scale))
+		if a.dP1 == nil {
+			for i, st := range static {
+				thresh[i] = rng.BernoulliThreshold(oneProbability(skew(st, 0, 0, 0, 0, 0), scale))
+			}
+		} else {
+			dP1, dP2, dN1, dN2, dDisp := a.dP1[:n], a.dP2[:n], a.dN1[:n], a.dN2[:n], a.dDisp[:n]
+			for i, st := range static {
+				thresh[i] = rng.BernoulliThreshold(oneProbability(skew(st, dP1[i], dP2[i], dN1[i], dN2[i], dDisp[i]), scale))
+			}
 		}
 		a.threshValid = true
 	}
@@ -385,9 +413,14 @@ type Snapshot struct {
 	DDisp     []float64
 }
 
-// Snapshot returns a deep copy of the aging state.
+// Snapshot returns a deep copy of the aging state: full-length slices,
+// zero-filled for an unaged chip.
 func (a *Array) Snapshot() Snapshot {
-	cp := func(x []float64) []float64 { return append([]float64(nil), x...) }
+	cp := func(x []float64) []float64 {
+		out := make([]float64, a.Cells())
+		copy(out, x)
+		return out
+	}
 	return Snapshot{
 		AgeMonths: a.ageMonths,
 		DP1:       cp(a.dP1), DP2: cp(a.dP2),
@@ -403,6 +436,7 @@ func (a *Array) Restore(s Snapshot) error {
 	if len(s.DP1) != a.Cells() {
 		return fmt.Errorf("sram: snapshot has %d cells, array has %d", len(s.DP1), a.Cells())
 	}
+	a.allocShifts()
 	copy(a.dP1, s.DP1)
 	copy(a.dP2, s.DP2)
 	copy(a.dN1, s.DN1)

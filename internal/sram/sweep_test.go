@@ -10,9 +10,18 @@ import (
 	"repro/internal/stats"
 )
 
+// shifts returns a's five aging-state slices, allocating them zeroed on
+// an unaged array, so the reference loops below read and write the
+// fields directly as AgeTo first did.
+func shifts(a *Array) (dP1, dP2, dN1, dN2, dDisp []float64) {
+	a.allocShifts()
+	return a.dP1, a.dP2, a.dN1, a.dN2, a.dDisp
+}
+
 // refSkew is the per-cell skew sum as Skew first spelled it out.
 func refSkew(a *Array, i int) float64 {
-	return a.static[i] + (a.dP2[i] - a.dP1[i]) + (a.dN1[i] - a.dN2[i]) + a.dDisp[i]
+	dP1, dP2, dN1, dN2, dDisp := shifts(a)
+	return a.static[i] + (dP2[i] - dP1[i]) + (dN1[i] - dN2[i]) + dDisp[i]
 }
 
 // refAgeTo is the aging loop in its per-cell form: every cell reads its
@@ -25,15 +34,16 @@ func refAgeTo(a *Array, months float64) {
 		steps := int(math.Ceil(total / maxDriftStep))
 		h := total / float64(steps)
 		b := a.disp
+		dP1, dP2, dN1, dN2, dDisp := shifts(a)
 		for s := 0; s < steps; s++ {
 			for i := range a.static {
 				q := stats.PhiFast(refSkew(a, i) / a.noiseScale)
 				inc := k.Resolve(q, h)
-				a.dP1[i] += inc.P1
-				a.dP2[i] += inc.P2
-				a.dN1[i] += inc.N1
-				a.dN2[i] += inc.N2
-				a.dDisp[i] += b * a.gamma[i] * h
+				dP1[i] += inc.P1
+				dP2[i] += inc.P2
+				dN1[i] += inc.N1
+				dN2[i] += inc.N2
+				dDisp[i] += b * a.gamma[i] * h
 			}
 		}
 	}

@@ -21,13 +21,17 @@ var phiTable = func() []float64 {
 // PhiFast returns the standard normal CDF using a lookup table with linear
 // interpolation. It is ~10x faster than Phi and accurate to ~4e-8 over
 // [-9, 9]; outside that range it saturates to 0 or 1 (true tail mass
-// < 1e-19). Intended for the inner loops of calibration and cell aging.
+// < 1e-19). NaN gives NaN, as Phi does. Intended for the inner loops of
+// calibration and cell aging.
 func PhiFast(x float64) float64 {
 	if x <= -phiRange {
 		return 0
 	}
 	if x >= phiRange {
 		return 1
+	}
+	if x != x { // NaN fails both range checks; int(NaN) would index off the table
+		return x
 	}
 	f := (x + phiRange) * (float64(phiTableLen-1) / (2 * phiRange))
 	// One input below phiRange, the float just under 9, rounds x+phiRange

@@ -53,23 +53,27 @@ func TestPhiFastTableEdge(t *testing.T) {
 	}
 }
 
-// FuzzPhiFast checks PhiFast on any finite input: it never panics, stays
-// in [0, 1], is within PhiFastErr of Phi inside (-9, 9) and saturates to
-// exactly 0 or 1 outside.
+// FuzzPhiFast checks PhiFast on any input: it never panics, gives NaN
+// for NaN, stays in [0, 1] otherwise, is within PhiFastErr of Phi inside
+// (-9, 9) and saturates to exactly 0 or 1 outside, infinities included.
 func FuzzPhiFast(f *testing.F) {
 	for _, x := range []float64{
 		0, 1, -1, 8.999, -8.999, phiRange, -phiRange,
 		math.Nextafter(phiRange, 0), math.Nextafter(-phiRange, 0),
 		math.Nextafter(phiRange, 10), math.Nextafter(-phiRange, -10),
 		1e300, -1e300, math.SmallestNonzeroFloat64,
+		math.NaN(), math.Inf(-1), math.Inf(1),
 	} {
 		f.Add(x)
 	}
 	f.Fuzz(func(t *testing.T, x float64) {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			t.Skip()
-		}
 		got := PhiFast(x)
+		if math.IsNaN(x) {
+			if !math.IsNaN(got) {
+				t.Fatalf("PhiFast(NaN) = %v, want NaN", got)
+			}
+			return
+		}
 		if !(got >= 0 && got <= 1) {
 			t.Fatalf("PhiFast(%v) = %v outside [0, 1]", x, got)
 		}

@@ -101,23 +101,33 @@ func (a *FHW) Mean() (float64, error) {
 // entropy.OneProbabilities — from which the noise min-entropy (§IV-C2)
 // and the one-probability map derive. The counts are kept bit-sliced:
 // plane j is one word per 64 cells, and bit b of plane j's word w is bit
-// j of cell 64w+b's count. Add is a carry-save add of the measurement's
-// words into the planes, about two plane updates per word instead of one
-// increment per set bit. Sixteen planes (counts to 65,535) are reserved
-// at the first Add; a longer stream appends a plane whenever the count
-// would outgrow them. State is one bit per cell and plane: 16 bits per
-// cell up to 65,535 measurements, bits.Len(n) past that.
+// j of cell 64w+b's count.
+//
+// An add goes into four low planes first: a 4-bit counter per cell, kept
+// word-interleaved, that takes each measurement word with a fixed
+// carry-save of seven operations (addLow). Every 15 adds, and before any
+// read of the counts, flush adds the low counters into the wide planes
+// and clears them. Sixteen wide planes (counts to 65,535) are reserved at
+// the first Add; a longer stream appends a plane whenever the count would
+// outgrow them. State is 20 bits per cell up to 65,535 measurements.
 type Ones struct {
-	cells  int
-	words  int      // words per plane
-	planes []uint64 // plane j is planes[j*words : (j+1)*words]
-	count  int
-	probs  []float64 // Probabilities scratch, reused across calls
+	cells   int
+	words   int         // words per plane
+	planes  []uint64    // wide plane j is planes[j*words : (j+1)*words]
+	low     [][4]uint64 // low counters: low[w][j] is bit j of word w's counts
+	pending int         // adds held in low since the last flush
+	count   int
+	probs   []float64 // Probabilities scratch, reused across calls
+	terms   []float64 // NoiseMinEntropy per-count terms, reused across calls
 }
 
 // reservedPlanes is the plane count allocated at the first Add: enough
 // for windows of up to 65,535 measurements without growing.
 const reservedPlanes = 16
+
+// flushEvery is the number of adds the 4-bit low counters take before
+// they are flushed: 15 keeps every counter below 16.
+const flushEvery = 15
 
 // NewOnes returns a one-count accumulator; the cell count is fixed by the
 // first measurement.
@@ -125,9 +135,25 @@ func NewOnes() *Ones { return &Ones{} }
 
 // Add folds one measurement.
 func (a *Ones) Add(m *bitvec.Vector) error {
+	if err := a.admit(m); err != nil {
+		return err
+	}
+	ms := m.Words()
+	low := a.low[:len(ms)]
+	for wi, x := range ms {
+		addLow(&low[wi], x)
+	}
+	a.added()
+	return nil
+}
+
+// admit sizes the planes at the first measurement, rejects one of another
+// width, and grows the wide planes when the next add would outgrow them.
+func (a *Ones) admit(m *bitvec.Vector) error {
 	if a.count == 0 {
 		a.cells, a.words = m.Len(), len(m.Words())
 		a.planes = make([]uint64, reservedPlanes*a.words)
+		a.low = make([][4]uint64, a.words)
 	}
 	if m.Len() != a.cells {
 		return fmt.Errorf("stream: measurement %d has %d bits, want %d", a.count, m.Len(), a.cells)
@@ -135,15 +161,65 @@ func (a *Ones) Add(m *bitvec.Vector) error {
 	if a.words > 0 && a.count+1 >= 1<<(len(a.planes)/a.words) {
 		a.planes = append(a.planes, make([]uint64, a.words)...)
 	}
-	for wi, x := range m.Words() {
-		for p := wi; x != 0; p += a.words {
-			carry := a.planes[p] & x
-			a.planes[p] ^= x
-			x = carry
-		}
-	}
-	a.count++
 	return nil
+}
+
+// addLow is the one carry-save kernel of the one-counts: it adds bit b of
+// x to the 4-bit counter held in bit b of l[0..3]. The carry ripples
+// through all four planes whatever the data (three ANDs, four XORs), so
+// the counter must be below 15 before the add.
+func addLow(l *[4]uint64, x uint64) {
+	c := l[0] & x
+	l[0] ^= x
+	x = l[1] & c
+	l[1] ^= c
+	c = l[2] & x
+	l[2] ^= x
+	l[3] ^= c
+}
+
+// added counts one measurement whose words went into the low planes,
+// flushing them once they hold flushEvery adds.
+func (a *Ones) added() {
+	a.count++
+	if a.pending++; a.pending == flushEvery {
+		a.flushLow()
+	}
+}
+
+// flush brings the wide planes up to date with every add so far; the
+// count readers call it first.
+func (a *Ones) flush() {
+	if a.pending != 0 {
+		a.flushLow()
+	}
+}
+
+// flushLow adds each word's low counters into its wide planes: a ripple
+// add through the four low bit positions, then the carry climbs the
+// higher planes while it is non-zero. The low counters are left zero.
+// Plane growth in admit keeps every count below 1<<planes, so the carry
+// never leaves the top plane.
+func (a *Ones) flushLow() {
+	w := a.words
+	for wi := range a.low {
+		l := &a.low[wi]
+		var carry uint64
+		p := wi
+		for j := 0; j < 4; j, p = j+1, p+w {
+			x, y := a.planes[p], l[j]
+			t := x ^ y
+			a.planes[p] = t ^ carry
+			carry = x&y | t&carry
+		}
+		for ; carry != 0; p += w {
+			x := a.planes[p]
+			a.planes[p] = x ^ carry
+			carry &= x
+		}
+		*l = [4]uint64{}
+	}
+	a.pending = 0
 }
 
 // Count returns the number of measurements consumed.
@@ -151,7 +227,13 @@ func (a *Ones) Count() int { return a.count }
 
 // cellCount returns cell i's one-count, gathered from the planes.
 func (a *Ones) cellCount(i int) int {
-	wi, b := i/64, uint(i%64)
+	a.flush()
+	return a.wordCount(i/64, uint(i%64))
+}
+
+// wordCount gathers the count of bit b of word wi from the wide planes,
+// which must be flushed.
+func (a *Ones) wordCount(wi int, b uint) int {
 	c := 0
 	for j := bits.Len(uint(a.count)) - 1; j >= 0; j-- {
 		c = c<<1 | int(a.planes[j*a.words+wi]>>b&1)
@@ -163,9 +245,9 @@ func (a *Ones) cellCount(i int) int {
 // computed exactly as entropy.OneProbabilities computes it: each count is
 // decoded as an exact integer and multiplied by 1/n, the rounding of
 // entropy.ProbabilitiesFromCounts. The returned slice is the
-// accumulator's own scratch, overwritten by the next Probabilities (or
-// NoiseMinEntropy) call and by nothing else; callers that keep it past
-// that must copy it. Steady state allocates nothing.
+// accumulator's own scratch, overwritten by the next Probabilities call
+// and by nothing else; callers that keep it past that must copy it.
+// Steady state allocates nothing.
 func (a *Ones) Probabilities() ([]float64, error) {
 	if a.count == 0 {
 		return nil, ErrNoMeasurements
@@ -181,22 +263,69 @@ func (a *Ones) Probabilities() ([]float64, error) {
 	return probs, nil
 }
 
-// NoiseMinEntropy returns the window's average per-bit noise min-entropy,
-// delegating the final fold to the entropy oracle over the streaming
-// one-probabilities.
+// NoiseMinEntropy returns the window's average per-bit noise min-entropy
+// with the floating-point operations of entropy.NoiseMinEntropy over
+// entropy.OneProbabilities, worked on counts. A cell of count c adds the
+// term of p = c·(1/n): −log2(max(p, 1−p)) when that maximum is below 1,
+// else nothing. The terms are memoised per count in reused scratch and
+// summed in cell order. Skipped are the cells whose term is exactly +0,
+// which leave the sum's bits as they are: count 0 always, and count n
+// only when n·(1/n) rounds to 1 (for n = 49 it does not, and full cells
+// add a small term). Steady state allocates nothing.
 func (a *Ones) NoiseMinEntropy() (float64, error) {
-	probs, err := a.Probabilities()
-	if err != nil {
-		return 0, err
+	if a.count == 0 || a.cells == 0 {
+		return 0, ErrNoMeasurements
 	}
-	return entropy.NoiseMinEntropy(probs)
+	a.flush()
+	n := a.count
+	if cap(a.terms) < n+1 {
+		a.terms = make([]float64, n+1)
+	}
+	terms := a.terms[:n+1]
+	for c := range terms {
+		terms[c] = -1 // not yet computed; every term is >= 0
+	}
+	inv := 1 / float64(n)
+	term := func(c int) float64 {
+		t := terms[c]
+		if t < 0 {
+			p := float64(float64(c) * inv) // rounded as the stored probability is
+			m := p
+			if 1-p > m {
+				m = 1 - p
+			}
+			t = 0
+			if m < 1 {
+				t = -math.Log2(m)
+			}
+			terms[c] = t
+		}
+		return t
+	}
+	skipFull := term(n) == 0
+	sum := 0.0
+	for wi := 0; wi < a.words; wi++ {
+		zero, full := a.wordClass(wi)
+		visit := ^zero
+		if skipFull {
+			visit &^= full
+		}
+		if tail := a.cells - 64*wi; tail < 64 {
+			visit &= 1<<uint(tail) - 1
+		}
+		for ; visit != 0; visit &= visit - 1 {
+			sum += term(a.wordCount(wi, uint(bits.TrailingZeros64(visit))))
+		}
+	}
+	return sum / float64(a.cells), nil
 }
 
-// stableWord returns word wi of the stable-cell bitmap: the cells whose
-// count is 0 in every plane bit, or equals n in every plane bit. Bits
-// past the last cell are clear.
-func (a *Ones) stableWord(wi int) uint64 {
-	zero, full := ^uint64(0), ^uint64(0)
+// wordClass returns, for word wi of the flushed wide planes, the bitmaps
+// of cells whose count is 0 in every plane bit (zero) and of cells whose
+// count equals n in every plane bit (full). Bits past the last cell may
+// be set in zero.
+func (a *Ones) wordClass(wi int) (zero, full uint64) {
+	zero, full = ^uint64(0), ^uint64(0)
 	for j, used := 0, bits.Len(uint(a.count)); j < used; j++ {
 		p := a.planes[j*a.words+wi]
 		zero &^= p
@@ -206,6 +335,14 @@ func (a *Ones) stableWord(wi int) uint64 {
 			full &^= p
 		}
 	}
+	return zero, full
+}
+
+// stableWord returns word wi of the stable-cell bitmap: the cells whose
+// count is 0 or n. Bits past the last cell are clear. The planes must be
+// flushed.
+func (a *Ones) stableWord(wi int) uint64 {
+	zero, full := a.wordClass(wi)
 	if tail := a.cells - 64*wi; tail < 64 {
 		return (zero | full) & (1<<uint(tail) - 1)
 	}
@@ -221,6 +358,7 @@ func (a *Ones) StableRatio() (float64, error) {
 	if a.count == 0 || a.cells == 0 {
 		return 0, ErrNoMeasurements
 	}
+	a.flush()
 	stable := 0
 	for wi := 0; wi < a.words; wi++ {
 		stable += bits.OnesCount64(a.stableWord(wi))
@@ -255,6 +393,7 @@ func (a *Ones) StableMaskInto(dst *bitvec.Vector) error {
 	if dst.Len() != a.cells {
 		return fmt.Errorf("stream: mask has %d bits, want %d", dst.Len(), a.cells)
 	}
+	a.flush()
 	for wi := 0; wi < a.words; wi++ {
 		dst.SetWord(wi, a.stableWord(wi))
 	}
@@ -331,52 +470,68 @@ type DeviceResult struct {
 }
 
 // Device is the composite per-device window accumulator: a reference
-// pattern, the window's first pattern, and the WCHD/FHW/Ones
-// accumulators, all updated in one pass. Total state is O(array size).
+// pattern, the window's first pattern, the WCHD and FHW sums and the
+// one-counts, all updated in one pass over each measurement's words.
+// Total state is O(array size). Its results are bit-identical to
+// separate WCHD, FHW and Ones accumulators over the same stream.
 type Device struct {
 	ref   *bitvec.Vector // month-0 reference; adopted from the first measurement when nil
 	first *bitvec.Vector // first measurement of THIS window (BCHD/PUF input)
-	wchd  *WCHD
-	fhw   *FHW
-	ones  *Ones
+	ones  Ones
+
+	wchdSum, wchdMax float64 // as WCHD.sum and WCHD.max
+	fhwSum           float64 // as FHW.sum
 }
 
 // NewDevice returns a device accumulator. ref is the device's enrollment
 // reference; pass nil to adopt the first measurement of the stream as the
 // reference (the month-0 convention of §IV-B1).
-func NewDevice(ref *bitvec.Vector) *Device {
-	d := &Device{fhw: NewFHW(), ones: NewOnes()}
-	if ref != nil {
-		d.ref = ref
-		d.wchd, _ = NewWCHD(ref)
-	}
-	return d
-}
+func NewDevice(ref *bitvec.Vector) *Device { return &Device{ref: ref} }
 
 // Add folds one measurement. The vector is not retained (the first
-// measurement and an adopted reference are cloned).
+// measurement and an adopted reference are cloned). One loop over the
+// words counts the distance to the reference and the weight and adds the
+// words into the low one-count planes (addLow); the two fractions are
+// then formed and summed with the float operations of
+// FractionalHammingDistance and FractionalHammingWeight, in WCHD's and
+// FHW's order. A measurement whose width differs from the reference's
+// is rejected and not counted.
 func (d *Device) Add(m *bitvec.Vector) error {
+	if d.ref != nil && m.Len() != d.ref.Len() {
+		return fmt.Errorf("stream: measurement %d: %w: %d vs %d bits", d.Count(), bitvec.ErrLengthMismatch, d.ref.Len(), m.Len())
+	}
 	if d.first == nil {
 		d.first = m.Clone()
 		if d.ref == nil {
 			d.ref = d.first
-			var err error
-			if d.wchd, err = NewWCHD(d.ref); err != nil {
-				return err
-			}
 		}
 	}
-	if err := d.wchd.Add(m); err != nil {
+	if err := d.ones.admit(m); err != nil {
 		return err
 	}
-	if err := d.fhw.Add(m); err != nil {
-		return err
+	ms := m.Words()
+	ref, low := d.ref.Words()[:len(ms)], d.ones.low[:len(ms)]
+	dist, weight := 0, 0
+	for wi, x := range ms {
+		dist += bits.OnesCount64(ref[wi] ^ x)
+		weight += bits.OnesCount64(x)
+		addLow(&low[wi], x)
 	}
-	return d.ones.Add(m)
+	d.ones.added()
+	var f, w float64
+	if n := m.Len(); n > 0 {
+		f, w = float64(dist)/float64(n), float64(weight)/float64(n)
+	}
+	d.wchdSum += f
+	if f > d.wchdMax {
+		d.wchdMax = f
+	}
+	d.fhwSum += w
+	return nil
 }
 
 // Count returns the number of measurements consumed.
-func (d *Device) Count() int { return d.fhw.Count() }
+func (d *Device) Count() int { return d.ones.count }
 
 // Ref returns the reference pattern in use (nil before the first
 // measurement when none was supplied).
@@ -396,20 +551,9 @@ func (d *Device) StableMaskInto(dst *bitvec.Vector) error { return d.ones.Stable
 
 // Result finalises the window metrics.
 func (d *Device) Result() (DeviceResult, error) {
-	if d.Count() == 0 {
+	n := d.Count()
+	if n == 0 {
 		return DeviceResult{}, ErrNoMeasurements
-	}
-	mean, err := d.wchd.Mean()
-	if err != nil {
-		return DeviceResult{}, err
-	}
-	max, err := d.wchd.Max()
-	if err != nil {
-		return DeviceResult{}, err
-	}
-	fhw, err := d.fhw.Mean()
-	if err != nil {
-		return DeviceResult{}, err
 	}
 	noise, err := d.ones.NoiseMinEntropy()
 	if err != nil {
@@ -420,12 +564,12 @@ func (d *Device) Result() (DeviceResult, error) {
 		return DeviceResult{}, err
 	}
 	return DeviceResult{
-		WCHDMean:    mean,
-		WCHDMax:     max,
-		FHW:         fhw,
+		WCHDMean:    d.wchdSum / float64(n),
+		WCHDMax:     d.wchdMax,
+		FHW:         d.fhwSum / float64(n),
 		NoiseHmin:   noise,
 		StableRatio: stable,
-		Count:       d.Count(),
+		Count:       n,
 	}, nil
 }
 

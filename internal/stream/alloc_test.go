@@ -62,6 +62,19 @@ func TestAccumulatorAddsDoNotAllocate(t *testing.T) {
 			i++
 		})
 	}
+
+	// Steady-state finalisers on the warmed accumulators: AllocsPerRun's
+	// warm-up call flushes the low planes and sizes the term scratch.
+	assertZeroAllocs(t, "Ones.NoiseMinEntropy", func() {
+		if _, err := ones.NoiseMinEntropy(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	assertZeroAllocs(t, "Device.Result", func() {
+		if _, err := dev.Result(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestOnesFinalisersDoNotAllocate(t *testing.T) {
@@ -83,6 +96,17 @@ func TestOnesFinalisersDoNotAllocate(t *testing.T) {
 	})
 	assertZeroAllocs(t, "Ones.NoiseMinEntropy", func() {
 		if _, err := ones.NoiseMinEntropy(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	dev := NewDevice(nil)
+	for _, m := range []*bitvec.Vector{m1, m2, m1} {
+		if err := dev.Add(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertZeroAllocs(t, "Device.Result", func() {
+		if _, err := dev.Result(); err != nil {
 			t.Fatal(err)
 		}
 	})

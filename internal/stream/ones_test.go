@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -109,11 +110,19 @@ func checkOnesMatchesOracle(t *testing.T, label string, ones *Ones, window []*bi
 }
 
 // TestOnesMatchesOneCounts pins the bit-sliced accumulator to the batch
-// oracle at window sizes around every power of two it crosses, the
-// 16-plane reservation's boundary included, and at cell counts that are
-// not a multiple of 64.
+// oracle at window sizes around every power of two it crosses, around
+// the low planes' flushes every 15 adds, at the 16-plane reservation's
+// boundary, and at cell counts that are not a multiple of 64. Window 49
+// is one where n·(1/n) rounds below 1, so cells that read 1 every time
+// add a nonzero noise term.
 func TestOnesMatchesOneCounts(t *testing.T) {
-	checkpoints := map[int]bool{1: true, 2: true, 3: true, 255: true, 256: true, 1023: true, 1024: true}
+	checkpoints := map[int]bool{
+		1: true, 2: true, 3: true, 14: true, 15: true, 16: true, 29: true, 30: true, 31: true,
+		49: true, 255: true, 256: true, 1023: true, 1024: true,
+	}
+	if n := 49.0; n*(1/n) == 1 {
+		t.Fatal("window 49 no longer exercises a nonzero full-count term")
+	}
 	for _, cells := range []int{1, 63, 65, 130, 200} {
 		window := mixedWindow(uint64(cells), cells, 1024, 0.01)
 		ones := NewOnes()
@@ -124,6 +133,16 @@ func TestOnesMatchesOneCounts(t *testing.T) {
 			if checkpoints[k+1] {
 				checkOnesMatchesOracle(t, fmt.Sprintf("cells %d window %d", cells, k+1), ones, window[:k+1])
 			}
+		}
+		// A read flushes the low planes, so the loop above shifts the
+		// flush cadence after its first checkpoint. Windows read only at
+		// their end keep it: a flush falls at 15 and 30 adds.
+		for _, n := range []int{14, 15, 16, 29, 30, 31, 49} {
+			ones := NewOnes()
+			if err := feed(window[:n], ones); err != nil {
+				t.Fatal(err)
+			}
+			checkOnesMatchesOracle(t, fmt.Sprintf("cells %d window %d read once", cells, n), ones, window[:n])
 		}
 	}
 
@@ -166,5 +185,70 @@ func FuzzOnesMatchesOneCounts(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkOnesMatchesOracle(t, "fuzz", ones, window)
+	})
+}
+
+// FuzzDeviceMatchesAccumulators drives the fused device accumulator and
+// separate WCHD, FHW and Ones accumulators with the same random window,
+// against an adopted or a supplied reference, and requires every result
+// field to agree bit for bit.
+func FuzzDeviceMatchesAccumulators(f *testing.F) {
+	f.Add(uint64(1), uint16(1), uint16(1), uint8(3), false)
+	f.Add(uint64(2), uint16(64), uint16(15), uint8(0), true)
+	f.Add(uint64(3), uint16(65), uint16(49), uint8(255), false)
+	f.Add(uint64(4), uint16(200), uint16(1000), uint8(40), true)
+	f.Fuzz(func(t *testing.T, seed uint64, cells, n uint16, rare uint8, supply bool) {
+		c := 1 + int(cells)%300
+		w := 1 + int(n)%1100
+		window := mixedWindow(seed, c, w, float64(rare)/255)
+		var given *bitvec.Vector
+		ref := window[0].Clone()
+		if supply {
+			given = mixedWindow(^seed, c, 1, 0.5)[0]
+			ref = given
+		}
+		dev := NewDevice(given)
+		wchd, err := NewWCHD(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fhw, ones := NewFHW(), NewOnes()
+		if err := feed(window, dev, wchd, fhw, ones); err != nil {
+			t.Fatal(err)
+		}
+		got, err := dev.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want DeviceResult
+		var errs [5]error
+		want.WCHDMean, errs[0] = wchd.Mean()
+		want.WCHDMax, errs[1] = wchd.Max()
+		want.FHW, errs[2] = fhw.Mean()
+		want.NoiseHmin, errs[3] = ones.NoiseMinEntropy()
+		want.StableRatio, errs[4] = ones.StableRatio()
+		want.Count = ones.Count()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, p := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"WCHDMean", got.WCHDMean, want.WCHDMean},
+			{"WCHDMax", got.WCHDMax, want.WCHDMax},
+			{"FHW", got.FHW, want.FHW},
+			{"NoiseHmin", got.NoiseHmin, want.NoiseHmin},
+			{"StableRatio", got.StableRatio, want.StableRatio},
+		} {
+			if math.Float64bits(p.got) != math.Float64bits(p.want) {
+				t.Fatalf("%s: device %v, accumulators %v", p.name, p.got, p.want)
+			}
+		}
+		if got.Count != want.Count || !dev.Ref().Equal(ref) || !dev.First().Equal(window[0]) {
+			t.Fatalf("count %d (want %d) or reference/first differ", got.Count, want.Count)
+		}
 	})
 }

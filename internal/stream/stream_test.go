@@ -51,7 +51,10 @@ func feed(window []*bitvec.Vector, sinks ...Sink) error {
 // TestAccumulatorsMatchBatchOracle is the golden-equivalence property: on
 // identical windows, every streaming accumulator must be bit-identical to
 // its batch counterpart in internal/metrics / internal/entropy, across
-// several seeds and window sizes (including non-word-aligned widths).
+// several seeds and window sizes (including non-word-aligned widths). The
+// device accumulator runs twice: adopting the window's first read-out as
+// its reference (month 0), and against a supplied reference that differs
+// from it (every later month).
 func TestAccumulatorsMatchBatchOracle(t *testing.T) {
 	cases := []struct {
 		seed  uint64
@@ -71,13 +74,12 @@ func TestAccumulatorsMatchBatchOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		window := noisyWindow(tc.seed, tc.bits, tc.n, tc.flipP)
-		ref := window[0].Clone()
+		supplied := noisyWindow(tc.seed+100, tc.bits, 1, 0)[0]
+		if supplied.Equal(window[0]) {
+			t.Fatalf("seed %d: supplied reference equals the window head", tc.seed)
+		}
 
 		// Batch oracle.
-		wc, err := metrics.WithinClassHD(ref, window)
-		if err != nil {
-			t.Fatal(err)
-		}
 		fw, err := metrics.FractionalHW(window)
 		if err != nil {
 			t.Fatal(err)
@@ -99,33 +101,44 @@ func TestAccumulatorsMatchBatchOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Streaming pass.
-		dev := NewDevice(nil)
-		if err := feed(window, dev); err != nil {
-			t.Fatal(err)
-		}
-		r, err := dev.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Count != tc.n {
-			t.Fatalf("seed %d: count %d, want %d", tc.seed, r.Count, tc.n)
-		}
-		// Bit-identical, not approximately equal.
-		if r.WCHDMean != wc.Mean || r.WCHDMax != wc.Max {
-			t.Errorf("seed %d: WCHD stream (%v,%v) != batch (%v,%v)", tc.seed, r.WCHDMean, r.WCHDMax, wc.Mean, wc.Max)
-		}
-		if r.FHW != fw.Mean {
-			t.Errorf("seed %d: FHW stream %v != batch %v", tc.seed, r.FHW, fw.Mean)
-		}
-		if r.NoiseHmin != noise {
-			t.Errorf("seed %d: noise Hmin stream %v != batch %v", tc.seed, r.NoiseHmin, noise)
-		}
-		if r.StableRatio != stable {
-			t.Errorf("seed %d: stable ratio stream %v != batch %v", tc.seed, r.StableRatio, stable)
-		}
-		if !dev.Ref().Equal(ref) || !dev.First().Equal(window[0]) {
-			t.Errorf("seed %d: adopted reference/first differs from window head", tc.seed)
+		for _, given := range []*bitvec.Vector{nil, supplied} {
+			ref := given
+			if ref == nil {
+				ref = window[0].Clone()
+			}
+			wc, err := metrics.WithinClassHD(ref, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Streaming pass.
+			dev := NewDevice(given)
+			if err := feed(window, dev); err != nil {
+				t.Fatal(err)
+			}
+			r, err := dev.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Count != tc.n {
+				t.Fatalf("seed %d: count %d, want %d", tc.seed, r.Count, tc.n)
+			}
+			// Bit-identical, not approximately equal.
+			if r.WCHDMean != wc.Mean || r.WCHDMax != wc.Max {
+				t.Errorf("seed %d supplied %v: WCHD stream (%v,%v) != batch (%v,%v)", tc.seed, given != nil, r.WCHDMean, r.WCHDMax, wc.Mean, wc.Max)
+			}
+			if r.FHW != fw.Mean {
+				t.Errorf("seed %d: FHW stream %v != batch %v", tc.seed, r.FHW, fw.Mean)
+			}
+			if r.NoiseHmin != noise {
+				t.Errorf("seed %d: noise Hmin stream %v != batch %v", tc.seed, r.NoiseHmin, noise)
+			}
+			if r.StableRatio != stable {
+				t.Errorf("seed %d: stable ratio stream %v != batch %v", tc.seed, r.StableRatio, stable)
+			}
+			if !dev.Ref().Equal(ref) || !dev.First().Equal(window[0]) {
+				t.Errorf("seed %d supplied %v: reference/first differs", tc.seed, given != nil)
+			}
 		}
 
 		// One-probabilities themselves.
@@ -238,13 +251,47 @@ func TestEmptyAccumulators(t *testing.T) {
 	}
 }
 
+// TestLengthMismatchPropagates: a read-out of the wrong width is an
+// error and is not counted, whether the reference was adopted or
+// supplied, and the accumulators go on as if it never came.
 func TestLengthMismatchPropagates(t *testing.T) {
 	dev := NewDevice(nil)
 	if err := dev.Add(bitvec.New(64)); err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.Add(bitvec.New(128)); err == nil {
-		t.Error("length mismatch not detected")
+	if err := dev.Add(bitvec.New(128)); !errors.Is(err, bitvec.ErrLengthMismatch) {
+		t.Errorf("length mismatch: err = %v, want ErrLengthMismatch", err)
+	}
+	if dev.Count() != 1 {
+		t.Errorf("mismatched read-out counted: count %d, want 1", dev.Count())
+	}
+
+	given := NewDevice(bitvec.New(64))
+	if err := given.Add(bitvec.New(65)); !errors.Is(err, bitvec.ErrLengthMismatch) {
+		t.Errorf("supplied reference, length mismatch: err = %v, want ErrLengthMismatch", err)
+	}
+	if given.Count() != 0 || given.First() != nil {
+		t.Errorf("mismatched first read-out taken: count %d, first %v", given.Count(), given.First())
+	}
+	one := bitvec.New(64)
+	one.Set(3, true)
+	if err := given.Add(one); err != nil {
+		t.Fatal(err)
+	}
+	r, err := given.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Count != 1 || r.WCHDMean != 1.0/64 || r.FHW != 1.0/64 || !given.First().Equal(one) {
+		t.Errorf("after a rejected read-out: %+v, first %v", r, given.First())
+	}
+
+	ones := NewOnes()
+	if err := ones.Add(bitvec.New(64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ones.Add(bitvec.New(63)); err == nil || ones.Count() != 1 {
+		t.Errorf("Ones length mismatch: err = %v, count %d", err, ones.Count())
 	}
 }
 
