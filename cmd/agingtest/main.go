@@ -16,8 +16,9 @@
 // campaign. The archive format follows the extension: `.bin` streams
 // the indexed binary record codec (half the bytes, no per-record JSON
 // churn, and a trailer index written at the end of collection so
-// evaluate replays any month with an O(1) seek),
-// anything else streams JSON lines. -workers bounds evaluation
+// evaluate replays any month with an O(1) seek); anything else streams
+// JSON lines, an export format that evaluate -index converts to binary
+// once before replaying it. -workers bounds evaluation
 // parallelism, on the rig path too: how many boards' power-up captures
 // and aging run at once. It never changes the output.
 //
@@ -74,7 +75,7 @@ func run() error {
 	shards := flag.Int("shards", 0, "fan the campaign across N shard workers (0: single process)")
 	shardWorker := flag.String("shardworker", "", "shardworker binary for -shards (default: in-process workers)")
 	csvDir := flag.String("csv", "", "directory for Fig. 6 series CSV export")
-	archive := flag.String("archive", "", "stream a measurement archive (forces -harness); a .bin path streams the binary codec, anything else JSON lines")
+	archive := flag.String("archive", "", "stream a measurement archive (forces -harness); a .bin path streams the binary codec, anything else JSON lines (replay converts those once: evaluate -index)")
 	keylife := flag.Bool("keylife", false, "run the key-lifecycle workload: burn-in screening + enrollment at month 0, streamed reconstruction metrics after")
 	remote := flag.String("remote", "", "submit the campaign to an assessd service at this base URL instead of running locally")
 	remoteDetach := flag.Bool("remote-detach", false, "with -remote: submit and print the campaign ID without waiting")

@@ -3,11 +3,13 @@
 // Raspberry-Pi-backed rig using the same schema) and runs the exact
 // same Assessment the live campaign runs — archive replay is a
 // first-class Source, so the monthly window selection, the streaming
-// accumulators and the Table I assembly are one code path. All archive
-// formats — JSON lines and both binary versions — are detected by their
-// leading bytes; replaying any of them yields bit-identical tables.
-// Indexed (v2) archives replay seek-based: each month's windows stream
-// straight from the file. -index upgrades an older archive in place.
+// accumulators and the Table I assembly are one code path. Replay reads
+// the binary format, both versions detected by their magic: indexed (v2)
+// archives replay seek-based, each month's windows streaming straight
+// from the file, and a v1 archive is scanned once. -index upgrades an
+// older archive in place — a v1 archive, or a JSON-lines one, which
+// replay refuses until it is converted. Every format replays to
+// bit-identical tables.
 package main
 
 import (
@@ -35,11 +37,11 @@ func indexedNote(info sramaging.ArchiveInfo) string {
 }
 
 func run() error {
-	path := flag.String("archive", "", "measurement archive, JSONL or binary (required)")
+	path := flag.String("archive", "", "binary measurement archive (required); a JSONL archive needs -index once to convert it")
 	window := flag.Int("window", 200, "measurements per monthly evaluation window")
 	shards := flag.Int("shards", 0, "fan the replay across N shard workers (0: single process)")
 	shardWorker := flag.String("shardworker", "", "shardworker binary for -shards (default: in-process workers)")
-	index := flag.Bool("index", false, "upgrade the archive in place to the indexed binary format (v2) before replaying")
+	index := flag.Bool("index", false, "upgrade the archive (JSONL or v1 binary) in place to the indexed binary format (v2) before replaying")
 	keylife := flag.Bool("keylife", false, "replay the key-lifecycle workload: screening + enrollment re-derived from -seed, reconstruction from the archived measurements")
 	seed := flag.Uint64("seed", 20170208, "campaign seed of the recorded campaign (screens the population for -keylife)")
 	profileName := flag.String("profile", "", "registered profile name of the recorded campaign (screens the population for -keylife; default atmega32u4)")

@@ -16,8 +16,9 @@ import (
 
 // TestIntegrationArchivePipeline exercises the paper's complete data flow:
 // rig simulation -> Raspberry Pi JSON archive -> JSONL serialisation ->
-// offline window selection -> metric computation, and checks the offline
-// numbers agree with the in-memory campaign on the same seed.
+// binary conversion -> offline window selection -> metric computation,
+// and checks the offline numbers agree with the in-memory campaign on
+// the same seed.
 func TestIntegrationArchivePipeline(t *testing.T) {
 	profile, err := silicon.ATmega32u4()
 	if err != nil {
@@ -52,22 +53,26 @@ func TestIntegrationArchivePipeline(t *testing.T) {
 		}
 	}
 
-	// Phase 2: offline analysis from the serialised archive.
-	archive, err := store.ReadJSONL(&jsonl)
+	// Phase 2: offline analysis from the serialised archive, converted
+	// into the binary format replay reads.
+	archive, err := store.OpenIndexedBytes(jsonl.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := archive.Len(); got != devices*window*2 {
+	if got := archive.TotalRecords(); got != devices*window*2 {
 		t.Fatalf("archive has %d records, want %d", got, devices*window*2)
 	}
 
 	offlineWCHD := make([]float64, devices)
+	var dec store.SegmentDecoder
 	for d := 0; d < devices; d++ {
-		recs := archive.Records(d)
-		if len(recs) < window || store.MonthIndex(recs[window-1].Wall) != 0 {
-			t.Fatalf("board %d: no full month-0 window in the archive", d)
+		var patterns []*Pattern
+		if err := archive.ReadSegment(&dec, d, 0, window, func(rec *store.Record) error {
+			patterns = append(patterns, rec.Data.Clone())
+			return nil
+		}); err != nil {
+			t.Fatalf("board %d: no full month-0 window in the archive: %v", d, err)
 		}
-		patterns := store.Patterns(recs[:window])
 		wc, err := metrics.WithinClassHD(patterns[0], patterns)
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/silicon"
@@ -12,12 +14,14 @@ import (
 // TestBinaryArchiveReplayBitIdentical: one campaign, collected through
 // the rig tap, archived in EVERY format — JSONL, un-indexed binary v1
 // and indexed binary v2 — must replay to bit-identical Results through
-// every replay surface: the in-memory ArchiveSource, the seek-based
-// OpenArchiveSource (trailer index on v2, fallback scan on v1/JSONL)
-// and the sharded archive source at shard counts 1, 2 and 7 on each
-// format. This is the format-equivalence oracle of DESIGN.md §5/§6:
-// codec and index change the bytes on disk and the I/O pattern of
-// replay, never a bit of the assessment.
+// every replay surface: an in-memory image (a JSONL image converted into
+// binary), the seek-based OpenArchiveSource (trailer index on v2,
+// fallback scan on v1) and the sharded archive source at shard counts
+// 1, 2 and 7. A JSONL file is not a replay format: both file surfaces
+// refuse it with store.ErrJSONL, and replay it after store.UpgradeFile
+// converts a copy. This is the format-equivalence oracle of DESIGN.md
+// §5/§6: codec and index change the bytes on disk and the I/O pattern
+// of replay, never a bit of the assessment.
 func TestBinaryArchiveReplayBitIdentical(t *testing.T) {
 	profile, err := silicon.ATmega32u4()
 	if err != nil {
@@ -77,25 +81,49 @@ func TestBinaryArchiveReplayBitIdentical(t *testing.T) {
 		t.Fatalf("binary archive is %d bytes, JSONL %d — want at least a 2x reduction", binInfo.Size(), jsonlInfo.Size())
 	}
 
-	paths := []string{jsonlPath, v1Path, binPath}
+	// A JSONL file is refused by both file surfaces, naming the
+	// conversion; a converted copy replays like the binary archives.
+	if _, err := OpenArchiveSource(jsonlPath); !errors.Is(err, store.ErrJSONL) || !errors.Is(err, ErrConfig) {
+		t.Fatalf("JSONL file replay: err = %v, want ErrConfig wrapping store.ErrJSONL", err)
+	}
+	if src, err := NewShardedArchiveSource(jsonlPath, 2, nil); err == nil {
+		src.Close()
+		t.Fatal("sharded JSONL file replay opened")
+	} else if !strings.Contains(err.Error(), "evaluate -index") {
+		t.Fatalf("sharded JSONL file replay: err = %v, want one naming evaluate -index", err)
+	}
+	upgradedPath := filepath.Join(dir, "campaign-upgraded.bin")
+	data, err := os.ReadFile(jsonlPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(upgradedPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.UpgradeFile(upgradedPath); err != nil {
+		t.Fatal(err)
+	}
 
-	// In-memory replay (ReadArchive materialises, any format).
+	// In-memory replay: the whole file as an image (JSONL converted).
 	replayMem := func(path string) *Results {
-		f, err := os.Open(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer f.Close()
-		a, err := store.ReadArchive(f)
+		ir, err := store.OpenIndexedBytes(data)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		src, err := NewArchiveSource(a)
+		src, err := NewArchiveSource(ir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return runAssessment(t, src, window, shardTestMonths)
 	}
+	for _, path := range []string{jsonlPath, v1Path, binPath} {
+		assertResultsBitIdentical(t, live, replayMem(path))
+	}
+	paths := []string{upgradedPath, v1Path, binPath}
 	// Seek-based replay straight from the file.
 	replaySeek := func(path string) *Results {
 		src, err := OpenArchiveSource(path)
@@ -113,7 +141,6 @@ func TestBinaryArchiveReplayBitIdentical(t *testing.T) {
 		return runAssessment(t, src, window, months)
 	}
 	for _, path := range paths {
-		assertResultsBitIdentical(t, live, replayMem(path))
 		assertResultsBitIdentical(t, live, replaySeek(path))
 	}
 

@@ -155,7 +155,7 @@ func TestFleetArchiveReplayBitIdentical(t *testing.T) {
 	}
 	assertResultsBitIdentical(t, want, got)
 
-	replaySrc, err := NewArchiveSource(arch)
+	replaySrc, err := archiveSource(arch)
 	if err != nil {
 		t.Fatal(err)
 	}

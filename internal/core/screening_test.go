@@ -239,7 +239,7 @@ func TestScreeningArchiveReplayBitIdentical(t *testing.T) {
 	want := runScreened(t, rig, window, months, sc)
 	assertScreeningHappened(t, want, devices)
 
-	replay, err := NewArchiveSource(tap)
+	replay, err := archiveSource(tap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestScreeningArchiveReplayBitIdentical(t *testing.T) {
 	// The strict lister only serves months where EVERY board is complete
 	// — screening semantics are opt-in, so a screened archive shrinks to
 	// the pre-prune prefix under the historical rule.
-	strict, err := NewArchiveSource(tap)
+	strict, err := archiveSource(tap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,12 +268,12 @@ func TestScreeningArchiveReplayBitIdentical(t *testing.T) {
 		t.Fatalf("strict AvailableMonths served %v from a screened archive; surviving lister is the opt-in", strictMonths)
 	}
 
-	path := filepath.Join(t.TempDir(), "screened.jsonl")
+	path := filepath.Join(t.TempDir(), "screened.bin")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tap.WriteArchiveJSONL(f); err != nil {
+	if err := tap.WriteArchiveBinary(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

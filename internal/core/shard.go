@@ -88,7 +88,7 @@ func buildShardBackend(spec shard.Spec) (shard.Backend, error) {
 	if spec.ArchivePath != "" {
 		ir, err := store.OpenIndexedFile(spec.ArchivePath)
 		if err != nil {
-			return nil, fmt.Errorf("%w: shard archive: %v", ErrConfig, err)
+			return nil, fmt.Errorf("%w: shard archive: %w", ErrConfig, err)
 		}
 		if ir.TotalRecords() == 0 {
 			ir.Close()

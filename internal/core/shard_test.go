@@ -172,19 +172,19 @@ func TestShardedArchiveReplayBitIdentical(t *testing.T) {
 	tap := store.NewArchive()
 	rig.SetTap(tap.Append)
 	runAssessment(t, rig, window, shardTestMonths)
-	path := filepath.Join(t.TempDir(), "campaign.jsonl")
+	path := filepath.Join(t.TempDir(), "campaign.bin")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tap.WriteArchiveJSONL(f); err != nil {
+	if err := tap.WriteArchiveBinary(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	plain, err := NewArchiveSource(tap)
+	plain, err := archiveSource(tap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,12 +231,12 @@ func TestShardedArchiveShortWindowTyped(t *testing.T) {
 	tap := store.NewArchive()
 	rig.SetTap(tap.Append)
 	runAssessment(t, rig, 20, []int{0, 1})
-	path := filepath.Join(t.TempDir(), "short.jsonl")
+	path := filepath.Join(t.TempDir(), "short.bin")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tap.WriteArchiveJSONL(f); err != nil {
+	if err := tap.WriteArchiveBinary(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -374,7 +374,7 @@ func TestShardCountValidation(t *testing.T) {
 	}
 }
 
-// writeSyntheticArchive writes a JSONL archive with the given complete
+// writeSyntheticArchive writes a binary archive with the given complete
 // months per board (window records each), for month-discovery tests.
 func writeSyntheticArchive(t *testing.T, path string, window int, monthsByBoard map[int][]int) {
 	t.Helper()
@@ -406,7 +406,7 @@ func writeSyntheticArchive(t *testing.T, path string, window int, monthsByBoard 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.WriteArchiveJSONL(f); err != nil {
+	if err := a.WriteArchiveBinary(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -423,7 +423,7 @@ func writeSyntheticArchive(t *testing.T, path string, window int, monthsByBoard 
 // shards.
 func TestShardedArchiveDataLossNotMasked(t *testing.T) {
 	const window = 3
-	path := filepath.Join(t.TempDir(), "lost.jsonl")
+	path := filepath.Join(t.TempDir(), "lost.bin")
 	// Board 0 lost month 1; board 1 is complete. With 2 shards each
 	// board is its own shard, so shard 0 sees month 1 as "rig off".
 	writeSyntheticArchive(t, path, window, map[int][]int{
@@ -432,19 +432,11 @@ func TestShardedArchiveDataLossNotMasked(t *testing.T) {
 	})
 
 	// The single-process source reports the defect...
-	f, err := os.Open(path)
+	plain, err := OpenArchiveSource(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	archive, err := store.ReadJSONL(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := NewArchiveSource(archive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer plain.Close()
 	if _, err := plain.AvailableMonths(window); !errors.Is(err, ErrShortWindow) {
 		t.Fatalf("single-process: err = %v, want ErrShortWindow", err)
 	}
@@ -466,7 +458,7 @@ func TestShardedArchiveDataLossNotMasked(t *testing.T) {
 // single-process and the sharded discovery drop it silently.
 func TestShardedArchiveInterruptedTailDropped(t *testing.T) {
 	const window = 3
-	path := filepath.Join(t.TempDir(), "tail.jsonl")
+	path := filepath.Join(t.TempDir(), "tail.bin")
 	// Board 1's collection ran one month longer than board 0's; no
 	// complete month follows the gap, so it is the interrupted tail.
 	writeSyntheticArchive(t, path, window, map[int][]int{

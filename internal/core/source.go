@@ -87,7 +87,7 @@ func (t *recordTap) envelope(month int, indices []int, devices int, sink Sink) S
 
 // Source is where an assessment's measurements come from. The three
 // built-in implementations — SimSource (direct sampling), RigSource (full
-// measurement-rig simulation) and ArchiveSource (JSONL archive replay) —
+// measurement-rig simulation) and ArchiveSource (binary archive replay) —
 // make offline evaluation and live campaigns the same call; external
 // implementations (sharded, networked, condition-sweep) plug into the
 // same engine.
@@ -113,11 +113,12 @@ type MonthLister interface {
 }
 
 // SurvivingMonthLister is the screened counterpart of MonthLister:
-// AvailableMonthsSurviving treats a board with NO records in a month as
-// legitimately absent (pruned by an earlier screening decision) instead
-// of as lost data, so a screened campaign's checkpoint archive still
-// lists its complete months. Boards that hold SOME records but less than
-// a window remain a defect.
+// AvailableMonthsSurviving treats a board with NO records in a month
+// after the first complete one as legitimately absent (pruned by an
+// earlier screening decision) instead of as lost data, so a screened
+// campaign's archive still lists its complete months. Boards that hold
+// SOME records but less than a window, and pruned boards that return,
+// remain a defect.
 type SurvivingMonthLister interface {
 	AvailableMonthsSurviving(windowSize int) ([]int, error)
 }
@@ -239,8 +240,9 @@ func (s *RigSource) Measure(ctx context.Context, month, size int, sink Sink) err
 // indexed (v2) archive streams each month's window straight from the
 // file — the whole archive is never materialised in memory — and the
 // per-board segment decodes are fanned across the source's worker pool.
-// Un-indexed archives (v1, JSONL) get the same interface through the
-// reader's one-pass fallback scan.
+// A v1 archive gets the same interface through the reader's one-pass
+// fallback scan. JSONL is not a replay format: store.UpgradeFile
+// converts a JSONL file once, store.OpenIndexedBytes an in-memory image.
 type ArchiveSource struct {
 	ir     *store.IndexedReader
 	boards []int
@@ -255,31 +257,32 @@ func newArchiveSourceOver(ir *store.IndexedReader, boards []int) *ArchiveSource 
 	return s
 }
 
-// NewArchiveSource wraps an in-memory archive.
-func NewArchiveSource(a *store.Archive) (*ArchiveSource, error) {
-	if a == nil || a.Len() == 0 {
+// NewArchiveSource replays the archive behind an open indexed reader
+// and takes ownership of it: the source's Close closes the reader. An
+// archive without records is ErrConfig (the reader is closed).
+func NewArchiveSource(ir *store.IndexedReader) (*ArchiveSource, error) {
+	if ir.TotalRecords() == 0 {
+		ir.Close()
 		return nil, fmt.Errorf("%w: empty archive", ErrConfig)
-	}
-	ir, err := store.IndexArchive(a)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	return newArchiveSourceOver(ir, ir.Boards()), nil
 }
 
-// OpenArchiveSource opens the archive file at path for seek-based
-// replay (any archive format; a v2 index is used directly, v1 and JSONL
-// are scanned once to build one). The caller must Close the source.
+// OpenArchiveSource opens the binary archive file at path for
+// seek-based replay (a v2 index is used directly, a v1 archive is
+// scanned once to build one). A JSONL archive fails with ErrConfig
+// wrapping store.ErrJSONL: convert it once with `evaluate -index`
+// (store.UpgradeFile). The caller must Close the source.
 func OpenArchiveSource(path string) (*ArchiveSource, error) {
 	ir, err := store.OpenIndexedFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
-	if ir.TotalRecords() == 0 {
-		ir.Close()
-		return nil, fmt.Errorf("%w: empty archive %s", ErrConfig, path)
+	src, err := NewArchiveSource(ir)
+	if err != nil {
+		return nil, fmt.Errorf("%w %s", err, path)
 	}
-	return newArchiveSourceOver(ir, ir.Boards()), nil
+	return src, nil
 }
 
 // Devices returns the number of boards present in the archive.
@@ -322,7 +325,7 @@ func (s *ArchiveSource) PruneDevices(indices []int) error {
 }
 
 // Close releases the underlying archive file (no-op for in-memory
-// backings). The engine does not close sources; whoever opened the
+// images). The engine does not close sources; whoever opened the
 // archive owns its lifetime.
 func (s *ArchiveSource) Close() error { return s.ir.Close() }
 
@@ -330,64 +333,35 @@ func (s *ArchiveSource) Close() error { return s.ir.Close() }
 // board holds a complete window of the given size — the paper's "first
 // 1,000 consecutive measurements after midnight on the 8th" selection,
 // bounded to the month so a collection gap can never borrow the next
-// month's records. A month with too few records on every board (the rig
-// was off) is simply not evaluated, and a partial month at the tail of
-// the archive (collection interrupted mid-window) is dropped; but a
-// month complete on SOME boards and short on others while later months
-// are complete is a data defect (lost records) and is reported as an
-// error naming the month and boards, never silently skipped.
+// month's records. A month in which no board holds a window (the rig was
+// off) is simply not evaluated, and a partial month at the tail of the
+// archive (collection interrupted mid-window) is dropped; but a month
+// complete on SOME boards and short on others while later months are
+// complete is a data defect (lost records) and is reported as an error
+// naming the month and boards, never silently skipped.
 //
 // Discovery is pure index arithmetic (per-board month record counts) —
 // on a v2 archive no record is decoded.
 func (s *ArchiveSource) AvailableMonths(windowSize int) ([]int, error) {
-	return s.discoverMonths(windowSize, func(m int) (bool, []int) {
-		var short []int
-		for _, b := range s.boards {
-			if s.ir.MonthRecords(b, m) < windowSize {
-				short = append(short, b)
-			}
-		}
-		switch len(short) {
-		case 0:
-			return true, nil
-		case len(s.boards):
-			return false, nil // the rig was off: skipped, not partial
-		}
-		return false, short
-	})
+	return s.discoverMonths(windowSize, false)
 }
 
 // AvailableMonthsSurviving is AvailableMonths under screening
-// semantics: a board with NO records in a month was legitimately pruned
-// by an earlier screening decision, not lost — the month is complete as
-// long as every board that has ANY records in it holds a full window.
-// A board with some records but less than a window is still a defect
-// (interrupted tail, or lost mid-archive if complete months follow),
-// exactly like the strict lister.
+// semantics: after the first complete month, a board with NO records
+// was legitimately pruned by an earlier screening decision, not lost,
+// and stays pruned. The first complete month must hold every board; a
+// board with some records but less than a window, or a pruned board
+// that returns, makes its month partial exactly like a short board
+// under the strict lister.
 func (s *ArchiveSource) AvailableMonthsSurviving(windowSize int) ([]int, error) {
-	return s.discoverMonths(windowSize, func(m int) (bool, []int) {
-		var short []int
-		present := false
-		for _, b := range s.boards {
-			n := s.ir.MonthRecords(b, m)
-			if n == 0 {
-				continue // pruned before this month — legitimately absent
-			}
-			present = true
-			if n < windowSize {
-				short = append(short, b)
-			}
-		}
-		return present && len(short) == 0, short
-	})
+	return s.discoverMonths(windowSize, true)
 }
 
-// discoverMonths walks the archive's months under a completeness rule:
-// classify reports whether month m is complete and, if not, which
-// boards make it partial (none: the month is skipped). A partial month
-// is the archive's interrupted tail unless a complete month follows it;
-// then records were lost, and the first partial month is reported.
-func (s *ArchiveSource) discoverMonths(windowSize int, classify func(m int) (complete bool, short []int)) ([]int, error) {
+// discoverMonths walks the archive's months under the completeness rule.
+// A partial month is the archive's interrupted tail unless a complete
+// month follows it; then records were lost, and the first partial month
+// is reported.
+func (s *ArchiveSource) discoverMonths(windowSize int, screened bool) ([]int, error) {
 	// Archives are external input: a single corrupt far-future timestamp
 	// must not turn discovery into a ~100k-iteration scan, so the month
 	// walk is capped at 50 years past the campaign epoch.
@@ -399,10 +373,11 @@ func (s *ArchiveSource) discoverMonths(windowSize int, classify func(m int) (com
 		}
 	}
 	last = min(last, maxArchiveMonths)
+	rule := newMonthRule(s.ir, s.boards, windowSize, screened)
 	var months []int
 	partialMonth, partialBoards := -1, []int(nil)
 	for m := 0; m <= last; m++ {
-		complete, short := classify(m)
+		complete, short := rule.classify(m)
 		switch {
 		case complete:
 			if partialMonth >= 0 {
@@ -415,6 +390,74 @@ func (s *ArchiveSource) discoverMonths(windowSize int, classify func(m int) (com
 		}
 	}
 	return months, nil
+}
+
+// DoneMonths returns the longest prefix of months (ascending) that the
+// archive holds complete for boards under the completeness rule of the
+// listers — strict, or screened as in AvailableMonthsSurviving. It is
+// what a campaign over boards can resume from its checkpoint: the
+// listers report a partial month followed by a complete one as lost
+// data, while a resume keeps the prefix before it.
+func DoneMonths(ir *store.IndexedReader, boards []int, window int, screened bool, months []int) []int {
+	rule := newMonthRule(ir, boards, window, screened)
+	var done []int
+	for _, m := range months {
+		if complete, _ := rule.classify(m); !complete {
+			break
+		}
+		done = append(done, m)
+	}
+	return done
+}
+
+// monthRule is the archive's one month-completeness rule, shared by the
+// listers and by checkpoint recovery (DoneMonths). It is fed months in
+// ascending order and carries the state a screened walk needs.
+type monthRule struct {
+	ir       *store.IndexedReader
+	boards   []int
+	window   int
+	screened bool
+	started  bool   // a month was complete: later absences are prunes
+	pruned   []bool // by position in boards
+}
+
+func newMonthRule(ir *store.IndexedReader, boards []int, window int, screened bool) *monthRule {
+	return &monthRule{ir: ir, boards: boards, window: window, screened: screened, pruned: make([]bool, len(boards))}
+}
+
+// classify reports whether month m is complete: every board holds at
+// least a window, except — screened, after the first complete month —
+// boards with no records, which an earlier month's decision pruned. A
+// pruned board never returns. An incomplete month lists the boards that
+// make it partial in short; short is empty when no board holds a window
+// (the rig was off, or the window exceeds what was archived), and the
+// month is skipped rather than partial. A complete month is accepted:
+// its absent boards stay pruned from then on.
+func (r *monthRule) classify(m int) (complete bool, short []int) {
+	full := false
+	var absent []int
+	for i, b := range r.boards {
+		n := r.ir.MonthRecords(b, m)
+		full = full || n >= r.window
+		switch {
+		case n == 0 && (r.pruned[i] || r.screened && r.started):
+			absent = append(absent, i)
+		case n < r.window || r.pruned[i]:
+			short = append(short, b)
+		}
+	}
+	if !full {
+		return false, nil
+	}
+	if len(short) > 0 {
+		return false, short
+	}
+	r.started = true
+	for _, i := range absent {
+		r.pruned[i] = true
+	}
+	return true, nil
 }
 
 // replay streams the month's windows with full record envelopes, one

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -38,11 +39,25 @@ func syntheticArchive(t *testing.T, counts map[int]map[int]int) *store.Archive {
 	return a
 }
 
+// archiveSource opens an in-memory archive for replay through a binary
+// image, the way the facade opens an archive stream.
+func archiveSource(a *store.Archive) (*ArchiveSource, error) {
+	var buf bytes.Buffer
+	if err := a.WriteArchiveBinary(&buf); err != nil {
+		return nil, err
+	}
+	ir, err := store.OpenIndexedBytes(buf.Bytes())
+	if err != nil {
+		return nil, err
+	}
+	return NewArchiveSource(ir)
+}
+
 // TestArchiveSourceSkipsGapMonthWithoutBorrowing: a month with no records
 // on any board (the rig was off) is not evaluated and — crucially — the
 // next month's records are not borrowed to fake a window for it.
 func TestArchiveSourceSkipsGapMonthWithoutBorrowing(t *testing.T) {
-	src, err := NewArchiveSource(syntheticArchive(t, map[int]map[int]int{
+	src, err := archiveSource(syntheticArchive(t, map[int]map[int]int{
 		0: {0: 5, 2: 5},
 		1: {0: 5, 2: 5},
 	}))
@@ -68,7 +83,7 @@ func TestArchiveSourceSkipsGapMonthWithoutBorrowing(t *testing.T) {
 // while later months are complete is lost data, reported with the month
 // and board, never skipped.
 func TestArchiveSourceReportsMidArchiveLoss(t *testing.T) {
-	src, err := NewArchiveSource(syntheticArchive(t, map[int]map[int]int{
+	src, err := archiveSource(syntheticArchive(t, map[int]map[int]int{
 		0: {0: 5, 1: 5, 2: 5},
 		1: {0: 5, 1: 2, 2: 5},
 	}))
@@ -84,7 +99,7 @@ func TestArchiveSourceReportsMidArchiveLoss(t *testing.T) {
 // the archive (collection killed mid-window) is dropped; the complete
 // months still replay.
 func TestArchiveSourceDropsInterruptedTail(t *testing.T) {
-	src, err := NewArchiveSource(syntheticArchive(t, map[int]map[int]int{
+	src, err := archiveSource(syntheticArchive(t, map[int]map[int]int{
 		0: {0: 5, 1: 5, 2: 5},
 		1: {0: 5, 1: 5, 2: 3},
 	}))

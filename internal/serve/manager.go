@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -575,127 +574,41 @@ func (m *Manager) execute(ctx context.Context, c *campaign) (*core.Results, erro
 }
 
 // recoverCheckpoint restores a campaign's archive to its longest usable
-// prefix: the leading run of the campaign's evaluation months for which
-// EVERY device holds a complete window. A torn tail record, a partially
-// measured month, or stray bytes after a crash are cut off by rewriting
-// the archive (stream copy, temp + rename); a clean archive that already
-// IS exactly the prefix is left untouched, byte for byte. Returns the
-// months the recovered archive replays (nil: start fresh).
+// prefix in four steps: scan the archive's whole-record prefix; ask the
+// completeness rule (core.DoneMonths, the rule the archive listers
+// apply, screened when the campaign screens) for the done prefix of the
+// campaign's evaluation months; leave the file alone if it already is
+// exactly that prefix; otherwise cut it to that prefix — each done
+// month's windows copied to a fresh v1 archive, temp + rename — which
+// drops a torn tail record, a partially measured month and stray bytes
+// after a crash. Returns the done months (nil: start fresh).
 func recoverCheckpoint(path string, spec Spec, months []int) ([]int, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
+	ir, err := store.OpenIndexedPrefix(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist), errors.Is(err, store.ErrBinary):
+		return nil, nil // nothing readable to recover: start afresh
+	case err != nil:
 		return nil, err
 	}
-	size := int64(0)
-	if info, err := f.Stat(); err == nil {
-		size = info.Size()
+	defer ir.Close()
+	boards := make([]int, spec.Devices) // device d archives as board d
+	for d := range boards {
+		boards[d] = d
 	}
-	r, err := store.NewBinaryReader(f)
-	if err != nil {
-		// No readable header: nothing to recover.
-		f.Close()
-		return nil, nil
-	}
-	// Pass 1: count records per (month, device) up to the first decode
-	// error — everything after a torn record is unreachable in a stream
-	// format and is dropped.
-	counts := map[int]map[int]int{}
-	clean := true
-	var rec store.Record
-	for {
-		err := r.Read(&rec)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			clean = false
-			break
-		}
-		mo := store.MonthIndex(rec.Wall)
-		if counts[mo] == nil {
-			counts[mo] = map[int]int{}
-		}
-		counts[mo][rec.Board]++
-	}
-	f.Close()
-
-	// Completeness per month. Unscreened: every device holds a full
-	// window. Screened: a device with NO records was pruned by an earlier
-	// month's decision — legitimate, as long as absences are monotonic
-	// (a pruned device never reappears) and the first month is whole.
-	screened := spec.screening() != nil
-	var done []int
-	doneSet := map[int]bool{}
-	gone := map[int]bool{}
-	for _, mo := range months {
-		complete := true
-		for d := 0; d < spec.Devices; d++ {
-			n := counts[mo][d]
-			switch {
-			case n >= spec.Window:
-				if gone[d] {
-					complete = false // pruned device reappeared: torn state
-				}
-			case n == 0 && screened && len(done) > 0:
-				// Absent after at least one evaluated month: pruned.
-			default:
-				complete = false
-			}
-			if !complete {
-				break
-			}
-		}
-		if !complete {
-			break
-		}
-		for d := 0; d < spec.Devices; d++ {
-			if counts[mo][d] == 0 {
-				gone[d] = true
-			}
-		}
-		done = append(done, mo)
-		doneSet[mo] = true
-	}
-	if len(done) == 0 {
-		return nil, nil
-	}
-
-	// Exactness check: the archive is already the prefix iff it decoded
-	// cleanly to its last byte and holds nothing but the prefix months at
-	// exactly one window per device.
-	exact := clean && r.Offset() == size
-	if exact {
-		for mo, perDev := range counts {
-			if !doneSet[mo] {
-				exact = false
-				break
-			}
-			for _, n := range perDev {
-				if n != spec.Window {
-					exact = false
-					break
-				}
+	done := core.DoneMonths(ir, boards, spec.Window, spec.screening() != nil, months)
+	// The prefix is one window per done month and board present in it
+	// (absent boards were pruned); the archive is exactly the prefix when
+	// it holds nothing else and no torn tail.
+	var windows int
+	for _, m := range done {
+		for _, b := range boards {
+			if ir.MonthRecords(b, m) > 0 {
+				windows++
 			}
 		}
 	}
-	if exact {
+	if ir.End() == ir.Size() && ir.TotalRecords() == windows*spec.Window {
 		return done, nil
-	}
-
-	// Pass 2: stream-copy the prefix months' records (first Window per
-	// month and device, in stream order) to a fresh v1 archive and swap
-	// it in atomically.
-	in, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer in.Close()
-	rr, err := store.NewBinaryReader(in)
-	if err != nil {
-		return nil, err
 	}
 	tmp := path + ".recover"
 	out, err := os.Create(tmp)
@@ -704,28 +617,15 @@ func recoverCheckpoint(path string, spec Spec, months []int) ([]int, error) {
 	}
 	defer out.Close()
 	w := store.NewBinaryWriterV1(out)
-	copied := map[int]map[int]int{}
-	for {
-		err := rr.Read(&rec)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			break // same torn tail as pass 1
-		}
-		mo := store.MonthIndex(rec.Wall)
-		if !doneSet[mo] {
-			continue
-		}
-		if copied[mo] == nil {
-			copied[mo] = map[int]int{}
-		}
-		if copied[mo][rec.Board] >= spec.Window {
-			continue
-		}
-		copied[mo][rec.Board]++
-		if err := w.Write(rec); err != nil {
-			return nil, err
+	var dec store.SegmentDecoder
+	for _, m := range done {
+		for _, b := range boards {
+			if ir.MonthRecords(b, m) == 0 {
+				continue
+			}
+			if err := ir.ReadSegment(&dec, b, m, spec.Window, func(rec *store.Record) error { return w.Write(*rec) }); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if err := w.Flush(); err != nil {

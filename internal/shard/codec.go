@@ -124,9 +124,9 @@ type Spec struct {
 	// chips or the full rig). This package never interprets it: the
 	// worker's backend builder decodes and validates it.
 	Sim json.RawMessage `json:"sim,omitempty"`
-	// ArchivePath is the measurement archive to replay — JSONL or
-	// binary, detected by the leading magic. The path must be readable
-	// by the worker process.
+	// ArchivePath is the binary measurement archive to replay (v1 or
+	// v2, detected by the magic; JSONL is refused). The path must be
+	// readable by the worker process.
 	ArchivePath string `json:"archive_path,omitempty"`
 }
 

@@ -94,12 +94,31 @@ func benchArchiveReplay(b *testing.B, serialise func(*Archive, *bytes.Buffer) er
 	}
 }
 
-// BenchmarkArchiveReplayJSONL parses a 400-record JSONL archive — the
-// human-readable format's full parse cost (JSON + hex per record).
+// BenchmarkArchiveReplayJSONL converts a 400-record JSONL archive into
+// the binary format — what replaying a JSONL archive costs now that
+// replay reads only binary: the human-readable format's full parse
+// (JSON + hex per record), paid once by ConvertJSONL.
 func BenchmarkArchiveReplayJSONL(b *testing.B) {
-	benchArchiveReplay(b, func(a *Archive, buf *bytes.Buffer) error {
-		return a.WriteArchiveJSONL(buf)
-	})
+	a := NewArchive()
+	for _, rec := range benchRecordSet(b, 2, 200) {
+		if err := a.Append(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var buf, out bytes.Buffer
+	if err := a.WriteArchiveJSONL(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.Reset()
+		if err := ConvertJSONL(NewBinaryWriter(&out), bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkArchiveReplayBinary parses the same archive in the binary
@@ -201,11 +220,11 @@ func BenchmarkArchiveSeekMonth(b *testing.B) {
 							b.Fatal(err)
 						}
 						if m == months-1 {
-							n, err := BinaryRecordSize(rec)
+							enc, err := AppendRecordBinary(nil, rec)
 							if err != nil {
 								b.Fatal(err)
 							}
-							monthBytes += int64(n)
+							monthBytes += int64(len(enc))
 						}
 					}
 				}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -54,14 +53,6 @@ const binaryHeaderLen = 36
 // maxBinaryRecordBits bounds a record payload (16 MiB of words) so a
 // corrupt length field cannot turn into a giant allocation.
 const maxBinaryRecordBits = 1 << 27
-
-// BinaryRecordSize returns the encoded size of rec in bytes.
-func BinaryRecordSize(rec Record) (int, error) {
-	if rec.Data == nil {
-		return 0, errors.New("store: record has no data")
-	}
-	return binaryHeaderLen + 8*len(rec.Data.Words()), nil
-}
 
 // AppendRecordBinary appends the binary encoding of rec to dst and
 // returns the extended slice. With sufficient capacity it does not
@@ -138,20 +129,6 @@ func (d *RecordDecoder) Decode(data []byte, rec *Record) (int, error) {
 	rec.Cycle = binary.LittleEndian.Uint64(data[16:])
 	rec.Wall = time.Unix(0, int64(binary.LittleEndian.Uint64(data[24:]))).UTC()
 	return total, nil
-}
-
-// DecodeRecordBinary parses one record from the front of data, returning
-// it with a freshly allocated payload and the number of bytes consumed.
-// Streaming consumers that want payload reuse use a BinaryReader (or the
-// shard batch decoder) instead.
-func DecodeRecordBinary(data []byte) (Record, int, error) {
-	var d RecordDecoder
-	var rec Record
-	n, err := d.Decode(data, &rec)
-	if err != nil {
-		return Record{}, 0, err
-	}
-	return rec, n, nil
 }
 
 // BinaryWriter encodes records to a binary archive stream one at a time —
@@ -231,18 +208,22 @@ func (w *BinaryWriter) Write(rec Record) error {
 		// The index must describe what a reader will DECODE, so board and
 		// month come from the encoded header's domain (int32 board, and a
 		// wall clock that round-trips through UnixNano).
-		board := int(int32(rec.Board))
-		month := MonthIndex(time.Unix(0, rec.Wall.UnixNano()))
-		if !w.runOpen || board != w.runBoard || month != w.runMonth {
-			w.closeRun()
-			w.runBoard, w.runMonth, w.runOpen = board, month, true
-		}
-		w.runCount++
-		w.runBytes += int64(len(enc))
+		w.extendRun(int(int32(rec.Board)), MonthIndex(time.Unix(0, rec.Wall.UnixNano())), 1, int64(len(enc)))
 	}
 	w.off += int64(len(enc))
 	w.count++
 	return nil
+}
+
+// extendRun adds count records of n bytes, all of one (board, month),
+// to the open index run, first closing it if it holds another segment.
+func (w *BinaryWriter) extendRun(board, month, count int, n int64) {
+	if !w.runOpen || board != w.runBoard || month != w.runMonth {
+		w.closeRun()
+		w.runBoard, w.runMonth, w.runOpen = board, month, true
+	}
+	w.runCount += count
+	w.runBytes += n
 }
 
 // closeRun appends the open run as one varint index entry.
@@ -427,28 +408,6 @@ func (r *BinaryReader) finishV2(hdr [binaryHeaderLen]byte) error {
 	return nil
 }
 
-// ReadBinary parses a binary archive stream into an archive.
-func ReadBinary(r io.Reader) (*Archive, error) {
-	br, err := NewBinaryReader(r)
-	if err != nil {
-		return nil, err
-	}
-	a := NewArchive()
-	for i := 0; ; i++ {
-		var rec Record
-		err := br.Read(&rec)
-		if err == io.EOF {
-			return a, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("store: binary record %d: %w", i, err)
-		}
-		if err := a.Append(rec); err != nil {
-			return nil, fmt.Errorf("store: binary record %d: %w", i, err)
-		}
-	}
-}
-
 // WriteArchiveBinary streams the entire archive in binary, boards in
 // ascending order — the `.bin` counterpart of WriteArchiveJSONL.
 func (a *Archive) WriteArchiveBinary(w io.Writer) error {
@@ -461,24 +420,6 @@ func (a *Archive) WriteArchiveBinary(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadArchive parses a measurement archive in either format, detected by
-// the leading bytes: the binary magic selects the binary codec, anything
-// else is parsed as JSON lines. This is what lets every replay surface
-// (evaluate, sharded archive workers, the facade ArchiveSource) accept
-// `.bin` and `.jsonl` archives interchangeably.
-func ReadArchive(r io.Reader) (*Archive, error) {
-	br := bufio.NewReaderSize(r, 64*1024)
-	// Route on the identifying bytes only (magic minus the version), so
-	// an archive from a FUTURE format version reaches the binary reader
-	// and fails with its version-mismatch error instead of a baffling
-	// JSON parse error.
-	head, err := br.Peek(len(BinaryMagic) - 1)
-	if err == nil && bytes.Equal(head, []byte(BinaryMagic[:len(BinaryMagic)-1])) {
-		return ReadBinary(br)
-	}
-	return ReadJSONL(br)
 }
 
 // RecordWriter is a streaming archive sink: both JSONLWriter and

@@ -36,7 +36,7 @@ func FuzzRecordBinaryRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		back, n, err := DecodeRecordBinary(wire)
+		back, n, err := decodeRecord(wire)
 		if err != nil {
 			t.Fatalf("decode of own wire format: %v", err)
 		}

@@ -36,6 +36,15 @@ func testRecords(t *testing.T, bits int) []Record {
 	return recs
 }
 
+// decodeRecord decodes one record from the front of data into a fresh
+// Record.
+func decodeRecord(data []byte) (Record, int, error) {
+	var d RecordDecoder
+	var rec Record
+	n, err := d.Decode(data, &rec)
+	return rec, n, err
+}
+
 func sameRecord(a, b Record) bool {
 	return a.Board == b.Board && a.Layer == b.Layer && a.Seq == b.Seq &&
 		a.Cycle == b.Cycle && a.Wall.Equal(b.Wall) && a.Data.Equal(b.Data)
@@ -48,14 +57,10 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := BinaryRecordSize(rec)
-			if err != nil {
-				t.Fatal(err)
+			if want := binaryHeaderLen + 8*len(rec.Data.Words()); len(enc) != want {
+				t.Fatalf("bits=%d: encoded %d bytes, the record layout says %d", bits, len(enc), want)
 			}
-			if len(enc) != want {
-				t.Fatalf("bits=%d: encoded %d bytes, BinaryRecordSize says %d", bits, len(enc), want)
-			}
-			back, n, err := DecodeRecordBinary(enc)
+			back, n, err := decodeRecord(enc)
 			if err != nil {
 				t.Fatalf("bits=%d: decode: %v", bits, err)
 			}
@@ -92,7 +97,7 @@ func TestBinaryMatchesJSONL(t *testing.T) {
 		t.Fatalf("binary archive (%d bytes) is not smaller than JSONL (%d bytes)", bbuf.Len(), jbuf.Len())
 	}
 
-	ja, err := ReadArchive(bytes.NewReader(jbuf.Bytes()))
+	ja, err := convertJSONL(jbuf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,26 +165,26 @@ func TestBinaryCorruptionRejected(t *testing.T) {
 	}
 
 	t.Run("truncated header", func(t *testing.T) {
-		if _, _, err := DecodeRecordBinary(enc[:binaryHeaderLen-1]); !errors.Is(err, ErrBinary) {
+		if _, _, err := decodeRecord(enc[:binaryHeaderLen-1]); !errors.Is(err, ErrBinary) {
 			t.Fatalf("err = %v, want ErrBinary", err)
 		}
 	})
 	t.Run("truncated payload", func(t *testing.T) {
-		if _, _, err := DecodeRecordBinary(enc[:len(enc)-1]); !errors.Is(err, ErrBinary) {
+		if _, _, err := decodeRecord(enc[:len(enc)-1]); !errors.Is(err, ErrBinary) {
 			t.Fatalf("err = %v, want ErrBinary", err)
 		}
 	})
 	t.Run("oversized bit length", func(t *testing.T) {
 		bad := append([]byte(nil), enc...)
 		binary.LittleEndian.PutUint32(bad[32:], maxBinaryRecordBits+1)
-		if _, _, err := DecodeRecordBinary(bad); !errors.Is(err, ErrBinary) {
+		if _, _, err := decodeRecord(bad); !errors.Is(err, ErrBinary) {
 			t.Fatalf("err = %v, want ErrBinary", err)
 		}
 	})
 	t.Run("dirty padding bits", func(t *testing.T) {
 		bad := append([]byte(nil), enc...)
 		bad[len(bad)-1] = 0xff // bits 100..127 of the final word
-		if _, _, err := DecodeRecordBinary(bad); !errors.Is(err, ErrBinary) {
+		if _, _, err := decodeRecord(bad); !errors.Is(err, ErrBinary) {
 			t.Fatalf("err = %v, want ErrBinary", err)
 		}
 	})

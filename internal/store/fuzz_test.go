@@ -46,9 +46,11 @@ func FuzzRecordJSONRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzReadJSONL: arbitrary input must parse or fail cleanly (never
-// panic), and whatever parses must re-serialise to an archive that parses
-// back to the same content.
+// FuzzReadJSONL fuzzes the JSONL converter, the one JSONL reader:
+// arbitrary input must convert or fail cleanly (never panic); whatever
+// converts must carry exactly the records the independent sequential
+// JSONL oracle parses, and must re-export to JSONL that converts back
+// to the same content.
 func FuzzReadJSONL(f *testing.F) {
 	var buf bytes.Buffer
 	jw := NewJSONLWriter(&buf)
@@ -62,31 +64,42 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add([]byte(`{"board":0,"layer":0,"seq":0,"cycle":0,"wall":"2017-02-08T00:00:00Z","bits":8,"data":"ff"}`))
 	f.Add([]byte("not json at all"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := ReadJSONL(bytes.NewReader(data))
+		a, err := convertJSONL(data)
 		if err != nil {
 			return // rejected cleanly
 		}
+		oracle, err := ReadJSONL(bytes.NewReader(data))
+		if err == nil {
+			assertSameArchive(t, oracle, a)
+		}
 		var out bytes.Buffer
 		if err := a.WriteArchiveJSONL(&out); err != nil {
-			t.Fatalf("re-serialising a parsed archive: %v", err)
+			t.Fatalf("re-serialising a converted archive: %v", err)
 		}
-		b, err := ReadJSONL(bytes.NewReader(out.Bytes()))
+		b, err := convertJSONL(out.Bytes())
 		if err != nil {
-			t.Fatalf("re-parsing own serialisation: %v", err)
+			t.Fatalf("re-converting own serialisation: %v", err)
 		}
-		if b.Len() != a.Len() {
-			t.Fatalf("round trip lost records: %d -> %d", a.Len(), b.Len())
-		}
-		for _, board := range a.Boards() {
-			ra, rb := a.Records(board), b.Records(board)
-			if len(ra) != len(rb) {
-				t.Fatalf("board %d: %d -> %d records", board, len(ra), len(rb))
-			}
-			for i := range ra {
-				if !ra[i].Data.Equal(rb[i].Data) || !ra[i].Wall.Equal(rb[i].Wall) || ra[i].Seq != rb[i].Seq {
-					t.Fatalf("board %d record %d differs after round trip", board, i)
-				}
-			}
-		}
+		assertSameArchive(t, a, b)
 	})
+}
+
+// assertSameArchive fails unless a and b hold the same records, board by
+// board, in order.
+func assertSameArchive(t *testing.T, a, b *Archive) {
+	t.Helper()
+	if b.Len() != a.Len() {
+		t.Fatalf("archives hold %d and %d records", a.Len(), b.Len())
+	}
+	for _, board := range a.Boards() {
+		ra, rb := a.Records(board), b.Records(board)
+		if len(ra) != len(rb) {
+			t.Fatalf("board %d: %d vs %d records", board, len(ra), len(rb))
+		}
+		for i := range ra {
+			if !sameRecord(ra[i], rb[i]) {
+				t.Fatalf("board %d record %d differs", board, i)
+			}
+		}
+	}
 }

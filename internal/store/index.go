@@ -2,8 +2,9 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -58,10 +59,11 @@ import (
 // index is rejected with ErrBinary — there is NO rescue scan, because
 // index bytes could decode as plausible records and a "rescued" replay
 // might silently evaluate wrong months. The fallback scan applies only
-// to formats that never had an index (v1, JSONL): those are read once,
-// front to back, and the index is built in memory. Every seek-decoded
-// record is additionally validated against its segment's (board, month),
-// so even an index that lies cannot cause a wrong-month replay.
+// to v1, which never had an index: it is read once, front to back, and
+// the index is built in memory. Every seek-decoded record is
+// additionally validated against its segment's (board, month), so even
+// an index that lies cannot cause a wrong-month replay. JSON lines are
+// not a replay format: ConvertJSONL turns them into binary once.
 
 const (
 	endSentinelMagic  = "SRPUFEND"
@@ -77,9 +79,12 @@ const endSentinelBits = ^uint32(0)
 const (
 	FormatBinaryV2 = "binary-v2"
 	FormatBinaryV1 = "binary-v1"
-	FormatJSONL    = "jsonl"
-	FormatMemory   = "memory"
 )
+
+// ErrJSONL reports a JSON-lines archive opened for replay. Replay reads
+// binary archives only; `evaluate -index` (UpgradeFile) converts a
+// JSONL archive in place once.
+var ErrJSONL = errors.New("store: JSONL archive: replay reads binary archives only; convert it once with evaluate -index")
 
 // indexEntry is one decoded index run.
 type indexEntry struct {
@@ -139,9 +144,7 @@ func decodeIndexEntries(data []byte, want uint64) ([]indexEntry, error) {
 // segKey identifies one (board, month) segment.
 type segKey struct{ board, month int }
 
-// segRun is one contiguous piece of a segment. For file backings off and
-// length are byte ranges; for the in-memory backing off is the record
-// index within the board's slice and length is unused.
+// segRun is one contiguous byte range of a segment.
 type segRun struct {
 	off    int64
 	length int64
@@ -153,19 +156,20 @@ type segRun struct {
 type Segment struct {
 	Board, Month int
 	Count        int   // records in the segment
-	Bytes        int64 // encoded size (0 for the in-memory backing)
+	Bytes        int64 // encoded size
 	Runs         int   // contiguous runs (1 for board-major archives)
 }
 
-// IndexedReader is random (month-seekable) access to a measurement
-// archive. A v2 archive opens in O(1) via its trailer; v1 and JSONL
-// archives are scanned once, front to back, to build the same index in
+// IndexedReader is random (month-seekable) access to a binary
+// measurement archive. A v2 archive opens in O(1) via its trailer; a v1
+// archive is scanned once, front to back, to build the same index in
 // memory (Indexed reports which case applies). All accessors and
 // ReadSegment are safe for concurrent use — give each goroutine its own
 // SegmentDecoder.
 type IndexedReader struct {
 	ra     io.ReaderAt
 	size   int64
+	end    int64 // where the last record the index covers ends
 	format string
 	index  bool
 
@@ -175,7 +179,6 @@ type IndexedReader struct {
 	minM   int
 	maxM   int
 	total  int
-	mem    *Archive
 	closer io.Closer
 }
 
@@ -231,46 +234,70 @@ func (b *indexBuilder) finish(r *IndexedReader) {
 	sort.Ints(r.boards)
 }
 
-// OpenIndexed opens a measurement archive for seek-based replay. The
-// format is detected from the leading bytes: v2 reads only the footer
-// (O(1) in archive size), v1 and JSONL fall back to a single front-to-
-// back scan that builds the index in memory. ra must support concurrent
-// ReadAt (os.File, bytes.Reader and io.SectionReader all do).
+// OpenIndexed opens a binary measurement archive for seek-based replay.
+// The version is detected from the magic: v2 reads only the footer
+// (O(1) in archive size), v1 falls back to a single front-to-back scan
+// that builds the index in memory. A JSONL archive fails with ErrJSONL.
+// ra must support concurrent ReadAt (os.File, bytes.Reader and
+// io.SectionReader all do).
 func OpenIndexed(ra io.ReaderAt, size int64) (*IndexedReader, error) {
+	return openIndexed(ra, size, false)
+}
+
+// openIndexed opens an archive; prefix makes the v1 scan keep the
+// archive's whole-record prefix instead of rejecting a torn tail.
+func openIndexed(ra io.ReaderAt, size int64, prefix bool) (*IndexedReader, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("%w: negative archive size %d", ErrBinary, size)
 	}
 	r := &IndexedReader{ra: ra, size: size}
-	var head [8]byte
-	if size >= int64(len(head)) {
-		if _, err := ra.ReadAt(head[:], 0); err != nil {
+	var buf [len(BinaryMagic)]byte
+	head := buf[:min(size, int64(len(buf)))]
+	if len(head) > 0 {
+		if _, err := ra.ReadAt(head, 0); err != nil {
 			return nil, fmt.Errorf("store: reading archive head: %w", err)
 		}
 	}
 	switch {
-	case size >= 8 && string(head[:]) == BinaryMagicV2:
+	case string(head) == BinaryMagicV2:
 		r.format, r.index = FormatBinaryV2, true
 		if err := r.openV2(); err != nil {
 			return nil, err
 		}
-	case size >= 8 && string(head[:]) == BinaryMagic:
+	case string(head) == BinaryMagic:
 		r.format = FormatBinaryV1
-		if err := r.scanBinary(); err != nil {
+		if err := r.scanBinary(prefix); err != nil {
 			return nil, err
 		}
-	case size >= 8 && string(head[:7]) == BinaryMagic[:7]:
+	case len(head) == len(buf) && string(head[:7]) == BinaryMagic[:7]:
 		return nil, fmt.Errorf("%w: bad archive magic % x (version mismatch)", ErrBinary, head)
+	case bytes.HasPrefix(bytes.TrimLeft(head, " \t\r\n"), []byte("{")):
+		return nil, ErrJSONL
 	default:
-		r.format = FormatJSONL
-		if err := r.scanJSONL(); err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("%w: not a binary archive (no archive magic)", ErrBinary)
 	}
 	return r, nil
 }
 
 // OpenIndexedFile opens the archive at path; Close releases the file.
 func OpenIndexedFile(path string) (*IndexedReader, error) {
+	return openFile(path, OpenIndexed)
+}
+
+// OpenIndexedPrefix opens the binary archive at path as far as it is
+// whole: a v1 archive's index covers its longest prefix of complete
+// records in per-board wall order, and End reports where that prefix
+// ends — short of Size when the file ends in a torn or stray tail. A v2
+// archive opens as with OpenIndexedFile. This is the recovery view of a
+// crash-tolerant v1 checkpoint; replay opens archives with
+// OpenIndexedFile, which rejects a torn file.
+func OpenIndexedPrefix(path string) (*IndexedReader, error) {
+	return openFile(path, func(ra io.ReaderAt, size int64) (*IndexedReader, error) {
+		return openIndexed(ra, size, true)
+	})
+}
+
+func openFile(path string, open func(io.ReaderAt, int64) (*IndexedReader, error)) (*IndexedReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -280,7 +307,7 @@ func OpenIndexedFile(path string) (*IndexedReader, error) {
 		f.Close()
 		return nil, err
 	}
-	r, err := OpenIndexed(f, st.Size())
+	r, err := open(f, st.Size())
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: archive %s: %w", path, err)
@@ -289,22 +316,18 @@ func OpenIndexedFile(path string) (*IndexedReader, error) {
 	return r, nil
 }
 
-// IndexArchive wraps an already-parsed in-memory archive in the same
-// seek interface, so replay sources have one code path whether the
-// records came from a file or from memory.
-func IndexArchive(a *Archive) (*IndexedReader, error) {
-	if a == nil {
-		return nil, fmt.Errorf("%w: nil archive", ErrBinary)
-	}
-	r := &IndexedReader{format: FormatMemory, mem: a}
-	b := newIndexBuilder()
-	for _, board := range a.Boards() {
-		for i, rec := range a.Records(board) {
-			b.addRun(board, MonthIndex(rec.Wall), int64(i), 1, 1)
+// OpenIndexedBytes opens an archive image held in memory. A binary image
+// is opened as is; a JSONL image is converted (ConvertJSONL) into a v2
+// image first, so the reader always replays binary.
+func OpenIndexedBytes(data []byte) (*IndexedReader, error) {
+	if !bytes.HasPrefix(data, []byte(BinaryMagic[:7])) {
+		var buf bytes.Buffer
+		if err := ConvertJSONL(NewBinaryWriter(&buf), bytes.NewReader(data)); err != nil {
+			return nil, err
 		}
+		data = buf.Bytes()
 	}
-	b.finish(r)
-	return r, nil
+	return OpenIndexed(bytes.NewReader(data), int64(len(data)))
 }
 
 // openV2 reads the trailer, sentinel and index of a v2 archive and
@@ -372,85 +395,41 @@ func (r *IndexedReader) openV2() error {
 	if recs != sentinelCount {
 		return fmt.Errorf("%w: index counts %d records, end sentinel claims %d", ErrBinary, recs, sentinelCount)
 	}
+	r.end = sentinelOff
 	b.finish(r)
 	return nil
 }
 
 // scanBinary builds the index for an un-indexed v1 archive with one
 // front-to-back decode pass, recording byte offsets as it goes. The scan
-// enforces the same per-board wall ordering ReadArchive does.
-func (r *IndexedReader) scanBinary() error {
+// enforces per-board wall order. A malformed or out-of-order record is
+// an error, unless prefix is set: then the index stops before it and
+// r.end marks where the whole-record prefix ends.
+func (r *IndexedReader) scanBinary(prefix bool) error {
 	br, err := NewBinaryReader(bufio.NewReaderSize(io.NewSectionReader(r.ra, 0, r.size), 256*1024))
 	if err != nil {
 		return err
 	}
 	b := newIndexBuilder()
 	lastWall := make(map[int]time.Time)
-	off := int64(len(BinaryMagic))
 	var rec Record
 	for i := 0; ; i++ {
+		off := br.Offset()
 		err := br.Read(&rec)
-		if err == io.EOF {
+		if err == nil {
+			if last, ok := lastWall[rec.Board]; ok && rec.Wall.Before(last) {
+				err = fmt.Errorf("%w: board %d: out-of-order record at %v", ErrBinary, rec.Board, rec.Wall)
+			}
+		}
+		if err == io.EOF || (err != nil && prefix) {
+			r.end = off
 			break
 		}
 		if err != nil {
 			return fmt.Errorf("store: binary record %d: %w", i, err)
 		}
-		if last, ok := lastWall[rec.Board]; ok && rec.Wall.Before(last) {
-			return fmt.Errorf("%w: board %d: out-of-order record at %v", ErrBinary, rec.Board, rec.Wall)
-		}
 		lastWall[rec.Board] = rec.Wall
-		n := int64(binaryHeaderLen + 8*len(rec.Data.Words()))
-		b.addRun(rec.Board, MonthIndex(rec.Wall), off, n, 1)
-		off += n
-	}
-	b.finish(r)
-	return nil
-}
-
-// scanJSONL builds the index for a JSONL archive with one line-by-line
-// parse pass, recording line byte ranges. Lines are fully unmarshalled
-// (the scan validates exactly what ReadJSONL would), but only the index
-// is retained.
-func (r *IndexedReader) scanJSONL() error {
-	br := bufio.NewReaderSize(io.NewSectionReader(r.ra, 0, r.size), 256*1024)
-	b := newIndexBuilder()
-	lastWall := make(map[int]time.Time)
-	var off int64
-	for lineNo := 1; ; lineNo++ {
-		line, err := br.ReadBytes('\n')
-		if len(line) == 0 && err == io.EOF {
-			break
-		}
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("store: %w", err)
-		}
-		n := int64(len(line))
-		trimmed := line
-		for len(trimmed) > 0 && (trimmed[len(trimmed)-1] == '\n' || trimmed[len(trimmed)-1] == '\r') {
-			trimmed = trimmed[:len(trimmed)-1]
-		}
-		if len(trimmed) > maxJSONLLineBytes {
-			return fmt.Errorf("store: line %d: %d bytes exceeds the %d-byte line bound", lineNo, len(trimmed), maxJSONLLineBytes)
-		}
-		if len(trimmed) > 0 {
-			var rec Record
-			if uerr := json.Unmarshal(trimmed, &rec); uerr != nil {
-				return fmt.Errorf("store: line %d: %w", lineNo, uerr)
-			}
-			if rec.Data == nil {
-				return fmt.Errorf("store: line %d: record has no data", lineNo)
-			}
-			if last, ok := lastWall[rec.Board]; ok && rec.Wall.Before(last) {
-				return fmt.Errorf("store: board %d: out-of-order record at %v", rec.Board, rec.Wall)
-			}
-			lastWall[rec.Board] = rec.Wall
-			b.addRun(rec.Board, MonthIndex(rec.Wall), off, n, 1)
-		}
-		off += n
-		if err == io.EOF {
-			break
-		}
+		b.addRun(rec.Board, MonthIndex(rec.Wall), off, br.Offset()-off, 1)
 	}
 	b.finish(r)
 	return nil
@@ -463,8 +442,14 @@ func (r *IndexedReader) Format() string { return r.format }
 // rather than a fallback scan.
 func (r *IndexedReader) Indexed() bool { return r.index }
 
-// Size returns the archive's byte size (0 for the in-memory backing).
+// Size returns the archive's byte size.
 func (r *IndexedReader) Size() int64 { return r.size }
+
+// End returns the offset where the last record the index covers ends:
+// the end of the record region, short of Size on a v2 archive (its
+// footer follows) and on a torn v1 archive opened with
+// OpenIndexedPrefix.
+func (r *IndexedReader) End() int64 { return r.end }
 
 // TotalRecords returns the archive's record count.
 func (r *IndexedReader) TotalRecords() int { return r.total }
@@ -503,10 +488,8 @@ func (r *IndexedReader) Segments() []Segment {
 	out := make([]Segment, 0, len(r.segs))
 	for key, runs := range r.segs {
 		s := Segment{Board: key.board, Month: key.month, Count: r.counts[key], Runs: len(runs)}
-		if r.mem == nil {
-			for _, run := range runs {
-				s.Bytes += run.length
-			}
+		for _, run := range runs {
+			s.Bytes += run.length
 		}
 		out = append(out, s)
 	}
@@ -566,56 +549,26 @@ func (r *IndexedReader) ReadSegment(d *SegmentDecoder, board, month, limit int, 
 	if want == 0 {
 		return nil
 	}
-	switch r.format {
-	case FormatMemory:
-		return r.readMemorySegment(board, want, runs, fn)
-	case FormatJSONL:
-		return r.readJSONLSegment(d, board, month, want, runs, fn)
-	default:
-		return r.readBinarySegment(d, board, month, want, runs, fn)
-	}
-}
-
-func (r *IndexedReader) readMemorySegment(board, want int, runs []segRun, fn func(*Record) error) error {
-	recs := r.mem.Records(board)
-	delivered := 0
+	// Size the arena from the index: the runs' byte lengths bound the
+	// payload words exactly, so the slab never grows mid-segment (growth
+	// would invalidate views already delivered).
+	var size int64
+	var count int
 	for _, run := range runs {
-		for i := 0; i < run.count && delivered < want; i++ {
-			if err := fn(&recs[run.off+int64(i)]); err != nil {
-				return err
-			}
-			delivered++
-		}
-		if delivered >= want {
-			break
-		}
+		size += run.length
+		count += run.count
 	}
-	return nil
-}
-
-func (r *IndexedReader) readJSONLSegment(d *SegmentDecoder, board, month, want int, runs []segRun, fn func(*Record) error) error {
+	d.arena.Reset(int(size-int64(count)*binaryHeaderLen)/8, want)
+	mb := boundsForMonth(month)
 	delivered := 0
+	// prev enforces the archive's per-board wall order across the whole
+	// segment (runs are stored in file order): the v2 footer cannot
+	// prove record order, so the seek path re-checks what the
+	// sequential reader would have rejected.
+	var prev time.Time
 	for _, run := range runs {
-		sc := bufio.NewScanner(io.NewSectionReader(r.ra, run.off, run.length))
-		sc.Buffer(make([]byte, 0, 64*1024), maxJSONLLineBytes)
-		for sc.Scan() && delivered < want {
-			if len(sc.Bytes()) == 0 {
-				continue
-			}
-			d.rec = Record{}
-			if err := json.Unmarshal(sc.Bytes(), &d.rec); err != nil {
-				return fmt.Errorf("store: board %d month %d: %w", board, month, err)
-			}
-			if d.rec.Board != board || MonthIndex(d.rec.Wall) != month {
-				return fmt.Errorf("%w: index sent board %d month %d to a record of board %d month %d", ErrBinary, board, month, d.rec.Board, MonthIndex(d.rec.Wall))
-			}
-			if err := fn(&d.rec); err != nil {
-				return err
-			}
-			delivered++
-		}
-		if err := sc.Err(); err != nil {
-			return fmt.Errorf("store: board %d month %d: %w", board, month, err)
+		if err := r.readBinaryRun(d, board, mb, run, want, &delivered, &prev, fn); err != nil {
+			return err
 		}
 		if delivered >= want {
 			break
@@ -654,38 +607,6 @@ func (mb monthBounds) contains(t time.Time) bool {
 		return ns >= mb.startNs && ns < mb.endNs
 	}
 	return MonthIndex(t) == mb.month
-}
-
-func (r *IndexedReader) readBinarySegment(d *SegmentDecoder, board, month, want int, runs []segRun, fn func(*Record) error) error {
-	// Size the arena from the index: the runs' byte lengths bound the
-	// payload words exactly, so the slab never grows mid-segment (growth
-	// would invalidate views already delivered).
-	var bytes int64
-	var count int
-	for _, run := range runs {
-		bytes += run.length
-		count += run.count
-	}
-	d.arena.Reset(int(bytes-int64(count)*binaryHeaderLen)/8, want)
-	mb := boundsForMonth(month)
-	delivered := 0
-	// prev enforces the archive's per-board wall order across the whole
-	// segment (runs are stored in file order): the v2 footer cannot
-	// prove record order, so the seek path re-checks what the
-	// sequential reader would have rejected.
-	var prev time.Time
-	for _, run := range runs {
-		if err := r.readBinaryRun(d, board, mb, run, want, &delivered, &prev, fn); err != nil {
-			return err
-		}
-		if delivered >= want {
-			break
-		}
-	}
-	if delivered < want {
-		return fmt.Errorf("%w: board %d month %d segment delivered %d of %d records", ErrBinary, board, month, delivered, want)
-	}
-	return nil
 }
 
 // readBinaryRun decodes one contiguous run with chunked read-ahead.
@@ -844,45 +765,90 @@ func InspectFile(path string) (ArchiveInfo, error) {
 // UpgradeFile rewrites the archive at path in the indexed v2 format
 // (board-major, one segment run per board and month), atomically via a
 // temp file and rename. It reports whether a rewrite happened: an
-// archive that already carries a v2 index is left untouched.
+// archive that already carries a valid v2 index is left untouched.
+//
+// The rewrite streams: it holds a v1 archive's index scan in memory and
+// copies each segment's record bytes run by run, so memory is O(index),
+// not O(archive). A JSONL archive is first converted (ConvertJSONL)
+// into a temporary v1 file beside it.
 func UpgradeFile(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	var head [8]byte
-	if n, _ := io.ReadFull(f, head[:]); n == len(head) && string(head[:]) == BinaryMagicV2 {
-		f.Close()
-		// Validate the existing index rather than trusting the magic.
-		r, err := OpenIndexedFile(path)
+	r, err := OpenIndexedFile(path)
+	if errors.Is(err, ErrJSONL) {
+		var v1 string
+		v1, err = writeTemp(path, func(out io.Writer) error {
+			in, err := os.Open(path)
+			if err != nil {
+				return err
+			}
+			defer in.Close()
+			return ConvertJSONL(NewBinaryWriterV1(out), in)
+		})
 		if err != nil {
-			return false, err
+			return false, fmt.Errorf("store: archive %s: %w", path, err)
 		}
-		return false, r.Close()
+		defer os.Remove(v1)
+		r, err = OpenIndexedFile(v1)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return false, err
-	}
-	a, err := ReadArchive(f)
-	f.Close()
-	if err != nil {
-		return false, fmt.Errorf("store: archive %s: %w", path, err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".v2-*")
 	if err != nil {
 		return false, err
 	}
-	defer os.Remove(tmp.Name())
-	if err := a.WriteArchiveBinary(tmp); err != nil {
-		tmp.Close()
+	defer r.Close()
+	if r.Indexed() {
+		return false, nil
+	}
+	v2, err := writeTemp(path, r.writeBoardMajor)
+	if err != nil {
 		return false, err
 	}
-	if err := tmp.Close(); err != nil {
-		return false, err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := os.Rename(v2, path); err != nil {
+		os.Remove(v2)
 		return false, err
 	}
 	return true, nil
+}
+
+// writeTemp fills a new temp file beside path and returns its name; on
+// failure the temp file is removed.
+func writeTemp(path string, fill func(io.Writer) error) (string, error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return "", err
+	}
+	err = fill(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return "", err
+	}
+	return tmp.Name(), nil
+}
+
+// writeBoardMajor writes the archive to out in the v2 format, boards
+// ascending and each board's months ascending — the order
+// Archive.WriteArchiveBinary writes — by copying each segment's record
+// bytes run by run. Each segment becomes one index run; the bytes are
+// not decoded again (opening the archive validated them).
+func (r *IndexedReader) writeBoardMajor(out io.Writer) error {
+	w := NewBinaryWriter(out)
+	buf := make([]byte, 256*1024)
+	for _, s := range r.Segments() {
+		for _, run := range r.segs[segKey{s.Board, s.Month}] {
+			for off, end := run.off, run.off+run.length; off < end; {
+				n := int(min(end-off, int64(len(buf))))
+				if _, err := r.ra.ReadAt(buf[:n], off); err != nil {
+					return fmt.Errorf("%w: reading board %d month %d: %v", ErrBinary, s.Board, s.Month, err)
+				}
+				if _, err := w.bw.Write(buf[:n]); err != nil {
+					return err
+				}
+				off += int64(n)
+			}
+		}
+		w.extendRun(s.Board, s.Month, s.Count, s.Bytes)
+		w.off += s.Bytes
+		w.count += uint64(s.Count)
+	}
+	return w.Flush()
 }

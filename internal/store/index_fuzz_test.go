@@ -25,10 +25,10 @@ func FuzzArchiveIndex(f *testing.F) {
 		_ = w1.Write(rec)
 	}
 	_ = w1.Flush()
-	f.Add(v1.Bytes()) // fallback-scan input
+	f.Add(v1.Bytes()) // v1 fallback-scan input
 	var jl bytes.Buffer
 	_ = WriteJSONL(&jl, recs[:4])
-	f.Add(jl.Bytes()) // JSONL fallback-scan input
+	f.Add(jl.Bytes()) // JSONL input: refused with ErrJSONL, not scanned
 	f.Add([]byte(BinaryMagicV2))
 	f.Add([]byte{})
 	// Corrupt single bytes in the footer region of the canonical v2

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"os"
+	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -163,90 +165,99 @@ func TestIndexedReaderV2(t *testing.T) {
 	}
 }
 
-// TestIndexedReaderFallbackScan: v1 and JSONL archives must serve the
-// exact same segments through the one-pass in-memory index.
+// TestIndexedReaderFallbackScan: a v1 archive must serve the exact same
+// segments through the one-pass in-memory index, and a JSONL archive —
+// no longer a replay format — must be refused with ErrJSONL.
 func TestIndexedReaderFallbackScan(t *testing.T) {
 	recs := indexedRecords(t, 2, 3, 4, 128)
 	var v1, jl bytes.Buffer
 	w1 := NewBinaryWriterV1(&v1)
-	jw := NewJSONLWriter(&jl)
 	for _, rec := range recs {
 		if err := w1.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-		if err := jw.Write(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := w1.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := jw.Flush(); err != nil {
+	if err := WriteJSONL(&jl, recs); err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range map[string][]byte{FormatBinaryV1: v1.Bytes(), FormatJSONL: jl.Bytes()} {
-		r, err := OpenIndexed(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if r.Indexed() {
-			t.Fatalf("%s: fallback scan claims a trailer index", name)
-		}
-		if r.Format() != name {
-			t.Fatalf("format %q, want %q", r.Format(), name)
-		}
-		if r.TotalRecords() != len(recs) {
-			t.Fatalf("%s: TotalRecords = %d, want %d", name, r.TotalRecords(), len(recs))
-		}
-		var d SegmentDecoder
-		for b := 0; b < 2; b++ {
-			for m := 0; m < 3; m++ {
-				got := collectSegment(t, r, &d, b, m, 0)
-				i := 0
-				for _, rec := range recs {
-					if rec.Board == b && MonthIndex(rec.Wall) == m {
-						if !sameRecord(rec, got[i]) {
-							t.Fatalf("%s: board %d month %d record %d differs", name, b, m, i)
-						}
-						i++
+	if _, err := OpenIndexed(bytes.NewReader(jl.Bytes()), int64(jl.Len())); !errors.Is(err, ErrJSONL) {
+		t.Fatalf("JSONL archive: err = %v, want ErrJSONL", err)
+	}
+	data := v1.Bytes()
+	r, err := OpenIndexed(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Indexed() {
+		t.Fatal("fallback scan claims a trailer index")
+	}
+	if r.Format() != FormatBinaryV1 {
+		t.Fatalf("format %q, want %q", r.Format(), FormatBinaryV1)
+	}
+	if r.TotalRecords() != len(recs) {
+		t.Fatalf("TotalRecords = %d, want %d", r.TotalRecords(), len(recs))
+	}
+	if r.End() != int64(len(data)) {
+		t.Fatalf("End = %d, want the file size %d", r.End(), len(data))
+	}
+	assertSegmentsMatch(t, r, recs, 2, 3)
+}
+
+// assertSegmentsMatch replays every (board, month) segment of r and
+// compares it with the records of recs in that segment, in order.
+func assertSegmentsMatch(t *testing.T, r *IndexedReader, recs []Record, boards, months int) {
+	t.Helper()
+	var d SegmentDecoder
+	for b := 0; b < boards; b++ {
+		for m := 0; m < months; m++ {
+			got := collectSegment(t, r, &d, b, m, 0)
+			i := 0
+			for _, rec := range recs {
+				if rec.Board == b && MonthIndex(rec.Wall) == m {
+					if i >= len(got) || !sameRecord(rec, got[i]) {
+						t.Fatalf("board %d month %d record %d differs", b, m, i)
 					}
+					i++
 				}
-				if len(got) != i {
-					t.Fatalf("%s: board %d month %d: %d records, want %d", name, b, m, len(got), i)
-				}
+			}
+			if len(got) != i {
+				t.Fatalf("board %d month %d: %d records, want %d", b, m, len(got), i)
 			}
 		}
 	}
 }
 
-// TestIndexArchiveMemory: the in-memory backing serves segments
-// identical to the file backings.
-func TestIndexArchiveMemory(t *testing.T) {
+// TestOpenIndexedBytes: an in-memory image replays through the same
+// index as a file — a binary image as is, a JSONL image through the
+// converter into a v2 image.
+func TestOpenIndexedBytes(t *testing.T) {
 	recs := indexedRecords(t, 2, 2, 3, 96)
-	a := NewArchive()
-	for _, rec := range recs {
-		if err := a.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r, err := IndexArchive(a)
-	if err != nil {
+	var jl bytes.Buffer
+	if err := WriteJSONL(&jl, recs); err != nil {
 		t.Fatal(err)
 	}
-	if r.Format() != FormatMemory || r.Indexed() {
-		t.Fatalf("Format=%q Indexed=%v", r.Format(), r.Indexed())
-	}
-	var d SegmentDecoder
-	for b := 0; b < 2; b++ {
-		for m := 0; m < 2; m++ {
-			if got := r.MonthRecords(b, m); got != 3 {
-				t.Fatalf("MonthRecords(%d,%d) = %d, want 3", b, m, got)
-			}
-			got := collectSegment(t, r, &d, b, m, 0)
-			if len(got) != 3 {
-				t.Fatalf("board %d month %d: %d records", b, m, len(got))
+	for name, data := range map[string][]byte{"binary": writeV2(t, recs), "jsonl": jl.Bytes()} {
+		r, err := OpenIndexedBytes(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r.Format() != FormatBinaryV2 || !r.Indexed() {
+			t.Fatalf("%s: Format=%q Indexed=%v, want an indexed v2 image", name, r.Format(), r.Indexed())
+		}
+		for b := 0; b < 2; b++ {
+			for m := 0; m < 2; m++ {
+				if got := r.MonthRecords(b, m); got != 3 {
+					t.Fatalf("%s: MonthRecords(%d,%d) = %d, want 3", name, b, m, got)
+				}
 			}
 		}
+		assertSegmentsMatch(t, r, recs, 2, 2)
+	}
+	if _, err := OpenIndexedBytes([]byte("{broken\n")); err == nil {
+		t.Fatal("malformed JSONL image opened")
 	}
 }
 
@@ -433,51 +444,57 @@ func TestIndexedSeekIsBounded(t *testing.T) {
 	}
 }
 
-// TestUpgradeFile: v1 and JSONL archives upgrade in place to v2 with
-// identical content; an already-indexed archive is left byte-identical.
+// TestUpgradeFile: interleaved v1 and JSONL archives upgrade in place to
+// exactly the bytes of the sequential oracle's board-major rewrite
+// (ReadArchive, then WriteArchiveBinary); an already-indexed archive —
+// including one written interleaved, not board-major — is left
+// byte-identical.
 func TestUpgradeFile(t *testing.T) {
 	recs := indexedRecords(t, 2, 2, 3, 128)
 	for _, tc := range []struct {
 		name  string
 		write func(w io.Writer) error
 	}{
-		{"jsonl", func(w io.Writer) error {
-			jw := NewJSONLWriter(w)
-			for _, rec := range recs {
-				if err := jw.Write(rec); err != nil {
-					return err
-				}
-			}
-			return jw.Flush()
-		}},
-		{"v1", func(w io.Writer) error {
-			bw := NewBinaryWriterV1(w)
-			for _, rec := range recs {
-				if err := bw.Write(rec); err != nil {
-					return err
-				}
-			}
-			return bw.Flush()
-		}},
+		{"jsonl", func(w io.Writer) error { return WriteJSONL(w, recs) }},
+		{"v1", func(w io.Writer) error { return writeRecords(NewBinaryWriterV1(w), recs) }},
+		{"v2", func(w io.Writer) error { return writeRecords(NewBinaryWriter(w), recs) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			var orig bytes.Buffer
+			if err := tc.write(&orig); err != nil {
+				t.Fatal(err)
+			}
 			path := t.TempDir() + "/campaign.bin"
-			f, err := os.Create(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tc.write(f); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
+			if err := os.WriteFile(path, orig.Bytes(), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			upgraded, err := UpgradeFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "v2" {
+				if upgraded || !bytes.Equal(got, orig.Bytes()) {
+					t.Fatalf("UpgradeFile touched an indexed archive (upgraded=%v)", upgraded)
+				}
+				return
+			}
 			if !upgraded {
 				t.Fatal("UpgradeFile reported no upgrade")
+			}
+			oracle, err := ReadArchive(bytes.NewReader(orig.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := oracle.WriteArchiveBinary(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("upgraded archive (%d bytes) differs from the oracle's board-major rewrite (%d bytes)", len(got), want.Len())
 			}
 			info, err := InspectFile(path)
 			if err != nil {
@@ -485,10 +502,6 @@ func TestUpgradeFile(t *testing.T) {
 			}
 			if !info.Indexed || info.Format != FormatBinaryV2 || info.Records != len(recs) {
 				t.Fatalf("after upgrade: %+v", info)
-			}
-			before, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
 			}
 			upgraded, err = UpgradeFile(path)
 			if err != nil {
@@ -501,23 +514,84 @@ func TestUpgradeFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(before, after) {
+			if !bytes.Equal(got, after) {
 				t.Fatal("idempotent upgrade changed the file")
 			}
-			// Content parity with the original records.
-			a, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer a.Close()
-			arch, err := ReadArchive(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if arch.Len() != len(recs) {
-				t.Fatalf("upgraded archive holds %d records, want %d", arch.Len(), len(recs))
+			if leftovers, _ := filepath.Glob(path + ".tmp-*"); len(leftovers) > 0 {
+				t.Fatalf("upgrade left temp files behind: %v", leftovers)
 			}
 		})
+	}
+}
+
+func writeRecords(w *BinaryWriter, recs []Record) error {
+	for _, rec := range recs {
+		if err := w.Write(rec); err != nil {
+			return err
+		}
+	}
+	return w.Flush()
+}
+
+// TestUpgradeFileStreams: upgrading a v1 archive holds its index, not its
+// records. A ≥ 8 MB interleaved archive of paper-sized records (the
+// 8,192-bit read window) must upgrade with total allocations below half
+// the archive's size; materialising the archive costs more than its size.
+func TestUpgradeFileStreams(t *testing.T) {
+	if testing.Short() {
+		t.Skip("writes an 8 MB archive")
+	}
+	const boards, months, perMonth, bits = 16, 5, 100, 8192
+	path := t.TempDir() + "/campaign.bin"
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewBinaryWriterV1(f)
+	v := bitvec.New(bits)
+	for m := 0; m < months; m++ {
+		start := MonthlyWindowStart(m)
+		for i := 0; i < perMonth; i++ {
+			for b := 0; b < boards; b++ {
+				v.SetWord((b+i+m)%(bits/64), uint64(m*perMonth+i))
+				rec := Record{Board: b, Layer: b % 2, Seq: uint64(m*perMonth + i), Cycle: uint64(m*perMonth + i),
+					Wall: start.Add(time.Duration(i) * 5400 * time.Millisecond), Data: v}
+				if err := w.Write(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() < 8<<20 {
+		t.Fatalf("archive is %d bytes, want >= 8 MB", st.Size())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := UpgradeFile(path); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("upgrading a %d-byte v1 archive allocated %d bytes", st.Size(), alloc)
+	if alloc >= uint64(st.Size())/2 {
+		t.Fatalf("upgrade allocated %d bytes for a %d-byte archive, want < half", alloc, st.Size())
+	}
+	info, err := InspectFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Indexed || info.Records != boards*months*perMonth || info.Segments != boards*months {
+		t.Fatalf("after upgrade: %+v", info)
 	}
 }
 
@@ -580,7 +654,7 @@ func TestJSONLRecordBoundRoundTrip(t *testing.T) {
 	if buf.Len() <= 16*1024*1024 {
 		t.Fatalf("boundary line is only %d bytes; the regression needs one beyond the old 16 MiB cap", buf.Len())
 	}
-	a, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
+	a, err := convertJSONL(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,9 @@
 // master boards and archives it in JSON (§III). This package provides the
 // record schema, an in-memory archive with the paper's monthly evaluation
 // window selection ("the first 1,000 consecutive measurements after
-// midnight on the 8th of each month", §IV-B), and a streaming JSON-lines
-// serialisation for on-disk archives.
+// midnight on the 8th of each month", §IV-B), the JSON-lines export
+// format, and the binary archive format (binary.go, index.go) that every
+// replay reads.
 package store
 
 import (
@@ -225,27 +226,39 @@ func (a *Archive) WriteArchiveJSONL(w io.Writer) error {
 // reject hex lines for records the binary codec wrote fine.)
 const maxJSONLLineBytes = 2*(maxBinaryRecordBits/8) + 4096
 
-// ReadJSONL parses a JSON-lines stream into an archive.
-func ReadJSONL(r io.Reader) (*Archive, error) {
-	a := NewArchive()
+// ConvertJSONL streams a JSON-lines archive into the binary writer w,
+// one record at a time, and flushes w. It is the one JSONL reader:
+// replay reads only binary archives, so a JSONL archive is converted
+// once — UpgradeFile rewrites a file, OpenIndexedBytes an in-memory
+// image. Blank lines are skipped; a malformed line, a record out of
+// its board's wall order or one the binary codec cannot hold exactly
+// (an int32 board and layer, a nanosecond wall clock) is an error
+// naming the line.
+func ConvertJSONL(w *BinaryWriter, r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxJSONLLineBytes)
-	line := 0
-	for sc.Scan() {
-		line++
+	lastWall := make(map[int]time.Time)
+	for line := 1; sc.Scan(); line++ {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
 		var rec Record
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("store: line %d: %w", line, err)
+			return fmt.Errorf("store: line %d: %w", line, err)
 		}
-		if err := a.Append(rec); err != nil {
-			return nil, fmt.Errorf("store: line %d: %w", line, err)
+		if rec.Board != int(int32(rec.Board)) || rec.Layer != int(int32(rec.Layer)) || !time.Unix(0, rec.Wall.UnixNano()).Equal(rec.Wall) {
+			return fmt.Errorf("store: line %d: board, layer or wall time outside the binary record's range", line)
+		}
+		if last, ok := lastWall[rec.Board]; ok && rec.Wall.Before(last) {
+			return fmt.Errorf("store: line %d: board %d: out-of-order record at %v", line, rec.Board, rec.Wall)
+		}
+		lastWall[rec.Board] = rec.Wall
+		if err := w.Write(rec); err != nil {
+			return fmt.Errorf("store: line %d: %w", line, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
-	return a, nil
+	return w.Flush()
 }

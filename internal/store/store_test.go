@@ -147,7 +147,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if lines := strings.Count(buf.String(), "\n"); lines != 12 {
 		t.Fatalf("JSONL lines = %d", lines)
 	}
-	back, err := ReadJSONL(&buf)
+	back, err := convertJSONL(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +165,22 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadJSONLBadInput: the converter (the one JSONL reader) rejects
+// malformed lines and out-of-order records, naming the line, and
+// tolerates blank lines.
 func TestReadJSONLBadInput(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{broken\n")); err == nil {
+	if _, err := convertJSONL([]byte("{broken\n")); err == nil {
 		t.Fatal("broken JSONL accepted")
 	}
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, []Record{rec(0, 1, Epoch.Add(time.Second)), rec(0, 0, Epoch)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := convertJSONL(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("out-of-order JSONL: err = %v, want an error naming line 2", err)
+	}
 	// Blank lines are tolerated.
-	a, err := ReadJSONL(strings.NewReader("\n\n"))
+	a, err := convertJSONL([]byte("\n\n"))
 	if err != nil || a.Len() != 0 {
 		t.Fatalf("blank lines: %v, len %d", err, a.Len())
 	}
@@ -211,7 +221,7 @@ func TestJSONLWriterMatchesWriteJSONL(t *testing.T) {
 	if batch.String() != streamed.String() {
 		t.Fatalf("record-at-a-time encoding differs from batch:\n%s\nvs\n%s", streamed.String(), batch.String())
 	}
-	a, err := ReadJSONL(&streamed)
+	a, err := convertJSONL(streamed.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,11 +199,11 @@ func TestComparisonAcrossPaths(t *testing.T) {
 		if !ok {
 			return nil, fmt.Errorf("no archive for %q", sc.Name)
 		}
-		arch, err := store.ReadJSONL(bytes.NewReader(buf.Bytes()))
+		ir, err := store.OpenIndexedBytes(buf.Bytes())
 		if err != nil {
 			return nil, err
 		}
-		return core.NewArchiveSource(arch)
+		return core.NewArchiveSource(ir)
 	}
 	replay, err := Run(context.Background(), replayCfg, grid)
 	if err != nil {

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # End-to-end CLI smoke: a SHARDED multi-process campaign must produce
 # byte-identical evaluation tables to the direct single-process run, and
-# the archives it streams — JSONL and binary alike — must replay to the
-# same table through cmd/evaluate (plain and sharded replay). This
-# drives the bit-identity guarantee through the real binaries —
-# subprocess workers, pipes, both archive codecs — instead of only
-# through unit tests.
+# the archives it streams must replay to the same table through
+# cmd/evaluate (plain and sharded replay) — binary archives directly,
+# JSONL ones after evaluate -index converts a copy (replay refuses a
+# JSONL file). This drives the bit-identity guarantee through the real
+# binaries — subprocess workers, pipes, both archive codecs — instead of
+# only through unit tests.
 set -euo pipefail
 
 cd "$(dirname "$0")/../.."
@@ -52,14 +53,28 @@ if [ "$lines" -ne "$want" ]; then
     exit 1
 fi
 
-echo "== replaying the sharded archive through evaluate"
-"$workdir/evaluate" -archive "$workdir/campaign.jsonl" -window $WINDOW \
+echo "== replay refuses a JSONL archive without -index, naming -index"
+if "$workdir/evaluate" -archive "$workdir/campaign.jsonl" -window $WINDOW \
+    > "$workdir/replay-jsonl.txt" 2>&1; then
+    echo "evaluate replayed a JSONL archive without -index" >&2
+    exit 1
+fi
+grep -q -- '-index' "$workdir/replay-jsonl.txt" || {
+    echo "evaluate's JSONL refusal does not name -index:" >&2
+    cat "$workdir/replay-jsonl.txt" >&2
+    exit 1
+}
+
+echo "== replaying the sharded archive: evaluate -index on a copy, then replay"
+cp "$workdir/campaign.jsonl" "$workdir/replay-copy.jsonl"
+"$workdir/evaluate" -index -archive "$workdir/replay-copy.jsonl" -window $WINDOW \
     > "$workdir/replay.txt"
 extract_table "$workdir/replay.txt" > "$workdir/replay.table"
 diff -u "$workdir/direct.table" "$workdir/replay.table"
 
-echo "== sharded replay (2 shardworker subprocesses) of the same archive"
-"$workdir/evaluate" -archive "$workdir/campaign.jsonl" -window $WINDOW \
+echo "== sharded replay (2 shardworker subprocesses) of the same archive: -index on a copy, then replay"
+cp "$workdir/campaign.jsonl" "$workdir/replay-sharded-copy.jsonl"
+"$workdir/evaluate" -index -archive "$workdir/replay-sharded-copy.jsonl" -window $WINDOW \
     -shards 2 -shardworker "$workdir/shardworker" > "$workdir/replay-sharded.txt"
 extract_table "$workdir/replay-sharded.txt" > "$workdir/replay-sharded.table"
 diff -u "$workdir/direct.table" "$workdir/replay-sharded.table"
@@ -125,7 +140,7 @@ fi
 extract_table "$workdir/replay-upgraded2.txt" > "$workdir/replay-upgraded2.table"
 diff -u "$workdir/direct.table" "$workdir/replay-upgraded2.table"
 
-echo "== smoke OK: sharded runs, JSONL/binary/indexed replays (plain, sharded, upgraded) are byte-identical to the direct run"
+echo "== smoke OK: sharded runs, binary/indexed replays and converted JSONL replays (plain, sharded, upgraded) are byte-identical to the direct run"
 
 # ---------------------------------------------------------------------------
 # Key-lifecycle leg: the streamed enrollment -> reconstruction workload must

@@ -92,8 +92,9 @@ func NewShardedRigSource(profile DeviceProfile, devices int, seed uint64, i2cErr
 	return core.NewShardedRigSource(profile, devices, seed, i2cErrorRate, shards, t)
 }
 
-// NewShardedArchiveSource shards replay of the JSONL archive at path
-// across workers; every worker must be able to read the path. Without
+// NewShardedArchiveSource shards replay of the binary archive at path
+// across workers; every worker must be able to read the path. A JSONL
+// archive is refused: convert it once with UpgradeArchive. Without
 // WithMonths an assessment over it evaluates the months every shard
 // holds complete windows for.
 func NewShardedArchiveSource(path string, shards int, t ShardTransport) (*ShardedArchiveSource, error) {

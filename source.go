@@ -63,32 +63,37 @@ func NewRigSource(profile DeviceProfile, devices int, seed uint64, i2cErrorRate 
 	return core.NewRigSource(profile, devices, seed, i2cErrorRate)
 }
 
-// NewArchiveSource parses a measurement archive (as written by agingtest
-// -archive, a tapped RigSource, or a real rig using the same schema)
-// into a replay source. All archive formats are accepted and detected
-// by the leading bytes: the binary codec's versioned magic selects
-// binary decoding, anything else parses as JSON lines (see DESIGN.md §5
-// and §6 for the format trade-offs). The source implements MonthLister,
-// so an Assessment without WithMonths evaluates exactly the months the
-// archive holds complete windows for.
+// NewArchiveSource reads a measurement archive stream (as written by
+// agingtest -archive, a tapped RigSource, or a real rig using the same
+// schema) into a replay source. Both formats are accepted and detected
+// by the leading bytes: a binary archive (v1 or v2) is replayed as is,
+// and a JSON-lines stream is converted into an in-memory binary image
+// first (see DESIGN.md §5 and §6 for the formats). The source implements
+// MonthLister, so an Assessment without WithMonths evaluates exactly the
+// months the archive holds complete windows for.
 //
-// This constructor materialises the stream in memory first; for files,
+// This constructor holds the whole archive in memory; for files,
 // OpenArchiveSource replays month windows straight from disk through
 // the archive index instead.
 func NewArchiveSource(r io.Reader) (*ArchiveSource, error) {
-	a, err := store.ReadArchive(r)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	return core.NewArchiveSource(a)
+	ir, err := store.OpenIndexedBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewArchiveSource(ir)
 }
 
-// OpenArchiveSource opens the measurement archive file at path for
-// seek-based replay: an indexed (.bin v2) archive opens in O(1) via its
-// trailer index and replays each month's windows directly from the file
-// without ever materialising the archive in memory; v1 binary and JSONL
-// archives are scanned once to build the same index. The caller must
-// Close the returned source.
+// OpenArchiveSource opens the binary measurement archive file at path
+// for seek-based replay: an indexed (.bin v2) archive opens in O(1) via
+// its trailer index and replays each month's windows directly from the
+// file without ever materialising the archive in memory; a v1 archive is
+// scanned once to build the same index. A JSONL file is refused with an
+// error naming `evaluate -index`, which converts it in place once
+// (UpgradeArchive). The caller must Close the returned source.
 func OpenArchiveSource(path string) (*ArchiveSource, error) {
 	return core.OpenArchiveSource(path)
 }
@@ -98,15 +103,17 @@ func OpenArchiveSource(path string) (*ArchiveSource, error) {
 type ArchiveInfo = store.ArchiveInfo
 
 // InspectArchive opens the archive at path just far enough to describe
-// it — for an indexed archive only the footer is read.
+// it — for an indexed archive only the footer is read. A JSONL archive
+// is refused, as by OpenArchiveSource.
 func InspectArchive(path string) (ArchiveInfo, error) {
 	return store.InspectFile(path)
 }
 
-// UpgradeArchive rewrites the archive at path in the indexed binary
-// format (v2): board-major records plus a trailer index mapping every
-// (board, month) segment, so replays seek instead of scan. The rewrite
-// is atomic (temp file + rename) and idempotent — it reports false,
+// UpgradeArchive rewrites the archive at path — JSONL or v1 binary — in
+// the indexed binary format (v2): board-major records plus a trailer
+// index mapping every (board, month) segment, so replays seek instead
+// of scan. The rewrite streams (memory is O(index), not O(archive)), is
+// atomic (temp file + rename) and idempotent — it reports false,
 // touching nothing, when the archive already carries a valid index.
 func UpgradeArchive(path string) (bool, error) {
 	return store.UpgradeFile(path)
@@ -119,7 +126,8 @@ type RecordWriter = store.RecordWriter
 
 // NewJSONLRecordWriter returns a record writer in the JSON-lines schema —
 // one self-describing object per line, greppable and jq-able, the format
-// to reach for when humans will read the archive.
+// to reach for when humans will read the archive. JSONL is an export
+// format: replay from a file needs UpgradeArchive first.
 func NewJSONLRecordWriter(w io.Writer) RecordWriter { return store.NewJSONLWriter(w) }
 
 // NewBinaryRecordWriter returns a record writer in the binary codec —

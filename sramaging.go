@@ -6,7 +6,7 @@
 //
 //   - Source — where measurements come from. NewSimulatedSource (direct
 //     sampling), NewRigSource (the full measurement-rig simulation) and
-//     NewArchiveSource (JSONL archive replay) are interchangeable, so an
+//     NewArchiveSource (archive replay) are interchangeable, so an
 //     offline evaluation and a live campaign are the same call; external
 //     Source implementations (sharded, networked, condition sweeps) plug
 //     into the same engine.
