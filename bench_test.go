@@ -79,7 +79,7 @@ func BenchmarkFig3Waveform(b *testing.B) {
 			b.Fatal(err)
 		}
 		rig.Switch().SetTracing(true)
-		if err := rig.RunWindow(4, store.Epoch); err != nil {
+		if err := rig.StreamWindow(4, store.Epoch, func(store.Record) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 		out := report.RenderWaveforms(rig.Switch().Trace(), []int{0, 1, 2, 3}, rig.Sim().Now(), 108)

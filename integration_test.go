@@ -15,10 +15,10 @@ import (
 )
 
 // TestIntegrationArchivePipeline exercises the paper's complete data flow:
-// rig simulation -> Raspberry Pi JSON archive -> JSONL serialisation ->
-// binary conversion -> offline window selection -> metric computation,
-// and checks the offline numbers agree with the in-memory campaign on
-// the same seed.
+// rig simulation -> JSONL archive written record by record as the masters
+// forward them -> binary conversion -> offline window selection -> metric
+// computation, and checks the offline numbers agree with the in-memory
+// campaign on the same seed.
 func TestIntegrationArchivePipeline(t *testing.T) {
 	profile, err := silicon.ATmega32u4()
 	if err != nil {
@@ -38,19 +38,19 @@ func TestIntegrationArchivePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var jsonl bytes.Buffer
+	jw := store.NewJSONLWriter(&jsonl)
 	for m := 0; m <= 1; m++ {
 		for _, a := range rig.Arrays() {
 			if err := a.AgeTo(float64(m)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		rig.Archive().Reset()
-		if err := rig.RunWindow(window, store.MonthlyWindowStart(m)); err != nil {
+		if err := rig.StreamWindow(window, store.MonthlyWindowStart(m), jw.Write); err != nil {
 			t.Fatal(err)
 		}
-		if err := rig.Archive().WriteArchiveJSONL(&jsonl); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := jw.Flush(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Phase 2: offline analysis from the serialised archive, converted

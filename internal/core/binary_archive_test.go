@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,41 +34,31 @@ func TestBinaryArchiveReplayBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tap := store.NewArchive()
-	rig.SetTap(tap.Append)
+	tap := boardRecords{}
+	rig.SetTap(tap.add)
 	live := runAssessment(t, rig, window, shardTestMonths)
 
 	dir := t.TempDir()
 	jsonlPath := filepath.Join(dir, "campaign.jsonl")
 	binPath := filepath.Join(dir, "campaign.bin")
 	v1Path := filepath.Join(dir, "campaign-v1.bin")
-	writeWith := func(path string, write func(*store.Archive, *os.File) error) {
+	// Each format through its shipped writer, board-major; v1 is the
+	// archive shape older campaigns left on disk.
+	writeWith := func(path string, writer func(io.Writer) store.RecordWriter) {
 		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := write(tap, f); err != nil {
+		if err := tap.writeTo(writer(f)); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	writeWith(jsonlPath, func(a *store.Archive, f *os.File) error { return a.WriteArchiveJSONL(f) })
-	writeWith(binPath, func(a *store.Archive, f *os.File) error { return a.WriteArchiveBinary(f) })
-	writeWith(v1Path, func(a *store.Archive, f *os.File) error {
-		// Board-major like WriteArchiveBinary, through the version-1
-		// writer: the archive shape older campaigns left on disk.
-		bw := store.NewBinaryWriterV1(f)
-		for _, b := range a.Boards() {
-			for _, rec := range a.Records(b) {
-				if err := bw.Write(rec); err != nil {
-					return err
-				}
-			}
-		}
-		return bw.Flush()
-	})
+	writeWith(jsonlPath, func(w io.Writer) store.RecordWriter { return store.NewJSONLWriter(w) })
+	writeWith(binPath, func(w io.Writer) store.RecordWriter { return store.NewBinaryWriter(w) })
+	writeWith(v1Path, func(w io.Writer) store.RecordWriter { return store.NewBinaryWriterV1(w) })
 
 	jsonlInfo, err := os.Stat(jsonlPath)
 	if err != nil {

@@ -101,7 +101,7 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.rig = src.Rig()
+		c.rig = src.rig
 		c.arrays = c.rig.Arrays()
 	} else {
 		src, err := NewSimSource(cfg.Profile, cfg.Devices, cfg.Seed)
@@ -247,22 +247,22 @@ func (c *Campaign) evaluateMonthBatch(month int) (*MonthEval, error) {
 	return eval, nil
 }
 
-// collectWindows gathers one full evaluation window per device, via the
-// rig archive or directly — the buffering path of the batch oracle.
+// collectWindows gathers one full evaluation window per device, via a
+// rig window collected per board or directly — the buffering path of the
+// batch oracle.
 func (c *Campaign) collectWindows(month int) ([][]*bitvec.Vector, error) {
 	if c.rig != nil {
-		c.rig.Archive().Reset()
-		wallStart := c.positionRig(month)
-		if err := c.rig.RunWindow(c.cfg.WindowSize, wallStart); err != nil {
+		out := make([][]*bitvec.Vector, c.cfg.Devices)
+		if err := c.rig.StreamWindow(c.cfg.WindowSize, c.positionRig(month), func(rec store.Record) error {
+			out[rec.Board] = append(out[rec.Board], rec.Data)
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		out := make([][]*bitvec.Vector, c.cfg.Devices)
-		for d := 0; d < c.cfg.Devices; d++ {
-			recs := c.rig.Archive().Records(d)
-			if len(recs) != c.cfg.WindowSize {
-				return nil, fmt.Errorf("core: board %d holds %d records, want %d", d, len(recs), c.cfg.WindowSize)
+		for d, ws := range out {
+			if len(ws) != c.cfg.WindowSize {
+				return nil, fmt.Errorf("core: board %d holds %d records, want %d", d, len(ws), c.cfg.WindowSize)
 			}
-			out[d] = store.Patterns(recs)
 		}
 		return out, nil
 	}

@@ -12,13 +12,13 @@
 //
 // Two execution paths produce bit-identical measurements (verified by
 // tests): the full rig simulation of package harness (power switch, boot,
-// I2C, Raspberry Pi archive) and a direct sampling path that skips the
-// rig and draws power-up windows straight from the SRAM arrays. The
-// direct path exists because a full-fidelity 175-million-measurement
-// campaign is not something anyone wants to event-step through for every
-// figure; the windows the paper evaluates are simulated measurement by
-// measurement either way, and aging between windows is advanced
-// analytically in both paths.
+// I2C, masters forwarding each read-out to one sink) and a direct
+// sampling path that skips the rig and draws power-up windows straight
+// from the SRAM arrays. The direct path exists because a full-fidelity
+// 175-million-measurement campaign is not something anyone wants to
+// event-step through for every figure; the windows the paper evaluates
+// are simulated measurement by measurement either way, and aging between
+// windows is advanced analytically in both paths.
 //
 // Evaluation is a streaming pipeline (package stream): every execution
 // path is a Source feeding the same one-pass accumulators, so a

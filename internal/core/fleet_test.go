@@ -141,13 +141,13 @@ func TestFleetArchiveReplayBitIdentical(t *testing.T) {
 
 	// Collect the same campaign's records through the sharded tap.
 	tapped := mustOpen[*ShardedSource](t, SimSpec{Fleet: fleet, Devices: devices, Seed: seed, Shards: 2})
-	arch := store.NewArchive()
+	arch := boardRecords{}
 	var mu sync.Mutex
 	tapped.SetTap(func(rec store.Record) error {
 		mu.Lock()
 		defer mu.Unlock()
 		rec.Data = rec.Data.Clone()
-		return arch.Append(rec)
+		return arch.add(rec)
 	})
 	got := runAssessment(t, tapped, window, shardTestMonths)
 	if err := tapped.Close(); err != nil {

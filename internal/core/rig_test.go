@@ -145,7 +145,7 @@ func TestRigPruneMutesBoards(t *testing.T) {
 			t.Fatalf("Devices() = %d after pruning, want 4", src.Devices())
 		}
 		for _, d := range prune {
-			if src.Rig().Arrays()[d] != nil || !src.Rig().Boards()[d].Muted() {
+			if src.rig.Arrays()[d] != nil || !src.rig.Boards()[d].Muted() {
 				t.Fatalf("pruned board %d still holds its chip", d)
 			}
 		}

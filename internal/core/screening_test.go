@@ -234,8 +234,8 @@ func TestScreeningArchiveReplayBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tap := store.NewArchive()
-	rig.SetTap(tap.Append)
+	tap := boardRecords{}
+	rig.SetTap(tap.add)
 	want := runScreened(t, rig, window, months, sc)
 	assertScreeningHappened(t, want, devices)
 
@@ -269,16 +269,7 @@ func TestScreeningArchiveReplayBitIdentical(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "screened.bin")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tap.WriteArchiveBinary(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	tap.writeFile(t, path)
 	for _, shards := range []int{1, 2} {
 		src, err := NewShardedArchiveSource(path, shards, nil)
 		if err != nil {

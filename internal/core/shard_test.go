@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -113,23 +112,23 @@ func TestShardedRigBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	directTap := store.NewArchive()
-	direct.SetTap(directTap.Append)
+	directTap := boardRecords{}
+	direct.SetTap(directTap.add)
 	want := runAssessment(t, direct, window, shardTestMonths)
 
 	sharded, err := NewShardedRigSource(profile, devices, seed, i2cErr, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardTap := store.NewArchive()
+	shardTap := boardRecords{}
 	var mu sync.Mutex
 	sharded.SetTap(func(rec store.Record) error {
 		mu.Lock()
 		defer mu.Unlock()
 		// The tap's record payload aliases the wire decoder's per-device
-		// scratch; retaining it in an archive requires a clone.
+		// scratch; retaining it requires a clone.
 		rec.Data = rec.Data.Clone()
-		return shardTap.Append(rec)
+		return shardTap.add(rec)
 	})
 	got := runAssessment(t, sharded, window, shardTestMonths)
 	if err := sharded.Close(); err != nil {
@@ -137,11 +136,11 @@ func TestShardedRigBitIdentical(t *testing.T) {
 	}
 	assertResultsBitIdentical(t, want, got)
 
-	if directTap.Len() != shardTap.Len() {
-		t.Fatalf("tap sizes differ: direct %d, sharded %d", directTap.Len(), shardTap.Len())
+	if directTap.len() != shardTap.len() {
+		t.Fatalf("tap sizes differ: direct %d, sharded %d", directTap.len(), shardTap.len())
 	}
-	for _, b := range directTap.Boards() {
-		dr, sr := directTap.Records(b), shardTap.Records(b)
+	for _, b := range directTap.boards() {
+		dr, sr := directTap[b], shardTap[b]
 		if len(dr) != len(sr) {
 			t.Fatalf("board %d: %d direct records, %d sharded", b, len(dr), len(sr))
 		}
@@ -169,20 +168,11 @@ func TestShardedArchiveReplayBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tap := store.NewArchive()
-	rig.SetTap(tap.Append)
+	tap := boardRecords{}
+	rig.SetTap(tap.add)
 	runAssessment(t, rig, window, shardTestMonths)
 	path := filepath.Join(t.TempDir(), "campaign.bin")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tap.WriteArchiveBinary(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	tap.writeFile(t, path)
 
 	plain, err := archiveSource(tap)
 	if err != nil {
@@ -228,20 +218,11 @@ func TestShardedArchiveShortWindowTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tap := store.NewArchive()
-	rig.SetTap(tap.Append)
+	tap := boardRecords{}
+	rig.SetTap(tap.add)
 	runAssessment(t, rig, 20, []int{0, 1})
 	path := filepath.Join(t.TempDir(), "short.bin")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tap.WriteArchiveBinary(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	tap.writeFile(t, path)
 
 	src, err := NewShardedArchiveSource(path, 2, nil)
 	if err != nil {
@@ -378,7 +359,7 @@ func TestShardCountValidation(t *testing.T) {
 // months per board (window records each), for month-discovery tests.
 func writeSyntheticArchive(t *testing.T, path string, window int, monthsByBoard map[int][]int) {
 	t.Helper()
-	a := store.NewArchive()
+	a := boardRecords{}
 	boards := make([]int, 0, len(monthsByBoard))
 	for b := range monthsByBoard {
 		boards = append(boards, b)
@@ -396,22 +377,13 @@ func writeSyntheticArchive(t *testing.T, path string, window int, monthsByBoard 
 					Wall:  start.Add(time.Duration(i) * time.Second),
 					Data:  v,
 				}
-				if err := a.Append(rec); err != nil {
+				if err := a.add(rec); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.WriteArchiveBinary(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	a.writeFile(t, path)
 }
 
 // TestShardedArchiveDataLossNotMasked: a month lost on one shard's

@@ -157,9 +157,6 @@ func (s *RigSource) Scenario() aging.Scenario { return s.scenario }
 // Devices returns the number of boards on the rig, muted ones included.
 func (s *RigSource) Devices() int { return len(s.rig.Boards()) }
 
-// Rig exposes the underlying rig (waveform tracing, archive access).
-func (s *RigSource) Rig() *harness.Rig { return s.rig }
-
 // PruneDevices screens the given boards out of the campaign: the rig
 // keeps cycling them (the physical rig would — a screened board is
 // unplugged from collection, not from the power sequence, so the shared
@@ -200,8 +197,8 @@ func pointRigAtMonth(rig *harness.Rig, month int) time.Time {
 }
 
 // Measure ages every board to the month boundary, points the rig's cycle
-// and sequence counters at the month's window and pumps one full rig
-// window through the record tap — nothing is buffered in the Pi archive.
+// and sequence counters at the month's window and streams one full rig
+// window to the record tap and the sink; the rig buffers nothing.
 // With SetPool, the pump runs as one job on the shared pool (the service's
 // global budget) and samples inline; otherwise it runs in the caller's
 // goroutine and spreads captures and aging over SetWorkers' width.

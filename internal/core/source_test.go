@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"maps"
+	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,11 +15,68 @@ import (
 	"repro/internal/store"
 )
 
+// boardRecords collects records per board, each board's in arrival
+// order: the test-side archive that tapped and synthetic campaigns are
+// compared, written and replayed from.
+type boardRecords map[int][]store.Record
+
+// add appends one record; it is a record tap. It refuses a board's
+// record older than the one before it, so a tap that delivers a board
+// out of wall order fails the campaign.
+func (br boardRecords) add(rec store.Record) error {
+	recs := br[rec.Board]
+	if len(recs) > 0 && rec.Wall.Before(recs[len(recs)-1].Wall) {
+		return fmt.Errorf("board %d: out-of-order record at %v", rec.Board, rec.Wall)
+	}
+	br[rec.Board] = append(recs, rec)
+	return nil
+}
+
+// len returns the total number of records.
+func (br boardRecords) len() int {
+	n := 0
+	for _, recs := range br {
+		n += len(recs)
+	}
+	return n
+}
+
+// boards returns the board indices present, sorted.
+func (br boardRecords) boards() []int { return slices.Sorted(maps.Keys(br)) }
+
+// writeTo writes every record through w board-major, boards ascending,
+// and flushes it.
+func (br boardRecords) writeTo(w store.RecordWriter) error {
+	for _, b := range br.boards() {
+		for _, rec := range br[b] {
+			if err := w.Write(rec); err != nil {
+				return err
+			}
+		}
+	}
+	return w.Flush()
+}
+
+// writeFile writes the records to path as an indexed binary archive.
+func (br boardRecords) writeFile(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := br.writeTo(store.NewBinaryWriter(f)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // syntheticArchive builds an archive where board b holds `counts[b][m]`
 // records in month m, timestamped one second apart from the month start.
-func syntheticArchive(t *testing.T, counts map[int]map[int]int) *store.Archive {
+func syntheticArchive(t *testing.T, counts map[int]map[int]int) boardRecords {
 	t.Helper()
-	a := store.NewArchive()
+	a := boardRecords{}
 	var seq uint64
 	for b := 0; b < 8; b++ {
 		perMonth, ok := counts[b]
@@ -30,7 +91,7 @@ func syntheticArchive(t *testing.T, counts map[int]map[int]int) *store.Archive {
 				v.SetWord(0, uint64(b)<<32|uint64(m)<<16|uint64(i))
 				seq++
 				rec := store.Record{Board: b, Seq: seq, Wall: start.Add(time.Duration(i) * time.Second), Data: v}
-				if err := a.Append(rec); err != nil {
+				if err := a.add(rec); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -39,11 +100,11 @@ func syntheticArchive(t *testing.T, counts map[int]map[int]int) *store.Archive {
 	return a
 }
 
-// archiveSource opens an in-memory archive for replay through a binary
+// archiveSource opens collected records for replay through a binary
 // image, the way the facade opens an archive stream.
-func archiveSource(a *store.Archive) (*ArchiveSource, error) {
+func archiveSource(br boardRecords) (*ArchiveSource, error) {
 	var buf bytes.Buffer
-	if err := a.WriteArchiveBinary(&buf); err != nil {
+	if err := br.writeTo(store.NewBinaryWriter(&buf)); err != nil {
 		return nil, err
 	}
 	ir, err := store.OpenIndexedBytes(buf.Bytes())

@@ -101,26 +101,6 @@ func TestStreamingMatchesBatchHarness(t *testing.T) {
 	assertResultsBitIdentical(t, resS, resB)
 }
 
-// TestStreamingHarnessKeepsArchiveEmpty: the streaming rig path must not
-// buffer records in the Pi archive — that is the point of the tap.
-func TestStreamingHarnessKeepsArchiveEmpty(t *testing.T) {
-	cfg := smallConfig(t)
-	cfg.Devices = 2
-	cfg.Months = 1
-	cfg.WindowSize = 20
-	cfg.UseHarness = true
-	camp, err := NewCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := camp.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n := camp.rig.Archive().Len(); n != 0 {
-		t.Fatalf("streaming run buffered %d records in the archive", n)
-	}
-}
-
 func TestAvgAndWorstOnEmptyEvaluation(t *testing.T) {
 	var m MonthEval
 	f := func(d DeviceMonth) float64 { return d.WCHD }

@@ -1,7 +1,8 @@
 // Package device models the boards of the measurement rig (§III, Fig. 2):
 // slave Arduino Leonardo boards that capture and serve their SRAM power-up
-// pattern, the power-switch board with its per-channel connections, and
-// the Raspberry Pi that archives incoming measurements.
+// pattern, and the power-switch board with its per-channel connections.
+// The Raspberry Pi that collects the read-outs is the sink the rig's
+// masters forward to (harness.Rig.StreamWindow), not a board here.
 package device
 
 import (
@@ -13,7 +14,6 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/desim"
 	"repro/internal/sram"
-	"repro/internal/store"
 )
 
 // SlaveBoard is one Arduino Leonardo: an ATmega32u4 whose SRAM power-up
@@ -333,31 +333,6 @@ func (ps *PowerSwitch) Set(channel int, on bool) error {
 	}
 	return nil
 }
-
-// RaspberryPi is the archive sink of the rig: master boards forward every
-// measurement to it and it appends them to the JSON store.
-type RaspberryPi struct {
-	Archive  *store.Archive
-	received uint64
-}
-
-// NewRaspberryPi returns a Pi with a fresh archive.
-func NewRaspberryPi() *RaspberryPi {
-	return &RaspberryPi{Archive: store.NewArchive()}
-}
-
-// Ingest archives one measurement.
-func (rp *RaspberryPi) Ingest(rec store.Record) error {
-	if err := rp.Archive.Append(rec); err != nil {
-		return fmt.Errorf("device: pi ingest: %w", err)
-	}
-	rp.received++
-	return nil
-}
-
-// Received returns the number of measurements archived over the Pi's
-// lifetime (across archive resets).
-func (rp *RaspberryPi) Received() uint64 { return rp.received }
 
 // WaveformSample reconstructs the power state of one channel at a given
 // time from a transition trace (false before the first edge).

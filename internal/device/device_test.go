@@ -8,7 +8,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/silicon"
 	"repro/internal/sram"
-	"repro/internal/store"
 )
 
 func newTestBoard(t *testing.T, sim *desim.Simulator, id int) *SlaveBoard {
@@ -203,31 +202,6 @@ func TestCyclePeriodAndOnTime(t *testing.T) {
 	}
 	if _, err := OnTime(nil, 0); err == nil {
 		t.Error("empty trace accepted")
-	}
-}
-
-func TestRaspberryPi(t *testing.T) {
-	pi := NewRaspberryPi()
-	b := newTestBoard(t, desim.New(), 0)
-	pattern, err := b.Array.PowerUpWindow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := store.Record{Board: 0, Seq: 1, Wall: store.Epoch, Data: pattern}
-	if err := pi.Ingest(rec); err != nil {
-		t.Fatal(err)
-	}
-	if pi.Received() != 1 || pi.Archive.Len() != 1 {
-		t.Fatalf("received=%d archive=%d", pi.Received(), pi.Archive.Len())
-	}
-	// Received persists across archive resets (lifetime counter).
-	pi.Archive.Reset()
-	if pi.Received() != 1 {
-		t.Fatal("Received reset with archive")
-	}
-	// Bad record propagates an error.
-	if err := pi.Ingest(store.Record{Board: 0, Wall: store.Epoch}); err == nil {
-		t.Fatal("record without data accepted")
 	}
 }
 

@@ -1,12 +1,13 @@
 // Package harness assembles and drives the paper's measurement rig
 // (§III, Fig. 2): two master Arduino boards, sixteen slave boards stacked
-// in two layers, a power-switch board with one channel per slave, I2C
-// buses between masters and slaves, and a Raspberry Pi archiving every
-// read-out.
+// in two layers, a power-switch board with one channel per slave, and I2C
+// buses between masters and slaves. The masters forward every read-out
+// to one sink, the Raspberry Pi's role in the paper: the caller of
+// StreamWindow decides whether it is evaluated, archived or discarded.
 //
 // The control flow is Algorithm 1 of the paper: a layer powers its slaves,
 // waits for them to boot, reads each slave's 1 KByte SRAM power-up window
-// over I2C, forwards the data to the Pi, powers the slaves off, and
+// over I2C, forwards the data to the sink, powers the slaves off, and
 // handshakes with the other layer so both produce the same number of
 // measurements per period while their power curves stay unsynchronised
 // (offset by half a cycle) to avoid interference.
@@ -82,13 +83,18 @@ func (c Config) Validate() error {
 	case c.I2CErrorRate < 0 || c.I2CErrorRate > 1:
 		return fmt.Errorf("harness: I2C error rate %v", c.I2CErrorRate)
 	}
-	// The readout must fit inside the powered phase.
-	readout := c.BootDelay + desim.Time(c.SlavesPerLayer)*readDuration(c)
+	// The readout must fit inside the powered phase, counted from the
+	// cycle start as startCycle schedules it.
+	readout := c.BootDelay + readStartDelay + desim.Time(c.SlavesPerLayer)*readDuration(c)
 	if readout >= c.PowerOnTime {
 		return fmt.Errorf("harness: readout %v does not fit in powered phase %v", readout, c.PowerOnTime)
 	}
 	return c.Profile.Validate()
 }
+
+// readStartDelay is how long after boot a master starts reading its
+// first slave.
+const readStartDelay = desim.Millisecond
 
 func readDuration(c Config) desim.Time {
 	bits := 10 + c.Profile.ReadWindowBytes*9 + 1
@@ -103,7 +109,6 @@ type Rig struct {
 	cfg Config
 	sim *desim.Simulator
 	sw  *device.PowerSwitch
-	pi  *device.RaspberryPi
 
 	masters []*master
 	boards  []*device.SlaveBoard // all slaves, global ID order
@@ -114,11 +119,11 @@ type Rig struct {
 	readErrors     uint64
 	workers        int // capture and aging width; <= 0: one per logical CPU
 
-	// tap, when non-nil, receives every read-out record in capture order
-	// instead of the Pi archive (the streaming pipeline's path: nothing is
-	// buffered in the rig). tapErr records the first sink failure.
-	tap    func(store.Record) error
-	tapErr error
+	// sink receives every read-out record of the running window in
+	// capture order; the rig buffers nothing. sinkErr records the first
+	// sink failure.
+	sink    func(store.Record) error
+	sinkErr error
 	// aborted poisons the rig after a window stopped mid-cycle (sink
 	// failure, typically cancellation): stale simulator events from the
 	// aborted cycle would fire into any later window, so further windows
@@ -152,7 +157,7 @@ func New(cfg Config) (*Rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Rig{cfg: cfg, sim: sim, sw: sw, pi: device.NewRaspberryPi()}
+	r := &Rig{cfg: cfg, sim: sim, sw: sw}
 	root := rng.New(cfg.Seed)
 	boardID := 0
 	for layer := 0; layer < cfg.Layers; layer++ {
@@ -246,12 +251,6 @@ func (r *Rig) AgeTo(months float64) error {
 	return stream.NewPool(r.width()).Run(jobs...)
 }
 
-// Archive returns the Pi's measurement archive.
-func (r *Rig) Archive() *store.Archive { return r.pi.Archive }
-
-// Pi returns the Raspberry Pi sink.
-func (r *Rig) Pi() *device.RaspberryPi { return r.pi }
-
 // Switch returns the power-switch board (for waveform tracing).
 func (r *Rig) Switch() *device.PowerSwitch { return r.sw }
 
@@ -276,41 +275,26 @@ func (r *Rig) SetSeqBase(base uint64) {
 	}
 }
 
-// RunWindow executes one evaluation window: `measurements` complete power
-// cycles per board, with wall-clock timestamps starting at wallStart.
-// Records land in the Pi's archive.
-func (r *Rig) RunWindow(measurements int, wallStart time.Time) error {
-	return r.runWindow(measurements, wallStart)
-}
-
-// StreamWindow executes one evaluation window like RunWindow, but forwards
-// every record to sink in capture order instead of archiving it — the
-// rig-path Source of the streaming pipeline. The rig buffers nothing; the
-// measurement chain (power switch, boot, I2C, master forwarding) is
-// identical to RunWindow's, so the record streams are bit-identical.
+// StreamWindow executes one evaluation window: `measurements` complete
+// power cycles per board, with wall-clock timestamps starting at
+// wallStart. Every record goes to sink in capture order; the rig buffers
+// nothing. A caller that wants only the power-switch trace passes a sink
+// that discards.
 // A sink failure aborts the window at the next event boundary (so a
 // cancelled campaign returns promptly); the first sink error is returned
 // and the rig is poisoned — it refuses further windows, since its event
 // queue still holds the aborted cycle.
 func (r *Rig) StreamWindow(measurements int, wallStart time.Time, sink func(store.Record) error) error {
-	if sink == nil {
+	switch {
+	case sink == nil:
 		return errors.New("harness: nil stream sink")
-	}
-	r.tap, r.tapErr = sink, nil
-	defer func() { r.tap, r.tapErr = nil, nil }()
-	if err := r.runWindow(measurements, wallStart); err != nil {
-		return err
-	}
-	return r.tapErr
-}
-
-func (r *Rig) runWindow(measurements int, wallStart time.Time) error {
-	if measurements <= 0 {
+	case measurements <= 0:
 		return fmt.Errorf("harness: non-positive window size %d", measurements)
-	}
-	if r.aborted {
+	case r.aborted:
 		return errors.New("harness: rig stopped mid-cycle by an earlier aborted window; build a fresh rig")
 	}
+	r.sink, r.sinkErr = sink, nil
+	defer func() { r.sink, r.sinkErr = nil, nil }()
 	r.wallBase = wallStart
 	r.windowStartSim = r.sim.Now()
 	defer r.startCaptures()()
@@ -326,18 +310,18 @@ func (r *Rig) runWindow(measurements int, wallStart time.Time) error {
 		}
 	}
 	for anyRunning(r.masters) {
-		if r.tapErr != nil {
-			// The stream sink failed (typically campaign cancellation):
-			// stop pumping events instead of completing the window, and
-			// poison the rig — its event queue still holds this cycle.
+		if r.sinkErr != nil {
+			// The sink failed (typically campaign cancellation): stop
+			// pumping events instead of completing the window, and poison
+			// the rig — its event queue still holds this cycle.
 			r.aborted = true
-			return nil
+			return r.sinkErr
 		}
 		if !r.sim.Step() {
 			return errors.New("harness: deadlock — masters running but no events pending")
 		}
 	}
-	return nil
+	return r.sinkErr
 }
 
 // startCaptures puts the boards on a capture queue served by width-1
@@ -410,10 +394,10 @@ func (m *master) startCycle() {
 	}
 	// Steps 4-5 after boot: read the slaves sequentially.
 	mm := m
-	_ = m.rig.sim.Schedule(m.rig.cfg.BootDelay+desim.Millisecond, func() { mm.readSlave(0, t0) })
+	_ = m.rig.sim.Schedule(m.rig.cfg.BootDelay+readStartDelay, func() { mm.readSlave(0, t0) })
 }
 
-// readSlave reads slave i, archives its pattern and chains to i+1; after
+// readSlave reads slave i, forwards its pattern and chains to i+1; after
 // the last slave it schedules power-off at the end of the powered phase.
 func (m *master) readSlave(i int, t0 desim.Time) {
 	if i >= len(m.slaves) {
@@ -434,15 +418,15 @@ func (m *master) readSlave(i int, t0 desim.Time) {
 		if err != nil {
 			mm.rig.readErrors++
 		} else {
-			mm.archive(s, data)
+			mm.forward(s, data)
 		}
 		mm.readSlave(i+1, t0)
 	})
 }
 
-// archive forwards one read-out to the Raspberry Pi (step 5). A muted
+// forward hands one read-out to the window's sink (step 5). A muted
 // board's read-out is discarded: nobody collects it.
-func (m *master) archive(s *device.SlaveBoard, data []byte) {
+func (m *master) forward(s *device.SlaveBoard, data []byte) {
 	if s.Muted() {
 		return
 	}
@@ -463,14 +447,8 @@ func (m *master) archive(s *device.SlaveBoard, data []byte) {
 		Wall:  wall,
 		Data:  v,
 	}
-	if m.rig.tap != nil {
-		if err := m.rig.tap(rec); err != nil && m.rig.tapErr == nil {
-			m.rig.tapErr = err
-		}
-		return
-	}
-	if err := m.rig.pi.Ingest(rec); err != nil {
-		m.rig.readErrors++
+	if err := m.rig.sink(rec); err != nil && m.rig.sinkErr == nil {
+		m.rig.sinkErr = err
 	}
 }
 

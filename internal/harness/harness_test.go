@@ -2,8 +2,10 @@ package harness
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,6 +35,32 @@ func smallRig(t *testing.T, slavesPerLayer int) *Rig {
 	return r
 }
 
+// collect runs one window through StreamWindow and returns its records in
+// capture order.
+func collect(t *testing.T, r *Rig, measurements int, wallStart time.Time) []store.Record {
+	t.Helper()
+	var recs []store.Record
+	if err := r.StreamWindow(measurements, wallStart, func(rec store.Record) error {
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// byBoard groups records by board, each board's in capture order.
+func byBoard(recs []store.Record) map[int][]store.Record {
+	out := make(map[int][]store.Record)
+	for _, rec := range recs {
+		out[rec.Board] = append(out[rec.Board], rec)
+	}
+	return out
+}
+
+// discard is a window sink that keeps nothing.
+func discard(store.Record) error { return nil }
+
 func TestConfigValidate(t *testing.T) {
 	good := testConfig(t)
 	if err := good.Validate(); err != nil {
@@ -46,6 +74,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.PowerOnTime = 0 },
 		func(c *Config) { c.I2CErrorRate = 2 },
 		func(c *Config) { c.BootDelay = c.PowerOnTime }, // readout cannot fit
+		// The reads fit after boot but not after the delay before the
+		// first read: the power-off would fall in the past.
+		func(c *Config) { c.PowerOnTime = c.BootDelay + 8*readDuration(*c) + 500*desim.Microsecond },
 		func(c *Config) { c.Profile.SRAMBytes = 0 },
 	}
 	for i, mutate := range bad {
@@ -92,15 +123,11 @@ func TestRigAssembly(t *testing.T) {
 func TestRunWindowProducesRecords(t *testing.T) {
 	r := smallRig(t, 2)
 	start := store.MonthlyWindowStart(0)
-	if err := r.RunWindow(5, start); err != nil {
-		t.Fatal(err)
+	all := collect(t, r, 5, start)
+	if len(all) != 4*5 {
+		t.Fatalf("window has %d records, want 20", len(all))
 	}
-	a := r.Archive()
-	if a.Len() != 4*5 {
-		t.Fatalf("archive has %d records, want 20", a.Len())
-	}
-	for _, board := range a.Boards() {
-		recs := a.Records(board)
+	for board, recs := range byBoard(all) {
 		if len(recs) != 5 {
 			t.Fatalf("board %d: %d records, want 5", board, len(recs))
 		}
@@ -123,7 +150,7 @@ func TestRunWindowProducesRecords(t *testing.T) {
 
 func TestRunWindowRejectsBadSize(t *testing.T) {
 	r := smallRig(t, 1)
-	if err := r.RunWindow(0, store.Epoch); err == nil {
+	if err := r.StreamWindow(0, store.Epoch, discard); err == nil {
 		t.Fatal("zero-measurement window accepted")
 	}
 }
@@ -132,7 +159,7 @@ func TestCycleTimingMatchesFig3(t *testing.T) {
 	// Fig. 3: period 5.4 s, on-time 3.8 s, layers out of phase.
 	r := smallRig(t, 2)
 	r.Switch().SetTracing(true)
-	if err := r.RunWindow(6, store.Epoch); err != nil {
+	if err := r.StreamWindow(6, store.Epoch, discard); err != nil {
 		t.Fatal(err)
 	}
 	trace := r.Switch().Trace()
@@ -169,11 +196,8 @@ func TestLayerSynchronisation(t *testing.T) {
 	// Algorithm 1's handshake: both layers produce exactly the same number
 	// of measurements even though they run out of phase.
 	r := smallRig(t, 3)
-	if err := r.RunWindow(7, store.Epoch); err != nil {
-		t.Fatal(err)
-	}
-	for _, board := range r.Archive().Boards() {
-		if n := len(r.Archive().Records(board)); n != 7 {
+	for board, recs := range byBoard(collect(t, r, 7, store.Epoch)) {
+		if n := len(recs); n != 7 {
 			t.Fatalf("board %d produced %d records, want 7 (layer sync broken)", board, n)
 		}
 	}
@@ -191,18 +215,13 @@ func TestMeasurementRateMatchesPaper(t *testing.T) {
 func TestDeterministicWindows(t *testing.T) {
 	r1 := smallRig(t, 2)
 	r2 := smallRig(t, 2)
-	if err := r1.RunWindow(3, store.Epoch); err != nil {
-		t.Fatal(err)
+	w1, w2 := collect(t, r1, 3, store.Epoch), collect(t, r2, 3, store.Epoch)
+	if len(w1) != len(w2) {
+		t.Fatalf("window sizes differ: %d vs %d", len(w1), len(w2))
 	}
-	if err := r2.RunWindow(3, store.Epoch); err != nil {
-		t.Fatal(err)
-	}
-	a1, a2 := r1.Archive(), r2.Archive()
-	if a1.Len() != a2.Len() {
-		t.Fatalf("archive sizes differ: %d vs %d", a1.Len(), a2.Len())
-	}
-	for _, b := range a1.Boards() {
-		recs1, recs2 := a1.Records(b), a2.Records(b)
+	a2 := byBoard(w2)
+	for b, recs1 := range byBoard(w1) {
+		recs2 := a2[b]
 		for i := range recs1 {
 			if !recs1[i].Data.Equal(recs2[i].Data) {
 				t.Fatalf("board %d record %d differs between identical seeds", b, i)
@@ -215,10 +234,7 @@ func TestSeqAndCycleBases(t *testing.T) {
 	r := smallRig(t, 1)
 	r.SetSeqBase(1000000)
 	r.SetCycleBase(500000)
-	if err := r.RunWindow(2, store.Epoch); err != nil {
-		t.Fatal(err)
-	}
-	recs := r.Archive().Records(0)
+	recs := byBoard(collect(t, r, 2, store.Epoch))[0]
 	if recs[0].Seq != 1000001 {
 		t.Fatalf("first seq = %d, want 1000001", recs[0].Seq)
 	}
@@ -235,29 +251,44 @@ func TestI2CErrorInjectionCountsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RunWindow(10, store.Epoch); err != nil {
-		t.Fatal(err)
-	}
 	// Corruption does not break framing (payload length unchanged), so
-	// records still arrive; the point is the archive keeps operating.
-	if r.Archive().Len() != 20 {
-		t.Fatalf("archive len = %d, want 20", r.Archive().Len())
+	// records still arrive; the point is the collection keeps operating.
+	if n := len(collect(t, r, 10, store.Epoch)); n != 20 {
+		t.Fatalf("window has %d records, want 20", n)
 	}
 }
 
 func TestWindowTimestampsSpacing(t *testing.T) {
 	r := smallRig(t, 1)
-	if err := r.RunWindow(4, store.Epoch); err != nil {
-		t.Fatal(err)
-	}
-	recs := r.Archive().Records(0)
+	recs := byBoard(collect(t, r, 4, store.Epoch))[0]
 	for i := 1; i < len(recs); i++ {
 		dt := recs[i].Wall.Sub(recs[i-1].Wall)
 		if math.Abs(dt.Seconds()-5.4) > 0.01 {
 			t.Fatalf("record spacing = %v, want 5.4 s", dt)
 		}
 	}
-	_ = time.Second
+}
+
+// TestStreamWindowNilSink: a window without a sink is refused before it
+// powers anything, so the rig stays usable: the next window with a real
+// sink yields every board's full window, counted from the first cycle.
+func TestStreamWindowNilSink(t *testing.T) {
+	r := smallRig(t, 2)
+	if err := r.StreamWindow(3, store.Epoch, nil); err == nil {
+		t.Fatal("nil sink accepted")
+	}
+	got := byBoard(collect(t, r, 3, store.Epoch))
+	if len(got) != 4 {
+		t.Fatalf("window after the refused one recorded %d boards, want 4", len(got))
+	}
+	for board, recs := range got {
+		if len(recs) != 3 {
+			t.Fatalf("board %d: %d records, want 3", board, len(recs))
+		}
+		if recs[0].Seq != 1 {
+			t.Fatalf("board %d: first seq %d, want 1 (the refused window powered the board)", board, recs[0].Seq)
+		}
+	}
 }
 
 // TestStreamWindowAbortPoisonsRig: a window stopped mid-cycle by a sink
@@ -270,11 +301,8 @@ func TestStreamWindowAbortPoisonsRig(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("aborted window: err = %v, want boom", err)
 	}
-	if err := r.RunWindow(2, store.Epoch.Add(time.Hour)); err == nil {
+	if err := r.StreamWindow(2, store.Epoch.Add(time.Hour), discard); err == nil {
 		t.Fatal("poisoned rig accepted another window")
-	}
-	if err := r.StreamWindow(2, store.Epoch.Add(time.Hour), func(store.Record) error { return nil }); err == nil {
-		t.Fatal("poisoned rig accepted another stream window")
 	}
 }
 
@@ -324,14 +352,7 @@ func TestWorkersKeepRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.SetWorkers(workers)
-		var out []store.Record
-		if err := r.StreamWindow(6, store.Epoch, func(rec store.Record) error {
-			out = append(out, rec)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
+		return collect(t, r, 6, store.Epoch)
 	}
 	want := records(1)
 	for _, w := range []int{2, 3, 0} {
@@ -368,16 +389,12 @@ func TestMuteKeepsOtherBoards(t *testing.T) {
 	if err := muted.Mute(4); err == nil {
 		t.Fatal("muting a board the rig does not have succeeded")
 	}
-	for _, r := range []*Rig{full, muted} {
-		if err := r.RunWindow(8, store.Epoch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := muted.Archive().Boards(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("muted rig archived boards %v, want [1 2]", got)
+	fullRecs, mutedRecs := byBoard(collect(t, full, 8, store.Epoch)), byBoard(collect(t, muted, 8, store.Epoch))
+	if got := slices.Sorted(maps.Keys(mutedRecs)); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("muted rig forwarded boards %v, want [1 2]", got)
 	}
 	for _, b := range []int{1, 2} {
-		want, got := full.Archive().Records(b), muted.Archive().Records(b)
+		want, got := fullRecs[b], mutedRecs[b]
 		if len(got) != len(want) {
 			t.Fatalf("board %d: %d records, want %d", b, len(got), len(want))
 		}

@@ -19,11 +19,8 @@ func TestSingleLayerRig(t *testing.T) {
 	if len(r.Boards()) != 3 {
 		t.Fatalf("boards = %d", len(r.Boards()))
 	}
-	if err := r.RunWindow(5, store.Epoch); err != nil {
-		t.Fatal(err)
-	}
-	if r.Archive().Len() != 15 {
-		t.Fatalf("records = %d, want 15", r.Archive().Len())
+	if n := len(collect(t, r, 5, store.Epoch)); n != 15 {
+		t.Fatalf("records = %d, want 15", n)
 	}
 }
 
@@ -31,18 +28,13 @@ func TestSingleLayerRig(t *testing.T) {
 // as the campaign driver does, and checks counters continue correctly.
 func TestConsecutiveWindows(t *testing.T) {
 	r := smallRig(t, 1)
-	if err := r.RunWindow(3, store.MonthlyWindowStart(0)); err != nil {
-		t.Fatal(err)
-	}
-	firstLen := r.Archive().Len()
-	if err := r.RunWindow(2, store.MonthlyWindowStart(1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Archive().Len() - firstLen; got != 4 {
+	collect(t, r, 3, store.MonthlyWindowStart(0))
+	second := collect(t, r, 2, store.MonthlyWindowStart(1))
+	if got := len(second); got != 4 {
 		t.Fatalf("second window produced %d records, want 4", got)
 	}
 	// Board seq keeps counting across windows.
-	recs := r.Archive().Records(0)
+	recs := byBoard(second)[0]
 	if recs[len(recs)-1].Seq != 5 {
 		t.Fatalf("final seq = %d, want 5", recs[len(recs)-1].Seq)
 	}
@@ -53,10 +45,7 @@ func TestConsecutiveWindows(t *testing.T) {
 // the rig-level version of the campaign's core measurement.
 func TestRigAgingBetweenWindows(t *testing.T) {
 	r := smallRig(t, 1)
-	if err := r.RunWindow(20, store.MonthlyWindowStart(0)); err != nil {
-		t.Fatal(err)
-	}
-	w0 := r.Archive().Records(0)
+	w0 := byBoard(collect(t, r, 20, store.MonthlyWindowStart(0)))[0]
 	if len(w0) != 20 {
 		t.Fatalf("month 0 holds %d records, want 20", len(w0))
 	}
@@ -78,10 +67,7 @@ func TestRigAgingBetweenWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := r.RunWindow(20, store.MonthlyWindowStart(24)); err != nil {
-		t.Fatal(err)
-	}
-	w24 := r.Archive().Records(0)[20:]
+	w24 := byBoard(collect(t, r, 20, store.MonthlyWindowStart(24)))[0]
 	if len(w24) != 20 {
 		t.Fatalf("month 24 holds %d records, want 20", len(w24))
 	}

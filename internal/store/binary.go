@@ -408,20 +408,6 @@ func (r *BinaryReader) finishV2(hdr [binaryHeaderLen]byte) error {
 	return nil
 }
 
-// WriteArchiveBinary streams the entire archive in binary, boards in
-// ascending order — the `.bin` counterpart of WriteArchiveJSONL.
-func (a *Archive) WriteArchiveBinary(w io.Writer) error {
-	bw := NewBinaryWriter(w)
-	for _, b := range a.Boards() {
-		for i, rec := range a.Records(b) {
-			if err := bw.Write(rec); err != nil {
-				return fmt.Errorf("store: board %d record %d: %w", b, i, err)
-			}
-		}
-	}
-	return bw.Flush()
-}
-
 // RecordWriter is a streaming archive sink: both JSONLWriter and
 // BinaryWriter implement it, so collection paths choose a format without
 // branching at every record.

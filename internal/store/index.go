@@ -826,10 +826,9 @@ func writeTemp(path string, fill func(io.Writer) error) (string, error) {
 }
 
 // writeBoardMajor writes the archive to out in the v2 format, boards
-// ascending and each board's months ascending — the order
-// Archive.WriteArchiveBinary writes — by copying each segment's record
-// bytes run by run. Each segment becomes one index run; the bytes are
-// not decoded again (opening the archive validated them).
+// ascending and each board's months ascending, by copying each segment's
+// record bytes run by run. Each segment becomes one index run; the bytes
+// are not decoded again (opening the archive validated them).
 func (r *IndexedReader) writeBoardMajor(out io.Writer) error {
 	w := NewBinaryWriter(out)
 	buf := make([]byte, 256*1024)

@@ -1,11 +1,11 @@
 // Package store implements the measurement database of the rig: the
 // Raspberry Pi in the paper's setup receives every SRAM read-out from the
 // master boards and archives it in JSON (§III). This package provides the
-// record schema, an in-memory archive with the paper's monthly evaluation
-// window selection ("the first 1,000 consecutive measurements after
-// midnight on the 8th of each month", §IV-B), the JSON-lines export
-// format, and the binary archive format (binary.go, index.go) that every
-// replay reads.
+// record schema, the paper's monthly evaluation windows ("the first 1,000
+// consecutive measurements after midnight on the 8th of each month",
+// §IV-B), the JSON-lines export format, and the binary archive format
+// (binary.go, index.go) that every replay reads. Records reach a writer
+// one at a time as the rig produces them; no archive is held in memory.
 package store
 
 import (
@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/bitvec"
@@ -82,71 +81,6 @@ func (r *Record) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Archive is an in-memory, per-board ordered collection of records.
-// Appends must arrive in non-decreasing wall time per board (the rig
-// produces them in order).
-type Archive struct {
-	byBoard map[int][]Record
-	total   int
-}
-
-// NewArchive returns an empty archive.
-func NewArchive() *Archive {
-	return &Archive{byBoard: make(map[int][]Record)}
-}
-
-// Append adds one record.
-func (a *Archive) Append(r Record) error {
-	if r.Data == nil {
-		return errors.New("store: record has no data")
-	}
-	recs := a.byBoard[r.Board]
-	if len(recs) > 0 && r.Wall.Before(recs[len(recs)-1].Wall) {
-		return fmt.Errorf("store: board %d: out-of-order record at %v", r.Board, r.Wall)
-	}
-	a.byBoard[r.Board] = append(recs, r)
-	a.total++
-	return nil
-}
-
-// Len returns the total number of records.
-func (a *Archive) Len() int { return a.total }
-
-// Boards returns the board indices present, sorted.
-func (a *Archive) Boards() []int {
-	out := make([]int, 0, len(a.byBoard))
-	for b := range a.byBoard {
-		out = append(out, b)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Records returns the records of one board in capture order. The returned
-// slice is owned by the archive and must not be modified.
-func (a *Archive) Records(board int) []Record {
-	return a.byBoard[board]
-}
-
-// Reset discards all records, retaining allocations where possible. The
-// campaign pipeline evaluates each monthly window and resets the archive
-// to bound memory.
-func (a *Archive) Reset() {
-	for b := range a.byBoard {
-		a.byBoard[b] = a.byBoard[b][:0]
-	}
-	a.total = 0
-}
-
-// Patterns extracts the payload vectors of a record slice.
-func Patterns(recs []Record) []*bitvec.Vector {
-	out := make([]*bitvec.Vector, len(recs))
-	for i := range recs {
-		out[i] = recs[i].Data
-	}
-	return out
-}
-
 // MonthlyWindowStart returns midnight (UTC) on the 8th of the month that
 // is monthIndex months after the campaign epoch. Index 0 is the epoch
 // itself (Feb 8, 2017); index 24 is Feb 8, 2019.
@@ -178,17 +112,6 @@ func MonthIndex(t time.Time) int {
 	return m
 }
 
-// WriteJSONL streams records to w, one JSON object per line.
-func WriteJSONL(w io.Writer, recs []Record) error {
-	jw := NewJSONLWriter(w)
-	for i := range recs {
-		if err := jw.Write(recs[i]); err != nil {
-			return fmt.Errorf("store: record %d: %w", i, err)
-		}
-	}
-	return jw.Flush()
-}
-
 // JSONLWriter encodes records to a JSON-lines stream one at a time — the
 // sink of the streaming collection path, which archives to disk without
 // ever holding a window in memory. Call Flush when done.
@@ -208,16 +131,6 @@ func (jw *JSONLWriter) Write(rec Record) error { return jw.enc.Encode(rec) }
 
 // Flush drains the write buffer.
 func (jw *JSONLWriter) Flush() error { return jw.bw.Flush() }
-
-// WriteArchiveJSONL streams the entire archive, boards in ascending order.
-func (a *Archive) WriteArchiveJSONL(w io.Writer) error {
-	for _, b := range a.Boards() {
-		if err := WriteJSONL(w, a.Records(b)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // maxJSONLLineBytes bounds one JSONL archive line. It is derived from
 // the binary codec's payload bound so the two formats accept the same

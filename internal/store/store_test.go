@@ -100,14 +100,6 @@ func TestArchiveRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
-func TestPatterns(t *testing.T) {
-	rs := []Record{rec(0, 0, Epoch), rec(0, 1, Epoch)}
-	ps := Patterns(rs)
-	if len(ps) != 2 || !ps[0].Equal(rs[0].Data) {
-		t.Fatal("Patterns mismatch")
-	}
-}
-
 func TestMonthlyWindowStart(t *testing.T) {
 	if got := MonthlyWindowStart(0); !got.Equal(Epoch) {
 		t.Fatalf("month 0 = %v", got)
@@ -183,21 +175,6 @@ func TestReadJSONLBadInput(t *testing.T) {
 	a, err := convertJSONL([]byte("\n\n"))
 	if err != nil || a.Len() != 0 {
 		t.Fatalf("blank lines: %v, len %d", err, a.Len())
-	}
-}
-
-func TestArchiveReset(t *testing.T) {
-	a := NewArchive()
-	if err := a.Append(rec(0, 0, Epoch)); err != nil {
-		t.Fatal(err)
-	}
-	a.Reset()
-	if a.Len() != 0 || len(a.Records(0)) != 0 {
-		t.Fatal("Reset did not clear records")
-	}
-	// Appends after reset work (even older timestamps).
-	if err := a.Append(rec(0, 0, Epoch.Add(-time.Hour))); err != nil {
-		t.Fatal(err)
 	}
 }
 

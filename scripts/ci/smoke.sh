@@ -19,6 +19,7 @@ echo "== building CLIs"
 go build -o "$workdir/agingtest" ./cmd/agingtest
 go build -o "$workdir/shardworker" ./cmd/shardworker
 go build -o "$workdir/evaluate" ./cmd/evaluate
+go build -o "$workdir/figures" ./cmd/figures
 
 # extract_table prints the Table I block of a run's output.
 extract_table() {
@@ -35,6 +36,16 @@ echo "== rig path with every capture on the event loop (-workers 1)"
     -harness -workers 1 > "$workdir/rig-serial.txt"
 extract_table "$workdir/rig-serial.txt" > "$workdir/rig-serial.table"
 diff -u "$workdir/direct.table" "$workdir/rig-serial.table"
+
+echo "== Fig. 3: rig power waveforms keep the paper's 3.8 s on / 1.6 s off"
+"$workdir/figures" -fig 3 > "$workdir/fig3.txt"
+for ch in S3 S4 S11 S12; do
+    grep -qE "^  $ch +measured period: 5\.40 s, on-time: 3\.80 s$" "$workdir/fig3.txt" || {
+        echo "Fig. 3 lacks '$ch measured period: 5.40 s, on-time: 3.80 s':" >&2
+        cat "$workdir/fig3.txt" >&2
+        exit 1
+    }
+done
 
 echo "== sharded run: 2 shardworker subprocesses, archive streamed"
 "$workdir/agingtest" -devices $DEVICES -months $MONTHS -window $WINDOW \
