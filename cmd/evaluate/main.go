@@ -14,15 +14,26 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	sramaging "repro"
 )
 
+// errFlags marks a command line the flag parser refused; the parser has
+// already printed the error and the usage.
+var errFlags = errors.New("bad command line")
+
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errFlags):
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "evaluate:", err)
 		os.Exit(1)
 	}
@@ -36,18 +47,23 @@ func indexedNote(info sramaging.ArchiveInfo) string {
 	return ""
 }
 
-func run() error {
-	path := flag.String("archive", "", "binary measurement archive (required); a JSONL archive needs -index once to convert it")
-	window := flag.Int("window", 200, "measurements per monthly evaluation window")
-	shards := flag.Int("shards", 0, "fan the replay across N shard workers (0: single process)")
-	shardWorker := flag.String("shardworker", "", "shardworker binary for -shards (default: in-process workers)")
-	index := flag.Bool("index", false, "upgrade the archive (JSONL or v1 binary) in place to the indexed binary format (v2) before replaying")
-	keylife := flag.Bool("keylife", false, "replay the key-lifecycle workload: screening + enrollment re-derived from -seed, reconstruction from the archived measurements")
-	seed := flag.Uint64("seed", 20170208, "campaign seed of the recorded campaign (screens the population for -keylife)")
-	profileName := flag.String("profile", "", "registered profile name of the recorded campaign (screens the population for -keylife; default atmega32u4)")
-	flag.Parse()
+// run parses args (the command line without the program name) and
+// writes the replay's report to stdout.
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("evaluate", flag.ContinueOnError)
+	path := flags.String("archive", "", "binary measurement archive (required); a JSONL archive needs -index once to convert it")
+	window := flags.Int("window", 200, "measurements per monthly evaluation window")
+	shards := flags.Int("shards", 0, "fan the replay across N shard workers (0: single process)")
+	shardWorker := flags.String("shardworker", "", "shardworker binary for -shards (default: in-process workers)")
+	index := flags.Bool("index", false, "upgrade the archive (JSONL or v1 binary) in place to the indexed binary format (v2) before replaying")
+	keylife := flags.Bool("keylife", false, "replay the key-lifecycle workload: screening + enrollment re-derived from -seed, reconstruction from the archived measurements")
+	seed := flags.Uint64("seed", 20170208, "campaign seed of the recorded campaign (screens the population for -keylife)")
+	profileName := flags.String("profile", "", "registered profile name of the recorded campaign (screens the population for -keylife; default atmega32u4)")
+	if err := flags.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errFlags, err)
+	}
 	if *path == "" {
-		flag.Usage()
+		flags.Usage()
 		return fmt.Errorf("missing -archive")
 	}
 	if *index {
@@ -56,9 +72,9 @@ func run() error {
 			return err
 		}
 		if upgraded {
-			fmt.Printf("indexed %s\n", *path)
+			fmt.Fprintf(stdout, "indexed %s\n", *path)
 		} else {
-			fmt.Printf("%s already indexed\n", *path)
+			fmt.Fprintf(stdout, "%s already indexed\n", *path)
 		}
 	}
 	var src sramaging.Source
@@ -73,7 +89,7 @@ func run() error {
 		}
 		defer sharded.Close()
 		src = sharded
-		fmt.Printf("archive: %d boards across %d shards\n\n", sharded.Devices(), *shards)
+		fmt.Fprintf(stdout, "archive: %d boards across %d shards\n\n", sharded.Devices(), *shards)
 	} else {
 		plain, err := sramaging.OpenArchiveSource(*path)
 		if err != nil {
@@ -82,7 +98,7 @@ func run() error {
 		defer plain.Close()
 		src = plain
 		info := plain.Info()
-		fmt.Printf("archive: %d boards %v (%s%s, %d records)\n\n",
+		fmt.Fprintf(stdout, "archive: %d boards %v (%s%s, %d records)\n\n",
 			plain.Devices(), plain.Boards(), info.Format, indexedNote(info), info.Records)
 	}
 
@@ -111,7 +127,7 @@ func run() error {
 	}
 	opts = append(opts,
 		sramaging.WithProgress(func(ev sramaging.MonthEval) {
-			fmt.Printf("%s: WCHD %.3f%%  HW %.2f%%  stable %.2f%%  Hnoise %.3f%%  BCHD %.2f%%  Hpuf %.2f%%\n",
+			fmt.Fprintf(stdout, "%s: WCHD %.3f%%  HW %.2f%%  stable %.2f%%  Hnoise %.3f%%  BCHD %.2f%%  Hpuf %.2f%%\n",
 				ev.Label,
 				100*ev.Avg(func(d sramaging.DeviceMonth) float64 { return d.WCHD }),
 				100*ev.Avg(func(d sramaging.DeviceMonth) float64 { return d.FHW }),
@@ -130,13 +146,13 @@ func run() error {
 
 	if len(res.Monthly) >= 2 {
 		first, last := res.Monthly[0], res.Monthly[len(res.Monthly)-1]
-		fmt.Println()
-		fmt.Printf("Table I summary over months %d..%d:\n\n", first.Month, last.Month)
-		fmt.Print(sramaging.RenderTableI(res.Table))
+		fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, "Table I summary over months %d..%d:\n\n", first.Month, last.Month)
+		fmt.Fprint(stdout, sramaging.RenderTableI(res.Table))
 	}
 	if kt := sramaging.RenderKeyLifeTable(res); kt != "" {
-		fmt.Println()
-		fmt.Print(kt)
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, kt)
 	}
 	return nil
 }

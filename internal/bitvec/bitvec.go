@@ -8,6 +8,7 @@
 package bitvec
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -74,16 +75,24 @@ func FromBytes(data []byte, n int) (*Vector, error) {
 	return v, nil
 }
 
-// LoadWords overwrites v's contents from a packed word slice without
-// allocating — the decode-into-scratch path of the binary record codec.
-// It returns an error if the word count does not match v's length or if
-// padding bits beyond the length are non-zero (corrupt input must never
-// violate the tail invariant the Hamming kernels rely on).
-func (v *Vector) LoadWords(words []uint64) error {
-	if len(words) != len(v.words) {
-		return fmt.Errorf("bitvec: need %d words for %d bits, got %d", len(v.words), v.n, len(words))
+// LoadLE overwrites v's contents from little-endian 64-bit words — the
+// binary record codec's payload layout — without allocating: one
+// memmove on a little-endian host, where that layout is v's memory
+// layout, a per-word byte-order loop elsewhere. It returns an error if
+// data does not hold exactly v's word count or if padding bits beyond
+// the length are non-zero (corrupt input must never violate the tail
+// invariant the Hamming kernels rely on).
+func (v *Vector) LoadLE(data []byte) error {
+	if len(data) != 8*len(v.words) {
+		return fmt.Errorf("bitvec: need %d bytes for %d bits, got %d", 8*len(v.words), v.n, len(data))
 	}
-	copy(v.words, words)
+	if littleEndianHost {
+		copy(wordBytes(v.words), data)
+	} else {
+		for i := range v.words {
+			v.words[i] = binary.LittleEndian.Uint64(data[8*i:])
+		}
+	}
 	if v.tailDirty() {
 		v.clearTail()
 		return errors.New("bitvec: non-zero padding bits beyond length")

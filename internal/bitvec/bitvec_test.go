@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -359,6 +360,42 @@ func TestSetWord(t *testing.T) {
 	v.SetWord(1, ^uint64(0))
 	if got := v.HammingWeight(); got != 70 {
 		t.Fatalf("weight = %d, want 70 (tail must be cleared)", got)
+	}
+}
+
+// TestLoadLE: loading the little-endian word bytes of a vector restores
+// it exactly and in place; a wrong byte count or dirty padding bits are
+// rejected, and the rejected load leaves the tail clean.
+func TestLoadLE(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 1000} {
+		src := New(n)
+		for i := 0; i < n; i += 3 {
+			src.Set(i, true)
+		}
+		data := make([]byte, 0, 8*len(src.Words()))
+		for _, w := range src.Words() {
+			data = binary.LittleEndian.AppendUint64(data, w)
+		}
+		dst := New(n)
+		dst.SetAll(true)
+		if err := dst.LoadLE(data); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if !dst.Equal(src) {
+			t.Fatalf("n=%d: LoadLE did not restore the vector", n)
+		}
+		if err := dst.LoadLE(data[:len(data)-1]); err == nil {
+			t.Fatalf("n=%d: short payload accepted", n)
+		}
+		if n%64 != 0 {
+			data[len(data)-1] |= 0x80 // bit 63 of the last word: padding
+			if err := dst.LoadLE(data); err == nil {
+				t.Fatalf("n=%d: dirty padding accepted", n)
+			}
+			if dst.HammingWeight() != src.HammingWeight() {
+				t.Fatalf("n=%d: rejected load left dirty padding in the vector", n)
+			}
+		}
 	}
 }
 

@@ -168,8 +168,7 @@ func (p *Population) Predict(windowSize, devices int) Prediction {
 		w := p.Weight[i]
 		pi := stats.Phi(m)
 		p0 := stats.Phi(p.M0[i])
-		// Expected FHD between a (fresh) reference draw and a current draw.
-		wchd += w * (p0*(1-pi) + (1-p0)*pi)
+		wchd += w * fhdTerm(p0, pi)
 		fhw += w * pi
 		stable += w * (math.Pow(pi, float64(windowSize)) + math.Pow(1-pi, float64(windowSize)))
 		hnoise += w * expectedEmpiricalHmin(windowSize, pi)
@@ -183,6 +182,24 @@ func (p *Population) Predict(windowSize, devices int) Prediction {
 		NoiseHmin:   hnoise,
 		PUFHmin:     ExpectedPUFHmin(devices, q),
 	}
+}
+
+// WCHD computes Predict's WCHD term alone, for callers that read
+// nothing else (Predict's noise-entropy term costs far more). It runs
+// Predict's loop over the same operands in the same order, so the two
+// agree bit for bit.
+func (p *Population) WCHD() float64 {
+	var wchd float64
+	for i, m := range p.M {
+		wchd += p.Weight[i] * fhdTerm(stats.Phi(p.M0[i]), stats.Phi(m))
+	}
+	return wchd
+}
+
+// fhdTerm is one cell's expected fractional HD between a (fresh)
+// reference draw with one-probability p0 and a current draw with pi.
+func fhdTerm(p0, pi float64) float64 {
+	return p0*(1-pi) + (1-p0)*pi
 }
 
 // expectedEmpiricalHmin returns E[-log2(max(K, W-K)/W)] for K ~ Bin(W, p):
@@ -351,35 +368,37 @@ func SolveMismatch(t Targets) (lambda, mu float64, err error) {
 	return lambda, MuForFHW(lambda, t.FHW), nil
 }
 
-// agedPrediction evolves a fresh dispersed population by total drift delta
-// and returns its end-of-test prediction.
-func agedPrediction(lambda, mu, delta, dispersion float64, n, gNodes, windowSize, devices int) (Prediction, error) {
+// agedPopulation builds a fresh dispersed population and evolves it by
+// total drift delta: the end-of-test state whose expectations the
+// calibration reads.
+func agedPopulation(lambda, mu, delta, dispersion float64, n, gNodes int) (*Population, error) {
 	pop, err := NewDispersedPopulation(lambda, mu, n, gridSpan, dispersion, gNodes)
 	if err != nil {
-		return Prediction{}, err
+		return nil, err
 	}
 	pop.Evolve(delta, evolveStep)
-	return pop.Predict(windowSize, devices), nil
+	return pop, nil
 }
 
 // solveDriftGivenDispersion finds the total drift Delta_T that hits the end
-// WCHD target for a fixed dispersion coefficient.
-func solveDriftGivenDispersion(t Targets, lambda, mu, dispersion float64, n, gNodes, windowSize, devices int) (float64, error) {
+// WCHD target for a fixed dispersion coefficient. The bisection reads
+// only the aged population's WCHD, so it evaluates nothing else.
+func solveDriftGivenDispersion(t Targets, lambda, mu, dispersion float64, n, gNodes int) (float64, error) {
 	lo, hi := 0.0, 8.0
-	pHi, err := agedPrediction(lambda, mu, hi, dispersion, n, gNodes, windowSize, devices)
+	pHi, err := agedPopulation(lambda, mu, hi, dispersion, n, gNodes)
 	if err != nil {
 		return 0, err
 	}
-	if pHi.WCHD < t.WCHDEnd {
-		return 0, fmt.Errorf("calib: end WCHD target %v not reachable with drift <= %v (max %v)", t.WCHDEnd, hi, pHi.WCHD)
+	if w := pHi.WCHD(); w < t.WCHDEnd {
+		return 0, fmt.Errorf("calib: end WCHD target %v not reachable with drift <= %v (max %v)", t.WCHDEnd, hi, w)
 	}
 	for iter := 0; iter < 40 && hi-lo > 1e-6; iter++ {
 		mid := 0.5 * (lo + hi)
-		p, err := agedPrediction(lambda, mu, mid, dispersion, n, gNodes, windowSize, devices)
+		p, err := agedPopulation(lambda, mu, mid, dispersion, n, gNodes)
 		if err != nil {
 			return 0, err
 		}
-		if p.WCHD < t.WCHDEnd {
+		if p.WCHD() < t.WCHDEnd {
 			lo = mid
 		} else {
 			hi = mid
@@ -417,15 +436,15 @@ func Calibrate(t Targets, windowSize, devices int) (Result, error) {
 	// Outer bisection on dispersion B: end-of-test noise entropy (with the
 	// drift re-solved to pin end WCHD) decreases monotonically in B.
 	noiseAt := func(b float64) (noise, drift float64, err error) {
-		d, err := solveDriftGivenDispersion(t, lambda, mu, b, coarseN, gammaNodes, windowSize, devices)
+		d, err := solveDriftGivenDispersion(t, lambda, mu, b, coarseN, gammaNodes)
 		if err != nil {
 			return 0, 0, err
 		}
-		p, err := agedPrediction(lambda, mu, d, b, coarseN, gammaNodes, windowSize, devices)
+		p, err := agedPopulation(lambda, mu, d, b, coarseN, gammaNodes)
 		if err != nil {
 			return 0, 0, err
 		}
-		return p.NoiseHmin, d, nil
+		return p.Predict(windowSize, devices).NoiseHmin, d, nil
 	}
 
 	loB, hiB := 0.0, 5.0
@@ -465,13 +484,13 @@ func Calibrate(t Targets, windowSize, devices int) (Result, error) {
 		}
 		dispersion = 0.5 * (loB + hiB)
 		// Re-solve drift at the final dispersion for consistency.
-		drift, err = solveDriftGivenDispersion(t, lambda, mu, dispersion, coarseN, gammaNodes, windowSize, devices)
+		drift, err = solveDriftGivenDispersion(t, lambda, mu, dispersion, coarseN, gammaNodes)
 		if err != nil {
 			return Result{}, err
 		}
 	}
 
-	end, err := agedPrediction(lambda, mu, drift, dispersion, gridN, gammaNodes, windowSize, devices)
+	endPop, err := agedPopulation(lambda, mu, drift, dispersion, gridN, gammaNodes)
 	if err != nil {
 		return Result{}, err
 	}
@@ -481,7 +500,7 @@ func Calibrate(t Targets, windowSize, devices int) (Result, error) {
 		TotalDrift: drift,
 		Dispersion: dispersion,
 		Start:      start,
-		End:        end,
+		End:        endPop.Predict(windowSize, devices),
 	}, nil
 }
 

@@ -131,19 +131,24 @@ func TestSolveDriftHitsEndWCHD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drift, err := solveDriftGivenDispersion(targets, lambda, mu, 0, coarseN, 1, 1000, 16)
+	drift, err := solveDriftGivenDispersion(targets, lambda, mu, 0, coarseN, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if drift <= 0 || drift > 5 {
 		t.Fatalf("implausible drift %v", drift)
 	}
-	pred, err := agedPrediction(lambda, mu, drift, 0, coarseN, 1, 1000, 16)
+	pop, err := agedPopulation(lambda, mu, drift, 0, coarseN, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pred := pop.Predict(1000, 16)
 	if math.Abs(pred.WCHD-targets.WCHDEnd) > 0.0002 {
 		t.Fatalf("end WCHD = %v, want %v", pred.WCHD, targets.WCHDEnd)
+	}
+	// The bisection's WCHD-only evaluation is Predict's term, bit for bit.
+	if w := pop.WCHD(); w != pred.WCHD {
+		t.Fatalf("WCHD() = %v, Predict().WCHD = %v", w, pred.WCHD)
 	}
 }
 

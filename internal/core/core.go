@@ -306,7 +306,7 @@ func PredictedWCHDTrajectory(profile silicon.DeviceProfile, months int) ([]float
 		drift := profile.Kinetics.CumulativeDrift(float64(m))
 		pop.Evolve(drift-prevDrift, 0.01)
 		prevDrift = drift
-		out[m] = pop.Predict(1000, 16).WCHD
+		out[m] = pop.WCHD()
 	}
 	return out, nil
 }

@@ -303,8 +303,8 @@ func (b *archiveShardBackend) Prune(globals []int) error {
 
 // Measure replays the shard's boards with the worker's parallelism
 // budget; emit is safe for concurrent calls across distinct devices and
-// encodes the record synchronously, so the decoder's arena-backed
-// pattern storage can be reused between a board's deliveries.
+// encodes the record synchronously, so the decoder's one payload vector
+// can be reused between a board's deliveries.
 func (b *archiveShardBackend) Measure(ctx context.Context, month, size, workers int, emit func(device int, rec store.Record) error) error {
 	b.src.SetWorkers(workers)
 	return b.src.replay(ctx, month, size, func(d int, rec *store.Record) error {

@@ -235,7 +235,7 @@ func (s *RigSource) Measure(ctx context.Context, month, size int, sink Sink) err
 //
 // Replay is seek-based: the source sits on a store.IndexedReader, so an
 // indexed (v2) archive streams each month's window straight from the
-// file — the whole archive is never materialised in memory — and the
+// mapped file — the whole archive is never decoded into memory — and the
 // per-board segment decodes are fanned across the source's worker pool.
 // A v1 archive gets the same interface through the reader's one-pass
 // fallback scan. JSONL is not a replay format: store.UpgradeFile
@@ -244,14 +244,11 @@ type ArchiveSource struct {
 	ir     *store.IndexedReader
 	boards []int
 	pool   *stream.Pool
-	decs   sync.Pool // *store.SegmentDecoder, one per in-flight board job
-	pruned []bool    // screened-out boards; nil until PruneDevices
+	pruned []bool // screened-out boards; nil until PruneDevices
 }
 
 func newArchiveSourceOver(ir *store.IndexedReader, boards []int) *ArchiveSource {
-	s := &ArchiveSource{ir: ir, boards: boards, pool: stream.NewPool(0)}
-	s.decs.New = func() any { return new(store.SegmentDecoder) }
-	return s
+	return &ArchiveSource{ir: ir, boards: boards, pool: stream.NewPool(0)}
 }
 
 // NewArchiveSource replays the archive behind an open indexed reader
@@ -458,9 +455,10 @@ func (r *monthRule) classify(m int) (complete bool, short []int) {
 }
 
 // replay streams the month's windows with full record envelopes, one
-// segment job per surviving board on the source's pool. The
-// *store.Record (and its arena-backed Data) is valid only inside fn —
-// retainers must Clone, the same reuse rule as the engine Sink.
+// segment job per surviving board on the source's pool, each with its
+// own decoder. The *store.Record (and its Data, the decoder's one
+// reused vector) is valid only inside fn — retainers must Clone, the
+// same reuse rule as the engine Sink.
 func (s *ArchiveSource) replay(ctx context.Context, month, size int, fn func(device int, rec *store.Record) error) error {
 	jobs := make([]func() error, 0, len(s.boards))
 	for d, b := range s.boards {
@@ -473,10 +471,9 @@ func (s *ArchiveSource) replay(ctx context.Context, month, size int, fn func(dev
 				return fmt.Errorf("%w: board %d month %d: archive holds %d records in the month's window, want %d",
 					ErrShortWindow, b, month, n, size)
 			}
-			dec := s.decs.Get().(*store.SegmentDecoder)
-			defer s.decs.Put(dec)
+			var dec store.SegmentDecoder
 			i := 0
-			return s.ir.ReadSegment(dec, b, month, size, func(rec *store.Record) error {
+			return s.ir.ReadSegment(&dec, b, month, size, func(rec *store.Record) error {
 				if err := ctx.Err(); err != nil {
 					return fmt.Errorf("core: board %d measurement %d: %w", b, i, err)
 				}

@@ -334,13 +334,12 @@ func AppendBatchRecord(dst []byte, device int, rec store.Record) ([]byte, error)
 }
 
 // BatchDecoder decodes record-batch payloads. It keeps one payload
-// vector per device and one word scratch, reused across batches, so the
-// steady-state decode path allocates nothing: decoded records alias the
-// per-device scratch, which is exactly the engine Sink contract (pattern
+// vector per device, reused across batches, so the steady-state decode
+// path allocates nothing: decoded records alias the per-device
+// scratch, which is exactly the engine Sink contract (pattern
 // storage may be reused between deliveries to the same device; consumers
 // that retain a pattern must clone it).
 type BatchDecoder struct {
-	dec  store.RecordDecoder
 	data map[int]*bitvec.Vector
 }
 
@@ -362,7 +361,7 @@ func (d *BatchDecoder) Decode(payload []byte, fn func(device int, rec store.Reco
 		}
 		device := int(binary.LittleEndian.Uint32(payload[off:]))
 		rec := store.Record{Data: d.data[device]}
-		n, err := d.dec.Decode(payload[off+4:], &rec)
+		n, err := store.DecodeRecord(payload[off+4:], &rec)
 		if err != nil {
 			return fmt.Errorf("%w: batch entry at offset %d: %v", ErrCodec, off, err)
 		}

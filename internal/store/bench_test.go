@@ -48,7 +48,6 @@ func benchRecordSet(b *testing.B, boards, perBoard int) []Record {
 func BenchmarkBinaryRecordCodec(b *testing.B) {
 	rec := benchRecordSet(b, 1, 1)[0]
 	var scratch []byte
-	var dec RecordDecoder
 	out := Record{Data: bitvec.New(rec.Data.Len())}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -58,7 +57,7 @@ func BenchmarkBinaryRecordCodec(b *testing.B) {
 			b.Fatal(err)
 		}
 		scratch = enc
-		if _, err := dec.Decode(enc, &out); err != nil {
+		if _, err := DecodeRecord(enc, &out); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,11 +130,11 @@ func BenchmarkArchiveReplayBinary(b *testing.B) {
 
 // BenchmarkArchiveReplayIndexed replays the same 400-record archive
 // through the v2 index: open from the trailer, then stream every
-// (board, month) segment through arena-backed seek decodes, boards in
-// parallel. This is cmd/evaluate's replay path; the speedup over
-// ...Binary (which materialises the whole archive) is the index's
+// (board, month) segment through seek decodes sliced from the image,
+// boards in parallel. This is cmd/evaluate's replay path; the speedup
+// over ...Binary (which materialises the whole archive) is the index's
 // reason to exist, and steady state must stay within the allocs gate —
-// decoders are reused, payload words live in per-decoder arenas.
+// decoders are reused, each decoding into its one payload vector.
 func BenchmarkArchiveReplayIndexed(b *testing.B) {
 	recs := benchRecordSet(b, 2, 200)
 	a := NewArchive()
@@ -149,8 +148,7 @@ func BenchmarkArchiveReplayIndexed(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
-	ra := bytes.NewReader(data)
-	r, err := OpenIndexed(ra, int64(len(data)))
+	r, err := OpenIndexed(data)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -240,7 +238,7 @@ func BenchmarkArchiveSeekMonth(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := OpenIndexed(bytes.NewReader(data), int64(len(data)))
+				r, err := OpenIndexed(data)
 				if err != nil {
 					b.Fatal(err)
 				}

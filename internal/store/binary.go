@@ -84,19 +84,14 @@ func AppendRecordBinary(dst []byte, rec Record) ([]byte, error) {
 	return dst, nil
 }
 
-// RecordDecoder decodes records from binary bytes, reusing one word
-// scratch slice across calls so the steady-state decode path allocates
-// only when the caller wants a fresh payload vector.
-type RecordDecoder struct {
-	words []uint64
-}
-
-// decode parses one record from the front of data into rec, returning
-// the number of bytes consumed. rec.Data is reused when it already holds
-// a vector of the record's exact bit length; otherwise a fresh vector is
-// allocated. Corrupt input (short buffer, oversized length, dirty
-// padding bits) is rejected with ErrBinary.
-func (d *RecordDecoder) Decode(data []byte, rec *Record) (int, error) {
+// DecodeRecord parses one record from the front of data into rec,
+// returning the number of bytes consumed. rec.Data is reused when it
+// already holds a vector of the record's exact bit length (the payload
+// is then one memmove on a little-endian host, and the decode does not
+// allocate); otherwise a fresh vector is allocated. Corrupt input (short
+// buffer, oversized length, dirty padding bits) is rejected with
+// ErrBinary.
+func DecodeRecord(data []byte, rec *Record) (int, error) {
 	if len(data) < binaryHeaderLen {
 		return 0, fmt.Errorf("%w: %d-byte header, want %d", ErrBinary, len(data), binaryHeaderLen)
 	}
@@ -105,22 +100,14 @@ func (d *RecordDecoder) Decode(data []byte, rec *Record) (int, error) {
 		return 0, fmt.Errorf("%w: %d-bit payload exceeds the %d-bit bound", ErrBinary, bits, maxBinaryRecordBits)
 	}
 	n := int(bits)
-	nw := (n + 63) / 64
-	total := binaryHeaderLen + 8*nw
+	total := binaryHeaderLen + 8*((n+63)/64)
 	if len(data) < total {
 		return 0, fmt.Errorf("%w: %d bytes for a %d-bit record, want %d", ErrBinary, len(data), n, total)
-	}
-	if cap(d.words) < nw {
-		d.words = make([]uint64, nw)
-	}
-	words := d.words[:nw]
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(data[binaryHeaderLen+8*i:])
 	}
 	if rec.Data == nil || rec.Data.Len() != n {
 		rec.Data = bitvec.New(n)
 	}
-	if err := rec.Data.LoadWords(words); err != nil {
+	if err := rec.Data.LoadLE(data[binaryHeaderLen:total]); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrBinary, err)
 	}
 	rec.Board = int(int32(binary.LittleEndian.Uint32(data[0:])))
@@ -269,7 +256,6 @@ func (w *BinaryWriter) Flush() error {
 // the records it decoded before reporting io.EOF).
 type BinaryReader struct {
 	br   *bufio.Reader
-	dec  RecordDecoder
 	buf  []byte
 	v2   bool
 	done bool
@@ -348,7 +334,7 @@ func (r *BinaryReader) Read(rec *Record) error {
 	if _, err := io.ReadFull(r.br, buf[binaryHeaderLen:]); err != nil {
 		return fmt.Errorf("%w: truncated %d-bit payload: %v", ErrBinary, bits, err)
 	}
-	if _, err := r.dec.Decode(buf, rec); err != nil {
+	if _, err := DecodeRecord(buf, rec); err != nil {
 		return err
 	}
 	r.off += int64(total)
@@ -396,6 +382,9 @@ func (r *BinaryReader) finishV2(hdr [binaryHeaderLen]byte) error {
 	var recs uint64
 	off := int64(len(BinaryMagicV2))
 	for _, e := range entries {
+		if e.length > sentinelOff-off {
+			return fmt.Errorf("%w: index entry for board %d month %d runs past the record region's end at %d", ErrBinary, e.board, e.month, sentinelOff)
+		}
 		recs += uint64(e.count)
 		off += e.length
 	}

@@ -39,9 +39,8 @@ func testRecords(t *testing.T, bits int) []Record {
 // decodeRecord decodes one record from the front of data into a fresh
 // Record.
 func decodeRecord(data []byte) (Record, int, error) {
-	var d RecordDecoder
 	var rec Record
-	n, err := d.Decode(data, &rec)
+	n, err := DecodeRecord(data, &rec)
 	return rec, n, err
 }
 

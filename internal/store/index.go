@@ -1,18 +1,19 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
+	"sync"
 	"time"
-
-	"repro/internal/bitvec"
+	"unsafe"
 )
 
 // This file is the indexed side of the binary archive format (v2) and
@@ -130,7 +131,7 @@ func decodeIndexEntries(data []byte, want uint64) ([]indexEntry, error) {
 			return nil, fmt.Errorf("%w: index entry %d month %d outside the record header domain", ErrBinary, len(entries), month)
 		case count == 0:
 			return nil, fmt.Errorf("%w: index entry %d is empty (zero records)", ErrBinary, len(entries))
-		case length > 1<<62 || int64(length) < int64(count)*binaryHeaderLen:
+		case length > 1<<62 || count > length/binaryHeaderLen: // division: count*36 can wrap
 			return nil, fmt.Errorf("%w: index entry %d: %d bytes cannot hold %d records", ErrBinary, len(entries), length, count)
 		}
 		entries = append(entries, indexEntry{board: int(board), month: int(month), count: int(count), length: int64(length)})
@@ -161,15 +162,23 @@ type Segment struct {
 }
 
 // IndexedReader is random (month-seekable) access to a binary
-// measurement archive. A v2 archive opens in O(1) via its trailer; a v1
-// archive is scanned once, front to back, to build the same index in
-// memory (Indexed reports which case applies). All accessors and
-// ReadSegment are safe for concurrent use — give each goroutine its own
-// SegmentDecoder.
+// measurement archive held as one read-only byte image: a file mapped
+// with mmap (or read into memory where the platform has no mmap), or a
+// caller's slice. Every read — footer, v1 scan, segment replay, upgrade
+// copy — slices that image; there is no read-ahead buffer and no copy
+// of a run before it is decoded. A v2 archive opens in O(1) via its
+// trailer; a v1 archive is scanned once, front to back, to build the
+// same index in memory (Indexed reports which case applies). All
+// accessors and ReadSegment are safe for concurrent use — give each
+// goroutine its own SegmentDecoder.
+//
+// A mapped file can change under the reader: a page past a truncated
+// end faults where a read would have returned an error. Reads of the
+// image therefore run with faults turned into panics (SetPanicOnFault),
+// and a fault inside this reader's image is returned as ErrBinary.
 type IndexedReader struct {
-	ra     io.ReaderAt
-	size   int64
-	end    int64 // where the last record the index covers ends
+	data   []byte // the archive image
+	end    int64  // where the last record the index covers ends
 	format string
 	index  bool
 
@@ -179,7 +188,10 @@ type IndexedReader struct {
 	minM   int
 	maxM   int
 	total  int
-	closer io.Closer
+
+	mu      sync.RWMutex // ReadSegment holds it shared, Close exclusively
+	closed  bool
+	release func() error // unmaps a mapped file; nil for other images
 }
 
 // indexBuilder accumulates segment runs during open/scan.
@@ -234,54 +246,69 @@ func (b *indexBuilder) finish(r *IndexedReader) {
 	sort.Ints(r.boards)
 }
 
-// OpenIndexed opens a binary measurement archive for seek-based replay.
-// The version is detected from the magic: v2 reads only the footer
+// OpenIndexed opens a binary measurement archive image for seek-based
+// replay; the reader slices data, which must not change while it is in
+// use. The version is detected from the magic: v2 reads only the footer
 // (O(1) in archive size), v1 falls back to a single front-to-back scan
 // that builds the index in memory. A JSONL archive fails with ErrJSONL.
-// ra must support concurrent ReadAt (os.File, bytes.Reader and
-// io.SectionReader all do).
-func OpenIndexed(ra io.ReaderAt, size int64) (*IndexedReader, error) {
-	return openIndexed(ra, size, false)
+func OpenIndexed(data []byte) (*IndexedReader, error) {
+	return openImage(data, false)
 }
 
-// openIndexed opens an archive; prefix makes the v1 scan keep the
+// openImage opens an archive image; prefix makes the v1 scan keep the
 // archive's whole-record prefix instead of rejecting a torn tail.
-func openIndexed(ra io.ReaderAt, size int64, prefix bool) (*IndexedReader, error) {
-	if size < 0 {
-		return nil, fmt.Errorf("%w: negative archive size %d", ErrBinary, size)
-	}
-	r := &IndexedReader{ra: ra, size: size}
-	var buf [len(BinaryMagic)]byte
-	head := buf[:min(size, int64(len(buf)))]
-	if len(head) > 0 {
-		if _, err := ra.ReadAt(head, 0); err != nil {
-			return nil, fmt.Errorf("store: reading archive head: %w", err)
-		}
-	}
-	switch {
-	case string(head) == BinaryMagicV2:
-		r.format, r.index = FormatBinaryV2, true
-		if err := r.openV2(); err != nil {
-			return nil, err
-		}
-	case string(head) == BinaryMagic:
-		r.format = FormatBinaryV1
-		if err := r.scanBinary(prefix); err != nil {
-			return nil, err
-		}
-	case len(head) == len(buf) && string(head[:7]) == BinaryMagic[:7]:
-		return nil, fmt.Errorf("%w: bad archive magic % x (version mismatch)", ErrBinary, head)
-	case bytes.HasPrefix(bytes.TrimLeft(head, " \t\r\n"), []byte("{")):
-		return nil, ErrJSONL
-	default:
-		return nil, fmt.Errorf("%w: not a binary archive (no archive magic)", ErrBinary)
+func openImage(data []byte, prefix bool) (*IndexedReader, error) {
+	r := &IndexedReader{data: data}
+	if err := r.parse(prefix); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// OpenIndexedFile opens the archive at path; Close releases the file.
+// parse detects the image's format and builds its index, under the
+// fault guard.
+func (r *IndexedReader) parse(prefix bool) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer r.catchFault(&err)
+	head := r.data[:min(len(r.data), len(BinaryMagic))]
+	switch {
+	case string(head) == BinaryMagicV2:
+		r.format, r.index = FormatBinaryV2, true
+		return r.openV2()
+	case string(head) == BinaryMagic:
+		r.format = FormatBinaryV1
+		return r.scanBinary(prefix)
+	case len(head) == len(BinaryMagic) && string(head[:7]) == BinaryMagic[:7]:
+		return fmt.Errorf("%w: bad archive magic % x (version mismatch)", ErrBinary, head)
+	case bytes.HasPrefix(bytes.TrimLeft(head, " \t\r\n"), []byte("{")):
+		return ErrJSONL
+	}
+	return fmt.Errorf("%w: not a binary archive (no archive magic)", ErrBinary)
+}
+
+// catchFault, deferred by a reader of the image after
+// debug.SetPanicOnFault(true), turns a memory fault inside this
+// reader's image into ErrBinary in *err: a mapped file truncated or
+// failing I/O under the reader. Any other panic is re-raised.
+func (r *IndexedReader) catchFault(err *error) {
+	p := recover()
+	if p == nil {
+		return
+	}
+	if f, ok := p.(interface{ Addr() uintptr }); ok && len(r.data) > 0 {
+		base := uintptr(unsafe.Pointer(unsafe.SliceData(r.data)))
+		if a := f.Addr(); a >= base && a-base < uintptr(len(r.data)) {
+			*err = fmt.Errorf("%w: archive byte %d unreadable (file truncated or failing under its mapping)", ErrBinary, a-base)
+			return
+		}
+	}
+	panic(p)
+}
+
+// OpenIndexedFile opens the archive at path, mapped read-only; Close
+// unmaps it.
 func OpenIndexedFile(path string) (*IndexedReader, error) {
-	return openFile(path, OpenIndexed)
+	return openFile(path, false)
 }
 
 // OpenIndexedPrefix opens the binary archive at path as far as it is
@@ -292,28 +319,31 @@ func OpenIndexedFile(path string) (*IndexedReader, error) {
 // crash-tolerant v1 checkpoint; replay opens archives with
 // OpenIndexedFile, which rejects a torn file.
 func OpenIndexedPrefix(path string) (*IndexedReader, error) {
-	return openFile(path, func(ra io.ReaderAt, size int64) (*IndexedReader, error) {
-		return openIndexed(ra, size, true)
-	})
+	return openFile(path, true)
 }
 
-func openFile(path string, open func(io.ReaderAt, int64) (*IndexedReader, error)) (*IndexedReader, error) {
+func openFile(path string, prefix bool) (*IndexedReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	r, err := open(f, st.Size())
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: archive %s: %w", path, err)
+	data, release, err := loadImage(f, st.Size())
+	if err == nil {
+		var r *IndexedReader
+		if r, err = openImage(data, prefix); err == nil {
+			r.release = release
+			return r, nil
+		}
+		if release != nil {
+			release()
+		}
 	}
-	r.closer = f
-	return r, nil
+	return nil, fmt.Errorf("store: archive %s: %w", path, err)
 }
 
 // OpenIndexedBytes opens an archive image held in memory. A binary image
@@ -327,33 +357,28 @@ func OpenIndexedBytes(data []byte) (*IndexedReader, error) {
 		}
 		data = buf.Bytes()
 	}
-	return OpenIndexed(bytes.NewReader(data), int64(len(data)))
+	return OpenIndexed(data)
 }
 
 // openV2 reads the trailer, sentinel and index of a v2 archive and
 // cross-checks them; any inconsistency is ErrBinary (no rescue scan).
 func (r *IndexedReader) openV2() error {
+	size := r.Size()
 	minSize := int64(len(BinaryMagicV2)) + binaryHeaderLen + indexTrailerLen
-	if r.size < minSize {
-		return fmt.Errorf("%w: %d-byte archive is too small for the v2 footer (min %d)", ErrBinary, r.size, minSize)
+	if size < minSize {
+		return fmt.Errorf("%w: %d-byte archive is too small for the v2 footer (min %d)", ErrBinary, size, minSize)
 	}
-	var tr [indexTrailerLen]byte
-	if _, err := r.ra.ReadAt(tr[:], r.size-indexTrailerLen); err != nil {
-		return fmt.Errorf("%w: reading index trailer: %v", ErrBinary, err)
-	}
+	tr := r.data[size-indexTrailerLen:]
 	if string(tr[16:24]) != indexTrailerMagic {
 		return fmt.Errorf("%w: bad index trailer magic % x", ErrBinary, tr[16:24])
 	}
 	indexOff := binary.LittleEndian.Uint64(tr[0:8])
 	entryCount := binary.LittleEndian.Uint64(tr[8:16])
 	sentinelOff := int64(indexOff) - binaryHeaderLen
-	if indexOff > uint64(r.size-indexTrailerLen) || sentinelOff < int64(len(BinaryMagicV2)) {
-		return fmt.Errorf("%w: trailer index offset %d outside the archive [44, %d]", ErrBinary, indexOff, r.size-indexTrailerLen)
+	if indexOff > uint64(size-indexTrailerLen) || sentinelOff < int64(len(BinaryMagicV2)) {
+		return fmt.Errorf("%w: trailer index offset %d outside the archive [44, %d]", ErrBinary, indexOff, size-indexTrailerLen)
 	}
-	var s [binaryHeaderLen]byte
-	if _, err := r.ra.ReadAt(s[:], sentinelOff); err != nil {
-		return fmt.Errorf("%w: reading end sentinel: %v", ErrBinary, err)
-	}
+	s := r.data[sentinelOff:indexOff]
 	if string(s[0:8]) != endSentinelMagic || binary.LittleEndian.Uint32(s[32:36]) != endSentinelBits {
 		return fmt.Errorf("%w: corrupt end sentinel at offset %d", ErrBinary, sentinelOff)
 	}
@@ -363,11 +388,7 @@ func (r *IndexedReader) openV2() error {
 		}
 	}
 	sentinelCount := binary.LittleEndian.Uint64(s[8:16])
-	idx := make([]byte, r.size-indexTrailerLen-int64(indexOff))
-	if _, err := r.ra.ReadAt(idx, int64(indexOff)); err != nil {
-		return fmt.Errorf("%w: reading index: %v", ErrBinary, err)
-	}
-	entries, err := decodeIndexEntries(idx, entryCount)
+	entries, err := decodeIndexEntries(r.data[indexOff:size-indexTrailerLen], entryCount)
 	if err != nil {
 		return err
 	}
@@ -378,13 +399,19 @@ func (r *IndexedReader) openV2() error {
 	// whose months go backwards for a board describes an archive the
 	// sequential reader would reject — catch that from the entries
 	// alone. (Disorder WITHIN a month segment is caught at read time by
-	// readBinarySegment's wall check.)
+	// ReadSegment's wall check.)
 	lastMonth := make(map[int]int)
 	for _, e := range entries {
 		if last, ok := lastMonth[e.board]; ok && e.month < last {
 			return fmt.Errorf("%w: board %d month %d indexed after month %d — records out of order", ErrBinary, e.board, e.month, last)
 		}
 		lastMonth[e.board] = e.month
+		// Checked before the sum, so lengths that wrap int64 cannot
+		// bring off back to the sentinel and hand ReadSegment a run
+		// past the end of the image.
+		if e.length > sentinelOff-off {
+			return fmt.Errorf("%w: index entry for board %d month %d (%d bytes at offset %d) runs past the record region's end at %d", ErrBinary, e.board, e.month, e.length, off, sentinelOff)
+		}
 		b.addRun(e.board, e.month, off, e.length, e.count)
 		off += e.length
 		recs += uint64(e.count)
@@ -401,36 +428,33 @@ func (r *IndexedReader) openV2() error {
 }
 
 // scanBinary builds the index for an un-indexed v1 archive with one
-// front-to-back decode pass, recording byte offsets as it goes. The scan
-// enforces per-board wall order. A malformed or out-of-order record is
-// an error, unless prefix is set: then the index stops before it and
-// r.end marks where the whole-record prefix ends.
+// front-to-back decode pass over the image, recording byte offsets as it
+// goes. The scan enforces per-board wall order. A malformed or
+// out-of-order record is an error, unless prefix is set: then the index
+// stops before it and r.end marks where the whole-record prefix ends.
 func (r *IndexedReader) scanBinary(prefix bool) error {
-	br, err := NewBinaryReader(bufio.NewReaderSize(io.NewSectionReader(r.ra, 0, r.size), 256*1024))
-	if err != nil {
-		return err
-	}
 	b := newIndexBuilder()
 	lastWall := make(map[int]time.Time)
 	var rec Record
-	for i := 0; ; i++ {
-		off := br.Offset()
-		err := br.Read(&rec)
+	off := len(BinaryMagic)
+	for i := 0; off < len(r.data); i++ {
+		n, err := DecodeRecord(r.data[off:], &rec)
 		if err == nil {
 			if last, ok := lastWall[rec.Board]; ok && rec.Wall.Before(last) {
 				err = fmt.Errorf("%w: board %d: out-of-order record at %v", ErrBinary, rec.Board, rec.Wall)
 			}
 		}
-		if err == io.EOF || (err != nil && prefix) {
-			r.end = off
+		if err != nil && prefix {
 			break
 		}
 		if err != nil {
 			return fmt.Errorf("store: binary record %d: %w", i, err)
 		}
 		lastWall[rec.Board] = rec.Wall
-		b.addRun(rec.Board, MonthIndex(rec.Wall), off, br.Offset()-off, 1)
+		b.addRun(rec.Board, MonthIndex(rec.Wall), int64(off), int64(n), 1)
+		off += n
 	}
+	r.end = int64(off)
 	b.finish(r)
 	return nil
 }
@@ -443,7 +467,7 @@ func (r *IndexedReader) Format() string { return r.format }
 func (r *IndexedReader) Indexed() bool { return r.index }
 
 // Size returns the archive's byte size.
-func (r *IndexedReader) Size() int64 { return r.size }
+func (r *IndexedReader) Size() int64 { return int64(len(r.data)) }
 
 // End returns the offset where the last record the index covers ends:
 // the end of the record region, short of Size on a v2 archive (its
@@ -502,43 +526,44 @@ func (r *IndexedReader) Segments() []Segment {
 	return out
 }
 
-// Close releases the underlying file when the reader was opened via
-// OpenIndexedFile; otherwise it is a no-op.
+// Close releases the archive image: it unmaps a file opened with
+// OpenIndexedFile or OpenIndexedPrefix once the segment reads in flight
+// have finished. A ReadSegment after Close returns an error. Close is
+// idempotent.
 func (r *IndexedReader) Close() error {
-	if r.closer == nil {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
 		return nil
 	}
-	c := r.closer
-	r.closer = nil
-	return c.Close()
+	r.closed = true
+	if r.release == nil {
+		return nil
+	}
+	return r.release()
 }
 
-// SegmentDecoder holds the reusable decode state of ReadSegment: the
-// chunked read-ahead buffer and the word arena the record payloads are
-// carved from. One decoder per goroutine; reusing a decoder across
-// segments reuses its buffers, which is what makes steady-state segment
-// replay allocation-free.
+// SegmentDecoder is the reusable decode state of ReadSegment: one
+// Record whose payload vector every record of a segment is decoded
+// into. One decoder per goroutine; reusing a decoder across segments of
+// one read-out length is what makes steady-state segment replay
+// allocation-free.
 type SegmentDecoder struct {
-	buf   []byte
-	rec   Record
-	arena bitvec.Arena
+	rec Record
 }
-
-// segmentChunkBytes is the read-ahead unit of the binary segment
-// decoder; runs smaller than this are read in one ReadAt.
-const segmentChunkBytes = 1 << 20
 
 // ReadSegment streams one (board, month) segment to fn in capture
 // order, decoding at most limit records (limit <= 0: the whole
 // segment). It is an error if the segment holds fewer than limit
 // records, or if any decoded record disagrees with the index about its
 // board or month (a lying index must fail loudly, never replay a wrong
-// month). The Record passed to fn — including its arena-backed Data —
-// is valid only until the next delivery from the same decoder; retain
-// with Clone.
-func (r *IndexedReader) ReadSegment(d *SegmentDecoder, board, month, limit int, fn func(*Record) error) error {
+// month). The Record passed to fn is the decoder's own: it and its Data
+// are valid only until the next delivery from the same decoder; retain
+// with Clone. The segment is read from the image under the fault guard
+// (see IndexedReader), and Close waits for it to finish, so fn must not
+// call Close.
+func (r *IndexedReader) ReadSegment(d *SegmentDecoder, board, month, limit int, fn func(*Record) error) (err error) {
 	key := segKey{board, month}
-	runs := r.segs[key]
 	want := r.counts[key]
 	if limit > 0 {
 		if limit > want {
@@ -549,16 +574,13 @@ func (r *IndexedReader) ReadSegment(d *SegmentDecoder, board, month, limit int, 
 	if want == 0 {
 		return nil
 	}
-	// Size the arena from the index: the runs' byte lengths bound the
-	// payload words exactly, so the slab never grows mid-segment (growth
-	// would invalidate views already delivered).
-	var size int64
-	var count int
-	for _, run := range runs {
-		size += run.length
-		count += run.count
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if r.closed {
+		return fmt.Errorf("store: reading board %d month %d: %w", board, month, fs.ErrClosed)
 	}
-	d.arena.Reset(int(size-int64(count)*binaryHeaderLen)/8, want)
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer r.catchFault(&err)
 	mb := boundsForMonth(month)
 	delivered := 0
 	// prev enforces the archive's per-board wall order across the whole
@@ -566,8 +588,8 @@ func (r *IndexedReader) ReadSegment(d *SegmentDecoder, board, month, limit int, 
 	// prove record order, so the seek path re-checks what the
 	// sequential reader would have rejected.
 	var prev time.Time
-	for _, run := range runs {
-		if err := r.readBinaryRun(d, board, mb, run, want, &delivered, &prev, fn); err != nil {
+	for _, run := range r.segs[key] {
+		if err := r.readRun(d, board, mb, run, want, &delivered, &prev, fn); err != nil {
 			return err
 		}
 		if delivered >= want {
@@ -609,86 +631,35 @@ func (mb monthBounds) contains(t time.Time) bool {
 	return MonthIndex(t) == mb.month
 }
 
-// readBinaryRun decodes one contiguous run with chunked read-ahead.
-func (r *IndexedReader) readBinaryRun(d *SegmentDecoder, board int, mb monthBounds, run segRun, want int, delivered *int, prev *time.Time, fn func(*Record) error) error {
+// readRun decodes one contiguous run, sliced from the image, into the
+// decoder's record.
+func (r *IndexedReader) readRun(d *SegmentDecoder, board int, mb monthBounds, run segRun, want int, delivered *int, prev *time.Time, fn func(*Record) error) error {
 	month := mb.month
-	if cap(d.buf) < segmentChunkBytes {
-		n := segmentChunkBytes
-		if run.length < int64(n) {
-			n = int(run.length)
-		}
-		if cap(d.buf) < n {
-			d.buf = make([]byte, n)
-		}
-	}
-	buf := d.buf[:cap(d.buf)]
-	fileOff, fileRem := run.off, run.length
-	pos, valid := 0, 0
-	// refill slides the unconsumed tail to the front and tops the buffer
-	// up from the file; it returns false once the run is exhausted.
-	refill := func() (bool, error) {
-		copy(buf, buf[pos:valid])
-		valid -= pos
-		pos = 0
-		n := int64(len(buf) - valid)
-		if n > fileRem {
-			n = fileRem
-		}
-		if n == 0 {
-			return false, nil
-		}
-		if _, err := r.ra.ReadAt(buf[valid:valid+int(n)], fileOff); err != nil {
-			return false, fmt.Errorf("%w: reading segment board %d month %d: %v", ErrBinary, board, month, err)
-		}
-		fileOff += n
-		fileRem -= n
-		valid += int(n)
-		return true, nil
-	}
+	rest := r.data[run.off : run.off+run.length]
 	inRun := 0
 	for *delivered < want {
-		for valid-pos < binaryHeaderLen {
-			more, err := refill()
-			if err != nil {
-				return err
+		if len(rest) == 0 {
+			// Run consumed exactly; cross-check its record count.
+			if inRun != run.count {
+				return fmt.Errorf("%w: board %d month %d run decoded %d records, index claims %d", ErrBinary, board, month, inRun, run.count)
 			}
-			if !more {
-				if valid == pos {
-					// Run consumed exactly; cross-check its record count.
-					if inRun != run.count {
-						return fmt.Errorf("%w: board %d month %d run decoded %d records, index claims %d", ErrBinary, board, month, inRun, run.count)
-					}
-					return nil
-				}
-				return fmt.Errorf("%w: board %d month %d run ends mid-header", ErrBinary, board, month)
-			}
+			return nil
 		}
-		bits := binary.LittleEndian.Uint32(buf[pos+32:])
+		if len(rest) < binaryHeaderLen {
+			return fmt.Errorf("%w: board %d month %d run ends mid-header", ErrBinary, board, month)
+		}
+		bits := binary.LittleEndian.Uint32(rest[32:])
 		if bits > maxBinaryRecordBits {
 			return fmt.Errorf("%w: %d-bit payload exceeds the %d-bit bound", ErrBinary, bits, maxBinaryRecordBits)
 		}
 		total := binaryHeaderLen + 8*((int(bits)+63)/64)
-		if total > len(buf) {
-			grown := make([]byte, total)
-			copy(grown, buf[pos:valid])
-			valid -= pos
-			pos = 0
-			buf = grown
-			d.buf = grown
+		if total > len(rest) {
+			return fmt.Errorf("%w: board %d month %d run ends mid-record", ErrBinary, board, month)
 		}
-		for valid-pos < total {
-			more, err := refill()
-			if err != nil {
-				return err
-			}
-			if !more {
-				return fmt.Errorf("%w: board %d month %d run ends mid-record", ErrBinary, board, month)
-			}
-		}
-		if err := d.decodeArena(buf[pos:pos+total], &d.rec); err != nil {
+		if _, err := DecodeRecord(rest[:total], &d.rec); err != nil {
 			return err
 		}
-		pos += total
+		rest = rest[total:]
 		if d.rec.Board != board || !mb.contains(d.rec.Wall) {
 			return fmt.Errorf("%w: index sent board %d month %d to a record of board %d month %d", ErrBinary, board, month, d.rec.Board, MonthIndex(d.rec.Wall))
 		}
@@ -702,25 +673,6 @@ func (r *IndexedReader) readBinaryRun(d *SegmentDecoder, board int, mb monthBoun
 		*delivered++
 		inRun++
 	}
-	return nil
-}
-
-// decodeArena decodes one record whose payload is carved from the
-// decoder's arena instead of heap-allocated — the zero-allocation
-// steady state of segment replay. Dirty padding bits are rejected like
-// RecordDecoder.Decode does (inside the arena's bulk word fill).
-func (d *SegmentDecoder) decodeArena(data []byte, rec *Record) error {
-	bits := int(binary.LittleEndian.Uint32(data[32:]))
-	v, err := d.arena.ClaimFromLE(data[binaryHeaderLen:], bits)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBinary, err)
-	}
-	rec.Board = int(int32(binary.LittleEndian.Uint32(data[0:])))
-	rec.Layer = int(int32(binary.LittleEndian.Uint32(data[4:])))
-	rec.Seq = binary.LittleEndian.Uint64(data[8:])
-	rec.Cycle = binary.LittleEndian.Uint64(data[16:])
-	rec.Wall = time.Unix(0, int64(binary.LittleEndian.Uint64(data[24:]))).UTC()
-	rec.Data = v
 	return nil
 }
 
@@ -744,7 +696,7 @@ func (r *IndexedReader) Info() ArchiveInfo {
 	return ArchiveInfo{
 		Format:   r.format,
 		Indexed:  r.index,
-		Size:     r.size,
+		Size:     r.Size(),
 		Records:  r.total,
 		Boards:   r.Boards(),
 		Months:   len(months),
@@ -768,8 +720,9 @@ func InspectFile(path string) (ArchiveInfo, error) {
 // archive that already carries a valid v2 index is left untouched.
 //
 // The rewrite streams: it holds a v1 archive's index scan in memory and
-// copies each segment's record bytes run by run, so memory is O(index),
-// not O(archive). A JSONL archive is first converted (ConvertJSONL)
+// writes each segment's record bytes straight from the mapped image, run
+// by run, so heap memory is O(index), not O(archive) (where the platform
+// has no mmap, the image itself is read into memory). A JSONL archive is first converted (ConvertJSONL)
 // into a temporary v1 file beside it.
 func UpgradeFile(path string) (bool, error) {
 	r, err := OpenIndexedFile(path)
@@ -826,23 +779,18 @@ func writeTemp(path string, fill func(io.Writer) error) (string, error) {
 }
 
 // writeBoardMajor writes the archive to out in the v2 format, boards
-// ascending and each board's months ascending, by copying each segment's
-// record bytes run by run. Each segment becomes one index run; the bytes
-// are not decoded again (opening the archive validated them).
-func (r *IndexedReader) writeBoardMajor(out io.Writer) error {
+// ascending and each board's months ascending, by writing each segment's
+// record bytes run by run straight from the image, under the fault
+// guard. Each segment becomes one index run; the bytes are not decoded
+// again (opening the archive validated them).
+func (r *IndexedReader) writeBoardMajor(out io.Writer) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer r.catchFault(&err)
 	w := NewBinaryWriter(out)
-	buf := make([]byte, 256*1024)
 	for _, s := range r.Segments() {
 		for _, run := range r.segs[segKey{s.Board, s.Month}] {
-			for off, end := run.off, run.off+run.length; off < end; {
-				n := int(min(end-off, int64(len(buf))))
-				if _, err := r.ra.ReadAt(buf[:n], off); err != nil {
-					return fmt.Errorf("%w: reading board %d month %d: %v", ErrBinary, s.Board, s.Month, err)
-				}
-				if _, err := w.bw.Write(buf[:n]); err != nil {
-					return err
-				}
-				off += int64(n)
+			if _, err := w.bw.Write(r.data[run.off : run.off+run.length]); err != nil {
+				return err
 			}
 		}
 		w.extendRun(s.Board, s.Month, s.Count, s.Bytes)

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,7 +57,7 @@ func writeV2(t testing.TB, recs []Record) []byte {
 }
 
 // collectSegment replays one (board, month) segment into a retained
-// slice (cloning the arena-backed payloads).
+// slice (cloning the decoder's reused payloads).
 func collectSegment(t testing.TB, r *IndexedReader, d *SegmentDecoder, board, month, limit int) []Record {
 	t.Helper()
 	var out []Record
@@ -113,7 +112,7 @@ func TestMonthIndex(t *testing.T) {
 func TestIndexedReaderV2(t *testing.T) {
 	recs := indexedRecords(t, 3, 4, 5, 200)
 	data := writeV2(t, recs)
-	r, err := OpenIndexed(bytes.NewReader(data), int64(len(data)))
+	r, err := OpenIndexed(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +182,11 @@ func TestIndexedReaderFallbackScan(t *testing.T) {
 	if err := WriteJSONL(&jl, recs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenIndexed(bytes.NewReader(jl.Bytes()), int64(jl.Len())); !errors.Is(err, ErrJSONL) {
+	if _, err := OpenIndexed(jl.Bytes()); !errors.Is(err, ErrJSONL) {
 		t.Fatalf("JSONL archive: err = %v, want ErrJSONL", err)
 	}
 	data := v1.Bytes()
-	r, err := OpenIndexed(bytes.NewReader(data), int64(len(data)))
+	r, err := OpenIndexed(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +267,7 @@ func TestIndexedReaderCorruption(t *testing.T) {
 	recs := indexedRecords(t, 2, 2, 3, 128)
 	data := writeV2(t, recs)
 	open := func(b []byte) error {
-		_, err := OpenIndexed(bytes.NewReader(b), int64(len(b)))
+		_, err := OpenIndexed(b)
 		return err
 	}
 	if err := open(data); err != nil {
@@ -307,6 +306,7 @@ func TestIndexedReaderCorruption(t *testing.T) {
 		b[off] ^= 0xff
 		return b
 	})
+	mutate("index lengths wrap int64", func([]byte) []byte { return wrappedIndexArchive(t) })
 	mutate("truncated trailer", func(b []byte) []byte { return b[:len(b)-3] })
 	mutate("truncated mid-archive", func(b []byte) []byte { return b[:len(b)/2] })
 
@@ -320,6 +320,40 @@ func TestIndexedReaderCorruption(t *testing.T) {
 			t.Fatalf("sequential read of archive cut by %d: err = %v, want ErrBinary", cut, err)
 		}
 	}
+}
+
+// wrappedIndexArchive forges a one-segment v2 archive whose index puts
+// four 2^62-byte entries (boards 1-4) before the real one (board 0): the
+// entry lengths sum to the record region's end only by wrapping int64,
+// so a reader that adds them unchecked would open it and slice a
+// 2^62-byte run. The end sentinel and trailer are patched to agree with
+// the forged index.
+func wrappedIndexArchive(t testing.TB) []byte {
+	t.Helper()
+	data := writeV2(t, indexedRecords(t, 1, 1, 3, 64))
+	idxOff := binary.LittleEndian.Uint64(data[len(data)-24:])
+	entries, err := decodeIndexEntries(data[idxOff:len(data)-indexTrailerLen], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := entries[0]
+	var idx []byte
+	entry := func(boardDelta int64, count int, length uint64) {
+		idx = binary.AppendVarint(idx, boardDelta)
+		idx = binary.AppendVarint(idx, 0)
+		idx = binary.AppendUvarint(idx, uint64(count))
+		idx = binary.AppendUvarint(idx, length)
+	}
+	for i := 0; i < 4; i++ {
+		entry(1, 1, 1<<62) // boards 1..4: distinct runs, none coalesced
+	}
+	entry(-4, seg.count, uint64(seg.length))
+	b := append([]byte(nil), data[:idxOff]...)
+	binary.LittleEndian.PutUint64(b[idxOff-binaryHeaderLen+8:], uint64(seg.count+4))
+	b = append(b, idx...)
+	b = binary.LittleEndian.AppendUint64(b, idxOff)
+	b = binary.LittleEndian.AppendUint64(b, 5)
+	return append(b, data[len(data)-8:]...)
 }
 
 // TestIndexSegmentValidation: an index whose entries point at records
@@ -347,7 +381,7 @@ func TestIndexSegmentValidation(t *testing.T) {
 		t.Fatalf("unexpected index layout: month delta byte = %d", idx[off])
 	}
 	idx[off] = 4 // zigzag(+2): claims month 2 for month-1 records
-	r, err := OpenIndexed(bytes.NewReader(data), int64(len(data)))
+	r, err := OpenIndexed(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,53 +428,53 @@ func TestBinaryWriterFinalize(t *testing.T) {
 	}
 }
 
-// countingReaderAt counts ReadAt calls and bytes — the probe behind the
-// O(1) seek assertion.
-type countingReaderAt struct {
-	r     *bytes.Reader
-	calls atomic.Int64
-	bytes atomic.Int64
-}
-
-func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	n, err := c.r.ReadAt(p, off)
-	c.calls.Add(1)
-	c.bytes.Add(int64(n))
-	return n, err
-}
-
 // TestIndexedSeekIsBounded: opening a v2 archive and replaying ONE
-// month must read O(footer + that month's bytes), independent of how
-// many other months the archive holds — the seek property the format
-// exists for.
+// month must touch only the footer and that month's bytes, however many
+// other months the archive holds — the seek property the format exists
+// for. Every other record byte is overwritten with 0xFF (a bits field no
+// record can carry), so a reader that decoded any of them would fail.
 func TestIndexedSeekIsBounded(t *testing.T) {
-	segBytes := func(months int) (open, seg int64) {
+	for _, months := range []int{2, 12} {
 		recs := indexedRecords(t, 2, months, 4, 256)
 		data := writeV2(t, recs)
-		cr := &countingReaderAt{r: bytes.NewReader(data)}
-		r, err := OpenIndexed(cr, int64(len(data)))
+		r, err := OpenIndexed(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		open = cr.bytes.Load()
-		var d SegmentDecoder
 		last := months - 1
+		poisoned := append([]byte(nil), data...)
+		for i := int64(len(BinaryMagicV2)); i < r.End(); i++ {
+			poisoned[i] = 0xff
+		}
 		for _, b := range r.Boards() {
-			if err := r.ReadSegment(&d, b, last, 0, func(*Record) error { return nil }); err != nil {
-				t.Fatal(err)
+			for _, run := range r.segs[segKey{b, last}] {
+				copy(poisoned[run.off:run.off+run.length], data[run.off:run.off+run.length])
 			}
 		}
-		return open, cr.bytes.Load() - open
-	}
-	openSmall, segSmall := segBytes(2)
-	openBig, segBig := segBytes(12)
-	// The footer grows only with the entry count (~5 bytes per run), and
-	// one month's segment bytes do not depend on the archive's months.
-	if openBig > openSmall+1024 {
-		t.Fatalf("open cost scaled with archive size: %d -> %d bytes", openSmall, openBig)
-	}
-	if segBig != segSmall {
-		t.Fatalf("single-month replay read %d bytes in the small archive, %d in the big one", segSmall, segBig)
+		pr, err := OpenIndexed(poisoned)
+		if err != nil {
+			t.Fatalf("%d months: open read outside the footer: %v", months, err)
+		}
+		var d SegmentDecoder
+		for _, b := range pr.Boards() {
+			got := collectSegment(t, pr, &d, b, last, 0)
+			i := 0
+			for _, rec := range recs {
+				if rec.Board == b && MonthIndex(rec.Wall) == last {
+					if i >= len(got) || !sameRecord(rec, got[i]) {
+						t.Fatalf("%d months: board %d record %d differs", months, b, i)
+					}
+					i++
+				}
+			}
+			if len(got) != i {
+				t.Fatalf("%d months: board %d: %d records, want %d", months, b, len(got), i)
+			}
+			// The poison is live: an earlier month no longer replays.
+			if err := pr.ReadSegment(&d, b, 0, 0, func(*Record) error { return nil }); !errors.Is(err, ErrBinary) {
+				t.Fatalf("%d months: poisoned month 0 replayed: err = %v, want ErrBinary", months, err)
+			}
+		}
 	}
 }
 

@@ -112,7 +112,8 @@ func InspectArchive(path string) (ArchiveInfo, error) {
 // UpgradeArchive rewrites the archive at path — JSONL or v1 binary — in
 // the indexed binary format (v2): board-major records plus a trailer
 // index mapping every (board, month) segment, so replays seek instead
-// of scan. The rewrite streams (memory is O(index), not O(archive)), is
+// of scan. The rewrite streams from the mapped file (heap memory is
+// O(index), not O(archive), wherever the platform has mmap), is
 // atomic (temp file + rename) and idempotent — it reports false,
 // touching nothing, when the archive already carries a valid index.
 func UpgradeArchive(path string) (bool, error) {
