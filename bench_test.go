@@ -16,13 +16,14 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/debias"
+	"repro/internal/desim"
 	"repro/internal/ecc"
 	"repro/internal/harness"
-	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/silicon"
 	"repro/internal/sram"
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -82,7 +83,7 @@ func BenchmarkFig3Waveform(b *testing.B) {
 		if err := rig.StreamWindow(4, store.Epoch, func(store.Record) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
-		out := report.RenderWaveforms(rig.Switch().Trace(), []int{0, 1, 2, 3}, rig.Sim().Now(), 108)
+		out := report.RenderWaveforms(rig.Switch().Trace(), []int{0, 1, 2, 3}, desim.FromSeconds(21.6), 108)
 		if len(out) == 0 {
 			b.Fatal("no waveform output")
 		}
@@ -114,56 +115,32 @@ func BenchmarkFig4Pattern(b *testing.B) {
 }
 
 // BenchmarkFig5Histograms regenerates the start-of-test WCHD/BCHD/FHW
-// distributions (experiment F5).
+// distributions (experiment F5) the way `figures -fig 5` does: month-0
+// results binned with stats.NewHistogram and drawn with
+// report.HistogramPlot.
 func BenchmarkFig5Histograms(b *testing.B) {
-	profile, err := silicon.ATmega32u4()
-	if err != nil {
-		b.Fatal(err)
-	}
-	root := rng.New(42)
-	const devices = 4
-	const windows = 50
-	refs := make([]*bitvec.Vector, devices)
-	sets := make([][]*bitvec.Vector, devices)
-	for d := 0; d < devices; d++ {
-		chip, err := sram.New(profile, root.Derive(uint64(d)+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for k := 0; k < windows; k++ {
-			w, err := chip.PowerUpWindow()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if k == 0 {
-				refs[d] = w
-			}
-			sets[d] = append(sets[d], w)
-		}
-	}
+	m0 := runBenchCampaign(b).Monthly[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h, err := metrics.NewHistograms(100)
+		wchd, err := stats.NewHistogram(0, 1, 200)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for d := 0; d < devices; d++ {
-			wc, err := metrics.WithinClassHD(refs[d], sets[d])
-			if err != nil {
-				b.Fatal(err)
-			}
-			fw, err := metrics.FractionalHW(sets[d])
-			if err != nil {
-				b.Fatal(err)
-			}
-			h.AddDevice(wc, fw)
+		fhw, _ := stats.NewHistogram(0, 1, 200)
+		bchd, _ := stats.NewHistogram(0, 1, 200)
+		for _, d := range m0.Devices {
+			wchd.Add(d.WCHD)
+			fhw.Add(d.FHW)
 		}
-		bc, err := metrics.BetweenClassHD(refs)
-		if err != nil {
-			b.Fatal(err)
+		bchd.Add(m0.BCHDMean)
+		bchd.Add(m0.BCHDMin)
+		bchd.Add(m0.BCHDMax)
+		for _, h := range []*stats.Histogram{wchd, bchd, fhw} {
+			if report.HistogramPlot("F5", h, 40) == "" {
+				b.Fatal("empty histogram plot")
+			}
 		}
-		h.AddBetweenClass(bc)
 	}
 }
 
@@ -289,36 +266,6 @@ func BenchmarkAblationAgingExponent(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNoisePath compares the Bernoulli fast path against the
-// physically literal full-Gaussian-noise power-up.
-func BenchmarkAblationNoisePath(b *testing.B) {
-	profile, err := silicon.ATmega32u4()
-	if err != nil {
-		b.Fatal(err)
-	}
-	chip, err := sram.New(profile, rng.New(2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := bitvec.New(chip.Cells())
-	b.Run("bernoulli", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := chip.PowerUp(dst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("full-noise", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := chip.PowerUpFullNoise(dst, 1.0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationECC compares decoder costs of the implemented codes at
 // the paper's BER.
 func BenchmarkAblationECC(b *testing.B) {
@@ -342,11 +289,6 @@ func BenchmarkAblationECC(b *testing.B) {
 		b.Fatal(err)
 	}
 	codes = append(codes, golayBlocked)
-	polar, err := ecc.NewPolar(512, 64, 0.03)
-	if err != nil {
-		b.Fatal(err)
-	}
-	codes = append(codes, polar)
 	for _, code := range codes {
 		code := code
 		b.Run(code.Name(), func(b *testing.B) {
@@ -375,32 +317,16 @@ func BenchmarkAblationECC(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDebias compares the debiasing schemes on the paper's
-// 62.7%-biased source.
+// BenchmarkAblationDebias times index-based debiasing, the scheme the
+// key-lifecycle campaigns use, on the paper's 62.7%-biased source.
 func BenchmarkAblationDebias(b *testing.B) {
 	src := rng.New(4)
 	in := bitvec.New(8192)
 	for i := 0; i < in.Len(); i++ {
 		in.Set(i, src.Bernoulli(0.627))
 	}
-	b.Run("cvn", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := debias.ClassicVonNeumann(in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("peres-depth3", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := debias.Peres(in, 3); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("index-selection", func(b *testing.B) {
-		sel, err := debias.NewIndexSelection(in, 1024)
+		sel, err := debias.NewIndexSelectionMasked(in, nil, 1024)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -412,29 +338,4 @@ func BenchmarkAblationDebias(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationRamp sweeps the effective noise sigma, the knob the
-// voltage-ramp-time adaptation of Cortez et al. (paper ref [17]) turns:
-// slower ramps reduce noise (fewer flips), faster ramps increase it.
-func BenchmarkAblationRamp(b *testing.B) {
-	profile, err := silicon.ATmega32u4()
-	if err != nil {
-		b.Fatal(err)
-	}
-	chip, err := sram.New(profile, rng.New(6))
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := bitvec.New(chip.Cells())
-	for _, sigma := range []float64{0.5, 1.0, 2.0} {
-		b.Run(fmt.Sprintf("sigma=%.1f", sigma), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := chip.PowerUpFullNoise(dst, sigma); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

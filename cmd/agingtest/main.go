@@ -53,41 +53,55 @@ type recordTapper interface {
 	SetTap(func(sramaging.Record) error)
 }
 
+// errFlags marks a command line the flag parser refused; the parser has
+// already printed the error and the usage.
+var errFlags = errors.New("bad command line")
+
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errFlags):
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "agingtest:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	devices := flag.Int("devices", 4, "boards under test (paper: 16)")
-	profileName := flag.String("profile", "", "registered device profile name (default atmega32u4, the paper's chip; see sramaging.RegisteredProfiles)")
-	fleetNames := flag.String("fleet", "", "comma-separated registered profile names: run a heterogeneous fleet campaign with per-profile breakdowns (exclusive with -profile, -harness, -archive, -keylife)")
-	screenFloor := flag.Float64("screen-floor", 0, "corner-screening stability floor in [0, 1): prune devices whose stable-cell ratio falls below it between months (0: off)")
-	lazy := flag.Bool("lazy", false, "derive each chip on demand inside its worker slot, holding O(workers) arrays instead of the whole population (default on for -fleet; bits identical either way)")
-	months := flag.Int("months", 6, "campaign length in months (paper: 24)")
-	window := flag.Int("window", 200, "measurements per monthly window (paper: 1000)")
-	seed := flag.Uint64("seed", 20170208, "campaign seed")
-	useHarness := flag.Bool("harness", false, "route windows through the full rig simulation")
-	i2cErr := flag.Float64("i2c-error", 0, "I2C byte corruption rate (harness path)")
-	workers := flag.Int("workers", 0, "evaluation parallelism: sampling slots, or with -harness the rig's capture and aging workers (0: one per CPU; with -shards: total budget split across shards)")
-	shards := flag.Int("shards", 0, "fan the campaign across N shard workers (0: single process)")
-	shardWorker := flag.String("shardworker", "", "shardworker binary for -shards (default: in-process workers)")
-	csvDir := flag.String("csv", "", "directory for Fig. 6 series CSV export")
-	archive := flag.String("archive", "", "stream a measurement archive (forces -harness); a .bin path streams the binary codec, anything else JSON lines (replay converts those once: evaluate -index)")
-	keylife := flag.Bool("keylife", false, "run the key-lifecycle workload: burn-in screening + enrollment at month 0, streamed reconstruction metrics after")
-	remote := flag.String("remote", "", "submit the campaign to an assessd service at this base URL instead of running locally")
-	remoteDetach := flag.Bool("remote-detach", false, "with -remote: submit and print the campaign ID without waiting")
-	remoteWatch := flag.String("remote-watch", "", "with -remote: stream an existing campaign ID instead of submitting")
-	remoteStatus := flag.String("remote-status", "", "with -remote: print a campaign's status and exit")
-	remoteCancel := flag.String("remote-cancel", "", "with -remote: cancel a campaign and exit")
-	flag.Parse()
+// run parses args (the command line without the program name) and
+// writes the campaign's report to stdout.
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("agingtest", flag.ContinueOnError)
+	devices := flags.Int("devices", 4, "boards under test (paper: 16)")
+	profileName := flags.String("profile", "", "registered device profile name (default atmega32u4, the paper's chip; see sramaging.RegisteredProfiles)")
+	fleetNames := flags.String("fleet", "", "comma-separated registered profile names: run a heterogeneous fleet campaign with per-profile breakdowns (exclusive with -profile, -harness, -archive, -keylife)")
+	screenFloor := flags.Float64("screen-floor", 0, "corner-screening stability floor in [0, 1): prune devices whose stable-cell ratio falls below it between months (0: off)")
+	lazy := flags.Bool("lazy", false, "derive each chip on demand inside its worker slot, holding O(workers) arrays instead of the whole population (default on for -fleet; bits identical either way)")
+	months := flags.Int("months", 6, "campaign length in months (paper: 24)")
+	window := flags.Int("window", 200, "measurements per monthly window (paper: 1000)")
+	seed := flags.Uint64("seed", 20170208, "campaign seed")
+	useHarness := flags.Bool("harness", false, "route windows through the full rig simulation")
+	i2cErr := flags.Float64("i2c-error", 0, "I2C byte corruption rate (harness path)")
+	workers := flags.Int("workers", 0, "evaluation parallelism: sampling slots, or with -harness the rig's capture and aging workers (0: one per CPU; with -shards: total budget split across shards)")
+	shards := flags.Int("shards", 0, "fan the campaign across N shard workers (0: single process)")
+	shardWorker := flags.String("shardworker", "", "shardworker binary for -shards (default: in-process workers)")
+	csvDir := flags.String("csv", "", "directory for Fig. 6 series CSV export")
+	archive := flags.String("archive", "", "stream a measurement archive (forces -harness); a .bin path streams the binary codec, anything else JSON lines (replay converts those once: evaluate -index)")
+	keylife := flags.Bool("keylife", false, "run the key-lifecycle workload: burn-in screening + enrollment at month 0, streamed reconstruction metrics after")
+	remote := flags.String("remote", "", "submit the campaign to an assessd service at this base URL instead of running locally")
+	remoteDetach := flags.Bool("remote-detach", false, "with -remote: submit and print the campaign ID without waiting")
+	remoteWatch := flags.String("remote-watch", "", "with -remote: stream an existing campaign ID instead of submitting")
+	remoteStatus := flags.String("remote-status", "", "with -remote: print a campaign's status and exit")
+	remoteCancel := flags.String("remote-cancel", "", "with -remote: cancel a campaign and exit")
+	if err := flags.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errFlags, err)
+	}
 
 	var fleet []string
 	if *fleetNames != "" {
 		fleet = strings.Split(*fleetNames, ",")
-		if !flagWasSet("lazy") {
+		if !flagWasSet(flags, "lazy") {
 			// Fleets are where populations get large; lazy construction is
 			// bit-identical, so it is the fleet default.
 			*lazy = true
@@ -103,7 +117,7 @@ func run() error {
 	}
 
 	if *remote != "" {
-		return runRemote(remoteFlags{
+		return runRemote(stdout, remoteFlags{
 			base:   *remote,
 			detach: *remoteDetach,
 			watch:  *remoteWatch,
@@ -223,7 +237,7 @@ func run() error {
 			line += fmt.Sprintf(", %d records archived", archived-prevArchived)
 			prevArchived = archived
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}))
 
 	a, err := sramaging.NewAssessment(opts...)
@@ -245,7 +259,7 @@ func run() error {
 			return jw.Write(rec)
 		})
 	}
-	fmt.Printf("running campaign: %d devices, %d months, %d-measurement windows (harness=%v, workers=%d, shards=%d)\n",
+	fmt.Fprintf(stdout, "running campaign: %d devices, %d months, %d-measurement windows (harness=%v, workers=%d, shards=%d)\n",
 		*devices, *months, *window, harnessPath, *workers, *shards)
 	res, err := a.Run(context.Background())
 	if err != nil {
@@ -258,17 +272,17 @@ func run() error {
 		if err := archiveFile.Close(); err != nil {
 			return err
 		}
-		fmt.Println("archive written to", *archive)
+		fmt.Fprintln(stdout, "archive written to", *archive)
 	}
-	fmt.Println()
-	fmt.Print(sramaging.RenderTableI(res.Table))
-	fmt.Println()
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, sramaging.RenderTableI(res.Table))
+	fmt.Fprintln(stdout)
 	if kt := sramaging.RenderKeyLifeTable(res); kt != "" {
-		fmt.Print(kt)
-		fmt.Println()
+		fmt.Fprint(stdout, kt)
+		fmt.Fprintln(stdout)
 	}
 	if *screenFloor > 0 {
-		printScreeningSummary(res, *devices)
+		printScreeningSummary(stdout, res, *devices)
 	}
 
 	wchd := res.Series(func(d sramaging.DeviceMonth) float64 { return d.WCHD })
@@ -277,13 +291,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(plot)
+	fmt.Fprintln(stdout, plot)
 
 	if *csvDir != "" {
 		if err := exportCSVs(res, *csvDir); err != nil {
 			return err
 		}
-		fmt.Println("series CSVs written to", *csvDir)
+		fmt.Fprintln(stdout, "series CSVs written to", *csvDir)
 	}
 	return nil
 }
@@ -299,9 +313,9 @@ func resolveProfile(name string) (sramaging.DeviceProfile, error) {
 
 // flagWasSet reports whether a flag was given explicitly on the command
 // line (as opposed to holding its default).
-func flagWasSet(name string) bool {
+func flagWasSet(flags *flag.FlagSet, name string) bool {
 	set := false
-	flag.Visit(func(f *flag.Flag) {
+	flags.Visit(func(f *flag.Flag) {
 		if f.Name == name {
 			set = true
 		}
@@ -312,9 +326,9 @@ func flagWasSet(name string) bool {
 // printScreeningSummary renders the corner-screening outcome: survivor
 // count and the month-by-month attrition, per profile where the campaign
 // knows one.
-func printScreeningSummary(res *sramaging.Results, devices int) {
+func printScreeningSummary(stdout io.Writer, res *sramaging.Results, devices int) {
 	last := res.Monthly[len(res.Monthly)-1]
-	fmt.Printf("screening: %d of %d devices survive\n", last.Survivors, devices)
+	fmt.Fprintf(stdout, "screening: %d of %d devices survive\n", last.Survivors, devices)
 	for _, ev := range res.Monthly {
 		if len(ev.Pruned) == 0 {
 			continue
@@ -332,9 +346,9 @@ func printScreeningSummary(res *sramaging.Results, devices int) {
 				parts = append(parts, fmt.Sprintf("%s: %d", name, ev.Attrition[name]))
 			}
 		}
-		fmt.Printf("  after %s: pruned %s\n", ev.Label, strings.Join(parts, ", "))
+		fmt.Fprintf(stdout, "  after %s: pruned %s\n", ev.Label, strings.Join(parts, ", "))
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 }
 
 // remoteFlags bundles the -remote client mode's inputs.
@@ -349,7 +363,7 @@ type remoteFlags struct {
 // the streamed results — byte-identical to the local run of the same
 // parameters, since the service's rig path and the local sim path
 // produce the same measurement streams.
-func runRemote(rf remoteFlags) error {
+func runRemote(stdout io.Writer, rf remoteFlags) error {
 	ctx := context.Background()
 	client := &sramaging.ServeClient{Base: rf.base}
 	switch {
@@ -358,23 +372,23 @@ func runRemote(rf remoteFlags) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("campaign %s: %s, %d months done", st.ID, st.Status, st.MonthsDone)
+		fmt.Fprintf(stdout, "campaign %s: %s, %d months done", st.ID, st.Status, st.MonthsDone)
 		if st.Error != "" {
-			fmt.Printf(" (%s: %s)", st.ErrKind, st.Error)
+			fmt.Fprintf(stdout, " (%s: %s)", st.ErrKind, st.Error)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		return nil
 	case rf.cancel != "":
 		st, err := client.Cancel(ctx, rf.cancel)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("campaign %s: %s\n", st.ID, st.Status)
+		fmt.Fprintf(stdout, "campaign %s: %s\n", st.ID, st.Status)
 		return nil
 	}
 
 	onMonth := func(ev sramaging.MonthEval) {
-		fmt.Printf("month %2d (%s): WCHD %.3f%%\n", ev.Month, ev.Label,
+		fmt.Fprintf(stdout, "month %2d (%s): WCHD %.3f%%\n", ev.Month, ev.Label,
 			100*ev.Avg(func(d sramaging.DeviceMonth) float64 { return d.WCHD }))
 	}
 	var (
@@ -384,7 +398,7 @@ func runRemote(rf remoteFlags) error {
 	)
 	if rf.watch != "" {
 		id = rf.watch
-		fmt.Printf("streaming campaign %s from %s\n", id, rf.base)
+		fmt.Fprintf(stdout, "streaming campaign %s from %s\n", id, rf.base)
 		res, err = client.Watch(ctx, id, onMonth)
 	} else {
 		if rf.detach {
@@ -392,23 +406,23 @@ func runRemote(rf remoteFlags) error {
 			if err != nil {
 				return err
 			}
-			fmt.Println(st.ID)
+			fmt.Fprintln(stdout, st.ID)
 			return nil
 		}
-		fmt.Printf("submitting campaign to %s: %d devices, %d months, %d-measurement windows (shards=%d)\n",
+		fmt.Fprintf(stdout, "submitting campaign to %s: %d devices, %d months, %d-measurement windows (shards=%d)\n",
 			rf.base, rf.spec.Devices, rf.spec.Months, rf.spec.Window, rf.spec.Shards)
 		id, res, err = client.Run(ctx, rf.spec, onMonth)
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("campaign %s done\n", id)
-	fmt.Println()
-	fmt.Print(sramaging.RenderTableI(res.Table))
-	fmt.Println()
+	fmt.Fprintf(stdout, "campaign %s done\n", id)
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, sramaging.RenderTableI(res.Table))
+	fmt.Fprintln(stdout)
 	if kt := sramaging.RenderKeyLifeTable(res); kt != "" {
-		fmt.Print(kt)
-		fmt.Println()
+		fmt.Fprint(stdout, kt)
+		fmt.Fprintln(stdout)
 	}
 	wchd := res.Series(func(d sramaging.DeviceMonth) float64 { return d.WCHD })
 	plot, err := sramaging.RenderLinePlot("Fig. 6a — WCHD development (one line per device)",
@@ -416,7 +430,7 @@ func runRemote(rf remoteFlags) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(plot)
+	fmt.Fprintln(stdout, plot)
 	return nil
 }
 

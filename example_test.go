@@ -30,7 +30,7 @@ func ExampleNewChip() {
 		log.Fatal(err)
 	}
 	fmt.Println("read window bits:", w.Len())
-	fmt.Println("cells on chip:", chip.Profile().Cells())
+	fmt.Println("cells on chip:", profile.Cells())
 	// Output:
 	// read window bits: 8192
 	// cells on chip: 20480

@@ -145,27 +145,6 @@ func (k Kinetics) DriftIncrement(t1, t2 float64) float64 {
 	return k.CumulativeDrift(t2) - k.CumulativeDrift(t1)
 }
 
-// MonthlyRate returns the instantaneous drift rate dΔ/dt at the given
-// month; it diverges at t=0 for β<1 and decreases monotonically — the
-// paper's "monthly change rate is larger at the start" observation.
-func (k Kinetics) MonthlyRate(months float64) float64 {
-	te := k.EffectiveTime(months)
-	if te <= 0 {
-		return math.Inf(1)
-	}
-	stressFraction := k.DutyOn * (1 - k.Recovery*(1-k.DutyOn))
-	dTedT := stressFraction * k.AccelerationFactor()
-	return k.Amplitude * k.Exponent * math.Pow(te, k.Exponent-1) * dTedT
-}
-
-// OccupancyDrift returns the signed skew drift applied to a cell whose
-// one-probability (occupancy of state 1) is q, for a full-imbalance drift
-// increment dDelta. Cells preferring state 1 (q > 1/2) drift negative
-// (toward metastability); cells preferring state 0 drift positive.
-func OccupancyDrift(q, dDelta float64) float64 {
-	return -dDelta * (2*q - 1)
-}
-
 // TransistorIncrements resolves one drift increment into the four
 // per-transistor threshold-voltage increments of the 6T cell core, in skew
 // units (i.e. already weighted by the skew sensitivity of each transistor).
@@ -188,8 +167,9 @@ func (k Kinetics) Split(dDelta float64) (nbti, pbti float64) {
 }
 
 // Resolve splits a full-imbalance drift increment dDelta for a cell with
-// occupancy q into per-transistor contributions. The expected sum of the
-// signed contributions equals OccupancyDrift(q, dDelta).
+// occupancy q into per-transistor contributions. Their signed sum,
+// (P2−P1) + (N1−N2), is −dDelta·(2q−1): cells preferring state 1 drift
+// toward metastability from above, cells preferring state 0 from below.
 func (k Kinetics) Resolve(q, dDelta float64) TransistorIncrements {
 	nbti, pbti := k.Split(dDelta)
 	return TransistorIncrements{
@@ -200,12 +180,6 @@ func (k Kinetics) Resolve(q, dDelta float64) TransistorIncrements {
 		P1: nbti * q,
 		N2: pbti * q,
 	}
-}
-
-// SkewDelta returns the net signed skew change implied by the increments
-// under the sign convention documented on TransistorIncrements.
-func (ti TransistorIncrements) SkewDelta() float64 {
-	return (ti.P2 - ti.P1) + (ti.N1 - ti.N2)
 }
 
 // Scenario bundles a named environmental condition set.

@@ -213,29 +213,28 @@ func TestDriftIncrementAdditive(t *testing.T) {
 	}
 }
 
+// TestMonthlyRateDecreases: the drift of one month is larger at the
+// start of the test than later on — the paper's observation.
 func TestMonthlyRateDecreases(t *testing.T) {
 	k := validKinetics()
-	r1 := k.MonthlyRate(1)
-	r12 := k.MonthlyRate(12)
-	r24 := k.MonthlyRate(24)
-	if !(r1 > r12 && r12 > r24) {
-		t.Fatalf("monthly rate not decreasing: %v, %v, %v", r1, r12, r24)
-	}
-	if !math.IsInf(k.MonthlyRate(0), 1) {
-		t.Fatal("rate at t=0 should diverge for beta<1")
+	r1 := k.DriftIncrement(0, 1)
+	r12 := k.DriftIncrement(11, 12)
+	r24 := k.DriftIncrement(23, 24)
+	if !(r1 > r12 && r12 > r24 && r24 > 0) {
+		t.Fatalf("monthly drift not decreasing: %v, %v, %v", r1, r12, r24)
 	}
 }
 
 func TestOccupancyDrift(t *testing.T) {
 	// Fully-skewed-to-1 cell drifts negative; fully-skewed-to-0 positive;
 	// balanced cell does not drift.
-	if d := OccupancyDrift(1, 0.5); d != -0.5 {
+	if d := occupancyDrift(1, 0.5); d != -0.5 {
 		t.Fatalf("q=1: drift = %v, want -0.5", d)
 	}
-	if d := OccupancyDrift(0, 0.5); d != 0.5 {
+	if d := occupancyDrift(0, 0.5); d != 0.5 {
 		t.Fatalf("q=0: drift = %v, want +0.5", d)
 	}
-	if d := OccupancyDrift(0.5, 0.5); d != 0 {
+	if d := occupancyDrift(0.5, 0.5); d != 0 {
 		t.Fatalf("q=0.5: drift = %v, want 0", d)
 	}
 }
@@ -245,7 +244,7 @@ func TestOccupancyDriftEquilibriumSeeking(t *testing.T) {
 	f := func(rawQ, rawD float64) bool {
 		q := math.Abs(math.Mod(rawQ, 1))
 		d := math.Abs(math.Mod(rawD, 1))
-		drift := OccupancyDrift(q, d)
+		drift := occupancyDrift(q, d)
 		if q > 0.5 {
 			return drift <= 0
 		}
@@ -265,8 +264,8 @@ func TestResolveConsistentWithOccupancyDrift(t *testing.T) {
 		q := math.Abs(math.Mod(rawQ, 1))
 		d := math.Abs(math.Mod(rawD, 0.5))
 		ti := k.Resolve(q, d)
-		want := OccupancyDrift(q, d)
-		return math.Abs(ti.SkewDelta()-want) < 1e-12
+		want := occupancyDrift(q, d)
+		return math.Abs(skewDelta(ti)-want) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -326,4 +325,18 @@ func BenchmarkCumulativeDrift(b *testing.B) {
 		sink = k.CumulativeDrift(float64(i%25) + 0.5)
 	}
 	_ = sink
+}
+
+// occupancyDrift returns the signed skew drift applied to a cell whose
+// one-probability (occupancy of state 1) is q, for a full-imbalance drift
+// increment dDelta. Cells preferring state 1 (q > 1/2) drift negative
+// (toward metastability); cells preferring state 0 drift positive.
+func occupancyDrift(q, dDelta float64) float64 {
+	return -dDelta * (2*q - 1)
+}
+
+// skewDelta returns the net signed skew change implied by the increments
+// under the sign convention documented on TransistorIncrements.
+func skewDelta(ti TransistorIncrements) float64 {
+	return (ti.P2 - ti.P1) + (ti.N1 - ti.N2)
 }

@@ -39,17 +39,6 @@ func New(n int) *Vector {
 	return &Vector{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// FromBools builds a Vector whose bit i is 1 exactly when b[i] is true.
-func FromBools(b []bool) *Vector {
-	v := New(len(b))
-	for i, x := range b {
-		if x {
-			v.words[i/wordBits] |= 1 << (uint(i) % wordBits)
-		}
-	}
-	return v
-}
-
 // FromBytes builds a Vector of n bits from a little-endian byte packing
 // (bit i is bit i%8 of data[i/8]). It returns an error if data is too short
 // to hold n bits or if trailing padding bits in the final byte are non-zero.
@@ -137,14 +126,6 @@ func (v *Vector) Get(i int) bool {
 		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))
 	}
 	return v.words[i/wordBits]>>(uint(i)%wordBits)&1 == 1
-}
-
-// Bit returns bit i as 0 or 1. It panics if i is out of range.
-func (v *Vector) Bit(i int) int {
-	if v.Get(i) {
-		return 1
-	}
-	return 0
 }
 
 // Set sets bit i to b. It panics if i is out of range.
@@ -245,41 +226,6 @@ func (v *Vector) Xor(u *Vector) (*Vector, error) {
 	return out, nil
 }
 
-// XorInPlace sets v = v XOR u.
-func (v *Vector) XorInPlace(u *Vector) error {
-	if v.n != u.n {
-		return fmt.Errorf("%w: %d vs %d bits", ErrLengthMismatch, v.n, u.n)
-	}
-	for i := range v.words {
-		v.words[i] ^= u.words[i]
-	}
-	return nil
-}
-
-// And returns the bitwise AND of v and u as a new vector.
-func (v *Vector) And(u *Vector) (*Vector, error) {
-	if v.n != u.n {
-		return nil, fmt.Errorf("%w: %d vs %d bits", ErrLengthMismatch, v.n, u.n)
-	}
-	out := New(v.n)
-	for i := range v.words {
-		out.words[i] = v.words[i] & u.words[i]
-	}
-	return out, nil
-}
-
-// Or returns the bitwise OR of v and u as a new vector.
-func (v *Vector) Or(u *Vector) (*Vector, error) {
-	if v.n != u.n {
-		return nil, fmt.Errorf("%w: %d vs %d bits", ErrLengthMismatch, v.n, u.n)
-	}
-	out := New(v.n)
-	for i := range v.words {
-		out.words[i] = v.words[i] | u.words[i]
-	}
-	return out, nil
-}
-
 // AndInPlace sets v = v AND u without allocating — the mask-intersection
 // update of the cross-condition stable-cell fold.
 func (v *Vector) AndInPlace(u *Vector) error {
@@ -313,16 +259,6 @@ func (v *Vector) CopyFrom(u *Vector) error {
 	return nil
 }
 
-// Not returns the bitwise complement of v as a new vector.
-func (v *Vector) Not() *Vector {
-	out := New(v.n)
-	for i := range v.words {
-		out.words[i] = ^v.words[i]
-	}
-	out.clearTail()
-	return out
-}
-
 // Slice returns a copy of bits [from, to) as a new vector.
 // It panics if the range is invalid.
 func (v *Vector) Slice(from, to int) *Vector {
@@ -349,30 +285,6 @@ func (v *Vector) Slice(from, to int) *Vector {
 	return out
 }
 
-// Concat returns the concatenation v || u as a new vector.
-func Concat(v, u *Vector) *Vector {
-	out := New(v.n + u.n)
-	copy(out.words, v.words)
-	if u.n == 0 {
-		return out
-	}
-	wi, off := v.n/wordBits, uint(v.n)%wordBits
-	if off == 0 {
-		copy(out.words[wi:], u.words)
-		return out
-	}
-	// v's tail invariant guarantees bits >= v.n of out.words[wi] are zero,
-	// so u's words can be OR-shifted in; u's own clean tail keeps bits
-	// beyond out.n zero.
-	for i, w := range u.words {
-		out.words[wi+i] |= w << off
-		if wi+i+1 < len(out.words) {
-			out.words[wi+i+1] = w >> (wordBits - off)
-		}
-	}
-	return out
-}
-
 // Bytes returns the little-endian byte packing of v
 // (bit i is bit i%8 of byte i/8). Padding bits are zero.
 func (v *Vector) Bytes() []byte { return v.AppendBytes(make([]byte, 0, (v.n+7)/8)) }
@@ -396,28 +308,6 @@ func (v *Vector) AppendBytes(dst []byte) []byte {
 
 // Hex returns the hexadecimal encoding of Bytes.
 func (v *Vector) Hex() string { return hex.EncodeToString(v.Bytes()) }
-
-// Bools returns the vector expanded to a boolean slice.
-func (v *Vector) Bools() []bool {
-	out := make([]bool, v.n)
-	for i := range out {
-		out[i] = v.Get(i)
-	}
-	return out
-}
-
-// OnesIndices returns the positions of all 1 bits in increasing order.
-func (v *Vector) OnesIndices() []int {
-	out := make([]int, 0, v.HammingWeight())
-	for wi, w := range v.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			out = append(out, wi*wordBits+b)
-			w &= w - 1
-		}
-	}
-	return out
-}
 
 // String renders short vectors as a 0/1 string and long vectors as a
 // truncated summary; intended for debugging output.

@@ -64,33 +64,6 @@ func TestGetOutOfRangePanics(t *testing.T) {
 	}
 }
 
-func TestBit(t *testing.T) {
-	v := New(8)
-	v.Set(3, true)
-	if v.Bit(3) != 1 || v.Bit(4) != 0 {
-		t.Fatalf("Bit: got %d,%d want 1,0", v.Bit(3), v.Bit(4))
-	}
-}
-
-func TestFromBools(t *testing.T) {
-	b := []bool{true, false, true, true, false, false, false, true, true}
-	v := FromBools(b)
-	if v.Len() != len(b) {
-		t.Fatalf("Len = %d, want %d", v.Len(), len(b))
-	}
-	for i, x := range b {
-		if v.Get(i) != x {
-			t.Errorf("bit %d = %v, want %v", i, v.Get(i), x)
-		}
-	}
-	got := v.Bools()
-	for i := range b {
-		if got[i] != b[i] {
-			t.Errorf("Bools[%d] = %v, want %v", i, got[i], b[i])
-		}
-	}
-}
-
 func TestBytesRoundTrip(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 8192, 8191} {
@@ -172,15 +145,6 @@ func TestLengthMismatch(t *testing.T) {
 	if _, err := v.Xor(u); err == nil {
 		t.Error("Xor: no error on mismatch")
 	}
-	if _, err := v.And(u); err == nil {
-		t.Error("And: no error on mismatch")
-	}
-	if _, err := v.Or(u); err == nil {
-		t.Error("Or: no error on mismatch")
-	}
-	if err := v.XorInPlace(u); err == nil {
-		t.Error("XorInPlace: no error on mismatch")
-	}
 	if _, err := v.CountDiffWindow(u, 0, 5); err == nil {
 		t.Error("CountDiffWindow: no error on mismatch")
 	}
@@ -213,47 +177,6 @@ func TestXorProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestXorInPlaceMatchesXor(t *testing.T) {
-	f := func(a, b [8]byte) bool {
-		v, _ := FromBytes(a[:], 64)
-		u, _ := FromBytes(b[:], 64)
-		want, _ := v.Xor(u)
-		if err := v.XorInPlace(u); err != nil {
-			return false
-		}
-		return v.Equal(want)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDeMorganProperty(t *testing.T) {
-	// NOT(a AND b) == NOT(a) OR NOT(b)
-	f := func(a, b [9]byte) bool {
-		v, _ := FromBytes(a[:], 72)
-		u, _ := FromBytes(b[:], 72)
-		and, _ := v.And(u)
-		left := and.Not()
-		right, _ := v.Not().Or(u.Not())
-		return left.Equal(right)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNotClearsTail(t *testing.T) {
-	v := New(10)
-	nv := v.Not()
-	if nv.HammingWeight() != 10 {
-		t.Fatalf("NOT of zero 10-bit vector has weight %d, want 10", nv.HammingWeight())
-	}
-	if nv.tailDirty() {
-		t.Fatal("Not left dirty tail bits")
 	}
 }
 
@@ -290,38 +213,6 @@ func TestSlice(t *testing.T) {
 		}()
 		v.Slice(50, 40)
 	}()
-}
-
-func TestConcat(t *testing.T) {
-	a := FromBools([]bool{true, false, true})
-	b := FromBools([]bool{false, true})
-	c := Concat(a, b)
-	want := []bool{true, false, true, false, true}
-	if c.Len() != 5 {
-		t.Fatalf("Concat len = %d", c.Len())
-	}
-	for i, w := range want {
-		if c.Get(i) != w {
-			t.Errorf("bit %d = %v, want %v", i, c.Get(i), w)
-		}
-	}
-}
-
-func TestOnesIndices(t *testing.T) {
-	v := New(200)
-	want := []int{0, 5, 63, 64, 100, 199}
-	for _, i := range want {
-		v.Set(i, true)
-	}
-	got := v.OnesIndices()
-	if len(got) != len(want) {
-		t.Fatalf("OnesIndices len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("OnesIndices[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
 }
 
 func TestFractionalHammingWeight(t *testing.T) {
@@ -460,18 +351,6 @@ func naiveSlice(v *Vector, from, to int) *Vector {
 	return out
 }
 
-// naiveConcat is the bit-by-bit reference the word-wise Concat must match.
-func naiveConcat(v, u *Vector) *Vector {
-	out := New(v.Len() + u.Len())
-	for i := 0; i < v.Len(); i++ {
-		out.Set(i, v.Get(i))
-	}
-	for i := 0; i < u.Len(); i++ {
-		out.Set(v.Len()+i, u.Get(i))
-	}
-	return out
-}
-
 func randomVector(n int, seed uint64) *Vector {
 	v := New(n)
 	x := seed
@@ -512,36 +391,14 @@ func TestSliceWordwiseMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestConcatWordwiseMatchesNaive sweeps both operand lengths across word
-// boundaries and checks the word-wise kernel against the oracle.
-func TestConcatWordwiseMatchesNaive(t *testing.T) {
-	for _, vn := range []int{0, 1, 5, 63, 64, 65, 115, 128, 1265} {
-		for _, un := range []int{0, 1, 63, 64, 65, 150, 1265} {
-			v := randomVector(vn, uint64(vn)*40503+1)
-			u := randomVector(un, uint64(un)*9176+7)
-			got, want := Concat(v, u), naiveConcat(v, u)
-			if !got.Equal(want) {
-				t.Fatalf("Concat(%d,%d) differs from oracle", vn, un)
-			}
-			if got.tailDirty() {
-				t.Fatalf("Concat(%d,%d) has a dirty tail", vn, un)
-			}
-		}
-	}
-}
-
-// TestSliceConcatAllocs pins the allocation count of the reconstruction
-// hot path: one Vector header plus one word slice per result, nothing
+// TestSliceAllocs pins the allocation count of the reconstruction hot
+// path: one Vector header plus one word slice per result, nothing
 // proportional to the bit count.
-func TestSliceConcatAllocs(t *testing.T) {
+func TestSliceAllocs(t *testing.T) {
 	v := randomVector(1265, 99)
-	u := randomVector(115, 3)
 	var sink *Vector
 	if got := testing.AllocsPerRun(200, func() { sink = v.Slice(3, 1200) }); got > 2 {
 		t.Errorf("Slice allocates %v objects, want <= 2", got)
-	}
-	if got := testing.AllocsPerRun(200, func() { sink = Concat(v, u) }); got > 2 {
-		t.Errorf("Concat allocates %v objects, want <= 2", got)
 	}
 	_ = sink
 }
@@ -554,11 +411,11 @@ func BenchmarkSlice1265(b *testing.B) {
 	}
 }
 
-func BenchmarkConcat1265(b *testing.B) {
-	v := randomVector(1265, 1)
-	u := randomVector(115, 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Concat(v, u)
+// fromBools builds a vector from a bool slice.
+func fromBools(b []bool) *Vector {
+	v := New(len(b))
+	for i, x := range b {
+		v.Set(i, x)
 	}
+	return v
 }

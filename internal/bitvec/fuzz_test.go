@@ -12,7 +12,7 @@ func vectorFromData(data []byte, n int) *Vector {
 	for i := 0; i < n; i++ {
 		bools[i] = data[i/8]>>(uint(i)%8)&1 == 1
 	}
-	return FromBools(bools)
+	return fromBools(bools)
 }
 
 // FuzzInPlaceOps holds the allocation-free primitives of the streaming

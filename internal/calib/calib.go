@@ -503,31 +503,3 @@ func Calibrate(t Targets, windowSize, devices int) (Result, error) {
 		End:        endPop.Predict(windowSize, devices),
 	}, nil
 }
-
-// ExpectedMaxOfNormals returns E[max of n iid standard normals], used to
-// translate the paper's worst-case-of-16-devices rows into per-device
-// parameter jitter. Computed by numeric integration of the order-statistic
-// density n*phi(x)*Phi(x)^(n-1).
-func ExpectedMaxOfNormals(n int) float64 {
-	if n <= 0 {
-		return math.NaN()
-	}
-	if n == 1 {
-		return 0
-	}
-	const lo, hi = -10.0, 10.0
-	const steps = 20000
-	h := (hi - lo) / steps
-	sum := 0.0
-	for i := 0; i <= steps; i++ {
-		x := lo + h*float64(i)
-		phi := math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
-		f := x * float64(n) * phi * math.Pow(stats.Phi(x), float64(n-1))
-		wgt := 1.0
-		if i == 0 || i == steps {
-			wgt = 0.5
-		}
-		sum += wgt * f
-	}
-	return sum * h
-}

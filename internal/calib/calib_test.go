@@ -255,23 +255,6 @@ func TestExpectedEmpiricalHmin(t *testing.T) {
 	}
 }
 
-func TestExpectedMaxOfNormals(t *testing.T) {
-	if ExpectedMaxOfNormals(1) != 0 {
-		t.Error("E[max of 1] should be 0")
-	}
-	// Known value: E[max of 2] = 1/sqrt(pi) ~ 0.5642.
-	if got := ExpectedMaxOfNormals(2); math.Abs(got-0.564189) > 1e-4 {
-		t.Errorf("E[max of 2] = %v, want 0.5642", got)
-	}
-	// E[max of 16] ~ 1.766.
-	if got := ExpectedMaxOfNormals(16); math.Abs(got-1.766) > 0.01 {
-		t.Errorf("E[max of 16] = %v, want ~1.766", got)
-	}
-	if !math.IsNaN(ExpectedMaxOfNormals(0)) {
-		t.Error("n=0 should be NaN")
-	}
-}
-
 func TestSolveMismatchRejectsBadTargets(t *testing.T) {
 	if _, _, err := SolveMismatch(Targets{WCHDStart: 0.9, WCHDEnd: 0.95, FHW: 0.6, Months: 24}); err == nil {
 		t.Fatal("absurd targets accepted")

@@ -84,42 +84,6 @@ func (f *Fleet) Size() int { return len(f.profiles) }
 // ReadWindowBits returns the fleet's common read-window width.
 func (f *Fleet) ReadWindowBits() int { return f.profiles[0].ReadWindowBits() }
 
-// ProfileIndex returns which of the fleet's profiles the given GLOBAL
-// device index carries under the campaign seed. A single-profile fleet
-// short-circuits without touching the RNG, so wrapping a plain profile
-// in a fleet is exactly the plain campaign.
-func (f *Fleet) ProfileIndex(seed uint64, device int) int {
-	if len(f.profiles) == 1 {
-		return 0
-	}
-	return rng.New(seed).Derive(fleetAssignLabel).Derive(uint64(device) + 1).Intn(len(f.profiles))
-}
-
-// ProfileFor resolves the profile of one global device index.
-func (f *Fleet) ProfileFor(seed uint64, device int) silicon.DeviceProfile {
-	return f.profiles[f.ProfileIndex(seed, device)]
-}
-
-// AssignmentNames returns the profile name of every device 0..devices-1
-// under the campaign seed — the fleet's side of the ProfileLister
-// contract.
-func (f *Fleet) AssignmentNames(seed uint64, devices int) []string {
-	names := make([]string, devices)
-	if len(f.profiles) == 1 {
-		for d := range names {
-			names[d] = f.profiles[0].Name
-		}
-		return names
-	}
-	assign := rng.New(seed).Derive(fleetAssignLabel)
-	var dev rng.Source
-	for d := range names {
-		assign.DeriveInto(uint64(d)+1, &dev)
-		names[d] = f.profiles[dev.Intn(len(f.profiles))].Name
-	}
-	return names
-}
-
 // ProfileNames returns the fleet's distinct profile names in profile
 // order — the names side of the compact ProfileAssigner contract.
 func (f *Fleet) ProfileNames() []string {
@@ -134,10 +98,9 @@ func (f *Fleet) ProfileNames() []string {
 // (GLOBAL device indices) under the campaign seed, one byte per device —
 // the idx side of the compact ProfileAssigner contract and the payload a
 // shard worker streams back for its slice.
-// The assignment stream is hoisted out of the device loop (ProfileIndex
-// rebuilds it per call) and each device's substream derived into a reused
-// scratch, so assigning a million-device fleet allocates one Source, not
-// three per device.
+// The assignment stream is hoisted out of the device loop and each
+// device's substream derived into a reused scratch, so assigning a
+// million-device fleet allocates one Source, not three per device.
 func (f *Fleet) AssignmentIndices(seed uint64, indices []int) []uint8 {
 	idx := make([]uint8, len(indices))
 	if len(f.profiles) == 1 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/aging"
+	"repro/internal/rng"
 	"repro/internal/silicon"
 	"repro/internal/store"
 )
@@ -49,15 +50,15 @@ func TestFleetAssignmentDeterministic(t *testing.T) {
 	fleet := fleetTestFleet(t)
 	const devices, seed = 32, 20170208
 
-	names := fleet.AssignmentNames(seed, devices)
-	again := fleet.AssignmentNames(seed, devices)
+	names := assignmentNames(fleet, seed, devices)
+	again := assignmentNames(fleet, seed, devices)
 	counts := map[string]int{}
 	for d := range names {
 		if names[d] != again[d] {
 			t.Fatalf("device %d: assignment not deterministic: %q vs %q", d, names[d], again[d])
 		}
-		if got := fleet.ProfileFor(seed, d).Name; got != names[d] {
-			t.Fatalf("device %d: ProfileFor %q disagrees with AssignmentNames %q", d, got, names[d])
+		if got := fleet.Profiles()[profileIndex(fleet, seed, d)].Name; got != names[d] {
+			t.Fatalf("device %d: per-device derivation %q disagrees with AssignmentIndices %q", d, got, names[d])
 		}
 		counts[names[d]]++
 	}
@@ -67,7 +68,7 @@ func TestFleetAssignmentDeterministic(t *testing.T) {
 		}
 	}
 
-	other := fleet.AssignmentNames(seed+1, devices)
+	other := assignmentNames(fleet, seed+1, devices)
 	same := true
 	for d := range names {
 		if other[d] != names[d] {
@@ -84,9 +85,9 @@ func TestFleetAssignmentDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for d := 0; d < devices; d++ {
-		if single.ProfileIndex(seed, d) != 0 {
-			t.Fatalf("single-profile fleet assigned device %d to index %d", d, single.ProfileIndex(seed, d))
+	for d, i := range single.AssignmentIndices(seed, allDevices(devices)) {
+		if i != 0 {
+			t.Fatalf("single-profile fleet assigned device %d to index %d", d, i)
 		}
 	}
 }
@@ -237,4 +238,33 @@ func TestCorrelatedPhysicalInvariants(t *testing.T) {
 		t.Errorf("stable-cell ratio did not degrade under stress: %.4f -> %.4f",
 			avgStable(first), avgStable(last))
 	}
+}
+
+// allDevices returns the device indices 0..n-1.
+func allDevices(n int) []int {
+	all := make([]int, n)
+	for d := range all {
+		all[d] = d
+	}
+	return all
+}
+
+// assignmentNames returns the profile name of every device 0..devices-1
+// under the campaign seed, through AssignmentIndices.
+func assignmentNames(f *Fleet, seed uint64, devices int) []string {
+	names := make([]string, devices)
+	for d, i := range f.AssignmentIndices(seed, allDevices(devices)) {
+		names[d] = f.profiles[i].Name
+	}
+	return names
+}
+
+// profileIndex derives one device's profile index on its own, rebuilding
+// the assignment stream per call: the oracle for AssignmentIndices'
+// hoisted stream.
+func profileIndex(f *Fleet, seed uint64, device int) int {
+	if len(f.profiles) == 1 {
+		return 0
+	}
+	return rng.New(seed).Derive(fleetAssignLabel).Derive(uint64(device) + 1).Intn(len(f.profiles))
 }

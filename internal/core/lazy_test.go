@@ -149,7 +149,7 @@ func TestLazyPruneSkipsDevices(t *testing.T) {
 	if err := pruned.PruneDevices([]int{1, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if got := pruned.Alive(); got != 3 {
+	if got := pruned.alive; got != 3 {
 		t.Fatalf("Alive() = %d, want 3", got)
 	}
 	fw2 := collectWindows(t, full, []int{4}, size)

@@ -140,10 +140,6 @@ func (s *ResumeSource) PruneDevices(indices []int) error {
 	return nil
 }
 
-// ArchivedMonths reports how many months the source serves from the
-// checkpoint archive.
-func (s *ResumeSource) ArchivedMonths() int { return len(s.done) }
-
 // Measure serves one evaluation window. Archived months replay from the
 // checkpoint into sink while the live silicon fast-forwards through the
 // same window into a discard sink; later months measure live.

@@ -395,9 +395,6 @@ func newShardedSource(spec shard.Spec, shards int, transport shard.Transport) (*
 // Devices returns the total device population across all shards.
 func (s *ShardedSource) Devices() int { return s.co.Devices() }
 
-// Shards returns the worker count.
-func (s *ShardedSource) Shards() int { return s.co.Shards() }
-
 // ProfileAssignment returns the campaign's profile assignment as merged
 // from the workers' first measure-done frames (ProfileAssigner): the
 // shards compute their slices' assignments while measuring and stream

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"repro/internal/aging"
 	"repro/internal/bitvec"
 	"repro/internal/rng"
 	"repro/internal/silicon"
@@ -50,7 +49,6 @@ type SimSource struct {
 	indices     []int // global device index per local device
 	devices     int   // population the indices belong to
 	bits        int
-	scenario    aging.Scenario
 	root        *rng.Source
 	pool        *stream.Pool
 	workers     int
@@ -80,15 +78,9 @@ type simSlot struct {
 // pruned device keeps its index, it just stops being sampled.
 func (s *SimSource) Devices() int { return len(s.indices) }
 
-// Alive returns how many devices are still being sampled.
-func (s *SimSource) Alive() int { return s.alive }
-
 // Arrays exposes the resident chips (for extension experiments); a
 // pruned device's entry is nil. Nil for a lazy source.
 func (s *SimSource) Arrays() []*sram.Array { return s.arrays }
-
-// Scenario returns the environmental condition the chips operate at.
-func (s *SimSource) Scenario() aging.Scenario { return s.scenario }
 
 // SetWorkers bounds sampling parallelism AND the worker slot count (<= 0:
 // one slot per logical CPU). An unchanged bound keeps the pool and the

@@ -181,7 +181,6 @@ func (r *resolvedSim) openSim() (*SimSource, error) {
 		indices:     indices,
 		devices:     r.Devices,
 		bits:        r.conditioned[0].ReadWindowBits(),
-		scenario:    r.Scenario,
 		root:        rng.New(r.Seed),
 		pool:        stream.NewPool(0),
 		pruned:      make([]bool, len(indices)),
@@ -217,7 +216,7 @@ func (r *resolvedSim) openRig() (*RigSource, error) {
 			return nil, err
 		}
 	}
-	return &RigSource{rig: rig, scenario: r.Scenario}, nil
+	return &RigSource{rig: rig}, nil
 }
 
 // openAs is OpenSim for callers that need the concrete source type they

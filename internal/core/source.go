@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/aging"
 	"repro/internal/bitvec"
 	"repro/internal/harness"
 	"repro/internal/silicon"
@@ -145,14 +144,10 @@ const cyclesPerMonth = uint64(30.44 * 24 * 3600 / 5.4)
 // assessment evaluates the same stream.
 type RigSource struct {
 	recordTap
-	rig      *harness.Rig
-	scenario aging.Scenario
-	workers  int          // capture and aging width; <= 0: one per logical CPU
-	pool     *stream.Pool // nil: pump in the caller's goroutine
+	rig     *harness.Rig
+	workers int          // capture and aging width; <= 0: one per logical CPU
+	pool    *stream.Pool // nil: pump in the caller's goroutine
 }
-
-// Scenario returns the environmental condition the rig operates at.
-func (s *RigSource) Scenario() aging.Scenario { return s.scenario }
 
 // Devices returns the number of boards on the rig, muted ones included.
 func (s *RigSource) Devices() int { return len(s.rig.Boards()) }

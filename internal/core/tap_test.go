@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -20,29 +19,30 @@ type envelope struct {
 	Bits         string
 }
 
-// tappedBoards decodes a v1 archive into each board's record stream, in
-// archive order.
+// tappedBoards decodes an archive into each board's record stream, in
+// capture order: the board's segments month by month, each in capture
+// order.
 func tappedBoards(t *testing.T, archive []byte) map[int][]envelope {
 	t.Helper()
-	r, err := store.NewBinaryReader(bytes.NewReader(archive))
+	r, err := store.OpenIndexedBytes(archive)
 	if err != nil {
 		t.Fatal(err)
 	}
 	boards := map[int][]envelope{}
-	var rec store.Record
-	for {
-		err := r.Read(&rec)
-		if errors.Is(err, io.EOF) {
-			return boards
-		}
+	var dec store.SegmentDecoder
+	for _, seg := range r.Segments() {
+		err := r.ReadSegment(&dec, seg.Board, seg.Month, 0, func(rec *store.Record) error {
+			boards[rec.Board] = append(boards[rec.Board], envelope{
+				Board: rec.Board, Layer: rec.Layer, Seq: rec.Seq, Cycle: rec.Cycle,
+				Wall: rec.Wall.UnixNano(), Bits: string(rec.Data.Bytes()),
+			})
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		boards[rec.Board] = append(boards[rec.Board], envelope{
-			Board: rec.Board, Layer: rec.Layer, Seq: rec.Seq, Cycle: rec.Cycle,
-			Wall: rec.Wall.UnixNano(), Bits: string(rec.Data.Bytes()),
-		})
 	}
+	return boards
 }
 
 // TestSimTapEnvelopesMatchAcrossLayouts: the direct sim sources' record

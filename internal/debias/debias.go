@@ -1,14 +1,8 @@
-// Package debias implements debiasing schemes for biased PUF responses
-// (paper §II-A1: the measured SRAMs have ~62.7% ones; secure key
-// generation requires removing that bias, see Maes et al., CHES 2015,
-// paper ref [14]):
-//
-//   - classic von Neumann (CVN): emits one unbiased bit per discordant
-//     input pair, discards concordant pairs,
-//   - the Peres iterated von Neumann extractor, which additionally
-//     recycles the discarded information and approaches the entropy bound,
-//   - index-based selection: keeps a fixed subset of bit positions chosen
-//     at enrollment (the helper-data-friendly scheme).
+// Package debias removes the bias of PUF responses (paper §II-A1: the
+// measured SRAMs have ~62.7% ones; secure key generation requires
+// removing that bias, see Maes et al., CHES 2015, paper ref [14]) by
+// index-based selection: it keeps a fixed subset of bit positions
+// chosen at enrollment (the helper-data-friendly scheme).
 package debias
 
 import (
@@ -23,73 +17,6 @@ import (
 // extractor, which is the wrong failure mode for data-driven callers.
 var ErrNilInput = errors.New("debias: nil input vector")
 
-// ClassicVonNeumann applies the classic von Neumann corrector: input bits
-// are taken in non-overlapping pairs; 01 emits 0, 10 emits 1, 00 and 11
-// emit nothing. The output is exactly unbiased when input bits are i.i.d.
-//
-// Odd-length contract: the input is consumed in non-overlapping pairs, so
-// a trailing unpaired bit carries no von Neumann information and is
-// ignored. An odd-length input therefore yields exactly the output of its
-// even-length prefix.
-func ClassicVonNeumann(in *bitvec.Vector) (*bitvec.Vector, error) {
-	if in == nil {
-		return nil, ErrNilInput
-	}
-	var out []bool
-	for i := 0; i+1 < in.Len(); i += 2 {
-		a, b := in.Get(i), in.Get(i+1)
-		if a != b {
-			out = append(out, b)
-		}
-	}
-	return bitvec.FromBools(out), nil
-}
-
-// ExpectedCVNYield returns the expected output/input bit ratio of CVN for
-// input bias p: p(1-p) (one output bit per discordant pair, two input
-// bits per pair).
-func ExpectedCVNYield(p float64) float64 { return p * (1 - p) }
-
-// Peres applies the iterated von Neumann extractor of Peres (1992) to the
-// input with the given recursion depth. Depth 1 equals classic von
-// Neumann; higher depths recycle the XOR stream and the concordant pairs,
-// asymptotically extracting the full Shannon entropy of the input.
-//
-// The odd-length contract matches ClassicVonNeumann: a trailing unpaired
-// bit at any recursion level is ignored.
-func Peres(in *bitvec.Vector, depth int) (*bitvec.Vector, error) {
-	if in == nil {
-		return nil, ErrNilInput
-	}
-	if depth < 1 {
-		return nil, fmt.Errorf("debias: depth %d < 1", depth)
-	}
-	bits := in.Bools()
-	out := peres(bits, depth)
-	return bitvec.FromBools(out), nil
-}
-
-func peres(bits []bool, depth int) []bool {
-	if depth == 0 || len(bits) < 2 {
-		return nil
-	}
-	var out []bool
-	var xors []bool    // a XOR b of each pair — still entropy-bearing
-	var doubles []bool // the value of each concordant pair
-	for i := 0; i+1 < len(bits); i += 2 {
-		a, b := bits[i], bits[i+1]
-		if a != b {
-			out = append(out, b)
-		} else {
-			doubles = append(doubles, a)
-		}
-		xors = append(xors, a != b)
-	}
-	out = append(out, peres(xors, depth-1)...)
-	out = append(out, peres(doubles, depth-1)...)
-	return out
-}
-
 // IndexSelection is the helper-data-friendly debiasing scheme: enrollment
 // chooses a subset of bit positions whose selection pattern is stored as
 // (public) helper data; reconstruction reads the same positions. Choosing
@@ -100,18 +27,12 @@ type IndexSelection struct {
 	n       int
 }
 
-// NewIndexSelection enrolls a selection from the reference pattern: it
-// keeps `pairs` positions that read 1 and `pairs` positions that read 0,
-// interleaved, chosen in position order.
-func NewIndexSelection(ref *bitvec.Vector, pairs int) (*IndexSelection, error) {
-	return NewIndexSelectionMasked(ref, nil, pairs)
-}
-
-// NewIndexSelectionMasked enrolls a selection like NewIndexSelection but
-// restricts eligible positions to those whose mask bit is set — the
-// burn-in screening path of key-lifecycle campaigns, where only cells
-// stable across stress corners may carry key material. A nil mask admits
-// every position.
+// NewIndexSelectionMasked enrolls a selection from the reference pattern:
+// it keeps `pairs` positions that read 1 and `pairs` positions that read
+// 0, interleaved, chosen in position order. Eligible positions are those
+// whose mask bit is set — the burn-in screening path of key-lifecycle
+// campaigns, where only cells stable across stress corners may carry key
+// material. A nil mask admits every position.
 func NewIndexSelectionMasked(ref, mask *bitvec.Vector, pairs int) (*IndexSelection, error) {
 	if ref == nil {
 		return nil, ErrNilInput
@@ -144,12 +65,6 @@ func NewIndexSelectionMasked(ref, mask *bitvec.Vector, pairs int) (*IndexSelecti
 	return &IndexSelection{indices: sel, n: ref.Len()}, nil
 }
 
-// Indices returns the selected positions (the helper data).
-func (s *IndexSelection) Indices() []int { return append([]int(nil), s.indices...) }
-
-// OutputLen returns the number of selected bits.
-func (s *IndexSelection) OutputLen() int { return len(s.indices) }
-
 // Apply extracts the selected positions from a (fresh) measurement of the
 // same SRAM.
 func (s *IndexSelection) Apply(measurement *bitvec.Vector) (*bitvec.Vector, error) {
@@ -164,20 +79,4 @@ func (s *IndexSelection) Apply(measurement *bitvec.Vector) (*bitvec.Vector, erro
 		out.Set(i, measurement.Get(idx))
 	}
 	return out, nil
-}
-
-// Bias returns the fractional Hamming weight's distance from 1/2 — the
-// quantity debiasing is meant to minimise.
-func Bias(v *bitvec.Vector) (float64, error) {
-	if v == nil {
-		return 0, ErrNilInput
-	}
-	if v.Len() == 0 {
-		return 0, errors.New("debias: empty vector")
-	}
-	fhw := v.FractionalHammingWeight()
-	if fhw >= 0.5 {
-		return fhw - 0.5, nil
-	}
-	return 0.5 - fhw, nil
 }

@@ -1,7 +1,6 @@
 package debias
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -16,109 +15,15 @@ func biasedVector(src *rng.Source, n int, p float64) *bitvec.Vector {
 	return v
 }
 
-func mustCVN(t *testing.T, in *bitvec.Vector) *bitvec.Vector {
-	t.Helper()
-	out, err := ClassicVonNeumann(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-func TestClassicVonNeumannRemovesBias(t *testing.T) {
-	src := rng.New(1)
-	in := biasedVector(src, 200000, 0.627) // the paper's measured bias
-	out := mustCVN(t, in)
-	if out.Len() == 0 {
-		t.Fatal("no output")
-	}
-	fhw := out.FractionalHammingWeight()
-	tol := 5 / math.Sqrt(float64(out.Len()))
-	if math.Abs(fhw-0.5) > tol {
-		t.Fatalf("CVN output bias = %v (n=%d)", fhw, out.Len())
-	}
-	// Yield should be near p(1-p) = 0.2338 output bits per input bit... per pair:
-	yield := float64(out.Len()) / float64(in.Len())
-	want := ExpectedCVNYield(0.627)
-	if math.Abs(yield-want) > 0.01 {
-		t.Fatalf("CVN yield = %v, want ~%v", yield, want)
-	}
-}
-
-func TestClassicVonNeumannDeterministicPairs(t *testing.T) {
-	// 01 -> 0? Convention: emits the SECOND bit of a discordant pair:
-	// pair (0,1) emits 1, pair (1,0) emits 0.
-	in := bitvec.FromBools([]bool{false, true, true, false, true, true, false, false})
-	out := mustCVN(t, in)
-	if out.Len() != 2 {
-		t.Fatalf("output length = %d, want 2", out.Len())
-	}
-	if !out.Get(0) || out.Get(1) {
-		t.Fatalf("output = %v, want 10", out)
-	}
-}
-
-func TestClassicVonNeumannOddLength(t *testing.T) {
-	in := bitvec.FromBools([]bool{false, true, true}) // trailing bit ignored
-	out := mustCVN(t, in)
-	if out.Len() != 1 {
-		t.Fatalf("output length = %d", out.Len())
-	}
-}
-
-func TestExpectedCVNYield(t *testing.T) {
-	if ExpectedCVNYield(0.5) != 0.25 {
-		t.Fatal("yield at p=0.5 should be 0.25")
-	}
-	if ExpectedCVNYield(0) != 0 || ExpectedCVNYield(1) != 0 {
-		t.Fatal("degenerate yield should be 0")
-	}
-}
-
-func TestPeresBeatsCVNYield(t *testing.T) {
-	src := rng.New(2)
-	in := biasedVector(src, 100000, 0.627)
-	cvn := mustCVN(t, in)
-	peres3, err := Peres(in, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if peres3.Len() <= cvn.Len() {
-		t.Fatalf("Peres depth 3 yield %d <= CVN yield %d", peres3.Len(), cvn.Len())
-	}
-	// Output still unbiased.
-	fhw := peres3.FractionalHammingWeight()
-	tol := 5 / math.Sqrt(float64(peres3.Len()))
-	if math.Abs(fhw-0.5) > tol {
-		t.Fatalf("Peres output bias = %v", fhw)
-	}
-}
-
-func TestPeresDepthOneEqualsCVN(t *testing.T) {
-	src := rng.New(3)
-	in := biasedVector(src, 10000, 0.7)
-	cvn := mustCVN(t, in)
-	p1, err := Peres(in, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p1.Equal(cvn) {
-		t.Fatal("Peres depth 1 differs from classic von Neumann")
-	}
-	if _, err := Peres(in, 0); err == nil {
-		t.Fatal("depth 0 accepted")
-	}
-}
-
 func TestIndexSelection(t *testing.T) {
 	src := rng.New(4)
 	ref := biasedVector(src, 8192, 0.627)
-	sel, err := NewIndexSelection(ref, 1000)
+	sel, err := NewIndexSelectionMasked(ref, nil, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel.OutputLen() != 2000 {
-		t.Fatalf("output length = %d", sel.OutputLen())
+	if len(sel.indices) != 2000 {
+		t.Fatalf("output length = %d", len(sel.indices))
 	}
 	// Applied to the reference itself the output is perfectly balanced.
 	out, err := sel.Apply(ref)
@@ -130,7 +35,7 @@ func TestIndexSelection(t *testing.T) {
 	}
 	// Indices are public helper data and must be within range and unique.
 	seen := map[int]bool{}
-	for _, idx := range sel.Indices() {
+	for _, idx := range sel.indices {
 		if idx < 0 || idx >= 8192 || seen[idx] {
 			t.Fatalf("bad index %d", idx)
 		}
@@ -139,14 +44,14 @@ func TestIndexSelection(t *testing.T) {
 }
 
 func TestIndexSelectionErrors(t *testing.T) {
-	ref := bitvec.FromBools([]bool{true, true, false})
-	if _, err := NewIndexSelection(ref, 2); err == nil {
+	ref := fromBools([]bool{true, true, false})
+	if _, err := NewIndexSelectionMasked(ref, nil, 2); err == nil {
 		t.Error("insufficient zeros accepted")
 	}
-	if _, err := NewIndexSelection(ref, 0); err == nil {
+	if _, err := NewIndexSelectionMasked(ref, nil, 0); err == nil {
 		t.Error("zero pairs accepted")
 	}
-	sel, err := NewIndexSelection(ref, 1)
+	sel, err := NewIndexSelectionMasked(ref, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,68 +60,18 @@ func TestIndexSelectionErrors(t *testing.T) {
 	}
 }
 
-func TestBias(t *testing.T) {
-	v := bitvec.FromBools([]bool{true, true, true, false})
-	b, err := Bias(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b != 0.25 {
-		t.Fatalf("bias = %v, want 0.25", b)
-	}
-	low := bitvec.FromBools([]bool{false, false, false, true})
-	b, _ = Bias(low)
-	if b != 0.25 {
-		t.Fatalf("bias = %v, want 0.25 (symmetric)", b)
-	}
-	if _, err := Bias(bitvec.New(0)); err == nil {
-		t.Error("empty vector accepted")
-	}
-}
-
 // TestNilInputsReturnTypedError: every data-driven entry point must fail
 // with ErrNilInput instead of panicking inside bitvec.
 func TestNilInputsReturnTypedError(t *testing.T) {
-	if _, err := ClassicVonNeumann(nil); err != ErrNilInput {
-		t.Errorf("ClassicVonNeumann(nil) = %v, want ErrNilInput", err)
+	if _, err := NewIndexSelectionMasked(nil, nil, 1); err != ErrNilInput {
+		t.Errorf("NewIndexSelectionMasked(nil) = %v, want ErrNilInput", err)
 	}
-	if _, err := Peres(nil, 3); err != ErrNilInput {
-		t.Errorf("Peres(nil) = %v, want ErrNilInput", err)
-	}
-	if _, err := Bias(nil); err != ErrNilInput {
-		t.Errorf("Bias(nil) = %v, want ErrNilInput", err)
-	}
-	if _, err := NewIndexSelection(nil, 1); err != ErrNilInput {
-		t.Errorf("NewIndexSelection(nil) = %v, want ErrNilInput", err)
-	}
-	sel, err := NewIndexSelection(bitvec.FromBools([]bool{true, false}), 1)
+	sel, err := NewIndexSelectionMasked(fromBools([]bool{true, false}), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sel.Apply(nil); err != ErrNilInput {
 		t.Errorf("Apply(nil) = %v, want ErrNilInput", err)
-	}
-}
-
-// TestOddLengthEqualsEvenPrefix pins the documented odd-length contract:
-// the trailing unpaired bit contributes nothing.
-func TestOddLengthEqualsEvenPrefix(t *testing.T) {
-	src := rng.New(7)
-	odd := biasedVector(src, 1001, 0.627)
-	even := odd.Slice(0, 1000)
-	if !mustCVN(t, odd).Equal(mustCVN(t, even)) {
-		t.Error("CVN of odd-length input differs from its even-length prefix")
-	}
-	po, err := Peres(odd, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pe, err := Peres(even, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !po.Equal(pe) {
-		t.Error("Peres of odd-length input differs from its even-length prefix")
 	}
 }
 
@@ -230,7 +85,7 @@ func TestIndexSelectionMasked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, idx := range sel.Indices() {
+	for _, idx := range sel.indices {
 		if !mask.Get(idx) {
 			t.Fatalf("selected index %d is not in the mask", idx)
 		}
@@ -242,26 +97,36 @@ func TestIndexSelectionMasked(t *testing.T) {
 	if out.FractionalHammingWeight() != 0.5 {
 		t.Fatalf("masked selection on reference has FHW %v, want exactly 0.5", out.FractionalHammingWeight())
 	}
-	// A nil mask must behave exactly like the unmasked constructor.
-	a, err := NewIndexSelectionMasked(ref, nil, 500)
+	// A nil mask admits every position: the first 500 ones and the first
+	// 500 zeros of the reference, interleaved.
+	all, err := NewIndexSelectionMasked(ref, nil, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewIndexSelection(ref, 500)
-	if err != nil {
-		t.Fatal(err)
+	var ones, zeros []int
+	for i := 0; i < ref.Len(); i++ {
+		if ref.Get(i) {
+			ones = append(ones, i)
+		} else {
+			zeros = append(zeros, i)
+		}
 	}
-	ai, bi := a.Indices(), b.Indices()
-	if len(ai) != len(bi) {
-		t.Fatalf("nil-mask selection size %d != unmasked %d", len(ai), len(bi))
-	}
-	for i := range ai {
-		if ai[i] != bi[i] {
-			t.Fatalf("nil-mask selection diverges at %d: %d vs %d", i, ai[i], bi[i])
+	for i := 0; i < 500; i++ {
+		if all.indices[2*i] != ones[i] || all.indices[2*i+1] != zeros[i] {
+			t.Fatalf("nil-mask selection diverges at pair %d: %v", i, all.indices[2*i:2*i+2])
 		}
 	}
 	// Mask/reference length mismatch is rejected.
 	if _, err := NewIndexSelectionMasked(ref, bitvec.New(8), 1); err == nil {
 		t.Error("mismatched mask length accepted")
 	}
+}
+
+// fromBools builds a vector from a bool slice.
+func fromBools(b []bool) *bitvec.Vector {
+	v := bitvec.New(len(b))
+	for i, x := range b {
+		v.Set(i, x)
+	}
+	return v
 }

@@ -20,7 +20,6 @@ type Time int64
 
 // Common conversions.
 const (
-	Microsecond Time = 1
 	Millisecond Time = 1000
 	Second      Time = 1000000
 )
@@ -63,10 +62,9 @@ func (h *eventHeap) Pop() interface{} {
 
 // Simulator is a single-threaded discrete-event scheduler.
 type Simulator struct {
-	now       Time
-	seq       uint64
-	events    eventHeap
-	processed uint64
+	now    Time
+	seq    uint64
+	events eventHeap
 }
 
 // New returns an empty simulator at time zero.
@@ -76,12 +74,6 @@ func New() *Simulator {
 
 // Now returns the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
-
-// Processed returns the number of events executed so far.
-func (s *Simulator) Processed() uint64 { return s.processed }
-
-// Pending returns the number of scheduled, not yet executed events.
-func (s *Simulator) Pending() int { return len(s.events) }
 
 // Schedule queues fn to run after the given delay. A negative delay is an
 // error; a zero delay runs after all events already queued for Now.
@@ -112,34 +104,6 @@ func (s *Simulator) Step() bool {
 	}
 	e := heap.Pop(&s.events).(*event)
 	s.now = e.at
-	s.processed++
 	e.fn()
 	return true
-}
-
-// Run executes events until the queue is empty or the next event lies
-// beyond the until time. The clock is left at the time of the last
-// executed event (or advanced to until if no event fired at/after it).
-func (s *Simulator) Run(until Time) {
-	for len(s.events) > 0 && s.events[0].at <= until {
-		s.Step()
-	}
-	if s.now < until {
-		s.now = until
-	}
-}
-
-// RunAll executes every remaining event. Use with care: a self-scheduling
-// process never terminates. maxEvents bounds the run; 0 means unlimited.
-// It returns the number of events executed and an error if the bound was
-// hit.
-func (s *Simulator) RunAll(maxEvents uint64) (uint64, error) {
-	var n uint64
-	for s.Step() {
-		n++
-		if maxEvents > 0 && n >= maxEvents {
-			return n, fmt.Errorf("desim: event bound %d reached (runaway process?)", maxEvents)
-		}
-	}
-	return n, nil
 }

@@ -25,9 +25,7 @@ func TestEventOrdering(t *testing.T) {
 	mustSchedule(t, s, 30*Millisecond, func() { order = append(order, 3) })
 	mustSchedule(t, s, 10*Millisecond, func() { order = append(order, 1) })
 	mustSchedule(t, s, 20*Millisecond, func() { order = append(order, 2) })
-	if _, err := s.RunAll(0); err != nil {
-		t.Fatal(err)
-	}
+	runAll(s)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
 	}
@@ -43,9 +41,7 @@ func TestFIFOAtEqualTimes(t *testing.T) {
 		i := i
 		mustSchedule(t, s, 5*Millisecond, func() { order = append(order, i) })
 	}
-	if _, err := s.RunAll(0); err != nil {
-		t.Fatal(err)
-	}
+	runAll(s)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("equal-time events not FIFO: %v", order)
@@ -81,9 +77,7 @@ func TestSelfScheduling(t *testing.T) {
 		}
 	}
 	mustSchedule(t, s, 0, tick)
-	if _, err := s.RunAll(0); err != nil {
-		t.Fatal(err)
-	}
+	runAll(s)
 	if count != 100 {
 		t.Fatalf("ticks = %d", count)
 	}
@@ -92,57 +86,13 @@ func TestSelfScheduling(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	s := New()
-	fired := 0
-	for i := 1; i <= 10; i++ {
-		mustSchedule(t, s, Time(i)*Second, func() { fired++ })
-	}
-	s.Run(5 * Second)
-	if fired != 5 {
-		t.Fatalf("fired = %d, want 5", fired)
-	}
-	if s.Pending() != 5 {
-		t.Fatalf("pending = %d, want 5", s.Pending())
-	}
-	// Clock advances to the until time even with no event exactly there.
-	s.Run(7*Second + 500*Millisecond)
-	if s.Now() != 7*Second+500*Millisecond {
-		t.Fatalf("now = %v", s.Now())
-	}
-	if fired != 7 {
-		t.Fatalf("fired = %d, want 7", fired)
-	}
-}
-
-func TestRunAllBound(t *testing.T) {
-	s := New()
-	var loop func()
-	loop = func() {
-		if err := s.Schedule(1, loop); err != nil {
-			t.Error(err)
-		}
-	}
-	mustSchedule(t, s, 0, loop)
-	n, err := s.RunAll(1000)
-	if err == nil {
-		t.Fatal("runaway process not detected")
-	}
-	if n != 1000 {
-		t.Fatalf("executed %d events before bound", n)
-	}
-}
-
 func TestProcessedCount(t *testing.T) {
 	s := New()
 	for i := 0; i < 7; i++ {
 		mustSchedule(t, s, Time(i), func() {})
 	}
-	if _, err := s.RunAll(0); err != nil {
-		t.Fatal(err)
-	}
-	if s.Processed() != 7 {
-		t.Fatalf("Processed = %d", s.Processed())
+	if n := runAll(s); n != 7 {
+		t.Fatalf("processed %d events, want 7", n)
 	}
 }
 
@@ -158,15 +108,23 @@ func TestNestedScheduling(t *testing.T) {
 		}
 	})
 	mustSchedule(t, s, 10, func() { order = append(order, "sibling") })
-	if _, err := s.RunAll(0); err != nil {
-		t.Fatal(err)
-	}
+	runAll(s)
 	want := []string{"outer", "sibling", "inner"}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
+}
+
+// runAll steps the simulator until no event remains and returns the
+// number of events executed.
+func runAll(s *Simulator) int {
+	n := 0
+	for s.Step() {
+		n++
+	}
+	return n
 }
 
 func mustSchedule(t *testing.T, s *Simulator, d Time, fn func()) {
@@ -183,8 +141,6 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		for j := 0; j < 100; j++ {
 			_ = s.Schedule(Time(j), func() {})
 		}
-		if _, err := s.RunAll(0); err != nil {
-			b.Fatal(err)
-		}
+		runAll(s)
 	}
 }

@@ -69,12 +69,6 @@ func NewSlaveBoard(sim *desim.Simulator, id, layer int, addr byte, array *sram.A
 		pattern: bitvec.New(array.Cells()), buf: make([]byte, 0, (array.Cells()+7)/8), done: make(chan struct{}, 1)}, nil
 }
 
-// Powered reports the current power state.
-func (s *SlaveBoard) Powered() bool { return s.powered }
-
-// Booted reports whether the board is ready to serve its pattern.
-func (s *SlaveBoard) Booted() bool { return s.booted }
-
 // Seq returns the lifetime measurement counter.
 func (s *SlaveBoard) Seq() uint64 { return s.seq }
 
@@ -245,11 +239,6 @@ func (s *SlaveBoard) HandleRead(n int) ([]byte, error) {
 	return data, nil
 }
 
-// HandleWrite implements i2c.Slave; slaves accept no commands in this rig.
-func (s *SlaveBoard) HandleWrite(data []byte) error {
-	return fmt.Errorf("device: board %d accepts no writes (%d bytes)", s.ID, len(data))
-}
-
 // CaptureQueue carries slave boards' power-up captures to worker
 // goroutines, each running Serve. A board on a queue enqueues itself
 // when it starts a capture; whoever claims the capture first samples it,
@@ -309,9 +298,6 @@ func (ps *PowerSwitch) SetTracing(on bool) { ps.tracing = on }
 
 // Trace returns the captured transitions in chronological order.
 func (ps *PowerSwitch) Trace() []Transition { return ps.trace }
-
-// ResetTrace discards the captured transitions.
-func (ps *PowerSwitch) ResetTrace() { ps.trace = ps.trace[:0] }
 
 // Set switches one channel.
 func (ps *PowerSwitch) Set(channel int, on bool) error {

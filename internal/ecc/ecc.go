@@ -6,9 +6,6 @@
 //   - repetition codes (the classic inner code of PUF fuzzy extractors),
 //   - the perfect binary Golay (23,12) code (3-error-correcting, syndrome
 //     table decoding),
-//   - polar codes with successive-cancellation decoding, following the
-//     polar-code key-generation scheme of Chen et al. (GLOBECOM 2017,
-//     paper ref [13]),
 //   - code concatenation (outer code over repetition-coded inner bits).
 package ecc
 
@@ -47,14 +44,12 @@ func checkLen(v *bitvec.Vector, want int, what string) error {
 	return nil
 }
 
-// Rate returns K/N for a code.
-func Rate(c Code) float64 { return float64(c.K()) / float64(c.N()) }
-
 // MinDistance returns the minimum Hamming distance of the code when it is
 // known analytically: n for repetition(n), 7 for Golay(23,12), the product
 // for concatenations, and the base distance for blocked codes (one block
 // failing corrupts the whole message). The second return is false for
-// codes without a known distance (polar codes under SC decoding).
+// codes without a known distance (a Code implemented outside this
+// package).
 func MinDistance(c Code) (int, bool) {
 	switch v := c.(type) {
 	case *Repetition:
@@ -237,12 +232,6 @@ func NewConcatenated(outer, inner Code) (*Concatenated, error) {
 func (c *Concatenated) Name() string {
 	return fmt.Sprintf("%s ∘ %s", c.outer.Name(), c.inner.Name())
 }
-
-// Outer returns the outer component code.
-func (c *Concatenated) Outer() Code { return c.outer }
-
-// Inner returns the inner component code.
-func (c *Concatenated) Inner() Code { return c.inner }
 
 // K implements Code.
 func (c *Concatenated) K() int { return c.outer.K() }

@@ -1,8 +1,6 @@
 package ecc
 
 import (
-	"fmt"
-
 	"repro/internal/bitvec"
 )
 
@@ -66,9 +64,6 @@ func (g *Golay) K() int { return golayK }
 // N implements Code.
 func (g *Golay) N() int { return golayN }
 
-// T returns the guaranteed error-correction radius.
-func (g *Golay) T() int { return golayT }
-
 // Encode implements Code using systematic encoding: the message occupies
 // bits 11..22 (coefficients of x^11..x^22) and the parity bits 0..10 are
 // the remainder of msg(x)·x^11 divided by g(x).
@@ -115,20 +110,4 @@ func (g *Golay) Decode(word *bitvec.Vector) (*bitvec.Vector, error) {
 		}
 	}
 	return out, nil
-}
-
-// Verify checks the internal consistency of the syndrome table; it is run
-// by tests and exposed for diagnostics.
-func (g *Golay) Verify() error {
-	seen := make(map[uint32]bool, len(g.syndromeTable))
-	for s, pattern := range g.syndromeTable {
-		if golaySyndrome(pattern) != uint32(s) {
-			return fmt.Errorf("ecc: syndrome table entry %#x maps to pattern with syndrome %#x", s, golaySyndrome(pattern))
-		}
-		if seen[pattern] && pattern != 0 {
-			return fmt.Errorf("ecc: duplicate pattern %#x in syndrome table", pattern)
-		}
-		seen[pattern] = true
-	}
-	return nil
 }

@@ -59,14 +59,6 @@ func TestGolayLinearity(t *testing.T) {
 	assertLinear(t, NewGolay(), 1)
 }
 
-func TestPolarLinearity(t *testing.T) {
-	p, err := NewPolar(256, 100, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertLinear(t, p, 2)
-}
-
 func TestRepetitionLinearity(t *testing.T) {
 	r, err := NewRepetition(7)
 	if err != nil {
@@ -101,9 +93,6 @@ func TestDecodeEncodeFixedPoint(t *testing.T) {
 	codes := []Code{NewGolay()}
 	if rep, err := NewRepetition(9); err == nil {
 		codes = append(codes, rep)
-	}
-	if p, err := NewPolar(128, 43, 0.04); err == nil {
-		codes = append(codes, p)
 	}
 	src := rng.New(6)
 	for _, c := range codes {

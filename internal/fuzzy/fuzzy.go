@@ -15,9 +15,6 @@
 // The helper data is XOR-masked by a random codeword and therefore leaks
 // at most N - K bits about the response; with the response entropy per
 // bit measured in the campaign, the key retains full strength.
-//
-// A Toeplitz universal-hash extractor is provided as an alternative
-// conditioning stage (leftover-hash-lemma style).
 package fuzzy
 
 import (
@@ -30,9 +27,6 @@ import (
 	"repro/internal/ecc"
 	"repro/internal/rng"
 )
-
-// KeySize is the derived key length in bytes.
-const KeySize = 32
 
 // HelperData is the public enrollment output. It hides the secret
 // information-theoretically up to the code redundancy.
@@ -138,45 +132,4 @@ func checkDigest(key []byte) []byte {
 	h.Write([]byte("sram-puf-check-v1"))
 	h.Write(key)
 	return h.Sum(nil)[:8]
-}
-
-// Toeplitz is a universal-hash strong extractor: out = T x in over GF(2),
-// where T is a Toeplitz matrix defined by in+out-1 seed bits. By the
-// leftover hash lemma, hashing an n-bit source of min-entropy k down to
-// m << k bits yields output statistically close to uniform.
-type Toeplitz struct {
-	in, out int
-	diag    *bitvec.Vector // first row + first column, length in+out-1
-}
-
-// NewToeplitz builds the extractor from the public seed.
-func NewToeplitz(in, out int, seed *bitvec.Vector) (*Toeplitz, error) {
-	if in < 1 || out < 1 || out > in {
-		return nil, fmt.Errorf("fuzzy: toeplitz dims %dx%d invalid", out, in)
-	}
-	want := in + out - 1
-	if seed == nil || seed.Len() != want {
-		return nil, fmt.Errorf("fuzzy: toeplitz seed must have %d bits", want)
-	}
-	return &Toeplitz{in: in, out: out, diag: seed.Clone()}, nil
-}
-
-// Extract computes the GF(2) matrix-vector product.
-func (t *Toeplitz) Extract(in *bitvec.Vector) (*bitvec.Vector, error) {
-	if in == nil || in.Len() != t.in {
-		return nil, fmt.Errorf("fuzzy: input must have %d bits", t.in)
-	}
-	out := bitvec.New(t.out)
-	for r := 0; r < t.out; r++ {
-		// Row r of T is diag[out-1-r : out-1-r+in] reversed indexing:
-		// T[r][c] = diag[r - c + in - 1] with diag indexed 0..in+out-2.
-		parity := false
-		for c := 0; c < t.in; c++ {
-			if t.diag.Get(r-c+t.in-1) && in.Get(c) {
-				parity = !parity
-			}
-		}
-		out.Set(r, parity)
-	}
-	return out, nil
 }

@@ -58,7 +58,7 @@ func TestEnrollReconstructClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(key) != KeySize {
+	if len(key) != 32 {
 		t.Fatalf("key length = %d", len(key))
 	}
 	back, err := e.Reconstruct(resp, helper)
@@ -168,80 +168,6 @@ func TestEnrollValidation(t *testing.T) {
 	}
 	if _, err := New(nil); err == nil {
 		t.Error("nil code accepted")
-	}
-}
-
-func TestToeplitzExtractor(t *testing.T) {
-	src := rng.New(7)
-	seedBits := bitvec.New(256 + 64 - 1)
-	for i := 0; i < seedBits.Len(); i++ {
-		seedBits.Set(i, src.Bernoulli(0.5))
-	}
-	tp, err := NewToeplitz(256, 64, seedBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := randomResponse(src, 256, 0.627)
-	out, err := tp.Extract(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 64 {
-		t.Fatalf("output length = %d", out.Len())
-	}
-	// Linearity over GF(2): T(a xor b) = T(a) xor T(b).
-	a := randomResponse(src, 256, 0.5)
-	b := randomResponse(src, 256, 0.5)
-	ab, _ := a.Xor(b)
-	ta, _ := tp.Extract(a)
-	tb, _ := tp.Extract(b)
-	tab, _ := tp.Extract(ab)
-	want, _ := ta.Xor(tb)
-	if !tab.Equal(want) {
-		t.Fatal("Toeplitz extractor is not linear")
-	}
-}
-
-func TestToeplitzValidation(t *testing.T) {
-	seed := bitvec.New(10)
-	if _, err := NewToeplitz(8, 4, seed); err == nil {
-		t.Error("seed size mismatch accepted (8->4 needs 11 bits)")
-	}
-	if _, err := NewToeplitz(4, 8, bitvec.New(11)); err == nil {
-		t.Error("out > in accepted")
-	}
-	tp, err := NewToeplitz(8, 3, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tp.Extract(bitvec.New(9)); err == nil {
-		t.Error("wrong input size accepted")
-	}
-}
-
-func TestToeplitzOutputBalanced(t *testing.T) {
-	// Extracting far below the input entropy yields balanced output bits.
-	src := rng.New(8)
-	seedBits := bitvec.New(1024 + 32 - 1)
-	for i := 0; i < seedBits.Len(); i++ {
-		seedBits.Set(i, src.Bernoulli(0.5))
-	}
-	tp, err := NewToeplitz(1024, 32, seedBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ones, total := 0, 0
-	for trial := 0; trial < 300; trial++ {
-		out, err := tp.Extract(randomResponse(src, 1024, 0.627))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ones += out.HammingWeight()
-		total += out.Len()
-	}
-	frac := float64(ones) / float64(total)
-	if frac < 0.45 || frac > 0.55 {
-		t.Fatalf("extracted bit balance = %v", frac)
 	}
 }
 

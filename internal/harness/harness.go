@@ -254,12 +254,6 @@ func (r *Rig) AgeTo(months float64) error {
 // Switch returns the power-switch board (for waveform tracing).
 func (r *Rig) Switch() *device.PowerSwitch { return r.sw }
 
-// Sim returns the simulation clock.
-func (r *Rig) Sim() *desim.Simulator { return r.sim }
-
-// ReadErrors returns the number of failed slave reads (NAK/abort) so far.
-func (r *Rig) ReadErrors() uint64 { return r.readErrors }
-
 // SetCycleBase positions the global cycle counter, accounting for cycles
 // fast-forwarded between evaluation windows.
 func (r *Rig) SetCycleBase(base uint64) {

@@ -76,7 +76,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.BootDelay = c.PowerOnTime }, // readout cannot fit
 		// The reads fit after boot but not after the delay before the
 		// first read: the power-off would fall in the past.
-		func(c *Config) { c.PowerOnTime = c.BootDelay + 8*readDuration(*c) + 500*desim.Microsecond },
+		func(c *Config) { c.PowerOnTime = c.BootDelay + 8*readDuration(*c) + 500 },
 		func(c *Config) { c.Profile.SRAMBytes = 0 },
 	}
 	for i, mutate := range bad {
@@ -143,8 +143,8 @@ func TestRunWindowProducesRecords(t *testing.T) {
 			}
 		}
 	}
-	if r.ReadErrors() != 0 {
-		t.Fatalf("read errors = %d", r.ReadErrors())
+	if r.readErrors != 0 {
+		t.Fatalf("read errors = %d", r.readErrors)
 	}
 }
 

@@ -14,12 +14,8 @@ import (
 	"repro/internal/rng"
 )
 
-// Standard bus clock rates.
-const (
-	StandardMode = 100000 // 100 kHz
-	FastMode     = 400000 // 400 kHz
-	FastModePlus = 1000000
-)
+// FastMode is the 400 kHz bus clock of the rig's links.
+const FastMode = 400000
 
 // Frame constants: every byte on the wire costs 8 data bits plus 1 ACK
 // bit; a transaction additionally pays START, address+R/W byte and STOP.
@@ -34,15 +30,12 @@ type Slave interface {
 	// HandleRead serves a master read of up to n bytes and returns the
 	// payload. Returning an error models a NAK/abort from the device.
 	HandleRead(n int) ([]byte, error)
-	// HandleWrite accepts a master write payload.
-	HandleWrite(data []byte) error
 }
 
 // Stats counts bus activity.
 type Stats struct {
 	Transactions uint64
 	BytesRead    uint64
-	BytesWritten uint64
 	Naks         uint64
 	BitErrors    uint64
 }
@@ -69,15 +62,6 @@ func NewBus(name string, clockHz int) (*Bus, error) {
 	}
 	return &Bus{name: name, clockHz: clockHz, slaves: make(map[byte]Slave)}, nil
 }
-
-// Name returns the bus name.
-func (b *Bus) Name() string { return b.name }
-
-// ClockHz returns the configured bus clock.
-func (b *Bus) ClockHz() int { return b.clockHz }
-
-// Stats returns a copy of the accumulated counters.
-func (b *Bus) Stats() Stats { return b.stats }
 
 // WithErrorInjection enables random byte corruption at the given rate,
 // driven by the supplied deterministic stream.
@@ -107,9 +91,6 @@ func (b *Bus) Attach(addr byte, s Slave) error {
 	b.slaves[addr] = s
 	return nil
 }
-
-// Detach removes the slave at addr, if any.
-func (b *Bus) Detach(addr byte) { delete(b.slaves, addr) }
 
 // Duration returns the wire time for a transaction carrying the given
 // payload size in bytes.
@@ -154,26 +135,6 @@ func (b *Bus) Read(addr byte, n int) ([]byte, desim.Time, error) {
 	b.corrupt(out)
 	b.stats.BytesRead += uint64(len(out))
 	return out, b.Duration(len(out)), nil
-}
-
-// Write performs a master write of data to addr, returning the wire
-// duration.
-func (b *Bus) Write(addr byte, data []byte) (desim.Time, error) {
-	b.stats.Transactions++
-	s, ok := b.slaves[addr]
-	if !ok {
-		b.stats.Naks++
-		return b.Duration(0), &NakError{Bus: b.name, Addr: addr}
-	}
-	// The payload is corrupted on the wire before the device sees it.
-	sent := append([]byte(nil), data...)
-	b.corrupt(sent)
-	if err := s.HandleWrite(sent); err != nil {
-		b.stats.Naks++
-		return b.Duration(len(sent)), fmt.Errorf("i2c: device %#x: %w", addr, err)
-	}
-	b.stats.BytesWritten += uint64(len(sent))
-	return b.Duration(len(sent)), nil
 }
 
 // corrupt flips one random bit in each byte independently selected for

@@ -9,7 +9,6 @@ import (
 
 type echoSlave struct {
 	payload []byte
-	written []byte
 	fail    bool
 }
 
@@ -23,14 +22,6 @@ func (e *echoSlave) HandleRead(n int) ([]byte, error) {
 	return e.payload[:n], nil
 }
 
-func (e *echoSlave) HandleWrite(data []byte) error {
-	if e.fail {
-		return errors.New("busy")
-	}
-	e.written = append([]byte(nil), data...)
-	return nil
-}
-
 func TestNewBusValidation(t *testing.T) {
 	if _, err := NewBus("b", 0); err == nil {
 		t.Error("zero clock accepted")
@@ -39,8 +30,8 @@ func TestNewBusValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Name() != "layer0" || b.ClockHz() != 400000 {
-		t.Fatalf("bus = %s @ %d", b.Name(), b.ClockHz())
+	if b.name != "layer0" || b.clockHz != 400000 {
+		t.Fatalf("bus = %s @ %d", b.name, b.clockHz)
 	}
 }
 
@@ -78,7 +69,7 @@ func TestReadHappyPath(t *testing.T) {
 	if dur < 117 || dur > 118 {
 		t.Fatalf("duration = %v us, want ~117.5", dur)
 	}
-	st := b.Stats()
+	st := b.stats
 	if st.Transactions != 1 || st.BytesRead != 4 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -94,8 +85,8 @@ func TestReadNak(t *testing.T) {
 	if nak.Addr != 0x55 {
 		t.Fatalf("nak addr = %#x", nak.Addr)
 	}
-	if b.Stats().Naks != 1 {
-		t.Fatalf("naks = %d", b.Stats().Naks)
+	if b.stats.Naks != 1 {
+		t.Fatalf("naks = %d", b.stats.Naks)
 	}
 }
 
@@ -107,35 +98,11 @@ func TestDeviceAbort(t *testing.T) {
 	if _, _, err := b.Read(0x20, 4); err == nil {
 		t.Fatal("device abort not propagated")
 	}
-	if _, err := b.Write(0x20, []byte{1}); err == nil {
-		t.Fatal("device write abort not propagated")
-	}
-}
-
-func TestWrite(t *testing.T) {
-	b, _ := NewBus("b", FastMode)
-	s := &echoSlave{}
-	if err := b.Attach(0x21, s); err != nil {
-		t.Fatal(err)
-	}
-	dur, err := b.Write(0x21, []byte{9, 8, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.written) != 3 || s.written[0] != 9 {
-		t.Fatalf("written = %v", s.written)
-	}
-	if dur <= 0 {
-		t.Fatalf("duration = %v", dur)
-	}
-	if b.Stats().BytesWritten != 3 {
-		t.Fatalf("stats = %+v", b.Stats())
-	}
 }
 
 func TestDurationScalesWithPayloadAndClock(t *testing.T) {
 	fast, _ := NewBus("f", FastMode)
-	slow, _ := NewBus("s", StandardMode)
+	slow, _ := NewBus("s", 100000)
 	if fast.Duration(1024) >= slow.Duration(1024) {
 		t.Fatal("faster clock should give shorter duration")
 	}
@@ -178,7 +145,7 @@ func TestErrorInjection(t *testing.T) {
 	if corrupted < 2 || corrupted > 30 {
 		t.Fatalf("corrupted bytes = %d, want ~10", corrupted)
 	}
-	if b.Stats().BitErrors == 0 {
+	if b.stats.BitErrors == 0 {
 		t.Fatal("bit error counter not incremented")
 	}
 	// The slave's own payload must not be mutated on reads.
@@ -186,17 +153,6 @@ func TestErrorInjection(t *testing.T) {
 		if x != 0 {
 			t.Fatal("error injection corrupted device memory on read")
 		}
-	}
-}
-
-func TestDetach(t *testing.T) {
-	b, _ := NewBus("b", FastMode)
-	if err := b.Attach(0x20, &echoSlave{payload: []byte{1}}); err != nil {
-		t.Fatal(err)
-	}
-	b.Detach(0x20)
-	if _, _, err := b.Read(0x20, 1); err == nil {
-		t.Fatal("read from detached device succeeded")
 	}
 }
 

@@ -233,13 +233,6 @@ func New(ctx context.Context, cfg Config) (*Workload, error) {
 	}, nil
 }
 
-// Masks exposes the per-device burn-in stable masks (read-only) so a
-// sweep can screen once and share them across grid-point workloads.
-func (w *Workload) Masks() []*bitvec.Vector { return w.masks }
-
-// LeakageBits returns the helper-data leakage bound N − K of the scheme.
-func (w *Workload) LeakageBits() float64 { return w.leak }
-
 // Metrics returns the per-device series, for registration after any
 // caller metrics. The first metric's accumulators fold the per-window
 // statistics the reliability fit consumes.

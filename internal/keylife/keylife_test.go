@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
-	"repro/internal/ecc"
 	"repro/internal/fuzzy"
 	"repro/internal/silicon"
 )
@@ -47,12 +46,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(ctx, Config{Profile: profile, Devices: 0, Seed: 1}); !errors.Is(err, core.ErrConfig) {
 		t.Fatalf("0 devices: err = %v, want ErrConfig", err)
 	}
-	// Polar has no provable minimum distance, hence no correction radius.
-	polar, err := ecc.NewPolar(64, 16, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := fuzzy.New(polar)
+	// A code without a known minimum distance has no correction radius.
+	ext, err := fuzzy.New(radiuslessCode{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +71,14 @@ func TestDefaultSchemeShape(t *testing.T) {
 	}
 	// 11 × (Golay(23,12) ∘ rep(5)): N = 1265, K = 132, leakage 1133 bits,
 	// t = 17 per 115-bit block.
-	if wl.LeakageBits() != 1133 {
-		t.Fatalf("leakage = %v bits, want 1133", wl.LeakageBits())
+	if wl.leak != 1133 {
+		t.Fatalf("leakage = %v bits, want 1133", wl.leak)
 	}
 	if wl.radius != 17 || wl.blockN != 115 || wl.blocks != 11 {
 		t.Fatalf("scheme shape = (t=%d, blockN=%d, blocks=%d), want (17, 115, 11)", wl.radius, wl.blockN, wl.blocks)
 	}
-	if len(wl.Masks()) != 2 {
-		t.Fatalf("got %d masks, want 2", len(wl.Masks()))
+	if len(wl.masks) != 2 {
+		t.Fatalf("got %d masks, want 2", len(wl.masks))
 	}
 }
 
@@ -101,7 +96,7 @@ func TestSharedMasksBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := New(ctx, Config{Profile: profile, Devices: 3, Seed: 42, Masks: screened.Masks()})
+	shared, err := New(ctx, Config{Profile: profile, Devices: 3, Seed: 42, Masks: screened.masks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,4 +184,24 @@ func TestEnrollmentMonthBaseline(t *testing.T) {
 			t.Errorf("month %d: worst margin %v exceeds the correction radius", ev.Month, ev.CrossCustom[CrossWorstMargin])
 		}
 	}
+}
+
+// radiuslessCode is a repetition(3) code implemented outside package
+// ecc, so ecc.CorrectionRadius knows no radius for it.
+type radiuslessCode struct{}
+
+func (radiuslessCode) Name() string { return "radiusless" }
+func (radiuslessCode) K() int       { return 1 }
+func (radiuslessCode) N() int       { return 3 }
+
+func (radiuslessCode) Encode(msg *bitvec.Vector) (*bitvec.Vector, error) {
+	w := bitvec.New(3)
+	w.SetAll(msg.Get(0))
+	return w, nil
+}
+
+func (radiuslessCode) Decode(word *bitvec.Vector) (*bitvec.Vector, error) {
+	m := bitvec.New(1)
+	m.Set(0, word.HammingWeight() >= 2)
+	return m, nil
 }

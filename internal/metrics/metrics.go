@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/bitvec"
-	"repro/internal/stats"
 )
 
 // ErrNoMeasurements is returned when an evaluation is attempted on an
@@ -107,40 +106,4 @@ func FractionalHW(measurements []*bitvec.Vector) (Weight, error) {
 	}
 	out.Mean = sum / float64(len(measurements))
 	return out, nil
-}
-
-// Histograms builds the three Fig. 5 distributions (WCHD, BCHD, FHW as
-// percentages of samples per bin) over [0,1) with the given bin count.
-type Histograms struct {
-	WCHD *stats.Histogram
-	BCHD *stats.Histogram
-	FHW  *stats.Histogram
-}
-
-// NewHistograms allocates the Fig. 5 histogram set.
-func NewHistograms(bins int) (*Histograms, error) {
-	w, err := stats.NewHistogram(0, 1, bins)
-	if err != nil {
-		return nil, err
-	}
-	b, err := stats.NewHistogram(0, 1, bins)
-	if err != nil {
-		return nil, err
-	}
-	f, err := stats.NewHistogram(0, 1, bins)
-	if err != nil {
-		return nil, err
-	}
-	return &Histograms{WCHD: w, BCHD: b, FHW: f}, nil
-}
-
-// AddDevice records one device's within-class and weight samples.
-func (h *Histograms) AddDevice(wc WithinClass, w Weight) {
-	h.WCHD.AddAll(wc.PerMeasurement)
-	h.FHW.AddAll(w.PerMeasurement)
-}
-
-// AddBetweenClass records the cross-device pairwise distances.
-func (h *Histograms) AddBetweenClass(bc BetweenClass) {
-	h.BCHD.AddAll(bc.Pairwise)
 }

@@ -104,36 +104,3 @@ func TestFractionalHW(t *testing.T) {
 		t.Error("empty set accepted")
 	}
 }
-
-func TestHistograms(t *testing.T) {
-	h, err := NewHistograms(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := vec(0, 0, 0, 0, 0, 0, 0, 0)
-	ms := []*bitvec.Vector{vec(1, 0, 0, 0, 0, 0, 0, 0)}
-	wc, err := WithinClassHD(ref, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw, err := FractionalHW(ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.AddDevice(wc, fw)
-	bc, err := BetweenClassHD([]*bitvec.Vector{ref, vec(1, 1, 1, 1, 0, 0, 0, 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.AddBetweenClass(bc)
-	if h.WCHD.Total() != 1 || h.FHW.Total() != 1 || h.BCHD.Total() != 1 {
-		t.Fatalf("histogram totals: %d/%d/%d", h.WCHD.Total(), h.FHW.Total(), h.BCHD.Total())
-	}
-	// WCHD sample 0.125 lands in bin 12 of 100.
-	if h.WCHD.Counts[12] != 1 {
-		t.Errorf("WCHD sample in wrong bin: %v", h.WCHD.Counts[10:15])
-	}
-	if _, err := NewHistograms(0); err == nil {
-		t.Error("zero bins accepted")
-	}
-}

@@ -18,9 +18,7 @@
 package reliability
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/calib"
 	"repro/internal/stats"
@@ -30,14 +28,6 @@ import (
 type Model struct {
 	Lambda float64 // mismatch-to-noise sigma ratio
 	Mu     float64 // mismatch mean (bias)
-}
-
-// Validate checks parameter plausibility.
-func (m Model) Validate() error {
-	if m.Lambda <= 0 {
-		return fmt.Errorf("reliability: lambda %v must be positive", m.Lambda)
-	}
-	return nil
 }
 
 const (
@@ -52,11 +42,6 @@ func (m Model) predict(window int) (calib.Prediction, error) {
 		return calib.Prediction{}, err
 	}
 	return pop.Predict(window, 16), nil
-}
-
-// ExpectedFHW returns the model's fractional Hamming weight.
-func (m Model) ExpectedFHW() float64 {
-	return stats.Phi(m.Mu / math.Sqrt(1+m.Lambda*m.Lambda))
 }
 
 // ExpectedWCHD returns the model's expected within-class fractional HD
@@ -84,33 +69,6 @@ type Observables struct {
 	FHW         float64 // mean one-probability over cells
 	StableRatio float64 // fraction of cells with empirical p of exactly 0 or 1
 	Window      int     // measurements in the window
-}
-
-// ObservablesFromOneProbs summarises an evaluation window's empirical
-// one-probabilities.
-func ObservablesFromOneProbs(oneProbs []float64, window int) (Observables, error) {
-	if len(oneProbs) == 0 {
-		return Observables{}, errors.New("reliability: no cells")
-	}
-	if window < 2 {
-		return Observables{}, fmt.Errorf("reliability: window %d too small", window)
-	}
-	var sum float64
-	stable := 0
-	for _, p := range oneProbs {
-		if p < 0 || p > 1 {
-			return Observables{}, fmt.Errorf("reliability: one-probability %v outside [0,1]", p)
-		}
-		sum += p
-		if p == 0 || p == 1 {
-			stable++
-		}
-	}
-	return Observables{
-		FHW:         sum / float64(len(oneProbs)),
-		StableRatio: float64(stable) / float64(len(oneProbs)),
-		Window:      window,
-	}, nil
 }
 
 // Fit recovers (lambda, mu) from the observables by nested bisection:
@@ -176,24 +134,4 @@ func KeyFailureProbability(ber float64, t, n int) (float64, error) {
 		p = 0
 	}
 	return p, nil
-}
-
-// RequiredCorrection returns the smallest error-correction radius t such
-// that a t-error-correcting code over n bits fails with probability at
-// most target at the given BER. It returns an error when even t = n does
-// not reach the target.
-func RequiredCorrection(ber float64, n int, target float64) (int, error) {
-	if target <= 0 || target >= 1 {
-		return 0, fmt.Errorf("reliability: target %v outside (0,1)", target)
-	}
-	for t := 0; t <= n; t++ {
-		p, err := KeyFailureProbability(ber, t, n)
-		if err != nil {
-			return 0, err
-		}
-		if p <= target {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("reliability: no correction radius over %d bits reaches %v at BER %v", n, target, ber)
 }

@@ -1,6 +1,8 @@
 package reliability
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,20 +11,12 @@ import (
 	"repro/internal/rng"
 	"repro/internal/silicon"
 	"repro/internal/sram"
+	"repro/internal/stats"
 )
-
-func TestModelValidate(t *testing.T) {
-	if err := (Model{Lambda: 17, Mu: 5.5}).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := (Model{Lambda: 0}).Validate(); err == nil {
-		t.Fatal("lambda=0 accepted")
-	}
-}
 
 func TestExpectedFHW(t *testing.T) {
 	m := Model{Lambda: 17.13, Mu: 5.558} // the calibrated paper model
-	if got := m.ExpectedFHW(); math.Abs(got-0.627) > 0.002 {
+	if got := expectedFHW(m); math.Abs(got-0.627) > 0.002 {
 		t.Fatalf("ExpectedFHW = %v, want ~0.627", got)
 	}
 }
@@ -45,7 +39,7 @@ func TestFitRoundTripOnKnownModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := Observables{FHW: truth.ExpectedFHW(), StableRatio: stable, Window: 1000}
+	obs := Observables{FHW: expectedFHW(truth), StableRatio: stable, Window: 1000}
 	fit, err := Fit(obs)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +76,7 @@ func TestFitFromSimulatedDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := ObservablesFromOneProbs(probs, window)
+	obs, err := observablesFromOneProbs(probs, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +102,16 @@ func TestFitFromSimulatedDevice(t *testing.T) {
 }
 
 func TestObservablesValidation(t *testing.T) {
-	if _, err := ObservablesFromOneProbs(nil, 100); err == nil {
+	if _, err := observablesFromOneProbs(nil, 100); err == nil {
 		t.Error("empty probs accepted")
 	}
-	if _, err := ObservablesFromOneProbs([]float64{0.5}, 1); err == nil {
+	if _, err := observablesFromOneProbs([]float64{0.5}, 1); err == nil {
 		t.Error("window 1 accepted")
 	}
-	if _, err := ObservablesFromOneProbs([]float64{1.5}, 100); err == nil {
+	if _, err := observablesFromOneProbs([]float64{1.5}, 100); err == nil {
 		t.Error("out-of-range probability accepted")
 	}
-	obs, err := ObservablesFromOneProbs([]float64{0, 1, 0.5, 1}, 100)
+	obs, err := observablesFromOneProbs([]float64{0, 1, 0.5, 1}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,39 +172,6 @@ func TestKeyFailureProbability(t *testing.T) {
 	}
 }
 
-func TestRequiredCorrection(t *testing.T) {
-	// The paper cites codes correcting up to 25% BER (§II-A1); at the
-	// measured 3% BER over a Golay block (n=23), 3-error correction is
-	// nowhere near enough for 1e-9 but fine for 1e-2 — the reason the
-	// repo's standard scheme adds an inner repetition code.
-	tNeeded, err := RequiredCorrection(0.03, 23, 1e-2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tNeeded > 4 {
-		t.Fatalf("required t at 3%% BER over 23 bits for 1e-2 = %d", tNeeded)
-	}
-	tStrict, err := RequiredCorrection(0.03, 23, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tStrict <= tNeeded {
-		t.Fatalf("stricter target should need more correction: %d vs %d", tStrict, tNeeded)
-	}
-	if _, err := RequiredCorrection(0.03, 23, 0); err == nil {
-		t.Error("target 0 accepted")
-	}
-	// An absurd BER demands correcting (nearly) every bit: t = n gives
-	// exactly zero failure, so the demand is met only at the maximum.
-	tAll, err := RequiredCorrection(0.99, 8, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tAll != 8 {
-		t.Fatalf("required t at 99%% BER = %d, want 8 (correct everything)", tAll)
-	}
-}
-
 func TestRequiredCorrectionMatchesSchemeDesign(t *testing.T) {
 	// Inner repetition(5) at 3.25% BER gives an effective outer BER; the
 	// Golay outer code (t=3 over 23) must then push block failure below
@@ -226,4 +187,36 @@ func TestRequiredCorrectionMatchesSchemeDesign(t *testing.T) {
 	if outerFail > 1e-9 {
 		t.Fatalf("scheme block failure = %v, want <= 1e-9", outerFail)
 	}
+}
+
+// observablesFromOneProbs summarises an evaluation window's empirical
+// one-probabilities.
+func observablesFromOneProbs(oneProbs []float64, window int) (Observables, error) {
+	if len(oneProbs) == 0 {
+		return Observables{}, errors.New("reliability: no cells")
+	}
+	if window < 2 {
+		return Observables{}, fmt.Errorf("reliability: window %d too small", window)
+	}
+	var sum float64
+	stable := 0
+	for _, p := range oneProbs {
+		if p < 0 || p > 1 {
+			return Observables{}, fmt.Errorf("reliability: one-probability %v outside [0,1]", p)
+		}
+		sum += p
+		if p == 0 || p == 1 {
+			stable++
+		}
+	}
+	return Observables{
+		FHW:         sum / float64(len(oneProbs)),
+		StableRatio: float64(stable) / float64(len(oneProbs)),
+		Window:      window,
+	}, nil
+}
+
+// expectedFHW returns the model's fractional Hamming weight.
+func expectedFHW(m Model) float64 {
+	return stats.Phi(m.Mu / math.Sqrt(1+m.Lambda*m.Lambda))
 }

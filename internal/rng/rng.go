@@ -226,12 +226,6 @@ func (r *Source) NormFloat64() float64 {
 	}
 }
 
-// Normal returns a normal variate with the given mean and standard
-// deviation.
-func (r *Source) Normal(mean, std float64) float64 {
-	return mean + std*r.NormFloat64()
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *Source) Perm(n int) []int {
 	p := make([]int, n)
@@ -247,28 +241,5 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)
-	}
-}
-
-// Fill writes uniformly random bytes into p.
-func (r *Source) Fill(p []byte) {
-	i := 0
-	for ; i+8 <= len(p); i += 8 {
-		v := r.Uint64()
-		p[i] = byte(v)
-		p[i+1] = byte(v >> 8)
-		p[i+2] = byte(v >> 16)
-		p[i+3] = byte(v >> 24)
-		p[i+4] = byte(v >> 32)
-		p[i+5] = byte(v >> 40)
-		p[i+6] = byte(v >> 48)
-		p[i+7] = byte(v >> 56)
-	}
-	if i < len(p) {
-		v := r.Uint64()
-		for ; i < len(p); i++ {
-			p[i] = byte(v)
-			v >>= 8
-		}
 	}
 }

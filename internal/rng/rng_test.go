@@ -150,25 +150,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestNormalScaling(t *testing.T) {
-	r := New(9)
-	const n = 100000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		x := r.Normal(5, 2)
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean-5) > 0.05 {
-		t.Fatalf("mean = %v, want ~5", mean)
-	}
-	if math.Abs(variance-4) > 0.15 {
-		t.Fatalf("variance = %v, want ~4", variance)
-	}
-}
-
 func TestPerm(t *testing.T) {
 	r := New(10)
 	p := r.Perm(50)
@@ -181,42 +162,6 @@ func TestPerm(t *testing.T) {
 			t.Fatalf("Perm not a permutation: %v", p)
 		}
 		seen[v] = true
-	}
-}
-
-func TestFill(t *testing.T) {
-	r := New(11)
-	for _, n := range []int{0, 1, 7, 8, 9, 100} {
-		p := make([]byte, n)
-		r.Fill(p)
-		if n >= 16 {
-			allZero := true
-			for _, b := range p {
-				if b != 0 {
-					allZero = false
-					break
-				}
-			}
-			if allZero {
-				t.Fatalf("Fill(%d) produced all zeros", n)
-			}
-		}
-	}
-}
-
-func TestFillBitBalance(t *testing.T) {
-	r := New(12)
-	p := make([]byte, 100000)
-	r.Fill(p)
-	ones := 0
-	for _, b := range p {
-		for i := 0; i < 8; i++ {
-			ones += int(b >> i & 1)
-		}
-	}
-	frac := float64(ones) / float64(len(p)*8)
-	if math.Abs(frac-0.5) > 0.005 {
-		t.Fatalf("bit balance = %v", frac)
 	}
 }
 

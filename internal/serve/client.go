@@ -133,13 +133,6 @@ func (c *Client) Status(ctx context.Context, id string) (CampaignState, error) {
 	return st, err
 }
 
-// List fetches every campaign in submission order.
-func (c *Client) List(ctx context.Context) ([]CampaignState, error) {
-	var sts []CampaignState
-	err := c.do(ctx, http.MethodGet, "/v1/campaigns", nil, &sts)
-	return sts, err
-}
-
 // Cancel requests a campaign's cancellation and returns its state.
 func (c *Client) Cancel(ctx context.Context, id string) (CampaignState, error) {
 	var st CampaignState

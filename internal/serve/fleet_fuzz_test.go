@@ -48,17 +48,16 @@ func FuzzFleetSpec(f *testing.F) {
 			t.Fatalf("fleet %v built %d profiles", spec.Fleet, fleet.Size())
 		}
 		// The assignment must be total and stable over the device range.
-		names := fleet.AssignmentNames(spec.Seed, spec.Devices)
-		valid := make(map[string]bool, fleet.Size())
-		for _, p := range fleet.Profiles() {
-			valid[p.Name] = true
+		all := make([]int, spec.Devices)
+		for d := range all {
+			all[d] = d
 		}
-		for d, n := range names {
-			if !valid[n] {
-				t.Fatalf("device %d assigned unknown profile %q", d, n)
+		for d, i := range fleet.AssignmentIndices(spec.Seed, all) {
+			if int(i) >= fleet.Size() {
+				t.Fatalf("device %d assigned unknown profile index %d", d, i)
 			}
-			if got := fleet.ProfileFor(spec.Seed, d).Name; got != n {
-				t.Fatalf("device %d assignment unstable: %q vs %q", d, n, got)
+			if got := fleet.AssignmentIndices(spec.Seed, []int{d})[0]; got != i {
+				t.Fatalf("device %d assignment unstable: %d vs %d", d, i, got)
 			}
 		}
 	})

@@ -86,8 +86,8 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Error("re-watching a finished campaign drifted from the live stream")
 	}
 
-	sts, err := cl.List(ctx)
-	if err != nil {
+	var sts []CampaignState
+	if err := cl.do(ctx, http.MethodGet, "/v1/campaigns", nil, &sts); err != nil {
 		t.Fatal(err)
 	}
 	if len(sts) != 1 || sts[0].ID != id {

@@ -94,9 +94,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Pool exposes the global scheduler (accounting in tests).
-func (m *Manager) Pool() *stream.Pool { return m.pool }
-
 // recoverStates loads every *.state.json in the data directory and
 // returns the campaigns that need to resume.
 func (m *Manager) recoverStates() ([]*campaign, error) {

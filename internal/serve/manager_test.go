@@ -222,10 +222,10 @@ func TestServiceConcurrentCampaignsShareBudget(t *testing.T) {
 			t.Fatalf("campaign %s: %s (%s)", id, st.Status, st.Error)
 		}
 	}
-	if got := m.Pool().MaxInFlight(); got > budget {
+	if got := m.pool.MaxInFlight(); got > budget {
 		t.Fatalf("MaxInFlight() = %d: concurrent campaigns overshot the global budget %d", got, budget)
 	}
-	if got := m.Pool().MaxInFlight(); got == 0 {
+	if got := m.pool.MaxInFlight(); got == 0 {
 		t.Fatal("MaxInFlight() = 0: campaigns did not run on the global pool")
 	}
 	// All four campaigns must agree with each other (same spec).
@@ -531,7 +531,7 @@ func TestServiceConcurrentSourceKinds(t *testing.T) {
 			t.Errorf("%s: concurrent Monthly differ from the solo run", name)
 		}
 	}
-	if got := m.Pool().MaxInFlight(); got > budget || got == 0 {
+	if got := m.pool.MaxInFlight(); got > budget || got == 0 {
 		t.Errorf("MaxInFlight() = %d, want within (0, %d]", got, budget)
 	}
 	closeManager(t, m)

@@ -39,27 +39,35 @@ func fullServiceArchive(t *testing.T, spec Spec) []byte {
 	return buf.Bytes()
 }
 
+// recordBoundary returns the byte offset just past the first n records
+// of a v1 archive, in stream order.
+func recordBoundary(t *testing.T, archive []byte, n int) int64 {
+	t.Helper()
+	if !bytes.HasPrefix(archive, []byte(store.BinaryMagic)) {
+		t.Fatal("not a v1 binary archive")
+	}
+	off := len(store.BinaryMagic)
+	var rec store.Record
+	for i := 0; i < n; i++ {
+		size, err := store.DecodeRecord(archive[off:], &rec)
+		if err != nil {
+			t.Fatalf("archive shorter than crash target: %v", err)
+		}
+		off += size
+	}
+	return int64(off)
+}
+
 // crashOffsets scans a v1 archive and returns two byte offsets modelling
 // a hard kill: one on a record boundary partway through a month's
 // measurement windows (mid-month), one a few bytes further (a torn,
 // half-written record — mid-window in the rawest sense).
 func crashOffsets(t *testing.T, archive []byte, spec Spec) (boundary, torn int64) {
 	t.Helper()
-	r, err := store.NewBinaryReader(bytes.NewReader(archive))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Two full months of records for every device, plus half a window:
 	// months 0..1 are complete, month 2 is in flight on at least one
 	// device whichever order shards landed their records in.
-	target := spec.Devices*spec.Window*2 + spec.Window/2
-	var rec store.Record
-	for n := 0; n < target; n++ {
-		if err := r.Read(&rec); err != nil {
-			t.Fatalf("archive shorter than crash target: %v", err)
-		}
-	}
-	boundary = r.Offset()
+	boundary = recordBoundary(t, archive, spec.Devices*spec.Window*2+spec.Window/2)
 	torn = boundary + 9
 	if torn > int64(len(archive)) {
 		t.Fatalf("archive too short for torn-record offset: %d > %d", torn, len(archive))

@@ -159,24 +159,14 @@ func TestServiceScreenedLazyFleetResumeGolden(t *testing.T) {
 		// counts shrink month over month, so the record counts come from
 		// the archive itself.
 		perMonth := map[int]int{}
-		r, err := store.NewBinaryReader(bytes.NewReader(full.Bytes()))
+		r, err := store.OpenIndexedBytes(full.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rec store.Record
-		for r.Read(&rec) == nil {
-			perMonth[store.MonthIndex(rec.Wall)]++
+		for _, seg := range r.Segments() {
+			perMonth[seg.Month] += seg.Count
 		}
-		target := perMonth[0] + perMonth[1] + perMonth[2]/2
-		if r, err = store.NewBinaryReader(bytes.NewReader(full.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-		for n := 0; n < target; n++ {
-			if err := r.Read(&rec); err != nil {
-				t.Fatalf("archive shorter than crash target: %v", err)
-			}
-		}
-		cut := r.Offset()
+		cut := recordBoundary(t, full.Bytes(), perMonth[0]+perMonth[1]+perMonth[2]/2)
 
 		dir := t.TempDir()
 		const id = "c000001"

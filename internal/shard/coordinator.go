@@ -169,23 +169,6 @@ func (c *Coordinator) expect(i int, conn io.Reader, want byte, v any) error {
 // Devices returns the total device population.
 func (c *Coordinator) Devices() int { return c.devices }
 
-// Shards returns the shard count.
-func (c *Coordinator) Shards() int { return c.shards }
-
-// Assignments returns the device partition (shard → ascending global
-// device indices), materialised from the contiguous shard ranges.
-func (c *Coordinator) Assignments() [][]int {
-	out := make([][]int, c.shards)
-	for i := range out {
-		idx := make([]int, c.hi[i]-c.lo[i])
-		for j := range idx {
-			idx[j] = c.lo[i] + j
-		}
-		out[i] = idx
-	}
-	return out
-}
-
 // ProfileAssignment returns the campaign's merged fleet profile
 // assignment — the distinct profile names plus one byte per global
 // device — once every shard's first measure-done frame has delivered its

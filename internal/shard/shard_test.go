@@ -117,14 +117,20 @@ func TestCoordinatorMergesShards(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if co.Devices() != devices || co.Shards() != shards {
-			t.Fatalf("shards=%d: coordinator reports %d devices / %d shards", shards, co.Devices(), co.Shards())
+		if co.Devices() != devices || co.shards != shards {
+			t.Fatalf("shards=%d: coordinator reports %d devices / %d shards", shards, co.Devices(), co.shards)
 		}
-		wantAssign, err := Partition(devices, shards)
+		wantAssign, err := partition(devices, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := co.Assignments(); !reflect.DeepEqual(got, wantAssign) {
+		got := make([][]int, co.shards)
+		for i := range got {
+			for d := co.lo[i]; d < co.hi[i]; d++ {
+				got[i] = append(got[i], d)
+			}
+		}
+		if !reflect.DeepEqual(got, wantAssign) {
 			t.Fatalf("shards=%d: assignments %v, want %v", shards, got, wantAssign)
 		}
 		co.SetWorkers(shards + 1) // exercised below through the measure request

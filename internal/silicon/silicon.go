@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/aging"
 	"repro/internal/calib"
-	"repro/internal/stats"
 )
 
 // DeviceProfile describes a family of SRAM devices and its calibrated
@@ -145,8 +144,8 @@ func (p DeviceProfile) ReadWindowBits() int { return p.ReadWindowBytes * 8 }
 
 // Spread constants, derived from the AVG-to-WC gaps of Table I.
 //
-// For 16 devices E[max of 16 iid normals] ~ 1.766 sigma
-// (calib.ExpectedMaxOfNormals). The paper's WCHD gap (2.72% WC vs 2.49%
+// For 16 devices E[max of 16 iid normals] ~ 1.766 sigma (the integral
+// of x·16·phi(x)·Phi(x)^15). The paper's WCHD gap (2.72% WC vs 2.49%
 // AVG) translates into a ~5% relative sigma on the per-device mismatch
 // ratio (WCHD scales ~ 1/lambda); the FHW gap (65.78% WC vs 62.70% AVG)
 // into a 0.046 sigma on the per-device bias z-score
@@ -453,29 +452,9 @@ func NewProfile(name string, opts ...ProfileOption) (DeviceProfile, error) {
 	return p, p.Validate()
 }
 
-// NominalCalibration exposes the cached calibration result of the paper's
-// profile for reporting and tests.
-func NominalCalibration() (calib.Result, error) {
-	calOnce.Do(runCalibration)
-	return calNom, calErr
-}
-
-// AcceleratedCalibration exposes the cached calibration result of the
-// accelerated comparator profile.
-func AcceleratedCalibration() (calib.Result, error) {
-	calOnce.Do(runCalibration)
-	return calAcc, calErr
-}
-
 // DeviceParams are the per-board instance parameters drawn around the
 // profile's population values.
 type DeviceParams struct {
 	Lambda float64 // this board's mismatch sigma ratio
 	Mu     float64 // this board's mismatch mean
-}
-
-// ExpectedFHW returns the expected fractional Hamming weight of a device
-// with the given instance parameters.
-func (d DeviceParams) ExpectedFHW() float64 {
-	return stats.Phi(d.Mu / math.Sqrt(1+d.Lambda*d.Lambda))
 }

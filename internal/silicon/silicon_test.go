@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 func TestATmega32u4Profile(t *testing.T) {
@@ -66,7 +67,8 @@ func TestAcceleratedProfileAgesFaster(t *testing.T) {
 }
 
 func TestCalibrationHitsTableIStart(t *testing.T) {
-	res, err := NominalCalibration()
+	calOnce.Do(runCalibration)
+	res, err := calNom, calErr
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,8 @@ func TestCalibrationHitsTableIStart(t *testing.T) {
 }
 
 func TestAcceleratedCalibration(t *testing.T) {
-	res, err := AcceleratedCalibration()
+	calOnce.Do(runCalibration)
+	res, err := calAcc, calErr
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +137,7 @@ func TestSampleDeviceParamsSpread(t *testing.T) {
 	for i := 0; i < n; i++ {
 		d := model.SampleParams(p, src.Derive(uint64(i)))
 		lambdas = append(lambdas, d.Lambda)
-		fhws = append(fhws, d.ExpectedFHW())
+		fhws = append(fhws, stats.Phi(d.Mu/math.Sqrt(1+d.Lambda*d.Lambda)))
 	}
 	meanL, meanF := 0.0, 0.0
 	for i := range lambdas {

@@ -35,7 +35,7 @@ func TestPowerUpWindowIntoDoesNotAllocate(t *testing.T) {
 
 	full := bitvec.New(a.Cells())
 	if n := testing.AllocsPerRun(20, func() {
-		if err := a.PowerUp(full); err != nil {
+		if err := a.PowerUpWindowInto(full); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

@@ -36,9 +36,9 @@ func TestResetMatchesFreshNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scratch.AgeMonths() != 0 || scratch.PowerUps() != 0 || scratch.NoiseScale() != 1 {
+	if scratch.ageMonths != 0 || scratch.PowerUps() != 0 || scratch.noiseScale != 1 {
 		t.Fatalf("Reset left state: age=%v powerUps=%d scale=%v",
-			scratch.AgeMonths(), scratch.PowerUps(), scratch.NoiseScale())
+			scratch.ageMonths, scratch.PowerUps(), scratch.noiseScale)
 	}
 	for _, months := range []float64{0, 3, 12} {
 		if err := scratch.AgeTo(months); err != nil {

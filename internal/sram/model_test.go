@@ -138,7 +138,7 @@ func TestCorrelatedWindowIntoDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := bitvec.New(a.Profile().ReadWindowBits())
+	dst := bitvec.New(a.profile.ReadWindowBits())
 	if err := a.PowerUpWindowInto(dst); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func BenchmarkCorrelatedPowerUp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dst := bitvec.New(a.Profile().ReadWindowBits())
+	dst := bitvec.New(a.profile.ReadWindowBits())
 	if err := a.PowerUpWindowInto(dst); err != nil {
 		b.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestSomeCellsCrossMetastability(t *testing.T) {
 func TestAgingSlowsDown(t *testing.T) {
 	a := testArray(t, 32)
 	driftTo := func(month float64) float64 {
-		return a.Profile().Kinetics.CumulativeDrift(month)
+		return a.profile.Kinetics.CumulativeDrift(month)
 	}
 	year1 := driftTo(12) - driftTo(0)
 	year2 := driftTo(24) - driftTo(12)

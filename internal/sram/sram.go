@@ -4,25 +4,25 @@
 // An Array holds one simulated chip: per-cell static skew (process
 // variation), per-transistor BTI threshold shifts (aging state), a per-cell
 // aging-rate dispersion coefficient, and a deterministic noise stream.
-// PowerUp draws one power-up pattern exactly as the physical chip would
-// produce it; AgeTo advances the BTI state to a target age in months,
-// integrating the occupancy-weighted drift of package aging in drift space.
+// PowerUpWindowInto draws one power-up pattern exactly as the physical
+// chip would produce it; AgeTo advances the BTI state to a target age in
+// months, integrating the occupancy-weighted drift of package aging in
+// drift space.
 //
 // Only the read window is simulated: the paper reads out the first
 // ReadWindowBytes of the SRAM, so an Array holds, samples and ages just
 // those cells. The physical size stays in the profile
-// (Profile().Cells()). Simulating the window alone reads out the same
-// bits as simulating every cell would: the cell models fill skew
+// (silicon.DeviceProfile.Cells). Simulating the window alone reads out
+// the same bits as simulating every cell would: the cell models fill skew
 // prefix-stably (silicon.CellModel.SampleSkew), AgeTo updates each cell
 // from that cell's own state with a step count that depends only on the
 // drift, and power-up noise draws only ever covered the window.
 //
-// Two sampling paths exist: the default Bernoulli fast path and a
-// full-noise path (one Gaussian draw per cell added to the skew). Both
-// are statistically identical; the ablation bench quantifies the speed
-// difference. The fast path draws one Uint64 per cell and compares its
-// top 53 bits, as an integer, against the cell's cached threshold
-// ceil(p·2^53) (rng.BernoulliThreshold), 64 cells to a word
+// Power-ups are sampled by a Bernoulli fast path, statistically identical
+// to adding one Gaussian noise draw per cell to the skew (the tests keep
+// that literal path as an oracle). It draws one Uint64 per cell and
+// compares its top 53 bits, as an integer, against the cell's cached
+// threshold ceil(p·2^53) (rng.BernoulliThreshold), 64 cells to a word
 // (rng.Source.BernoulliWords). That is exactly the comparison
 // Float64() < p, so it samples the same bits as a per-cell float test.
 package sram
@@ -69,9 +69,9 @@ type Array struct {
 	noiseScale float64 // relative power-up noise sigma (1 at nominal conditions)
 
 	// thresh holds each cell's Bernoulli threshold
-	// rng.BernoulliThreshold(OneProbability(i)) at the current age and
-	// noise scale. Aging, a noise-scale change, Reset and Restore
-	// invalidate it; the next power-up rebuilds it.
+	// rng.BernoulliThreshold(Phi(skew/noiseScale)) at the current age
+	// and noise scale. Aging, a noise-scale change and Reset invalidate
+	// it; the next power-up rebuilds it.
 	thresh      []uint64
 	threshValid bool
 
@@ -154,41 +154,21 @@ func zero(x []float64) {
 // actually produced.
 func (a *Array) JumpNoise(j *rng.Jump) { j.Apply(a.noise) }
 
-// Profile returns the device family profile.
-func (a *Array) Profile() silicon.DeviceProfile { return a.profile }
-
 // Params returns this chip instance's sampled parameters.
 func (a *Array) Params() silicon.DeviceParams { return a.params }
 
 // Cells returns the number of simulated cells: the read window's bits.
-// The chip's physical size is Profile().Cells().
+// The chip's physical size is its profile's Cells().
 func (a *Array) Cells() int { return len(a.static) }
-
-// AgeMonths returns the chip's current age in months.
-func (a *Array) AgeMonths() float64 { return a.ageMonths }
 
 // PowerUps returns the number of power cycles sampled so far.
 func (a *Array) PowerUps() uint64 { return a.powerUps }
-
-// Skew returns the current total power-up skew of cell i.
-func (a *Array) Skew(i int) float64 {
-	if a.dP1 == nil {
-		return skew(a.static[i], 0, 0, 0, 0, 0)
-	}
-	return skew(a.static[i], a.dP1[i], a.dP2[i], a.dN1[i], a.dN2[i], a.dDisp[i])
-}
 
 // skew is the one definition of a cell's total power-up skew: the static
 // skew, the NBTI pair's net shift, the PBTI pair's net shift and the
 // dispersion drift, summed in that order.
 func skew(static, dP1, dP2, dN1, dN2, dDisp float64) float64 {
 	return static + (dP2 - dP1) + (dN1 - dN2) + dDisp
-}
-
-// OneProbability returns the current probability that cell i powers up
-// to 1.
-func (a *Array) OneProbability(i int) float64 {
-	return oneProbability(a.Skew(i), a.noiseScale)
 }
 
 // oneProbability is Phi(x/scale) for a cell of skew x. The division is
@@ -200,9 +180,6 @@ func oneProbability(x, scale float64) float64 {
 	}
 	return stats.PhiFast(x)
 }
-
-// NoiseScale returns the chip's relative power-up noise sigma.
-func (a *Array) NoiseScale() float64 { return a.noiseScale }
 
 // SetNoiseScale sets the relative power-up noise sigma of the chip's
 // operating condition. All skews are expressed in units of the NOMINAL
@@ -221,16 +198,6 @@ func (a *Array) SetNoiseScale(scale float64) error {
 	return nil
 }
 
-// TransistorShifts returns the accumulated BTI threshold shifts of the
-// four core transistors of cell i (skew-weighted units).
-func (a *Array) TransistorShifts(i int) aging.TransistorIncrements {
-	if a.dP1 == nil {
-		_ = a.static[i] // an unaged chip still rejects a cell it lacks
-		return aging.TransistorIncrements{}
-	}
-	return aging.TransistorIncrements{P1: a.dP1[i], P2: a.dP2[i], N1: a.dN1[i], N2: a.dN2[i]}
-}
-
 // maxDriftStep bounds the drift-space integration step so the occupancy
 // term stays accurate (q changes little per step). With h = 0.01 the
 // first-order integration error is below 1e-3 sigma over a full campaign.
@@ -246,7 +213,7 @@ const maxDriftStep = 0.01
 // weights its four BTI increments (aging.Kinetics.Resolve) and the
 // dispersion drift grows by disp·gamma·h. The sweep keeps the slices,
 // the split factors and the noise scale in locals; its floating-point
-// operations are those of Skew, Resolve and OneProbability in the same
+// operations are those of skew, Resolve and oneProbability in the same
 // order, so the state it leaves is bit-identical to calling them per
 // cell.
 func (a *Array) AgeTo(months float64) error {
@@ -304,8 +271,8 @@ func (a *Array) ageSteps(steps int, h float64) {
 
 // thresholds returns the cached per-cell Bernoulli thresholds,
 // rebuilding them after aging or a noise-scale change. The rebuild is
-// rng.BernoulliThreshold(OneProbability(i)) for every cell, swept over
-// local slices as ageSteps does. An unaged chip sums the same zero
+// rng.BernoulliThreshold(oneProbability(skew, scale)) for every cell,
+// swept over local slices as ageSteps does. An unaged chip sums the same zero
 // shifts without reading them.
 func (a *Array) thresholds() []uint64 {
 	if !a.threshValid {
@@ -327,12 +294,6 @@ func (a *Array) thresholds() []uint64 {
 	}
 	return a.thresh
 }
-
-// PowerUp samples one power-up pattern of every simulated cell — the
-// read window — using the Bernoulli fast path and stores it into dst,
-// which must have Cells() bits. It is PowerUpWindowInto under the name
-// that pairs with PowerUpFullNoise.
-func (a *Array) PowerUp(dst *bitvec.Vector) error { return a.PowerUpWindowInto(dst) }
 
 // PowerUpWindow samples one power-up and returns only the read window
 // (the first ReadWindowBytes of the SRAM), matching the paper's read-out.
@@ -356,93 +317,5 @@ func (a *Array) PowerUpWindowInto(dst *bitvec.Vector) error {
 	}
 	a.noise.BernoulliWords(a.thresholds(), dst.Words())
 	a.powerUps++
-	return nil
-}
-
-// PowerUpFullNoise samples one power-up of every simulated cell with an
-// explicit Gaussian noise draw per cell (skew + noise > 0), the
-// physically literal path. It is statistically identical to PowerUp and
-// ~5x slower; kept for the noise ablation and for voltage-ramp
-// experiments where the noise sigma varies.
-func (a *Array) PowerUpFullNoise(dst *bitvec.Vector, noiseSigma float64) error {
-	if dst.Len() != a.Cells() {
-		return fmt.Errorf("sram: destination has %d bits, array has %d cells", dst.Len(), a.Cells())
-	}
-	if noiseSigma <= 0 {
-		return fmt.Errorf("sram: noise sigma must be positive, got %v", noiseSigma)
-	}
-	for i := 0; i < a.Cells(); i++ {
-		dst.Set(i, a.Skew(i)+noiseSigma*a.noise.NormFloat64() > 0)
-	}
-	a.powerUps++
-	return nil
-}
-
-// StableCellCount returns the number of cells whose one-probability is so
-// extreme that a window of w power-ups is expected to show no flip, using
-// the exact no-flip probability p^w + (1-p)^w >= threshold.
-func (a *Array) StableCellCount(w int, threshold float64) int {
-	count := 0
-	for i := range a.static {
-		pi := a.OneProbability(i)
-		noFlip := math.Pow(pi, float64(w)) + math.Pow(1-pi, float64(w))
-		if noFlip >= threshold {
-			count++
-		}
-	}
-	return count
-}
-
-// ExpectedFHW returns the expected fractional Hamming weight of the read
-// window at the current age.
-func (a *Array) ExpectedFHW() float64 {
-	s := 0.0
-	for i := range a.static {
-		s += a.OneProbability(i)
-	}
-	return s / float64(a.Cells())
-}
-
-// Snapshot captures the full aging state of the array for later Restore.
-type Snapshot struct {
-	AgeMonths float64
-	DP1       []float64
-	DP2       []float64
-	DN1       []float64
-	DN2       []float64
-	DDisp     []float64
-}
-
-// Snapshot returns a deep copy of the aging state: full-length slices,
-// zero-filled for an unaged chip.
-func (a *Array) Snapshot() Snapshot {
-	cp := func(x []float64) []float64 {
-		out := make([]float64, a.Cells())
-		copy(out, x)
-		return out
-	}
-	return Snapshot{
-		AgeMonths: a.ageMonths,
-		DP1:       cp(a.dP1), DP2: cp(a.dP2),
-		DN1: cp(a.dN1), DN2: cp(a.dN2),
-		DDisp: cp(a.dDisp),
-	}
-}
-
-// Restore resets the aging state to a previously captured snapshot.
-// The noise stream position is not restored (measurement noise is not
-// part of chip state).
-func (a *Array) Restore(s Snapshot) error {
-	if len(s.DP1) != a.Cells() {
-		return fmt.Errorf("sram: snapshot has %d cells, array has %d", len(s.DP1), a.Cells())
-	}
-	a.allocShifts()
-	copy(a.dP1, s.DP1)
-	copy(a.dP2, s.DP2)
-	copy(a.dN1, s.DN1)
-	copy(a.dN2, s.DN2)
-	copy(a.dDisp, s.DDisp)
-	a.ageMonths = s.AgeMonths
-	a.threshValid = false
 	return nil
 }

@@ -1,6 +1,7 @@
 package sram
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -31,8 +32,8 @@ func TestSetNoiseScale(t *testing.T) {
 	if err := scaled.SetNoiseScale(1); err != nil {
 		t.Fatal(err)
 	}
-	if scaled.NoiseScale() != 1 {
-		t.Fatalf("NoiseScale = %v, want 1", scaled.NoiseScale())
+	if scaled.noiseScale != 1 {
+		t.Fatalf("NoiseScale = %v, want 1", scaled.noiseScale)
 	}
 	w1, err := plain.PowerUpWindow()
 	if err != nil {
@@ -51,7 +52,7 @@ func TestSetNoiseScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < hot.Cells(); i += 97 {
-		p0, p1 := plain.OneProbability(i), hot.OneProbability(i)
+		p0, p1 := oneProbability(plain.Skew(i), plain.noiseScale), oneProbability(hot.Skew(i), hot.noiseScale)
 		if math.Abs(p1-0.5) > math.Abs(p0-0.5)+1e-15 {
 			t.Fatalf("cell %d: scale 1.1 moved p from %v to %v, away from 0.5", i, p0, p1)
 		}
@@ -66,14 +67,14 @@ func TestSetNoiseScale(t *testing.T) {
 
 func TestNewArrayGeometry(t *testing.T) {
 	a := testArray(t, 1)
-	if a.Cells() != a.Profile().ReadWindowBits() {
-		t.Fatalf("Cells = %d, want the %d-bit read window", a.Cells(), a.Profile().ReadWindowBits())
+	if a.Cells() != a.profile.ReadWindowBits() {
+		t.Fatalf("Cells = %d, want the %d-bit read window", a.Cells(), a.profile.ReadWindowBits())
 	}
-	if a.Profile().Cells() != 20480 {
-		t.Fatalf("Profile().Cells() = %d, want 20480 (2.5 KByte)", a.Profile().Cells())
+	if a.profile.Cells() != 20480 {
+		t.Fatalf("Profile().Cells() = %d, want 20480 (2.5 KByte)", a.profile.Cells())
 	}
-	if a.AgeMonths() != 0 {
-		t.Fatalf("new array age = %v", a.AgeMonths())
+	if a.ageMonths != 0 {
+		t.Fatalf("new array age = %v", a.ageMonths)
 	}
 	if a.PowerUps() != 0 {
 		t.Fatalf("new array power-ups = %d", a.PowerUps())
@@ -139,7 +140,7 @@ func TestPowerUpWindowSize(t *testing.T) {
 func TestPowerUpFullArray(t *testing.T) {
 	a := testArray(t, 4)
 	dst := bitvec.New(a.Cells())
-	if err := a.PowerUp(dst); err != nil {
+	if err := a.PowerUpWindowInto(dst); err != nil {
 		t.Fatal(err)
 	}
 	fhw := dst.FractionalHammingWeight()
@@ -147,7 +148,7 @@ func TestPowerUpFullArray(t *testing.T) {
 		t.Fatalf("PowerUp FHW = %v, want ~0.627", fhw)
 	}
 	// Size mismatch must be rejected.
-	if err := a.PowerUp(bitvec.New(10)); err == nil {
+	if err := a.PowerUpWindowInto(bitvec.New(10)); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
 }
@@ -213,11 +214,11 @@ func TestAgeToIncreasesWCHDAgainstReference(t *testing.T) {
 
 func TestAgeToPreservesFHW(t *testing.T) {
 	a := testArray(t, 7)
-	startFHW := a.ExpectedFHW()
+	startFHW := expectedFHW(a)
 	if err := a.AgeTo(24); err != nil {
 		t.Fatal(err)
 	}
-	endFHW := a.ExpectedFHW()
+	endFHW := expectedFHW(a)
 	if math.Abs(endFHW-startFHW) > 0.005 {
 		t.Fatalf("FHW moved %v -> %v; paper reports negligible change", startFHW, endFHW)
 	}
@@ -225,11 +226,11 @@ func TestAgeToPreservesFHW(t *testing.T) {
 
 func TestAgeToReducesStableCells(t *testing.T) {
 	a := testArray(t, 8)
-	start := a.StableCellCount(1000, 0.5)
+	start := stableCellCount(a, 1000, 0.5)
 	if err := a.AgeTo(24); err != nil {
 		t.Fatal(err)
 	}
-	end := a.StableCellCount(1000, 0.5)
+	end := stableCellCount(a, 1000, 0.5)
 	if end >= start {
 		t.Fatalf("stable cells did not decrease: %d -> %d", start, end)
 	}
@@ -281,12 +282,12 @@ func TestTransistorShiftsPhysical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < a.Cells(); i += 501 {
-		ti := a.TransistorShifts(i)
+		ti := transistorShifts(a, i)
 		if ti.P1 < 0 || ti.P2 < 0 || ti.N1 < 0 || ti.N2 < 0 {
 			t.Fatalf("cell %d: negative Vth shift %+v", i, ti)
 		}
 		// The transistor pair of the preferred state must be stressed more.
-		if a.OneProbability(i) > 0.99 && ti.P1 <= ti.P2 && ti.P1 != 0 {
+		if oneProbability(a.Skew(i), a.noiseScale) > 0.99 && ti.P1 <= ti.P2 && ti.P1 != 0 {
 			t.Fatalf("cell %d prefers 1 but P1 shift %v <= P2 shift %v", i, ti.P1, ti.P2)
 		}
 	}
@@ -298,7 +299,7 @@ func TestPowerUpFullNoiseAgreesStatistically(t *testing.T) {
 	const n = 30
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		if err := a.PowerUpFullNoise(dst, 1.0); err != nil {
+		if err := powerUpFullNoise(a, dst, 1.0); err != nil {
 			t.Fatal(err)
 		}
 		sum += dst.FractionalHammingWeight()
@@ -307,42 +308,18 @@ func TestPowerUpFullNoiseAgreesStatistically(t *testing.T) {
 	if math.Abs(fhw-0.627) > 0.03 {
 		t.Fatalf("full-noise FHW = %v, want ~0.627", fhw)
 	}
-	if err := a.PowerUpFullNoise(dst, 0); err == nil {
+	if err := powerUpFullNoise(a, dst, 0); err == nil {
 		t.Fatal("zero noise sigma accepted")
 	}
-	if err := a.PowerUpFullNoise(bitvec.New(3), 1); err == nil {
+	if err := powerUpFullNoise(a, bitvec.New(3), 1); err == nil {
 		t.Fatal("size mismatch accepted")
-	}
-}
-
-func TestSnapshotRestore(t *testing.T) {
-	a := testArray(t, 13)
-	snap := a.Snapshot()
-	if err := a.AgeTo(24); err != nil {
-		t.Fatal(err)
-	}
-	agedSkew := a.Skew(100)
-	if err := a.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if a.AgeMonths() != 0 {
-		t.Fatalf("restored age = %v", a.AgeMonths())
-	}
-	if a.Skew(100) == agedSkew {
-		t.Fatal("restore did not revert aging state")
-	}
-	// Restore of a mismatched snapshot must fail.
-	bad := snap
-	bad.DP1 = bad.DP1[:10]
-	if err := a.Restore(bad); err == nil {
-		t.Fatal("mismatched snapshot accepted")
 	}
 }
 
 func TestOneProbabilityBounds(t *testing.T) {
 	a := testArray(t, 14)
 	for i := 0; i < a.Cells(); i += 97 {
-		p := a.OneProbability(i)
+		p := oneProbability(a.Skew(i), a.noiseScale)
 		if p < 0 || p > 1 {
 			t.Fatalf("cell %d: one-probability %v", i, p)
 		}
@@ -383,4 +360,53 @@ func BenchmarkAgeOneMonth(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// stableCellCount returns the number of cells whose one-probability is so
+// extreme that a window of w power-ups is expected to show no flip, using
+// the exact no-flip probability p^w + (1-p)^w >= threshold.
+func stableCellCount(a *Array, w int, threshold float64) int {
+	count := 0
+	for i := range a.static {
+		pi := oneProbability(a.Skew(i), a.noiseScale)
+		noFlip := math.Pow(pi, float64(w)) + math.Pow(1-pi, float64(w))
+		if noFlip >= threshold {
+			count++
+		}
+	}
+	return count
+}
+
+// expectedFHW returns the expected fractional Hamming weight of the read
+// window at the current age.
+func expectedFHW(a *Array) float64 {
+	s := 0.0
+	for i := range a.static {
+		s += oneProbability(a.Skew(i), a.noiseScale)
+	}
+	return s / float64(a.Cells())
+}
+
+// powerUpFullNoise samples one power-up of every simulated cell with an
+// explicit Gaussian noise draw per cell (skew + noise > 0): the
+// physically literal path the Bernoulli thresholds stand in for.
+func powerUpFullNoise(a *Array, dst *bitvec.Vector, noiseSigma float64) error {
+	if dst.Len() != a.Cells() {
+		return fmt.Errorf("sram: destination has %d bits, array has %d cells", dst.Len(), a.Cells())
+	}
+	if noiseSigma <= 0 {
+		return fmt.Errorf("sram: noise sigma must be positive, got %v", noiseSigma)
+	}
+	for i := 0; i < a.Cells(); i++ {
+		dst.Set(i, a.Skew(i)+noiseSigma*a.noise.NormFloat64() > 0)
+	}
+	return nil
+}
+
+// Skew returns the current total power-up skew of cell i.
+func (a *Array) Skew(i int) float64 {
+	if a.dP1 == nil {
+		return skew(a.static[i], 0, 0, 0, 0, 0)
+	}
+	return skew(a.static[i], a.dP1[i], a.dP2[i], a.dN1[i], a.dN2[i], a.dDisp[i])
 }

@@ -11,8 +11,7 @@ import (
 )
 
 // TestUnagedChipBitIdentical: a fresh chip, which holds no aging state,
-// and the same chip whose zeroed aging state was allocated by Restore of
-// its own Snapshot give the same thresholds and the same 50 power-ups,
+// and the same chip with its zeroed aging state allocated give the same thresholds and the same 50 power-ups,
 // at the nominal noise scale and at the hot corner.
 func TestUnagedChipBitIdentical(t *testing.T) {
 	nominal, err := silicon.ATmega32u4()
@@ -32,12 +31,9 @@ func TestUnagedChipBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := restored.Snapshot()
-		if len(snap.DP1) != restored.Cells() || len(snap.DDisp) != restored.Cells() {
-			t.Fatalf("unaged snapshot holds %d cells, want %d", len(snap.DP1), restored.Cells())
-		}
-		if err := restored.Restore(snap); err != nil {
-			t.Fatal(err)
+		restored.allocShifts()
+		if len(restored.dP1) != restored.Cells() || len(restored.dDisp) != restored.Cells() {
+			t.Fatalf("allocated aging state holds %d cells, want %d", len(restored.dP1), restored.Cells())
 		}
 		if fresh.dP1 != nil || restored.dP1 == nil {
 			t.Fatalf("aging state allocated: fresh %v, restored %v", fresh.dP1 != nil, restored.dP1 != nil)
@@ -52,16 +48,16 @@ func TestUnagedChipBitIdentical(t *testing.T) {
 			if tf[i] != tr[i] {
 				t.Fatalf("scale %v cell %d: threshold %d unaged, %d restored", p.NoiseScale(), i, tf[i], tr[i])
 			}
-			if fresh.Skew(i) != restored.Skew(i) || fresh.TransistorShifts(i) != restored.TransistorShifts(i) {
+			if fresh.Skew(i) != restored.Skew(i) || transistorShifts(fresh, i) != transistorShifts(restored, i) {
 				t.Fatalf("scale %v cell %d: skew or shifts differ", p.NoiseScale(), i)
 			}
 		}
 		vf, vr := bitvec.New(fresh.Cells()), bitvec.New(restored.Cells())
 		for k := 0; k < 50; k++ {
-			if err := fresh.PowerUp(vf); err != nil {
+			if err := fresh.PowerUpWindowInto(vf); err != nil {
 				t.Fatal(err)
 			}
-			if err := restored.PowerUp(vr); err != nil {
+			if err := restored.PowerUpWindowInto(vr); err != nil {
 				t.Fatal(err)
 			}
 			if !vf.Equal(vr) {

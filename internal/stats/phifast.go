@@ -41,7 +41,3 @@ func PhiFast(x float64) float64 {
 	frac := f - float64(i)
 	return phiTable[i] + frac*(phiTable[i+1]-phiTable[i])
 }
-
-// PhiFastErr is the guaranteed absolute error bound of PhiFast inside
-// [-phiRange, phiRange].
-const PhiFastErr = 1e-7

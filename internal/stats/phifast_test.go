@@ -54,7 +54,7 @@ func TestPhiFastTableEdge(t *testing.T) {
 }
 
 // FuzzPhiFast checks PhiFast on any input: it never panics, gives NaN
-// for NaN, stays in [0, 1] otherwise, is within PhiFastErr of Phi inside
+// for NaN, stays in [0, 1] otherwise, is within phiFastErr of Phi inside
 // (-9, 9) and saturates to exactly 0 or 1 outside, infinities included.
 func FuzzPhiFast(f *testing.F) {
 	for _, x := range []float64{
@@ -87,9 +87,13 @@ func FuzzPhiFast(f *testing.F) {
 				t.Fatalf("PhiFast(%v) = %v, want 1", x, got)
 			}
 		default:
-			if d := math.Abs(got - Phi(x)); d > PhiFastErr {
-				t.Fatalf("PhiFast(%v) = %v, Phi = %v, error %v > %v", x, got, Phi(x), d, PhiFastErr)
+			if d := math.Abs(got - Phi(x)); d > phiFastErr {
+				t.Fatalf("PhiFast(%v) = %v, Phi = %v, error %v > %v", x, got, Phi(x), d, phiFastErr)
 			}
 		}
 	})
 }
+
+// phiFastErr is the absolute error bound of PhiFast inside
+// [-phiRange, phiRange].
+const phiFastErr = 1e-7

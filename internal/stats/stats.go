@@ -1,129 +1,13 @@
 // Package stats provides the small statistical toolbox shared by the
-// simulator and the evaluation pipeline: descriptive statistics, histograms,
-// the standard normal CDF and its inverse, binomial helpers and the
-// relative/monthly change computations used in Table I of the paper.
+// simulator and the evaluation pipeline: histograms, the standard normal
+// CDF and its inverse, binomial helpers and the relative/monthly change
+// computations used in Table I of the paper.
 package stats
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
-
-// ErrEmpty is returned by aggregate functions invoked on empty data.
-var ErrEmpty = errors.New("stats: empty data")
-
-// Mean returns the arithmetic mean of xs, or an error if xs is empty.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs)), nil
-}
-
-// Variance returns the unbiased sample variance of xs.
-// It requires at least two samples.
-func Variance(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, fmt.Errorf("stats: variance needs >= 2 samples, got %d", len(xs))
-	}
-	m, _ := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1), nil
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
-// Min returns the smallest element of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics (type-7, the numpy default).
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %v out of [0,1]", q)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Summary bundles the descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	m, _ := Mean(xs)
-	sd := 0.0
-	if len(xs) >= 2 {
-		sd, _ = StdDev(xs)
-	}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	med, _ := Quantile(xs, 0.5)
-	return Summary{N: len(xs), Mean: m, StdDev: sd, Min: mn, Max: mx, Median: med}, nil
-}
 
 // Histogram is a fixed-bin histogram over [Lo, Hi). Samples outside the
 // range are counted in Under/Over.
@@ -164,13 +48,6 @@ func (h *Histogram) Add(x float64) {
 	h.Counts[i]++
 }
 
-// AddAll records every sample in xs.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
 // Total returns the number of samples recorded, including out-of-range ones.
 func (h *Histogram) Total() int { return h.total }
 
@@ -191,50 +68,6 @@ func (h *Histogram) Fractions(scale float64) []float64 {
 		out[i] = scale * float64(c) / float64(h.total)
 	}
 	return out
-}
-
-// LinearFit holds the result of an ordinary least-squares line fit.
-type LinearFit struct {
-	Slope     float64
-	Intercept float64
-	R2        float64
-}
-
-// LinearRegression fits y = Slope*x + Intercept by least squares.
-func LinearRegression(x, y []float64) (LinearFit, error) {
-	if len(x) != len(y) {
-		return LinearFit{}, fmt.Errorf("stats: x and y lengths differ: %d vs %d", len(x), len(y))
-	}
-	if len(x) < 2 {
-		return LinearFit{}, fmt.Errorf("stats: regression needs >= 2 points, got %d", len(x))
-	}
-	n := float64(len(x))
-	var sx, sy, sxx, sxy, syy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-		sxx += x[i] * x[i]
-		sxy += x[i] * y[i]
-		syy += y[i] * y[i]
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return LinearFit{}, errors.New("stats: degenerate regression (constant x)")
-	}
-	slope := (n*sxy - sx*sy) / den
-	intercept := (sy - slope*sx) / n
-	// Coefficient of determination.
-	ssTot := syy - sy*sy/n
-	ssRes := 0.0
-	for i := range x {
-		r := y[i] - (slope*x[i] + intercept)
-		ssRes += r * r
-	}
-	r2 := 1.0
-	if ssTot > 0 {
-		r2 = 1 - ssRes/ssTot
-	}
-	return LinearFit{Slope: slope, Intercept: intercept, R2: r2}, nil
 }
 
 // Phi returns the standard normal cumulative distribution function.

@@ -8,110 +8,14 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestMean(t *testing.T) {
-	m, err := Mean([]float64{1, 2, 3, 4})
-	if err != nil || m != 2.5 {
-		t.Fatalf("Mean = %v, err = %v", m, err)
-	}
-	if _, err := Mean(nil); err == nil {
-		t.Fatal("Mean(nil) did not error")
-	}
-}
-
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	v, err := Variance(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(v, 32.0/7.0, 1e-12) {
-		t.Fatalf("Variance = %v, want %v", v, 32.0/7.0)
-	}
-	sd, err := StdDev(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(sd, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Fatalf("StdDev = %v", sd)
-	}
-	if _, err := Variance([]float64{1}); err == nil {
-		t.Fatal("Variance of 1 sample did not error")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	mn, err := Min(xs)
-	if err != nil || mn != -1 {
-		t.Fatalf("Min = %v", mn)
-	}
-	mx, err := Max(xs)
-	if err != nil || mx != 7 {
-		t.Fatalf("Max = %v", mx)
-	}
-	if _, err := Min(nil); err == nil {
-		t.Fatal("Min(nil) did not error")
-	}
-	if _, err := Max(nil); err == nil {
-		t.Fatal("Max(nil) did not error")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	for _, c := range []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	} {
-		got, err := Quantile(xs, c.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	// Interpolation between order statistics.
-	got, err := Quantile([]float64{0, 10}, 0.3)
-	if err != nil || !almostEqual(got, 3, 1e-12) {
-		t.Fatalf("Quantile interp = %v, err=%v", got, err)
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Fatal("out-of-range q accepted")
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Fatal("Quantile(nil) did not error")
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{5, 1, 3}
-	if _, err := Quantile(xs, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
-		t.Fatalf("Quantile mutated input: %v", xs)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 3 || s.Mean != 2 || s.Min != 1 || s.Max != 3 || s.Median != 2 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if _, err := Summarize(nil); err == nil {
-		t.Fatal("Summarize(nil) did not error")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h, err := NewHistogram(0, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.AddAll([]float64{0.05, 0.15, 0.15, 0.95, -1, 2})
+	for _, x := range []float64{0.05, 0.15, 0.15, 0.95, -1, 2} {
+		h.Add(x)
+	}
 	if h.Counts[0] != 1 || h.Counts[1] != 2 || h.Counts[9] != 1 {
 		t.Fatalf("Counts = %v", h.Counts)
 	}
@@ -148,33 +52,6 @@ func TestHistogramErrors(t *testing.T) {
 	}
 	if _, err := NewHistogram(1, 0, 4); err == nil {
 		t.Fatal("inverted range accepted")
-	}
-}
-
-func TestLinearRegressionExact(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	y := []float64{1, 3, 5, 7} // y = 2x + 1
-	fit, err := LinearRegression(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(fit.Slope, 2, 1e-12) || !almostEqual(fit.Intercept, 1, 1e-12) {
-		t.Fatalf("fit = %+v", fit)
-	}
-	if !almostEqual(fit.R2, 1, 1e-12) {
-		t.Fatalf("R2 = %v, want 1", fit.R2)
-	}
-}
-
-func TestLinearRegressionErrors(t *testing.T) {
-	if _, err := LinearRegression([]float64{1}, []float64{1}); err == nil {
-		t.Fatal("single point accepted")
-	}
-	if _, err := LinearRegression([]float64{1, 2}, []float64{1}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := LinearRegression([]float64{2, 2}, []float64{1, 3}); err == nil {
-		t.Fatal("constant x accepted")
 	}
 }
 

@@ -76,7 +76,7 @@ const (
 // valid record can have (far beyond maxBinaryRecordBits).
 const endSentinelBits = ^uint32(0)
 
-// Archive format names reported by IndexedReader.Format and ArchiveInfo.
+// Archive format names reported by ArchiveInfo.
 const (
 	FormatBinaryV2 = "binary-v2"
 	FormatBinaryV1 = "binary-v1"
@@ -185,8 +185,6 @@ type IndexedReader struct {
 	boards []int
 	segs   map[segKey][]segRun
 	counts map[segKey]int
-	minM   int
-	maxM   int
 	total  int
 
 	mu      sync.RWMutex // ReadSegment holds it shared, Close exclusively
@@ -199,8 +197,6 @@ type indexBuilder struct {
 	segs   map[segKey][]segRun
 	counts map[segKey]int
 	boards map[int]bool
-	minM   int
-	maxM   int
 	total  int
 }
 
@@ -226,19 +222,12 @@ func (b *indexBuilder) addRun(board, month int, off, length int64, count int) {
 	}
 	b.segs[key] = runs
 	b.counts[key] += count
-	if b.total == 0 || month < b.minM {
-		b.minM = month
-	}
-	if b.total == 0 || month > b.maxM {
-		b.maxM = month
-	}
 	b.boards[board] = true
 	b.total += count
 }
 
 func (b *indexBuilder) finish(r *IndexedReader) {
 	r.segs, r.counts, r.total = b.segs, b.counts, b.total
-	r.minM, r.maxM = b.minM, b.maxM
 	r.boards = make([]int, 0, len(b.boards))
 	for bd := range b.boards {
 		r.boards = append(r.boards, bd)
@@ -459,9 +448,6 @@ func (r *IndexedReader) scanBinary(prefix bool) error {
 	return nil
 }
 
-// Format returns the archive's detected format (Format* constants).
-func (r *IndexedReader) Format() string { return r.format }
-
 // Indexed reports whether the index came from a v2 trailer (O(1) open)
 // rather than a fallback scan.
 func (r *IndexedReader) Indexed() bool { return r.index }
@@ -496,15 +482,6 @@ func (r *IndexedReader) LastMonth(board int) (last int, ok bool) {
 		}
 	}
 	return last, ok
-}
-
-// MonthRange returns the smallest and largest campaign month present.
-// ok is false for an empty archive.
-func (r *IndexedReader) MonthRange() (minMonth, maxMonth int, ok bool) {
-	if r.total == 0 {
-		return 0, 0, false
-	}
-	return r.minM, r.maxM, true
 }
 
 // Segments lists the archive's (board, month) segments, board-major.

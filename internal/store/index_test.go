@@ -83,7 +83,7 @@ func TestMonthIndex(t *testing.T) {
 		{MonthlyWindowStart(1).Add(-time.Nanosecond), 0},
 		{MonthlyWindowStart(1), 1},
 		{MonthlyWindowStart(24), 24},
-		{TestEnd.Add(-time.Nanosecond), 23},
+		{testEnd.Add(-time.Nanosecond), 23},
 		{Epoch.AddDate(0, -13, 5), -13},
 		{time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC), 0}, // before the 8th: previous window
 		{time.Date(2017, 3, 8, 0, 0, 0, 0, time.UTC), 1}, // the 8th itself: new window
@@ -116,8 +116,8 @@ func TestIndexedReaderV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Indexed() || r.Format() != FormatBinaryV2 {
-		t.Fatalf("Indexed=%v Format=%q, want indexed binary-v2", r.Indexed(), r.Format())
+	if !r.Indexed() || r.format != FormatBinaryV2 {
+		t.Fatalf("Indexed=%v Format=%q, want indexed binary-v2", r.Indexed(), r.format)
 	}
 	if r.TotalRecords() != len(recs) {
 		t.Fatalf("TotalRecords = %d, want %d", r.TotalRecords(), len(recs))
@@ -125,9 +125,8 @@ func TestIndexedReaderV2(t *testing.T) {
 	if got := r.Boards(); len(got) != 3 || got[0] != 0 || got[2] != 2 {
 		t.Fatalf("Boards = %v", got)
 	}
-	minM, maxM, ok := r.MonthRange()
-	if !ok || minM != 0 || maxM != 3 {
-		t.Fatalf("MonthRange = %d..%d (%v), want 0..3", minM, maxM, ok)
+	if segs := r.Segments(); len(segs) != 12 || segs[0].Month != 0 || segs[len(segs)-1].Month != 3 {
+		t.Fatalf("Segments = %v, want boards 0..2 x months 0..3", segs)
 	}
 	var d SegmentDecoder
 	for b := 0; b < 3; b++ {
@@ -193,8 +192,8 @@ func TestIndexedReaderFallbackScan(t *testing.T) {
 	if r.Indexed() {
 		t.Fatal("fallback scan claims a trailer index")
 	}
-	if r.Format() != FormatBinaryV1 {
-		t.Fatalf("format %q, want %q", r.Format(), FormatBinaryV1)
+	if r.format != FormatBinaryV1 {
+		t.Fatalf("format %q, want %q", r.format, FormatBinaryV1)
 	}
 	if r.TotalRecords() != len(recs) {
 		t.Fatalf("TotalRecords = %d, want %d", r.TotalRecords(), len(recs))
@@ -243,8 +242,8 @@ func TestOpenIndexedBytes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if r.Format() != FormatBinaryV2 || !r.Indexed() {
-			t.Fatalf("%s: Format=%q Indexed=%v, want an indexed v2 image", name, r.Format(), r.Indexed())
+		if r.format != FormatBinaryV2 || !r.Indexed() {
+			t.Fatalf("%s: Format=%q Indexed=%v, want an indexed v2 image", name, r.format, r.Indexed())
 		}
 		for b := 0; b < 2; b++ {
 			for m := 0; m < 2; m++ {

@@ -3,6 +3,7 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -165,4 +166,151 @@ func convertJSONL(data []byte) (*Archive, error) {
 		return nil, err
 	}
 	return ReadBinary(&buf)
+}
+
+// BinaryReader decodes a binary archive stream record by record. Both
+// format versions are accepted: a v1 stream ends at EOF, a v2 stream at
+// its end sentinel (the reader then validates the index footer against
+// the records it decoded before reporting io.EOF).
+type BinaryReader struct {
+	br   *bufio.Reader
+	buf  []byte
+	v2   bool
+	done bool
+	off  int64  // bytes consumed, from the start of the archive
+	n    uint64 // records decoded
+}
+
+// NewBinaryReader checks the archive magic (including the format
+// version) and returns a streaming reader.
+func NewBinaryReader(r io.Reader) (*BinaryReader, error) {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReader(r)
+	}
+	var magic [len(BinaryMagic)]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return nil, fmt.Errorf("%w: missing archive magic: %v", ErrBinary, err)
+	}
+	switch string(magic[:]) {
+	case BinaryMagic:
+		return &BinaryReader{br: br, off: int64(len(magic))}, nil
+	case BinaryMagicV2:
+		return &BinaryReader{br: br, v2: true, off: int64(len(magic))}, nil
+	}
+	return nil, fmt.Errorf("%w: bad archive magic % x (version mismatch or not a binary archive)", ErrBinary, magic)
+}
+
+// Offset returns the number of archive bytes consumed so far (magic plus
+// every fully decoded record) — the truncation point a checkpoint
+// recovery cuts a torn archive back to.
+func (r *BinaryReader) Offset() int64 { return r.off }
+
+// Records returns the number of records decoded so far.
+func (r *BinaryReader) Records() uint64 { return r.n }
+
+// Read decodes the next record into rec, reusing rec.Data when it
+// already has the record's bit length (pass the same rec to stream with
+// one payload allocation; pass a fresh rec to retain each record). A
+// clean end of stream returns io.EOF; a truncated record is ErrBinary.
+func (r *BinaryReader) Read(rec *Record) error {
+	if r.done {
+		return io.EOF
+	}
+	var hdr [binaryHeaderLen]byte
+	if n, err := io.ReadFull(r.br, hdr[:]); err != nil {
+		// One ReadFull distinguishes the clean end of a v1 stream (zero
+		// bytes, io.EOF) from a record truncated mid-header (some bytes,
+		// io.ErrUnexpectedEOF). A v2 stream may not end before its
+		// sentinel at all.
+		if err == io.EOF && !r.v2 {
+			r.done = true
+			return io.EOF
+		}
+		if err == io.EOF {
+			return fmt.Errorf("%w: indexed archive truncated before its end sentinel", ErrBinary)
+		}
+		return fmt.Errorf("%w: truncated record header: %d of %d bytes: %v", ErrBinary, n, binaryHeaderLen, err)
+	}
+	bits := binary.LittleEndian.Uint32(hdr[32:])
+	if r.v2 && bits == endSentinelBits {
+		if err := r.finishV2(hdr); err != nil {
+			return err
+		}
+		r.done = true
+		return io.EOF
+	}
+	if bits > maxBinaryRecordBits {
+		return fmt.Errorf("%w: %d-bit payload exceeds the %d-bit bound", ErrBinary, bits, maxBinaryRecordBits)
+	}
+	total := binaryHeaderLen + 8*((int(bits)+63)/64)
+	if cap(r.buf) < total {
+		r.buf = make([]byte, total)
+	}
+	buf := r.buf[:total]
+	copy(buf, hdr[:])
+	if _, err := io.ReadFull(r.br, buf[binaryHeaderLen:]); err != nil {
+		return fmt.Errorf("%w: truncated %d-bit payload: %v", ErrBinary, bits, err)
+	}
+	if _, err := DecodeRecord(buf, rec); err != nil {
+		return err
+	}
+	r.off += int64(total)
+	r.n++
+	return nil
+}
+
+// finishV2 validates a v2 archive's footer after its end sentinel was
+// read into hdr: sentinel integrity, then the index entries and trailer
+// against the records actually decoded. Sequential reads thereby verify
+// the index is truthful even though they never seek through it.
+func (r *BinaryReader) finishV2(hdr [binaryHeaderLen]byte) error {
+	if string(hdr[0:8]) != endSentinelMagic {
+		return fmt.Errorf("%w: corrupt end sentinel", ErrBinary)
+	}
+	for _, b := range hdr[16:32] {
+		if b != 0 {
+			return fmt.Errorf("%w: corrupt end sentinel (non-zero reserved bytes)", ErrBinary)
+		}
+	}
+	if got := binary.LittleEndian.Uint64(hdr[8:16]); got != r.n {
+		return fmt.Errorf("%w: end sentinel claims %d records, decoded %d", ErrBinary, got, r.n)
+	}
+	sentinelOff := r.off
+	r.off += binaryHeaderLen
+	tail, err := io.ReadAll(r.br)
+	if err != nil {
+		return fmt.Errorf("%w: reading archive index: %v", ErrBinary, err)
+	}
+	if len(tail) < indexTrailerLen {
+		return fmt.Errorf("%w: %d-byte archive tail cannot hold the %d-byte trailer", ErrBinary, len(tail), indexTrailerLen)
+	}
+	tr := tail[len(tail)-indexTrailerLen:]
+	if string(tr[16:24]) != indexTrailerMagic {
+		return fmt.Errorf("%w: bad index trailer magic % x", ErrBinary, tr[16:24])
+	}
+	if got := binary.LittleEndian.Uint64(tr[0:8]); got != uint64(r.off) {
+		return fmt.Errorf("%w: trailer index offset %d, want %d", ErrBinary, got, r.off)
+	}
+	entryCount := binary.LittleEndian.Uint64(tr[8:16])
+	entries, err := decodeIndexEntries(tail[:len(tail)-indexTrailerLen], entryCount)
+	if err != nil {
+		return err
+	}
+	var recs uint64
+	off := int64(len(BinaryMagicV2))
+	for _, e := range entries {
+		if e.length > sentinelOff-off {
+			return fmt.Errorf("%w: index entry for board %d month %d runs past the record region's end at %d", ErrBinary, e.board, e.month, sentinelOff)
+		}
+		recs += uint64(e.count)
+		off += e.length
+	}
+	if recs != r.n {
+		return fmt.Errorf("%w: index counts %d records, archive holds %d", ErrBinary, recs, r.n)
+	}
+	if off != sentinelOff {
+		return fmt.Errorf("%w: index covers %d record bytes, archive holds %d", ErrBinary, off, sentinelOff)
+	}
+	return nil
 }

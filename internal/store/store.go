@@ -22,9 +22,6 @@ import (
 // Epoch is the start of the paper's test campaign: February 8, 2017.
 var Epoch = time.Date(2017, time.February, 8, 0, 0, 0, 0, time.UTC)
 
-// TestEnd is the end of the campaign: February 8, 2019.
-var TestEnd = time.Date(2019, time.February, 8, 0, 0, 0, 0, time.UTC)
-
 // Record is one archived SRAM power-up read-out.
 type Record struct {
 	Board int    // global board index (0..15)

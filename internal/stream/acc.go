@@ -15,60 +15,6 @@ import (
 // accumulator that has consumed nothing.
 var ErrNoMeasurements = errors.New("stream: no measurements")
 
-// WCHD accumulates the within-class Hamming distance of a measurement
-// stream against a fixed reference pattern (§IV-B1). It keeps a running
-// sum, maximum and count — the per-measurement series of the batch
-// pipeline is never materialised. The floating-point accumulation order
-// matches metrics.WithinClassHD exactly, so Mean and Max are bit-identical
-// to the batch result.
-type WCHD struct {
-	ref   *bitvec.Vector
-	sum   float64
-	max   float64
-	count int
-}
-
-// NewWCHD returns a WCHD accumulator against ref.
-func NewWCHD(ref *bitvec.Vector) (*WCHD, error) {
-	if ref == nil {
-		return nil, errors.New("stream: nil reference")
-	}
-	return &WCHD{ref: ref}, nil
-}
-
-// Add folds one measurement.
-func (a *WCHD) Add(m *bitvec.Vector) error {
-	f, err := a.ref.FractionalHammingDistance(m)
-	if err != nil {
-		return fmt.Errorf("stream: measurement %d: %w", a.count, err)
-	}
-	a.sum += f
-	if f > a.max {
-		a.max = f
-	}
-	a.count++
-	return nil
-}
-
-// Count returns the number of measurements consumed.
-func (a *WCHD) Count() int { return a.count }
-
-// Mean returns the mean fractional Hamming distance versus the reference.
-func (a *WCHD) Mean() (float64, error) {
-	if a.count == 0 {
-		return 0, ErrNoMeasurements
-	}
-	return a.sum / float64(a.count), nil
-}
-
-// Max returns the worst per-measurement distance seen.
-func (a *WCHD) Max() (float64, error) {
-	if a.count == 0 {
-		return 0, ErrNoMeasurements
-	}
-	return a.max, nil
-}
-
 // FHW accumulates the fractional Hamming weight of a measurement stream
 // (§IV-A3), mirroring metrics.FractionalHW's accumulation order.
 type FHW struct {
@@ -85,9 +31,6 @@ func (a *FHW) Add(m *bitvec.Vector) error {
 	a.count++
 	return nil
 }
-
-// Count returns the number of measurements consumed.
-func (a *FHW) Count() int { return a.count }
 
 // Mean returns the mean fractional Hamming weight.
 func (a *FHW) Mean() (float64, error) {
@@ -117,7 +60,6 @@ type Ones struct {
 	low     [][4]uint64 // low counters: low[w][j] is bit j of word w's counts
 	pending int         // adds held in low since the last flush
 	count   int
-	probs   []float64 // Probabilities scratch, reused across calls
 	terms   []float64 // NoiseMinEntropy per-count terms, reused across calls
 }
 
@@ -222,9 +164,6 @@ func (a *Ones) flushLow() {
 	a.pending = 0
 }
 
-// Count returns the number of measurements consumed.
-func (a *Ones) Count() int { return a.count }
-
 // cellCount returns cell i's one-count, gathered from the planes.
 func (a *Ones) cellCount(i int) int {
 	a.flush()
@@ -239,28 +178,6 @@ func (a *Ones) wordCount(wi int, b uint) int {
 		c = c<<1 | int(a.planes[j*a.words+wi]>>b&1)
 	}
 	return c
-}
-
-// Probabilities returns the empirical one-probability of every cell,
-// computed exactly as entropy.OneProbabilities computes it: each count is
-// decoded as an exact integer and multiplied by 1/n, the rounding of
-// entropy.ProbabilitiesFromCounts. The returned slice is the
-// accumulator's own scratch, overwritten by the next Probabilities call
-// and by nothing else; callers that keep it past that must copy it.
-// Steady state allocates nothing.
-func (a *Ones) Probabilities() ([]float64, error) {
-	if a.count == 0 {
-		return nil, ErrNoMeasurements
-	}
-	if cap(a.probs) < a.cells {
-		a.probs = make([]float64, a.cells)
-	}
-	probs := a.probs[:a.cells]
-	inv := 1 / float64(a.count)
-	for i := range probs {
-		probs[i] = float64(a.cellCount(i)) * inv
-	}
-	return probs, nil
 }
 
 // NoiseMinEntropy returns the window's average per-bit noise min-entropy
@@ -438,15 +355,6 @@ func (a *Flips) Add(m *bitvec.Vector) error {
 // Count returns the number of measurements consumed.
 func (a *Flips) Count() int { return a.count }
 
-// Changed returns the bitmap of cells that flipped at least once. The
-// returned vector is owned by the accumulator.
-func (a *Flips) Changed() (*bitvec.Vector, error) {
-	if a.count == 0 {
-		return nil, ErrNoMeasurements
-	}
-	return a.changed, nil
-}
-
 // StableRatio returns the fraction of cells that never flipped.
 func (a *Flips) StableRatio() (float64, error) {
 	if a.count == 0 {
@@ -541,10 +449,6 @@ func (d *Device) Ref() *bitvec.Vector { return d.ref }
 // input of §IV-B2), or nil before any measurement.
 func (d *Device) First() *bitvec.Vector { return d.first }
 
-// StableMask returns a fresh bitmap of the window's stable cells (see
-// Ones.StableMask).
-func (d *Device) StableMask() (*bitvec.Vector, error) { return d.ones.StableMask() }
-
 // StableMaskInto writes the window's stable-cell bitmap into dst
 // without allocating (see Ones.StableMaskInto).
 func (d *Device) StableMaskInto(dst *bitvec.Vector) error { return d.ones.StableMaskInto(dst) }
@@ -603,9 +507,6 @@ func (c *Cross) Add(first *bitvec.Vector) error {
 	c.firsts = append(c.firsts, first)
 	return nil
 }
-
-// Devices returns the number of patterns recorded.
-func (c *Cross) Devices() int { return len(c.firsts) }
 
 // crossPairwiseCap is the largest population evaluated with the exact
 // all-pairs BCHD fold. Above it the O(devices²) pair walk (and its

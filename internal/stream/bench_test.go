@@ -34,7 +34,7 @@ func benchArray(b *testing.B) *sram.Array {
 
 func benchStreaming(b *testing.B, window int) {
 	a := benchArray(b)
-	bits := a.Profile().ReadWindowBits()
+	bits := a.Cells()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

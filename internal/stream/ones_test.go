@@ -60,8 +60,8 @@ func checkOnesMatchesOracle(t *testing.T, label string, ones *Ones, window []*bi
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ones.Count() != n {
-		t.Fatalf("%s: count %d, want %d", label, ones.Count(), n)
+	if ones.count != n {
+		t.Fatalf("%s: count %d, want %d", label, ones.count, n)
 	}
 	for i, c := range onesCounts(ones) {
 		if c != counts[i] {
@@ -72,7 +72,7 @@ func checkOnesMatchesOracle(t *testing.T, label string, ones *Ones, window []*bi
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ones.Probabilities()
+	got, err := probabilities(ones)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func FuzzDeviceMatchesAccumulators(f *testing.F) {
 		want.FHW, errs[2] = fhw.Mean()
 		want.NoiseHmin, errs[3] = ones.NoiseMinEntropy()
 		want.StableRatio, errs[4] = ones.StableRatio()
-		want.Count = ones.Count()
+		want.Count = ones.count
 		for _, err := range errs {
 			if err != nil {
 				t.Fatal(err)

@@ -43,10 +43,6 @@ func NewPool(workers int) *Pool {
 // Workers returns the configured concurrency bound (0 = unbounded).
 func (p *Pool) Workers() int { return p.workers }
 
-// InFlight returns the number of jobs currently executing (holding a
-// worker slot) across all concurrent Run calls.
-func (p *Pool) InFlight() int { return int(p.inflight.Load()) }
-
 // MaxInFlight returns the highest concurrent job count the pool has ever
 // reached — the accounting a service's pool-budget test asserts against:
 // for a bounded pool it can never exceed Workers().

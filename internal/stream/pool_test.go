@@ -58,7 +58,7 @@ func TestPoolAccountingSharedBudget(t *testing.T) {
 		jobs := make([]func() error, jobsPer)
 		for j := range jobs {
 			jobs[j] = func() error {
-				if got := p.InFlight(); got > workers {
+				if got := int(p.inflight.Load()); got > workers {
 					t.Errorf("InFlight() = %d during job, budget %d", got, workers)
 				}
 				<-gate
@@ -75,7 +75,7 @@ func TestPoolAccountingSharedBudget(t *testing.T) {
 	}
 	// Release the jobs only once the budget is observably saturated:
 	// exactly `workers` jobs hold slots and block on the gate.
-	for p.InFlight() < workers {
+	for int(p.inflight.Load()) < workers {
 		runtime.Gosched()
 	}
 	close(gate)
@@ -86,7 +86,7 @@ func TestPoolAccountingSharedBudget(t *testing.T) {
 	if got := p.MaxInFlight(); got != workers {
 		t.Fatalf("MaxInFlight() = %d, want %d: %d campaigns x %d jobs should saturate the budget", got, workers, campaigns, jobsPer)
 	}
-	if got := p.InFlight(); got != 0 {
+	if got := int(p.inflight.Load()); got != 0 {
 		t.Fatalf("InFlight() = %d after all Runs returned, want 0", got)
 	}
 }

@@ -17,10 +17,3 @@
 // simulation, archive replay — delivers into the same accumulators,
 // scheduled by one Pool.
 package stream
-
-import "repro/internal/bitvec"
-
-// Sink consumes measurements one at a time. All accumulators implement it.
-type Sink interface {
-	Add(m *bitvec.Vector) error
-}

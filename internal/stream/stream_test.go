@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -37,7 +38,7 @@ func noisyWindow(seed uint64, bits, n int, flipP float64) []*bitvec.Vector {
 }
 
 // feed folds every measurement of window into each sink, in order.
-func feed(window []*bitvec.Vector, sinks ...Sink) error {
+func feed(window []*bitvec.Vector, sinks ...sink) error {
 	for _, m := range window {
 		for _, s := range sinks {
 			if err := s.Add(m); err != nil {
@@ -146,7 +147,7 @@ func TestAccumulatorsMatchBatchOracle(t *testing.T) {
 		if err := feed(window, ones); err != nil {
 			t.Fatal(err)
 		}
-		sp, err := ones.Probabilities()
+		sp, err := probabilities(ones)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,10 +178,7 @@ func TestFlipsAgreesWithOnesStableCount(t *testing.T) {
 					fromOnes++
 				}
 			}
-			changed, err := flips.Changed()
-			if err != nil {
-				t.Fatal(err)
-			}
+			changed := flips.changed
 			fromFlips := changed.Len() - changed.HammingWeight()
 			if fromOnes != fromFlips {
 				t.Fatalf("seed %d n %d: ones stable count %d != flips stable count %d", seed, n, fromOnes, fromFlips)
@@ -225,8 +223,8 @@ func TestCrossMatchesBatchOracle(t *testing.T) {
 	if r.BCHDMean != bc.Mean || r.BCHDMin != bc.Min || r.BCHDMax != bc.Max || r.PUFHmin != puf {
 		t.Fatalf("cross stream %+v != batch (%v,%v,%v,%v)", r, bc.Mean, bc.Min, bc.Max, puf)
 	}
-	if cross.Devices() != devices {
-		t.Fatalf("devices = %d", cross.Devices())
+	if len(cross.firsts) != devices {
+		t.Fatalf("devices = %d", len(cross.firsts))
 	}
 }
 
@@ -234,7 +232,7 @@ func TestEmptyAccumulators(t *testing.T) {
 	if _, err := NewDevice(nil).Result(); !errors.Is(err, ErrNoMeasurements) {
 		t.Errorf("empty device result: %v", err)
 	}
-	if _, err := NewOnes().Probabilities(); !errors.Is(err, ErrNoMeasurements) {
+	if _, err := probabilities(NewOnes()); !errors.Is(err, ErrNoMeasurements) {
 		t.Errorf("empty ones: %v", err)
 	}
 	if _, err := NewFlips().StableRatio(); !errors.Is(err, ErrNoMeasurements) {
@@ -290,8 +288,8 @@ func TestLengthMismatchPropagates(t *testing.T) {
 	if err := ones.Add(bitvec.New(64)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ones.Add(bitvec.New(63)); err == nil || ones.Count() != 1 {
-		t.Errorf("Ones length mismatch: err = %v, count %d", err, ones.Count())
+	if err := ones.Add(bitvec.New(63)); err == nil || ones.count != 1 {
+		t.Errorf("Ones length mismatch: err = %v, count %d", err, ones.count)
 	}
 }
 
@@ -387,12 +385,11 @@ func TestStableMaskAgreesWithRatioAndFlips(t *testing.T) {
 	if got := float64(mask.HammingWeight()) / float64(mask.Len()); got != ratio {
 		t.Fatalf("mask ratio %v != StableRatio %v", got, ratio)
 	}
-	changed, err := flips.Changed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mask.Equal(changed.Not()) {
-		t.Fatal("stable mask is not the complement of the flip bitmap")
+	changed := flips.changed
+	for i := 0; i < mask.Len(); i++ {
+		if mask.Get(i) == changed.Get(i) {
+			t.Fatalf("stable mask is not the complement of the flip bitmap at cell %d", i)
+		}
 	}
 	if _, err := NewOnes().StableMask(); !errors.Is(err, ErrNoMeasurements) {
 		t.Fatalf("empty accumulator: err = %v, want ErrNoMeasurements", err)
@@ -424,4 +421,79 @@ func TestStreamingAllocsIndependentOfWindowSize(t *testing.T) {
 	if math.IsNaN(small) || small == 0 {
 		t.Fatalf("implausible alloc count %v", small)
 	}
+}
+
+// sink consumes measurements one at a time; every accumulator has this
+// Add.
+type sink interface {
+	Add(m *bitvec.Vector) error
+}
+
+// probabilities returns the per-cell one-probabilities
+// count/measurements of an Ones accumulator, in the float operations of
+// entropy.ProbabilitiesFromCounts.
+func probabilities(a *Ones) ([]float64, error) {
+	if a.count == 0 {
+		return nil, ErrNoMeasurements
+	}
+	probs := make([]float64, a.cells)
+	inv := 1 / float64(a.count)
+	for i := range probs {
+		probs[i] = float64(a.cellCount(i)) * inv
+	}
+	return probs, nil
+}
+
+// WCHD accumulates the within-class Hamming distance of a measurement
+// stream against a fixed reference pattern (§IV-B1). It keeps a running
+// sum, maximum and count — the per-measurement series of the batch
+// pipeline is never materialised. The floating-point accumulation order
+// matches metrics.WithinClassHD exactly, so Mean and Max are bit-identical
+// to the batch result.
+type WCHD struct {
+	ref   *bitvec.Vector
+	sum   float64
+	max   float64
+	count int
+}
+
+// NewWCHD returns a WCHD accumulator against ref.
+func NewWCHD(ref *bitvec.Vector) (*WCHD, error) {
+	if ref == nil {
+		return nil, errors.New("stream: nil reference")
+	}
+	return &WCHD{ref: ref}, nil
+}
+
+// Add folds one measurement.
+func (a *WCHD) Add(m *bitvec.Vector) error {
+	f, err := a.ref.FractionalHammingDistance(m)
+	if err != nil {
+		return fmt.Errorf("stream: measurement %d: %w", a.count, err)
+	}
+	a.sum += f
+	if f > a.max {
+		a.max = f
+	}
+	a.count++
+	return nil
+}
+
+// Count returns the number of measurements consumed.
+func (a *WCHD) Count() int { return a.count }
+
+// Mean returns the mean fractional Hamming distance versus the reference.
+func (a *WCHD) Mean() (float64, error) {
+	if a.count == 0 {
+		return 0, ErrNoMeasurements
+	}
+	return a.sum / float64(a.count), nil
+}
+
+// Max returns the worst per-measurement distance seen.
+func (a *WCHD) Max() (float64, error) {
+	if a.count == 0 {
+		return 0, ErrNoMeasurements
+	}
+	return a.max, nil
 }

@@ -141,24 +141,6 @@ type Results struct {
 	Comparison Comparison
 }
 
-// Point returns the result of the named scenario, or nil.
-func (r *Results) Point(name string) *PointResult {
-	for i := range r.Points {
-		if r.Points[i].Scenario.Name == name {
-			return &r.Points[i]
-		}
-	}
-	return nil
-}
-
-// Run executes one Assessment per grid point. See RunPoints.
-func Run(ctx context.Context, cfg Config, grid Grid) (*Results, error) {
-	if err := grid.Validate(); err != nil {
-		return nil, err
-	}
-	return RunPoints(ctx, cfg, grid.Points())
-}
-
 // RunPoints executes one Assessment per scenario, at most
 // cfg.Concurrency points in flight, and assembles the cross-condition
 // comparison. The first point to fail cancels the remaining points;

@@ -120,7 +120,7 @@ func TestSweepWorkersBitIdentical(t *testing.T) {
 		t.Helper()
 		cfg := testConfig(t)
 		cfg.Workers, cfg.Concurrency = workers, concurrency
-		res, err := Run(context.Background(), cfg, testGrid())
+		res, err := run(context.Background(), cfg, testGrid())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestComparisonAcrossPaths(t *testing.T) {
 	grid := testGrid()
 
 	simCfg := testConfig(t)
-	sim, err := Run(context.Background(), simCfg, grid)
+	sim, err := run(context.Background(), simCfg, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestComparisonAcrossPaths(t *testing.T) {
 		})
 		return src, nil
 	}
-	rig, err := Run(context.Background(), rigCfg, grid)
+	rig, err := run(context.Background(), rigCfg, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestComparisonAcrossPaths(t *testing.T) {
 		}
 		return core.NewArchiveSource(ir)
 	}
-	replay, err := Run(context.Background(), replayCfg, grid)
+	replay, err := run(context.Background(), replayCfg, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestRunCancellationMidSweep(t *testing.T) {
 			once.Do(cancel)
 		}
 	}
-	res, err := Run(ctx, cfg, testGrid())
+	res, err := run(ctx, cfg, testGrid())
 	if res != nil {
 		t.Fatal("cancelled sweep returned results")
 	}
@@ -317,7 +317,7 @@ func TestRunPreCancelled(t *testing.T) {
 	cfg := testConfig(t)
 	progressed := false
 	cfg.Progress = func(Progress) { progressed = true }
-	if _, err := Run(ctx, cfg, testGrid()); !errors.Is(err, context.Canceled) {
+	if _, err := run(ctx, cfg, testGrid()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if progressed {
@@ -386,4 +386,12 @@ func TestPointSourcesFollowSpec(t *testing.T) {
 			t.Fatalf("spec %+v opened a %s, want %s", spec, got, c.want)
 		}
 	}
+}
+
+// run validates the grid and executes one Assessment per grid point.
+func run(ctx context.Context, cfg Config, grid Grid) (*Results, error) {
+	if err := grid.Validate(); err != nil {
+		return nil, err
+	}
+	return RunPoints(ctx, cfg, grid.Points())
 }

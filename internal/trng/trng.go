@@ -97,9 +97,6 @@ func (g *Generator) Patterns() uint64 { return g.patterns }
 // Emitted returns the number of random bytes produced.
 func (g *Generator) Emitted() uint64 { return g.emitted }
 
-// Healthy reports whether all health tests have passed so far.
-func (g *Generator) Healthy() bool { return g.failed == nil }
-
 // Read implements io.Reader. It never returns a short read unless the
 // source fails or a health test trips.
 func (g *Generator) Read(p []byte) (int, error) {

@@ -71,7 +71,7 @@ func TestReadProducesBytes(t *testing.T) {
 	if g.Patterns() != 64 {
 		t.Fatalf("Patterns = %d, want 64", g.Patterns())
 	}
-	if !g.Healthy() {
+	if g.failed != nil {
 		t.Fatal("generator unhealthy after normal reads")
 	}
 }
@@ -142,7 +142,7 @@ func TestStuckSourceTripsHealthTest(t *testing.T) {
 	if !errors.Is(err, ErrUnhealthy) {
 		t.Fatalf("stuck source not detected: %v", err)
 	}
-	if g.Healthy() {
+	if g.failed == nil {
 		t.Fatal("generator still healthy after failure")
 	}
 	// Failure latches.

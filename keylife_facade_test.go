@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ecc"
+	"repro/internal/bitvec"
 	"repro/internal/fuzzy"
 	"repro/internal/store"
 )
@@ -247,11 +247,7 @@ func TestWithKeyLifecycleConfigErrors(t *testing.T) {
 		t.Fatalf("invalid corner: err = %v, want ErrConfig", err)
 	}
 	// A code without a known correction radius cannot define margins.
-	polar, err := ecc.NewPolar(64, 16, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := fuzzy.New(polar)
+	ext, err := fuzzy.New(radiuslessCode{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,6 +259,26 @@ func TestWithKeyLifecycleConfigErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := a.Run(context.Background()); !errors.Is(err, ErrConfig) {
-		t.Fatalf("polar extractor: err = %v, want ErrConfig", err)
+		t.Fatalf("radius-less extractor: err = %v, want ErrConfig", err)
 	}
+}
+
+// radiuslessCode is a repetition(3) code implemented outside package
+// ecc, so ecc.CorrectionRadius knows no radius for it.
+type radiuslessCode struct{}
+
+func (radiuslessCode) Name() string { return "radiusless" }
+func (radiuslessCode) K() int       { return 1 }
+func (radiuslessCode) N() int       { return 3 }
+
+func (radiuslessCode) Encode(msg *bitvec.Vector) (*bitvec.Vector, error) {
+	w := bitvec.New(3)
+	w.SetAll(msg.Get(0))
+	return w, nil
+}
+
+func (radiuslessCode) Decode(word *bitvec.Vector) (*bitvec.Vector, error) {
+	m := bitvec.New(1)
+	m.Set(0, word.HammingWeight() >= 2)
+	return m, nil
 }

@@ -50,8 +50,8 @@ package sramaging
 
 import (
 	"repro/internal/core"
-	"repro/internal/ecc"
 	"repro/internal/fuzzy"
+	"repro/internal/keylife"
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/silicon"
@@ -96,22 +96,7 @@ func PredictedWCHDTrajectory(profile DeviceProfile, months int) ([]float64, erro
 // extractor consuming 1,265 response bits for a 132-bit secret — sized so
 // the paper's end-of-life worst-case BER (3.25%) reconstructs with a
 // failure probability below 1e-9 per block.
-func NewKeyExtractor() (*fuzzy.Extractor, error) {
-	golay := ecc.NewGolay()
-	rep, err := ecc.NewRepetition(5)
-	if err != nil {
-		return nil, err
-	}
-	concat, err := ecc.NewConcatenated(golay, rep)
-	if err != nil {
-		return nil, err
-	}
-	blocked, err := ecc.NewBlocked(concat, 11)
-	if err != nil {
-		return nil, err
-	}
-	return fuzzy.New(blocked)
-}
+func NewKeyExtractor() (*fuzzy.Extractor, error) { return keylife.DefaultExtractor() }
 
 // NewTRNG builds the SRAM-PUF true random number generator over a chip.
 func NewTRNG(chip *sram.Array) (*trng.Generator, error) {

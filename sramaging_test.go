@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ecc"
+	"repro/internal/keylife"
 	"repro/internal/rng"
 )
 
@@ -54,6 +56,17 @@ func TestFacadeKeyExtractor(t *testing.T) {
 	}
 	if e.ResponseBits() != 1265 {
 		t.Fatalf("response bits = %d, want 1265", e.ResponseBits())
+	}
+	// The facade's scheme is the key-lifecycle campaigns' default.
+	def, err := keylife.DefaultExtractor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ok := ecc.CorrectionRadius(e.Code())
+	rDef, okDef := ecc.CorrectionRadius(def.Code())
+	if e.Code().N() != def.Code().N() || e.Code().K() != def.Code().K() || r != rDef || ok != okDef {
+		t.Fatalf("facade scheme N=%d K=%d t=%d, keylife default N=%d K=%d t=%d",
+			e.Code().N(), e.Code().K(), r, def.Code().N(), def.Code().K(), rDef)
 	}
 	profile, err := ATmega32u4()
 	if err != nil {
