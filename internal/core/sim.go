@@ -28,7 +28,9 @@ import (
 // stream past the windows earlier months consumed (one rng.Jump per
 // Measure over every draw so far), and samples normally. An Array
 // simulates only the read window, so lazy chip state is O(slots ×
-// profiles × window), independent of the device count.
+// profiles × window), independent of the device count. A slot samples
+// resident chips up to four at a time (sram.PowerUpWindows) and lazy
+// chips one at a time; the lanes change no bit.
 //
 // The two kinds are bit-identical: chip derivation is label-based and
 // order-independent (rng.Derive never advances the parent), the rebuild
@@ -65,13 +67,16 @@ type SimSource struct {
 // mode by this name.
 type LazySimSource = SimSource
 
-// simSlot is one worker slot's scratch: the measurement vector and, for
+// simSlot is one worker slot's scratch: the group of devices it
+// measures at a time with their chips and measurement vectors and, for
 // lazy chips, a reusable chip per fleet profile, rebuilt in place for
 // every device the slot measures, plus the seed scratch of the rebuild.
 type simSlot struct {
+	devs    [rng.Lanes]int
+	chips   [rng.Lanes]*sram.Array
+	scratch [rng.Lanes]*bitvec.Vector
 	arrays  []*sram.Array
 	seed    rng.Source
-	scratch *bitvec.Vector
 }
 
 // Devices returns the population size, pruned devices included — a
@@ -159,11 +164,16 @@ func (s *SimSource) slotCount() int {
 }
 
 // Measure streams one evaluation window: a fixed set of slot workers
-// claim alive devices off a shared counter (device order within the
-// sink is irrelevant — the engine accumulates per device), bring each
-// device's chip to the month and sample its window into the slot's
-// scratch vector. Allocation is O(slots); the device loop reuses
-// everything. Months must ascend: chips age monotonically, and a lazy
+// claim groups of alive devices off a shared counter (device order
+// within the sink is irrelevant — the engine accumulates per device),
+// bring each device's chip to the month and sample its windows into the
+// slot's scratch vectors. A group is up to rng.Lanes resident chips,
+// whose read-outs are sampled together (sram.PowerUpWindows), or one
+// lazy chip, rebuilt in the slot's array of its profile (so lazy chip
+// state stays O(slots × profiles)). Each read-out samples the group
+// once, then hands every device's vector to the sink in group order, so
+// each device's windows reach the sink in order from one goroutine.
+// Allocation is O(slots); the device loop reuses everything. Months must ascend: chips age monotonically, and a lazy
 // rebuild replays the months already measured.
 func (s *SimSource) Measure(ctx context.Context, month, size int, sink Sink) error {
 	if len(s.visited) > 0 && month <= s.visited[len(s.visited)-1] {
@@ -172,8 +182,16 @@ func (s *SimSource) Measure(ctx context.Context, month, size int, sink Sink) err
 	}
 	sink = s.envelope(month, s.indices, s.devices, sink)
 	nslots := s.slotCount()
+	group := s.groupSize(nslots)
 	for len(s.slots) < nslots {
-		s.slots = append(s.slots, &simSlot{arrays: make([]*sram.Array, len(s.conditioned)), scratch: bitvec.New(s.bits)})
+		s.slots = append(s.slots, &simSlot{arrays: make([]*sram.Array, len(s.conditioned))})
+	}
+	for _, sl := range s.slots[:nslots] {
+		for j := range group {
+			if sl.scratch[j] == nil {
+				sl.scratch[j] = bitvec.New(s.bits)
+			}
+		}
 	}
 	var skip *rng.Jump
 	if s.arrays == nil && s.drawn > 0 {
@@ -185,29 +203,31 @@ func (s *SimSource) Measure(ctx context.Context, month, size int, sink Sink) err
 		jobs[i] = func(slot int) error {
 			sl := s.slots[slot]
 			for {
-				d := int(next.Add(1)) - 1
-				if d >= len(s.indices) {
+				devs := s.claim(&next, sl.devs[:0], group)
+				if len(devs) == 0 {
 					return nil
 				}
-				if s.pruned[d] {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("core: device %d: %w", d, err)
-				}
-				a, err := s.chip(sl, skip, d, month)
-				if err != nil {
-					return err
+				chips, out := sl.chips[:len(devs)], sl.scratch[:len(devs)]
+				for j, d := range devs {
+					if err := ctx.Err(); err != nil {
+						return fmt.Errorf("core: device %d: %w", d, err)
+					}
+					var err error
+					if chips[j], err = s.chip(sl, skip, d, month); err != nil {
+						return err
+					}
 				}
 				for n := 0; n < size; n++ {
 					if err := ctx.Err(); err != nil {
-						return fmt.Errorf("core: device %d measurement %d: %w", d, n, err)
+						return fmt.Errorf("core: device %d measurement %d: %w", devs[0], n, err)
 					}
-					if err := a.PowerUpWindowInto(sl.scratch); err != nil {
+					if err := sram.PowerUpWindows(chips, out); err != nil {
 						return err
 					}
-					if err := sink(d, sl.scratch); err != nil {
-						return err
+					for j, d := range devs {
+						if err := sink(d, out[j]); err != nil {
+							return err
+						}
 					}
 				}
 			}
@@ -219,6 +239,31 @@ func (s *SimSource) Measure(ctx context.Context, month, size int, sink Sink) err
 	s.visited = append(s.visited, month)
 	s.drawn += uint64(size) * uint64(s.bits)
 	return nil
+}
+
+// groupSize is how many devices a slot claims at a time: one lazy chip,
+// or as many resident chips, up to rng.Lanes, as keep every slot busy
+// (4 devices on 2 slots sample 2 and 2, not 4 and none).
+func (s *SimSource) groupSize(nslots int) int {
+	if s.arrays == nil {
+		return 1
+	}
+	return min(rng.Lanes, (s.alive+nslots-1)/nslots)
+}
+
+// claim appends up to group alive devices, taken off the shared counter
+// next, to devs; none are left when it returns devs empty.
+func (s *SimSource) claim(next *atomic.Int64, devs []int, group int) []int {
+	for len(devs) < group {
+		d := int(next.Add(1)) - 1
+		if d >= len(s.indices) {
+			break
+		}
+		if !s.pruned[d] {
+			devs = append(devs, d)
+		}
+	}
+	return devs
 }
 
 // chip returns local device d's chip at the month. A resident chip is

@@ -32,21 +32,12 @@ type Slave interface {
 	HandleRead(n int) ([]byte, error)
 }
 
-// Stats counts bus activity.
-type Stats struct {
-	Transactions uint64
-	BytesRead    uint64
-	Naks         uint64
-	BitErrors    uint64
-}
-
 // Bus is one I2C segment with a single master (the caller) and up to 112
 // addressable slaves.
 type Bus struct {
 	name    string
 	clockHz int
 	slaves  map[byte]Slave
-	stats   Stats
 
 	// errRate is the probability that a transferred byte is corrupted
 	// (detected by the payload checksum layer above); errSrc drives the
@@ -116,15 +107,12 @@ func (e *NakError) Error() string {
 // errors corrupt the payload without failing the transaction, as a real
 // bus would.
 func (b *Bus) Read(addr byte, n int) ([]byte, desim.Time, error) {
-	b.stats.Transactions++
 	s, ok := b.slaves[addr]
 	if !ok {
-		b.stats.Naks++
 		return nil, b.Duration(0), &NakError{Bus: b.name, Addr: addr}
 	}
 	data, err := s.HandleRead(n)
 	if err != nil {
-		b.stats.Naks++
 		return nil, b.Duration(0), fmt.Errorf("i2c: device %#x: %w", addr, err)
 	}
 	if len(data) > n {
@@ -133,7 +121,6 @@ func (b *Bus) Read(addr byte, n int) ([]byte, desim.Time, error) {
 	// Copy before corruption: the returned slice may alias device memory.
 	out := append([]byte(nil), data...)
 	b.corrupt(out)
-	b.stats.BytesRead += uint64(len(out))
 	return out, b.Duration(len(out)), nil
 }
 
@@ -146,7 +133,6 @@ func (b *Bus) corrupt(data []byte) {
 	for i := range data {
 		if b.errSrc.Bernoulli(b.errRate) {
 			data[i] ^= 1 << uint(b.errSrc.Intn(8))
-			b.stats.BitErrors++
 		}
 	}
 }

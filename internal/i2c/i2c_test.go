@@ -69,10 +69,6 @@ func TestReadHappyPath(t *testing.T) {
 	if dur < 117 || dur > 118 {
 		t.Fatalf("duration = %v us, want ~117.5", dur)
 	}
-	st := b.stats
-	if st.Transactions != 1 || st.BytesRead != 4 {
-		t.Fatalf("stats = %+v", st)
-	}
 }
 
 func TestReadNak(t *testing.T) {
@@ -84,9 +80,6 @@ func TestReadNak(t *testing.T) {
 	}
 	if nak.Addr != 0x55 {
 		t.Fatalf("nak addr = %#x", nak.Addr)
-	}
-	if b.stats.Naks != 1 {
-		t.Fatalf("naks = %d", b.stats.Naks)
 	}
 }
 
@@ -144,9 +137,6 @@ func TestErrorInjection(t *testing.T) {
 	// Expect ~10 corrupted bytes out of 1024 at 1%.
 	if corrupted < 2 || corrupted > 30 {
 		t.Fatalf("corrupted bytes = %d, want ~10", corrupted)
-	}
-	if b.stats.BitErrors == 0 {
-		t.Fatal("bit error counter not incremented")
 	}
 	// The slave's own payload must not be mutated on reads.
 	for _, x := range payload {

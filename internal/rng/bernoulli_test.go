@@ -104,3 +104,160 @@ func BenchmarkBernoulliWords(b *testing.B) {
 		r.BernoulliWords(thresholds, dst)
 	}
 }
+
+// laneKernels names the kernels BernoulliLanes can run on this host,
+// each with the laneKernel value that selects it: the per-lane fallback,
+// and the AVX2 kernel where the CPU has it. laneKernel is restored when
+// the test ends.
+func laneKernels(tb testing.TB) map[string]bool {
+	old := laneKernel
+	tb.Cleanup(func() { laneKernel = old })
+	kernels := map[string]bool{"fallback": false}
+	if laneKernelSupported() {
+		kernels["avx2"] = true
+	}
+	return kernels
+}
+
+// laneThresholds fills n thresholds from the edge values {0, 1, 2^53-1,
+// 2^53} and uniform ones, chosen by r.
+func laneThresholds(r *Source, n int) []uint64 {
+	edges := []uint64{0, 1, 1<<53 - 1, 1 << 53}
+	th := make([]uint64, n)
+	for i := range th {
+		if c := r.Intn(8); c < len(edges) {
+			th[i] = edges[c]
+		} else {
+			th[i] = r.Uint64() >> 11
+		}
+	}
+	return th
+}
+
+// checkLanes runs calls rounds of BernoulliLanes over k lanes of n cells
+// and holds every lane to its own BernoulliWords calls: the same words
+// each round, the same generator state after the last, every word past
+// the last cell cleared, and the guard word after each destination
+// untouched.
+func checkLanes(t *testing.T, seed uint64, n, k, calls int) {
+	t.Helper()
+	const guard = 0x5a5a5a5a5a5a5a5a
+	words := (n + 63) / 64
+	r := New(seed)
+	srcs := make([]*Source, k)
+	refs := make([]*Source, k)
+	ths := make([][]uint64, k)
+	dst := make([][]uint64, k)
+	buf := make([]uint64, k*(words+2))
+	for i := range k {
+		srcs[i] = r.Derive(uint64(i))
+		refs[i] = r.Derive(uint64(i))
+		ths[i] = laneThresholds(r, n)
+		dst[i] = buf[i*(words+2) : i*(words+2)+words+1]
+	}
+	want := make([]uint64, words+1)
+	for call := range calls {
+		for i := range buf {
+			buf[i] = guard
+		}
+		BernoulliLanes(srcs, ths, dst)
+		for i := range k {
+			refs[i].BernoulliWords(ths[i], want)
+			for w := range want {
+				if dst[i][w] != want[w] {
+					t.Fatalf("n=%d k=%d call %d lane %d: word %d = %#x, want %#x", n, k, call, i, w, dst[i][w], want[w])
+				}
+			}
+			if g := buf[i*(words+2)+words+1]; g != guard {
+				t.Fatalf("n=%d k=%d call %d lane %d: guard word overwritten with %#x", n, k, call, i, g)
+			}
+		}
+	}
+	for i := range k {
+		if *srcs[i] != *refs[i] {
+			t.Fatalf("n=%d k=%d lane %d: state %+v, want %+v", n, k, i, *srcs[i], *refs[i])
+		}
+	}
+}
+
+// TestBernoulliLanesMatchScalar: on every kernel, each of one to four
+// lanes (the AVX2 kernel pads fewer than four) draws exactly what its
+// own BernoulliWords calls would, across calls, for lengths on and off a
+// word boundary.
+func TestBernoulliLanesMatchScalar(t *testing.T) {
+	for _, kernel := range laneKernels(t) {
+		laneKernel = kernel
+		for _, n := range []int{0, 1, 63, 64, 128, 200, 8192} {
+			for k := 1; k <= Lanes; k++ {
+				checkLanes(t, uint64(100*n+k), n, k, 3)
+			}
+		}
+	}
+}
+
+func TestBernoulliLanesPanics(t *testing.T) {
+	one := []*Source{New(1)}
+	for name, call := range map[string]func(){
+		"no lanes":   func() { BernoulliLanes(nil, nil, nil) },
+		"five lanes": func() { BernoulliLanes(make([]*Source, 5), make([][]uint64, 5), make([][]uint64, 5)) },
+		"short dst":  func() { BernoulliLanes(one, [][]uint64{make([]uint64, 65)}, [][]uint64{make([]uint64, 1)}) },
+		"mixed sizes": func() {
+			BernoulliLanes([]*Source{New(1), New(2)}, [][]uint64{make([]uint64, 2), make([]uint64, 3)}, make([][]uint64, 2))
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// FuzzBernoulliLanes holds every kernel's lanes to BernoulliWords over
+// fuzzed seeds, lengths and lane counts.
+func FuzzBernoulliLanes(f *testing.F) {
+	f.Add(uint64(1), uint16(8192), uint8(4))
+	f.Add(uint64(2), uint16(65), uint8(3))
+	f.Add(uint64(3), uint16(1), uint8(1))
+	kernels := laneKernels(f)
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, k uint8) {
+		for _, kernel := range kernels {
+			laneKernel = kernel
+			checkLanes(t, seed, int(n%4096), int(k%Lanes)+1, 2)
+		}
+	})
+}
+
+// BenchmarkBernoulliLanes reports ns per draw over an 8,192-cell window:
+// one stream through BernoulliWords, and four streams through
+// BernoulliLanes on the AVX2 kernel (where the host has it) and on the
+// per-lane fallback.
+func BenchmarkBernoulliLanes(b *testing.B) {
+	const n = 8192
+	r := New(1)
+	srcs, ths, dst := make([]*Source, Lanes), make([][]uint64, Lanes), make([][]uint64, Lanes)
+	for i := range Lanes {
+		srcs[i], ths[i], dst[i] = r.Derive(uint64(i)), laneThresholds(r, n), make([]uint64, n/64)
+	}
+	perDraw := func(b *testing.B, draws int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(draws), "ns/draw")
+	}
+	b.Run("scalar", func(b *testing.B) {
+		for b.Loop() {
+			srcs[0].BernoulliWords(ths[0], dst[0])
+		}
+		perDraw(b, n)
+	})
+	for name, kernel := range laneKernels(b) {
+		b.Run(name, func(b *testing.B) {
+			laneKernel = kernel
+			for b.Loop() {
+				BernoulliLanes(srcs, ths, dst)
+			}
+			perDraw(b, Lanes*n)
+		})
+	}
+}

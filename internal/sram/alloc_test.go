@@ -42,3 +42,30 @@ func TestPowerUpWindowIntoDoesNotAllocate(t *testing.T) {
 		t.Fatalf("PowerUp: %v allocs per draw in steady state, want 0", n)
 	}
 }
+
+// TestPowerUpWindowsDoesNotAllocate: sampling four chips in lanes is as
+// allocation-free as sampling one.
+func TestPowerUpWindowsDoesNotAllocate(t *testing.T) {
+	profile, err := silicon.ATmega32u4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chips := make([]*Array, rng.Lanes)
+	dst := make([]*bitvec.Vector, rng.Lanes)
+	for i := range chips {
+		if chips[i], err = New(profile, rng.New(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+		dst[i] = bitvec.New(profile.ReadWindowBits())
+	}
+	if err := PowerUpWindows(chips, dst); err != nil { // builds the thresholds
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if err := PowerUpWindows(chips, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("PowerUpWindows: %v allocs per draw in steady state, want 0", n)
+	}
+}

@@ -25,6 +25,9 @@
 // threshold ceil(p·2^53) (rng.BernoulliThreshold), 64 cells to a word
 // (rng.Source.BernoulliWords). That is exactly the comparison
 // Float64() < p, so it samples the same bits as a per-cell float test.
+// PowerUpWindows samples up to four chips at once, each chip's noise
+// stream in one lane of rng.BernoulliLanes; every chip draws what its
+// own PowerUpWindowInto would.
 package sram
 
 import (
@@ -317,5 +320,33 @@ func (a *Array) PowerUpWindowInto(dst *bitvec.Vector) error {
 	}
 	a.noise.BernoulliWords(a.thresholds(), dst.Words())
 	a.powerUps++
+	return nil
+}
+
+// PowerUpWindows samples one power-up of each chip into the matching dst
+// vector, exactly as PowerUpWindowInto on each chip in turn would, but
+// with up to rng.Lanes chips drawing their noise together
+// (rng.BernoulliLanes). The chips must be distinct and share one read
+// window. A single chip takes PowerUpWindowInto itself.
+func PowerUpWindows(chips []*Array, dst []*bitvec.Vector) error {
+	k := len(chips)
+	if k == 0 || k > rng.Lanes || len(dst) != k {
+		return fmt.Errorf("sram: %d chips into %d destinations, want 1 to %d of each", k, len(dst), rng.Lanes)
+	}
+	if k == 1 {
+		return chips[0].PowerUpWindowInto(dst[0])
+	}
+	var srcs [rng.Lanes]*rng.Source
+	var thresh, words [rng.Lanes][]uint64
+	for i, a := range chips {
+		if a.Cells() != chips[0].Cells() || dst[i].Len() != a.Cells() {
+			return fmt.Errorf("sram: chip %d has %d cells into %d bits, chip 0 has %d cells", i, a.Cells(), dst[i].Len(), chips[0].Cells())
+		}
+		srcs[i], thresh[i], words[i] = a.noise, a.thresholds(), dst[i].Words()
+	}
+	rng.BernoulliLanes(srcs[:k], thresh[:k], words[:k])
+	for _, a := range chips {
+		a.powerUps++
+	}
 	return nil
 }

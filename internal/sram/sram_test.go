@@ -410,3 +410,82 @@ func (a *Array) Skew(i int) float64 {
 	}
 	return skew(a.static[i], a.dP1[i], a.dP2[i], a.dN1[i], a.dN2[i], a.dDisp[i])
 }
+
+// TestPowerUpWindowsMatchesPerChip: one to four chips sampled together
+// read out, round after round, exactly what each chip's twin reads out
+// through PowerUpWindowInto, at different ages and noise scales, and
+// count the same power-ups.
+func TestPowerUpWindowsMatchesPerChip(t *testing.T) {
+	profile, err := silicon.ATmega32u4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip := func(i int) *Array {
+		a, err := New(profile, rng.New(uint64(100+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.AgeTo(float64(3 * i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.SetNoiseScale(1 + 0.1*float64(i)); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	for k := 1; k <= rng.Lanes; k++ {
+		chips, twins := make([]*Array, k), make([]*Array, k)
+		dst := make([]*bitvec.Vector, k)
+		for i := range k {
+			chips[i], twins[i], dst[i] = chip(i), chip(i), bitvec.New(profile.ReadWindowBits())
+		}
+		want := bitvec.New(profile.ReadWindowBits())
+		for round := range 3 {
+			if err := PowerUpWindows(chips, dst); err != nil {
+				t.Fatal(err)
+			}
+			for i, twin := range twins {
+				if err := twin.PowerUpWindowInto(want); err != nil {
+					t.Fatal(err)
+				}
+				if !dst[i].Equal(want) {
+					t.Fatalf("%d chips, round %d: chip %d read-out differs from its own PowerUpWindowInto", k, round, i)
+				}
+			}
+		}
+		for i := range chips {
+			if chips[i].PowerUps() != twins[i].PowerUps() {
+				t.Fatalf("%d chips: chip %d counts %d power-ups, twin %d", k, i, chips[i].PowerUps(), twins[i].PowerUps())
+			}
+		}
+	}
+}
+
+func TestPowerUpWindowsRejectsBadGroups(t *testing.T) {
+	profile, err := silicon.ATmega32u4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := New(profile, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(profile, rng.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := profile.ReadWindowBits()
+	five := make([]*Array, rng.Lanes+1)
+	for name, call := range map[string]func() error{
+		"no chips":       func() error { return PowerUpWindows(nil, nil) },
+		"five chips":     func() error { return PowerUpWindows(five, make([]*bitvec.Vector, len(five))) },
+		"count mismatch": func() error { return PowerUpWindows([]*Array{a, b}, []*bitvec.Vector{bitvec.New(w)}) },
+		"short destination": func() error {
+			return PowerUpWindows([]*Array{a, b}, []*bitvec.Vector{bitvec.New(w), bitvec.New(w - 8)})
+		},
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
