@@ -260,8 +260,12 @@ func WithScreening(floor float64) Option {
 
 // WithScreeningPerProfile overrides the screening floor for named fleet
 // profiles — corner-screening a mixed fleet against family-specific
-// limits. Profiles not listed use the WithScreening floor (0 if never
-// set: they are never pruned). Implies screening mode.
+// limits. Keys are profile names matched case-insensitively, so a
+// registry name ("fleetnode-1kb") and a display name ("FleetNode-1KB")
+// floor the same devices; on a fleet source, a key that names none of
+// its profiles makes Run fail with ErrConfig. Profiles not listed use
+// the WithScreening floor (0 if never set: they are never pruned).
+// Implies screening mode.
 func WithScreeningPerProfile(floors map[string]float64) Option {
 	return func(a *Assessment) error {
 		for name, f := range floors {

@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 
 	"repro/internal/bitvec"
+	"repro/internal/silicon"
 	"repro/internal/store"
 	"repro/internal/stream"
 )
@@ -56,10 +60,12 @@ type ScreeningConfig struct {
 	Floor float64
 	// PerProfile optionally overrides Floor for named fleet profiles —
 	// corner-screening a mixed fleet against family-specific limits.
+	// Keys match profile names case-insensitively (see Resolve).
 	PerProfile map[string]float64
 }
 
-func (s *ScreeningConfig) validate() error {
+// Validate checks that every floor lies in [0, 1).
+func (s *ScreeningConfig) Validate() error {
 	if s.Floor < 0 || s.Floor >= 1 {
 		return fmt.Errorf("%w: screening floor %v outside [0, 1)", ErrConfig, s.Floor)
 	}
@@ -71,13 +77,37 @@ func (s *ScreeningConfig) validate() error {
 	return nil
 }
 
-// floorFor resolves the stability floor of one device given its profile
-// name ("" when the source has no per-device profile knowledge).
-func (s *ScreeningConfig) floorFor(profile string) float64 {
-	if f, ok := s.PerProfile[profile]; ok {
-		return f
+// Resolve maps every profile name a source lists (carried by a device or
+// not; nil lists none and maps "") to its floor. PerProfile keys match
+// names by silicon.CanonicalName, as silicon.Lookup does, so
+// "fleetnode-1kb" floors FleetNode-1KB devices. A key that matches no
+// listed name, or the name another key matches, is an ErrConfig.
+func (s *ScreeningConfig) Resolve(names []string) (map[string]float64, error) {
+	if names == nil {
+		return map[string]float64{"": s.Floor}, nil
 	}
-	return s.Floor
+	byFold := make(map[string]string, len(s.PerProfile))
+	for _, key := range slices.Sorted(maps.Keys(s.PerProfile)) {
+		fold := silicon.CanonicalName(key)
+		if other, dup := byFold[fold]; dup {
+			return nil, fmt.Errorf("%w: screening floors for %q and %q name the same profile", ErrConfig, other, key)
+		}
+		byFold[fold] = key
+	}
+	floors := make(map[string]float64, len(names))
+	for _, name := range names {
+		floors[name] = s.Floor
+		if key, ok := byFold[silicon.CanonicalName(name)]; ok {
+			floors[name] = s.PerProfile[key]
+		}
+	}
+	for _, name := range names {
+		delete(byFold, silicon.CanonicalName(name))
+	}
+	if len(byFold) > 0 {
+		return nil, fmt.Errorf("%w: screening floors for %s name no profile of the source", ErrConfig, strings.Join(slices.Sorted(maps.Values(byFold)), ", "))
+	}
+	return floors, nil
 }
 
 // MetricAccumulator folds the measurements of one device-window into one
@@ -214,10 +244,15 @@ type Assessment struct {
 	active []int
 	posOf  []int
 
-	// Per-device profile names, resolved once from the source's
+	// Per-device profile names and the profiles the source lists (what
+	// screening floors resolve against), resolved once from the source's
 	// ProfileAssigner (preferred, compact) or ProfileLister.
 	profNames    []string
+	profList     []string
 	profResolved bool
+
+	// Screening floor by profile name, resolved at the first prune.
+	floors map[string]float64
 }
 
 // NewAssessment validates the configuration and resolves the month list.
@@ -254,7 +289,7 @@ func NewAssessment(cfg AssessmentConfig) (*Assessment, error) {
 		seenCross[name] = true
 	}
 	if cfg.Screening != nil {
-		if err := cfg.Screening.validate(); err != nil {
+		if err := cfg.Screening.Validate(); err != nil {
 			return nil, err
 		}
 		if _, ok := cfg.Source.(DevicePruner); !ok {
@@ -351,14 +386,14 @@ func (a *Assessment) profileNames() []string {
 				full[d] = names[i]
 			}
 			if ok {
-				a.profNames = full
+				a.profNames, a.profList = full, names
 				return a.profNames
 			}
 		}
 	}
 	if pl, ok := a.cfg.Source.(ProfileLister); ok {
 		if names := pl.DeviceProfileNames(); len(names) == devices {
-			a.profNames = names
+			a.profNames, a.profList = names, names
 		}
 	}
 	return a.profNames
@@ -541,6 +576,13 @@ func (a *Assessment) screenMonth(eval *MonthEval, devices, count int, last bool)
 		eval.DeviceIndex = append([]int(nil), a.active...)
 	}
 	names := a.profileNames()
+	if a.floors == nil {
+		floors, err := a.cfg.Screening.Resolve(a.profList)
+		if err != nil {
+			return err
+		}
+		a.floors = floors
+	}
 	var pruned []int
 	survivors := a.active[:0]
 	for p, d := range a.active {
@@ -548,7 +590,7 @@ func (a *Assessment) screenMonth(eval *MonthEval, devices, count int, last bool)
 		if names != nil {
 			name = names[d]
 		}
-		if eval.Devices[p].StableRatio < a.cfg.Screening.floorFor(name) {
+		if eval.Devices[p].StableRatio < a.floors[name] {
 			pruned = append(pruned, d)
 			if eval.Attrition == nil {
 				eval.Attrition = make(map[string]int, 2)

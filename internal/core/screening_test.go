@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -177,7 +178,10 @@ func TestScreeningDirectVsShardedBitIdentical(t *testing.T) {
 // TestScreeningPerProfileFloors: profile-specific floors resolve through
 // the merged worker-streamed assignment — a floor that only prunes one
 // profile's devices attributes every pruned device to that profile, in
-// every layout.
+// every layout. Keys match profile names case-insensitively, so the
+// registry name floors the same devices as the display name, and a key
+// that names no profile of the fleet fails the campaign with ErrConfig
+// instead of screening nothing.
 func TestScreeningPerProfileFloors(t *testing.T) {
 	fleet := screeningFleet(t)
 	const devices, seed, window = 10, 777, 24
@@ -192,22 +196,110 @@ func TestScreeningPerProfileFloors(t *testing.T) {
 		prunable[d] = name == "FleetNode-1KB"
 	}
 	floor := pickScreeningFloor(t, unscreened, false, prunable)
-	sc := &ScreeningConfig{PerProfile: map[string]float64{"FleetNode-1KB": floor}}
 
-	want := runScreened(t, mustOpen[Source](t, spec), window, months, sc)
-	for _, m := range want.Monthly {
-		for name := range m.Attrition {
-			if name != "FleetNode-1KB" {
-				t.Fatalf("month %d pruned profile %q; only FleetNode-1KB has a floor", m.Month, name)
+	var want *Results
+	for _, c := range []struct {
+		name, key string
+		valid     bool
+	}{
+		{"display name", "FleetNode-1KB", true},
+		{"registry name", "fleetnode-1kb", true},
+		{"padded registry name", " fleetnode-1kb ", true},
+		{"misspelled", "fleetnode-1k", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sc := &ScreeningConfig{PerProfile: map[string]float64{c.key: floor}}
+			lazy := spec
+			lazy.Lazy, lazy.Shards = true, 3
+			for _, s := range []SimSpec{spec, lazy} {
+				src := mustOpen[Source](t, s)
+				eng, err := NewAssessment(AssessmentConfig{Source: src, WindowSize: window, Months: months, Screening: sc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := eng.Run(context.Background())
+				if cl, ok := src.(io.Closer); ok {
+					cl.Close()
+				}
+				if !c.valid {
+					if !errors.Is(err, ErrConfig) {
+						t.Fatalf("shards=%d: key %q: got %v, want ErrConfig", s.Shards, c.key, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+					assertScreeningHappened(t, want, devices)
+					for _, m := range want.Monthly {
+						for name := range m.Attrition {
+							if name != "FleetNode-1KB" {
+								t.Fatalf("month %d pruned profile %q; only FleetNode-1KB has a floor", m.Month, name)
+							}
+						}
+					}
+					continue
+				}
+				assertResultsBitIdentical(t, want, got)
 			}
-		}
+		})
 	}
 
-	spec.Lazy, spec.Shards = true, 3
-	sharded := mustOpen[*ShardedSource](t, spec)
-	got := runScreened(t, sharded, window, months, sc)
-	sharded.Close()
-	assertResultsBitIdentical(t, want, got)
+	// A key naming a fleet profile that no device drew resolves all the
+	// same: the source lists the fleet's profiles, not the ones its
+	// devices happen to carry, so the floor is valid and prunes nobody.
+	t.Run("profile no device carries", func(t *testing.T) {
+		small := spec
+		small.Devices = 4
+		for small.Seed = 1; ; small.Seed++ {
+			if !slices.Contains(fleet.AssignmentIndices(small.Seed, []int{0, 1, 2, 3}), 1) {
+				break
+			}
+		}
+		sc := &ScreeningConfig{PerProfile: map[string]float64{"fleetnode-2kb": 0.999}}
+		lazy := small
+		lazy.Lazy, lazy.Shards = true, 2
+		for _, s := range []SimSpec{small, lazy} {
+			src := mustOpen[Source](t, s)
+			got := runScreened(t, src, window, months, sc)
+			if cl, ok := src.(io.Closer); ok {
+				cl.Close()
+			}
+			for _, m := range got.Monthly {
+				if m.Survivors != small.Devices || len(m.Attrition) > 0 {
+					t.Fatalf("shards=%d month %d: %d survivors, attrition %v; a floor on an absent profile must prune nobody",
+						s.Shards, m.Month, m.Survivors, m.Attrition)
+				}
+			}
+		}
+	})
+
+	// A one-profile fleet lists its profile in every layout, so a key
+	// naming it floors the same devices — and keys the same attrition —
+	// whether the fleet runs direct or sharded.
+	t.Run("one-profile fleet", func(t *testing.T) {
+		p1, err := silicon.Lookup("fleetnode-1kb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := NewFleet(p1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct := SimSpec{Fleet: single, Devices: devices, Seed: seed}
+		floor := pickScreeningFloor(t, runAssessment(t, mustOpen[Source](t, direct), window, months), false, nil)
+		sc := &ScreeningConfig{PerProfile: map[string]float64{"fleetnode-1kb": floor}}
+		want := runScreened(t, mustOpen[Source](t, direct), window, months, sc)
+		assertScreeningHappened(t, want, devices)
+		sharded := direct
+		sharded.Lazy, sharded.Shards = true, 3
+		src := mustOpen[*ShardedSource](t, sharded)
+		got := runScreened(t, src, window, months, sc)
+		src.Close()
+		assertResultsBitIdentical(t, want, got)
+	})
 }
 
 // TestScreeningArchiveReplayBitIdentical: a screened rig campaign's

@@ -148,9 +148,10 @@ func (b *simShardBackend) Months(int) ([]int, error) { return nil, errMonthsUnsu
 
 // ProfileAssignment reports the shard's slice of the fleet's profile
 // assignment (local order) — shipped to the coordinator in the first
-// measure-done frame. Single-profile shards report nothing.
+// measure-done frame; a plain-profile shard reports nothing. A one-profile
+// fleet reports, as SimSource does, so screening agrees across layouts.
 func (b *simShardBackend) ProfileAssignment() ([]string, []uint8) {
-	if b.spec.Fleet == nil || b.spec.Fleet.Size() < 2 {
+	if b.spec.Fleet == nil {
 		return nil, nil
 	}
 	return b.spec.Fleet.ProfileNames(), b.spec.Fleet.AssignmentIndices(b.spec.Seed, b.indices)
@@ -400,7 +401,7 @@ func (s *ShardedSource) Devices() int { return s.co.Devices() }
 // shards compute their slices' assignments while measuring and stream
 // them back, so the coordinator never re-derives a million-device
 // assignment centrally. Nil until the first window completes, and
-// always nil for single-profile campaigns — the engine resolves profile
+// always nil for plain-profile campaigns — the engine resolves profile
 // names after the first Measure, which is exactly when this is ready.
 func (s *ShardedSource) ProfileAssignment() ([]string, []uint8) {
 	return s.co.ProfileAssignment()
@@ -408,7 +409,7 @@ func (s *ShardedSource) ProfileAssignment() ([]string, []uint8) {
 
 // DeviceProfileNames returns the fleet's per-device profile names
 // (ProfileLister), expanded from the worker-streamed assignment; nil
-// before the first window and for single-profile sharded campaigns.
+// before the first window and for plain-profile sharded campaigns.
 func (s *ShardedSource) DeviceProfileNames() []string {
 	names, idx := s.co.ProfileAssignment()
 	if names == nil {

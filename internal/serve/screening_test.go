@@ -6,6 +6,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -247,4 +248,37 @@ func TestServiceScreenedLazyFleetResumeGolden(t *testing.T) {
 		closeManager(t, m)
 		checkGoroutines(t, goroutines)
 	})
+}
+
+// TestServiceScreenFloorOnAbsentProfile: a screen_profiles key naming a
+// fleet profile that no device drew is admitted and the campaign runs to
+// completion — admission and the engine both match keys against the
+// fleet's profiles, not the ones its devices happen to carry.
+func TestServiceScreenFloorOnAbsentProfile(t *testing.T) {
+	spec := Spec{
+		Fleet:          []string{"fleetnode-1kb", "fleetnode-2kb"},
+		Devices:        2,
+		Months:         2,
+		Window:         16,
+		ScreenProfiles: map[string]float64{"fleetnode-2kb": 0.9},
+	}
+	fleet, err := fleetByNames(spec.Fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for spec.Seed = 1; slices.Contains(fleet.AssignmentIndices(spec.Seed, []int{0, 1}), 1); spec.Seed++ {
+	}
+	m, err := NewManager(Config{DataDir: t.TempDir(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeManager(t, m)
+	st, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, m, st.ID)
+	if final.Status != StatusDone {
+		t.Fatalf("status = %s (%s: %s)", final.Status, final.ErrKind, final.Error)
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 
 	"repro/internal/aging"
 	"repro/internal/core"
@@ -94,7 +95,11 @@ type Spec struct {
 	// Exclusive with KeyLife (which runs its own burn-in screening).
 	ScreenFloor float64 `json:"screen_floor,omitempty"`
 	// ScreenProfiles overrides ScreenFloor per fleet profile name —
-	// family-specific stability limits for a heterogeneous fleet.
+	// family-specific stability limits for a heterogeneous fleet. Keys
+	// are profile names matched case-insensitively, so a Fleet registry
+	// name ("fleetnode-1kb") and the profile's display name
+	// ("FleetNode-1KB") both work; a key that names no fleet profile is
+	// refused at admission. Fleet-only.
 	ScreenProfiles map[string]float64 `json:"screen_profiles,omitempty"`
 	// Lazy runs a fleet campaign on lazily-constructed silicon: chips are
 	// derived on demand inside each worker slot instead of materialised
@@ -246,20 +251,28 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("%w: month_list must be ascending within [0, %d], got %v", core.ErrConfig, maxMonthIndex, s.MonthList)
 		}
 	}
-	if s.ScreenFloor < 0 || s.ScreenFloor >= 1 {
-		return fmt.Errorf("%w: screening floor %v outside [0, 1)", core.ErrConfig, s.ScreenFloor)
-	}
-	for name, f := range s.ScreenProfiles {
-		if f < 0 || f >= 1 {
-			return fmt.Errorf("%w: screening floor %v for profile %q outside [0, 1)", core.ErrConfig, f, name)
+	sc := s.screening()
+	if sc != nil {
+		if err := sc.Validate(); err != nil {
+			return err
 		}
-	}
-	if s.screening() != nil && s.KeyLife {
-		return fmt.Errorf("%w: the key-lifecycle workload runs its own burn-in screening; keylife and screen_floor are exclusive", core.ErrConfig)
+		if s.KeyLife {
+			return fmt.Errorf("%w: the key-lifecycle workload runs its own burn-in screening; keylife and screen_floor are exclusive", core.ErrConfig)
+		}
 	}
 	sim, err := s.sim()
 	if err != nil {
 		return err
+	}
+	// Refuse here the screen_profiles keys the engine would fail the
+	// admitted campaign on. A rig campaign lists no profiles to match.
+	if sc != nil && len(sc.PerProfile) > 0 {
+		if sim.Fleet == nil {
+			return fmt.Errorf("%w: screen_profiles keys name fleet profiles; a single-profile campaign screens with screen_floor", core.ErrConfig)
+		}
+		if _, err := sc.Resolve(sim.Fleet.ProfileNames()); err != nil {
+			return err
+		}
 	}
 	return sim.Validate()
 }
@@ -278,14 +291,7 @@ func (s Spec) screening() *core.ScreeningConfig {
 	if s.ScreenFloor == 0 && len(s.ScreenProfiles) == 0 {
 		return nil
 	}
-	sc := &core.ScreeningConfig{Floor: s.ScreenFloor}
-	if len(s.ScreenProfiles) > 0 {
-		sc.PerProfile = make(map[string]float64, len(s.ScreenProfiles))
-		for name, f := range s.ScreenProfiles {
-			sc.PerProfile[name] = f
-		}
-	}
-	return sc
+	return &core.ScreeningConfig{Floor: s.ScreenFloor, PerProfile: maps.Clone(s.ScreenProfiles)}
 }
 
 // sim resolves the spec's profile or fleet and condition into the live

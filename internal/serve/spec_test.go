@@ -42,6 +42,9 @@ func TestDecodeSpecRejects(t *testing.T) {
 		{"more shards than devices", `{"devices": 4, "shards": 5}`},
 		{"unknown profile", `{"profile": "z80"}`},
 		{"impossible condition", `{"condition": {"temp_c": -300, "volts": 5}}`},
+		{"screen_profiles key naming no fleet profile", `{"fleet": ["fleetnode-1kb", "fleetnode-2kb"], "screen_profiles": {"fleetnode-1k": 0.9}}`},
+		{"screen_profiles keys naming one profile twice", `{"fleet": ["fleetnode-1kb", "fleetnode-2kb"], "screen_profiles": {"fleetnode-1kb": 0.9, "FleetNode-1KB": 0.8}}`},
+		{"screen_profiles on a single-profile campaign", `{"profile": "atmega32u4", "screen_profiles": {"atmega32u4": 0.9}}`},
 		{"not json", `devices=4`},
 	}
 	for _, c := range cases {
@@ -65,6 +68,19 @@ func TestDecodeSpecAccepts(t *testing.T) {
 	}
 	if s.Condition == nil || s.Condition.TempC != 85 {
 		t.Fatalf("condition mangled: %+v", s.Condition)
+	}
+}
+
+// TestDecodeSpecScreenProfileNames: screen_profiles keys name fleet
+// profiles as silicon.Lookup does (case and surrounding space ignored) —
+// the registry names the fleet field uses and the profiles' display
+// names are both admitted.
+func TestDecodeSpecScreenProfileNames(t *testing.T) {
+	for _, key := range []string{"fleetnode-1kb", "FleetNode-1KB", " fleetnode-1kb "} {
+		body := `{"fleet": ["fleetnode-1kb", "fleetnode-2kb"], "screen_profiles": {"` + key + `": 0.9}}`
+		if _, err := DecodeSpec([]byte(body)); err != nil {
+			t.Errorf("key %q: %v", key, err)
+		}
 	}
 }
 

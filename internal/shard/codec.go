@@ -180,7 +180,7 @@ type endOfWindow struct {
 	Records int `json:"records"`
 	// Profiles / ProfileIdx are the shard's ProfileAssignment, sent with
 	// the first measure-done only (empty afterwards, and always empty for
-	// single-profile campaigns).
+	// plain-profile campaigns).
 	Profiles   []string `json:"profiles,omitempty"`
 	ProfileIdx []byte   `json:"profile_idx,omitempty"`
 }

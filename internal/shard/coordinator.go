@@ -172,7 +172,7 @@ func (c *Coordinator) Devices() int { return c.devices }
 // ProfileAssignment returns the campaign's merged fleet profile
 // assignment — the distinct profile names plus one byte per global
 // device — once every shard's first measure-done frame has delivered its
-// slice; (nil, nil) before that, and always for single-profile
+// slice; (nil, nil) before that, and always for plain-profile
 // campaigns. The merge normalises each shard's name list onto shard 0's
 // ordering, so heterogeneous workers cannot skew the breakdown.
 func (c *Coordinator) ProfileAssignment() ([]string, []uint8) {

@@ -97,7 +97,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 		}
 	}()
 	// "atmega32u4" is registered by this package's init.
-	Register("ATmega32u4", buildATmega32u4)
+	Register("ATmega32u4", func() (DeviceProfile, error) { return atmega32u4(), nil })
 }
 
 func TestLookupModelEmptyIsIID(t *testing.T) {

@@ -27,17 +27,17 @@ var registry = struct {
 	models:   map[string]CellModel{},
 }
 
-// canonical lower-cases a registry name so lookups are
-// case-insensitive: the service historically accepted both "atmega32u4"
-// and the profile's display name "ATmega32u4".
-func canonical(name string) string { return strings.ToLower(strings.TrimSpace(name)) }
+// CanonicalName folds a profile name for matching — lower case, no
+// surrounding space — so lookups accept both "atmega32u4" and the display
+// name "ATmega32u4", and per-profile screening floors match by one rule.
+func CanonicalName(name string) string { return strings.ToLower(strings.TrimSpace(name)) }
 
 // Register adds a profile constructor under name (case-insensitive).
 // It panics on an empty name or a duplicate — registration is
 // program-initialisation wiring, and a silent overwrite would let two
 // packages disagree about what a campaign measures.
 func Register(name string, build func() (DeviceProfile, error)) {
-	key := canonical(name)
+	key := CanonicalName(name)
 	if key == "" || build == nil {
 		panic("silicon: Register needs a name and a constructor")
 	}
@@ -54,7 +54,7 @@ func Register(name string, build func() (DeviceProfile, error)) {
 // listing every registered name.
 func Lookup(name string) (DeviceProfile, error) {
 	registry.RLock()
-	build := registry.profiles[canonical(name)]
+	build := registry.profiles[CanonicalName(name)]
 	registry.RUnlock()
 	if build == nil {
 		return DeviceProfile{}, fmt.Errorf("%w %q (registered: %s)", ErrUnknownProfile, name, strings.Join(Names(), ", "))
@@ -81,7 +81,7 @@ func Names() []string {
 // RegisterModel adds a cell model under its ModelName. Like Register it
 // panics on duplicates and empty names.
 func RegisterModel(m CellModel) {
-	key := canonical(m.ModelName())
+	key := CanonicalName(m.ModelName())
 	if key == "" {
 		panic("silicon: RegisterModel needs a named model")
 	}
@@ -97,11 +97,11 @@ func RegisterModel(m CellModel) {
 // is the calibrated i.i.d. model, so every pre-registry profile keeps
 // its historical behaviour.
 func LookupModel(name string) (CellModel, error) {
-	if canonical(name) == "" {
+	if CanonicalName(name) == "" {
 		name = ModelIID
 	}
 	registry.RLock()
-	m := registry.models[canonical(name)]
+	m := registry.models[CanonicalName(name)]
 	registry.RUnlock()
 	if m == nil {
 		return nil, fmt.Errorf("%w: cell model %q (registered: %s)", ErrUnknownProfile, name, strings.Join(ModelNames(), ", "))
@@ -124,10 +124,13 @@ func ModelNames() []string {
 func init() {
 	RegisterModel(iidModel{})
 	RegisterModel(correlatedModel{})
-	Register("atmega32u4", buildATmega32u4)
-	Register("cmos65nm-accelerated", buildCMOS65nmAccelerated)
-	Register("cachearray-2mb", func() (DeviceProfile, error) { return buildCacheArray("CacheArray-2MB", 2<<20) })
-	Register("cachearray-64kb", func() (DeviceProfile, error) { return buildCacheArray("CacheArray-64KB", 64<<10) })
-	Register("fleetnode-1kb", func() (DeviceProfile, error) { return buildFleetNode("FleetNode-1KB", 1<<10, false) })
-	Register("fleetnode-2kb", func() (DeviceProfile, error) { return buildFleetNode("FleetNode-2KB", 2<<10, true) })
+	builtin := func(name string, build func() DeviceProfile) {
+		Register(name, func() (DeviceProfile, error) { return build(), nil })
+	}
+	builtin("atmega32u4", atmega32u4)
+	builtin("cmos65nm-accelerated", cmos65nmAccelerated)
+	builtin("cachearray-2mb", func() DeviceProfile { return cacheArray("CacheArray-2MB", 2<<20) })
+	builtin("cachearray-64kb", func() DeviceProfile { return cacheArray("CacheArray-64KB", 64<<10) })
+	builtin("fleetnode-1kb", func() DeviceProfile { return fleetNode("FleetNode-1KB", 1<<10, false) })
+	builtin("fleetnode-2kb", func() DeviceProfile { return fleetNode("FleetNode-2KB", 2<<10, true) })
 }

@@ -4,9 +4,10 @@
 // A DeviceProfile describes a *family* of chips (the ATmega32u4 on the
 // Arduino Leonardo boards of the paper, or the 65 nm CMOS comparator of the
 // accelerated-aging baseline). Its numeric model parameters are not magic
-// constants: they are solved by package calib from the paper's measured
-// Table I targets, so the profile is exactly as biased, as noisy and as
-// aging-prone as the silicon the paper measured.
+// constants: they are package calib's solution for the paper's measured
+// Table I targets, checked in as exact literals (calibrated.go), so the
+// profile is exactly as biased, as noisy and as aging-prone as the
+// silicon the paper measured.
 //
 // Per-device instance parameters (DeviceParams) add the board-to-board
 // spread that produces the paper's worst-case (WC) rows: each board gets a
@@ -17,10 +18,8 @@ package silicon
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/aging"
-	"repro/internal/calib"
 )
 
 // DeviceProfile describes a family of SRAM devices and its calibrated
@@ -162,28 +161,6 @@ const (
 	CycleSeconds    = PowerOnSeconds + PowerOffSeconds
 )
 
-var (
-	calOnce   sync.Once
-	calNom    calib.Result
-	calAcc    calib.Result
-	calMonths struct{ nom, acc int }
-	calErr    error
-)
-
-// runCalibration solves both profiles' model parameters once per process
-// (disk-cached across processes by calib.CachedCalibrate).
-func runCalibration() {
-	tn := calib.PaperTargets()
-	calNom, calErr = calib.CachedCalibrate(tn, 1000, 16)
-	if calErr != nil {
-		return
-	}
-	calMonths.nom = tn.Months
-	ta := calib.AcceleratedTargets()
-	calAcc, calErr = calib.CachedCalibrate(ta, 1000, 16)
-	calMonths.acc = ta.Months
-}
-
 // kineticsFromCalibration converts a calibrated total drift into a
 // power-law amplitude for the given kinetics shape: A = Delta_T / t_eff^beta.
 func kineticsFromCalibration(base aging.Kinetics, totalDrift float64, months int) aging.Kinetics {
@@ -219,26 +196,21 @@ func baseNominalKinetics(tempC, voltage float64) aging.Kinetics {
 // profile.
 func ATmega32u4() (DeviceProfile, error) { return Lookup("atmega32u4") }
 
-func buildATmega32u4() (DeviceProfile, error) {
-	calOnce.Do(runCalibration)
-	if calErr != nil {
-		return DeviceProfile{}, calErr
-	}
-	p := DeviceProfile{
+func atmega32u4() DeviceProfile {
+	return DeviceProfile{
 		Name:             "ATmega32u4",
 		Technology:       "AVR 8-bit MCU embedded SRAM",
 		SRAMBytes:        2560,
 		ReadWindowBytes:  1024,
 		OperatingVoltage: 5.0,
 		NominalTempC:     25,
-		Lambda:           calNom.Lambda,
-		Mu:               calNom.Mu,
+		Lambda:           paperCalibration.Lambda,
+		Mu:               paperCalibration.Mu,
 		LambdaRelJitter:  defaultLambdaRelJitter,
 		BiasZJitter:      defaultBiasZJitter,
-		Kinetics:         kineticsFromCalibration(baseNominalKinetics(25, 5.0), calNom.TotalDrift, calMonths.nom),
-		AgingDispersion:  calNom.Dispersion,
+		Kinetics:         kineticsFromCalibration(baseNominalKinetics(25, 5.0), paperCalibration.TotalDrift, calibratedMonths),
+		AgingDispersion:  paperCalibration.Dispersion,
 	}
-	return p, p.Validate()
 }
 
 // CMOS65nmAccelerated returns the calibrated profile of the
@@ -251,29 +223,24 @@ func buildATmega32u4() (DeviceProfile, error) {
 // profile.
 func CMOS65nmAccelerated() (DeviceProfile, error) { return Lookup("cmos65nm-accelerated") }
 
-func buildCMOS65nmAccelerated() (DeviceProfile, error) {
-	calOnce.Do(runCalibration)
-	if calErr != nil {
-		return DeviceProfile{}, calErr
-	}
-	p := DeviceProfile{
+func cmos65nmAccelerated() DeviceProfile {
+	return DeviceProfile{
 		Name:             "CMOS65nm-accelerated",
 		Technology:       "65 nm CMOS test chip",
 		SRAMBytes:        2560, // matched geometry for like-for-like comparison
 		ReadWindowBytes:  1024,
 		OperatingVoltage: 1.2,
 		NominalTempC:     25,
-		Lambda:           calAcc.Lambda,
-		Mu:               calAcc.Mu,
+		Lambda:           acceleratedCalibration.Lambda,
+		Mu:               acceleratedCalibration.Mu,
 		LambdaRelJitter:  defaultLambdaRelJitter,
 		BiasZJitter:      defaultBiasZJitter,
-		Kinetics:         kineticsFromCalibration(baseNominalKinetics(25, 1.2), calAcc.TotalDrift, calMonths.acc),
-		AgingDispersion:  calAcc.Dispersion,
+		Kinetics:         kineticsFromCalibration(baseNominalKinetics(25, 1.2), acceleratedCalibration.TotalDrift, calibratedMonths),
+		AgingDispersion:  acceleratedCalibration.Dispersion,
 	}
-	return p, p.Validate()
 }
 
-// buildCacheArray returns a cache-line-structured large-array profile —
+// cacheArray returns a cache-line-structured large-array profile —
 // the SRAM-PUF-in-large-CPUs family of Van Aubel et al.
 // (arXiv:1507.08514): orders of magnitude more cells than the embedded
 // parts, organised in 64-byte cache lines whose cells share a common
@@ -286,11 +253,7 @@ func buildCMOS65nmAccelerated() (DeviceProfile, error) {
 // sizeBytes ≥ MB-scale is the intended operating range. A simulated
 // chip holds state only for its 1 KiB read window, so the 2 MiB and
 // 64 KiB variants cost the same per device.
-func buildCacheArray(name string, sizeBytes int) (DeviceProfile, error) {
-	calOnce.Do(runCalibration)
-	if calErr != nil {
-		return DeviceProfile{}, calErr
-	}
+func cacheArray(name string, sizeBytes int) DeviceProfile {
 	// Continuously powered server silicon at 0.9 V / 45 °C die
 	// temperature: full stress duty, weak recovery, a lower activation
 	// energy and the shallower sub-0.35 power-law slope reported for
@@ -307,39 +270,34 @@ func buildCacheArray(name string, sizeBytes int) (DeviceProfile, error) {
 		ActivationEnergyEV: 0.12,
 		VoltageExponent:    3,
 	}
-	p := DeviceProfile{
+	return DeviceProfile{
 		Name:             name,
 		Technology:       "server-class cache SRAM (high-K metal gate)",
 		SRAMBytes:        sizeBytes,
 		ReadWindowBytes:  1024, // same 1 KiB read-out as the embedded parts: fleet windows stay comparable
 		OperatingVoltage: 0.9,
 		NominalTempC:     45,
-		Lambda:           0.85 * calNom.Lambda,
-		Mu:               0.25 * calNom.Mu,
+		Lambda:           0.85 * paperCalibration.Lambda,
+		Mu:               0.25 * paperCalibration.Mu,
 		LambdaRelJitter:  defaultLambdaRelJitter,
 		BiasZJitter:      defaultBiasZJitter,
-		Kinetics:         kineticsFromCalibration(k, 1.25*calNom.TotalDrift, calMonths.nom),
-		AgingDispersion:  calNom.Dispersion,
+		Kinetics:         kineticsFromCalibration(k, 1.25*paperCalibration.TotalDrift, calibratedMonths),
+		AgingDispersion:  paperCalibration.Dispersion,
 		Model:            ModelCorrelated,
 		LineBits:         512, // 64-byte cache line
 		LineCorr:         0.35,
 		NoiseRel:         1.3,
 	}
-	return p, p.Validate()
 }
 
-// buildFleetNode returns a small screening-node profile for
+// fleetNode returns a small screening-node profile for
 // million-device fleet campaigns: the calibrated embedded-SRAM cell
 // behaviour on a deliberately tiny geometry (a 32-byte read window), so
 // per-device evaluation state is a few hundred bits instead of 8K and a
 // screening run over 10^5..10^6 devices is bounded by statistics, not by
 // window size. correlated selects the cache-line-structured mismatch
 // model so a fleet of the two variants mixes both registered models.
-func buildFleetNode(name string, sizeBytes int, correlated bool) (DeviceProfile, error) {
-	calOnce.Do(runCalibration)
-	if calErr != nil {
-		return DeviceProfile{}, calErr
-	}
+func fleetNode(name string, sizeBytes int, correlated bool) DeviceProfile {
 	p := DeviceProfile{
 		Name:             name,
 		Technology:       "fleet screening node (embedded SRAM)",
@@ -347,12 +305,12 @@ func buildFleetNode(name string, sizeBytes int, correlated bool) (DeviceProfile,
 		ReadWindowBytes:  32, // shared across the family: fleetnode variants always form a fleet
 		OperatingVoltage: 3.3,
 		NominalTempC:     25,
-		Lambda:           calNom.Lambda,
-		Mu:               calNom.Mu,
+		Lambda:           paperCalibration.Lambda,
+		Mu:               paperCalibration.Mu,
 		LambdaRelJitter:  defaultLambdaRelJitter,
 		BiasZJitter:      defaultBiasZJitter,
-		Kinetics:         kineticsFromCalibration(baseNominalKinetics(25, 3.3), calNom.TotalDrift, calMonths.nom),
-		AgingDispersion:  calNom.Dispersion,
+		Kinetics:         kineticsFromCalibration(baseNominalKinetics(25, 3.3), paperCalibration.TotalDrift, calibratedMonths),
+		AgingDispersion:  paperCalibration.Dispersion,
 	}
 	if correlated {
 		p.Model = ModelCorrelated
@@ -360,7 +318,7 @@ func buildFleetNode(name string, sizeBytes int, correlated bool) (DeviceProfile,
 		p.LineCorr = 0.3
 		p.NoiseRel = 1.15
 	}
-	return p, p.Validate()
+	return p
 }
 
 // ProfileOption mutates a DeviceProfile under construction; see
@@ -417,35 +375,20 @@ func WithLineStructure(lineBits int, corr float64) ProfileOption {
 func WithNoiseRel(rel float64) ProfileOption { return func(p *DeviceProfile) { p.NoiseRel = rel } }
 
 // NewProfile builds a validated device profile from functional options,
-// starting from the paper's rig geometry, spread constants, and the
-// calibrated nominal mismatch/kinetics as defaults — a profile built
-// with no options is the paper's device under a different name. It is
-// the supported construction path for custom profiles: the profile is
-// validated — including its cell model's own field checks — at build
-// time, so an inconsistent profile fails here rather than deep inside a
-// campaign. Direct struct construction still works for compatibility
-// but is deprecated; see DESIGN.md ("Device models and fleets").
+// starting from the paper's device (its geometry, spread constants and
+// checked-in calibration) under the given name and with no technology
+// text. It is the supported construction path for custom profiles: the
+// profile is validated — including its cell model's own field checks —
+// at build time, so an inconsistent option fails here rather than deep
+// inside a campaign. Direct struct construction still works for
+// compatibility but is deprecated; see DESIGN.md ("Device models and
+// fleets").
 func NewProfile(name string, opts ...ProfileOption) (DeviceProfile, error) {
 	if name == "" {
 		return DeviceProfile{}, fmt.Errorf("silicon: profile needs a name")
 	}
-	calOnce.Do(runCalibration)
-	if calErr != nil {
-		return DeviceProfile{}, calErr
-	}
-	p := DeviceProfile{
-		Name:             name,
-		SRAMBytes:        2560,
-		ReadWindowBytes:  1024,
-		OperatingVoltage: 5.0,
-		NominalTempC:     25,
-		Lambda:           calNom.Lambda,
-		Mu:               calNom.Mu,
-		LambdaRelJitter:  defaultLambdaRelJitter,
-		BiasZJitter:      defaultBiasZJitter,
-		Kinetics:         kineticsFromCalibration(baseNominalKinetics(25, 5.0), calNom.TotalDrift, calMonths.nom),
-		AgingDispersion:  calNom.Dispersion,
-	}
+	p := atmega32u4()
+	p.Name, p.Technology = name, ""
 	for _, opt := range opts {
 		opt(&p)
 	}
