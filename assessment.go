@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 
 	"repro/internal/core"
+	"repro/internal/keylife"
 )
 
 // Re-exported assessment types and errors.
@@ -57,39 +59,25 @@ var (
 // draw advances the chips' RNG), so build a fresh Assessment per run.
 type Assessment struct {
 	src Source
+	// spec is the campaign the options describe. Its Sim is never nil
+	// here; Run drops it when WithSource supplies the source.
+	spec   core.CampaignSpec
+	simSet bool // any simulation option given (exclusive with WithSource)
 
-	profile    DeviceProfile
-	profileSet bool
-	fleet      *core.Fleet
-	devices    int
-	seed       uint64
-	useRig     bool
-	i2cErr     float64
-	simSet     bool // any simulation option given (exclusive with WithSource)
-
-	window         int
-	months         []int
-	workers        int
-	workersSet     bool
-	shards         int
-	shardTransport ShardTransport
-	metrics        []Metric
-	crossMetrics   []CrossMetric
-	progress       func(MonthEval)
-	ran            bool
+	workers      int
+	workersSet   bool
+	metrics      []Metric
+	crossMetrics []CrossMetric
+	progress     func(MonthEval)
+	ran          bool
 
 	// Condition-sweep state (RunSweep; see sweep.go).
 	conditions    []Scenario
 	sweepProgress func(SweepProgress)
 	pointParallel int
 
-	// Key-lifecycle state (WithKeyLifecycle; see keylife.go).
-	keylife    bool
+	// Key-lifecycle tuning (WithKeyLifecycle; see keylife.go).
 	keylifeCfg KeyLifeConfig
-
-	// Screening / lazy-construction state (WithScreening, WithLazy).
-	screening *core.ScreeningConfig
-	lazy      bool
 }
 
 // Option configures an Assessment.
@@ -98,7 +86,8 @@ type Option func(*Assessment) error
 // WithSource supplies the measurement source directly — an
 // ArchiveSource, a pre-built SimulatedSource/RigSource, or any external
 // Source implementation. Exclusive with the simulation options
-// (WithProfile, WithDevices, WithSeed, WithHarness, WithI2CErrorRate).
+// (WithProfile, WithFleet, WithDevices, WithSeed, WithHarness,
+// WithI2CErrorRate, WithLazy, WithShards).
 func WithSource(src Source) Option {
 	return func(a *Assessment) error {
 		if src == nil {
@@ -113,7 +102,7 @@ func WithSource(src Source) Option {
 // ATmega32u4).
 func WithProfile(p DeviceProfile) Option {
 	return func(a *Assessment) error {
-		a.profile, a.profileSet, a.simSet = p, true, true
+		a.spec.Sim.Profile, a.simSet = p, true
 		return nil
 	}
 }
@@ -122,7 +111,7 @@ func WithProfile(p DeviceProfile) Option {
 // paper's campaign).
 func WithDevices(n int) Option {
 	return func(a *Assessment) error {
-		a.devices, a.simSet = n, true
+		a.spec.Sim.Devices, a.simSet = n, true
 		return nil
 	}
 }
@@ -131,7 +120,7 @@ func WithDevices(n int) Option {
 // every per-device measurement stream deterministically.
 func WithSeed(seed uint64) Option {
 	return func(a *Assessment) error {
-		a.seed, a.simSet = seed, true
+		a.spec.Sim.Seed, a.simSet = seed, true
 		return nil
 	}
 }
@@ -142,32 +131,26 @@ func WithSeed(seed uint64) Option {
 // different bits.
 func WithHarness() Option {
 	return func(a *Assessment) error {
-		a.useRig, a.simSet = true, true
+		a.spec.Sim.Rig, a.simSet = true, true
 		return nil
 	}
 }
 
-// WithI2CErrorRate sets the rig's I2C byte-corruption rate (implies
-// nothing without WithHarness).
+// WithI2CErrorRate sets the rig's I2C byte-corruption rate in [0, 1]
+// (implies nothing without WithHarness); Run refuses a rate outside it.
 func WithI2CErrorRate(rate float64) Option {
 	return func(a *Assessment) error {
-		if rate < 0 || rate > 1 {
-			return fmt.Errorf("%w: I2C error rate %v", ErrConfig, rate)
-		}
-		a.i2cErr, a.simSet = rate, true
+		a.spec.Sim.I2CErrorRate, a.simSet = rate, true
 		return nil
 	}
 }
 
 // WithWindowSize sets the measurements per monthly evaluation window
-// (default 1,000, the paper's campaign). Validated here, not at Run, so
-// a bad window size fails before any side effect.
+// (default 1,000, the paper's campaign). NewAssessment refuses a window
+// under 2, so a bad window size fails before any side effect.
 func WithWindowSize(n int) Option {
 	return func(a *Assessment) error {
-		if n < 2 {
-			return fmt.Errorf("%w: need >= 2 measurements per window, got %d", ErrConfig, n)
-		}
-		a.window = n
+		a.spec.Window = n
 		return nil
 	}
 }
@@ -182,7 +165,7 @@ func WithMonths(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("%w: need a campaign length >= 1 month, got %d", ErrConfig, n)
 		}
-		a.months = core.MonthRange(n)
+		a.spec.Months = core.MonthRange(n)
 		return nil
 	}
 }
@@ -198,7 +181,7 @@ func WithMonthList(months []int) Option {
 			// campaign: fail fast instead of silently running 25 months.
 			return fmt.Errorf("%w: empty month list", ErrConfig)
 		}
-		a.months = append([]int(nil), months...)
+		a.spec.Months = append([]int(nil), months...)
 		return nil
 	}
 }
@@ -236,24 +219,17 @@ func WithCrossMetrics(ms ...CrossMetric) Option {
 }
 
 // WithScreening enables corner-screening mode: after every evaluated
-// month, devices whose stable-cell ratio fell below floor (in [0, 1))
-// are pruned from the campaign — they stop being sampled, each
+// month, devices whose stable-cell ratio fell below floor are pruned from the campaign — they stop being sampled, each
 // subsequent MonthEval carries the survivor count and device-index
 // mapping, and per-profile attrition accumulates in MonthEval.Attrition.
 // The prune decision depends only on the month's metrics, so direct,
 // sharded and replayed executions prune identical devices. If pruning
 // ever leaves fewer than two devices with months remaining, Run reports
-// ErrScreenedOut. Exclusive with WithKeyLifecycle (the key workload
-// assumes a fixed population).
+// ErrScreenedOut. Run refuses a floor outside [0, 1), and screening
+// with WithKeyLifecycle (the key workload assumes a fixed population).
 func WithScreening(floor float64) Option {
 	return func(a *Assessment) error {
-		if floor < 0 || floor >= 1 {
-			return fmt.Errorf("%w: screening floor %v outside [0, 1)", ErrConfig, floor)
-		}
-		if a.screening == nil {
-			a.screening = &core.ScreeningConfig{}
-		}
-		a.screening.Floor = floor
+		a.screening().Floor = floor
 		return nil
 	}
 }
@@ -262,28 +238,28 @@ func WithScreening(floor float64) Option {
 // profiles — corner-screening a mixed fleet against family-specific
 // limits. Keys are profile names matched case-insensitively, so a
 // registry name ("fleetnode-1kb") and a display name ("FleetNode-1KB")
-// floor the same devices; on a fleet source, a key that names none of
-// its profiles makes Run fail with ErrConfig. Profiles not listed use
-// the WithScreening floor (0 if never set: they are never pruned).
-// Implies screening mode.
+// floor the same devices. Run fails with ErrConfig on a key that names
+// none of a fleet's profiles, and on any key of a simulated
+// single-profile campaign. Profiles not listed use the WithScreening
+// floor (0 if never set: they are never pruned). Implies screening mode.
 func WithScreeningPerProfile(floors map[string]float64) Option {
 	return func(a *Assessment) error {
-		for name, f := range floors {
-			if f < 0 || f >= 1 {
-				return fmt.Errorf("%w: screening floor %v for profile %q outside [0, 1)", ErrConfig, f, name)
-			}
+		sc := a.screening()
+		if sc.PerProfile == nil {
+			sc.PerProfile = make(map[string]float64, len(floors))
 		}
-		if a.screening == nil {
-			a.screening = &core.ScreeningConfig{}
-		}
-		if a.screening.PerProfile == nil {
-			a.screening.PerProfile = make(map[string]float64, len(floors))
-		}
-		for name, f := range floors {
-			a.screening.PerProfile[name] = f
-		}
+		maps.Copy(sc.PerProfile, floors)
 		return nil
 	}
+}
+
+// screening returns the campaign's screening configuration, switching
+// screening on.
+func (a *Assessment) screening() *core.ScreeningConfig {
+	if a.spec.Screening == nil {
+		a.spec.Screening = &core.ScreeningConfig{}
+	}
+	return a.spec.Screening
 }
 
 // WithLazy selects on-demand chip construction for the simulated
@@ -296,7 +272,7 @@ func WithScreeningPerProfile(floors map[string]float64) Option {
 // months. Exclusive with WithHarness and WithSource.
 func WithLazy() Option {
 	return func(a *Assessment) error {
-		a.lazy, a.simSet = true, true
+		a.spec.Sim.Lazy, a.simSet = true, true
 		return nil
 	}
 }
@@ -314,73 +290,56 @@ func WithProgress(fn func(MonthEval)) Option {
 
 // NewAssessment builds an assessment from functional options. With no
 // options it is the paper's campaign: 16 simulated ATmega32u4 boards, 24
-// months, 1,000-measurement windows.
+// months, 1,000-measurement windows. It refuses the option combinations
+// of the builder itself and the campaign rules that need no source, so
+// they fail before any side effect a caller takes between building and
+// running; Run (and RunSweep) check every campaign rule again, with the
+// source, before anything is measured.
 func NewAssessment(opts ...Option) (*Assessment, error) {
-	a := &Assessment{devices: 16, seed: 20170208, window: 1000}
+	a := &Assessment{spec: core.CampaignSpec{Sim: &core.SimSpec{Devices: 16, Seed: 20170208}, Window: 1000}}
 	for _, opt := range opts {
 		if err := opt(a); err != nil {
 			return nil, err
 		}
 	}
-	if a.src != nil && a.simSet {
-		return nil, fmt.Errorf("%w: WithSource is exclusive with WithProfile/WithDevices/WithSeed/WithHarness/WithI2CErrorRate", ErrConfig)
-	}
-	if a.src != nil && len(a.conditions) > 0 {
+	switch {
+	case a.src != nil && a.simSet:
+		return nil, fmt.Errorf("%w: WithSource is exclusive with the simulation options (WithProfile, WithFleet, WithDevices, WithSeed, WithHarness, WithI2CErrorRate, WithLazy, WithShards): the source is already built", ErrConfig)
+	case a.src != nil && len(a.conditions) > 0:
 		return nil, fmt.Errorf("%w: WithConditions is exclusive with WithSource (the sweep builds one source per condition)", ErrConfig)
-	}
-	if a.src != nil && a.shards > 0 {
-		return nil, fmt.Errorf("%w: WithShards is exclusive with WithSource (sharding builds the sources; shard an archive with NewShardedArchiveSource)", ErrConfig)
-	}
-	if a.fleet != nil {
-		switch {
-		case a.profileSet:
-			return nil, fmt.Errorf("%w: WithFleet is exclusive with WithProfile (the fleet carries its profiles)", ErrConfig)
-		case a.useRig:
-			return nil, fmt.Errorf("%w: WithFleet is exclusive with WithHarness (the measurement rig is a single-profile instrument)", ErrConfig)
-		case a.keylife:
-			return nil, fmt.Errorf("%w: WithFleet is exclusive with WithKeyLifecycle (the key-lifecycle workload is single-profile)", ErrConfig)
-		}
-	}
-	if a.screening != nil && a.keylife {
-		return nil, fmt.Errorf("%w: WithScreening is exclusive with WithKeyLifecycle (the key workload assumes a fixed population)", ErrConfig)
-	}
-	if a.screening != nil && len(a.conditions) > 0 {
+	case a.spec.Screening != nil && len(a.conditions) > 0:
 		return nil, fmt.Errorf("%w: WithScreening is exclusive with WithConditions (screen one corner at a time)", ErrConfig)
 	}
-	if a.lazy {
-		switch {
-		case a.useRig:
-			return nil, fmt.Errorf("%w: WithLazy is exclusive with WithHarness (the rig is a persistent coupled instrument)", ErrConfig)
-		case a.src != nil:
-			return nil, fmt.Errorf("%w: WithLazy is exclusive with WithSource (lazy construction builds the simulated sources)", ErrConfig)
-		}
+	sourceless := a.spec
+	sourceless.Sim = nil
+	if err := sourceless.Validate(); err != nil {
+		return nil, err
 	}
-	if !a.profileSet {
+	if sim := a.spec.Sim; sim.Fleet == nil && sim.Profile == (DeviceProfile{}) {
 		var err error
-		if a.profile, err = ATmega32u4(); err != nil {
+		if sim.Profile, err = ATmega32u4(); err != nil {
 			return nil, err
 		}
 	}
 	return a, nil
 }
 
-// simSpec is the simulated source the assessment's options describe —
-// what Run opens and what every condition point of RunSweep opens.
-func (a *Assessment) simSpec() core.SimSpec {
-	spec := core.SimSpec{
-		Fleet:        a.fleet,
-		Devices:      a.devices,
-		Seed:         a.seed,
-		Lazy:         a.lazy,
-		Rig:          a.useRig,
-		I2CErrorRate: a.i2cErr,
-		Shards:       a.shards,
-		Transport:    a.shardTransport,
+// campaign is the campaign Run and RunSweep validate and execute: the
+// options' spec without its simulated source when WithSource supplies
+// one, and with the paper's 24 months unless the options or a
+// MonthLister source name the months.
+func (a *Assessment) campaign() core.CampaignSpec {
+	cs := a.spec
+	if a.src != nil {
+		cs.Sim = nil
+		if _, ok := a.src.(MonthLister); ok {
+			return cs
+		}
 	}
-	if a.fleet == nil {
-		spec.Profile = a.profile
+	if cs.Months == nil {
+		cs.Months = core.MonthRange(24)
 	}
-	return spec
+	return cs
 }
 
 // Run executes the assessment: one streaming pass per month, every
@@ -396,10 +355,14 @@ func (a *Assessment) Run(ctx context.Context) (*Results, error) {
 	if len(a.conditions) > 0 {
 		return nil, fmt.Errorf("%w: an assessment with WithConditions runs through RunSweep", ErrConfig)
 	}
+	cs := a.campaign()
+	if err := cs.Validate(); err != nil {
+		return nil, err
+	}
 	src := a.src
 	if src == nil {
 		var err error
-		if src, err = core.OpenSim(a.simSpec()); err != nil {
+		if src, err = core.OpenSim(*cs.Sim); err != nil {
 			return nil, err
 		}
 		// Sharded sources hold worker connections.
@@ -412,19 +375,12 @@ func (a *Assessment) Run(ctx context.Context) (*Results, error) {
 			ws.SetWorkers(a.workers)
 		}
 	}
-	months := a.months
-	if months == nil {
-		if _, ok := src.(MonthLister); !ok {
-			// The paper's campaign length.
-			months = core.MonthRange(24)
-		}
-	}
 	metrics, crossMetrics := a.metrics, a.crossMetrics
-	if a.keylife {
+	if cs.KeyLife {
 		// The workload screens the simulated population from (profile,
 		// devices, seed) regardless of src, so an archive replay of a
 		// recorded campaign derives the identical masks and series.
-		wl, err := a.keylifeWorkload(ctx, src.Devices())
+		wl, err := keylife.New(ctx, a.keylifeConfig(src.Devices()))
 		if err != nil {
 			return nil, err
 		}
@@ -433,12 +389,12 @@ func (a *Assessment) Run(ctx context.Context) (*Results, error) {
 	}
 	eng, err := core.NewAssessment(core.AssessmentConfig{
 		Source:       src,
-		WindowSize:   a.window,
-		Months:       months,
+		WindowSize:   cs.Window,
+		Months:       cs.Months,
 		Metrics:      metrics,
 		CrossMetrics: crossMetrics,
 		Progress:     a.progress,
-		Screening:    a.screening,
+		Screening:    cs.Screening,
 	})
 	if err != nil {
 		// Nothing was measured: a retry after a configuration error must

@@ -106,13 +106,8 @@ func run(args []string, stdout io.Writer) error {
 			// bit-identical, so it is the fleet default.
 			*lazy = true
 		}
-		switch {
-		case *profileName != "":
+		if *profileName != "" {
 			return errors.New("-fleet and -profile are exclusive (the fleet lists its profiles)")
-		case *useHarness || *archive != "":
-			return errors.New("-fleet campaigns sample the sim source directly; -harness/-archive are single-profile")
-		case *keylife:
-			return errors.New("the key-lifecycle workload is single-profile; -fleet and -keylife are exclusive")
 		}
 	}
 
@@ -145,7 +140,9 @@ func run(args []string, stdout io.Writer) error {
 		sramaging.WithWindowSize(*window),
 		sramaging.WithWorkers(*workers),
 	}
+	// The silicon: a fleet, or one profile.
 	var profile sramaging.DeviceProfile
+	var fl *sramaging.Fleet
 	if len(fleet) > 0 {
 		profiles := make([]sramaging.DeviceProfile, len(fleet))
 		for i, name := range fleet {
@@ -155,27 +152,27 @@ func run(args []string, stdout io.Writer) error {
 			}
 			profiles[i] = p
 		}
-		fl, err := sramaging.NewFleet(profiles...)
-		if err != nil {
+		var err error
+		if fl, err = sramaging.NewFleet(profiles...); err != nil {
 			return err
 		}
-		opts = append(opts, sramaging.WithFleet(fl), sramaging.WithDevices(*devices), sramaging.WithSeed(*seed))
 	} else {
 		var err error
 		if profile, err = resolveProfile(*profileName); err != nil {
 			return err
 		}
 	}
-	if *screenFloor > 0 {
+	if *screenFloor != 0 {
 		opts = append(opts, sramaging.WithScreening(*screenFloor))
 	}
 	if *lazy {
 		opts = append(opts, sramaging.WithLazy())
 	}
 	if *keylife {
-		// ScreenSeed pins the screening round to the CLI seed even on the
-		// -archive path, where the assessment sees only a WithSource rig.
-		opts = append(opts, sramaging.WithKeyLifecycle(sramaging.KeyLifeConfig{ScreenSeed: *seed}))
+		// ScreenProfile and ScreenSeed pin the screening round to the CLI
+		// silicon even on the -archive path, where the assessment sees
+		// only a WithSource rig.
+		opts = append(opts, sramaging.WithKeyLifecycle(sramaging.KeyLifeConfig{ScreenProfile: profile, ScreenSeed: *seed}))
 	}
 	harnessPath := *useHarness || *archive != ""
 	var transport sramaging.ShardTransport
@@ -194,7 +191,7 @@ func run(args []string, stdout io.Writer) error {
 		// output file are only wired up after the whole assessment has
 		// validated, so a bad configuration cannot truncate an existing
 		// archive.
-		src, err := core.OpenSim(core.SimSpec{Profile: profile, Devices: *devices, Seed: *seed,
+		src, err := core.OpenSim(core.SimSpec{Profile: profile, Fleet: fl, Devices: *devices, Seed: *seed,
 			Rig: true, I2CErrorRate: *i2cErr, Shards: *shards, Transport: transport})
 		if err != nil {
 			return err
@@ -205,16 +202,16 @@ func run(args []string, stdout io.Writer) error {
 		rig = src.(recordTapper)
 		opts = append(opts, sramaging.WithSource(rig))
 	} else {
-		if len(fleet) == 0 {
+		if fl != nil {
+			opts = append(opts, sramaging.WithFleet(fl))
+		} else {
+			opts = append(opts, sramaging.WithProfile(profile))
+		}
+		opts = append(opts, sramaging.WithDevices(*devices), sramaging.WithSeed(*seed))
+		if harnessPath {
 			opts = append(opts,
-				sramaging.WithProfile(profile),
-				sramaging.WithDevices(*devices),
-				sramaging.WithSeed(*seed))
-			if harnessPath {
-				opts = append(opts,
-					sramaging.WithHarness(),
-					sramaging.WithI2CErrorRate(*i2cErr))
-			}
+				sramaging.WithHarness(),
+				sramaging.WithI2CErrorRate(*i2cErr))
 		}
 		if *shards > 0 {
 			opts = append(opts, sramaging.WithShards(*shards))
@@ -225,14 +222,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	prevArchived := 0
 	opts = append(opts, sramaging.WithProgress(func(ev sramaging.MonthEval) {
-		line := fmt.Sprintf("month %2d (%s): WCHD %.3f%%", ev.Month, ev.Label,
-			100*ev.Avg(func(d sramaging.DeviceMonth) float64 { return d.WCHD }))
-		if *screenFloor > 0 {
-			line += fmt.Sprintf(", %d survivors", ev.Survivors)
-			if len(ev.Pruned) > 0 {
-				line += fmt.Sprintf(" (pruned %v)", ev.Pruned)
-			}
-		}
+		line := monthLine(ev)
 		if jw != nil {
 			line += fmt.Sprintf(", %d records archived", archived-prevArchived)
 			prevArchived = archived
@@ -274,24 +264,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintln(stdout, "archive written to", *archive)
 	}
-	fmt.Fprintln(stdout)
-	fmt.Fprint(stdout, sramaging.RenderTableI(res.Table))
-	fmt.Fprintln(stdout)
-	if kt := sramaging.RenderKeyLifeTable(res); kt != "" {
-		fmt.Fprint(stdout, kt)
-		fmt.Fprintln(stdout)
-	}
-	if *screenFloor > 0 {
-		printScreeningSummary(stdout, res, *devices)
-	}
-
-	wchd := res.Series(func(d sramaging.DeviceMonth) float64 { return d.WCHD })
-	plot, err := sramaging.RenderLinePlot("Fig. 6a — WCHD development (one line per device)",
-		wchd, res.MonthLabels(), 12)
-	if err != nil {
+	if err := report(stdout, res); err != nil {
 		return err
 	}
-	fmt.Fprintln(stdout, plot)
 
 	if *csvDir != "" {
 		if err := exportCSVs(res, *csvDir); err != nil {
@@ -323,12 +298,50 @@ func flagWasSet(flags *flag.FlagSet, name string) bool {
 	return set
 }
 
+// monthLine renders one streamed month: the average WCHD, and for a
+// screened campaign the survivors and the devices pruned after it.
+func monthLine(ev sramaging.MonthEval) string {
+	line := fmt.Sprintf("month %2d (%s): WCHD %.3f%%", ev.Month, ev.Label,
+		100*ev.Avg(func(d sramaging.DeviceMonth) float64 { return d.WCHD }))
+	if ev.Survivors > 0 {
+		line += fmt.Sprintf(", %d survivors", ev.Survivors)
+		if len(ev.Pruned) > 0 {
+			line += fmt.Sprintf(" (pruned %v)", ev.Pruned)
+		}
+	}
+	return line
+}
+
+// report renders a finished campaign, local or remote: Table I, the
+// key-lifecycle table, the screening summary of a screened campaign and
+// the Fig. 6a WCHD plot.
+func report(stdout io.Writer, res *sramaging.Results) error {
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, sramaging.RenderTableI(res.Table))
+	fmt.Fprintln(stdout)
+	if kt := sramaging.RenderKeyLifeTable(res); kt != "" {
+		fmt.Fprint(stdout, kt)
+		fmt.Fprintln(stdout)
+	}
+	if res.Monthly[0].Survivors > 0 {
+		printScreeningSummary(stdout, res)
+	}
+	wchd := res.Series(func(d sramaging.DeviceMonth) float64 { return d.WCHD })
+	plot, err := sramaging.RenderLinePlot("Fig. 6a — WCHD development (one line per device)",
+		wchd, res.MonthLabels(), 12)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, plot)
+	return nil
+}
+
 // printScreeningSummary renders the corner-screening outcome: survivor
 // count and the month-by-month attrition, per profile where the campaign
 // knows one.
-func printScreeningSummary(stdout io.Writer, res *sramaging.Results, devices int) {
-	last := res.Monthly[len(res.Monthly)-1]
-	fmt.Fprintf(stdout, "screening: %d of %d devices survive\n", last.Survivors, devices)
+func printScreeningSummary(stdout io.Writer, res *sramaging.Results) {
+	first, last := res.Monthly[0], res.Monthly[len(res.Monthly)-1]
+	fmt.Fprintf(stdout, "screening: %d of %d devices survive\n", last.Survivors, len(first.Devices))
 	for _, ev := range res.Monthly {
 		if len(ev.Pruned) == 0 {
 			continue
@@ -387,10 +400,7 @@ func runRemote(stdout io.Writer, rf remoteFlags) error {
 		return nil
 	}
 
-	onMonth := func(ev sramaging.MonthEval) {
-		fmt.Fprintf(stdout, "month %2d (%s): WCHD %.3f%%\n", ev.Month, ev.Label,
-			100*ev.Avg(func(d sramaging.DeviceMonth) float64 { return d.WCHD }))
-	}
+	onMonth := func(ev sramaging.MonthEval) { fmt.Fprintln(stdout, monthLine(ev)) }
 	var (
 		id  string
 		res *sramaging.Results
@@ -417,21 +427,7 @@ func runRemote(stdout io.Writer, rf remoteFlags) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "campaign %s done\n", id)
-	fmt.Fprintln(stdout)
-	fmt.Fprint(stdout, sramaging.RenderTableI(res.Table))
-	fmt.Fprintln(stdout)
-	if kt := sramaging.RenderKeyLifeTable(res); kt != "" {
-		fmt.Fprint(stdout, kt)
-		fmt.Fprintln(stdout)
-	}
-	wchd := res.Series(func(d sramaging.DeviceMonth) float64 { return d.WCHD })
-	plot, err := sramaging.RenderLinePlot("Fig. 6a — WCHD development (one line per device)",
-		wchd, res.MonthLabels(), 12)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout, plot)
-	return nil
+	return report(stdout, res)
 }
 
 func exportCSVs(res *sramaging.Results, dir string) error {

@@ -100,7 +100,7 @@ func WithFleet(fleet *Fleet) Option {
 		if fleet == nil {
 			return fmt.Errorf("%w: nil fleet", ErrConfig)
 		}
-		a.fleet, a.simSet = fleet, true
+		a.spec.Sim.Fleet, a.simSet = fleet, true
 		return nil
 	}
 }

@@ -263,35 +263,15 @@ func NewAssessment(cfg AssessmentConfig) (*Assessment, error) {
 	if d := cfg.Source.Devices(); d < 2 {
 		return nil, fmt.Errorf("%w: need >= 2 devices for uniqueness metrics, got %d", ErrConfig, d)
 	}
-	if cfg.WindowSize < 2 {
-		return nil, fmt.Errorf("%w: need >= 2 measurements per window, got %d", ErrConfig, cfg.WindowSize)
+	// The campaign rules a config can break: the window, the floors and
+	// an explicit month list (a MonthLister lists ascending months).
+	if err := (CampaignSpec{Window: cfg.WindowSize, Months: cfg.Months, Screening: cfg.Screening}).Validate(); err != nil {
+		return nil, err
 	}
-	seen := map[string]bool{}
-	for _, m := range cfg.Metrics {
-		name := m.Name()
-		if name == "" {
-			return nil, fmt.Errorf("%w: metric with empty name", ErrConfig)
-		}
-		if seen[name] {
-			return nil, fmt.Errorf("%w: duplicate metric %q", ErrConfig, name)
-		}
-		seen[name] = true
-	}
-	seenCross := map[string]bool{}
-	for _, m := range cfg.CrossMetrics {
-		name := m.Name()
-		if name == "" {
-			return nil, fmt.Errorf("%w: cross metric with empty name", ErrConfig)
-		}
-		if seenCross[name] {
-			return nil, fmt.Errorf("%w: duplicate cross metric %q", ErrConfig, name)
-		}
-		seenCross[name] = true
+	if err := ValidateMetrics(cfg.Metrics, cfg.CrossMetrics); err != nil {
+		return nil, err
 	}
 	if cfg.Screening != nil {
-		if err := cfg.Screening.Validate(); err != nil {
-			return nil, err
-		}
 		if _, ok := cfg.Source.(DevicePruner); !ok {
 			return nil, fmt.Errorf("%w: screening needs a source that can stop sampling pruned devices (DevicePruner); %T cannot", ErrConfig, cfg.Source)
 		}
@@ -322,12 +302,36 @@ func NewAssessment(cfg AssessmentConfig) (*Assessment, error) {
 	if len(cfg.Months) == 0 {
 		return nil, fmt.Errorf("%w (source %T lists none for window size %d)", ErrNoMonths, cfg.Source, cfg.WindowSize)
 	}
-	for i, m := range cfg.Months {
-		if m < 0 || (i > 0 && m <= cfg.Months[i-1]) {
-			return nil, fmt.Errorf("%w: months must be ascending and non-negative, got %v", ErrConfig, cfg.Months)
-		}
-	}
 	return &Assessment{cfg: cfg}, nil
+}
+
+// ValidateMetrics checks that every custom metric has a name and that
+// no two metrics of one kind share a name — the metric rules of
+// NewAssessment, for callers that validate before they have a source.
+func ValidateMetrics(metrics []Metric, crossMetrics []CrossMetric) error {
+	seen := map[string]bool{}
+	for _, m := range metrics {
+		name := m.Name()
+		if name == "" {
+			return fmt.Errorf("%w: metric with empty name", ErrConfig)
+		}
+		if seen[name] {
+			return fmt.Errorf("%w: duplicate metric %q", ErrConfig, name)
+		}
+		seen[name] = true
+	}
+	seenCross := map[string]bool{}
+	for _, m := range crossMetrics {
+		name := m.Name()
+		if name == "" {
+			return fmt.Errorf("%w: cross metric with empty name", ErrConfig)
+		}
+		if seenCross[name] {
+			return fmt.Errorf("%w: duplicate cross metric %q", ErrConfig, name)
+		}
+		seenCross[name] = true
+	}
+	return nil
 }
 
 // Run executes the assessment: every configured month is evaluated in one

@@ -49,7 +49,8 @@ type SimSpec struct {
 	// Rig routes every window through the full measurement-rig
 	// simulation: one profile, an even device count (two layers).
 	Rig bool `json:"rig,omitempty"`
-	// I2CErrorRate is the rig's byte-corruption rate (Rig only).
+	// I2CErrorRate is the rig's byte-corruption rate in [0, 1] (Rig
+	// only).
 	I2CErrorRate float64 `json:"i2c_error_rate,omitempty"`
 	// Shards fans the population across that many workers
 	// (ShardedSource); 0 measures in process.
@@ -90,12 +91,14 @@ func (s SimSpec) resolve() (resolvedSim, error) {
 		return resolvedSim{}, fmt.Errorf("%w: need >= 1 shard, got %d", ErrConfig, s.Shards)
 	case s.Shards > s.Devices:
 		return resolvedSim{}, fmt.Errorf("%w: more shards (%d) than devices (%d) — an empty shard serves nothing", ErrConfig, s.Shards, s.Devices)
+	case s.Rig && s.Fleet != nil:
+		return resolvedSim{}, fmt.Errorf("%w: the measurement rig is a single-profile instrument; it takes a profile, not a fleet", ErrConfig)
 	case s.Rig && s.Lazy:
 		return resolvedSim{}, fmt.Errorf("%w: lazy chips cannot run on the rig (the rig is a persistent coupled instrument)", ErrConfig)
-	case s.Rig && r.mix.Size() != 1:
-		return resolvedSim{}, fmt.Errorf("%w: the measurement rig is a single-profile instrument, got a %d-profile fleet", ErrConfig, r.mix.Size())
 	case s.Rig && (s.Devices < 2 || s.Devices%2 != 0):
 		return resolvedSim{}, fmt.Errorf("%w: rig needs an even device count >= 2 (two layers), got %d", ErrConfig, s.Devices)
+	case !(s.I2CErrorRate >= 0 && s.I2CErrorRate <= 1):
+		return resolvedSim{}, fmt.Errorf("%w: I2C error rate %v outside [0, 1]", ErrConfig, s.I2CErrorRate)
 	}
 	for _, g := range s.Indices {
 		if g < 0 {

@@ -34,6 +34,13 @@ func FuzzShardSimSpec(f *testing.F) {
 		rig.Profile, rig.Rig, rig.I2CErrorRate = p1, true, 0.01
 		f.Add([]byte(mustJSON(f, rig)))
 	}
+	// A rig rate outside [0, 1] is refused at the handshake, not when the
+	// worker is assigned its devices.
+	badRate := mustJSON(f, SimSpec{Profile: p1, Devices: 4, Seed: 20170208, Rig: true, I2CErrorRate: 2})
+	if _, err := buildShardBackend(shard.Spec{Protocol: shard.Protocol, Sim: []byte(badRate)}); !errors.Is(err, ErrConfig) {
+		f.Fatalf("rig payload with I2C error rate 2: err = %v, want ErrConfig", err)
+	}
+	f.Add([]byte(badRate))
 	for _, bad := range []string{
 		``, `{`, `null`, `[]`, `"sim"`, `{"devices":"four"}`, `{"fleet":[]}`,
 		`{"fleet":{}}`, `{"devices":-1}`, `{"devices":1e400}`, `{"seed":-1}`,

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -141,7 +142,7 @@ func TestSimSpecMatrix(t *testing.T) {
 // TestSimSpecInvalid: every invalid spec fails Validate and OpenSim
 // with ErrConfig, before a single shard worker is started.
 func TestSimSpecInvalid(t *testing.T) {
-	p1, _, two := specMatrixSilicon(t)
+	p1, one, two := specMatrixSilicon(t)
 	var started atomic.Int64
 	transport := shard.Transport(func(i, n int) (io.ReadWriteCloser, error) {
 		started.Add(1)
@@ -156,6 +157,11 @@ func TestSimSpecInvalid(t *testing.T) {
 	cases := map[string]SimSpec{
 		"rig with lazy":        with(func(s *SimSpec) { s.Rig, s.Lazy, s.Shards = true, true, 2 }),
 		"rig with two-profile": with(func(s *SimSpec) { s.Profile, s.Fleet, s.Rig, s.Shards = silicon.DeviceProfile{}, two, true, 2 }),
+		"rig with one-profile": with(func(s *SimSpec) { s.Profile, s.Fleet, s.Rig = silicon.DeviceProfile{}, one, true }),
+		"i2c rate 2":           with(func(s *SimSpec) { s.Rig, s.I2CErrorRate = true, 2 }),
+		"sharded i2c rate 2":   with(func(s *SimSpec) { s.Rig, s.I2CErrorRate, s.Shards = true, 2, 2 }),
+		"i2c rate -0.1":        with(func(s *SimSpec) { s.Rig, s.I2CErrorRate = true, -0.1 }),
+		"i2c rate NaN":         with(func(s *SimSpec) { s.Rig, s.I2CErrorRate = true, math.NaN() }),
 		"rig with odd devices": with(func(s *SimSpec) { s.Devices, s.Rig, s.Shards = 3, true, 1 }),
 		"shards > devices":     with(func(s *SimSpec) { s.Shards = 5 }),
 		"no devices":           with(func(s *SimSpec) { s.Devices = 0 }),

@@ -197,18 +197,9 @@ func New(ctx context.Context, cfg Config) (*Workload, error) {
 	}
 	masks := cfg.Masks
 	if masks == nil {
-		corners := cfg.Corners
-		if corners == nil {
-			corners = DefaultCorners()
-		}
-		window := cfg.BurnInWindow
-		if window <= 0 {
-			window = DefaultBurnInWindow
-		}
 		var err error
-		masks, err = sweep.ScreenStableCells(ctx, cfg.Profile, cfg.Devices, cfg.Seed, corners, window)
-		if err != nil {
-			return nil, fmt.Errorf("keylife: burn-in screening: %w", err)
+		if masks, err = Screen(ctx, cfg); err != nil {
+			return nil, err
 		}
 	}
 	if len(masks) != cfg.Devices {
@@ -231,6 +222,27 @@ func New(ctx context.Context, cfg Config) (*Workload, error) {
 		flips:      make([]*stream.Flips, cfg.Devices),
 		res:        make([]deviceMonth, cfg.Devices),
 	}, nil
+}
+
+// Screen runs the burn-in screening round of cfg's population at its
+// corners (nil: DefaultCorners) over its burn-in window (<= 0:
+// DefaultBurnInWindow) and returns one stable mask per device: the masks
+// New derives when cfg.Masks is nil. A sweep screens once and hands the
+// masks to every point's workload.
+func Screen(ctx context.Context, cfg Config) ([]*bitvec.Vector, error) {
+	corners := cfg.Corners
+	if corners == nil {
+		corners = DefaultCorners()
+	}
+	window := cfg.BurnInWindow
+	if window <= 0 {
+		window = DefaultBurnInWindow
+	}
+	masks, err := sweep.ScreenStableCells(ctx, cfg.Profile, cfg.Devices, cfg.Seed, corners, window)
+	if err != nil {
+		return nil, fmt.Errorf("keylife: burn-in screening: %w", err)
+	}
+	return masks, nil
 }
 
 // Metrics returns the per-device series, for registration after any

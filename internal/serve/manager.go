@@ -430,20 +430,18 @@ func (m *Manager) campaignBudget(requested int) int {
 // source under the global budget, compose the resume path, tee every
 // record into the archive, evaluate, and seal the archive on success.
 func (m *Manager) execute(ctx context.Context, c *campaign) (*core.Results, error) {
-	spec := c.spec
-	sim, err := spec.sim()
+	cs, err := c.spec.campaign()
 	if err != nil {
 		return nil, err
 	}
-	months := spec.EvalMonths()
 	apath := archivePath(m.cfg.DataDir, c.id)
 
-	done, err := recoverCheckpoint(apath, spec, months)
+	done, err := recoverCheckpoint(apath, cs)
 	if err != nil {
 		return nil, fmt.Errorf("serve: campaign %s: recovering checkpoint: %w", c.id, err)
 	}
 
-	opened, err := core.OpenSim(sim)
+	opened, err := core.OpenSim(*cs.Sim)
 	if err != nil {
 		return nil, err
 	}
@@ -451,7 +449,7 @@ func (m *Manager) execute(ctx context.Context, c *campaign) (*core.Results, erro
 	switch src := live.(type) {
 	case *core.ShardedSource:
 		defer src.Close()
-		if b := m.campaignBudget(spec.Workers); b > 0 {
+		if b := m.campaignBudget(c.spec.Workers); b > 0 {
 			src.SetWorkers(b)
 		}
 	case interface{ SetPool(*stream.Pool) }:
@@ -473,13 +471,13 @@ func (m *Manager) execute(ctx context.Context, c *campaign) (*core.Results, erro
 		}
 		arch.SetPool(m.pool)
 		compose := core.NewResumeSource
-		if spec.screening() != nil {
+		if cs.Screening != nil {
 			// Screened campaigns re-prune during replay: the decisions
 			// forward to both halves so the live silicon's population
 			// tracks the killed run's exactly when measurement resumes.
 			compose = core.NewScreenedResumeSource
 		}
-		rs, err := compose(live, arch, done, spec.Window)
+		rs, err := compose(live, arch, done, cs.Window)
 		if err != nil {
 			arch.Close()
 			return nil, err
@@ -512,8 +510,8 @@ func (m *Manager) execute(ctx context.Context, c *campaign) (*core.Results, erro
 	// re-stream identical series.
 	var metrics []core.Metric
 	var crossMetrics []core.CrossMetric
-	if spec.KeyLife {
-		wl, err := keylife.New(ctx, keylife.Config{Profile: sim.Profile, Devices: spec.Devices, Seed: spec.Seed})
+	if cs.KeyLife {
+		wl, err := keylife.New(ctx, keylife.Config{Profile: cs.Sim.Profile, Devices: cs.Sim.Devices, Seed: cs.Sim.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("serve: campaign %s: key-lifecycle workload: %w", c.id, err)
 		}
@@ -526,11 +524,11 @@ func (m *Manager) execute(ctx context.Context, c *campaign) (*core.Results, erro
 	var flushErr error
 	eng, err := core.NewAssessment(core.AssessmentConfig{
 		Source:       src,
-		WindowSize:   spec.Window,
-		Months:       months,
+		WindowSize:   cs.Window,
+		Months:       cs.Months,
 		Metrics:      metrics,
 		CrossMetrics: crossMetrics,
-		Screening:    spec.screening(),
+		Screening:    cs.Screening,
 		Progress: func(ev core.MonthEval) {
 			c.month(ev)
 			if err := w.Flush(); err != nil && flushErr == nil {
@@ -579,7 +577,7 @@ func (m *Manager) execute(ctx context.Context, c *campaign) (*core.Results, erro
 // month's windows copied to a fresh v1 archive, temp + rename — which
 // drops a torn tail record, a partially measured month and stray bytes
 // after a crash. Returns the done months (nil: start fresh).
-func recoverCheckpoint(path string, spec Spec, months []int) ([]int, error) {
+func recoverCheckpoint(path string, cs core.CampaignSpec) ([]int, error) {
 	ir, err := store.OpenIndexedPrefix(path)
 	switch {
 	case errors.Is(err, fs.ErrNotExist), errors.Is(err, store.ErrBinary):
@@ -588,11 +586,11 @@ func recoverCheckpoint(path string, spec Spec, months []int) ([]int, error) {
 		return nil, err
 	}
 	defer ir.Close()
-	boards := make([]int, spec.Devices) // device d archives as board d
+	boards := make([]int, cs.Sim.Devices) // device d archives as board d
 	for d := range boards {
 		boards[d] = d
 	}
-	done := core.DoneMonths(ir, boards, spec.Window, spec.screening() != nil, months)
+	done := core.DoneMonths(ir, boards, cs.Window, cs.Screening != nil, cs.Months)
 	// The prefix is one window per done month and board present in it
 	// (absent boards were pruned); the archive is exactly the prefix when
 	// it holds nothing else and no torn tail.
@@ -604,7 +602,7 @@ func recoverCheckpoint(path string, spec Spec, months []int) ([]int, error) {
 			}
 		}
 	}
-	if ir.End() == ir.Size() && ir.TotalRecords() == windows*spec.Window {
+	if ir.End() == ir.Size() && ir.TotalRecords() == windows*cs.Window {
 		return done, nil
 	}
 	tmp := path + ".recover"
@@ -620,7 +618,7 @@ func recoverCheckpoint(path string, spec Spec, months []int) ([]int, error) {
 			if ir.MonthRecords(b, m) == 0 {
 				continue
 			}
-			if err := ir.ReadSegment(&dec, b, m, spec.Window, func(rec *store.Record) error { return w.Write(*rec) }); err != nil {
+			if err := ir.ReadSegment(&dec, b, m, cs.Window, func(rec *store.Record) error { return w.Write(*rec) }); err != nil {
 				return nil, err
 			}
 		}

@@ -34,15 +34,21 @@ func directResults(t *testing.T, spec Spec) *core.Results {
 // sharded source holds workers: the caller must Close it.
 func openLive(t *testing.T, spec Spec) tappableSource {
 	t.Helper()
-	sim, err := spec.sim()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := core.OpenSim(sim)
+	src, err := core.OpenSim(*campaignOf(t, spec).Sim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return src.(tappableSource)
+}
+
+// campaignOf is the campaign the service runs for spec.
+func campaignOf(t testing.TB, spec Spec) core.CampaignSpec {
+	t.Helper()
+	cs, err := spec.campaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs
 }
 
 // waitTerminal polls a campaign until it reaches a terminal status.

@@ -59,7 +59,11 @@ func listArchive(path string, spec Spec) ([]int, error) {
 		return nil, err
 	}
 	defer src.Close()
-	if spec.screening() != nil {
+	cs, err := spec.campaign()
+	if err != nil {
+		return nil, err
+	}
+	if cs.Screening != nil {
 		return src.AvailableMonthsSurviving(spec.Window)
 	}
 	return src.AvailableMonths(spec.Window)
@@ -204,7 +208,7 @@ func TestRecoveryAgreesWithListers(t *testing.T) {
 				t.Fatalf("lister: %v", listErr)
 			}
 
-			done, err := recoverCheckpoint(path, tc.spec, eval)
+			done, err := recoverCheckpoint(path, campaignOf(t, tc.spec))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +234,7 @@ func TestRecoveryAgreesWithListers(t *testing.T) {
 			if !reflect.DeepEqual(relisted, done) {
 				t.Fatalf("recovered archive lists %v, recovery returned %v", relisted, done)
 			}
-			again, err := recoverCheckpoint(path, tc.spec, eval)
+			again, err := recoverCheckpoint(path, campaignOf(t, tc.spec))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +276,7 @@ func FuzzRecoverCheckpoint(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		done, err := recoverCheckpoint(path, spec, spec.EvalMonths())
+		done, err := recoverCheckpoint(path, campaignOf(t, spec))
 		if err != nil {
 			t.Fatalf("recovery failed: %v", err)
 		}
@@ -287,7 +291,7 @@ func FuzzRecoverCheckpoint(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := recoverCheckpoint(path, spec, spec.EvalMonths())
+		again, err := recoverCheckpoint(path, campaignOf(t, spec))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -111,7 +111,7 @@ func TestServiceScreenedLazyFleetResumeGolden(t *testing.T) {
 		Source:     direct,
 		WindowSize: spec.Window,
 		Months:     spec.EvalMonths(),
-		Screening:  spec.screening(),
+		Screening:  campaignOf(t, spec).Screening,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestServiceScreenedLazyFleetResumeGolden(t *testing.T) {
 			Source:     arch,
 			WindowSize: spec.Window,
 			Months:     surviving,
-			Screening:  spec.screening(),
+			Screening:  campaignOf(t, spec).Screening,
 		})
 		if err != nil {
 			t.Fatal(err)

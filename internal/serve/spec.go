@@ -213,22 +213,17 @@ func (s *Spec) normalize() {
 }
 
 // Validate checks the normalised spec; every failure wraps ErrConfig so
-// the HTTP layer maps it to 400 before a campaign is admitted. The
-// service's own bounds and exclusions are checked here; the source rules
-// (rig parity, shard count, lazy fleets, the condition) are the
-// core.SimSpec's.
+// the HTTP layer maps it to 400 before a campaign is admitted. The rules
+// of the wire format are checked here: the service's bounds, the
+// registry names, profile vs fleet, months vs month_list. The campaign
+// rules (window, screening, key-life, the source) are the
+// core.CampaignSpec's.
 func (s Spec) Validate() error {
 	switch {
 	case len(s.Fleet) > 0 && s.Profile != "":
 		return fmt.Errorf("%w: profile and fleet are exclusive", core.ErrConfig)
-	case len(s.Fleet) > 0 && s.KeyLife:
-		return fmt.Errorf("%w: the key-lifecycle workload is single-profile; fleet and keylife are exclusive", core.ErrConfig)
-	case s.Devices < 2:
-		return fmt.Errorf("%w: service campaigns need >= 2 devices, got %d", core.ErrConfig, s.Devices)
 	case s.Devices > maxDevices:
 		return fmt.Errorf("%w: %d devices exceeds the service bound %d", core.ErrConfig, s.Devices, maxDevices)
-	case s.Window < 2:
-		return fmt.Errorf("%w: need >= 2 measurements per window, got %d", core.ErrConfig, s.Window)
 	case s.Window > maxWindow:
 		return fmt.Errorf("%w: window %d exceeds the service bound %d", core.ErrConfig, s.Window, maxWindow)
 	case s.Months < 0:
@@ -239,42 +234,21 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("%w: months and month_list are exclusive", core.ErrConfig)
 	case s.Months == 0 && len(s.MonthList) == 0:
 		return fmt.Errorf("%w: no evaluation months", core.ErrConfig)
-	case s.I2CError < 0 || s.I2CError > 1:
-		return fmt.Errorf("%w: I2C error rate %v outside [0, 1]", core.ErrConfig, s.I2CError)
 	case s.Workers < 0:
 		return fmt.Errorf("%w: negative worker count %d", core.ErrConfig, s.Workers)
 	case s.Workers > maxWorkers:
 		return fmt.Errorf("%w: worker count %d exceeds the service bound %d", core.ErrConfig, s.Workers, maxWorkers)
 	}
-	for i, m := range s.MonthList {
-		if m < 0 || m > maxMonthIndex || (i > 0 && m <= s.MonthList[i-1]) {
-			return fmt.Errorf("%w: month_list must be ascending within [0, %d], got %v", core.ErrConfig, maxMonthIndex, s.MonthList)
+	for _, m := range s.MonthList {
+		if m > maxMonthIndex {
+			return fmt.Errorf("%w: month_list index %d exceeds the service bound %d months", core.ErrConfig, m, maxMonthIndex)
 		}
 	}
-	sc := s.screening()
-	if sc != nil {
-		if err := sc.Validate(); err != nil {
-			return err
-		}
-		if s.KeyLife {
-			return fmt.Errorf("%w: the key-lifecycle workload runs its own burn-in screening; keylife and screen_floor are exclusive", core.ErrConfig)
-		}
-	}
-	sim, err := s.sim()
+	cs, err := s.campaign()
 	if err != nil {
 		return err
 	}
-	// Refuse here the screen_profiles keys the engine would fail the
-	// admitted campaign on. A rig campaign lists no profiles to match.
-	if sc != nil && len(sc.PerProfile) > 0 {
-		if sim.Fleet == nil {
-			return fmt.Errorf("%w: screen_profiles keys name fleet profiles; a single-profile campaign screens with screen_floor", core.ErrConfig)
-		}
-		if _, err := sc.Resolve(sim.Fleet.ProfileNames()); err != nil {
-			return err
-		}
-	}
-	return sim.Validate()
+	return cs.Validate()
 }
 
 // EvalMonths returns the campaign's ascending evaluation schedule.
@@ -285,23 +259,14 @@ func (s Spec) EvalMonths() []int {
 	return core.MonthRange(s.Months)
 }
 
-// screening resolves the spec's corner-screening configuration (nil:
-// screening is off).
-func (s Spec) screening() *core.ScreeningConfig {
-	if s.ScreenFloor == 0 && len(s.ScreenProfiles) == 0 {
-		return nil
-	}
-	return &core.ScreeningConfig{Floor: s.ScreenFloor, PerProfile: maps.Clone(s.ScreenProfiles)}
-}
-
-// sim resolves the spec's profile or fleet and condition into the live
-// source the campaign measures. A single-profile campaign runs on the
-// rig, sharded or not: the service accepts i2c_error, and only the rig
-// models it. A fleet opens the sim source as submitted — eager or lazy,
-// in process or across Shards workers — and every layout taps the same
-// record envelopes into the checkpoint.
-func (s Spec) sim() (core.SimSpec, error) {
-	sim := core.SimSpec{Devices: s.Devices, Seed: s.Seed, Lazy: s.Lazy, Shards: s.Shards}
+// campaign resolves the spec's names into the campaign it describes. A
+// single-profile campaign runs on the rig, sharded or not: the service
+// accepts i2c_error, and only the rig models it. A fleet opens the sim
+// source as submitted — eager or lazy, in process or across Shards
+// workers — and every layout taps the same record envelopes into the
+// checkpoint. Screening is on when a floor is set.
+func (s Spec) campaign() (core.CampaignSpec, error) {
+	sim := &core.SimSpec{Devices: s.Devices, Seed: s.Seed, Lazy: s.Lazy, Shards: s.Shards}
 	var err error
 	if len(s.Fleet) > 0 {
 		sim.Fleet, err = fleetByNames(s.Fleet)
@@ -313,5 +278,9 @@ func (s Spec) sim() (core.SimSpec, error) {
 		// Absent, the scenario resolves to the first profile's nominal one.
 		sim.Scenario = aging.Condition(s.Condition.TempC, s.Condition.Volts)
 	}
-	return sim, err
+	cs := core.CampaignSpec{Sim: sim, Window: s.Window, Months: s.EvalMonths(), KeyLife: s.KeyLife}
+	if s.ScreenFloor != 0 || len(s.ScreenProfiles) > 0 {
+		cs.Screening = &core.ScreeningConfig{Floor: s.ScreenFloor, PerProfile: maps.Clone(s.ScreenProfiles)}
+	}
+	return cs, err
 }

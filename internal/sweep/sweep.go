@@ -67,30 +67,28 @@ func (g Grid) Points() []aging.Scenario {
 	return out
 }
 
-// Config parameterises a sweep: the per-point campaign shape plus the
-// sweep's own execution knobs. Unlike AssessmentConfig it carries the
-// simulated source's spec rather than a Source, because the sweep opens
-// one source per grid point.
+// Config parameterises a sweep: the per-point campaign plus the sweep's
+// own execution knobs. Unlike AssessmentConfig it carries the simulated
+// source's spec rather than a Source, because the sweep opens one
+// source per grid point.
 type Config struct {
-	// Sim is the simulated source every point opens, with the point's
-	// condition as its Scenario (the spec's own Scenario is ignored).
-	// Every point shares the spec's seed, so all corners measure the
-	// same chips — in process or sharded, eager or lazy, sampled
-	// directly or through the rig.
-	Sim core.SimSpec
-
-	// WindowSize is the number of measurements per evaluation window.
-	WindowSize int
-	// Months lists the month indices each point evaluates (ascending).
-	// Nil defers to the per-point source (MonthLister) exactly as a plain
-	// assessment would; all points must then resolve the same list.
-	Months []int
+	// Campaign is every point's campaign. Each point opens Campaign.Sim
+	// with the point's condition as its Scenario (the spec's own
+	// Scenario is ignored); every point shares the spec's seed, so all
+	// corners measure the same chips — in process or sharded, eager or
+	// lazy, sampled directly or through the rig. Nil Months defers to
+	// the per-point source (MonthLister) exactly as a plain assessment
+	// would; all points must then resolve the same list. Screening is
+	// not read: a sweep compares corners over one fixed population, and
+	// the facade refuses a screened sweep. Nor is KeyLife: a
+	// key-lifecycle campaign supplies its workloads through PointMetrics.
+	Campaign core.CampaignSpec
 
 	// Workers bounds the TOTAL sampling parallelism across all concurrent
 	// points: every point's direct-sampling source shares one worker pool
 	// (<= 0: unbounded, one worker per logical CPU per in-flight point,
 	// the single-assessment default). A rig point captures on its own
-	// workers, one per logical CPU. With Sim.Shards the budget is PER
+	// workers, one per logical CPU. With Campaign.Sim.Shards the budget is PER
 	// CORNER — each corner's worker processes split it among themselves,
 	// but corners do not share a pool across process boundaries.
 	Workers int
@@ -158,7 +156,7 @@ func RunPoints(ctx context.Context, cfg Config, points []aging.Scenario) (*Resul
 	}
 	newSource := cfg.NewSource
 	if newSource == nil {
-		newSource = simSources(cfg.Sim, cfg.Workers)
+		newSource = simSources(*cfg.Campaign.Sim, cfg.Workers)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
@@ -222,8 +220,8 @@ func RunPoints(ctx context.Context, cfg Config, points []aging.Scenario) (*Resul
 			harvest := &maskHarvest{si: intersect}
 			acfg := core.AssessmentConfig{
 				Source:       src,
-				WindowSize:   cfg.WindowSize,
-				Months:       cfg.Months,
+				WindowSize:   cfg.Campaign.Window,
+				Months:       cfg.Campaign.Months,
 				Metrics:      metrics,
 				CrossMetrics: crossMetrics,
 				WindowDone:   harvest.windowDone,

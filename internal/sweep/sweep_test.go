@@ -29,9 +29,11 @@ func testProfile(t *testing.T) silicon.DeviceProfile {
 
 func testConfig(t *testing.T) Config {
 	return Config{
-		Sim:        core.SimSpec{Profile: testProfile(t), Devices: 2, Seed: 20170208},
-		WindowSize: 30,
-		Months:     core.MonthRange(1),
+		Campaign: core.CampaignSpec{
+			Sim:    &core.SimSpec{Profile: testProfile(t), Devices: 2, Seed: 20170208},
+			Window: 30,
+			Months: core.MonthRange(1),
+		},
 	}
 }
 
@@ -69,16 +71,16 @@ func TestGridPoints(t *testing.T) {
 // condition plumbing is the identity at the nominal point.
 func TestNominalPointBitIdentical(t *testing.T) {
 	cfg := testConfig(t)
-	swept, err := RunPoints(context.Background(), cfg, []aging.Scenario{cfg.Sim.Profile.NominalScenario()})
+	swept, err := RunPoints(context.Background(), cfg, []aging.Scenario{cfg.Campaign.Sim.Profile.NominalScenario()})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	src, err := core.NewSimSource(cfg.Sim.Profile, cfg.Sim.Devices, cfg.Sim.Seed)
+	src, err := core.NewSimSource(cfg.Campaign.Sim.Profile, cfg.Campaign.Sim.Devices, cfg.Campaign.Sim.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.NewAssessment(core.AssessmentConfig{Source: src, WindowSize: cfg.WindowSize, Months: cfg.Months})
+	eng, err := core.NewAssessment(core.AssessmentConfig{Source: src, WindowSize: cfg.Campaign.Window, Months: cfg.Campaign.Months})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestComparisonAcrossPaths(t *testing.T) {
 	writers := map[string]*store.JSONLWriter{}
 	rigCfg := testConfig(t)
 	rigCfg.NewSource = func(sc aging.Scenario) (core.Source, error) {
-		spec := rigCfg.Sim
+		spec := *rigCfg.Campaign.Sim
 		spec.Rig, spec.Scenario = true, sc
 		opened, err := core.OpenSim(spec)
 		if err != nil {
@@ -191,7 +193,7 @@ func TestComparisonAcrossPaths(t *testing.T) {
 	// Archive sweep: replay each corner's tap. No Months — the archives
 	// are MonthListers and must resolve the campaign's own month list.
 	replayCfg := testConfig(t)
-	replayCfg.Months = nil
+	replayCfg.Campaign.Months = nil
 	replayCfg.NewSource = func(sc aging.Scenario) (core.Source, error) {
 		mu.Lock()
 		buf, ok := archives[sc.Name]
@@ -258,7 +260,7 @@ func TestComparisonAcrossPaths(t *testing.T) {
 func TestRunPointErrorCancelsSiblings(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := testConfig(t)
-	cfg.Months = core.MonthRange(12) // long enough that siblings are mid-flight
+	cfg.Campaign.Months = core.MonthRange(12) // long enough that siblings are mid-flight
 	boom := errors.New("boom")
 	var built int
 	var mu sync.Mutex
@@ -270,7 +272,7 @@ func TestRunPointErrorCancelsSiblings(t *testing.T) {
 		if n == 2 {
 			return nil, boom
 		}
-		spec := cfg.Sim
+		spec := *cfg.Campaign.Sim
 		spec.Scenario = sc
 		return core.OpenSim(spec)
 	}
@@ -292,7 +294,7 @@ func TestRunCancellationMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := testConfig(t)
-	cfg.Months = core.MonthRange(12)
+	cfg.Campaign.Months = core.MonthRange(12)
 	var once sync.Once
 	cfg.Progress = func(p Progress) {
 		if p.Eval.Month >= 1 {
@@ -359,7 +361,7 @@ func assertNoLeaks(t *testing.T, before int) {
 // spec names — lazy, rig and sharded specs are not dropped on the way to
 // the points.
 func TestPointSourcesFollowSpec(t *testing.T) {
-	base := testConfig(t).Sim
+	base := *testConfig(t).Campaign.Sim
 	for _, c := range []struct {
 		edit func(*core.SimSpec)
 		want string

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/fuzzy"
 	"repro/internal/keylife"
-	"repro/internal/sweep"
 )
 
 // KeyExtractor is the code-offset fuzzy extractor behind key-lifecycle
@@ -71,8 +70,7 @@ func WithKeyLifecycle(cfg KeyLifeConfig) Option {
 				return fmt.Errorf("%w: %v", ErrConfig, err)
 			}
 		}
-		a.keylife = true
-		a.keylifeCfg = cfg
+		a.spec.KeyLife, a.keylifeCfg = true, cfg
 		return nil
 	}
 }
@@ -83,11 +81,11 @@ func (a *Assessment) keylifeConfig(devices int) keylife.Config {
 	cfg := a.keylifeCfg
 	profile := cfg.ScreenProfile
 	if profile.Cells() == 0 {
-		profile = a.profile
+		profile = a.spec.Sim.Profile
 	}
 	seed := cfg.ScreenSeed
 	if seed == 0 {
-		seed = a.seed
+		seed = a.spec.Sim.Seed
 	}
 	return keylife.Config{
 		Profile:      profile,
@@ -100,19 +98,14 @@ func (a *Assessment) keylifeConfig(devices int) keylife.Config {
 	}
 }
 
-// keylifeWorkload screens and builds one workload for a plain Run.
-func (a *Assessment) keylifeWorkload(ctx context.Context, devices int) (*keylife.Workload, error) {
-	return keylife.New(ctx, a.keylifeConfig(devices))
-}
-
 // keylifePointMetrics screens ONCE and returns the sweep's per-point
 // metric factory: each grid point gets its own workload (enrollment is
 // stateful; points run concurrently) sharing the screening masks.
 func (a *Assessment) keylifePointMetrics(ctx context.Context) (func(context.Context, Scenario) ([]Metric, []CrossMetric, error), error) {
-	cfg := a.keylifeConfig(a.devices)
-	masks, err := sweep.ScreenStableCells(ctx, cfg.Profile, cfg.Devices, cfg.Seed, cornersOrDefault(cfg.Corners), burnInOrDefault(cfg.BurnInWindow))
+	cfg := a.keylifeConfig(a.spec.Sim.Devices)
+	masks, err := keylife.Screen(ctx, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("keylife: burn-in screening: %w", err)
+		return nil, err
 	}
 	cfg.Masks = masks
 	return func(pctx context.Context, sc Scenario) ([]Metric, []CrossMetric, error) {
@@ -122,20 +115,6 @@ func (a *Assessment) keylifePointMetrics(ctx context.Context) (func(context.Cont
 		}
 		return wl.Metrics(), wl.CrossMetrics(), nil
 	}, nil
-}
-
-func cornersOrDefault(scs []Scenario) []Scenario {
-	if scs != nil {
-		return scs
-	}
-	return keylife.DefaultCorners()
-}
-
-func burnInOrDefault(n int) int {
-	if n > 0 {
-		return n
-	}
-	return keylife.DefaultBurnInWindow
 }
 
 // RenderKeyLifeTable formats the streamed key-lifecycle series of a

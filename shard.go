@@ -42,7 +42,7 @@ func WithShards(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("%w: need >= 1 shard, got %d", ErrConfig, n)
 		}
-		a.shards = n
+		a.spec.Sim.Shards, a.simSet = n, true
 		return nil
 	}
 }
@@ -54,7 +54,7 @@ func WithShardTransport(t ShardTransport) Option {
 		if t == nil {
 			return fmt.Errorf("%w: nil shard transport", ErrConfig)
 		}
-		a.shardTransport = t
+		a.spec.Sim.Transport = t
 		return nil
 	}
 }

@@ -140,36 +140,26 @@ func (a *Assessment) RunSweep(ctx context.Context) (*SweepResults, error) {
 	if len(a.conditions) == 0 {
 		return nil, fmt.Errorf("%w: RunSweep needs WithConditions or WithConditionGrid", ErrConfig)
 	}
-	months := a.months
-	if months == nil {
-		// The paper's campaign length, matching Run's default.
-		months = core.MonthRange(24)
-	}
-	// Pre-flight the engine's own configuration checks (device count,
-	// window size, metric-name uniqueness, month ordering) against a
-	// measurement-less probe source, plus the simulated source's spec,
-	// so a configuration error surfaces before the sweep is marked run
-	// and stays retryable — mirroring Run, which marks the assessment
-	// run only after its engine construction succeeds.
-	if _, err := core.NewAssessment(core.AssessmentConfig{
-		Source:       configProbe(a.devices),
-		WindowSize:   a.window,
-		Months:       months,
-		Metrics:      a.metrics,
-		CrossMetrics: a.crossMetrics,
-	}); err != nil {
+	// Pre-flight the campaign rules (at the first condition) and the
+	// engine's metric-name rules, so a configuration error surfaces
+	// before the sweep is marked run and stays retryable — mirroring
+	// Run, which marks the assessment run only after its engine
+	// construction succeeds.
+	cs := a.campaign()
+	sim := *cs.Sim
+	sim.Scenario = a.conditions[0]
+	cs.Sim = &sim
+	if err := cs.Validate(); err != nil {
 		return nil, err
 	}
-	spec := a.simSpec()
-	spec.Scenario = a.conditions[0]
-	if err := spec.Validate(); err != nil {
+	if err := core.ValidateMetrics(a.metrics, a.crossMetrics); err != nil {
 		return nil, err
 	}
 	// Key-lifecycle sweeps screen once (the masks depend only on the
 	// population, not the sweep point) and give every point its own
 	// workload: enrollment is stateful and points run concurrently.
 	var pointMetrics func(context.Context, Scenario) ([]Metric, []CrossMetric, error)
-	if a.keylife {
+	if cs.KeyLife {
 		var err error
 		if pointMetrics, err = a.keylifePointMetrics(ctx); err != nil {
 			return nil, err
@@ -177,9 +167,7 @@ func (a *Assessment) RunSweep(ctx context.Context) (*SweepResults, error) {
 	}
 	a.ran = true
 	return sweep.RunPoints(ctx, sweep.Config{
-		Sim:          spec,
-		WindowSize:   a.window,
-		Months:       months,
+		Campaign:     cs,
 		Workers:      a.workers,
 		Concurrency:  a.pointParallel,
 		Metrics:      a.metrics,
@@ -192,13 +180,3 @@ func (a *Assessment) RunSweep(ctx context.Context) (*SweepResults, error) {
 // RenderCornerTable formats a sweep's cross-condition comparison as the
 // corner-comparison table of cmd/figures and cmd/sweep.
 func RenderCornerTable(c SweepComparison) string { return report.RenderCornerTable(c) }
-
-// configProbe is a measurement-less Source that exists only to run the
-// engine's configuration validation in RunSweep's pre-flight.
-type configProbe int
-
-func (p configProbe) Devices() int { return int(p) }
-
-func (p configProbe) Measure(context.Context, int, int, core.Sink) error {
-	return fmt.Errorf("%w: configuration probe cannot measure", ErrConfig)
-}
