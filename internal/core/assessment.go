@@ -81,9 +81,13 @@ func (s *ScreeningConfig) Validate() error {
 // not; nil lists none and maps "") to its floor. PerProfile keys match
 // names by silicon.CanonicalName, as silicon.Lookup does, so
 // "fleetnode-1kb" floors FleetNode-1KB devices. A key that matches no
-// listed name, or the name another key matches, is an ErrConfig.
+// listed name, or the name another key matches, is an ErrConfig; so is
+// any key when the source lists no names.
 func (s *ScreeningConfig) Resolve(names []string) (map[string]float64, error) {
 	if names == nil {
+		if len(s.PerProfile) > 0 {
+			return nil, fmt.Errorf("%w: per-profile screening floors name fleet profiles; the source lists none", ErrConfig)
+		}
 		return map[string]float64{"": s.Floor}, nil
 	}
 	byFold := make(map[string]string, len(s.PerProfile))
@@ -274,6 +278,11 @@ func NewAssessment(cfg AssessmentConfig) (*Assessment, error) {
 	if cfg.Screening != nil {
 		if _, ok := cfg.Source.(DevicePruner); !ok {
 			return nil, fmt.Errorf("%w: screening needs a source that can stop sampling pruned devices (DevicePruner); %T cannot", ErrConfig, cfg.Source)
+		}
+		_, lists := cfg.Source.(ProfileLister)
+		_, assigns := cfg.Source.(ProfileAssigner)
+		if len(cfg.Screening.PerProfile) > 0 && !lists && !assigns {
+			return nil, fmt.Errorf("%w: per-profile screening floors name fleet profiles; %T lists none", ErrConfig, cfg.Source)
 		}
 	}
 	if cfg.Months == nil {

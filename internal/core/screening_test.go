@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
-	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -13,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/silicon"
-	"repro/internal/store"
 )
 
 // screeningFleet builds the two-profile fleet-node population the
@@ -380,95 +377,17 @@ func TestScreeningArchiveReplayBitIdentical(t *testing.T) {
 	}
 }
 
-// TestScreeningResumeBitIdentical: a screened campaign interrupted after
-// two months and resumed through NewScreenedResumeSource reproduces the
-// uninterrupted run bit for bit, re-pruning during replay so the live
-// silicon's population matches when measurement resumes, and finishing
-// an archive byte-identical to the uninterrupted one.
-func TestScreeningResumeBitIdentical(t *testing.T) {
-	profile, err := silicon.ATmega32u4()
-	if err != nil {
-		t.Fatal(err)
+// TestScreeningResolveWithoutProfiles: a source that lists no profiles
+// screens with the common floor alone, so any per-profile key is an
+// ErrConfig rather than a floor that silently prunes nobody.
+func TestScreeningResolveWithoutProfiles(t *testing.T) {
+	floors, err := (&ScreeningConfig{Floor: 0.5}).Resolve(nil)
+	if err != nil || !reflect.DeepEqual(floors, map[string]float64{"": 0.5}) {
+		t.Fatalf("Resolve(nil) = %v, %v; want the common floor under \"\"", floors, err)
 	}
-	const devices, seed, window = 6, 2468, 25
-	months := MonthRange(3)
-
-	probe, err := NewRigSource(profile, devices, seed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unscreened := runAssessment(t, probe, window, months)
-	sc := &ScreeningConfig{Floor: pickScreeningFloor(t, unscreened, true, nil)}
-
-	rig, err := NewRigSource(profile, devices, seed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var full bytes.Buffer
-	w := store.NewBinaryWriterV1(&full)
-	rig.SetTap(w.Write)
-	want := runScreened(t, rig, window, months, sc)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	assertScreeningHappened(t, want, devices)
-	if len(want.Monthly[0].Pruned) == 0 {
-		t.Fatal("floor pruned nothing after month 0; the resume golden needs prunes inside the replayed prefix")
-	}
-
-	ckpt := truncateToMonths(t, full.Bytes(), map[int]bool{0: true, 1: true})
-	path := filepath.Join(t.TempDir(), "ckpt.bin")
-	if err := os.WriteFile(path, ckpt, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	live, err := NewRigSource(profile, devices, seed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arch, err := OpenArchiveSource(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The strict resume constructor must reject the screened checkpoint
-	// (pruned boards are short in month 1)...
-	if _, err := NewResumeSource(live, arch, []int{0, 1}, window); !errors.Is(err, ErrShortWindow) {
-		t.Fatalf("unscreened resume accepted a screened checkpoint: %v", err)
-	}
-	// ...and the screened one accepts it.
-	rs, err := NewScreenedResumeSource(live, arch, []int{0, 1}, window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	cw := store.ContinueBinaryWriterV1(f)
-	rs.OnBeforeLive(func() error {
-		live.SetTap(cw.Write)
-		return nil
-	})
-
-	got := runScreened(t, rs, window, months, sc)
-	if err := cw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	assertResultsBitIdentical(t, want, got)
-
-	resumed, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resumed, full.Bytes()) {
-		t.Fatalf("resumed screened archive (%d bytes) differs from the uninterrupted one (%d bytes)",
-			len(resumed), len(full.Bytes()))
+	sc := &ScreeningConfig{Floor: 0.5, PerProfile: map[string]float64{"fleetnode-1kb": 0.9}}
+	if _, err := sc.Resolve(nil); !errors.Is(err, ErrConfig) {
+		t.Fatalf("Resolve(nil) with a per-profile key: got %v, want ErrConfig", err)
 	}
 }
 

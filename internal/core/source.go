@@ -21,9 +21,8 @@ import (
 // interleaved, but each device's measurements arrive in capture order.
 type Sink func(device int, m *bitvec.Vector) error
 
-// discardSink drops every measurement: the sink of a fast-forward (the
-// live half of a resume) and of a shard backend whose records leave
-// through the source's tap.
+// discardSink drops every measurement: the sink of a shard backend
+// whose records leave through the source's tap.
 var discardSink Sink = func(int, *bitvec.Vector) error { return nil }
 
 // recordTap is the record tap every live source carries (SimSource,
@@ -286,14 +285,6 @@ func (s *ArchiveSource) Info() store.ArchiveInfo { return s.ir.Info() }
 // SetWorkers bounds the per-board replay parallelism (<= 0: one
 // goroutine per board).
 func (s *ArchiveSource) SetWorkers(n int) { s.pool = stream.NewPool(n) }
-
-// SetPool replaces the source's job scheduler with a shared one, so
-// replay segment decodes count against a service-wide worker budget.
-func (s *ArchiveSource) SetPool(p *stream.Pool) {
-	if p != nil {
-		s.pool = p
-	}
-}
 
 // PruneDevices stops replaying the given (device-index) boards — the
 // replay side of the screening contract. Replaying a screened campaign's

@@ -29,8 +29,8 @@
 // SecretSeed via per-device label derivation. The workload therefore
 // streams bit-identical series across sim, rig, sharded, and
 // archive-replay sources, and survives checkpoint/resume — a resumed
-// campaign replays the enrollment month through the engine and re-derives
-// the identical keys.
+// campaign re-measures the enrollment month and re-derives the identical
+// keys.
 package keylife
 
 import (
@@ -172,21 +172,11 @@ type deviceMonth struct {
 // New validates the configuration, runs the burn-in screening (unless
 // cfg.Masks is supplied), and returns a workload ready to register.
 func New(ctx context.Context, cfg Config) (*Workload, error) {
-	if cfg.Devices < 1 {
-		return nil, fmt.Errorf("%w: keylife needs >= 1 device, got %d", core.ErrConfig, cfg.Devices)
-	}
-	ext := cfg.Extractor
-	if ext == nil {
-		var err error
-		if ext, err = DefaultExtractor(); err != nil {
-			return nil, err
-		}
+	ext, radius, err := cfg.scheme()
+	if err != nil {
+		return nil, err
 	}
 	code := ext.Code()
-	radius, ok := ecc.CorrectionRadius(code)
-	if !ok {
-		return nil, fmt.Errorf("%w: code %q has no known correction radius; keylife margins are undefined", core.ErrConfig, code.Name())
-	}
 	blockN, blocks := code.N(), 1
 	if b, isBlocked := code.(*ecc.Blocked); isBlocked {
 		blockN, blocks = b.Base().N(), b.Blocks()
@@ -197,7 +187,6 @@ func New(ctx context.Context, cfg Config) (*Workload, error) {
 	}
 	masks := cfg.Masks
 	if masks == nil {
-		var err error
 		if masks, err = Screen(ctx, cfg); err != nil {
 			return nil, err
 		}
@@ -224,12 +213,51 @@ func New(ctx context.Context, cfg Config) (*Workload, error) {
 	}, nil
 }
 
+// Validate checks cfg without measuring anything: at least one device,
+// a code with a known correction radius, and a read window that can
+// hold the scheme. Index-selection debiasing draws each of the code's
+// (N+1)/2 pairs from two read-out bits, so a read window of fewer than
+// twice that many bits can never enroll. The check is necessary, not
+// sufficient: the burn-in mask may still leave too few stable pairs.
+func (cfg Config) Validate() error {
+	_, _, err := cfg.scheme()
+	return err
+}
+
+// scheme resolves cfg's extractor (nil: DefaultExtractor) and its
+// per-block correction radius, checking cfg as Validate documents.
+func (cfg Config) scheme() (*fuzzy.Extractor, int, error) {
+	if cfg.Devices < 1 {
+		return nil, 0, fmt.Errorf("%w: keylife needs >= 1 device, got %d", core.ErrConfig, cfg.Devices)
+	}
+	ext := cfg.Extractor
+	if ext == nil {
+		var err error
+		if ext, err = DefaultExtractor(); err != nil {
+			return nil, 0, err
+		}
+	}
+	code := ext.Code()
+	radius, ok := ecc.CorrectionRadius(code)
+	if !ok {
+		return nil, 0, fmt.Errorf("%w: code %q has no known correction radius; keylife margins are undefined", core.ErrConfig, code.Name())
+	}
+	if need, bits := 2*((code.N()+1)/2), cfg.Profile.ReadWindowBits(); bits < need {
+		return nil, 0, fmt.Errorf("%w: the %d-bit key scheme needs a read window of >= %d bits; profile %q reads %d",
+			core.ErrConfig, code.N(), need, cfg.Profile.Name, bits)
+	}
+	return ext, radius, nil
+}
+
 // Screen runs the burn-in screening round of cfg's population at its
 // corners (nil: DefaultCorners) over its burn-in window (<= 0:
 // DefaultBurnInWindow) and returns one stable mask per device: the masks
 // New derives when cfg.Masks is nil. A sweep screens once and hands the
 // masks to every point's workload.
 func Screen(ctx context.Context, cfg Config) ([]*bitvec.Vector, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	corners := cfg.Corners
 	if corners == nil {
 		corners = DefaultCorners()

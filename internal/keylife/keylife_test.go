@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -57,6 +58,21 @@ func TestConfigValidation(t *testing.T) {
 	// A supplied mask set must cover every device.
 	if _, err := New(ctx, Config{Profile: profile, Devices: 2, Seed: 1, Masks: []*bitvec.Vector{bitvec.New(8)}}); !errors.Is(err, core.ErrConfig) {
 		t.Fatalf("short mask set: err = %v, want ErrConfig", err)
+	}
+	// A read window narrower than the scheme's 2 x 633 debiasing bits is
+	// refused before the burn-in screening measures anything: the
+	// cancelled context would fail the screening round otherwise.
+	narrow, err := silicon.Lookup("fleetnode-1kb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := New(cancelled, Config{Profile: narrow, Devices: 2, Seed: 1}); !errors.Is(err, core.ErrConfig) || !strings.Contains(err.Error(), "read window of >= 1266 bits") {
+		t.Fatalf("256-bit read window: err = %v, want ErrConfig naming the 1266-bit need", err)
+	}
+	if _, err := Screen(cancelled, Config{Profile: narrow, Devices: 2, Seed: 1}); !errors.Is(err, core.ErrConfig) {
+		t.Fatalf("Screen on a 256-bit read window: err = %v, want ErrConfig", err)
 	}
 }
 

@@ -427,8 +427,8 @@ func (m *Manager) campaignBudget(requested int) int {
 }
 
 // execute runs one campaign: recover its checkpoint, build the live
-// source under the global budget, compose the resume path, tee every
-// record into the archive, evaluate, and seal the archive on success.
+// source under the global budget, tee every record past the checkpoint
+// into the archive, evaluate, and seal the archive on success.
 func (m *Manager) execute(ctx context.Context, c *campaign) (*core.Results, error) {
 	cs, err := c.spec.campaign()
 	if err != nil {
@@ -457,41 +457,21 @@ func (m *Manager) execute(ctx context.Context, c *campaign) (*core.Results, erro
 		src.SetPool(m.pool)
 	}
 
-	// The archive tee. A fresh campaign records from measurement one; a
-	// resumed campaign opens the recovered checkpoint for append and arms
-	// the tap only when live measurement begins, so replayed months are
-	// never re-recorded.
-	var src core.Source = live
+	// The archive tee. A fresh campaign records from measurement one. A
+	// resumed campaign re-measures its done months on the live source —
+	// simulated silicon is deterministic but stateful, so only the same
+	// measurement history brings it to the first missing month in the
+	// killed run's state — and arms the append tap once the last done
+	// month has finished, so done months are never recorded twice.
 	var f *os.File
 	var w *store.BinaryWriter
+	armAfter := -1 // the month after whose evaluation the tap arms
 	if len(done) > 0 {
-		arch, err := core.OpenArchiveSource(apath)
-		if err != nil {
-			return nil, fmt.Errorf("serve: campaign %s: reopening checkpoint: %w", c.id, err)
-		}
-		arch.SetPool(m.pool)
-		compose := core.NewResumeSource
-		if cs.Screening != nil {
-			// Screened campaigns re-prune during replay: the decisions
-			// forward to both halves so the live silicon's population
-			// tracks the killed run's exactly when measurement resumes.
-			compose = core.NewScreenedResumeSource
-		}
-		rs, err := compose(live, arch, done, cs.Window)
-		if err != nil {
-			arch.Close()
-			return nil, err
-		}
-		defer rs.Close()
 		if f, err = os.OpenFile(apath, os.O_WRONLY|os.O_APPEND, 0); err != nil {
 			return nil, err
 		}
 		w = store.ContinueBinaryWriterV1(f)
-		rs.OnBeforeLive(func() error {
-			live.SetTap(w.Write)
-			return nil
-		})
-		src = rs
+		armAfter = done[len(done)-1]
 		c.mu.Lock()
 		c.resumed = len(done)
 		c.mu.Unlock()
@@ -506,12 +486,12 @@ func (m *Manager) execute(ctx context.Context, c *campaign) (*core.Results, erro
 
 	// The key-lifecycle workload is rebuilt from (profile, devices, seed)
 	// on every execute — screening is deterministic, so a resume derives
-	// the same enrollment the killed run had and the replayed months
-	// re-stream identical series.
+	// the same enrollment the killed run had when it re-measures the
+	// enrollment month.
 	var metrics []core.Metric
 	var crossMetrics []core.CrossMetric
 	if cs.KeyLife {
-		wl, err := keylife.New(ctx, keylife.Config{Profile: cs.Sim.Profile, Devices: cs.Sim.Devices, Seed: cs.Sim.Seed})
+		wl, err := keylife.New(ctx, keylifeConfig(cs))
 		if err != nil {
 			return nil, fmt.Errorf("serve: campaign %s: key-lifecycle workload: %w", c.id, err)
 		}
@@ -523,7 +503,7 @@ func (m *Manager) execute(ctx context.Context, c *campaign) (*core.Results, erro
 	// moment loses at most the month in flight.
 	var flushErr error
 	eng, err := core.NewAssessment(core.AssessmentConfig{
-		Source:       src,
+		Source:       live,
 		WindowSize:   cs.Window,
 		Months:       cs.Months,
 		Metrics:      metrics,
@@ -531,6 +511,9 @@ func (m *Manager) execute(ctx context.Context, c *campaign) (*core.Results, erro
 		Screening:    cs.Screening,
 		Progress: func(ev core.MonthEval) {
 			c.month(ev)
+			if ev.Month == armAfter {
+				live.SetTap(w.Write)
+			}
 			if err := w.Flush(); err != nil && flushErr == nil {
 				flushErr = err
 			}
@@ -566,6 +549,12 @@ func (m *Manager) execute(ctx context.Context, c *campaign) (*core.Results, erro
 		return nil, fmt.Errorf("serve: campaign %s: sealing archive: %w", c.id, err)
 	}
 	return res, nil
+}
+
+// keylifeConfig is the key-lifecycle workload of a key-life campaign:
+// its burn-in screening measures the campaign's own chips.
+func keylifeConfig(cs core.CampaignSpec) keylife.Config {
+	return keylife.Config{Profile: cs.Sim.Profile, Devices: cs.Sim.Devices, Seed: cs.Sim.Seed}
 }
 
 // recoverCheckpoint restores a campaign's archive to its longest usable

@@ -471,9 +471,10 @@ func TestServiceKeyLifeCampaign(t *testing.T) {
 // TestServiceConcurrentSourceKinds runs one campaign of every live
 // source kind at once on one two-worker Manager — rig, rig with
 // key-life, eager fleet, lazy screened fleet, two-shard rig and
-// two-shard lazy fleet. Each must stream the Monthly series of its solo
-// run, the unsharded ones must never put more than the global budget in
-// flight, and nothing may leak.
+// two-shard lazy fleet — while a rig campaign found checkpointed in the
+// data directory resumes beside them. Each must stream the Monthly
+// series of its solo run, the unsharded ones must never put more than
+// the global budget in flight, and nothing may leak.
 func TestServiceConcurrentSourceKinds(t *testing.T) {
 	const budget = 2
 	pair := []string{"fleetnode-1kb", "fleetnode-2kb"}
@@ -486,6 +487,7 @@ func TestServiceConcurrentSourceKinds(t *testing.T) {
 		"lazy screened":      screened,
 		"2-shard rig":        {Devices: 4, Months: 2, Window: 16, Shards: 2},
 		"2-shard lazy fleet": {Fleet: pair, Devices: 6, Months: 2, Window: 16, Lazy: true, Shards: 2},
+		"resumed rig":        {Devices: 4, Months: 3, Window: 16},
 	}
 	for name, spec := range specs {
 		spec.normalize()
@@ -523,19 +525,39 @@ func TestServiceConcurrentSourceKinds(t *testing.T) {
 		closeManager(t, m)
 	}
 
+	// The resumed campaign is killed partway through month 2: its
+	// checkpoint holds months 0 and 1 and its state still says running.
+	dir := t.TempDir()
+	resumed := specs["resumed rig"]
+	_, archive := uninterrupted(t, resumed)
+	cut, _ := crashOffsets(t, archive, resumed)
+	ids := map[string]string{"resumed rig": "c000001"}
+	if err := os.WriteFile(archivePath(dir, ids["resumed rig"]), archive[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := newCampaign(ids["resumed rig"], resumed)
+	c.status = StatusRunning
+	if err := c.save(dir); err != nil {
+		t.Fatal(err)
+	}
+
 	goroutines := runtime.NumGoroutine()
-	m, err := NewManager(Config{DataDir: t.TempDir(), Workers: budget})
+	m, err := NewManager(Config{DataDir: dir, Workers: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := map[string]string{}
 	for name := range specs {
-		ids[name] = run(m, name)
+		if ids[name] == "" {
+			ids[name] = run(m, name)
+		}
 	}
 	for name, id := range ids {
 		if got := monthly(m, name, id); !reflect.DeepEqual(got, solo[name]) {
 			t.Errorf("%s: concurrent Monthly differ from the solo run", name)
 		}
+	}
+	if st, err := m.Get(ids["resumed rig"]); err != nil || st.Resumed != 2 {
+		t.Errorf("resumed rig: resumed %d months (%v), want 2", st.Resumed, err)
 	}
 	if got := m.pool.MaxInFlight(); got > budget || got == 0 {
 		t.Errorf("MaxInFlight() = %d, want within (0, %d]", got, budget)

@@ -5,38 +5,70 @@ import (
 	"context"
 	"io"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/keylife"
 	"repro/internal/store"
 )
 
-// fullServiceArchive runs spec's campaign to completion through the same
-// source construction the service uses (sharded or not), tapping every
-// record into a v1 archive — the bytes an uninterrupted service would
-// have on disk just before sealing.
-func fullServiceArchive(t *testing.T, spec Spec) []byte {
+// uninterrupted runs spec's campaign to completion the way the service
+// runs it — its screening, its key-lifecycle workload — on the source
+// the service builds, tapping every record into a v1 archive. It
+// returns the Results and the archive bytes an uninterrupted service
+// would have on disk just before sealing.
+func uninterrupted(t *testing.T, spec Spec) (*core.Results, []byte) {
 	t.Helper()
+	cs := campaignOf(t, spec)
 	live := openLive(t, spec)
 	if c, ok := live.(io.Closer); ok {
 		defer c.Close()
 	}
+	cfg := core.AssessmentConfig{Source: live, WindowSize: cs.Window, Months: cs.Months, Screening: cs.Screening}
+	if cs.KeyLife {
+		wl, err := keylife.New(context.Background(), keylifeConfig(cs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Metrics, cfg.CrossMetrics = wl.Metrics(), wl.CrossMetrics()
+	}
 	var buf bytes.Buffer
 	w := store.NewBinaryWriterV1(&buf)
 	live.SetTap(w.Write)
-	eng, err := core.NewAssessment(core.AssessmentConfig{Source: live, WindowSize: spec.Window, Months: spec.EvalMonths()})
+	eng, err := core.NewAssessment(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(context.Background()); err != nil {
+	res, err := eng.Run(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return res, buf.Bytes()
+}
+
+// sealedArchive is the file an uninterrupted campaign leaves on disk:
+// its v1 record stream sealed by store.UpgradeFile, as the service seals
+// a finished checkpoint.
+func sealedArchive(t *testing.T, v1 []byte) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "uninterrupted.bin")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.UpgradeFile(path); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sealed
 }
 
 // recordBoundary returns the byte offset just past the first n records
@@ -80,7 +112,9 @@ func crashOffsets(t *testing.T, archive []byte, spec Spec) (boundary, torn int64
 // campaign hard-killed mid-month (record boundary) or mid-window (torn
 // record) whose state file still says "running" is recovered on the next
 // start, auto-resumed, and finishes with Results bit-identical to the
-// uninterrupted direct run — with the archive re-sealed.
+// uninterrupted direct run — with the archive re-sealed byte-identical
+// to the uninterrupted one: the re-measured months are never recorded
+// twice.
 func TestServiceCrashResumeGolden(t *testing.T) {
 	for _, shards := range []int{1, 2, 7} {
 		t.Run(map[int]string{1: "shards=1", 2: "shards=2", 7: "shards=7"}[shards], func(t *testing.T) {
@@ -93,7 +127,8 @@ func TestServiceCrashResumeGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := directResults(t, spec)
-			archive := fullServiceArchive(t, spec)
+			_, archive := uninterrupted(t, spec)
+			sealed := sealedArchive(t, archive)
 			boundary, torn := crashOffsets(t, archive, spec)
 
 			for name, cut := range map[string]int64{"mid-month": boundary, "mid-window": torn} {
@@ -153,11 +188,103 @@ func TestServiceCrashResumeGolden(t *testing.T) {
 						t.Error("sealed archive replay differs from uninterrupted run")
 					}
 					arch.Close()
+					if got, err := os.ReadFile(archivePath(dir, id)); err != nil || !bytes.Equal(got, sealed) {
+						t.Errorf("sealed archive (%d bytes, %v) is not byte-identical to the sealed uninterrupted archive (%d bytes)", len(got), err, len(sealed))
+					}
 
 					closeManager(t, m)
 					checkGoroutines(t, goroutines)
 				})
 			}
+		})
+	}
+}
+
+// checkpointAfter returns the crash cut of a v1 archive after its first
+// done months plus half of the next month's records — a kill partway
+// through month done, whatever the survivor count of each month.
+func checkpointAfter(t *testing.T, archive []byte, done int) int64 {
+	t.Helper()
+	r, err := store.OpenIndexedBytes(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perMonth := map[int]int{}
+	for _, seg := range r.Segments() {
+		perMonth[seg.Month] += seg.Count
+	}
+	records := perMonth[done] / 2
+	for m := range done {
+		records += perMonth[m]
+	}
+	return recordBoundary(t, archive, records)
+}
+
+// TestServiceResumeReMeasures: a crash-resumed campaign re-measures its
+// checkpointed months on the live source and records only the months
+// after them. A screened rig campaign whose first prunes fall inside the
+// checkpoint, and a key-life campaign whose checkpoint is its enrollment
+// month, both finish with the uninterrupted run's Results and seal an
+// archive byte-identical to the uninterrupted one.
+func TestServiceResumeReMeasures(t *testing.T) {
+	screened := Spec{Devices: 6, Seed: 2468, Window: 25, Months: 2}
+	screened.ScreenFloor = pickServiceFloor(t, screened)
+	for _, row := range []struct {
+		name string
+		spec Spec
+		done int // checkpointed months
+	}{
+		{"screened rig", screened, 2},
+		{"key-life", Spec{Devices: 2, Window: 30, Months: 2, KeyLife: true}, 1},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			spec := row.spec
+			spec.normalize()
+			if err := spec.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			want, archive := uninterrupted(t, spec)
+			if spec.ScreenFloor > 0 && len(want.Monthly[0].Pruned) == 0 {
+				t.Fatal("no prune after month 0: the checkpoint would hold no screening decision")
+			}
+			goroutines := runtime.NumGoroutine()
+			dir := t.TempDir()
+			const id = "c000001"
+			if err := os.WriteFile(archivePath(dir, id), archive[:checkpointAfter(t, archive, row.done)], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c := newCampaign(id, spec)
+			c.status = StatusRunning
+			if err := c.save(dir); err != nil {
+				t.Fatal(err)
+			}
+
+			m, err := NewManager(Config{DataDir: dir, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := waitTerminal(t, m, id)
+			if final.Status != StatusDone {
+				t.Fatalf("resumed campaign finished %s (%s): %s", final.Status, final.ErrKind, final.Error)
+			}
+			if final.Resumed != row.done {
+				t.Errorf("campaign resumed %d months, want %d", final.Resumed, row.done)
+			}
+			monthly, err := m.Monthly(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(monthly, want.Monthly) {
+				t.Error("resumed monthly series differs from the uninterrupted run")
+			}
+			if final.Table == nil || !reflect.DeepEqual(*final.Table, want.Table) {
+				t.Error("resumed Table I differs from the uninterrupted run")
+			}
+			if got, err := os.ReadFile(archivePath(dir, id)); err != nil || !bytes.Equal(got, sealedArchive(t, archive)) {
+				t.Errorf("sealed archive (%d bytes, %v) is not byte-identical to the sealed uninterrupted archive", len(got), err)
+			}
+			closeManager(t, m)
+			checkGoroutines(t, goroutines)
 		})
 	}
 }

@@ -217,7 +217,8 @@ func (s *Spec) normalize() {
 // of the wire format are checked here: the service's bounds, the
 // registry names, profile vs fleet, months vs month_list. The campaign
 // rules (window, screening, key-life, the source) are the
-// core.CampaignSpec's.
+// core.CampaignSpec's; whether the key scheme fits the profile is
+// keylife's.
 func (s Spec) Validate() error {
 	switch {
 	case len(s.Fleet) > 0 && s.Profile != "":
@@ -248,7 +249,13 @@ func (s Spec) Validate() error {
 	if err != nil {
 		return err
 	}
-	return cs.Validate()
+	if err := cs.Validate(); err != nil {
+		return err
+	}
+	if cs.KeyLife {
+		return keylifeConfig(cs).Validate()
+	}
+	return nil
 }
 
 // EvalMonths returns the campaign's ascending evaluation schedule.

@@ -45,6 +45,7 @@ func TestDecodeSpecRejects(t *testing.T) {
 		{"screen_profiles key naming no fleet profile", `{"fleet": ["fleetnode-1kb", "fleetnode-2kb"], "screen_profiles": {"fleetnode-1k": 0.9}}`},
 		{"screen_profiles keys naming one profile twice", `{"fleet": ["fleetnode-1kb", "fleetnode-2kb"], "screen_profiles": {"fleetnode-1kb": 0.9, "FleetNode-1KB": 0.8}}`},
 		{"screen_profiles on a single-profile campaign", `{"profile": "atmega32u4", "screen_profiles": {"atmega32u4": 0.9}}`},
+		{"key-life on a read window narrower than the key scheme", `{"profile": "fleetnode-1kb", "keylife": true}`},
 		{"not json", `devices=4`},
 	}
 	for _, c := range cases {

@@ -361,6 +361,18 @@ echo "== resumed table must be byte-identical to the uninterrupted run"
 extract_table "$workdir/resumed.txt" > "$workdir/resumed.table"
 diff -u "$workdir/direct-resume.table" "$workdir/resumed.table"
 
+echo "== the resumed campaign's sealed archive replays to the same table, every month recorded once"
+"$workdir/evaluate" -archive "$datadir/$resume_id.bin" -window $RW \
+    > "$workdir/resumed-replay.txt"
+extract_table "$workdir/resumed-replay.txt" > "$workdir/resumed-replay.table"
+diff -u "$workdir/direct-resume.table" "$workdir/resumed-replay.table"
+resume_records=$((DEVICES * RW * (RM + 1)))
+grep -q ", $resume_records records)" "$workdir/resumed-replay.txt" || {
+    echo "resumed archive does not hold exactly $resume_records records:" >&2
+    head -3 "$workdir/resumed-replay.txt" >&2
+    exit 1
+}
+
 echo "== graceful drain: SIGTERM leaves the service exitable"
 kill -TERM "$assessd_pid"
 wait "$assessd_pid" 2>/dev/null || true
