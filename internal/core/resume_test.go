@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -75,10 +74,12 @@ func truncateToMonths(t *testing.T, archive []byte, keep map[int]bool) []byte {
 }
 
 // TestResumeSourceBitIdentical is the checkpoint/resume identity at the
-// core layer: a campaign interrupted after two months and resumed from
-// its archive produces Results bit-identical to the uninterrupted run,
-// and the archive it finishes writing is byte-identical to the archive
-// the uninterrupted run would have written.
+// core layer, for the resume the service runs: a campaign interrupted
+// after two months is resumed by re-measuring its live source from month
+// 0, with the append tap armed in the Progress callback of the last done
+// month. Its Results are bit-identical to the uninterrupted run, and the
+// archive it finishes writing is byte-identical to the archive the
+// uninterrupted run wrote — the done months are never recorded twice.
 func TestResumeSourceBitIdentical(t *testing.T) {
 	months := MonthRange(3)
 	const window = 40
@@ -88,8 +89,10 @@ func TestResumeSourceBitIdentical(t *testing.T) {
 
 	// The checkpoint: months 0 and 1 survived the crash.
 	ckpt := truncateToMonths(t, full.Bytes(), map[int]bool{0: true, 1: true})
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ckpt.bin")
+	if len(ckpt) >= full.Len() {
+		t.Fatalf("checkpoint holds %d bytes, the full archive %d: nothing was cut", len(ckpt), full.Len())
+	}
+	path := filepath.Join(t.TempDir(), "ckpt.bin")
 	if err := os.WriteFile(path, ckpt, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -102,32 +105,26 @@ func TestResumeSourceBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, err := OpenArchiveSource(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := NewResumeSource(live, arch, []int{0, 1}, window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-
-	// Arm the tap only when live measurement begins: the resumed archive
-	// must continue where the checkpoint stopped, not duplicate it.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	w := store.ContinueBinaryWriterV1(f)
-	armed := false
-	rs.OnBeforeLive(func() error {
-		armed = true
-		live.SetTap(w.Write)
-		return nil
-	})
 
-	eng, err := NewAssessment(AssessmentConfig{Source: rs, WindowSize: window, Months: months})
+	const lastDone = 1
+	armed := false
+	eng, err := NewAssessment(AssessmentConfig{
+		Source:     live,
+		WindowSize: window,
+		Months:     months,
+		Progress: func(ev MonthEval) {
+			if ev.Month == lastDone {
+				armed = true
+				live.SetTap(w.Write)
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +133,7 @@ func TestResumeSourceBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !armed {
-		t.Fatal("OnBeforeLive hook never fired: months 2..3 were not live")
+		t.Fatal("the tap never armed: the last done month was not evaluated")
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -157,68 +154,6 @@ func TestResumeSourceBitIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(resumed, full.Bytes()) {
 		t.Fatalf("resumed archive (%d bytes) is not byte-identical to the uninterrupted archive (%d bytes)",
-			len(resumed), len(full.Bytes()))
-	}
-}
-
-// TestResumeSourceValidation: device mismatches and months without a
-// complete archived window are configuration errors, caught before any
-// measurement.
-func TestResumeSourceValidation(t *testing.T) {
-	months := MonthRange(2)
-	const window = 30
-
-	var full bytes.Buffer
-	runRigCampaign(t, months, window, &full)
-	ckpt := truncateToMonths(t, full.Bytes(), map[int]bool{0: true})
-	path := filepath.Join(t.TempDir(), "ckpt.bin")
-	if err := os.WriteFile(path, ckpt, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	profile, err := silicon.ATmega32u4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	open := func() *ArchiveSource {
-		arch, err := OpenArchiveSource(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return arch
-	}
-
-	arch := open()
-	defer arch.Close()
-	live4, err := NewRigSource(profile, 4, 99, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Month 1 is not in the checkpoint: not resumable from it.
-	if _, err := NewResumeSource(live4, arch, []int{0, 1}, window); !errors.Is(err, ErrShortWindow) {
-		t.Fatalf("missing archived month: got %v, want ErrShortWindow", err)
-	}
-	// A larger window than the archive holds is equally short.
-	if _, err := NewResumeSource(live4, arch, []int{0}, window+1); !errors.Is(err, ErrShortWindow) {
-		t.Fatalf("oversized window: got %v, want ErrShortWindow", err)
-	}
-
-	live6, err := NewRigSource(profile, 6, 99, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewResumeSource(live6, arch, []int{0}, window); !errors.Is(err, ErrConfig) {
-		t.Fatalf("device mismatch: got %v, want ErrConfig", err)
-	}
-	if _, err := NewResumeSource(nil, arch, []int{0}, window); !errors.Is(err, ErrConfig) {
-		t.Fatalf("nil live source: got %v, want ErrConfig", err)
-	}
-	// No archived months: a plain live pass-through is fine.
-	rs, err := NewResumeSource(live4, nil, nil, window)
-	if err != nil {
-		t.Fatalf("empty checkpoint: %v", err)
-	}
-	if len(rs.done) != 0 {
-		t.Fatalf("%d archived months, want 0", len(rs.done))
+			len(resumed), full.Len())
 	}
 }
