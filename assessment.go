@@ -321,6 +321,17 @@ func NewAssessment(opts ...Option) (*Assessment, error) {
 			return nil, err
 		}
 	}
+	if a.spec.KeyLife {
+		// The key scheme's rules need only the silicon and the device
+		// count, so a campaign they refuse fails here, not at Run.
+		devices := a.spec.Sim.Devices
+		if a.src != nil {
+			devices = a.src.Devices()
+		}
+		if err := a.keylifeConfig(devices).Validate(); err != nil {
+			return nil, err
+		}
+	}
 	return a, nil
 }
 

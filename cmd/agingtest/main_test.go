@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -86,5 +87,27 @@ func TestAgingtestUsageErrors(t *testing.T) {
 	}
 	if err := run([]string{"-fleet", "atmega32u4", "-profile", "atmega32u4"}, io.Discard); err == nil || !strings.Contains(err.Error(), "exclusive") {
 		t.Errorf("-fleet with -profile: err = %v, want an exclusivity error", err)
+	}
+}
+
+// TestAgingtestConfigErrorBeforeBanner: a campaign the facade refuses
+// prints nothing, not even the "running campaign" banner — here a
+// key-life campaign on a profile whose 256-bit read window cannot hold
+// the key scheme. The archiving run does not create its archive.
+func TestAgingtestConfigErrorBeforeBanner(t *testing.T) {
+	archive := filepath.Join(t.TempDir(), "x.bin")
+	for _, extra := range [][]string{nil, {"-harness"}, {"-archive", archive}} {
+		var out bytes.Buffer
+		args := append([]string{"-profile", "fleetnode-1kb", "-devices", "4", "-months", "1", "-window", "40", "-keylife"}, extra...)
+		err := run(args, &out)
+		if !errors.Is(err, sramaging.ErrConfig) {
+			t.Errorf("%v: err = %v, want ErrConfig", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed before refusing:\n%s", args, out.String())
+		}
+	}
+	if _, err := os.Stat(archive); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("refused campaign left an archive behind: %v", err)
 	}
 }

@@ -23,16 +23,33 @@ type envelope struct {
 // capture order: the board's segments month by month, each in capture
 // order.
 func tappedBoards(t *testing.T, archive []byte) map[int][]envelope {
+	boards := map[int][]envelope{}
+	eachTapped(t, archive, func(_ int, e envelope) { boards[e.Board] = append(boards[e.Board], e) })
+	return boards
+}
+
+// tappedSegments decodes an archive into its (board, month) segments,
+// each in capture order.
+func tappedSegments(t *testing.T, archive []byte) map[[2]int][]envelope {
+	segs := map[[2]int][]envelope{}
+	eachTapped(t, archive, func(month int, e envelope) {
+		segs[[2]int{e.Board, month}] = append(segs[[2]int{e.Board, month}], e)
+	})
+	return segs
+}
+
+// eachTapped hands every record of an archive to f with its month,
+// segment by segment, each segment in capture order.
+func eachTapped(t *testing.T, archive []byte, f func(month int, e envelope)) {
 	t.Helper()
 	r, err := store.OpenIndexedBytes(archive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boards := map[int][]envelope{}
 	var dec store.SegmentDecoder
 	for _, seg := range r.Segments() {
 		err := r.ReadSegment(&dec, seg.Board, seg.Month, 0, func(rec *store.Record) error {
-			boards[rec.Board] = append(boards[rec.Board], envelope{
+			f(seg.Month, envelope{
 				Board: rec.Board, Layer: rec.Layer, Seq: rec.Seq, Cycle: rec.Cycle,
 				Wall: rec.Wall.UnixNano(), Bits: string(rec.Data.Bytes()),
 			})
@@ -42,7 +59,6 @@ func tappedBoards(t *testing.T, archive []byte) map[int][]envelope {
 			t.Fatal(err)
 		}
 	}
-	return boards
 }
 
 // TestSimTapEnvelopesMatchAcrossLayouts: the direct sim sources' record

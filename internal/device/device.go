@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/desim"
+	"repro/internal/rng"
 	"repro/internal/sram"
 )
 
@@ -48,7 +49,8 @@ type SlaveBoard struct {
 	// The capture in flight. pending and armed are the owner's: a capture
 	// was started and not yet joined, and it is the next PowerOn's
 	// (Precapture). claimed is taken by whoever samples it, the owner or
-	// a queue worker; a worker signals done when it has sampled.
+	// a queue worker (CaptureQueue.claim); a claimant other than the
+	// owner signals done when it has sampled.
 	queue   CaptureQueue
 	pending bool
 	armed   bool
@@ -150,29 +152,18 @@ func (s *SlaveBoard) startCapture() {
 	}
 }
 
-// Capture samples the board's pending power-up capture unless someone
-// already has — the body of a CaptureQueue worker. It is safe to call
-// concurrently with the board's owner.
-func (s *SlaveBoard) Capture() {
-	if !s.claimed.CompareAndSwap(false, true) {
-		return
-	}
-	s.capErr = s.Array.PowerUpWindowInto(s.pattern)
-	s.done <- struct{}{}
-}
-
 // join waits for the capture in flight and returns its error: it samples
-// the capture itself if nobody has claimed it, and while a worker samples
-// it, it runs other queued captures.
+// the capture itself if nobody has claimed it, and while a queue worker
+// samples it, it claims and samples other queued captures.
 func (s *SlaveBoard) join() error {
 	if !s.pending {
 		return s.capErr
 	}
 	s.pending = false
-	if s.claimed.CompareAndSwap(false, true) {
-		s.capErr = s.Array.PowerUpWindowInto(s.pattern)
+	if s.queue.claim(s, s) {
 		return s.capErr
 	}
+	q := s.queue
 	for {
 		select {
 		case <-s.done:
@@ -182,10 +173,12 @@ func (s *SlaveBoard) join() error {
 		select {
 		case <-s.done:
 			return s.capErr
-		case b, ok := <-s.queue:
-			if ok {
-				b.Capture()
+		case b, ok := <-q:
+			if !ok {
+				q = nil // closed: the workers sample what it still held
+				continue
 			}
+			q.claim(b, nil)
 		}
 	}
 }
@@ -242,16 +235,80 @@ func (s *SlaveBoard) HandleRead(n int) ([]byte, error) {
 // CaptureQueue carries slave boards' power-up captures to worker
 // goroutines, each running Serve. A board on a queue enqueues itself
 // when it starts a capture; whoever claims the capture first samples it,
-// so an entry whose capture the board's owner already joined is skipped.
-// The owner of the boards (the rig's event loop) is their only sender:
-// it takes every board off the queue (SetCaptureQueue(nil), which joins)
-// before closing it.
+// so an entry whose capture the board's owner already joined, or whose
+// board was muted since, is skipped. A claimant samples up to
+// rng.Lanes captures at once: the one it claimed and those it finds
+// ready on the queue. The owner of the boards (the rig's event loop) is
+// their only sender, and closes the queue when it sends no more; the
+// workers still sample the captures a closed queue holds.
 type CaptureQueue chan *SlaveBoard
 
-// Serve runs queued captures until the queue is closed.
+// Serve runs queued captures until the queue is closed and drained.
 func (q CaptureQueue) Serve() {
 	for b := range q {
-		b.Capture()
+		q.claim(b, nil)
+	}
+}
+
+// claim claims b's capture unless someone already has, then claims up to
+// rng.Lanes-1 more queued captures and samples them all: the chips that
+// share b's read window in one sram.PowerUpWindows call, any other
+// window in its own. It signals done on every board it sampled but own,
+// whose owner is the caller and joins without waiting. It reports
+// whether it claimed b. A claimant holding claims never blocks — it
+// takes more captures only while the queue has them ready — so an owner
+// that waits in join for one of them cannot deadlock it.
+func (q CaptureQueue) claim(b, own *SlaveBoard) bool {
+	if !b.claimed.CompareAndSwap(false, true) {
+		return false
+	}
+	batch := [rng.Lanes]*SlaveBoard{b}
+	n := 1
+more:
+	for n < len(batch) {
+		select {
+		case c, ok := <-q:
+			if !ok {
+				break more
+			}
+			if c.claimed.CompareAndSwap(false, true) {
+				batch[n] = c
+				n++
+			}
+		default:
+			break more
+		}
+	}
+	for rest := batch[:n]; len(rest) > 0; {
+		// Move the boards sharing rest[0]'s window to the front.
+		k := 1
+		for i := 1; i < len(rest); i++ {
+			if rest[i].Array.Cells() == rest[0].Array.Cells() {
+				rest[k], rest[i] = rest[i], rest[k]
+				k++
+			}
+		}
+		sampleGroup(rest[:k], own)
+		rest = rest[k:]
+	}
+	return true
+}
+
+// sampleGroup samples the claimed captures of boards that share one read
+// window and signals done on each but own. A signalled board belongs to
+// its owner again, so it is not touched after its signal.
+func sampleGroup(boards []*SlaveBoard, own *SlaveBoard) {
+	var chips [rng.Lanes]*sram.Array
+	var dst [rng.Lanes]*bitvec.Vector
+	for i, b := range boards {
+		chips[i], dst[i] = b.Array, b.pattern
+	}
+	err := sram.PowerUpWindows(chips[:len(boards)], dst[:len(boards)])
+	for _, b := range boards {
+		b.capErr = err
+		if b != own {
+			b.done <- struct{}{}
+		}
 	}
 }
 

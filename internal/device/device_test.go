@@ -1,6 +1,9 @@
 package device
 
 import (
+	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -250,6 +253,145 @@ func TestCaptureQueueKeepsPatterns(t *testing.T) {
 		t.Fatalf("power-ups sampled: inline %d, queued %d, want 5 each",
 			inline.Array.PowerUps(), queued.Array.PowerUps())
 	}
+}
+
+// TestCaptureQueueGroupsCaptures: boards of two read-window sizes share
+// one queue and start their captures together, so every claimant — a
+// worker in Serve or the owner at a join — finds others queued and
+// samples them with its own, the equal windows in one lane call. With 1
+// to 3 workers, each board serves the bytes of an inline twin cycle by
+// cycle and samples as many power-ups. A board muted between cycles
+// leaves a stale entry behind, and the last cycle's queue is closed
+// while it still holds that cycle's captures.
+func TestCaptureQueueGroupsCaptures(t *testing.T) {
+	for workers := 1; workers <= 3; workers++ {
+		t.Run(fmt.Sprintf("%d workers", workers), func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() { done <- groupedCycles(workers) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("a join never returned: a claimant sampled a capture without signalling its board")
+			}
+		})
+	}
+}
+
+// groupedCycles runs TestCaptureQueueGroupsCaptures with the given
+// number of workers; it reports errors instead of failing the test, so
+// a stalled hand-off can be caught by the caller's timeout.
+func groupedCycles(workers int) error {
+	const boards, cycles, muted = 8, 6, 2
+	var profiles [2]silicon.DeviceProfile
+	for i, name := range []string{"atmega32u4", "fleetnode-1kb"} {
+		p, err := silicon.Lookup(name)
+		if err != nil {
+			return err
+		}
+		profiles[i] = p
+	}
+	if profiles[0].ReadWindowBits() == profiles[1].ReadWindowBits() {
+		return errors.New("the two profiles share a read window")
+	}
+	simA, simB := desim.New(), desim.New()
+	var twins, queued []*SlaveBoard
+	var chips [2][]*sram.Array
+	for id := range boards {
+		for side, sim := range []*desim.Simulator{simA, simB} {
+			array, err := sram.New(profiles[id%2], rng.New(uint64(id)+1))
+			if err != nil {
+				return err
+			}
+			b, err := NewSlaveBoard(sim, id, 0, byte(0x10+id), array, desim.FromSeconds(0.5))
+			if err != nil {
+				return err
+			}
+			chips[side] = append(chips[side], array)
+			if side == 0 {
+				twins = append(twins, b)
+			} else {
+				queued = append(queued, b)
+			}
+		}
+	}
+	q := make(CaptureQueue, 2*boards)
+	for _, b := range queued {
+		b.SetCaptureQueue(q)
+	}
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q.Serve()
+		}()
+	}
+	for c := range cycles {
+		last := c == cycles-1
+		if last {
+			twins[muted].Mute()
+			queued[muted].Mute()
+		}
+		want := make([][]byte, boards)
+		for i, b := range twins {
+			if err := b.PowerOn(); err != nil {
+				return err
+			}
+			drain(simA)
+			data, err := b.HandleRead(1024)
+			if err != nil {
+				return err
+			}
+			want[i] = append([]byte(nil), data...)
+			if err := b.PowerOff(); err != nil {
+				return err
+			}
+		}
+		for _, b := range queued {
+			if err := b.PowerOn(); err != nil {
+				return err
+			}
+		}
+		if last {
+			close(q)
+		}
+		drain(simB)
+		for i, b := range queued {
+			data, err := b.HandleRead(1024)
+			if err != nil {
+				return err
+			}
+			if string(data) != string(want[i]) {
+				return fmt.Errorf("cycle %d, board %d: queued board served other bytes than its inline twin", c, i)
+			}
+			if c+2 < cycles {
+				b.Precapture()
+			}
+		}
+		for _, b := range queued {
+			if err := b.PowerOff(); err != nil {
+				return err
+			}
+		}
+	}
+	for _, b := range queued {
+		b.SetCaptureQueue(nil)
+	}
+	wg.Wait()
+	for i := range boards {
+		want := uint64(cycles)
+		if i == muted {
+			want--
+		}
+		if chips[0][i].PowerUps() != want || chips[1][i].PowerUps() != want {
+			return fmt.Errorf("board %d sampled %d power-ups, its twin %d, want %d",
+				i, chips[1][i].PowerUps(), chips[0][i].PowerUps(), want)
+		}
+	}
+	return nil
 }
 
 // TestMutedBoardServesBlankWindow: a muted board keeps its place on the

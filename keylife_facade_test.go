@@ -251,14 +251,10 @@ func TestWithKeyLifecycleConfigErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewAssessment(
+	if _, err := NewAssessment(
 		WithDevices(2), WithMonths(1), WithWindowSize(20),
 		WithKeyLifecycle(KeyLifeConfig{Extractor: ext}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Run(context.Background()); !errors.Is(err, ErrConfig) {
+	); !errors.Is(err, ErrConfig) {
 		t.Fatalf("radius-less extractor: err = %v, want ErrConfig", err)
 	}
 }
