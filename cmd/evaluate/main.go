@@ -39,6 +39,15 @@ func main() {
 	}
 }
 
+// archive is what evaluate needs of a replay source, plain or sharded:
+// the source itself and the archive's description for the banner.
+type archive interface {
+	sramaging.Source
+	Boards() []int
+	Info() sramaging.ArchiveInfo
+	Close() error
+}
+
 // indexedNote annotates the archive banner when replay is seek-based.
 func indexedNote(info sramaging.ArchiveInfo) string {
 	if info.Indexed {
@@ -77,30 +86,28 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "%s already indexed\n", *path)
 		}
 	}
-	var src sramaging.Source
+	var (
+		src    archive
+		err    error
+		across string
+	)
 	if *shards > 0 {
 		var transport sramaging.ShardTransport
 		if *shardWorker != "" {
 			transport = sramaging.ExecShardTransport(*shardWorker)
 		}
-		sharded, err := sramaging.NewShardedArchiveSource(*path, *shards, transport)
-		if err != nil {
-			return err
-		}
-		defer sharded.Close()
-		src = sharded
-		fmt.Fprintf(stdout, "archive: %d boards across %d shards\n\n", sharded.Devices(), *shards)
+		src, err = sramaging.NewShardedArchiveSource(*path, *shards, transport)
+		across = fmt.Sprintf(" across %d shards", *shards)
 	} else {
-		plain, err := sramaging.OpenArchiveSource(*path)
-		if err != nil {
-			return err
-		}
-		defer plain.Close()
-		src = plain
-		info := plain.Info()
-		fmt.Fprintf(stdout, "archive: %d boards %v (%s%s, %d records)\n\n",
-			plain.Devices(), plain.Boards(), info.Format, indexedNote(info), info.Records)
+		src, err = sramaging.OpenArchiveSource(*path)
 	}
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	info := src.Info()
+	fmt.Fprintf(stdout, "archive: %d boards %v (%s%s, %d records)%s\n\n",
+		src.Devices(), src.Boards(), info.Format, indexedNote(info), info.Records, across)
 
 	// No WithMonths: the archive source lists the months it holds
 	// complete windows for, and the assessment evaluates exactly those.

@@ -84,7 +84,7 @@ func TestEvaluateReplaysRigArchive(t *testing.T) {
 		banner string
 	}{
 		{"plain", []string{"-archive", path, "-window", "30"}, "archive: 4 boards [0 1 2 3] (binary-v2, indexed, 360 records)"},
-		{"sharded", []string{"-archive", path, "-window", "30", "-shards", "2"}, "archive: 4 boards across 2 shards"},
+		{"sharded", []string{"-archive", path, "-window", "30", "-shards", "2"}, "archive: 4 boards [0 1 2 3] (binary-v2, indexed, 360 records) across 2 shards"},
 		{"index", []string{"-index", "-archive", path, "-window", "30"}, path + " already indexed"},
 		{"keylife", []string{"-archive", path, "-window", "30", "-keylife", "-profile", "atmega32u4"}, "17-Feb     4/4               17"},
 	} {

@@ -23,10 +23,6 @@ import (
 // can match it without importing the protocol package.
 var ErrShardWorker = shard.ErrWorker
 
-// errMonthsUnsupported is the worker-side answer to month discovery on
-// an unbounded (sim/rig) source.
-var errMonthsUnsupported = errors.New("core: source is unbounded, month discovery needs an archive shard")
-
 // shardErrorCode maps a worker-side error onto a wire code so the typed
 // class survives the process boundary.
 func shardErrorCode(err error) string {
@@ -35,10 +31,6 @@ func shardErrorCode(err error) string {
 		return shard.CodeConfig
 	case errors.Is(err, ErrShortWindow):
 		return shard.CodeShortWindow
-	case errors.Is(err, ErrNoMonths):
-		return shard.CodeNoMonths
-	case errors.Is(err, errMonthsUnsupported):
-		return shard.CodeUnsupported
 	default:
 		return shard.CodeInternal
 	}
@@ -48,7 +40,6 @@ func shardErrorCode(err error) string {
 var remoteCodeErr = map[string]error{
 	shard.CodeConfig:      ErrConfig,
 	shard.CodeShortWindow: ErrShortWindow,
-	shard.CodeNoMonths:    ErrNoMonths,
 }
 
 // mapShardErr re-types a coordinator error: worker-reported error frames
@@ -70,7 +61,7 @@ func mapShardErr(err error) error {
 
 // ServeShardWorker runs one worker session over rw: it receives its
 // Spec in the handshake, builds the matching measurement backend (sim,
-// rig or archive) and serves measure/months requests until shutdown.
+// rig or archive) and serves measure and prune requests until shutdown.
 // This is the entire body of cmd/shardworker, and what
 // InProcessShardTransport runs on a goroutine for tests.
 func ServeShardWorker(ctx context.Context, rw io.ReadWriter) error {
@@ -86,15 +77,11 @@ func ServeShardWorker(ctx context.Context, rw io.ReadWriter) error {
 // opens it once the assignment arrives.
 func buildShardBackend(spec shard.Spec) (shard.Backend, error) {
 	if spec.ArchivePath != "" {
-		ir, err := store.OpenIndexedFile(spec.ArchivePath)
+		archive, err := OpenArchiveSource(spec.ArchivePath)
 		if err != nil {
-			return nil, fmt.Errorf("%w: shard archive: %w", ErrConfig, err)
+			return nil, err
 		}
-		if ir.TotalRecords() == 0 {
-			ir.Close()
-			return nil, fmt.Errorf("%w: empty shard archive %s", ErrConfig, spec.ArchivePath)
-		}
-		return &archiveShardBackend{ir: ir, boards: ir.Boards()}, nil
+		return &archiveShardBackend{archive: archive}, nil
 	}
 	var sim SimSpec
 	if err := json.Unmarshal(spec.Sim, &sim); err != nil {
@@ -143,8 +130,6 @@ func (b *simShardBackend) Assign(indices []int) error {
 	b.src.SetTap(func(rec store.Record) error { return b.emit(rec.Board, rec) })
 	return nil
 }
-
-func (b *simShardBackend) Months(int) ([]int, error) { return nil, errMonthsUnsupported }
 
 // ProfileAssignment reports the shard's slice of the fleet's profile
 // assignment (local order) — shipped to the coordinator in the first
@@ -236,8 +221,6 @@ func (b *rigShardBackend) Assign(indices []int) error {
 	return nil
 }
 
-func (b *rigShardBackend) Months(int) ([]int, error) { return nil, errMonthsUnsupported }
-
 // Prune screens boards out of the campaign. Rig board indices ARE global
 // device indices (every worker simulates the full instrument), so the
 // decision forwards without translation; the rig keeps cycling pruned
@@ -254,47 +237,32 @@ func (b *rigShardBackend) Measure(ctx context.Context, month, size, workers int,
 	return b.src.Measure(ctx, month, size, discardSink)
 }
 
-// archiveShardBackend replays a shard of an archive's boards over a
-// shared indexed reader. The worker opens the archive's index once
-// (board discovery must agree across workers, and on a v2 archive the
-// open reads only the footer), then Assign narrows the replay view to
-// the assigned boards: no records are ever materialised — each Measure
-// seeks straight to the shard's (board, month) segments, which is an
-// even better memory shape than the old keep-1/N-of-the-records one.
-// Month discovery and window bounding reuse the archive source's own
-// logic on the narrowed view. The backend holds the archive file open
-// for the session; shard.Serve closes it on exit.
+// archiveShardBackend replays a shard of an archive's boards. The
+// worker opens the archive once (board discovery must agree across
+// workers, and on a v2 archive the open reads only the footer), then
+// Assign narrows the replay view to the assigned boards over the same
+// indexed reader: no records are ever materialised — each Measure seeks
+// straight to the shard's (board, month) segments. The backend holds the
+// archive file open for the session; shard.Serve closes it on exit.
 type archiveShardBackend struct {
-	ir      *store.IndexedReader
-	boards  []int // full board list, ascending: global device index order
+	archive *ArchiveSource // the whole archive: board order is global device order
 	indices []int
 	src     *ArchiveSource // replay view over the assigned boards only
 }
 
-func (b *archiveShardBackend) Devices() int { return len(b.boards) }
+func (b *archiveShardBackend) Devices() int { return b.archive.Devices() }
 
 func (b *archiveShardBackend) Assign(indices []int) error {
-	if err := validAssignment(indices, len(b.boards)); err != nil {
+	if err := validAssignment(indices, b.archive.Devices()); err != nil {
 		return err
 	}
 	shardBs := make([]int, len(indices))
 	for d, g := range indices {
-		shardBs[d] = b.boards[g]
+		shardBs[d] = b.archive.boards[g]
 	}
 	b.indices = indices
-	b.src = newArchiveSourceOver(b.ir, shardBs)
+	b.src = newArchiveSourceOver(b.archive.ir, shardBs)
 	return nil
-}
-
-func (b *archiveShardBackend) Months(windowSize int) ([]int, error) {
-	return b.src.AvailableMonths(windowSize)
-}
-
-// MonthsSurviving discovers the shard's months under screening
-// semantics (shard.SurvivingMonths): a board with no records in a month
-// was pruned by the original run, not lost.
-func (b *archiveShardBackend) MonthsSurviving(windowSize int) ([]int, error) {
-	return b.src.AvailableMonthsSurviving(windowSize)
 }
 
 // Prune stops replaying the screened-out boards' segments.
@@ -314,7 +282,7 @@ func (b *archiveShardBackend) Measure(ctx context.Context, month, size, workers 
 }
 
 // Close releases the archive file when the worker session ends.
-func (b *archiveShardBackend) Close() error { return b.ir.Close() }
+func (b *archiveShardBackend) Close() error { return b.archive.Close() }
 
 // validAssignment checks a shard assignment: ascending, unique, in
 // range.
@@ -453,52 +421,59 @@ func (s *ShardedSource) Measure(ctx context.Context, month, size int, sink Sink)
 func (s *ShardedSource) Close() error { return s.co.Close() }
 
 // ShardedArchiveSource is a ShardedSource over archive replay, with the
-// MonthLister behaviour of ArchiveSource: month discovery is fanned out
-// to the workers and intersected, so an assessment without explicit
-// months evaluates exactly the months every shard holds complete
-// windows for. It is a distinct type (not a mode flag) so the unbounded
-// sim/rig sharded sources do not present a MonthLister they cannot
-// serve.
+// MonthLister behaviour of ArchiveSource. The workers replay only their
+// own boards; the coordinator's process opens the archive too and lists
+// months from that one index with the archive's one completeness rule,
+// so a sharded listing equals the single-process one by construction.
+// It is a distinct type (not a mode flag) so the unbounded sim/rig
+// sharded sources do not present a MonthLister they cannot serve.
 type ShardedArchiveSource struct {
 	*ShardedSource
+	// index is the whole archive, opened in this process for month
+	// discovery and its description. A field, not an embed: both types
+	// have Measure, Devices and Close.
+	index *ArchiveSource
 }
 
-// NewShardedArchiveSource shards replay of the measurement archive at
-// path (JSONL or binary, auto-detected by the magic).
-// Every worker must be able to read the path (workers on the same host,
-// or a shared filesystem); the workers' board discovery is cross-checked
-// during the handshake.
+// NewShardedArchiveSource shards replay of the binary archive at path.
+// The archive is opened here first, so a JSONL or empty archive is
+// refused before any worker starts. Every worker must be able to read
+// the path (workers on the same host, or a shared filesystem); the
+// workers' board discovery is cross-checked during the handshake.
 func NewShardedArchiveSource(path string, shards int, transport shard.Transport) (*ShardedArchiveSource, error) {
-	if path == "" {
-		return nil, fmt.Errorf("%w: empty archive path", ErrConfig)
-	}
-	src, err := newShardedSource(shard.Spec{ArchivePath: path}, shards, transport)
+	index, err := OpenArchiveSource(path)
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedArchiveSource{ShardedSource: src}, nil
+	src, err := newShardedSource(shard.Spec{ArchivePath: path}, shards, transport)
+	if err != nil {
+		index.Close()
+		return nil, err
+	}
+	return &ShardedArchiveSource{ShardedSource: src, index: index}, nil
 }
 
-// AvailableMonths intersects the shards' month lists: a month is
-// evaluated only when EVERY shard holds a complete window for all of
-// its boards. Mid-archive record loss is detected at BOTH granularities
-// and surfaces as ErrShortWindow, matching the single-process
-// ArchiveSource semantics: within a shard by the archive source's own
-// complete-month-after-partial-month rule, and across shards by the
-// coordinator (a month some shards serve and others cannot, while a
-// later month is complete everywhere, is lost data — never a silent
-// skip).
+// Boards returns the archive's board IDs in device-index order.
+func (s *ShardedArchiveSource) Boards() []int { return s.index.Boards() }
+
+// Info describes the archive being replayed.
+func (s *ShardedArchiveSource) Info() store.ArchiveInfo { return s.index.Info() }
+
+// AvailableMonths lists the months every board holds a complete window
+// for — ArchiveSource.AvailableMonths on the whole archive, so lost
+// records surface as ErrShortWindow and an interrupted tail is dropped
+// exactly as in a single-process replay.
 func (s *ShardedArchiveSource) AvailableMonths(windowSize int) ([]int, error) {
-	months, err := s.co.Months(windowSize)
-	return months, mapShardErr(err)
+	return s.index.AvailableMonths(windowSize)
 }
 
 // AvailableMonthsSurviving is AvailableMonths under screening semantics
-// (SurvivingMonthLister): each shard answers with its survivor-aware
-// month list and the lists are unioned — a shard whose boards were all
-// pruned before a month legitimately serves nothing for it, while
-// per-board partial windows still error inside the owning shard.
+// (SurvivingMonthLister), as ArchiveSource.AvailableMonthsSurviving.
 func (s *ShardedArchiveSource) AvailableMonthsSurviving(windowSize int) ([]int, error) {
-	months, err := s.co.MonthsSurviving(windowSize)
-	return months, mapShardErr(err)
+	return s.index.AvailableMonthsSurviving(windowSize)
+}
+
+// Close shuts every worker down and releases the archive file.
+func (s *ShardedArchiveSource) Close() error {
+	return errors.Join(s.ShardedSource.Close(), s.index.Close())
 }

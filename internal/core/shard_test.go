@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"maps"
 	"path/filepath"
+	"reflect"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -155,7 +157,7 @@ func TestShardedRigBitIdentical(t *testing.T) {
 
 // TestShardedArchiveReplayBitIdentical: sharded archive replay — month
 // discovery included — matches the single-process ArchiveSource on the
-// same JSONL file.
+// same archive.
 func TestShardedArchiveReplayBitIdentical(t *testing.T) {
 	profile, err := silicon.ATmega32u4()
 	if err != nil {
@@ -359,15 +361,25 @@ func TestShardCountValidation(t *testing.T) {
 // months per board (window records each), for month-discovery tests.
 func writeSyntheticArchive(t *testing.T, path string, window int, monthsByBoard map[int][]int) {
 	t.Helper()
-	a := boardRecords{}
-	boards := make([]int, 0, len(monthsByBoard))
-	for b := range monthsByBoard {
-		boards = append(boards, b)
+	counts := map[int]map[int]int{}
+	for b, months := range monthsByBoard {
+		counts[b] = map[int]int{}
+		for _, m := range months {
+			counts[b][m] = window
+		}
 	}
-	sort.Ints(boards)
-	for _, b := range boards {
-		for _, m := range monthsByBoard[b] {
+	writeArchiveCounts(t, path, counts)
+}
+
+// writeArchiveCounts writes a binary archive holding counts[b][m]
+// records of board b in month m, so a month can also be partial.
+func writeArchiveCounts(t *testing.T, path string, counts map[int]map[int]int) {
+	t.Helper()
+	a := boardRecords{}
+	for _, b := range slices.Sorted(maps.Keys(counts)) {
+		for _, m := range slices.Sorted(maps.Keys(counts[b])) {
 			start := store.MonthlyWindowStart(m)
+			window := counts[b][m]
 			for i := 0; i < window; i++ {
 				v := bitvec.New(16)
 				v.Set((b+m+i)%16, true)
@@ -389,10 +401,8 @@ func writeSyntheticArchive(t *testing.T, path string, window int, monthsByBoard 
 // TestShardedArchiveDataLossNotMasked: a month lost on one shard's
 // boards while another shard (and a later month everywhere) is complete
 // must surface as ErrShortWindow from sharded month discovery — the
-// single-process data-defect rule, not a silent skip. Regression: the
-// per-shard discovery alone classifies "all my boards short" as a
-// rig-off month, so the coordinator has to re-apply the rule across
-// shards.
+// single-process data-defect rule, not a silent skip. A shard that
+// listed only its own boards would see month 1 as a rig-off month.
 func TestShardedArchiveDataLossNotMasked(t *testing.T) {
 	const window = 3
 	path := filepath.Join(t.TempDir(), "lost.bin")
@@ -452,34 +462,107 @@ func TestShardedArchiveInterruptedTailDropped(t *testing.T) {
 	}
 }
 
-// TestShardBackendMonthsUnsupported: the unbounded backends refuse
-// month discovery with the code the coordinator maps to "unsupported",
-// while every engine error class keeps its wire code.
-func TestShardBackendMonthsUnsupported(t *testing.T) {
+// TestShardedArchiveMonthsMatchSingleProcess: sharded month discovery
+// is the single-process rule, strict and screened, for every shard
+// count — the same months, or the same ErrShortWindow. The archives are
+// the shapes a per-shard listing merged across shards got wrong: a board
+// that starts a month late is lost data, and one stray record at the
+// tail is an interrupted month that a screened replay must drop, not
+// fail on.
+func TestShardedArchiveMonthsMatchSingleProcess(t *testing.T) {
+	const window = 3
+	full := func(months ...int) map[int]int {
+		c := map[int]int{}
+		for _, m := range months {
+			c[m] = window
+		}
+		return c
+	}
+	strayTail := full(0, 1)
+	strayTail[2] = 1
+	archives := []struct {
+		name   string
+		counts map[int]map[int]int
+	}{
+		{"lost month", map[int]map[int]int{0: full(0, 2), 1: full(0, 1, 2)}},
+		{"interrupted tail", map[int]map[int]int{0: full(0, 1), 1: full(0, 1, 2)}},
+		{"stray tail record", map[int]map[int]int{0: full(0, 1, 2), 1: strayTail}},
+		{"late start", map[int]map[int]int{0: full(0, 1, 2), 1: full(1, 2)}},
+	}
+	for _, a := range archives {
+		t.Run(a.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "archive.bin")
+			writeArchiveCounts(t, path, a.counts)
+			plain, err := OpenArchiveSource(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer plain.Close()
+			for _, shards := range []int{1, 2} {
+				src, err := NewShardedArchiveSource(path, shards, nil)
+				if err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				for _, screened := range []bool{false, true} {
+					list := func(ml interface {
+						MonthLister
+						SurvivingMonthLister
+					}) ([]int, error) {
+						if screened {
+							return ml.AvailableMonthsSurviving(window)
+						}
+						return ml.AvailableMonths(window)
+					}
+					want, wantErr := list(plain)
+					got, gotErr := list(src)
+					if wantErr != nil && !errors.Is(wantErr, ErrShortWindow) {
+						t.Fatalf("screened=%t: single-process err = %v, want nil or ErrShortWindow", screened, wantErr)
+					}
+					if !reflect.DeepEqual(got, want) || errors.Is(gotErr, ErrShortWindow) != (wantErr != nil) {
+						t.Fatalf("shards=%d screened=%t: months %v, err %v; single-process months %v, err %v",
+							shards, screened, got, gotErr, want, wantErr)
+					}
+				}
+				src.Close()
+			}
+		})
+	}
+
+	// A screened replay of the stray-tail archive evaluates months 0 and
+	// 1 in every layout.
+	path := filepath.Join(t.TempDir(), "stray.bin")
+	writeArchiveCounts(t, path, archives[2].counts)
+	plain, err := OpenArchiveSource(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	sc := &ScreeningConfig{Floor: 0}
+	want := runScreened(t, plain, window, nil, sc)
+	if len(want.Monthly) != 2 {
+		t.Fatalf("single-process screened replay evaluated %d months, want 2", len(want.Monthly))
+	}
+	for _, shards := range []int{1, 2} {
+		src, err := NewShardedArchiveSource(path, shards, nil)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		got := runScreened(t, src, window, nil, sc)
+		src.Close()
+		assertResultsBitIdentical(t, want, got)
+	}
+}
+
+// TestShardErrorCodes: every engine error class a backend can raise
+// keeps its wire code, and a bad handshake spec is ErrConfig.
+func TestShardErrorCodes(t *testing.T) {
 	profile, err := silicon.ATmega32u4()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rig := range []bool{false, true} {
-		b, err := buildShardBackend(shard.Spec{Sim: mustJSON(t, SimSpec{Profile: profile, Devices: 2, Seed: 1, Rig: rig})})
-		if err != nil {
-			t.Fatalf("rig=%t: %v", rig, err)
-		}
-		if err := b.Assign([]int{0, 1}); err != nil {
-			t.Fatalf("rig=%t: %v", rig, err)
-		}
-		_, err = b.Months(10)
-		if err == nil {
-			t.Fatalf("rig=%t: month discovery on an unbounded source succeeded", rig)
-		}
-		if code := shardErrorCode(err); code != shard.CodeUnsupported {
-			t.Fatalf("rig=%t: error code %q, want %q", rig, code, shard.CodeUnsupported)
-		}
-	}
 	codes := map[error]string{
 		ErrConfig:              shard.CodeConfig,
 		ErrShortWindow:         shard.CodeShortWindow,
-		ErrNoMonths:            shard.CodeNoMonths,
 		errors.New("whatever"): shard.CodeInternal,
 	}
 	for err, want := range codes {

@@ -337,22 +337,24 @@ func (s *ArchiveSource) AvailableMonthsSurviving(windowSize int) ([]int, error) 
 	return s.discoverMonths(windowSize, true)
 }
 
+// MaxArchiveMonths caps the month index the archive listers walk to:
+// 50 years past the campaign epoch. Archives are external input, and a
+// single corrupt far-future timestamp must not turn discovery into a
+// ~100k-iteration scan.
+const MaxArchiveMonths = 600
+
 // discoverMonths walks the archive's months under the completeness rule.
 // A partial month is the archive's interrupted tail unless a complete
 // month follows it; then records were lost, and the first partial month
 // is reported.
 func (s *ArchiveSource) discoverMonths(windowSize int, screened bool) ([]int, error) {
-	// Archives are external input: a single corrupt far-future timestamp
-	// must not turn discovery into a ~100k-iteration scan, so the month
-	// walk is capped at 50 years past the campaign epoch.
-	const maxArchiveMonths = 600
 	last := -1
 	for _, b := range s.boards {
 		if m, ok := s.ir.LastMonth(b); ok && m > last {
 			last = m
 		}
 	}
-	last = min(last, maxArchiveMonths)
+	last = min(last, MaxArchiveMonths)
 	rule := newMonthRule(s.ir, s.boards, windowSize, screened)
 	var months []int
 	partialMonth, partialBoards := -1, []int(nil)

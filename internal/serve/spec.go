@@ -121,13 +121,13 @@ const (
 // Admission bounds. Specs are external input to a long-lived service: a
 // single absurd field must not allocate unbounded memory (a month range
 // is materialised as a slice, a worker budget as a semaphore). The caps
-// are far above any physical campaign — the archive layer itself stops
-// walking months at 50 years.
+// are far above any physical campaign; a month index stops at
+// core.MaxArchiveMonths (50 years), where the archive listers stop
+// walking.
 const (
-	maxMonthIndex = 600     // 50 years, matching ArchiveSource's walk cap
-	maxDevices    = 1 << 10 // 64x the paper's fleet
-	maxWindow     = 1 << 20 // 1000x the paper's window
-	maxWorkers    = 1 << 12
+	maxDevices = 1 << 10 // 64x the paper's fleet
+	maxWindow  = 1 << 20 // 1000x the paper's window
+	maxWorkers = 1 << 12
 )
 
 // profileByName resolves a Spec.Profile string through the silicon
@@ -229,8 +229,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("%w: window %d exceeds the service bound %d", core.ErrConfig, s.Window, maxWindow)
 	case s.Months < 0:
 		return fmt.Errorf("%w: negative campaign length %d", core.ErrConfig, s.Months)
-	case s.Months > maxMonthIndex:
-		return fmt.Errorf("%w: campaign length %d exceeds the service bound %d months", core.ErrConfig, s.Months, maxMonthIndex)
+	case s.Months > core.MaxArchiveMonths:
+		return fmt.Errorf("%w: campaign length %d exceeds the service bound %d months", core.ErrConfig, s.Months, core.MaxArchiveMonths)
 	case s.Months > 0 && len(s.MonthList) > 0:
 		return fmt.Errorf("%w: months and month_list are exclusive", core.ErrConfig)
 	case s.Months == 0 && len(s.MonthList) == 0:
@@ -241,8 +241,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("%w: worker count %d exceeds the service bound %d", core.ErrConfig, s.Workers, maxWorkers)
 	}
 	for _, m := range s.MonthList {
-		if m > maxMonthIndex {
-			return fmt.Errorf("%w: month_list index %d exceeds the service bound %d months", core.ErrConfig, m, maxMonthIndex)
+		if m > core.MaxArchiveMonths {
+			return fmt.Errorf("%w: month_list index %d exceeds the service bound %d months", core.ErrConfig, m, core.MaxArchiveMonths)
 		}
 	}
 	cs, err := s.campaign()

@@ -30,14 +30,14 @@
 //
 //	hello{Spec}            configuration: sim spec or archive path
 //	← helloAck{Devices}    worker's total device view (archive: board count)
-//	assign{Indices}        the shard's global device indices
+//	assign{Lo,Hi}          the shard's global device index range
 //	measure{Month,Size,Workers}   one evaluation window request
-//	← recordBatch*         binary record batches, Size × len(Indices)
-//	                       records in total
+//	← recordBatch*         binary record batches, Size × (Hi−Lo)
+//	                       records in total (less any pruned devices)
 //	← end{Month,Records}   window complete
 //	← error{Code,Message}  instead of end: typed failure
-//	monthsReq{WindowSize}  (archive mode) month discovery
-//	← months{Months}
+//	prune{Indices}         (screening) stop measuring these devices
+//	← pruneAck
 //	shutdown               clean exit (closing the stream at a frame
 //	                       boundary is the equivalent, and what the
 //	                       coordinator's Close does — a farewell frame
@@ -64,11 +64,14 @@ import (
 // measure-done frame carry the shard's profile assignment, and added
 // between-month device pruning (screening). Version 4 carries the
 // simulated source's configuration as one opaque encoded spec instead of
-// a mode and seven spec fields.
-const Protocol = 4
+// a mode and seven spec fields. Version 5 drops the months exchange:
+// the coordinator's process lists an archive's months from its own
+// index, so a worker only measures and prunes.
+const Protocol = 5
 
-// Frame types. Type 5 was protocol v1's per-record JSON frame and is
-// retired, not recycled.
+// Frame types. Type 5 was protocol v1's per-record JSON frame and types
+// 8 and 9 the months exchange of v4 and earlier; they are retired, not
+// recycled.
 const (
 	frameHello       byte = 1  // coordinator → worker: Spec
 	frameHelloAck    byte = 2  // worker → coordinator: helloAck
@@ -76,8 +79,6 @@ const (
 	frameMeasure     byte = 4  // coordinator → worker: measureRequest
 	frameEnd         byte = 6  // worker → coordinator: endOfWindow
 	frameError       byte = 7  // worker → coordinator: errorFrame
-	frameMonthsReq   byte = 8  // coordinator → worker: monthsRequest
-	frameMonths      byte = 9  // worker → coordinator: monthsResponse
 	frameShutdown    byte = 10 // coordinator → worker: clean exit, no payload
 	frameRecordBatch byte = 11 // worker → coordinator: batched binary records
 	framePrune       byte = 12 // coordinator → worker: pruneRequest
@@ -85,8 +86,8 @@ const (
 )
 
 // maxFrame bounds a frame payload. Record batches flush at
-// batchFrameTarget (64 KiB), far below the bound; month lists and specs
-// are smaller still. The bound keeps a corrupt length prefix from
+// batchFrameTarget (64 KiB), far below the bound; control payloads are
+// smaller still. The bound keeps a corrupt length prefix from
 // turning into a giant allocation.
 const maxFrame = 1 << 24
 
@@ -201,27 +202,12 @@ type errorFrame struct {
 	Message string `json:"message"`
 }
 
-// monthsRequest asks a bounded (archive) worker which month indices its
-// shard holds complete windows for. Surviving selects screening
-// semantics: a board with no records in a month was pruned, not lost.
-type monthsRequest struct {
-	WindowSize int  `json:"window_size"`
-	Surviving  bool `json:"surviving,omitempty"`
-}
-
-// monthsResponse lists the shard's available months, ascending.
-type monthsResponse struct {
-	Months []int `json:"months"`
-}
-
 // Worker-error codes carried by errorFrame. The core layer maps them
 // back onto its typed assessment errors so errors.Is works across the
 // process boundary.
 const (
 	CodeConfig      = "config"
 	CodeShortWindow = "short-window"
-	CodeNoMonths    = "no-months"
-	CodeUnsupported = "unsupported"
 	CodeInternal    = "internal"
 )
 

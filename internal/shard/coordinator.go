@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"repro/internal/store"
@@ -26,7 +25,7 @@ type Transport func(shard, shards int) (io.ReadWriteCloser, error)
 //
 // A Coordinator is constructed against a Spec and a Transport, performs
 // the handshake/assignment with every worker eagerly, and then serves
-// Measure and Months calls until Close. The first failure (worker
+// Measure and Prune calls until Close. The first failure (worker
 // crash, protocol violation, sink error, cancellation) tears the whole
 // session down: every connection is closed, which unblocks every
 // in-flight reader, so no goroutine outlives the failing call.
@@ -431,100 +430,6 @@ func (c *Coordinator) measureShard(i int, conn io.ReadWriteCloser, month, size, 
 			return fmt.Errorf("%w: shard %d: frame type %d during measure", ErrProtocol, i, typ)
 		}
 	}
-}
-
-// Months queries every shard for the month indices it holds complete
-// windows for and intersects them: a month is available only when every
-// shard can serve it. Bounded (archive) workers answer; unbounded
-// workers report CodeUnsupported, which this call surfaces.
-//
-// The intersection is defect-checked with the same rule the
-// single-process archive source applies per board: a month served by
-// SOME shards but not others, while a LATER month is complete
-// everywhere, means records were lost mid-archive — that is an error
-// (reported with the short-window code, so it maps onto the same typed
-// error as the single-process detection), never a silent skip. A
-// trailing partial month (collection interrupted, no complete month
-// after it) is dropped, exactly like the single-process tail rule.
-func (c *Coordinator) Months(windowSize int) ([]int, error) {
-	return c.months(windowSize, false)
-}
-
-// MonthsSurviving is Months under screening semantics: each shard
-// answers with its survivor-aware month list (a board with no records in
-// a month was pruned, not lost), and the shard lists are UNIONED — a
-// shard whose boards were all pruned before a month legitimately serves
-// nothing for it. Per-board defects (some records but less than a
-// window) still error inside each shard.
-func (c *Coordinator) MonthsSurviving(windowSize int) ([]int, error) {
-	return c.months(windowSize, true)
-}
-
-func (c *Coordinator) months(windowSize int, surviving bool) ([]int, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	c.mu.Unlock()
-	served := map[int][]int{} // month → shard indices serving it
-	for i, conn := range c.conns {
-		if err := writeJSON(conn, frameMonthsReq, monthsRequest{WindowSize: windowSize, Surviving: surviving}); err != nil {
-			c.Close()
-			return nil, fmt.Errorf("%w: shard %d: months request: %v", ErrWorker, i, err)
-		}
-		var resp monthsResponse
-		if err := c.expect(i, conn, frameMonths, &resp); err != nil {
-			c.Close()
-			return nil, err
-		}
-		for _, m := range resp.Months {
-			served[m] = append(served[m], i)
-		}
-	}
-	if surviving {
-		months := make([]int, 0, len(served))
-		for m := range served {
-			months = append(months, m)
-		}
-		sort.Ints(months)
-		return months, nil
-	}
-	var months []int
-	for m, shards := range served {
-		if len(shards) == c.shards {
-			months = append(months, m)
-		}
-	}
-	sort.Ints(months)
-	if len(months) > 0 {
-		lastComplete := months[len(months)-1]
-		union := make([]int, 0, len(served))
-		for m := range served {
-			union = append(union, m)
-		}
-		sort.Ints(union)
-		for _, m := range union {
-			haves := served[m]
-			if len(haves) == c.shards || m >= lastComplete {
-				continue
-			}
-			var missing []int
-			have := map[int]bool{}
-			for _, i := range haves {
-				have[i] = true
-			}
-			for i := 0; i < c.shards; i++ {
-				if !have[i] {
-					missing = append(missing, i)
-				}
-			}
-			return nil, &RemoteError{Shard: missing[0], Code: CodeShortWindow,
-				Message: fmt.Sprintf("month %d is complete on shard(s) %v but short on shard(s) %v while month %d is complete everywhere — records were lost mid-archive",
-					m, haves, missing, lastComplete)}
-		}
-	}
-	return months, nil
 }
 
 // Close closes every worker connection. An idle worker sees EOF at a

@@ -10,7 +10,7 @@ import (
 )
 
 // seedFrames returns valid wire encodings for the fuzz corpora: one
-// frame of every type the protocol speaks.
+// frame of every type the protocol speaks or has spoken.
 func seedFrames(t interface{ Fatal(...any) }) [][]byte {
 	v := bitvec.New(32)
 	v.Set(5, true)
@@ -30,15 +30,17 @@ func seedFrames(t interface{ Fatal(...any) }) [][]byte {
 		}
 		frames = append(frames, buf.Bytes())
 	}
-	add(frameHello, []byte(`{"protocol":4,"sim":{"devices":4,"seed":7}}`))
-	add(frameHelloAck, []byte(`{"protocol":4,"devices":4}`))
+	add(frameHello, []byte(`{"protocol":5,"sim":{"devices":4,"seed":7}}`))
+	add(frameHelloAck, []byte(`{"protocol":5,"devices":4}`))
 	add(frameAssign, []byte(`{"indices":[0,1]}`))
 	add(frameMeasure, []byte(`{"month":2,"size":100,"workers":3}`))
 	add(frameRecordBatch, batch)
 	add(frameEnd, []byte(`{"month":2,"records":200}`))
 	add(frameError, []byte(`{"code":"short-window","message":"board 5"}`))
-	add(frameMonthsReq, []byte(`{"window_size":100}`))
-	add(frameMonths, []byte(`{"months":[0,1,2]}`))
+	// Types 8 and 9, the retired months exchange, stay in the corpus:
+	// the codec frames them like any other byte.
+	add(8, []byte(`{"window_size":100}`))
+	add(9, []byte(`{"months":[0,1,2]}`))
 	add(frameShutdown, nil)
 	return frames
 }

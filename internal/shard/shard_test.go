@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -25,9 +26,6 @@ type stubBackend struct {
 	indices []int
 	// measureErr, when non-nil, fails every Measure.
 	measureErr error
-	// months served by Months (nil + monthsErr for unbounded).
-	months    []int
-	monthsErr error
 }
 
 func stubPattern(device, month, i int) *bitvec.Vector {
@@ -67,8 +65,6 @@ func (b *stubBackend) Measure(ctx context.Context, month, size, workers int, emi
 	}
 	return nil
 }
-
-func (b *stubBackend) Months(int) ([]int, error) { return b.months, b.monthsErr }
 
 // pipeTransport runs Serve on a goroutine per shard over an io.Pipe
 // pair, with a hook to adjust each shard's backend.
@@ -299,38 +295,48 @@ func TestCoordinatorCancellation(t *testing.T) {
 	assertNoLeaks(t, before)
 }
 
-// TestCoordinatorMonths intersects per-shard month lists and
-// defect-checks the result: a month served by only some shards is an
-// error when a later month is complete everywhere (lost records), and
-// silently dropped when it trails the last complete month (interrupted
-// collection).
-func TestCoordinatorMonths(t *testing.T) {
-	months := func(lists [][]int) ([]int, error) {
-		transport := pipeTransport(t, func(i int) Backend {
-			return &stubBackend{devices: 4, months: lists[i]}
-		})
-		co, err := NewCoordinator(simSpec(4), len(lists), transport)
-		if err != nil {
+// scriptConn feeds a worker a fixed frame script and collects what it
+// writes back.
+type scriptConn struct {
+	in  *bytes.Reader
+	out bytes.Buffer
+}
+
+func (c *scriptConn) Read(b []byte) (int, error)  { return c.in.Read(b) }
+func (c *scriptConn) Write(b []byte) (int, error) { return c.out.Write(b) }
+
+// TestWorkerRefusesMonthsRequest: a v4 coordinator's months request
+// (frame type 8, retired in v5) is a protocol violation that ends the
+// worker's session, not a frame it silently skips.
+func TestWorkerRefusesMonthsRequest(t *testing.T) {
+	var script bytes.Buffer
+	spec := simSpec(2)
+	spec.Protocol = Protocol
+	for _, f := range []struct {
+		typ byte
+		v   any
+	}{
+		{frameHello, spec},
+		{frameAssign, assignment{Lo: 0, Hi: 2}},
+		{8, map[string]int{"window_size": 10}},
+	} {
+		if err := writeJSON(&script, f.typ, f.v); err != nil {
 			t.Fatal(err)
 		}
-		defer co.Close()
-		return co.Months(10)
 	}
-
-	// Trailing partial months drop; the shared prefix survives.
-	got, err := months([][]int{{0, 1, 2, 5}, {0, 1, 2}})
-	if err != nil {
-		t.Fatal(err)
+	conn := &scriptConn{in: bytes.NewReader(script.Bytes())}
+	err := Serve(context.Background(), conn, ServerConfig{
+		Build: func(Spec) (Backend, error) { return &stubBackend{devices: 2}, nil },
+	})
+	if !errors.Is(err, ErrProtocol) {
+		t.Fatalf("err = %v, want ErrProtocol", err)
 	}
-	if want := []int{0, 1, 2}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("months = %v, want %v", got, want)
+	typ, _, rerr := ReadFrame(&conn.out)
+	if rerr != nil || typ != frameHelloAck {
+		t.Fatalf("first reply: type %d, err %v; want the hello ack", typ, rerr)
 	}
-
-	// A gap on one shard before a globally complete month is lost data.
-	got, err = months([][]int{{0, 2}, {0, 1, 2}})
-	var re *RemoteError
-	if !errors.As(err, &re) || re.Code != CodeShortWindow {
-		t.Fatalf("months = %v, err = %v, want a %s RemoteError", got, err, CodeShortWindow)
+	if conn.out.Len() != 0 {
+		t.Fatalf("worker answered the months request with %d more bytes", conn.out.Len())
 	}
 }
 

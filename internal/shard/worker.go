@@ -20,7 +20,7 @@ type Backend interface {
 	// workers agree before partitioning.
 	Devices() int
 	// Assign hands the backend its shard: global device indices,
-	// ascending. Called once, before any Measure or Months.
+	// ascending. Called once, before any Measure.
 	Assign(indices []int) error
 	// Measure streams one evaluation window for the assigned shard:
 	// exactly size records per assigned device at the given month,
@@ -28,10 +28,6 @@ type Backend interface {
 	// ascending order (stateful silicon ages monotonically). emit is
 	// safe for concurrent calls across distinct devices.
 	Measure(ctx context.Context, month, size, workers int, emit func(device int, rec store.Record) error) error
-	// Months returns the ascending month indices the assigned shard
-	// holds complete windows for (bounded sources), or an error wrapping
-	// a code the coordinator maps (unbounded sources: CodeUnsupported).
-	Months(windowSize int) ([]int, error)
 }
 
 // Pruner is implemented by backends that can stop measuring a subset of
@@ -54,13 +50,6 @@ type ProfileReporter interface {
 	ProfileAssignment() ([]string, []uint8)
 }
 
-// SurvivingMonths is implemented by bounded backends that can discover
-// months under screening semantics (a board with no records in a month
-// was pruned, not lost).
-type SurvivingMonths interface {
-	MonthsSurviving(windowSize int) ([]int, error)
-}
-
 // ServerConfig parameterises a worker's protocol loop.
 type ServerConfig struct {
 	// Build constructs the backend from the handshake spec.
@@ -72,7 +61,7 @@ type ServerConfig struct {
 }
 
 // Serve runs one worker session over rw: handshake, assignment, then
-// measure/months requests until a shutdown frame or EOF. A clean
+// measure and prune requests until a shutdown frame or EOF. A clean
 // shutdown (or the coordinator closing the connection at a frame
 // boundary) returns nil; protocol violations and transport failures
 // return an error. Backend failures do NOT end the session — they are
@@ -225,35 +214,6 @@ func Serve(ctx context.Context, rw io.ReadWriter, cfg ServerConfig) error {
 				continue
 			}
 			if err := write(framePruneAck, nil); err != nil {
-				return err
-			}
-		case frameMonthsReq:
-			if backend == nil || !assigned {
-				return fmt.Errorf("%w: months before hello/assign", ErrProtocol)
-			}
-			var req monthsRequest
-			if err := decodeJSON(payload, &req); err != nil {
-				return err
-			}
-			var months []int
-			var merr error
-			if req.Surviving {
-				sm, ok := backend.(SurvivingMonths)
-				if !ok {
-					merr = fmt.Errorf("backend %T cannot discover surviving months", backend)
-				} else {
-					months, merr = sm.MonthsSurviving(req.WindowSize)
-				}
-			} else {
-				months, merr = backend.Months(req.WindowSize)
-			}
-			if merr != nil {
-				if werr := fail(merr); werr != nil {
-					return werr
-				}
-				continue
-			}
-			if err := write(frameMonths, monthsResponse{Months: months}); err != nil {
 				return err
 			}
 		case frameShutdown:

@@ -16,7 +16,7 @@ type (
 	// ShardedSource fans a simulated or rig campaign across workers.
 	ShardedSource = core.ShardedSource
 	// ShardedArchiveSource fans archive replay across workers; it lists
-	// the months every shard holds complete windows for (MonthLister).
+	// months exactly as ArchiveSource does (MonthLister).
 	ShardedArchiveSource = core.ShardedArchiveSource
 	// ShardTransport opens the byte stream to one worker: subprocesses
 	// (ExecShardTransport) or in-process goroutines
@@ -95,8 +95,8 @@ func NewShardedRigSource(profile DeviceProfile, devices int, seed uint64, i2cErr
 // NewShardedArchiveSource shards replay of the binary archive at path
 // across workers; every worker must be able to read the path. A JSONL
 // archive is refused: convert it once with UpgradeArchive. Without
-// WithMonths an assessment over it evaluates the months every shard
-// holds complete windows for.
+// WithMonths an assessment over it evaluates the months
+// OpenArchiveSource's source would list.
 func NewShardedArchiveSource(path string, shards int, t ShardTransport) (*ShardedArchiveSource, error) {
 	return core.NewShardedArchiveSource(path, shards, t)
 }
