@@ -80,7 +80,7 @@ func BenchmarkFig3Waveform(b *testing.B) {
 			b.Fatal(err)
 		}
 		rig.Switch().SetTracing(true)
-		if err := rig.StreamWindow(4, store.Epoch, func(store.Record) error { return nil }); err != nil {
+		if err := rig.StreamWindow(4, 0, func(store.Record) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 		out := report.RenderWaveforms(rig.Switch().Trace(), []int{0, 1, 2, 3}, desim.FromSeconds(21.6), 108)

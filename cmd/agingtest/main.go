@@ -10,17 +10,18 @@
 //	agingtest -devices 16 -months 24 -window 1000
 //
 // With -harness the campaign runs through the full rig simulation
-// (masters, power switch, I2C); with -archive FILE it additionally
-// streams every measurement record to an archive as it is captured —
-// the format cmd/evaluate replays — while the same pass evaluates the
-// campaign. The archive format follows the extension: `.bin` streams
-// the indexed binary record codec (half the bytes, no per-record JSON
-// churn, and a trailer index written at the end of collection so
-// evaluate replays any month with an O(1) seek); anything else streams
-// JSON lines, an export format that evaluate -index converts to binary
-// once before replaying it. -workers bounds evaluation
-// parallelism, on the rig path too: how many boards' power-up captures
-// and aging run at once. It never changes the output.
+// (masters, power switch, I2C). With -archive FILE every measurement
+// record streams to an archive as it is captured — the format
+// cmd/evaluate replays — while the same pass evaluates the campaign.
+// Every layout (direct, -harness, -fleet, -shards) frames the same
+// records, so the archive does not depend on the layout. The archive
+// format follows the extension: `.bin` streams the indexed binary record
+// codec (half the bytes, no per-record JSON churn, and a trailer index
+// written at the end of collection so evaluate replays any month with an
+// O(1) seek); anything else streams JSON lines, an export format that
+// evaluate -index converts to binary once before replaying it. -workers
+// bounds evaluation parallelism, on the rig path too: how many boards'
+// power-up captures and aging run at once. It never changes the output.
 //
 // With -shards N the device population is partitioned across N shard
 // workers (subprocesses running the -shardworker binary, or in-process
@@ -46,10 +47,9 @@ import (
 	"repro/internal/store"
 )
 
-// recordTapper is a source whose record stream can be archived: the rig,
-// in process or sharded.
+// recordTapper is a source whose record stream can be archived: every
+// simulated source, direct or rig, in process or sharded.
 type recordTapper interface {
-	sramaging.Source
 	SetTap(func(sramaging.Record) error)
 }
 
@@ -75,19 +75,19 @@ func run(args []string, stdout io.Writer) error {
 	flags := flag.NewFlagSet("agingtest", flag.ContinueOnError)
 	devices := flags.Int("devices", 4, "boards under test (paper: 16)")
 	profileName := flags.String("profile", "", "registered device profile name (default atmega32u4, the paper's chip; see sramaging.RegisteredProfiles)")
-	fleetNames := flags.String("fleet", "", "comma-separated registered profile names: run a heterogeneous fleet campaign with per-profile breakdowns (exclusive with -profile, -harness, -archive, -keylife)")
+	fleetNames := flags.String("fleet", "", "comma-separated registered profile names: run a heterogeneous fleet campaign with per-profile breakdowns (exclusive with -profile, -harness, -keylife)")
 	screenFloor := flags.Float64("screen-floor", 0, "corner-screening stability floor in [0, 1): prune devices whose stable-cell ratio falls below it between months (0: off)")
 	lazy := flags.Bool("lazy", false, "derive each chip on demand inside its worker slot, holding O(workers) arrays instead of the whole population (default on for -fleet; bits identical either way)")
 	months := flags.Int("months", 6, "campaign length in months (paper: 24)")
 	window := flags.Int("window", 200, "measurements per monthly window (paper: 1000)")
 	seed := flags.Uint64("seed", 20170208, "campaign seed")
 	useHarness := flags.Bool("harness", false, "route windows through the full rig simulation")
-	i2cErr := flags.Float64("i2c-error", 0, "I2C byte corruption rate (harness path)")
+	i2cErr := flags.Float64("i2c-error", 0, "I2C byte corruption rate (needs -harness, or -remote)")
 	workers := flags.Int("workers", 0, "evaluation parallelism: sampling slots, or with -harness the rig's capture and aging workers (0: one per CPU; with -shards: total budget split across shards)")
 	shards := flags.Int("shards", 0, "fan the campaign across N shard workers (0: single process)")
 	shardWorker := flags.String("shardworker", "", "shardworker binary for -shards (default: in-process workers)")
 	csvDir := flags.String("csv", "", "directory for Fig. 6 series CSV export")
-	archive := flags.String("archive", "", "stream a measurement archive (forces -harness); a .bin path streams the binary codec, anything else JSON lines (replay converts those once: evaluate -index)")
+	archive := flags.String("archive", "", "stream the campaign's measurement records to an archive, on any layout; a .bin path streams the binary codec, anything else JSON lines (replay converts those once: evaluate -index)")
 	keylife := flags.Bool("keylife", false, "run the key-lifecycle workload: burn-in screening + enrollment at month 0, streamed reconstruction metrics after")
 	remote := flags.String("remote", "", "submit the campaign to an assessd service at this base URL instead of running locally")
 	remoteDetach := flags.Bool("remote-detach", false, "with -remote: submit and print the campaign ID without waiting")
@@ -135,6 +135,10 @@ func run(args []string, stdout io.Writer) error {
 		})
 	}
 
+	if *i2cErr != 0 && !*useHarness {
+		// Only the rig models the bus; a direct run would drop the rate.
+		return errors.New("-i2c-error needs -harness (only the rig simulation has an I2C bus)")
+	}
 	opts := []sramaging.Option{
 		sramaging.WithMonths(*months),
 		sramaging.WithWindowSize(*window),
@@ -165,61 +169,37 @@ func run(args []string, stdout io.Writer) error {
 	if *screenFloor != 0 {
 		opts = append(opts, sramaging.WithScreening(*screenFloor))
 	}
-	if *lazy {
-		opts = append(opts, sramaging.WithLazy())
-	}
 	if *keylife {
 		// ScreenProfile and ScreenSeed pin the screening round to the CLI
-		// silicon even on the -archive path, where the assessment sees
-		// only a WithSource rig.
+		// silicon: the assessment sees only the WithSource source.
 		opts = append(opts, sramaging.WithKeyLifecycle(sramaging.KeyLifeConfig{ScreenProfile: profile, ScreenSeed: *seed}))
 	}
-	harnessPath := *useHarness || *archive != ""
 	var transport sramaging.ShardTransport
 	if *shardWorker != "" {
 		transport = sramaging.ExecShardTransport(*shardWorker)
 	}
 
+	// The source is built (and validated) here, the same way whether or
+	// not the campaign is archived: every layout frames the same records.
+	// Its record tap and the archive file are only wired up after the
+	// whole assessment has validated, so a bad configuration cannot
+	// truncate an existing archive.
+	spec := core.SimSpec{Profile: profile, Fleet: fl, Devices: *devices, Seed: *seed, Rig: *useHarness,
+		I2CErrorRate: *i2cErr, Lazy: *lazy, Shards: *shards, Transport: transport}
+	if err := (core.CampaignSpec{Sim: &spec, Window: *window, KeyLife: *keylife}).Validate(); err != nil {
+		return err
+	}
+	src, err := core.OpenSim(spec)
+	if err != nil {
+		return err
+	}
+	if c, ok := src.(io.Closer); ok {
+		defer c.Close()
+	}
+	opts = append(opts, sramaging.WithSource(src))
 	var jw store.RecordWriter
 	var archiveFile *os.File
 	var archived int
-	// rig is the record-tappable source of the -archive collection path:
-	// the rig simulation, optionally sharded across workers.
-	var rig recordTapper
-	if *archive != "" {
-		// The rig is built (and validated) here; its record tap and the
-		// output file are only wired up after the whole assessment has
-		// validated, so a bad configuration cannot truncate an existing
-		// archive.
-		src, err := core.OpenSim(core.SimSpec{Profile: profile, Fleet: fl, Devices: *devices, Seed: *seed,
-			Rig: true, I2CErrorRate: *i2cErr, Shards: *shards, Transport: transport})
-		if err != nil {
-			return err
-		}
-		if c, ok := src.(io.Closer); ok {
-			defer c.Close()
-		}
-		rig = src.(recordTapper)
-		opts = append(opts, sramaging.WithSource(rig))
-	} else {
-		if fl != nil {
-			opts = append(opts, sramaging.WithFleet(fl))
-		} else {
-			opts = append(opts, sramaging.WithProfile(profile))
-		}
-		opts = append(opts, sramaging.WithDevices(*devices), sramaging.WithSeed(*seed))
-		if harnessPath {
-			opts = append(opts,
-				sramaging.WithHarness(),
-				sramaging.WithI2CErrorRate(*i2cErr))
-		}
-		if *shards > 0 {
-			opts = append(opts, sramaging.WithShards(*shards))
-			if transport != nil {
-				opts = append(opts, sramaging.WithShardTransport(transport))
-			}
-		}
-	}
 	prevArchived := 0
 	opts = append(opts, sramaging.WithProgress(func(ev sramaging.MonthEval) {
 		line := monthLine(ev)
@@ -234,7 +214,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if rig != nil {
+	if *archive != "" {
 		// Every configuration knob has validated: now it is safe to
 		// create (or truncate) the archive file and install the tap.
 		f, err := os.Create(*archive)
@@ -244,13 +224,13 @@ func run(args []string, stdout io.Writer) error {
 		defer f.Close()
 		archiveFile = f
 		jw = store.NewWriterForPath(*archive, f)
-		rig.SetTap(func(rec sramaging.Record) error {
+		src.(recordTapper).SetTap(func(rec sramaging.Record) error {
 			archived++
 			return jw.Write(rec)
 		})
 	}
 	fmt.Fprintf(stdout, "running campaign: %d devices, %d months, %d-measurement windows (harness=%v, workers=%d, shards=%d)\n",
-		*devices, *months, *window, harnessPath, *workers, *shards)
+		*devices, *months, *window, *useHarness, *workers, *shards)
 	res, err := a.Run(context.Background())
 	if err != nil {
 		return err

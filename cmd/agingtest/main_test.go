@@ -34,24 +34,42 @@ func tableOf(t *testing.T, opts ...sramaging.Option) string {
 
 // TestAgingtestPrintsAssessmentTable: agingtest's plain, sharded and
 // archiving runs print the Table I of the same campaign run in process,
-// byte for byte, and the archive the last one writes replays to that
-// table too.
+// byte for byte, and the archives the archiving runs write replay to
+// that table too — a fleet's as well as a single profile's, since
+// -archive records whatever layout the campaign runs on.
 func TestAgingtestPrintsAssessmentTable(t *testing.T) {
 	profile, err := sramaging.ATmega32u4()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tableOf(t, sramaging.WithProfile(profile), sramaging.WithDevices(4), sramaging.WithSeed(testSeed))
-	archive := filepath.Join(t.TempDir(), "x.bin")
-	base := []string{"-devices", "4", "-months", "2", "-window", "30"}
+	var fleet []sramaging.DeviceProfile
+	for _, name := range []string{"fleetnode-1kb", "fleetnode-2kb"} {
+		p, err := sramaging.ProfileByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet = append(fleet, p)
+	}
+	fl, err := sramaging.NewFleet(fleet...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := tableOf(t, sramaging.WithProfile(profile), sramaging.WithDevices(4), sramaging.WithSeed(testSeed))
+	fleetTable := tableOf(t, sramaging.WithFleet(fl), sramaging.WithDevices(6), sramaging.WithSeed(testSeed))
+	dir := t.TempDir()
+	archive, fleetArchive := filepath.Join(dir, "x.bin"), filepath.Join(dir, "fleet.bin")
+	base := []string{"-months", "2", "-window", "30"}
 	for _, tc := range []struct {
-		name   string
-		args   []string
-		banner string
+		name    string
+		args    []string
+		banner  string
+		want    string
+		archive string // replayed after the run when set
 	}{
-		{"plain", nil, "(harness=false, workers=0, shards=0)"},
-		{"sharded", []string{"-shards", "2"}, "(harness=false, workers=0, shards=2)"},
-		{"archive", []string{"-archive", archive}, "archive written to " + archive},
+		{"plain", []string{"-devices", "4"}, "(harness=false, workers=0, shards=0)", single, ""},
+		{"sharded", []string{"-devices", "4", "-shards", "2"}, "(harness=false, workers=0, shards=2)", single, ""},
+		{"archive", []string{"-devices", "4", "-archive", archive}, "archive written to " + archive, single, archive},
+		{"fleet-archive", []string{"-fleet", "fleetnode-1kb,fleetnode-2kb", "-devices", "6", "-archive", fleetArchive}, "archive written to " + fleetArchive, fleetTable, fleetArchive},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out bytes.Buffer
@@ -61,18 +79,21 @@ func TestAgingtestPrintsAssessmentTable(t *testing.T) {
 			if !strings.Contains(out.String(), tc.banner) {
 				t.Fatalf("output lacks %q:\n%s", tc.banner, out.String())
 			}
-			if !strings.Contains(out.String(), "\n"+want+"\n") {
-				t.Fatalf("printed Table I differs from the in-process Assessment's:\n%s\nwant:\n%s", out.String(), want)
+			if !strings.Contains(out.String(), "\n"+tc.want+"\n") {
+				t.Fatalf("printed Table I differs from the in-process Assessment's:\n%s\nwant:\n%s", out.String(), tc.want)
+			}
+			if tc.archive == "" {
+				return
+			}
+			src, err := sramaging.OpenArchiveSource(tc.archive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			if got := tableOf(t, sramaging.WithSource(src)); got != tc.want {
+				t.Fatalf("replayed archive's Table I differs:\n%s\nwant:\n%s", got, tc.want)
 			}
 		})
-	}
-	src, err := sramaging.OpenArchiveSource(archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	if got := tableOf(t, sramaging.WithSource(src)); got != want {
-		t.Fatalf("replayed archive's Table I differs:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -87,6 +108,12 @@ func TestAgingtestUsageErrors(t *testing.T) {
 	}
 	if err := run([]string{"-fleet", "atmega32u4", "-profile", "atmega32u4"}, io.Discard); err == nil || !strings.Contains(err.Error(), "exclusive") {
 		t.Errorf("-fleet with -profile: err = %v, want an exclusivity error", err)
+	}
+	if err := run([]string{"-archive", filepath.Join(t.TempDir(), "x.bin"), "-i2c-error", "0.3"}, io.Discard); err == nil || !strings.Contains(err.Error(), "-harness") {
+		t.Errorf("-i2c-error without -harness: err = %v, want one naming -harness", err)
+	}
+	if err := run([]string{"-fleet", "fleetnode-1kb,fleetnode-2kb", "-keylife"}, io.Discard); !errors.Is(err, sramaging.ErrConfig) {
+		t.Errorf("-fleet with -keylife: err = %v, want ErrConfig (the key-lifecycle workload is single-profile)", err)
 	}
 }
 

@@ -62,7 +62,7 @@ func run(args []string, stdout io.Writer) error {
 	flags := flag.NewFlagSet("evaluate", flag.ContinueOnError)
 	path := flags.String("archive", "", "binary measurement archive (required); a JSONL archive needs -index once to convert it")
 	window := flags.Int("window", 200, "measurements per monthly evaluation window")
-	shards := flags.Int("shards", 0, "fan the replay across N shard workers (0: single process)")
+	shards := flags.Int("shards", 0, "fan the replay across N >= 1 shard workers (0: single process)")
 	shardWorker := flags.String("shardworker", "", "shardworker binary for -shards (default: in-process workers)")
 	index := flags.Bool("index", false, "upgrade the archive (JSONL or v1 binary) in place to the indexed binary format (v2) before replaying")
 	keylife := flags.Bool("keylife", false, "replay the key-lifecycle workload: screening + enrollment re-derived from -seed, reconstruction from the archived measurements")
@@ -91,7 +91,7 @@ func run(args []string, stdout io.Writer) error {
 		err    error
 		across string
 	)
-	if *shards > 0 {
+	if *shards != 0 {
 		var transport sramaging.ShardTransport
 		if *shardWorker != "" {
 			transport = sramaging.ExecShardTransport(*shardWorker)

@@ -117,6 +117,7 @@ func TestEvaluateUsageErrors(t *testing.T) {
 		{[]string{"-archive", path, "-profile", "atmega32u4"}, "-profile only steers the -keylife"},
 		{[]string{"-archive", path, "-window", "11"}, "no evaluation months"},
 		{[]string{"-archive", filepath.Join(t.TempDir(), "absent.bin")}, "absent.bin"},
+		{[]string{"-archive", path, "-window", "10", "-shards", "-1"}, "need >= 1 shard, got -1"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

@@ -169,7 +169,7 @@ func fig3(profile silicon.DeviceProfile, seed uint64) error {
 	}
 	rig.Switch().SetTracing(true)
 	// Only the power-switch trace is drawn; the read-outs are discarded.
-	if err := rig.StreamWindow(4, store.Epoch, func(store.Record) error { return nil }); err != nil {
+	if err := rig.StreamWindow(4, 0, func(store.Record) error { return nil }); err != nil {
 		return err
 	}
 	trace := rig.Switch().Trace()

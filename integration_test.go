@@ -45,7 +45,7 @@ func TestIntegrationArchivePipeline(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := rig.StreamWindow(window, store.MonthlyWindowStart(m), jw.Write); err != nil {
+		if err := rig.StreamWindow(window, m, jw.Write); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/bitvec"
 	"repro/internal/entropy"
@@ -184,13 +183,6 @@ func (c *Campaign) age(month int) error {
 	return nil
 }
 
-// positionRig points the rig's cycle and sequence counters at the month's
-// window and returns the window's wall-clock start — the same mapping the
-// streaming RigSource uses.
-func (c *Campaign) positionRig(month int) time.Time {
-	return pointRigAtMonth(c.rig, month)
-}
-
 // evaluateMonthBatch is the two-pass oracle: it collects every window in
 // memory, then computes all metrics with the batch functions.
 func (c *Campaign) evaluateMonthBatch(month int) (*MonthEval, error) {
@@ -253,7 +245,7 @@ func (c *Campaign) evaluateMonthBatch(month int) (*MonthEval, error) {
 func (c *Campaign) collectWindows(month int) ([][]*bitvec.Vector, error) {
 	if c.rig != nil {
 		out := make([][]*bitvec.Vector, c.cfg.Devices)
-		if err := c.rig.StreamWindow(c.cfg.WindowSize, c.positionRig(month), func(rec store.Record) error {
+		if err := c.rig.StreamWindow(c.cfg.WindowSize, month, func(rec store.Record) error {
 			out[rec.Board] = append(out[rec.Board], rec.Data)
 			return nil
 		}); err != nil {

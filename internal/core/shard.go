@@ -435,12 +435,16 @@ type ShardedArchiveSource struct {
 	index *ArchiveSource
 }
 
-// NewShardedArchiveSource shards replay of the binary archive at path.
-// The archive is opened here first, so a JSONL or empty archive is
-// refused before any worker starts. Every worker must be able to read
+// NewShardedArchiveSource shards replay of the binary archive at path
+// across shards >= 1 workers; fewer is ErrConfig, as for the sharded sim
+// and rig sources. The archive is opened here first, so a JSONL or empty
+// archive is refused before any worker starts. Every worker must be able to read
 // the path (workers on the same host, or a shared filesystem); the
 // workers' board discovery is cross-checked during the handshake.
 func NewShardedArchiveSource(path string, shards int, transport shard.Transport) (*ShardedArchiveSource, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("%w: need >= 1 shard, got %d", ErrConfig, shards)
+	}
 	index, err := OpenArchiveSource(path)
 	if err != nil {
 		return nil, err

@@ -355,6 +355,13 @@ func TestShardCountValidation(t *testing.T) {
 	if _, err := NewShardedArchiveSource("", 1, nil); !errors.Is(err, ErrConfig) {
 		t.Fatalf("empty path: err = %v, want ErrConfig", err)
 	}
+	path := filepath.Join(t.TempDir(), "a.bin")
+	writeSyntheticArchive(t, path, 4, map[int][]int{0: {0}, 1: {0}})
+	for _, shards := range []int{0, -1} {
+		if _, err := NewShardedArchiveSource(path, shards, nil); !errors.Is(err, ErrConfig) {
+			t.Fatalf("archive replay on %d shards: err = %v, want ErrConfig", shards, err)
+		}
+	}
 }
 
 // writeSyntheticArchive writes a binary archive with the given complete

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/bitvec"
 	"repro/internal/harness"
-	"repro/internal/silicon"
 	"repro/internal/store"
 	"repro/internal/stream"
 )
@@ -52,31 +50,23 @@ func (t *recordTap) tee(rec store.Record) error {
 }
 
 // envelope tees every measurement of the month into the tap before it
-// reaches sink, framed in the rig's record envelope: Board is the
-// device's global index (indices maps local devices to global ones),
-// Layer its half of the population of devices, Seq and Cycle count
-// month·cyclesPerMonth + i for the device's i-th measurement of the
-// month, and Wall is the month's window start plus i power cycles. With
-// no tap set, sink is returned unwrapped.
+// reaches sink, framed by the rig's envelope (harness.Timing.Envelope at
+// the paper's timing): Board is the device's global index (indices maps
+// local devices to global ones), Layer its half of the population of
+// devices, and the device's i-th measurement of the month is the i-th
+// power cycle of its layer's window. With no tap set, sink is returned
+// unwrapped.
 func (t *recordTap) envelope(month int, indices []int, devices int, sink Sink) Sink {
 	if t.tap == nil {
 		return sink
 	}
-	base := uint64(month) * cyclesPerMonth
-	start := store.MonthlyWindowStart(month)
+	timing := harness.PaperTiming()
 	seqs := make([]int, len(indices))
 	return func(d int, m *bitvec.Vector) error {
 		i := seqs[d] // per-device delivery is sequential; devices are distinct slots
 		seqs[d]++
 		g := indices[d]
-		if err := t.tee(store.Record{
-			Board: g,
-			Layer: g * 2 / max(devices, 1),
-			Seq:   base + uint64(i),
-			Cycle: base + uint64(i),
-			Wall:  start.Add(time.Duration(float64(i) * silicon.CycleSeconds * float64(time.Second))),
-			Data:  m,
-		}); err != nil {
+		if err := t.tee(timing.Envelope(g, g*2/max(devices, 1), month, i, m)); err != nil {
 			return err
 		}
 		return sink(d, m)
@@ -132,14 +122,10 @@ type WorkerSetter interface {
 	SetWorkers(n int)
 }
 
-// cyclesPerMonth approximates the power cycles a board accumulates per
-// month at the rig's 5.4 s period.
-const cyclesPerMonth = uint64(30.44 * 24 * 3600 / 5.4)
-
 // RigSource routes every evaluation window through the full measurement
 // rig simulation (masters, power switch, boot, I2C, record forwarding).
-// The rig's records may additionally be copied to a tap — the archive
-// collection path of cmd/agingtest, which writes the archive while the
+// The rig's records may additionally be copied to a tap, like every
+// live source's: archive collection writes the archive while the
 // assessment evaluates the same stream.
 type RigSource struct {
 	recordTap
@@ -179,20 +165,11 @@ func (s *RigSource) SetWorkers(n int) { s.workers = n }
 // SetWorkers' width.
 func (s *RigSource) SetPool(p *stream.Pool) { s.pool = p }
 
-// pointRigAtMonth aims the rig's cycle and sequence counters at a month's
-// evaluation window and returns the window's wall-clock start. It is the
-// single definition of the month-to-cycle mapping, shared by the
-// streaming source and the batch oracle so the two cannot diverge.
-func pointRigAtMonth(rig *harness.Rig, month int) time.Time {
-	base := uint64(month) * cyclesPerMonth
-	rig.SetCycleBase(base)
-	rig.SetSeqBase(base)
-	return store.MonthlyWindowStart(month)
-}
-
-// Measure ages every board to the month boundary, points the rig's cycle
-// and sequence counters at the month's window and streams one full rig
-// window to the record tap and the sink; the rig buffers nothing.
+// Measure ages every board to the month boundary and streams the month's
+// rig window to the record tap and the sink; the rig buffers nothing.
+// Each record carries the rig's envelope (harness.Timing.Envelope): its
+// Wall is the power-on edge that latched the pattern, not the instant
+// the read-out reached the sink.
 // With SetPool, the pump runs as one job on the shared pool (the service's
 // global budget) and samples inline; otherwise it runs in the caller's
 // goroutine and spreads captures and aging over SetWorkers' width.
@@ -206,7 +183,7 @@ func (s *RigSource) Measure(ctx context.Context, month, size int, sink Sink) err
 		if err := s.rig.AgeTo(float64(month)); err != nil {
 			return err
 		}
-		return s.rig.StreamWindow(size, pointRigAtMonth(s.rig, month), func(rec store.Record) error {
+		return s.rig.StreamWindow(size, month, func(rec store.Record) error {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("core: board %d: %w", rec.Board, err)
 			}

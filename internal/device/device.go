@@ -44,7 +44,6 @@ type SlaveBoard struct {
 	served  bool           // buf holds this power cycle's read-out
 	pattern *bitvec.Vector // capture buffer, reused every power cycle
 	buf     []byte         // read-out buffer HandleRead serves from
-	seq     uint64         // lifetime measurement counter
 
 	// The capture in flight. pending and armed are the owner's: a capture
 	// was started and not yet joined, and it is the next PowerOn's
@@ -70,14 +69,6 @@ func NewSlaveBoard(sim *desim.Simulator, id, layer int, addr byte, array *sram.A
 	return &SlaveBoard{ID: id, Layer: layer, Addr: addr, Array: array, BootDelay: bootDelay, sim: sim,
 		pattern: bitvec.New(array.Cells()), buf: make([]byte, 0, (array.Cells()+7)/8), done: make(chan struct{}, 1)}, nil
 }
-
-// Seq returns the lifetime measurement counter.
-func (s *SlaveBoard) Seq() uint64 { return s.seq }
-
-// SetSeq positions the lifetime measurement counter; the campaign driver
-// uses it to account for the power cycles elapsed between evaluation
-// windows that are fast-forwarded analytically.
-func (s *SlaveBoard) SetSeq(seq uint64) { s.seq = seq }
 
 // SetCaptureQueue joins the board's capture in flight, if any, and
 // routes its later captures through q; nil samples them at the join.
@@ -112,7 +103,6 @@ func (s *SlaveBoard) PowerOn() error {
 	} else {
 		s.startCapture()
 	}
-	s.seq++
 	s.powered = true
 	s.booted = false
 	s.served = false

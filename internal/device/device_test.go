@@ -76,8 +76,8 @@ func TestPowerCycleLifecycle(t *testing.T) {
 	if len(data) != 1024 {
 		t.Fatalf("read %d bytes, want 1024", len(data))
 	}
-	if b.Seq() != 1 {
-		t.Fatalf("seq = %d", b.Seq())
+	if got := b.Array.PowerUps(); got != 1 {
+		t.Fatalf("power-ups sampled = %d, want 1", got)
 	}
 	if err := b.PowerOff(); err != nil {
 		t.Fatal(err)

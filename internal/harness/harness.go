@@ -47,14 +47,30 @@ type Config struct {
 	BusClockHz   int
 	I2CErrorRate float64 // probability of a corrupted byte on the wire
 
+	Timing
+}
+
+// Timing is the rig's power-cycle schedule.
+type Timing struct {
 	BootDelay    desim.Time // slave power-on to readout-ready
 	PowerOnTime  desim.Time // powered phase per cycle (3.8 s in the paper)
 	PowerOffTime desim.Time // unpowered phase per cycle (1.6 s)
 	LayerOffset  desim.Time // phase offset between layers (half a cycle)
 }
 
+// PaperTiming returns the paper's schedule: 0.5 s boot, 3.8 s on / 1.6 s
+// off, layers offset by half a cycle.
+func PaperTiming() Timing {
+	return Timing{
+		BootDelay:    desim.FromSeconds(0.5),
+		PowerOnTime:  desim.FromSeconds(silicon.PowerOnSeconds),
+		PowerOffTime: desim.FromSeconds(silicon.PowerOffSeconds),
+		LayerOffset:  desim.FromSeconds((silicon.PowerOnSeconds + silicon.PowerOffSeconds) / 2),
+	}
+}
+
 // DefaultConfig returns the paper's rig: 2 layers x 8 slaves, 400 kHz I2C,
-// 3.8 s on / 1.6 s off, layers offset by half a cycle.
+// PaperTiming.
 func DefaultConfig(profile silicon.DeviceProfile, seed uint64) Config {
 	return Config{
 		Profile:        profile,
@@ -62,10 +78,7 @@ func DefaultConfig(profile silicon.DeviceProfile, seed uint64) Config {
 		SlavesPerLayer: 8,
 		Seed:           seed,
 		BusClockHz:     i2c.FastMode,
-		BootDelay:      desim.FromSeconds(0.5),
-		PowerOnTime:    desim.FromSeconds(silicon.PowerOnSeconds),
-		PowerOffTime:   desim.FromSeconds(silicon.PowerOffSeconds),
-		LayerOffset:    desim.FromSeconds((silicon.PowerOnSeconds + silicon.PowerOffSeconds) / 2),
+		Timing:         PaperTiming(),
 	}
 }
 
@@ -102,7 +115,32 @@ func readDuration(c Config) desim.Time {
 }
 
 // CyclePeriod returns the rig's power-cycle period.
-func (c Config) CyclePeriod() desim.Time { return c.PowerOnTime + c.PowerOffTime }
+func (t Timing) CyclePeriod() desim.Time { return t.PowerOnTime + t.PowerOffTime }
+
+// CyclesPerMonth approximates the power cycles a board accumulates per
+// month at the rig's 5.4 s period.
+const CyclesPerMonth = uint64(30.44 * 24 * 3600 / 5.4)
+
+// Envelope frames the read-out of the i-th power cycle of a board on the
+// given layer in the month's evaluation window: the one record envelope
+// of every layout, the rig's and the direct sources'. Cycle is
+// month·CyclesPerMonth + i, Seq = Cycle + 1 is the board's lifetime
+// power-up count, and Wall is the power-on edge that latched the pattern:
+// the month's window start plus the layer's phase offset and i cycle
+// periods. The window's first cycle starts at the window start, as
+// StreamWindow schedules it.
+func (t Timing) Envelope(board, layer, month, i int, data *bitvec.Vector) store.Record {
+	cycle := uint64(month)*CyclesPerMonth + uint64(i)
+	edge := desim.Time(layer)*t.LayerOffset + desim.Time(i)*t.CyclePeriod()
+	return store.Record{
+		Board: board,
+		Layer: layer,
+		Seq:   cycle + 1,
+		Cycle: cycle,
+		Wall:  store.MonthlyWindowStart(month).Add(time.Duration(edge) * time.Microsecond),
+		Data:  data,
+	}
+}
 
 // Rig is the assembled measurement setup.
 type Rig struct {
@@ -114,10 +152,9 @@ type Rig struct {
 	boards  []*device.SlaveBoard // all slaves, global ID order
 	arrays  []*sram.Array
 
-	wallBase       time.Time
-	windowStartSim desim.Time
-	readErrors     uint64
-	workers        int // capture and aging width; <= 0: one per logical CPU
+	month      int // the running window's campaign month
+	readErrors uint64
+	workers    int // capture and aging width; <= 0: one per logical CPU
 
 	// sink receives every read-out record of the running window in
 	// capture order; the rig buffers nothing. sinkErr records the first
@@ -143,7 +180,6 @@ type master struct {
 	target    uint64
 	running   bool
 	waiting   bool
-	cycleBase uint64
 	other     *master
 }
 
@@ -254,43 +290,29 @@ func (r *Rig) AgeTo(months float64) error {
 // Switch returns the power-switch board (for waveform tracing).
 func (r *Rig) Switch() *device.PowerSwitch { return r.sw }
 
-// SetCycleBase positions the global cycle counter, accounting for cycles
-// fast-forwarded between evaluation windows.
-func (r *Rig) SetCycleBase(base uint64) {
-	for _, m := range r.masters {
-		m.cycleBase = base
-	}
-}
-
-// SetSeqBase positions every board's lifetime measurement counter.
-func (r *Rig) SetSeqBase(base uint64) {
-	for _, b := range r.boards {
-		b.SetSeq(base)
-	}
-}
-
-// StreamWindow executes one evaluation window: `measurements` complete
-// power cycles per board, with wall-clock timestamps starting at
-// wallStart. Every record goes to sink in capture order; the rig buffers
-// nothing. A caller that wants only the power-switch trace passes a sink
-// that discards.
+// StreamWindow executes the evaluation window of a campaign month:
+// `measurements` complete power cycles per board, the first starting at
+// the month's window start. Every record goes to sink in capture order,
+// framed by Timing.Envelope; the rig buffers nothing. A caller that wants
+// only the power-switch trace passes a sink that discards.
 // A sink failure aborts the window at the next event boundary (so a
 // cancelled campaign returns promptly); the first sink error is returned
 // and the rig is poisoned — it refuses further windows, since its event
 // queue still holds the aborted cycle.
-func (r *Rig) StreamWindow(measurements int, wallStart time.Time, sink func(store.Record) error) error {
+func (r *Rig) StreamWindow(measurements, month int, sink func(store.Record) error) error {
 	switch {
 	case sink == nil:
 		return errors.New("harness: nil stream sink")
 	case measurements <= 0:
 		return fmt.Errorf("harness: non-positive window size %d", measurements)
+	case month < 0:
+		return fmt.Errorf("harness: negative campaign month %d", month)
 	case r.aborted:
 		return errors.New("harness: rig stopped mid-cycle by an earlier aborted window; build a fresh rig")
 	}
 	r.sink, r.sinkErr = sink, nil
 	defer func() { r.sink, r.sinkErr = nil, nil }()
-	r.wallBase = wallStart
-	r.windowStartSim = r.sim.Now()
+	r.month = month
 	defer r.startCaptures()()
 	for i, m := range r.masters {
 		m.completed = 0
@@ -432,15 +454,7 @@ func (m *master) forward(s *device.SlaveBoard, data []byte) {
 		m.rig.readErrors++
 		return
 	}
-	wall := m.rig.wallBase.Add(time.Duration(m.rig.sim.Now()-m.rig.windowStartSim) * time.Microsecond)
-	rec := store.Record{
-		Board: s.ID,
-		Layer: s.Layer,
-		Seq:   s.Seq(),
-		Cycle: m.cycleBase + m.completed,
-		Wall:  wall,
-		Data:  v,
-	}
+	rec := m.rig.cfg.Envelope(s.ID, s.Layer, m.rig.month, int(m.completed), v)
 	if err := m.rig.sink(rec); err != nil && m.rig.sinkErr == nil {
 		m.rig.sinkErr = err
 	}

@@ -35,12 +35,12 @@ func smallRig(t *testing.T, slavesPerLayer int) *Rig {
 	return r
 }
 
-// collect runs one window through StreamWindow and returns its records in
-// capture order.
-func collect(t *testing.T, r *Rig, measurements int, wallStart time.Time) []store.Record {
+// collect runs the month's window through StreamWindow and returns its
+// records in capture order.
+func collect(t *testing.T, r *Rig, measurements, month int) []store.Record {
 	t.Helper()
 	var recs []store.Record
-	if err := r.StreamWindow(measurements, wallStart, func(rec store.Record) error {
+	if err := r.StreamWindow(measurements, month, func(rec store.Record) error {
 		recs = append(recs, rec)
 		return nil
 	}); err != nil {
@@ -123,7 +123,7 @@ func TestRigAssembly(t *testing.T) {
 func TestRunWindowProducesRecords(t *testing.T) {
 	r := smallRig(t, 2)
 	start := store.MonthlyWindowStart(0)
-	all := collect(t, r, 5, start)
+	all := collect(t, r, 5, 0)
 	if len(all) != 4*5 {
 		t.Fatalf("window has %d records, want 20", len(all))
 	}
@@ -150,8 +150,11 @@ func TestRunWindowProducesRecords(t *testing.T) {
 
 func TestRunWindowRejectsBadSize(t *testing.T) {
 	r := smallRig(t, 1)
-	if err := r.StreamWindow(0, store.Epoch, discard); err == nil {
+	if err := r.StreamWindow(0, 0, discard); err == nil {
 		t.Fatal("zero-measurement window accepted")
+	}
+	if err := r.StreamWindow(2, -1, discard); err == nil {
+		t.Fatal("window of a negative month accepted")
 	}
 }
 
@@ -159,7 +162,7 @@ func TestCycleTimingMatchesFig3(t *testing.T) {
 	// Fig. 3: period 5.4 s, on-time 3.8 s, layers out of phase.
 	r := smallRig(t, 2)
 	r.Switch().SetTracing(true)
-	if err := r.StreamWindow(6, store.Epoch, discard); err != nil {
+	if err := r.StreamWindow(6, 0, discard); err != nil {
 		t.Fatal(err)
 	}
 	trace := r.Switch().Trace()
@@ -196,7 +199,7 @@ func TestLayerSynchronisation(t *testing.T) {
 	// Algorithm 1's handshake: both layers produce exactly the same number
 	// of measurements even though they run out of phase.
 	r := smallRig(t, 3)
-	for board, recs := range byBoard(collect(t, r, 7, store.Epoch)) {
+	for board, recs := range byBoard(collect(t, r, 7, 0)) {
 		if n := len(recs); n != 7 {
 			t.Fatalf("board %d produced %d records, want 7 (layer sync broken)", board, n)
 		}
@@ -215,7 +218,7 @@ func TestMeasurementRateMatchesPaper(t *testing.T) {
 func TestDeterministicWindows(t *testing.T) {
 	r1 := smallRig(t, 2)
 	r2 := smallRig(t, 2)
-	w1, w2 := collect(t, r1, 3, store.Epoch), collect(t, r2, 3, store.Epoch)
+	w1, w2 := collect(t, r1, 3, 0), collect(t, r2, 3, 0)
 	if len(w1) != len(w2) {
 		t.Fatalf("window sizes differ: %d vs %d", len(w1), len(w2))
 	}
@@ -230,16 +233,55 @@ func TestDeterministicWindows(t *testing.T) {
 	}
 }
 
+// TestSeqAndCycleBases: a month-k window counts its cycles from
+// k·CyclesPerMonth, the cycles the campaign fast-forwards between
+// windows, and Seq is the board's lifetime power-up count.
 func TestSeqAndCycleBases(t *testing.T) {
 	r := smallRig(t, 1)
-	r.SetSeqBase(1000000)
-	r.SetCycleBase(500000)
-	recs := byBoard(collect(t, r, 2, store.Epoch))[0]
-	if recs[0].Seq != 1000001 {
-		t.Fatalf("first seq = %d, want 1000001", recs[0].Seq)
+	const k = 7
+	recs := byBoard(collect(t, r, 2, k))[0]
+	if want := k*CyclesPerMonth + 1; recs[0].Seq != want {
+		t.Fatalf("first seq = %d, want %d", recs[0].Seq, want)
 	}
-	if recs[0].Cycle != 500000 {
-		t.Fatalf("first cycle = %d, want 500000", recs[0].Cycle)
+	if want := k * CyclesPerMonth; recs[0].Cycle != want {
+		t.Fatalf("first cycle = %d, want %d", recs[0].Cycle, want)
+	}
+}
+
+// TestWallIsPowerOnEdge: every record's Wall is the rising edge of its
+// board's channel in the power-switch trace that latched the pattern,
+// counted from the month's window start, on two-layer and one-layer
+// rigs and for a window that does not start at simulated time zero.
+func TestWallIsPowerOnEdge(t *testing.T) {
+	for _, layers := range []int{2, 1} {
+		cfg := testConfig(t)
+		cfg.Layers, cfg.SlavesPerLayer = layers, 3
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Switch().SetTracing(true)
+		for _, month := range []int{0, 2} {
+			start, seen := r.sim.Now(), len(r.Switch().Trace())
+			recs := byBoard(collect(t, r, 4, month))
+			edges := map[int][]desim.Time{}
+			for _, tr := range r.Switch().Trace()[seen:] {
+				if tr.On {
+					edges[tr.Channel] = append(edges[tr.Channel], tr.At)
+				}
+			}
+			for b := range len(r.Boards()) {
+				if len(recs[b]) != 4 || len(edges[b]) != 4 {
+					t.Fatalf("%d layers, month %d, board %d: %d records, %d rising edges, want 4 each", layers, month, b, len(recs[b]), len(edges[b]))
+				}
+				for i, rec := range recs[b] {
+					want := store.MonthlyWindowStart(month).Add(time.Duration(edges[b][i]-start) * time.Microsecond)
+					if !rec.Wall.Equal(want) {
+						t.Fatalf("%d layers, month %d, board %d record %d: wall %v, want the power-on edge %v", layers, month, b, i, rec.Wall, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -253,14 +295,14 @@ func TestI2CErrorInjectionCountsErrors(t *testing.T) {
 	}
 	// Corruption does not break framing (payload length unchanged), so
 	// records still arrive; the point is the collection keeps operating.
-	if n := len(collect(t, r, 10, store.Epoch)); n != 20 {
+	if n := len(collect(t, r, 10, 0)); n != 20 {
 		t.Fatalf("window has %d records, want 20", n)
 	}
 }
 
 func TestWindowTimestampsSpacing(t *testing.T) {
 	r := smallRig(t, 1)
-	recs := byBoard(collect(t, r, 4, store.Epoch))[0]
+	recs := byBoard(collect(t, r, 4, 0))[0]
 	for i := 1; i < len(recs); i++ {
 		dt := recs[i].Wall.Sub(recs[i-1].Wall)
 		if math.Abs(dt.Seconds()-5.4) > 0.01 {
@@ -274,10 +316,14 @@ func TestWindowTimestampsSpacing(t *testing.T) {
 // sink yields every board's full window, counted from the first cycle.
 func TestStreamWindowNilSink(t *testing.T) {
 	r := smallRig(t, 2)
-	if err := r.StreamWindow(3, store.Epoch, nil); err == nil {
+	r.Switch().SetTracing(true)
+	if err := r.StreamWindow(3, 0, nil); err == nil {
 		t.Fatal("nil sink accepted")
 	}
-	got := byBoard(collect(t, r, 3, store.Epoch))
+	if n := len(r.Switch().Trace()); n != 0 {
+		t.Fatalf("the refused window switched power %d times", n)
+	}
+	got := byBoard(collect(t, r, 3, 0))
 	if len(got) != 4 {
 		t.Fatalf("window after the refused one recorded %d boards, want 4", len(got))
 	}
@@ -297,11 +343,11 @@ func TestStreamWindowNilSink(t *testing.T) {
 func TestStreamWindowAbortPoisonsRig(t *testing.T) {
 	r := smallRig(t, 1)
 	boom := errors.New("boom")
-	err := r.StreamWindow(20, store.Epoch, func(store.Record) error { return boom })
+	err := r.StreamWindow(20, 0, func(store.Record) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("aborted window: err = %v, want boom", err)
 	}
-	if err := r.StreamWindow(2, store.Epoch.Add(time.Hour), discard); err == nil {
+	if err := r.StreamWindow(2, 1, discard); err == nil {
 		t.Fatal("poisoned rig accepted another window")
 	}
 }
@@ -314,10 +360,11 @@ func TestStreamWindowAbortPoisonsRig(t *testing.T) {
 func TestStreamWindowAbortJoinsCaptures(t *testing.T) {
 	r := smallRig(t, 8)
 	r.SetWorkers(4)
+	r.Switch().SetTracing(true)
 	before := runtime.NumGoroutine()
 	stop := errors.New("stop")
 	n := 0
-	err := r.StreamWindow(50, store.Epoch, func(store.Record) error {
+	err := r.StreamWindow(50, 0, func(store.Record) error {
 		if n++; n == 37 {
 			return stop
 		}
@@ -326,9 +373,15 @@ func TestStreamWindowAbortJoinsCaptures(t *testing.T) {
 	if !errors.Is(err, stop) {
 		t.Fatalf("aborted window: err = %v, want stop", err)
 	}
-	for i, b := range r.Boards() {
-		if got := r.Arrays()[i].PowerUps(); got < b.Seq() {
-			t.Fatalf("board %d: %d power-ups sampled of %d latched", i, got, b.Seq())
+	latched := make([]uint64, len(r.Boards()))
+	for _, tr := range r.Switch().Trace() {
+		if tr.On {
+			latched[tr.Channel]++
+		}
+	}
+	for i := range r.Boards() {
+		if got := r.Arrays()[i].PowerUps(); latched[i] == 0 || got < latched[i] {
+			t.Fatalf("board %d: %d power-ups sampled of %d latched", i, got, latched[i])
 		}
 	}
 	for range 100 {
@@ -352,7 +405,7 @@ func TestWorkersKeepRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.SetWorkers(workers)
-		return collect(t, r, 6, store.Epoch)
+		return collect(t, r, 6, 0)
 	}
 	want := records(1)
 	for _, w := range []int{2, 3, 0} {
@@ -389,7 +442,7 @@ func TestMuteKeepsOtherBoards(t *testing.T) {
 	if err := muted.Mute(4); err == nil {
 		t.Fatal("muting a board the rig does not have succeeded")
 	}
-	fullRecs, mutedRecs := byBoard(collect(t, full, 8, store.Epoch)), byBoard(collect(t, muted, 8, store.Epoch))
+	fullRecs, mutedRecs := byBoard(collect(t, full, 8, 0)), byBoard(collect(t, muted, 8, 0))
 	if got := slices.Sorted(maps.Keys(mutedRecs)); !slices.Equal(got, []int{1, 2}) {
 		t.Fatalf("muted rig forwarded boards %v, want [1 2]", got)
 	}

@@ -19,7 +19,7 @@ func TestSingleLayerRig(t *testing.T) {
 	if len(r.Boards()) != 3 {
 		t.Fatalf("boards = %d", len(r.Boards()))
 	}
-	if n := len(collect(t, r, 5, store.Epoch)); n != 15 {
+	if n := len(collect(t, r, 5, 0)); n != 15 {
 		t.Fatalf("records = %d, want 15", n)
 	}
 }
@@ -28,15 +28,16 @@ func TestSingleLayerRig(t *testing.T) {
 // as the campaign driver does, and checks counters continue correctly.
 func TestConsecutiveWindows(t *testing.T) {
 	r := smallRig(t, 1)
-	collect(t, r, 3, store.MonthlyWindowStart(0))
-	second := collect(t, r, 2, store.MonthlyWindowStart(1))
+	collect(t, r, 3, 0)
+	second := collect(t, r, 2, 1)
 	if got := len(second); got != 4 {
 		t.Fatalf("second window produced %d records, want 4", got)
 	}
-	// Board seq keeps counting across windows.
+	// Board seq counts the power-ups of the campaign month's window,
+	// which starts CyclesPerMonth cycles after month 0's.
 	recs := byBoard(second)[0]
-	if recs[len(recs)-1].Seq != 5 {
-		t.Fatalf("final seq = %d, want 5", recs[len(recs)-1].Seq)
+	if want := CyclesPerMonth + 2; recs[len(recs)-1].Seq != want {
+		t.Fatalf("final seq = %d, want %d", recs[len(recs)-1].Seq, want)
 	}
 }
 
@@ -45,7 +46,7 @@ func TestConsecutiveWindows(t *testing.T) {
 // the rig-level version of the campaign's core measurement.
 func TestRigAgingBetweenWindows(t *testing.T) {
 	r := smallRig(t, 1)
-	w0 := byBoard(collect(t, r, 20, store.MonthlyWindowStart(0)))[0]
+	w0 := byBoard(collect(t, r, 20, 0))[0]
 	if len(w0) != 20 {
 		t.Fatalf("month 0 holds %d records, want 20", len(w0))
 	}
@@ -67,7 +68,7 @@ func TestRigAgingBetweenWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w24 := byBoard(collect(t, r, 20, store.MonthlyWindowStart(24)))[0]
+	w24 := byBoard(collect(t, r, 20, 24))[0]
 	if len(w24) != 20 {
 		t.Fatalf("month 24 holds %d records, want 20", len(w24))
 	}

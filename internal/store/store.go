@@ -22,14 +22,19 @@ import (
 // Epoch is the start of the paper's test campaign: February 8, 2017.
 var Epoch = time.Date(2017, time.February, 8, 0, 0, 0, 0, time.UTC)
 
-// Record is one archived SRAM power-up read-out.
+// Record is one archived SRAM power-up read-out. Every layout that
+// records a campaign frames it the same way (harness.Timing.Envelope),
+// so an archive does not depend on the layout that wrote it.
 type Record struct {
-	Board int    // global board index (0..15)
-	Layer int    // rig layer (0 or 1)
-	Seq   uint64 // per-board lifetime measurement index
-	Cycle uint64 // rig cycle counter at capture time
-	Wall  time.Time
-	Data  *bitvec.Vector // the read-out window pattern
+	Board int    // global board index (0..15 on the paper's rig)
+	Layer int    // rig layer (0 or 1): the board's half of the population
+	Seq   uint64 // the board's lifetime power-up count: Cycle + 1
+	Cycle uint64 // rig cycle of the capture: month·cycles-per-month + index in the month's window
+	// Wall is the capture instant: the power-on edge that latched the
+	// pattern, not the instant the read-out was received. Its month
+	// (MonthIndex) places the record in an evaluation window.
+	Wall time.Time
+	Data *bitvec.Vector // the read-out window pattern
 }
 
 // jsonRecord is the wire format: timestamps in RFC3339, payload in hex —

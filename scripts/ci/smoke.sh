@@ -47,9 +47,17 @@ for ch in S3 S4 S11 S12; do
     }
 done
 
-echo "== sharded run: 2 shardworker subprocesses, archive streamed"
+echo "== one record envelope: the direct and rig runs archive the same records"
 "$workdir/agingtest" -devices $DEVICES -months $MONTHS -window $WINDOW \
-    -shards 2 -shardworker "$workdir/shardworker" \
+    -archive "$workdir/direct.jsonl" > "$workdir/direct-archive.txt"
+"$workdir/agingtest" -devices $DEVICES -months $MONTHS -window $WINDOW \
+    -harness -archive "$workdir/rig.jsonl" > "$workdir/rig-archive.txt"
+# Tap order differs between layouts; the records do not.
+cmp <(sort "$workdir/direct.jsonl") <(sort "$workdir/rig.jsonl")
+
+echo "== sharded rig run: 2 shardworker subprocesses, archive streamed"
+"$workdir/agingtest" -devices $DEVICES -months $MONTHS -window $WINDOW \
+    -harness -shards 2 -shardworker "$workdir/shardworker" \
     -archive "$workdir/campaign.jsonl" > "$workdir/sharded.txt"
 extract_table "$workdir/sharded.txt" > "$workdir/sharded.table"
 

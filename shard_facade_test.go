@@ -3,6 +3,8 @@ package sramaging
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -94,6 +96,24 @@ func TestWithShardsExclusiveWithSource(t *testing.T) {
 	}
 	if _, err := NewAssessment(WithShardTransport(nil)); !errors.Is(err, ErrConfig) {
 		t.Fatalf("nil transport: err = %v, want ErrConfig", err)
+	}
+	// A replay needs a shard count too, checked on a valid archive.
+	path := filepath.Join(t.TempDir(), "a.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w := NewBinaryRecordWriter(f)
+	src.SetTap(w.Write)
+	if err := runFacade(WithSource(src), WithMonths(1), WithWindowSize(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewShardedArchiveSource(path, 0, nil); !errors.Is(err, ErrConfig) {
+		t.Fatalf("archive replay on 0 shards: err = %v, want ErrConfig", err)
 	}
 }
 
