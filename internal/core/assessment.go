@@ -248,14 +248,12 @@ type Assessment struct {
 	active []int
 	posOf  []int
 
-	// Per-device profile names and the profiles the source lists (what
-	// screening floors resolve against), resolved once from the source's
-	// ProfileAssigner (preferred, compact) or ProfileLister.
-	profNames    []string
-	profList     []string
-	profResolved bool
+	// Per-device profile names, resolved at NewAssessment from the
+	// source's ProfileAssigner (preferred, compact) or ProfileLister; nil
+	// when the source lists no profiles.
+	profNames []string
 
-	// Screening floor by profile name, resolved at the first prune.
+	// Screening floor by profile name, resolved at NewAssessment.
 	floors map[string]float64
 }
 
@@ -275,14 +273,15 @@ func NewAssessment(cfg AssessmentConfig) (*Assessment, error) {
 	if err := ValidateMetrics(cfg.Metrics, cfg.CrossMetrics); err != nil {
 		return nil, err
 	}
+	profNames, listed := sourceProfiles(cfg.Source)
+	var floors map[string]float64
 	if cfg.Screening != nil {
 		if _, ok := cfg.Source.(DevicePruner); !ok {
 			return nil, fmt.Errorf("%w: screening needs a source that can stop sampling pruned devices (DevicePruner); %T cannot", ErrConfig, cfg.Source)
 		}
-		_, lists := cfg.Source.(ProfileLister)
-		_, assigns := cfg.Source.(ProfileAssigner)
-		if len(cfg.Screening.PerProfile) > 0 && !lists && !assigns {
-			return nil, fmt.Errorf("%w: per-profile screening floors name fleet profiles; %T lists none", ErrConfig, cfg.Source)
+		var err error
+		if floors, err = cfg.Screening.Resolve(listed); err != nil {
+			return nil, err
 		}
 	}
 	if cfg.Months == nil {
@@ -311,7 +310,7 @@ func NewAssessment(cfg AssessmentConfig) (*Assessment, error) {
 	if len(cfg.Months) == 0 {
 		return nil, fmt.Errorf("%w (source %T lists none for window size %d)", ErrNoMonths, cfg.Source, cfg.WindowSize)
 	}
-	return &Assessment{cfg: cfg}, nil
+	return &Assessment{cfg: cfg, profNames: profNames, floors: floors}, nil
 }
 
 // ValidateMetrics checks that every custom metric has a name and that
@@ -376,40 +375,25 @@ func (a *Assessment) Run(ctx context.Context) (*Results, error) {
 	return res, nil
 }
 
-// profileNames resolves the source's per-device profile names once —
+// sourceProfiles returns a source's per-device profile names and the
+// profile names it lists (what screening floors resolve against) —
 // preferring the compact ProfileAssigner contract (names + one byte per
-// device, what sharded fleets stream out of their workers) over the
-// O(devices) string listing of ProfileLister. Nil when the source has no
-// per-device profile knowledge.
-func (a *Assessment) profileNames() []string {
-	if a.profResolved {
-		return a.profNames
-	}
-	a.profResolved = true
-	devices := a.cfg.Source.Devices()
-	if pa, ok := a.cfg.Source.(ProfileAssigner); ok {
-		if names, idx := pa.ProfileAssignment(); len(idx) == devices && len(names) > 0 {
-			full := make([]string, devices)
-			ok := true
-			for d, i := range idx {
-				if int(i) >= len(names) {
-					ok = false
-					break
-				}
-				full[d] = names[i]
-			}
-			if ok {
-				a.profNames, a.profList = full, names
-				return a.profNames
-			}
+// device) over the O(devices) string listing of ProfileLister. Every
+// source knows its profiles before its first Measure; both are nil when
+// it lists none.
+func sourceProfiles(src Source) (perDevice, listed []string) {
+	devices := src.Devices()
+	if pa, ok := src.(ProfileAssigner); ok {
+		if names, idx := pa.ProfileAssignment(); len(idx) == devices && int(slices.Max(idx)) < len(names) {
+			return expandAssignment(names, idx), names
 		}
 	}
-	if pl, ok := a.cfg.Source.(ProfileLister); ok {
+	if pl, ok := src.(ProfileLister); ok {
 		if names := pl.DeviceProfileNames(); len(names) == devices {
-			a.profNames, a.profList = names, names
+			return names, names
 		}
 	}
-	return a.profNames
+	return nil, nil
 }
 
 // evaluateMonth streams one evaluation window from the source through the
@@ -532,7 +516,7 @@ func (a *Assessment) evaluateMonth(ctx context.Context, month int, last bool) (*
 	eval.BCHDMean, eval.BCHDMin, eval.BCHDMax = cr.BCHDMean, cr.BCHDMin, cr.BCHDMax
 	eval.PUFHmin = cr.PUFHmin
 
-	if names := a.profileNames(); names != nil {
+	if names := a.profNames; names != nil {
 		if screening && count < devices {
 			activeNames := make([]string, count)
 			for p, d := range a.active {
@@ -588,14 +572,7 @@ func (a *Assessment) screenMonth(eval *MonthEval, devices, count int, last bool)
 	if count < devices {
 		eval.DeviceIndex = append([]int(nil), a.active...)
 	}
-	names := a.profileNames()
-	if a.floors == nil {
-		floors, err := a.cfg.Screening.Resolve(a.profList)
-		if err != nil {
-			return err
-		}
-		a.floors = floors
-	}
+	names := a.profNames
 	var pruned []int
 	survivors := a.active[:0]
 	for p, d := range a.active {

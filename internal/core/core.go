@@ -72,9 +72,9 @@ type MonthEval struct {
 
 	// ByProfile breaks the per-device reliability metrics down by fleet
 	// profile name. It is populated only for heterogeneous fleets —
-	// sources whose ProfileLister listing names more than one distinct
-	// profile — so homogeneous campaigns (and their serialized results)
-	// are unchanged.
+	// sources whose ProfileAssigner or ProfileLister listing names more
+	// than one distinct profile — so homogeneous campaigns (and their
+	// serialized results) are unchanged.
 	ByProfile map[string]ProfileEval `json:",omitempty"`
 
 	// Screening fields, populated only under ScreeningConfig — every one

@@ -35,8 +35,8 @@ func NewFleet(profiles ...silicon.DeviceProfile) (*Fleet, error) {
 		return nil, fmt.Errorf("%w: fleet needs >= 1 profile", ErrConfig)
 	}
 	if len(profiles) > 256 {
-		// The compact assignment contract (ProfileAssigner, shard frames)
-		// indexes profiles with one byte per device.
+		// The compact assignment contract (ProfileAssigner) indexes
+		// profiles with one byte per device.
 		return nil, fmt.Errorf("%w: fleet holds %d profiles, max 256", ErrConfig, len(profiles))
 	}
 	seen := make(map[string]bool, len(profiles))
@@ -96,8 +96,9 @@ func (f *Fleet) ProfileNames() []string {
 
 // AssignmentIndices returns the profile index of every device in indices
 // (GLOBAL device indices) under the campaign seed, one byte per device —
-// the idx side of the compact ProfileAssigner contract and the payload a
-// shard worker streams back for its slice.
+// the idx side of the compact ProfileAssigner contract. A sharded
+// source derives the whole population's at open, as each worker does
+// for its slice; 10⁶ devices cost about 11 ms.
 // The assignment stream is hoisted out of the device loop and each
 // device's substream derived into a reused scratch, so assigning a
 // million-device fleet allocates one Source, not three per device.
@@ -122,21 +123,32 @@ func (f *Fleet) AssignmentIndices(seed uint64, indices []int) []uint8 {
 // breakdown, so single-profile results are unchanged.
 type ProfileLister interface {
 	// DeviceProfileNames returns one profile name per device index, or
-	// nil when the source has no per-device profile knowledge.
+	// nil when the source has no per-device profile knowledge. Like
+	// ProfileAssignment, it is known before the first Measure.
 	DeviceProfileNames() []string
 }
 
 // ProfileAssigner is the compact, fleet-scale form of ProfileLister:
 // the distinct profile names once, plus one byte per device indexing
-// into them — 1 B/device instead of a string header per device, and the
-// exact shape shard workers stream back in their measure-done frames so
-// the coordinator never recomputes a million-device assignment. The
+// into them — 1 B/device instead of a string header per device. The
 // engine prefers this contract when a source offers both. A fleet holds
 // at most 256 profiles (NewFleet enforces it), so uint8 cannot overflow.
 type ProfileAssigner interface {
 	// ProfileAssignment returns (names, idx) with len(idx) == Devices()
-	// and every idx value < len(names), or (nil, nil) when unknown.
+	// and every idx value < len(names), or (nil, nil) when the source
+	// lists no profiles. It is known before the first Measure: the
+	// engine reads it once, in NewAssessment.
 	ProfileAssignment() ([]string, []uint8)
+}
+
+// expandAssignment returns one profile name per device of a compact
+// (names, idx) assignment.
+func expandAssignment(names []string, idx []uint8) []string {
+	out := make([]string, len(idx))
+	for d, i := range idx {
+		out[d] = names[i]
+	}
+	return out
 }
 
 // ProfileEval aggregates the per-device reliability metrics of the

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"path/filepath"
 	"reflect"
@@ -173,12 +174,13 @@ func TestScreeningDirectVsShardedBitIdentical(t *testing.T) {
 }
 
 // TestScreeningPerProfileFloors: profile-specific floors resolve through
-// the merged worker-streamed assignment — a floor that only prunes one
-// profile's devices attributes every pruned device to that profile, in
-// every layout. Keys match profile names case-insensitively, so the
+// the assignment each layout derives at open — a floor that only prunes
+// one profile's devices attributes every pruned device to that profile,
+// in every layout. Keys match profile names case-insensitively, so the
 // registry name floors the same devices as the display name, and a key
-// that names no profile of the fleet fails the campaign with ErrConfig
-// instead of screening nothing.
+// that names no profile of the fleet is refused by NewAssessment with
+// ErrConfig, before any window is measured, instead of screening
+// nothing.
 func TestScreeningPerProfileFloors(t *testing.T) {
 	fleet := screeningFleet(t)
 	const devices, seed, window = 10, 777, 24
@@ -210,20 +212,20 @@ func TestScreeningPerProfileFloors(t *testing.T) {
 			lazy.Lazy, lazy.Shards = true, 3
 			for _, s := range []SimSpec{spec, lazy} {
 				src := mustOpen[Source](t, s)
+				if cl, ok := src.(io.Closer); ok {
+					defer cl.Close()
+				}
 				eng, err := NewAssessment(AssessmentConfig{Source: src, WindowSize: window, Months: months, Screening: sc})
+				if !c.valid {
+					if !errors.Is(err, ErrConfig) {
+						t.Fatalf("shards=%d: key %q: NewAssessment got %v, want ErrConfig", s.Shards, c.key, err)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
 				got, err := eng.Run(context.Background())
-				if cl, ok := src.(io.Closer); ok {
-					cl.Close()
-				}
-				if !c.valid {
-					if !errors.Is(err, ErrConfig) {
-						t.Fatalf("shards=%d: key %q: got %v, want ErrConfig", s.Shards, c.key, err)
-					}
-					continue
-				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -339,6 +341,16 @@ func TestScreeningArchiveReplayBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(surviving, months) {
 		t.Fatalf("surviving months %v, want %v", surviving, months)
 	}
+	// An archive lists no profiles, so both replay layouts refuse a
+	// per-profile floor at NewAssessment, before any window is read.
+	perProfile := &ScreeningConfig{Floor: sc.Floor, PerProfile: map[string]float64{profile.Name: sc.Floor}}
+	refusesPerProfile := func(layout string, src Source) {
+		t.Helper()
+		if _, err := NewAssessment(AssessmentConfig{Source: src, WindowSize: window, Months: months, Screening: perProfile}); !errors.Is(err, ErrConfig) {
+			t.Fatalf("%s: per-profile floors: NewAssessment got %v, want ErrConfig", layout, err)
+		}
+	}
+	refusesPerProfile("direct replay", replay)
 	got := runScreened(t, replay, window, months, sc)
 	assertResultsBitIdentical(t, want, got)
 
@@ -371,6 +383,7 @@ func TestScreeningArchiveReplayBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(gotMonths, months) {
 			t.Fatalf("shards=%d: surviving months %v, want %v", shards, gotMonths, months)
 		}
+		refusesPerProfile(fmt.Sprintf("%d-shard replay", shards), src)
 		got := runScreened(t, src, window, months, sc)
 		src.Close()
 		assertResultsBitIdentical(t, want, got)

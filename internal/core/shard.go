@@ -131,17 +131,6 @@ func (b *simShardBackend) Assign(indices []int) error {
 	return nil
 }
 
-// ProfileAssignment reports the shard's slice of the fleet's profile
-// assignment (local order) — shipped to the coordinator in the first
-// measure-done frame; a plain-profile shard reports nothing. A one-profile
-// fleet reports, as SimSource does, so screening agrees across layouts.
-func (b *simShardBackend) ProfileAssignment() ([]string, []uint8) {
-	if b.spec.Fleet == nil {
-		return nil, nil
-	}
-	return b.spec.Fleet.ProfileNames(), b.spec.Fleet.AssignmentIndices(b.spec.Seed, b.indices)
-}
-
 // Prune maps the screening decision's GLOBAL indices onto the shard's
 // local namespace and forwards it to the source. Assignments are
 // contiguous ascending ranges, so the mapping is an offset.
@@ -348,6 +337,11 @@ func (c pipeConn) Close() error {
 type ShardedSource struct {
 	recordTap
 	co *shard.Coordinator
+	// profNames/profIdx are the fleet's profile assignment over the whole
+	// population (ProfileAssigner), derived from the spec at open; nil for
+	// a plain profile, the rig and archive replay.
+	profNames []string
+	profIdx   []uint8
 }
 
 func newShardedSource(spec shard.Spec, shards int, transport shard.Transport) (*ShardedSource, error) {
@@ -364,30 +358,26 @@ func newShardedSource(spec shard.Spec, shards int, transport shard.Transport) (*
 // Devices returns the total device population across all shards.
 func (s *ShardedSource) Devices() int { return s.co.Devices() }
 
-// ProfileAssignment returns the campaign's profile assignment as merged
-// from the workers' first measure-done frames (ProfileAssigner): the
-// shards compute their slices' assignments while measuring and stream
-// them back, so the coordinator never re-derives a million-device
-// assignment centrally. Nil until the first window completes, and
-// always nil for plain-profile campaigns — the engine resolves profile
-// names after the first Measure, which is exactly when this is ready.
+// ProfileAssignment returns the fleet's profile names plus one byte per
+// global device (ProfileAssigner), known from open: OpenSim derives it
+// from the spec's seed, as every worker does for its slice. Nil for a
+// plain profile, the rig and archive replay; a one-profile fleet
+// reports, as SimSource does.
 func (s *ShardedSource) ProfileAssignment() ([]string, []uint8) {
-	return s.co.ProfileAssignment()
+	if s.profNames == nil {
+		return nil, nil
+	}
+	return s.profNames, append([]uint8(nil), s.profIdx...)
 }
 
 // DeviceProfileNames returns the fleet's per-device profile names
-// (ProfileLister), expanded from the worker-streamed assignment; nil
-// before the first window and for plain-profile sharded campaigns.
+// (ProfileLister), expanded from the assignment; nil where
+// ProfileAssignment is.
 func (s *ShardedSource) DeviceProfileNames() []string {
-	names, idx := s.co.ProfileAssignment()
-	if names == nil {
+	if s.profNames == nil {
 		return nil
 	}
-	out := make([]string, len(idx))
-	for d, i := range idx {
-		out[d] = names[i]
-	}
-	return out
+	return expandAssignment(s.profNames, s.profIdx)
 }
 
 // PruneDevices fans a screening decision out to the owning shards

@@ -10,9 +10,9 @@ import (
 
 // The sharded-execution benchmarks, gated in CI against
 // BENCH_baseline.json: the coordinator/worker round trip must stay a
-// small constant factor over the in-process source (the wire cost is
-// one JSON record per measurement), and must not regress as the
-// protocol evolves. BenchmarkShardCampaignDirect is the same campaign
+// small constant factor over the in-process source (the wire carries
+// binary record batches, a memcpy per measurement), and must not regress
+// as the protocol evolves. BenchmarkShardCampaignDirect is the same campaign
 // without sharding — the denominator of the overhead ratio.
 
 func benchCampaign(b *testing.B, src Source) {

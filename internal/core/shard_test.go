@@ -75,6 +75,53 @@ func TestShardedSimBitIdentical(t *testing.T) {
 	}
 }
 
+// TestShardedProfileAssignmentAtOpen: a sharded sim source knows its
+// profile assignment from open, before any Measure, and it is the direct
+// SimSource's for every shard count, silicon and chip kind: a plain
+// profile reports nothing, a one-profile fleet and a mixed one report
+// their fleet's names and one byte per device.
+func TestShardedProfileAssignmentAtOpen(t *testing.T) {
+	fleet := screeningFleet(t)
+	single, err := NewFleet(fleet.Profiles()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const devices, seed = 14, 4242
+	for _, si := range []struct {
+		name string
+		spec SimSpec
+	}{
+		{"plain profile", SimSpec{Profile: fleet.Profiles()[0]}},
+		{"one-profile fleet", SimSpec{Fleet: single}},
+		{"two-profile fleet", SimSpec{Fleet: fleet}},
+	} {
+		for _, lazy := range []bool{false, true} {
+			spec := si.spec
+			spec.Devices, spec.Seed, spec.Lazy = devices, seed, lazy
+			direct := mustOpen[*SimSource](t, spec)
+			wantNames, wantIdx := direct.ProfileAssignment()
+			wantList := direct.DeviceProfileNames()
+			if (wantNames == nil) != (spec.Fleet == nil) || (spec.Fleet == fleet && !slices.Contains(wantIdx, 1)) {
+				t.Fatalf("%s lazy=%v: direct source reports profiles %v, %v", si.name, lazy, wantNames, wantIdx)
+			}
+			for _, shards := range []int{1, 2, 7} {
+				sharded := spec
+				sharded.Shards = shards
+				src := mustOpen[*ShardedSource](t, sharded)
+				names, idx := src.ProfileAssignment()
+				list := src.DeviceProfileNames()
+				if err := src.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(names, wantNames) || !reflect.DeepEqual(idx, wantIdx) || !reflect.DeepEqual(list, wantList) {
+					t.Fatalf("%s lazy=%v shards=%d: assignment at open (%v, %v), want the direct source's (%v, %v)",
+						si.name, lazy, shards, names, idx, wantNames, wantIdx)
+				}
+			}
+		}
+	}
+}
+
 // TestShardedSimWorkersBitIdentical: the per-shard worker budget split
 // must not change a single bit, whatever the total budget.
 func TestShardedSimWorkersBitIdentical(t *testing.T) {

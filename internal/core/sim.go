@@ -121,12 +121,7 @@ func (s *SimSource) DeviceProfileNames() []string {
 	if s.fleet == nil {
 		return nil
 	}
-	names := s.fleet.ProfileNames()
-	out := make([]string, len(s.profIdx))
-	for d, i := range s.profIdx {
-		out[d] = names[i]
-	}
-	return out
+	return expandAssignment(s.fleet.ProfileNames(), s.profIdx)
 }
 
 // PruneDevices stops sampling the given (local) devices from the next

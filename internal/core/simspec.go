@@ -164,7 +164,16 @@ func OpenSim(s SimSpec) (Source, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: encoding the sim spec: %v", ErrConfig, err)
 		}
-		return newShardedSource(shard.Spec{Sim: sim}, r.Shards, r.Transport)
+		src, err := newShardedSource(shard.Spec{Sim: sim}, r.Shards, r.Transport)
+		if err != nil {
+			return nil, err
+		}
+		// The assignment is a pure function of (seed, global index), so
+		// this process derives it as every worker does for its slice.
+		if r.Fleet != nil {
+			src.profNames, src.profIdx = r.Fleet.ProfileNames(), r.Fleet.AssignmentIndices(r.Seed, r.globalIndices())
+		}
+		return src, nil
 	case r.Rig:
 		return r.openRig()
 	default:

@@ -66,8 +66,10 @@ import (
 // simulated source's configuration as one opaque encoded spec instead of
 // a mode and seven spec fields. Version 5 drops the months exchange:
 // the coordinator's process lists an archive's months from its own
-// index, so a worker only measures and prunes.
-const Protocol = 5
+// index, so a worker only measures and prunes. Version 6 drops the
+// profile assignment from the measure-done frame: the coordinator's
+// process derives it from the spec it already holds.
+const Protocol = 6
 
 // Frame types. Type 5 was protocol v1's per-record JSON frame and types
 // 8 and 9 the months exchange of v4 and earlier; they are retired, not
@@ -170,20 +172,11 @@ type measureRequest struct {
 	Workers int `json:"workers"`
 }
 
-// endOfWindow closes one measure exchange. On the FIRST window of a
-// fleet campaign it additionally carries the shard's profile breakdown
-// data — the fleet's profile names and one byte per assigned device
-// (local order, base64 on the wire) — so the coordinator merges the
-// per-shard assignments its workers already computed instead of
-// re-deriving a million-device assignment centrally.
+// endOfWindow closes one measure exchange: the window's month and how
+// many records the shard sent for it.
 type endOfWindow struct {
 	Month   int `json:"month"`
 	Records int `json:"records"`
-	// Profiles / ProfileIdx are the shard's ProfileAssignment, sent with
-	// the first measure-done only (empty afterwards, and always empty for
-	// plain-profile campaigns).
-	Profiles   []string `json:"profiles,omitempty"`
-	ProfileIdx []byte   `json:"profile_idx,omitempty"`
 }
 
 // pruneRequest tells a worker to stop measuring the given GLOBAL device

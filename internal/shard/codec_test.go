@@ -164,6 +164,7 @@ func TestSpecValidate(t *testing.T) {
 		{"sim", Spec{Protocol: Protocol, Sim: json.RawMessage(`{"devices":4}`)}, true},
 		{"archive", Spec{Protocol: Protocol, ArchivePath: "a.jsonl"}, true},
 		{"bad protocol", Spec{Protocol: Protocol + 1, Sim: json.RawMessage(`{"devices":4}`)}, false},
+		{"previous protocol", Spec{Protocol: Protocol - 1, Sim: json.RawMessage(`{"devices":4}`)}, false},
 		{"neither", Spec{Protocol: Protocol}, false},
 		{"both", Spec{Protocol: Protocol, Sim: json.RawMessage(`{"devices":4}`), ArchivePath: "a.jsonl"}, false},
 	}
@@ -179,6 +180,19 @@ func TestSpecValidate(t *testing.T) {
 				t.Errorf("%s: err = %v, want ErrProtocol", c.name, err)
 			}
 		}
+	}
+}
+
+// TestEndFrameIgnoresRetiredProfileKeys: a v5 worker's first end frame
+// carried the shard's profile assignment; the keys now decode as
+// unknown fields, leaving the month and record count.
+func TestEndFrameIgnoresRetiredProfileKeys(t *testing.T) {
+	var end endOfWindow
+	if err := decodeJSON([]byte(`{"month":2,"records":200,"profiles":["a","b"],"profile_idx":"AAE="}`), &end); err != nil {
+		t.Fatal(err)
+	}
+	if end != (endOfWindow{Month: 2, Records: 200}) {
+		t.Fatalf("decoded %+v, want month 2 with 200 records", end)
 	}
 }
 

@@ -44,13 +44,6 @@ type Coordinator struct {
 	// per-month allocation.
 	states []shardState
 
-	// profNames/profIdx accumulate the campaign's profile assignment from
-	// the workers' first measure-done frames (fleet campaigns only).
-	profNames []string
-	profIdx   []uint8
-	profSeen  int            // shards whose assignment has arrived
-	shardProf []shardProfile // raw per-shard payloads until all arrive
-
 	mu      sync.Mutex
 	workers int
 	closed  bool
@@ -62,15 +55,6 @@ type Coordinator struct {
 type shardState struct {
 	fr  frameReader
 	dec *BatchDecoder
-}
-
-// shardProfile is one shard's raw profile-assignment payload (names +
-// one local-order byte per device), held until every shard's has
-// arrived.
-type shardProfile struct {
-	names []string
-	idx   []byte
-	ok    bool
 }
 
 // NewCoordinator opens one connection per shard, handshakes the spec and
@@ -167,21 +151,6 @@ func (c *Coordinator) expect(i int, conn io.Reader, want byte, v any) error {
 
 // Devices returns the total device population.
 func (c *Coordinator) Devices() int { return c.devices }
-
-// ProfileAssignment returns the campaign's merged fleet profile
-// assignment — the distinct profile names plus one byte per global
-// device — once every shard's first measure-done frame has delivered its
-// slice; (nil, nil) before that, and always for plain-profile
-// campaigns. The merge normalises each shard's name list onto shard 0's
-// ordering, so heterogeneous workers cannot skew the breakdown.
-func (c *Coordinator) ProfileAssignment() ([]string, []uint8) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.profSeen != c.shards || len(c.profNames) == 0 {
-		return nil, nil
-	}
-	return c.profNames, c.profIdx
-}
 
 // Prune tells the owning shards to stop measuring the given GLOBAL
 // device indices from the next window on — the screening fan-out. The
@@ -297,7 +266,6 @@ func (c *Coordinator) Measure(ctx context.Context, month, size int, sink func(de
 		}(i, conn)
 	}
 	wg.Wait()
-	c.mergeProfiles()
 	err := errors.Join(errs...)
 	if err == nil {
 		return nil
@@ -308,69 +276,6 @@ func (c *Coordinator) Measure(ctx context.Context, month, size int, sink func(de
 		return fmt.Errorf("shard: month %d: %w", month, ctxErr)
 	}
 	return fmt.Errorf("shard: month %d: %w", month, err)
-}
-
-// storeShardProfiles stashes one shard's first-window profile payload.
-func (c *Coordinator) storeShardProfiles(i int, names []string, idx []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.shardProf == nil {
-		c.shardProf = make([]shardProfile, c.shards)
-	}
-	if !c.shardProf[i].ok {
-		c.shardProf[i] = shardProfile{names: names, idx: idx, ok: true}
-	}
-}
-
-// mergeProfiles assembles the global profile assignment once every
-// shard's payload has arrived: shard 0's name list is the canonical
-// ordering and every other shard's idx bytes are remapped onto it, so
-// the merged assignment is insensitive to per-worker name ordering.
-// Malformed payloads (unknown name, out-of-range idx, wrong length)
-// abandon the merge — the breakdown is an enrichment, not a correctness
-// gate, and the engine treats a nil assignment as "no breakdown".
-func (c *Coordinator) mergeProfiles() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.profSeen == c.shards || c.shardProf == nil {
-		return
-	}
-	for i := range c.shardProf {
-		if !c.shardProf[i].ok {
-			return // not all shards have reported yet
-		}
-	}
-	names := c.shardProf[0].names
-	pos := make(map[string]uint8, len(names))
-	for p, n := range names {
-		pos[n] = uint8(p)
-	}
-	idx := make([]uint8, c.devices)
-	for i := range c.shardProf {
-		sp := c.shardProf[i]
-		if len(sp.idx) != c.hi[i]-c.lo[i] {
-			c.shardProf = nil
-			return
-		}
-		remap := make([]uint8, len(sp.names))
-		for p, n := range sp.names {
-			g, ok := pos[n]
-			if !ok {
-				c.shardProf = nil
-				return
-			}
-			remap[p] = g
-		}
-		for d, b := range sp.idx {
-			if int(b) >= len(remap) {
-				c.shardProf = nil
-				return
-			}
-			idx[c.lo[i]+d] = remap[b]
-		}
-	}
-	c.profNames, c.profIdx, c.profSeen = names, idx, c.shards
-	c.shardProf = nil
 }
 
 // measureShard runs one shard's side of a Measure: request, then forward
@@ -415,9 +320,6 @@ func (c *Coordinator) measureShard(i int, conn io.ReadWriteCloser, month, size, 
 			}
 			if wantTotal := size * c.alive[i]; end.Records != wantTotal || received != wantTotal {
 				return fmt.Errorf("%w: shard %d month %d delivered %d of %d records", ErrProtocol, i, month, received, wantTotal)
-			}
-			if len(end.Profiles) > 0 {
-				c.storeShardProfiles(i, end.Profiles, end.ProfileIdx)
 			}
 			return nil
 		case frameError:

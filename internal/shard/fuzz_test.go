@@ -30,13 +30,16 @@ func seedFrames(t interface{ Fatal(...any) }) [][]byte {
 		}
 		frames = append(frames, buf.Bytes())
 	}
-	add(frameHello, []byte(`{"protocol":5,"sim":{"devices":4,"seed":7}}`))
-	add(frameHelloAck, []byte(`{"protocol":5,"devices":4}`))
+	add(frameHello, []byte(`{"protocol":6,"sim":{"devices":4,"seed":7}}`))
+	add(frameHelloAck, []byte(`{"protocol":6,"devices":4}`))
 	add(frameAssign, []byte(`{"indices":[0,1]}`))
 	add(frameMeasure, []byte(`{"month":2,"size":100,"workers":3}`))
 	add(frameRecordBatch, batch)
 	add(frameEnd, []byte(`{"month":2,"records":200}`))
 	add(frameError, []byte(`{"code":"short-window","message":"board 5"}`))
+	// A v5 end frame with the retired profile assignment: the keys
+	// decode as unknown fields.
+	add(frameEnd, []byte(`{"month":0,"records":200,"profiles":["a","b"],"profile_idx":"AAE="}`))
 	// Types 8 and 9, the retired months exchange, stay in the corpus:
 	// the codec frames them like any other byte.
 	add(8, []byte(`{"window_size":100}`))

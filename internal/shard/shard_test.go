@@ -9,6 +9,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,6 +41,12 @@ func (b *stubBackend) Devices() int { return b.devices }
 
 func (b *stubBackend) Assign(indices []int) error {
 	b.indices = indices
+	return nil
+}
+
+// Prune drops the given devices from the measured set.
+func (b *stubBackend) Prune(indices []int) error {
+	b.indices = slices.DeleteFunc(b.indices, func(d int) bool { return slices.Contains(indices, d) })
 	return nil
 }
 
@@ -161,6 +168,44 @@ func TestCoordinatorMergesShards(t *testing.T) {
 		}
 		if err := co.Measure(context.Background(), 0, 1, func(int, store.Record) error { return nil }); !errors.Is(err, ErrClosed) {
 			t.Fatalf("shards=%d: measure after close: %v, want ErrClosed", shards, err)
+		}
+	}
+}
+
+// TestCoordinatorPrune: a prune reaches the owning shards before the
+// next window, which then delivers only the surviving devices' records.
+func TestCoordinatorPrune(t *testing.T) {
+	const devices, size = 8, 3
+	pruned := []int{1, 6}
+	for _, shards := range []int{1, 2, 7} {
+		transport := pipeTransport(t, func(int) Backend { return &stubBackend{devices: devices} })
+		co, err := NewCoordinator(simSpec(devices), shards, transport)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if err := co.Prune(pruned); err != nil {
+			t.Fatalf("shards=%d: prune: %v", shards, err)
+		}
+		var mu sync.Mutex
+		got := make([]int, devices)
+		err = co.Measure(context.Background(), 0, size, func(d int, _ store.Record) error {
+			mu.Lock()
+			defer mu.Unlock()
+			got[d]++
+			return nil
+		})
+		co.Close()
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		for d, n := range got {
+			want := size
+			if slices.Contains(pruned, d) {
+				want = 0
+			}
+			if n != want {
+				t.Fatalf("shards=%d: device %d delivered %d records, want %d", shards, d, n, want)
+			}
 		}
 	}
 }
@@ -305,9 +350,10 @@ type scriptConn struct {
 func (c *scriptConn) Read(b []byte) (int, error)  { return c.in.Read(b) }
 func (c *scriptConn) Write(b []byte) (int, error) { return c.out.Write(b) }
 
-// TestWorkerRefusesMonthsRequest: a v4 coordinator's months request
-// (frame type 8, retired in v5) is a protocol violation that ends the
-// worker's session, not a frame it silently skips.
+// TestWorkerRefusesMonthsRequest: under the current protocol a v4
+// coordinator's months request (frame type 8, retired in v5) is a
+// protocol violation that ends the worker's session, not a frame it
+// silently skips.
 func TestWorkerRefusesMonthsRequest(t *testing.T) {
 	var script bytes.Buffer
 	spec := simSpec(2)

@@ -28,26 +28,11 @@ type Backend interface {
 	// ascending order (stateful silicon ages monotonically). emit is
 	// safe for concurrent calls across distinct devices.
 	Measure(ctx context.Context, month, size, workers int, emit func(device int, rec store.Record) error) error
-}
-
-// Pruner is implemented by backends that can stop measuring a subset of
-// their assigned devices mid-campaign (screening). Indices are GLOBAL
-// device indices within the backend's assignment; pruning is monotonic
-// and applies from the next Measure.
-type Pruner interface {
+	// Prune stops measuring a subset of the assigned devices
+	// mid-campaign (screening). Indices are GLOBAL device indices within
+	// the backend's assignment; pruning is monotonic and applies from the
+	// next Measure.
 	Prune(indices []int) error
-}
-
-// ProfileReporter is implemented by backends that know the fleet
-// profile of each assigned device. The worker ships the assignment in
-// its first measure-done frame (names once, one byte per device in
-// local assignment order), which is how the coordinator assembles a
-// fleet campaign's profile breakdown without re-deriving it centrally.
-type ProfileReporter interface {
-	// ProfileAssignment returns (names, idx) with one idx byte per
-	// assigned device, or (nil, nil) when the campaign has no profile
-	// breakdown (single profile).
-	ProfileAssignment() ([]string, []uint8)
 }
 
 // ServerConfig parameterises a worker's protocol loop.
@@ -76,10 +61,9 @@ func Serve(ctx context.Context, rw io.ReadWriter, cfg ServerConfig) error {
 		code = func(error) string { return CodeInternal }
 	}
 	var (
-		wmu          sync.Mutex // serialises frame writes (Measure emits concurrently)
-		backend      Backend
-		assigned     bool
-		sentProfiles bool
+		wmu      sync.Mutex // serialises frame writes (Measure emits concurrently)
+		backend  Backend
+		assigned bool
 	)
 	// Backends may hold resources open for the session (the archive
 	// backend keeps its indexed file open for seek-based replay); release
@@ -177,19 +161,7 @@ func Serve(ctx context.Context, rw io.ReadWriter, cfg ServerConfig) error {
 				}
 				continue // the coordinator decides whether the session ends
 			}
-			end := endOfWindow{Month: req.Month, Records: sent}
-			if !sentProfiles {
-				// First window: ship the shard's profile assignment so the
-				// coordinator can merge breakdowns instead of re-deriving
-				// them. One byte per device, base64 inside the JSON frame.
-				sentProfiles = true
-				if pr, ok := backend.(ProfileReporter); ok {
-					if names, idx := pr.ProfileAssignment(); len(names) > 0 {
-						end.Profiles, end.ProfileIdx = names, idx
-					}
-				}
-			}
-			if err := write(frameEnd, end); err != nil {
+			if err := write(frameEnd, endOfWindow{Month: req.Month, Records: sent}); err != nil {
 				return err
 			}
 		case framePrune:
@@ -200,14 +172,7 @@ func Serve(ctx context.Context, rw io.ReadWriter, cfg ServerConfig) error {
 			if err := decodeJSON(payload, &req); err != nil {
 				return err
 			}
-			pr, ok := backend.(Pruner)
-			if !ok {
-				if werr := fail(fmt.Errorf("backend %T cannot prune devices", backend)); werr != nil {
-					return werr
-				}
-				continue
-			}
-			if err := pr.Prune(req.Indices); err != nil {
+			if err := backend.Prune(req.Indices); err != nil {
 				if werr := fail(err); werr != nil {
 					return werr
 				}

@@ -232,7 +232,8 @@ diff -u "$workdir/fleet-direct.survive" "$workdir/fleet-sharded.survive"
 
 # The floor must actually have screened — survivors strictly below the
 # population — and the attrition summary must attribute prunes to both
-# fleet profiles (the worker-streamed breakdown reaching the CLI).
+# fleet profiles (the assignment the sharded source derives at open
+# reaching the CLI).
 if grep -q "screening: $FDEV of $FDEV" "$workdir/fleet-direct.txt"; then
     echo "screening floor $FLOOR pruned nothing at $FDEV devices" >&2
     exit 1
