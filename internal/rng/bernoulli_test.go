@@ -105,16 +105,20 @@ func BenchmarkBernoulliWords(b *testing.B) {
 	}
 }
 
-// laneKernels names the kernels BernoulliLanes can run on this host,
-// each with the laneKernel value that selects it: the per-lane fallback,
-// and the AVX2 kernel where the CPU has it. laneKernel is restored when
-// the test ends.
-func laneKernels(tb testing.TB) map[string]bool {
-	old := laneKernel
-	tb.Cleanup(func() { laneKernel = old })
-	kernels := map[string]bool{"fallback": false}
-	if laneKernelSupported() {
-		kernels["avx2"] = true
+// String names the kernel in sub-test, benchmark and log lines.
+func (k laneKernel) String() string {
+	return [...]string{"fallback", "avx2", "avx512vl"}[k]
+}
+
+// laneKernels lists the kernels BernoulliLanes can run on this host: the
+// per-lane fallback and every later kernel up to hostLaneKernel's.
+// lanesKernel is restored when the test ends.
+func laneKernels(tb testing.TB) []laneKernel {
+	old := lanesKernel
+	tb.Cleanup(func() { lanesKernel = old })
+	var kernels []laneKernel
+	for k := fallbackKernel; k <= hostLaneKernel(); k++ {
+		kernels = append(kernels, k)
 	}
 	return kernels
 }
@@ -181,17 +185,19 @@ func checkLanes(t *testing.T, seed uint64, n, k, calls int) {
 }
 
 // TestBernoulliLanesMatchScalar: on every kernel, each of one to four
-// lanes (the AVX2 kernel pads fewer than four) draws exactly what its
-// own BernoulliWords calls would, across calls, for lengths on and off a
-// word boundary.
+// lanes (the four-lane kernels pad fewer than four) draws exactly what
+// its own BernoulliWords calls would, across calls, for lengths on and
+// off a word boundary.
 func TestBernoulliLanesMatchScalar(t *testing.T) {
 	for _, kernel := range laneKernels(t) {
-		laneKernel = kernel
-		for _, n := range []int{0, 1, 63, 64, 128, 200, 8192} {
-			for k := 1; k <= Lanes; k++ {
-				checkLanes(t, uint64(100*n+k), n, k, 3)
+		t.Run(kernel.String(), func(t *testing.T) {
+			lanesKernel = kernel
+			for _, n := range []int{0, 1, 63, 64, 128, 200, 8192} {
+				for k := 1; k <= Lanes; k++ {
+					checkLanes(t, uint64(100*n+k), n, k, 3)
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -203,6 +209,14 @@ func TestBernoulliLanesPanics(t *testing.T) {
 		"short dst":  func() { BernoulliLanes(one, [][]uint64{make([]uint64, 65)}, [][]uint64{make([]uint64, 1)}) },
 		"mixed sizes": func() {
 			BernoulliLanes([]*Source{New(1), New(2)}, [][]uint64{make([]uint64, 2), make([]uint64, 3)}, make([][]uint64, 2))
+		},
+		"repeated source": func() {
+			r := New(1)
+			BernoulliLanes([]*Source{r, r}, [][]uint64{make([]uint64, 64), make([]uint64, 64)}, [][]uint64{make([]uint64, 1), make([]uint64, 1)})
+		},
+		"overlapping destinations": func() {
+			words := make([]uint64, 3)
+			BernoulliLanes([]*Source{New(1), New(2)}, [][]uint64{make([]uint64, 128), make([]uint64, 128)}, [][]uint64{words[:2], words[1:]})
 		},
 	} {
 		func() {
@@ -225,7 +239,7 @@ func FuzzBernoulliLanes(f *testing.F) {
 	kernels := laneKernels(f)
 	f.Fuzz(func(t *testing.T, seed uint64, n uint16, k uint8) {
 		for _, kernel := range kernels {
-			laneKernel = kernel
+			lanesKernel = kernel
 			checkLanes(t, seed, int(n%4096), int(k%Lanes)+1, 2)
 		}
 	})
@@ -233,8 +247,7 @@ func FuzzBernoulliLanes(f *testing.F) {
 
 // BenchmarkBernoulliLanes reports ns per draw over an 8,192-cell window:
 // one stream through BernoulliWords, and four streams through
-// BernoulliLanes on the AVX2 kernel (where the host has it) and on the
-// per-lane fallback.
+// BernoulliLanes on every kernel the host has.
 func BenchmarkBernoulliLanes(b *testing.B) {
 	const n = 8192
 	r := New(1)
@@ -251,9 +264,9 @@ func BenchmarkBernoulliLanes(b *testing.B) {
 		}
 		perDraw(b, n)
 	})
-	for name, kernel := range laneKernels(b) {
-		b.Run(name, func(b *testing.B) {
-			laneKernel = kernel
+	for _, kernel := range laneKernels(b) {
+		b.Run(kernel.String(), func(b *testing.B) {
+			lanesKernel = kernel
 			for b.Loop() {
 				BernoulliLanes(srcs, ths, dst)
 			}

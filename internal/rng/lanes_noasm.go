@@ -2,10 +2,10 @@
 
 package rng
 
-// laneKernelSupported reports false: the four-lane kernel is amd64
+// hostLaneKernel returns the fallback: the four-lane kernels are amd64
 // assembly, so BernoulliLanes runs each lane through BernoulliWords.
-func laneKernelSupported() bool { return false }
+func hostLaneKernel() laneKernel { return fallbackKernel }
 
-func bernoulliLanes4(srcs []*Source, thresholds, dst [][]uint64, n int) {
+func bernoulliLanes4(k laneKernel, srcs []*Source, thresholds, dst [][]uint64, n int) {
 	panic("rng: no four-lane kernel on this architecture")
 }

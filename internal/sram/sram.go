@@ -26,8 +26,9 @@
 // (rng.Source.BernoulliWords). That is exactly the comparison
 // Float64() < p, so it samples the same bits as a per-cell float test.
 // PowerUpWindows samples up to four chips at once, each chip's noise
-// stream in one lane of rng.BernoulliLanes; every chip draws what its
-// own PowerUpWindowInto would.
+// stream in one lane of rng.BernoulliLanes (an AVX2 or AVX-512VL kernel
+// on amd64, chosen by CPUID); every chip draws what its own
+// PowerUpWindowInto would, whichever kernel runs.
 package sram
 
 import (
@@ -326,8 +327,9 @@ func (a *Array) PowerUpWindowInto(dst *bitvec.Vector) error {
 // PowerUpWindows samples one power-up of each chip into the matching dst
 // vector, exactly as PowerUpWindowInto on each chip in turn would, but
 // with up to rng.Lanes chips drawing their noise together
-// (rng.BernoulliLanes). The chips must be distinct and share one read
-// window. A single chip takes PowerUpWindowInto itself.
+// (rng.BernoulliLanes). The chips and the destinations must be distinct,
+// and the chips must share one read window. A single chip takes
+// PowerUpWindowInto itself.
 func PowerUpWindows(chips []*Array, dst []*bitvec.Vector) error {
 	k := len(chips)
 	if k == 0 || k > rng.Lanes || len(dst) != k {
@@ -341,6 +343,11 @@ func PowerUpWindows(chips []*Array, dst []*bitvec.Vector) error {
 	for i, a := range chips {
 		if a.Cells() != chips[0].Cells() || dst[i].Len() != a.Cells() {
 			return fmt.Errorf("sram: chip %d has %d cells into %d bits, chip 0 has %d cells", i, a.Cells(), dst[i].Len(), chips[0].Cells())
+		}
+		for j := range i {
+			if a == chips[j] || dst[i] == dst[j] {
+				return fmt.Errorf("sram: chip %d or its destination repeats chip %d's", i, j)
+			}
 		}
 		srcs[i], thresh[i], words[i] = a.noise, a.thresholds(), dst[i].Words()
 	}

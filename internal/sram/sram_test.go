@@ -483,6 +483,13 @@ func TestPowerUpWindowsRejectsBadGroups(t *testing.T) {
 		"short destination": func() error {
 			return PowerUpWindows([]*Array{a, b}, []*bitvec.Vector{bitvec.New(w), bitvec.New(w - 8)})
 		},
+		"repeated chip": func() error {
+			return PowerUpWindows([]*Array{a, a}, []*bitvec.Vector{bitvec.New(w), bitvec.New(w)})
+		},
+		"repeated destination": func() error {
+			v := bitvec.New(w)
+			return PowerUpWindows([]*Array{a, b}, []*bitvec.Vector{v, v})
+		},
 	} {
 		if err := call(); err == nil {
 			t.Errorf("%s: accepted", name)
